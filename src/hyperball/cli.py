@@ -3,8 +3,7 @@
 Exit codes: 0 verdict holds / witness found, 1 refuted, 2 inconclusive,
 3 usage or validation error.  Reports echo the full configuration; with the
 same seed and inputs the JSON report is byte-identical up to its "timing"
-field.  HYPERBALL_THREADS sets the refuter's budget-partition count (the
-outcome is partition-invariant by construction).
+field.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .lab import (
     helly_counterexample,
     helly_order_check,
     hyperconvex_witness,
+    REFUTE_MODES,
     refute_search,
 )
 from .metric import is_modular
@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refute", help="seeded counterexample search")
     common(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--mode", default="external", choices=["external", "hyperconvex", "weakly-external"])
+    p.add_argument("--mode", default="external", choices=list(REFUTE_MODES))
 
     p = sub.add_parser("helly", help="emit or verify the optimal-order family")
     common(p, instance=False)

@@ -8,14 +8,11 @@ randomized search that finds nothing reports "inconclusive", never "holds".
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, gcd
+from math import comb
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DimMismatch, HyperballError, SizeCapExceeded
 from .linf import Ball, Box, FeasibilityResult, Point, balls_box, linf_dist
@@ -29,6 +26,7 @@ from .sets import (
     subset_contains,
     subset_dist,
     subset_dim,
+    subset_nearest,
     subset_nonempty,
     subset_window,
 )
@@ -242,21 +240,24 @@ def pad_family(family: LinfBallFamily, n: int) -> LinfBallFamily:
     return LinfBallFamily(family.balls + extra, family.subset)
 
 
-def verify_refutation(subset, balls: Sequence[Ball]) -> bool:
+def verify_refutation(subset, balls: Sequence) -> bool:
     """Exact re-verification: the family is externally admissible and its
-    intersection with the subset is certifiably empty."""
-    family = LinfBallFamily(tuple(balls), subset)
-    if not check_admissible(family):
+    intersection with the subset is certifiably empty.  Over a
+    ``FiniteSubset`` the balls are (center index, radius) pairs."""
+    if isinstance(subset, FiniteSubset):
+        family = FiniteBallFamily(subset.space, tuple(balls))
+    else:
+        family = LinfBallFamily(tuple(balls))
+    if not check_admissible(replace(family, subset=subset)):
         return False
-    result = external_witness(subset, LinfBallFamily(tuple(balls)))
-    return not result.feasible
+    return not external_witness(subset, family).feasible
 
 
 # ---------------------------------------------------------------------------
 # Randomized refuter
 #
-# Sampling recipe (deterministic in (seed, candidate index); scalar and
-# vectorized evaluations share it bit for bit):
+# Sampling recipe (deterministic in (seed, candidate index); the scalar
+# builder below and the int64 screen in ``screen.py`` share it bit for bit):
 #   slot 0                          family size k in [2, level]
 #   slots 1 .. level*dim            center grid indices (first k*dim used)
 #   next level slots                radius offsets in grid steps (first k used)
@@ -271,8 +272,6 @@ def verify_refutation(subset, balls: Sequence[Ball]) -> bool:
 
 GRID_BITS = 3
 RADIUS_STEPS = 8
-_INT64_GUARD = 1 << 52
-_BATCH = 4096
 
 
 @dataclass(frozen=True)
@@ -314,8 +313,20 @@ def _size_at(seed: int, base: int, level: int) -> int:
     return 2 + draw(seed, base) % (level - 1)
 
 
+def _tighten(floor, pair, radii, order):
+    """Shrink radii in place, one index at a time along ``order``, to the
+    least value admissible against the others: the index's floor (its
+    distance to the subset) or the largest pair[i][j] - radii[j]."""
+    for i in order:
+        need = floor[i]
+        for j in range(len(radii)):
+            if j != i and pair[i][j] - radii[j] > need:
+                need = pair[i][j] - radii[j]
+        radii[i] = need
+
+
 def _scalar_candidate(subset, arena: _Arena, seed: int, index: int):
-    """Build candidate ``index`` with exact rationals: (balls, admissible)."""
+    """Build candidate ``index`` with exact rationals: its tightened balls."""
     base = index * arena.slots
     level, dim = arena.level, arena.dim
     k = _size_at(seed, base, level)
@@ -334,188 +345,30 @@ def _scalar_candidate(subset, arena: _Arena, seed: int, index: int):
     ]
     key_base = off_base + level
     order = [i for _, i in sorted((draw(seed, key_base + i), i) for i in range(k))]
-    pairwise = [[linf_dist(centers[i], centers[j]) for j in range(k)] for i in range(k)]
-    for i in order:
-        need = dists_to_a[i]
-        for j in range(k):
-            if j != i and pairwise[i][j] - radii[j] > need:
-                need = pairwise[i][j] - radii[j]
-        radii[i] = need
+    _tighten(dists_to_a, [[linf_dist(p, q) for q in centers] for p in centers], radii, order)
     return tuple(Ball(centers[i], radii[i]) for i in range(k))
 
 
-def _scalar_scan(subset, arena: _Arena, seed: int, start: int, stop: int):
-    for index in range(start, stop):
-        balls = _scalar_candidate(subset, arena, seed, index)
-        result = external_witness(subset, LinfBallFamily(balls))
-        if not result.feasible:
-            return index, balls
-    return None
+def _pull_centers(subset, balls, start: int):
+    """Move the centers of ``balls[start:]`` onto the subset (to a nearest
+    point when outside), keep their radii, and re-tighten once in index
+    order.  A center in the subset has distance 0 to it, so only the
+    ``start`` leading centers need ``subset_dist``."""
+    centers = [b.center for b in balls]
+    for i in range(start, len(centers)):
+        if not subset_contains(subset, centers[i]):
+            centers[i] = subset_nearest(subset, centers[i])
+    floor = [subset_dist(subset, c) for c in centers[:start]]
+    floor += [Fraction(0)] * (len(centers) - start)
+    radii = [b.radius for b in balls]
+    pair = [[linf_dist(p, q) for q in centers] for p in centers]
+    _tighten(floor, pair, radii, range(len(radii)))
+    return tuple(Ball(c, r) for c, r in zip(centers, radii))
 
 
-# -- vectorized exact screen (int64 over a common denominator) --------------
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-class _FastScreen:
-    """Integer-exact batch evaluation of the sampling recipe.
-
-    Every length is represented as value * unit over int64; the unit folds in
-    all denominators in play (grid step, window corners, subset parameters,
-    and the half-space dual-norm divisor), so no rounding ever happens.
-    """
-
-    def __init__(self, subset, arena: _Arena):
-        self.arena = arena
-        dens = [arena.step.denominator]
-        dens += [w.denominator for w in arena.wlo]
-        self.kind = None
-        self.data: dict = {}
-        if isinstance(subset, Box):
-            self.kind = "box"
-            dens += [v.denominator for v in subset.lo + subset.hi]
-        elif isinstance(subset, BoxUnion):
-            self.kind = "union"
-            for b in subset.boxes:
-                dens += [v.denominator for v in b.lo + b.hi]
-        elif isinstance(subset, HPolyhedron) and len(subset.rows) == 1:
-            self.kind = "halfspace"
-            (a, b), = subset.rows
-            row_scale = 1
-            for v in a + (b,):
-                row_scale = _lcm(row_scale, v.denominator)
-            a_int = [int(v * row_scale) for v in a]
-            b_int = int(b * row_scale)
-            dens += [sum(abs(v) for v in a_int)]
-            self.data["a_int"] = a_int
-            self.data["b_int"] = b_int
-            self.data["dual"] = sum(abs(v) for v in a_int)
-        else:
-            raise TypeError("no fast path for this subset kind")
-        unit = 1
-        for d in dens:
-            unit = _lcm(unit, d)
-        self.unit = unit
-        self.step_i = int(arena.step * unit)
-        self.wlo_i = np.array([int(w * unit) for w in arena.wlo], dtype=np.int64)
-        self.cells = np.array(arena.cells, dtype=np.int64)
-        if isinstance(subset, Box):
-            self.data["lo"] = np.array([int(v * unit) for v in subset.lo], dtype=np.int64)
-            self.data["hi"] = np.array([int(v * unit) for v in subset.hi], dtype=np.int64)
-        elif isinstance(subset, BoxUnion):
-            self.data["los"] = [
-                np.array([int(v * unit) for v in b.lo], dtype=np.int64) for b in subset.boxes
-            ]
-            self.data["his"] = [
-                np.array([int(v * unit) for v in b.hi], dtype=np.int64) for b in subset.boxes
-            ]
-        # magnitude guard: worst coordinate plus worst radius, times dual norm
-        worst = max(
-            abs(int(w)) + c * abs(self.step_i) for w, c in zip(self.wlo_i, self.cells)
-        )
-        worst_len = worst + (RADIUS_STEPS + 2) * abs(self.step_i) + worst
-        if self.kind == "halfspace":
-            worst_len *= sum(abs(v) for v in self.data["a_int"]) + abs(self.data["b_int"])
-        if worst_len >= _INT64_GUARD:
-            raise OverflowError("fast-path magnitudes would overflow int64")
-
-    def _draws(self, seed: int, counters: np.ndarray) -> np.ndarray:
-        z = (np.uint64(seed) + (counters + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15))
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-    def dist_ints(self, coords: np.ndarray) -> np.ndarray:
-        """d(center, subset) * unit for an (N, level, dim) int64 array."""
-        if self.kind == "box":
-            gap = np.maximum(self.data["lo"] - coords, coords - self.data["hi"])
-            return np.maximum(gap, 0).max(axis=2)
-        if self.kind == "union":
-            best = None
-            for lo, hi in zip(self.data["los"], self.data["his"]):
-                gap = np.maximum(lo - coords, coords - hi)
-                d = np.maximum(gap, 0).max(axis=2)
-                best = d if best is None else np.minimum(best, d)
-            return best
-        a = np.array(self.data["a_int"], dtype=np.int64)
-        margin = coords @ a - np.int64(self.data["b_int"]) * np.int64(self.unit)
-        scaled = np.maximum(margin, 0)
-        dual = np.int64(self.data["dual"])
-        if np.any(scaled % dual):
-            raise ArithmeticError("half-space distance left the integer lattice")
-        return scaled // dual
-
-    def empty_mask(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """True where (combined ball box) ∩ subset = ∅; boxes are (N, dim)."""
-        box_ok = np.all(lo <= hi, axis=1)
-        if self.kind == "box":
-            jlo = np.maximum(lo, self.data["lo"])
-            jhi = np.minimum(hi, self.data["hi"])
-            meets = np.all(jlo <= jhi, axis=1)
-        elif self.kind == "union":
-            meets = np.zeros(len(lo), dtype=bool)
-            for mlo, mhi in zip(self.data["los"], self.data["his"]):
-                jlo = np.maximum(lo, mlo)
-                jhi = np.minimum(hi, mhi)
-                meets |= np.all(jlo <= jhi, axis=1)
-        else:
-            a = np.array(self.data["a_int"], dtype=np.int64)
-            corner = np.where(a > 0, lo, hi)
-            meets = corner @ a <= np.int64(self.data["b_int"]) * np.int64(self.unit)
-        return ~(box_ok & meets)
-
-    def scan(self, seed: int, start: int, stop: int):
-        """First candidate index in [start, stop) whose family screens empty."""
-        arena = self.arena
-        level, dim = arena.level, arena.dim
-        for lo_idx in range(start, stop, _BATCH):
-            hi_idx = min(lo_idx + _BATCH, stop)
-            n = hi_idx - lo_idx
-            base = (np.arange(lo_idx, hi_idx, dtype=np.uint64)) * np.uint64(arena.slots)
-            sizes = (
-                np.full(n, 2, dtype=np.int64)
-                if level <= 2
-                else 2 + (self._draws(seed, base) % np.uint64(level - 1)).astype(np.int64)
-            )
-            idx_counters = base[:, None] + np.uint64(1) + np.arange(level * dim, dtype=np.uint64)
-            grid_idx = self._draws(seed, idx_counters).reshape(n, level, dim)
-            grid_idx = (grid_idx % (self.cells + 1).astype(np.uint64)).astype(np.int64)
-            coords = self.wlo_i + grid_idx * np.int64(self.step_i)
-            dist_a = self.dist_ints(coords)
-            off_counters = base[:, None] + np.uint64(1 + level * dim) + np.arange(level, dtype=np.uint64)
-            offs = (self._draws(seed, off_counters) % np.uint64(RADIUS_STEPS + 1)).astype(np.int64)
-            radii = dist_a + offs * np.int64(abs(self.step_i))
-            key_counters = off_counters + np.uint64(level)
-            keys = self._draws(seed, key_counters)
-            order = np.argsort(keys, axis=1, kind="stable")
-            active = np.arange(level)[None, :] < sizes[:, None]
-            diff = np.abs(coords[:, :, None, :] - coords[:, None, :, :]).max(axis=3)
-            neg = np.int64(-(1 << 60))
-            pair_mask = active[:, :, None] & active[:, None, :]
-            np.einsum("nii->ni", pair_mask)[:] = False
-            rows = np.arange(n)
-            for t in range(level):
-                i_t = order[:, t]
-                live = i_t < sizes
-                gaps = np.where(pair_mask[rows, i_t, :], diff[rows, i_t, :] - radii, neg)
-                need = np.maximum(gaps.max(axis=1), dist_a[rows, i_t])
-                radii[rows, i_t] = np.where(live, need, radii[rows, i_t])
-            radii = np.where(active, radii, 0)
-            big = np.int64(1 << 60)
-            lo_box = np.where(active[:, :, None], coords - radii[:, :, None], -big).max(axis=1)
-            hi_box = np.where(active[:, :, None], coords + radii[:, :, None], big).min(axis=1)
-            hits = np.nonzero(self.empty_mask(lo_box, hi_box))[0]
-            if len(hits):
-                return lo_idx + int(hits[0])
-        return None
-
-
-def _worker_ranges(budget: int, workers: int) -> list[tuple[int, int]]:
-    chunk = -(-budget // workers)
-    return [(w * chunk, min((w + 1) * chunk, budget)) for w in range(workers) if w * chunk < budget]
+# Mode -> number of leading balls whose centers may lie outside the subset
+# (None: all of them).
+REFUTE_MODES = {"external": None, "hyperconvex": 0, "weakly-external": 1}
 
 
 def refute_search(
@@ -525,15 +378,17 @@ def refute_search(
     seed: int,
     mode: str = "external",
     arena: Box | None = None,
-    workers: int | None = None,
-    fast: bool = True,
 ) -> PropertyReport:
     """Seeded search for admissible families with empty intersection.
 
-    Deterministic given (seed, budget): candidates are a pure function of the
-    counter, so the outcome does not depend on the worker split.  A found
-    family is re-verified exactly before being reported.
+    Deterministic given (seed, budget): candidate ``i`` is a pure function of
+    the seed and the counter ``i``.  In ``external`` mode an exact int64
+    screen picks the first refuting index when the subset kind and its
+    magnitudes allow one; otherwise every candidate is tested with exact
+    rationals.  A found family is re-verified exactly before being reported.
     """
+    if mode not in REFUTE_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if level < 2:
         raise ValueError("level must be >= 2")
     if not subset_nonempty(subset):
@@ -542,125 +397,67 @@ def refute_search(
         return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
     if isinstance(subset, FiniteSubset):
         return _refute_finite(subset, level, budget, seed, mode)
-    if mode != "external":
-        return _refute_scalar_modes(subset, level, budget, seed, mode, arena)
-    built_arena = _build_arena(subset, level, arena)
-    screen = None
-    if fast:
-        try:
-            screen = _FastScreen(subset, built_arena)
-        except (TypeError, OverflowError):
-            screen = None
-    workers = workers or int(os.environ.get("HYPERBALL_THREADS", "1") or "1")
-    for start, stop in _worker_ranges(budget, max(1, workers)):
-        if screen is not None:
-            hit = screen.scan(seed, start, stop)
-            found = None
-            if hit is not None:
-                balls = _scalar_candidate(subset, built_arena, seed, hit)
-                found = (hit, balls)
-        else:
-            found = _scalar_scan(subset, built_arena, seed, start, stop)
-        if found is not None:
-            index, balls = found
-            if not verify_refutation(subset, balls):
-                raise HyperballError("screened refutation failed exact re-verification")
-            return PropertyReport(
-                REFUTED,
-                certificate={"balls": balls, "index": index},
-                seed=seed,
-                budget_used=index + 1,
-            )
-    return PropertyReport(
-        INCONCLUSIVE,
-        seed=seed,
-        budget_used=budget,
-        notes=("no refutation found",),
-    )
-
-
-def _refute_scalar_modes(subset, level, budget, seed, mode, arena):
-    """Center-in-subset variants ("hyperconvex", "weakly-external")."""
-    if mode not in ("hyperconvex", "weakly-external"):
-        raise ValueError(f"unknown mode {mode!r}")
     built = _build_arena(subset, level, arena)
-    from .sets import subset_nearest
+    start = REFUTE_MODES[mode]
+    indices, screened = range(budget), False
+    if mode == "external":
+        from .screen import FastScreen
 
-    for index in range(budget):
-        balls = list(_scalar_candidate(subset, built, seed, index))
-        start = 1 if mode == "weakly-external" else 0
-        moved = []
-        for i in range(start, len(balls)):
-            center = balls[i].center
-            if not subset_contains(subset, center):
-                center = subset_nearest(subset, center)
-            moved.append(center)
-        rebuilt = []
-        for i, b in enumerate(balls):
-            if i < start:
-                rebuilt.append(b)
-            else:
-                center = moved[i - start]
-                rebuilt.append(Ball(center, subset_dist(subset, center) + b.radius))
-        # re-tighten once in index order to restore minimal admissible radii
-        centers = [b.center for b in rebuilt]
-        radii = [b.radius for b in rebuilt]
-        dists = [subset_dist(subset, c) for c in centers]
-        for i in range(len(rebuilt)):
-            need = dists[i]
-            for j in range(len(rebuilt)):
-                if j != i:
-                    gap = linf_dist(centers[i], centers[j]) - radii[j]
-                    if gap > need:
-                        need = gap
-            radii[i] = need
-        family = tuple(Ball(c, r) for c, r in zip(centers, radii))
-        result = external_witness(subset, LinfBallFamily(family))
-        if not result.feasible:
-            if not verify_refutation(subset, family):
-                raise HyperballError("refutation failed exact re-verification")
-            return PropertyReport(
-                REFUTED,
-                certificate={"balls": family, "index": index, "mode": mode},
-                seed=seed,
-                budget_used=index + 1,
-            )
-    return PropertyReport(
-        INCONCLUSIVE, seed=seed, budget_used=budget, notes=("no refutation found", mode)
-    )
+        try:
+            screen = FastScreen(subset, built)
+        except (TypeError, OverflowError):
+            pass
+        else:
+            hit = screen.scan(seed, 0, budget)
+            indices, screened = (() if hit is None else (hit,)), True
+    for index in indices:
+        balls = _scalar_candidate(subset, built, seed, index)
+        if start is not None:
+            balls = _pull_centers(subset, balls, start)
+        if screened or not external_witness(subset, LinfBallFamily(balls)).feasible:
+            return _refutation(subset, balls, index, seed, mode)
+    return _no_refutation(budget, seed, mode)
+
+
+def _refutation(subset, balls, index: int, seed: int, mode: str) -> PropertyReport:
+    """Report a found family after exact re-verification."""
+    if not verify_refutation(subset, balls):
+        raise HyperballError("refutation failed exact re-verification")
+    certificate = {"balls": balls, "index": index}
+    if mode != "external":
+        certificate["mode"] = mode
+    return PropertyReport(REFUTED, certificate=certificate, seed=seed, budget_used=index + 1)
+
+
+def _no_refutation(budget: int, seed: int, mode: str) -> PropertyReport:
+    notes = ("no refutation found",) + ((mode,) if mode != "external" else ())
+    return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=budget, notes=notes)
 
 
 def _refute_finite(subset: FiniteSubset, level, budget, seed, mode):
+    """Finite-space refuter: centers are drawn from the whole space for
+    balls before the mode's start index and from the subset after it; radii
+    are distances to the subset plus a sampled distance value, tightened in
+    index order."""
     space = subset.space
     values = sorted({d for row in space.dist for d in row})
-    pool = tuple(range(space.size)) if mode == "external" else subset.indices
+    start = REFUTE_MODES[mode]
+    whole = tuple(range(space.size))
     for index in range(budget):
         base = index * (1 + 2 * level)
         k = _size_at(seed, base, level)
-        centers = [pool[draw(seed, base + 1 + i) % len(pool)] for i in range(k)]
+        pools = [whole if start is None or i < start else subset.indices for i in range(k)]
+        centers = [pools[i][draw(seed, base + 1 + i) % len(pools[i])] for i in range(k)]
         dists = [subset_dist(subset, c) for c in centers]
         radii = [
             dists[i] + values[draw(seed, base + 1 + level + i) % len(values)]
             for i in range(k)
         ]
-        for i in range(k):
-            need = dists[i]
-            for j in range(k):
-                if j != i:
-                    gap = space.d(centers[i], centers[j]) - radii[j]
-                    if gap > need:
-                        need = gap
-            radii[i] = need
-        family = FiniteBallFamily(space, tuple(zip(centers, radii)))
-        result = external_witness(subset, family)
-        if not result.feasible:
-            return PropertyReport(
-                REFUTED,
-                certificate={"items": family.items, "index": index},
-                seed=seed,
-                budget_used=index + 1,
-            )
-    return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=budget, notes=("no refutation found",))
+        _tighten(dists, [[space.d(a, b) for b in centers] for a in centers], radii, range(k))
+        items = tuple(zip(centers, radii))
+        if not external_witness(subset, FiniteBallFamily(space, items)).feasible:
+            return _refutation(subset, items, index, seed, mode)
+    return _no_refutation(budget, seed, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -818,15 +615,12 @@ def four_to_n_consistency(
         report = refute_search(subset, level, budget, derive_seed(seed, level), mode=mode)
         used += report.budget_used or 0
         if report.refuted:
-            cert = report.certificate
-            size = len(cert["balls"] if "balls" in cert else cert["items"])
-            outcomes[level] = {"verdict": report.verdict, "family_size": size}
-            if size <= 4:
+            balls = report.certificate["balls"]
+            outcomes[level] = {"verdict": report.verdict, "family_size": len(balls)}
+            if len(balls) <= 4:
                 small_refutation = True
             else:
-                big_refutations.append(
-                    (level, cert["balls"] if "balls" in cert else cert["items"])
-                )
+                big_refutations.append((level, balls))
         else:
             outcomes[level] = {"verdict": report.verdict}
     if big_refutations and not small_refutation:

@@ -2,9 +2,9 @@
 
 The generator is a pure function of (seed, counter): draw ``i`` equals
 ``mix64(seed + (i+1) * GAMMA)`` over 64-bit wrapping arithmetic.  The same
-seed therefore replays bit-identically on every platform, streams can be
-partitioned across workers by splitting the counter range, and the scalar
-and vectorized (numpy uint64) evaluations agree exactly.
+seed therefore replays bit-identically on every platform, any counter range
+can be evaluated on its own, and ``draw`` gives the same bits on Python
+ints and on numpy uint64 counter arrays.
 """
 
 from __future__ import annotations
@@ -23,13 +23,17 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def draw(seed: int, counter: int) -> int:
-    """The ``counter``-th 64-bit draw of the stream with the given seed."""
-    return mix64((seed + (counter + 1) * GAMMA) & MASK64)
+def draw(seed: int, counter):
+    """The ``counter``-th 64-bit draw of the stream with the given seed.
+
+    ``counter`` may be a numpy uint64 array, drawn elementwise with wrapping
+    arithmetic; masking the seed first keeps any Python int seed in range.
+    """
+    return mix64(((seed & MASK64) + (counter + 1) * GAMMA) & MASK64)
 
 
 def derive_seed(seed: int, tag: int) -> int:
-    """Deterministic child seed for sub-tasks (worker splits, per-level runs)."""
+    """Deterministic child seed for sub-tasks (per-level and per-probe runs)."""
     return mix64((seed ^ mix64(tag)) & MASK64)
 
 

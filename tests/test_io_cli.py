@@ -151,6 +151,14 @@ def test_cli_refute_modes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_refute_out_of_range_seed_is_inconclusive(tmp_path, capsys, seed):
+    box = tmp_path / "box.json"
+    box.write_text(json.dumps({"box": {"lo": ["0/1", "0/1"], "hi": ["1/1", "1/1"]}}))
+    assert main(["refute", "--instance", str(box), "--level", "3", "--seed", seed]) == 2
+    capsys.readouterr()
+
+
 def test_cli_reports_are_deterministic_modulo_timing(tmp_path, capsys):
     box = tmp_path / "box.json"
     box.write_text(json.dumps({"box": {"lo": ["0/1", "0/1"], "hi": ["1/1", "1/1"]}}))

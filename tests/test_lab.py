@@ -22,10 +22,13 @@ from hyperball.lab import (
     uniform_local_external_sample,
     verify_refutation,
     weakly_external_witness,
+    _build_arena,
+    _scalar_candidate,
 )
 from hyperball.linf import Ball, Box, linf_dist
 from hyperball.lp import box_to_polyhedron, halfspace, lp_feasible
 from hyperball.metric import GraphInstance, graph_metric
+from hyperball.screen import FastScreen
 from hyperball.sets import FiniteSubset
 
 from conftest import F, pt
@@ -157,29 +160,43 @@ def test_refute_union_found_and_reverifies():
     assert len(balls) == 2
 
 
+def _scalar_reference(subset, level, budget, seed):
+    """First (index, balls) whose exact candidate refutes, or None."""
+    arena = _build_arena(subset, level, None)
+    for index in range(budget):
+        balls = _scalar_candidate(subset, arena, seed, index)
+        if not external_witness(subset, LinfBallFamily(balls)).feasible:
+            return index, balls
+    return None
+
+
 def test_refuter_scalar_vector_agreement():
-    subsets = [UNION, Box(pt(0, 0), pt(1, 1)), DIAG]
-    for subset in subsets:
+    for subset in (UNION, Box(pt(0, 0), pt(1, 1)), DIAG):
         for level in (2, 4):
-            fast = refute_search(subset, level, 250, seed=11, fast=True)
-            slow = refute_search(subset, level, 250, seed=11, fast=False)
-            assert fast.verdict == slow.verdict
-            assert fast.budget_used == slow.budget_used
-            if fast.refuted:
-                assert fast.certificate["balls"] == slow.certificate["balls"]
+            reference = _scalar_reference(subset, level, 250, 11)
+            hit = FastScreen(subset, _build_arena(subset, level, None)).scan(11, 0, 250)
+            assert hit == (None if reference is None else reference[0])
+            report = refute_search(subset, level, 250, seed=11)
+            if reference is None:
+                assert report.verdict == "inconclusive" and report.budget_used == 250
+            else:
+                assert report.certificate["index"] == reference[0]
+                assert report.certificate["balls"] == reference[1]
 
 
-def test_refuter_worker_split_invariance():
-    one = refute_search(UNION, 2, 1000, seed=7, workers=1)
-    four = refute_search(UNION, 2, 1000, seed=7, workers=4)
-    assert one.budget_used == four.budget_used
-    assert one.certificate["balls"] == four.certificate["balls"]
+@pytest.mark.parametrize("seed", [-1, 2**64 + 7])
+def test_refuter_masks_out_of_range_seeds(seed):
+    index, balls = _scalar_reference(UNION, 2, 1000, seed)
+    report = refute_search(UNION, 2, 1000, seed=seed)
+    assert report.refuted and report.seed == seed
+    assert report.budget_used == index + 1
+    assert report.certificate["balls"] == balls
 
 
-def test_refuter_workers_env_var(monkeypatch):
-    monkeypatch.setenv("HYPERBALL_THREADS", "3")
-    report = refute_search(UNION, 2, 1000, seed=7)
-    assert report.budget_used == refute_search(UNION, 2, 1000, seed=7, workers=1).budget_used
+def test_refuter_rejects_unknown_mode(c5):
+    for subset in (UNION, FiniteSubset(c5, (0, 1, 2))):
+        with pytest.raises(ValueError, match="unknown mode"):
+            refute_search(subset, 2, 10, seed=0, mode="bogus")
 
 
 def test_antipodal_c6_family_not_admissible():
@@ -233,6 +250,37 @@ def test_refute_finite_backend(c5):
     subset = FiniteSubset(c5, (0, 1, 2, 3, 4))
     report = refute_search(subset, 2, 200, seed=2)
     assert report.verdict in ("inconclusive", "refuted")
+
+
+C6 = graph_metric(GraphInstance(6, tuple((i, (i + 1) % 6) for i in range(6))))
+C6_PART = FiniteSubset(C6, (0, 2, 3))
+
+
+def test_refute_finite_certificates_reverify():
+    for mode in ("external", "hyperconvex", "weakly-external"):
+        report = refute_search(C6_PART, 3, 200, seed=1, mode=mode)
+        assert report.refuted
+        items = report.certificate["balls"]
+        assert verify_refutation(C6_PART, items)
+    assert not verify_refutation(C6_PART, ((1, F(0)),))  # d(1, subset) = 1 > 0
+    assert not verify_refutation(C6_PART, ((1, F(1)),))  # meets the subset at 0
+
+
+def test_refute_finite_center_modes():
+    outside = 0
+    for seed in range(6):
+        hyper = refute_search(C6_PART, 3, 200, seed=seed, mode="hyperconvex")
+        weak = refute_search(C6_PART, 3, 200, seed=seed, mode="weakly-external")
+        assert all(c in C6_PART.indices for c, _ in hyper.certificate["balls"])
+        assert all(c in C6_PART.indices for c, _ in weak.certificate["balls"][1:])
+        outside += weak.certificate["balls"][0][0] not in C6_PART.indices
+    assert outside  # weakly-external draws ball 0 from the whole space
+
+
+def test_four_to_n_runs_on_finite_subset():
+    report = four_to_n_consistency(C6_PART, 5, 200, seed=3)
+    assert report.holds
+    assert any(v.get("family_size") for v in report.certificate["outcomes"].values())
 
 
 def test_ladder_padding_preserves_refutation():
