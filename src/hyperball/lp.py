@@ -1,32 +1,32 @@
 """Exact rational linear feasibility and minimization over H-polyhedra.
 
-Two independent kernels:
+One kernel: a dense simplex over Python ints (Bland's rule against cycling,
+Bareiss's fraction-free pivots dividing exactly by the previous pivot).
+Each row is scaled to integers by the lcm of its denominators; Fractions
+appear only when a result is read out, with the row scales multiplied back.
 
-* Fourier-Motzkin elimination for small systems (dim <= 6, <= 40 rows).
-  Eliminations track nonnegative row multipliers, so an infeasible outcome
-  carries a Farkas certificate that re-verifies by plain arithmetic.
-* A dense exact-pivot simplex (Bland's rule, Fractions throughout) for
-  everything larger; phase-1 duals supply the Farkas certificate there.
+Every outcome carries a certificate that is checked by plain arithmetic on
+the original rows before it is returned:
 
-Every witness is checked against every constraint before it is returned,
-and every infeasibility certificate is checked to actually prove
-infeasibility.  A failure of either check is a kernel bug and raises.
+* a feasible point satisfies every row;
+* Farkas multipliers lam >= 0 with lam.A = 0 and lam.b < 0 prove emptiness;
+* duals y >= 0 with y.A = -c and -y.b equal to the value prove an optimum;
+* a ray d with A.d <= 0 and c.d < 0 proves unboundedness.
+
+A failed check is a kernel bug and raises LPKernelError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import DimMismatch, HyperballError
 from .linf import Ball, Box, FeasibilityResult, Point, linf_dist
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # a . x <= b
-
-FM_MAX_DIM = 6
-FM_MAX_ROWS = 40
-_FM_ROW_BLOWUP = 4000
 
 
 class EmptySet(HyperballError):
@@ -35,15 +35,6 @@ class EmptySet(HyperballError):
 
 class LPKernelError(HyperballError):
     """Internal kernel failure (verification of its own output failed)."""
-
-
-class _FMBlowup(Exception):
-    pass
-
-
-class _Infeasible(Exception):
-    def __init__(self, lam):
-        self.lam = lam
 
 
 @dataclass(frozen=True)
@@ -94,277 +85,170 @@ def ball_rows(ball: Ball) -> list[Row]:
 
 
 # ---------------------------------------------------------------------------
-# Fourier-Motzkin
+# Fraction-free simplex (Bareiss pivots, Bland's rule)
 
 
-def _normalized(a, b, lam):
-    scale = max((abs(c) for c in a if c != 0), default=None)
-    if scale is None or scale == 1:
-        return a, b, lam
-    return tuple(c / scale for c in a), b / scale, tuple(x / scale for x in lam)
+def _integer_row(a: Sequence[Fraction], b: Fraction) -> tuple[int, list[int], int]:
+    """Scale a . x <= b by the lcm of its denominators: (scale, a', b')."""
+    scale = lcm(b.denominator, *(v.denominator for v in a))
+    return (
+        scale,
+        [v.numerator * (scale // v.denominator) for v in a],
+        b.numerator * (scale // b.denominator),
+    )
 
 
-def _fm_solve(rows: Sequence[Row], dim: int):
-    """Eliminate variables dim-1 .. 0, then back-substitute a witness.
+class _Tableau:
+    """Dense integer tableau for min c.x s.t. A x <= b with free x.
 
-    Returns ("witness", point) or ("infeasible", multipliers).  The witness
-    picks the lowest admissible value per variable (the upper bound when only
-    bounded above, 0 when free), assigning variable 0 first — callers that
-    want an exact minimum place the objective variable at index 0.
+    Columns are x+ (dim), x- (dim), one slack per row, then the right-hand
+    side; a row with b < 0 is negated and gets an artificial basic variable,
+    whose column is never stored because it never re-enters.  The stored
+    integers are D times the true tableau, D being the determinant of the
+    current basis, so a pivot divides exactly by the previous pivot (Bareiss).
+    The objective rows (phase 1, and c when minimizing) are carried through
+    every pivot, so they are always in reduced-cost form.
     """
-    n = len(rows)
-    system = []
-    for i, (a, b) in enumerate(rows):
-        lam = tuple(Fraction(1 if t == i else 0) for t in range(n))
-        system.append((tuple(a), Fraction(b), lam))
 
-    def is_constant(a, b, lam) -> bool:
-        if all(c == 0 for c in a):
-            if b < 0:
-                raise _Infeasible(lam)
-            return True
-        return False
-
-    stages: list[list] = [[] for _ in range(dim)]
-    try:
-        current = [row for row in system if not is_constant(*row)]
-        for v in range(dim - 1, -1, -1):
-            stages[v] = current
-            uppers, lowers = [], []
-            bucket: dict = {}
-
-            def add(a, b, lam):
-                if is_constant(a, b, lam):
-                    return
-                a, b, lam = _normalized(a, b, lam)
-                prev = bucket.get(a)
-                if prev is None or b < prev[0]:
-                    bucket[a] = (b, lam)
-
-            for a, b, lam in current:
-                c = a[v]
-                if c > 0:
-                    uppers.append((a, b, lam))
-                elif c < 0:
-                    lowers.append((a, b, lam))
-                else:
-                    add(a, b, lam)
-            for au, bu, lu in uppers:
-                cu = au[v]
-                for al, bl, ll in lowers:
-                    mu, ml = -al[v], cu  # both positive
-                    a_new = tuple(mu * au[i] + ml * al[i] for i in range(dim))
-                    b_new = mu * bu + ml * bl
-                    lam_new = tuple(mu * x + ml * y for x, y in zip(lu, ll))
-                    add(a_new, b_new, lam_new)
-                    if len(bucket) > _FM_ROW_BLOWUP:
-                        raise _FMBlowup
-            current = [(a, b, lam) for a, (b, lam) in bucket.items()]
-    except _Infeasible as stop:
-        return "infeasible", stop.lam
-
-    x: list[Fraction] = [Fraction(0)] * dim
-    for v in range(dim):
-        lo = hi = None
-        for a, b, _ in stages[v]:
-            c = a[v]
-            if c == 0:
-                continue
-            bound = (b - sum(a[i] * x[i] for i in range(v))) / c
-            if c > 0:
-                hi = bound if hi is None else min(hi, bound)
-            else:
-                lo = bound if lo is None else max(lo, bound)
-        if lo is not None and hi is not None and lo > hi:
-            raise LPKernelError("FM back-substitution hit an empty interval")
-        if lo is not None:
-            x[v] = lo
-        elif hi is not None:
-            x[v] = hi
-    return "witness", tuple(x)
-
-
-def _fm_lower_bound_exists(rows: Sequence[Row], dim: int) -> bool:
-    """Project onto variable 0 and report whether a lower bound survives."""
-    system = {tuple(a): Fraction(b) for a, b in rows}
-    for v in range(dim - 1, 0, -1):
-        uppers, lowers, rest = [], [], {}
-        for a, b in system.items():
-            c = a[v]
-            if c > 0:
-                uppers.append((a, b))
-            elif c < 0:
-                lowers.append((a, b))
-            else:
-                rest[a] = b
-        for au, bu in uppers:
-            for al, bl in lowers:
-                mu, ml = -al[v], au[v]
-                a_new = tuple(mu * au[i] + ml * al[i] for i in range(dim))
-                b_new = mu * bu + ml * bl
-                prev = rest.get(a_new)
-                if prev is None or b_new < prev:
-                    rest[a_new] = b_new
-                if len(rest) > _FM_ROW_BLOWUP:
-                    raise _FMBlowup
-        system = rest
-    return any(a[0] < 0 for a in system)
-
-
-# ---------------------------------------------------------------------------
-# Exact simplex (Bland's rule)
-
-
-class _Simplex:
-    """Dense exact tableau for min c.x s.t. A x <= b with free x."""
-
-    def __init__(self, rows: Sequence[Row], dim: int):
+    def __init__(self, rows: Sequence[Row], dim: int, objective=None):
         self.dim = dim
-        self.m = len(rows)
-        self.nstruct = 2 * dim + self.m
-        self.signs: list[int] = []
-        self.art_col: dict[int, int] = {}
-        ncols = self.nstruct
-        for i, (_, b) in enumerate(rows):
-            if b >= 0:
-                self.signs.append(1)
-            else:
-                self.signs.append(-1)
-                self.art_col[i] = ncols
-                ncols += 1
-        self.ncols = ncols
-        self.T = [[Fraction(0)] * (ncols + 1) for _ in range(self.m)]
+        m = len(rows)
+        self.slack = 2 * dim
+        self.nstruct = 2 * dim + m
+        self.D = 1
+        self.T: list[list[int]] = []
+        self.scales: list[int] = []
         self.basis: list[int] = []
         for i, (a, b) in enumerate(rows):
-            sg = self.signs[i]
-            row = self.T[i]
-            for k in range(dim):
-                row[k] = sg * a[k]
-                row[dim + k] = -sg * a[k]
-            row[2 * dim + i] = Fraction(sg)
-            row[ncols] = sg * b
-            if sg == 1:
-                self.basis.append(2 * dim + i)
-            else:
-                row[self.art_col[i]] = Fraction(1)
-                self.basis.append(self.art_col[i])
+            scale, a, b = _integer_row(a, b)
+            sg = 1 if b >= 0 else -1
+            row = [sg * v for v in a] + [-sg * v for v in a] + [0] * m + [sg * b]
+            row[self.slack + i] = sg
+            self.T.append(row)
+            self.scales.append(scale)
+            self.basis.append(self.slack + i if sg > 0 else self.nstruct + i)
+        self.cost = None
+        if objective is not None:
+            self.cost_scale, c, _ = _integer_row(objective, Fraction(0))
+            self.cost = c + [-v for v in c] + [0] * (m + 1)
 
-    def pivot(self, obj: list[Fraction], r: int, col: int) -> None:
-        T = self.T
-        piv = T[r][col]
-        T[r] = [x / piv for x in T[r]]
-        for i in range(self.m):
-            if i != r and T[i][col] != 0:
-                f = T[i][col]
-                T[i] = [x - f * y for x, y in zip(T[i], T[r])]
-        if obj[col] != 0:
-            f = obj[col]
-            for j in range(self.ncols + 1):
-                obj[j] -= f * T[r][j]
+    def _pivot(self, objs: list[list[int]], r: int, col: int) -> None:
+        T, D = self.T, self.D
+        pr = T[r]
+        p = pr[col]
+        for row in T + objs:
+            if row is pr:
+                continue
+            f = row[col]
+            if f:
+                row[:] = [(p * x - f * y) // D for x, y in zip(row, pr)]
+            elif p != D:
+                row[:] = [p * x // D for x in row]
+        self.D = p
         self.basis[r] = col
 
-    def run(self, obj: list[Fraction]) -> str:
+    def _run(self, obj: list[int], objs: list[list[int]]) -> int | None:
+        """Bland's-rule iterations on obj; returns None at the optimum, else
+        the entering column along which the objective is unbounded."""
+        T, basis = self.T, self.basis
         while True:
             enter = next((j for j in range(self.nstruct) if obj[j] < 0), None)
             if enter is None:
-                return "optimal"
-            leave, best = None, None
-            for r in range(self.m):
-                if self.T[r][enter] > 0:
-                    ratio = self.T[r][self.ncols] / self.T[r][enter]
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and self.basis[r] < self.basis[leave])
-                    ):
-                        best, leave = ratio, r
+                return None
+            leave = None
+            for r, row in enumerate(T):
+                q = row[enter]
+                if q > 0:
+                    if leave is None:
+                        leave, lv, lq = r, row[-1], q
+                        continue
+                    here, best = row[-1] * lq, lv * q  # ratio test, cross-multiplied
+                    if here < best or (here == best and basis[r] < basis[leave]):
+                        leave, lv, lq = r, row[-1], q
             if leave is None:
-                return "unbounded"
-            self.pivot(obj, leave, enter)
+                return enter
+            self._pivot(objs, leave, enter)
 
-    def phase1(self):
-        """Returns None when feasible, else Farkas multipliers."""
-        if not self.art_col:
-            return None
-        obj = [Fraction(0)] * (self.ncols + 1)
-        for col in self.art_col.values():
-            obj[col] = Fraction(1)
-        for r, col in enumerate(self.basis):
-            if col >= self.nstruct:
-                for j in range(self.ncols + 1):
-                    obj[j] -= self.T[r][j]
-        self.run(obj)
-        if -obj[self.ncols] > 0:
-            lam = []
-            for i in range(self.m):
-                if i in self.art_col:
-                    y_i = Fraction(1) - obj[self.art_col[i]]
-                else:
-                    y_i = -obj[2 * self.dim + i]
-                lam.append(-self.signs[i] * y_i)
-            return tuple(lam)
-        self._expel_artificials()
+    def phase1(self) -> tuple[Fraction, ...] | None:
+        """Drive the artificials out; None when feasible, else Farkas
+        multipliers, read off the phase-1 reduced costs of the slacks."""
+        arts = [r for r, col in enumerate(self.basis) if col >= self.nstruct]
+        objs = [] if self.cost is None else [self.cost]
+        if arts:
+            obj = [-sum(col) for col in zip(*(self.T[r] for r in arts))]
+            self._run(obj, objs + [obj])
+            if obj[-1] < 0:  # obj[-1] is -D times the least sum of artificials
+                D = self.D
+                return tuple(
+                    Fraction(obj[self.slack + i] * s, D) for i, s in enumerate(self.scales)
+                )
+            # Pivot each basic artificial (at level 0) onto a structural
+            # column, so that phase 2 can never make it positive again.  A
+            # row with no such column is redundant and keeps its artificial.
+            # Its right-hand side is 0, so negating the row keeps the pivot,
+            # and with it D, positive.
+            for r in arts:
+                row = self.T[r]
+                col = next((j for j in range(self.nstruct) if row[j]), None)
+                if self.basis[r] >= self.nstruct and col is not None:
+                    if row[col] < 0:
+                        row[:] = [-v for v in row]
+                    self._pivot(objs, r, col)
         return None
 
-    def _expel_artificials(self) -> None:
-        """Pivot basic artificials out (or drop redundant rows) so that the
-        phase-2 iterations can never push an artificial positive again."""
-        zero_obj = [Fraction(0)] * (self.ncols + 1)
-        keep: list[int] = []
-        for r in range(self.m):
-            if self.basis[r] < self.nstruct:
-                keep.append(r)
-                continue
-            col = next(
-                (j for j in range(self.nstruct) if self.T[r][j] != 0), None
-            )
-            if col is None:
-                continue  # 0 = 0 row: redundant, drop it
-            self.pivot(zero_obj, r, col)
-            keep.append(r)
-        if len(keep) != self.m:
-            self.T = [self.T[r] for r in keep]
-            self.basis = [self.basis[r] for r in keep]
-            self.m = len(keep)
-
-    def phase2(self, objective: Sequence[Fraction]) -> str:
-        obj = [Fraction(0)] * (self.ncols + 1)
-        for k in range(self.dim):
-            obj[k] = Fraction(objective[k])
-            obj[self.dim + k] = -Fraction(objective[k])
-        for r, col in enumerate(self.basis):
-            if obj[col] != 0:
-                f = obj[col]
-                for j in range(self.ncols + 1):
-                    obj[j] -= f * self.T[r][j]
-        return self.run(obj)
+    def phase2(self) -> tuple[int, ...] | None:
+        """Minimize the cost row; None at the optimum, else a recession ray."""
+        enter = self._run(self.cost, [self.cost])
+        if enter is None:
+            return None
+        ray = [0] * self.dim
+        for col, step in [(enter, self.D)] + [
+            (col, -row[enter]) for col, row in zip(self.basis, self.T)
+        ]:
+            if col < self.dim:
+                ray[col] += step
+            elif col < self.slack:
+                ray[col - self.dim] -= step
+        return tuple(ray)
 
     def point(self) -> Point:
-        vals = {col: self.T[r][self.ncols] for r, col in enumerate(self.basis)}
+        x = [0] * self.dim
+        for col, row in zip(self.basis, self.T):
+            if col < self.dim:
+                x[col] += row[-1]
+            elif col < self.slack:
+                x[col - self.dim] -= row[-1]
+        return tuple(Fraction(v, self.D) for v in x)
+
+    def duals(self) -> tuple[Fraction, ...]:
+        """Optimal y >= 0 with y.A = -c: the reduced costs of the slacks."""
+        D = self.D * self.cost_scale
         return tuple(
-            vals.get(k, Fraction(0)) - vals.get(self.dim + k, Fraction(0))
-            for k in range(self.dim)
+            Fraction(self.cost[self.slack + i] * s, D) for i, s in enumerate(self.scales)
         )
 
 
-def _simplex_feasible(rows: Sequence[Row], dim: int):
-    sx = _Simplex(rows, dim)
-    lam = sx.phase1()
+def _solve(rows: Sequence[Row], dim: int, objective: Sequence[Fraction] | None = None):
+    """Run the kernel and verify its outcome.  Feasibility returns
+    ("witness", point) or ("infeasible", multipliers); minimization returns
+    ("optimal", value, point), ("unbounded", None) or ("infeasible", ...)."""
+    tab = _Tableau(rows, dim, objective)
+    lam = tab.phase1()
     if lam is not None:
+        _verify_farkas(rows, lam)
         return "infeasible", lam
-    return "witness", sx.point()
-
-
-def _simplex_minimize(objective: Sequence[Fraction], rows: Sequence[Row], dim: int):
-    sx = _Simplex(rows, dim)
-    lam = sx.phase1()
-    if lam is not None:
-        return "infeasible", lam
-    status = sx.phase2(objective)
-    if status == "unbounded":
+    if objective is None:
+        x = tab.point()
+        _verify_witness(rows, x)
+        return "witness", x
+    ray = tab.phase2()
+    if ray is not None:
+        _verify_ray(rows, objective, ray)
         return "unbounded", None
-    x = sx.point()
-    value = sum(Fraction(objective[k]) * x[k] for k in range(dim))
+    x = tab.point()
+    value = sum((c * v for c, v in zip(objective, x)), Fraction(0))
+    _verify_witness(rows, x)
+    _verify_dual(rows, objective, tab.duals(), value)
     return "optimal", value, x
 
 
@@ -393,110 +277,82 @@ def _assemble(
 
 def _verify_witness(rows: Sequence[Row], x: Point) -> None:
     for a, b in rows:
-        if sum(c * v for c, v in zip(a, x)) > b:
+        if sum(c * v for c, v in zip(a, x) if c) > b:
             raise LPKernelError("witness fails a constraint")
 
 
+def _combination(rows: Sequence[Row], y: Sequence[Fraction], dim: int):
+    """(y.A, y.b) for multipliers y >= 0, one per row; zero terms skipped."""
+    if len(y) != len(rows) or any(v < 0 for v in y):
+        raise LPKernelError("multipliers are not one non-negative value per row")
+    support = [(v, a, b) for v, (a, b) in zip(y, rows) if v]
+    return (
+        [sum(v * a[k] for v, a, _ in support) for k in range(dim)],
+        sum(v * b for v, _, b in support),
+    )
+
+
 def _verify_farkas(rows: Sequence[Row], lam: Sequence[Fraction]) -> None:
-    if len(lam) != len(rows):
-        raise LPKernelError("certificate length mismatch")
-    if any(l < 0 for l in lam):
-        raise LPKernelError("negative Farkas multiplier")
-    dim = len(rows[0][0]) if rows else 0
-    for k in range(dim):
-        if sum(l * a[k] for l, (a, _) in zip(lam, rows)) != 0:
-            raise LPKernelError("Farkas combination does not vanish")
-    if sum(l * b for l, (_, b) in zip(lam, rows)) >= 0:
+    """lam >= 0, lam.A = 0 and lam.b < 0 prove that no x has A x <= b."""
+    combo, bound = _combination(rows, lam, len(rows[0][0]) if rows else 0)
+    if any(combo):
+        raise LPKernelError("Farkas combination does not vanish")
+    if bound >= 0:
         raise LPKernelError("Farkas combination is not contradictory")
+
+
+def _verify_dual(
+    rows: Sequence[Row], c: Sequence[Fraction], y: Sequence[Fraction], value: Fraction
+) -> None:
+    """y >= 0, y.A = -c and -y.b = value prove value is the minimum of c.x:
+    for any feasible x, c.x = -y.A x >= -y.b."""
+    combo, bound = _combination(rows, y, len(c))
+    if any(u != -v for u, v in zip(combo, c)):
+        raise LPKernelError("dual does not reproduce the objective")
+    if -bound != value:
+        raise LPKernelError("dual bound differs from the optimum")
+
+
+def _verify_ray(rows: Sequence[Row], c: Sequence[Fraction], ray: Sequence[int]) -> None:
+    """A.d <= 0 and c.d < 0: the objective falls without bound along d."""
+    if any(sum(a_k * d_k for a_k, d_k in zip(a, ray)) > 0 for a, _ in rows):
+        raise LPKernelError("ray leaves the set")
+    if sum(c_k * d_k for c_k, d_k in zip(c, ray)) >= 0:
+        raise LPKernelError("objective does not fall along the ray")
 
 
 def lp_feasible(
     p: HPolyhedron | None,
     balls: Sequence[Ball] = (),
-    kernel: str = "auto",
     dim: int | None = None,
 ) -> FeasibilityResult:
     """Exact feasibility of polyhedron rows plus ball (box) constraints."""
     rows, dim = _assemble(p, balls, dim)
-    if not rows:
-        return FeasibilityResult("witness", witness=tuple(Fraction(0) for _ in range(dim)))
-    if kernel == "auto":
-        kernel = "fm" if dim <= FM_MAX_DIM and len(rows) <= FM_MAX_ROWS else "simplex"
-    if kernel == "fm":
-        try:
-            outcome = _fm_solve(rows, dim)
-        except _FMBlowup:
-            outcome = _simplex_feasible(rows, dim)
-    elif kernel == "simplex":
-        outcome = _simplex_feasible(rows, dim)
-    else:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    status, payload = outcome
+    status, payload = _solve(rows, dim)
     if status == "witness":
-        _verify_witness(rows, payload)
         return FeasibilityResult("witness", witness=payload)
-    _verify_farkas(rows, payload)
-    return FeasibilityResult("infeasible", certificate={"farkas": tuple(payload)})
+    return FeasibilityResult("infeasible", certificate={"farkas": payload})
 
 
 def lp_minimize(
     objective: Sequence[object],
     p: HPolyhedron | None,
     balls: Sequence[Ball] = (),
-    kernel: str = "auto",
 ):
     """Minimize objective . x over the rows; returns ("optimal", value, point),
     ("unbounded", None) or ("infeasible", multipliers)."""
-    c = tuple(Fraction(v) for v in objective)
     rows, dim = _assemble(p, balls, None)
-    if not rows:
-        if all(v == 0 for v in c):
-            return "optimal", Fraction(0), tuple(Fraction(0) for _ in range(dim))
-        return "unbounded", None
-    if kernel == "auto":
-        kernel = (
-            "fm" if dim + 1 <= FM_MAX_DIM and len(rows) + 2 <= FM_MAX_ROWS else "simplex"
-        )
-    if kernel == "fm":
-        # Auxiliary variable t = objective . x at index 0; FM assigns index 0
-        # first from its exact projection, so the lowest pick is the minimum.
-        ext_rows: list[Row] = [
-            ((Fraction(-1),) + c, Fraction(0)),
-            ((Fraction(1),) + tuple(-v for v in c), Fraction(0)),
-        ]
-        ext_rows.extend(((Fraction(0),) + tuple(a), b) for a, b in rows)
-        try:
-            outcome = _fm_solve(ext_rows, dim + 1)
-            if outcome[0] == "infeasible":
-                lam = tuple(outcome[1][2:])  # linking rows cancel pairwise
-                _verify_farkas(rows, lam)
-                return "infeasible", lam
-            if not _fm_lower_bound_exists(ext_rows, dim + 1):
-                return "unbounded", None
-            sol = outcome[1]
-            value, x = sol[0], sol[1:]
-            if sum(c[k] * x[k] for k in range(dim)) != value:
-                raise LPKernelError("objective link violated")
-            _verify_witness(rows, x)
-            return "optimal", value, x
-        except _FMBlowup:
-            kernel = "simplex"
-    result = _simplex_minimize(c, rows, dim)
-    if result[0] == "optimal":
-        _verify_witness(rows, result[2])
-    elif result[0] == "infeasible":
-        _verify_farkas(rows, result[1])
-    return result
+    return _solve(rows, dim, tuple(Fraction(v) for v in objective))
 
 
 def polyhedron_coordinate_bounds(
-    p: HPolyhedron, k: int, kernel: str = "auto"
+    p: HPolyhedron, k: int
 ) -> tuple[Fraction | None, Fraction | None]:
     """Exact (min, max) of coordinate k over the set; None where unbounded."""
     unit = [Fraction(0)] * p.dim
     unit[k] = Fraction(1)
-    low = lp_minimize(tuple(unit), p, kernel=kernel)
-    high = lp_minimize(tuple(-u for u in unit), p, kernel=kernel)
+    low = lp_minimize(tuple(unit), p)
+    high = lp_minimize(tuple(-u for u in unit), p)
     if low[0] == "infeasible" or high[0] == "infeasible":
         raise EmptySet("cannot bound an empty polyhedron")
     lo = low[1] if low[0] == "optimal" else None
@@ -504,15 +360,11 @@ def polyhedron_coordinate_bounds(
     return lo, hi
 
 
-def dist_to_polyhedron(
-    x: Point, p: HPolyhedron, kernel: str = "auto"
-) -> tuple[Fraction, Point]:
+def dist_to_polyhedron(x: Point, p: HPolyhedron) -> tuple[Fraction, Point]:
     """Chebyshev distance from x to a non-empty polyhedron, with a nearest
     point, as the exact LP min r s.t. a in p, |x_k - a_k| <= r."""
     if len(x) != p.dim:
         raise DimMismatch("point dim does not match polyhedron dim")
-    if not lp_feasible(p, kernel=kernel).feasible:
-        raise EmptySet("polyhedron is empty")
     d = p.dim
     # Variables (r, a_0 .. a_{d-1}).
     rows: list[Row] = [((Fraction(0),) + tuple(a), b) for a, b in p.rows]
@@ -521,24 +373,20 @@ def dist_to_polyhedron(
         unit[k] = Fraction(1)
         rows.append(((Fraction(-1),) + tuple(unit), x[k]))
         rows.append(((Fraction(-1),) + tuple(-u for u in unit), -x[k]))
-    if kernel == "auto":
-        kernel = "fm" if d + 1 <= FM_MAX_DIM and len(rows) <= FM_MAX_ROWS else "simplex"
-    if kernel == "fm":
-        try:
-            outcome = _fm_solve(rows, d + 1)
-            if outcome[0] == "infeasible":
-                raise LPKernelError("distance LP infeasible for non-empty set")
-            sol = outcome[1]
-            r, nearest = sol[0], sol[1:]
-            _check_distance(x, p, r, nearest)
-            return r, nearest
-        except _FMBlowup:
-            kernel = "simplex"
+    if not d:
+        rows.append(((Fraction(-1),), Fraction(0)))  # r >= 0: no linking row bounds r
     objective = (Fraction(1),) + tuple(Fraction(0) for _ in range(d))
-    status, value, sol = _simplex_minimize(objective, rows, d + 1)
-    if status != "optimal":
+    outcome = _solve(rows, d + 1, objective)
+    if outcome[0] == "infeasible":
+        # Only the rows after p's carry r, each with coefficient -1, so a
+        # certificate's vanishing r column zeroes their multipliers: the
+        # certificate restricted to p's rows proves p empty.
+        lam = outcome[1][: len(p.rows)]
+        _verify_farkas(p.rows, lam)
+        raise EmptySet("polyhedron is empty")
+    if outcome[0] != "optimal":
         raise LPKernelError("distance LP did not reach an optimum")
-    r, nearest = sol[0], sol[1:]
+    r, nearest = outcome[1], outcome[2][1:]
     _check_distance(x, p, r, nearest)
     return r, nearest
 

@@ -1,5 +1,7 @@
-"""Guards on where numpy and the SplitMix64 constants may live."""
+"""Guards on where numpy and the SplitMix64 constants may live, and on
+knobs that were removed."""
 
+import inspect
 import os
 import pathlib
 import subprocess
@@ -43,3 +45,11 @@ def test_numpy_is_not_loaded_outside_the_refuter(code):
     probe = code + "; assert 'numpy' not in sys.modules, 'numpy loaded'"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_lp_entry_points_have_no_kernel_knob():
+    from hyperball import lp
+
+    for fn in (lp.lp_feasible, lp.lp_minimize, lp.polyhedron_coordinate_bounds,
+               lp.dist_to_polyhedron):
+        assert "kernel" not in inspect.signature(fn).parameters, fn.__name__

@@ -17,6 +17,7 @@ from hyperball.lp import (
 )
 
 from conftest import F, pt
+from fm_reference import fm_minimize, fm_solve
 
 
 def rows(*pairs):
@@ -45,7 +46,6 @@ def test_total_helly_intersection_infeasible():
         2, rows(((0, -1), 0), ((-1, 1), 0), ((1, 1), -1))
     )
     assert not lp_feasible(p).feasible
-    assert not lp_feasible(p, kernel="simplex").feasible
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,9 +66,8 @@ def test_fm_and_simplex_agree(seed):
             for _ in range(m)
         ),
     )
-    fm = lp_feasible(p, kernel="fm")
-    sx = lp_feasible(p, kernel="simplex")
-    assert fm.feasible == sx.feasible
+    fm_status, _ = fm_solve(p.rows, dim)
+    assert lp_feasible(p).feasible == (fm_status == "witness")
 
 
 def test_interval_and_lp_routes_agree_on_1000_instances():
@@ -105,12 +104,40 @@ def test_dist_examples():
     d3, _ = dist_to_polyhedron(pt(1, 0), box)
     assert d3 == 0
 
+    assert dist_to_polyhedron((), HPolyhedron(0, ())) == (0, ())
+
+
+def _fm_distance(x, p):
+    """The distance LP of dist_to_polyhedron, solved by the FM reference."""
+    d = p.dim
+    dist_rows = [((F(0),) + tuple(a), b) for a, b in p.rows]
+    for k in range(d):
+        unit = tuple(F(int(i == k)) for i in range(d))
+        dist_rows.append(((F(-1),) + unit, x[k]))
+        dist_rows.append(((F(-1),) + tuple(-u for u in unit), -x[k]))
+    return fm_minimize((F(1),) + (F(0),) * d, dist_rows, d + 1)
+
 
 def test_dist_simplex_route_matches_fm():
+    from hyperball.rng import SplitMix64
+
     hs = halfspace([1, 1], -1)
-    d_fm, _ = dist_to_polyhedron(pt(1, -1), hs, kernel="fm")
-    d_sx, _ = dist_to_polyhedron(pt(1, -1), hs, kernel="simplex")
-    assert d_fm == d_sx == Fraction(1, 2)
+    d_sx, _ = dist_to_polyhedron(pt(1, -1), hs)
+    assert _fm_distance(pt(1, -1), hs) == ("optimal", d_sx)
+    assert d_sx == Fraction(1, 2)
+    for seed in range(60):
+        rng = SplitMix64(seed)
+        dim = rng.randint(1, 2)
+        p = HPolyhedron(dim, tuple(
+            (tuple(F(rng.randint(-3, 3)) for _ in range(dim)), F(rng.randint(-4, 4)))
+            for _ in range(rng.randint(1, 4))
+        ))
+        x = tuple(F(rng.randint(-9, 9), 2) for _ in range(dim))
+        try:
+            outcome = ("optimal", dist_to_polyhedron(x, p)[0])
+        except EmptySet:
+            outcome = ("infeasible", None)
+        assert outcome == _fm_distance(x, p), seed
 
 
 def test_dist_requires_nonempty():
@@ -149,14 +176,15 @@ def test_minimize_and_bounds():
     assert polyhedron_coordinate_bounds(box, 0) == (-1, 3)
     lo, hi = polyhedron_coordinate_bounds(halfspace([1, 0], 7), 0)
     assert lo is None and hi == 7
+    whole_plane = HPolyhedron(2, ())
+    assert lp_minimize([1, 0], whole_plane) == ("unbounded", None)
+    assert lp_minimize([0, 0], whole_plane) == ("optimal", 0, pt(0, 0))
 
 
 def test_minimize_infeasible_certificate():
     p = HPolyhedron(1, rows(((1,), -1), ((-1,), 0)))
     outcome = lp_minimize([1], p)
     assert outcome[0] == "infeasible"
-    outcome_sx = lp_minimize([1], p, kernel="simplex")
-    assert outcome_sx[0] == "infeasible"
 
 
 @settings(max_examples=40, deadline=None)
@@ -178,8 +206,130 @@ def test_minimize_routes_agree(seed):
     )
     p = HPolyhedron(dim, p.rows + extra)
     c = [Fraction(rng.randint(-3, 3)) for _ in range(dim)]
-    fm = lp_minimize(c, p, kernel="fm")
-    sx = lp_minimize(c, p, kernel="simplex")
+    fm = fm_minimize(c, p.rows, dim)
+    sx = lp_minimize(c, p)
     assert fm[0] == sx[0]
     if fm[0] == "optimal":
         assert fm[1] == sx[1]
+
+
+def _planted(seed: int, d: int, m: int, kind: str):
+    """A system of m rows in dim d whose answer is known by construction.
+
+    feasible: every row holds at a planted point x0.  infeasible: a group of
+    rows whose normals sum to zero and whose bounds sum below zero.  optimal:
+    the objective is minus a positive combination of rows tight at x0, so x0
+    attains the minimum by weak duality.  unbounded: every row has
+    a . dvec <= 0 and the objective is -dvec.
+    """
+    from hyperball.rng import SplitMix64
+
+    rng = SplitMix64(seed)
+    x0 = [F(rng.randint(-6, 6), 2) for _ in range(d)]
+
+    def dot(a, x):
+        return sum(u * v for u, v in zip(a, x))
+
+    def normal():
+        while True:
+            a = [F(rng.randint(-4, 4)) for _ in range(d)]
+            if any(a):
+                return a
+
+    def loose(a):
+        return tuple(a), dot(a, x0) + rng.randint(0, 5)
+
+    objective = value = None
+    if kind == "infeasible":
+        size = rng.randint(2, 4)
+        while True:
+            group = [normal() for _ in range(size - 1)]
+            last = [-sum(a[k] for a in group) for k in range(d)]
+            if any(last):
+                break
+        bounds = [F(rng.randint(-5, 5)) for _ in range(size)]
+        bounds[-1] -= sum(bounds) + rng.randint(1, 4)
+        rows = [(tuple(a), b) for a, b in zip(group + [last], bounds)]
+        rows += [loose(normal()) for _ in range(m - size)]
+    elif kind == "unbounded":
+        dvec = [rng.randint(-2, 2) for _ in range(d)]
+        if not any(dvec):
+            dvec[0] = 1
+        rows = []
+        for _ in range(m):
+            a = normal()
+            rows.append(loose([-c for c in a] if dot(a, dvec) > 0 else a))
+        objective = tuple(F(-v) for v in dvec)
+    else:
+        tight = d if kind == "optimal" else 0
+        rows = [(tuple(a), dot(a, x0)) if i < tight else loose(a)
+                for i, a in enumerate(normal() for _ in range(m))]
+        if kind == "optimal":
+            mu = [rng.randint(1, 3) for _ in range(tight)]
+            objective = tuple(-sum(mu[i] * rows[i][0][k] for i in range(tight))
+                              for k in range(d))
+            value = dot(objective, x0)
+    order = sorted(range(m), key=lambda i: rng.randint(0, 1 << 30))
+    return HPolyhedron(d, tuple(rows[i] for i in order)), objective, value
+
+
+PLANTED_SHAPES = [(5, 12)] + [(d, m) for d in range(4, 9) for m in (8, 14, 20)]
+
+
+@pytest.mark.parametrize("kind", ["feasible", "infeasible", "optimal", "unbounded"])
+def test_planted_systems_beyond_fm_reach(kind):
+    for seed, (d, m) in enumerate(PLANTED_SHAPES * 2):
+        p, objective, value = _planted(seed, d, m, kind)
+        label = (seed, d, m)
+        if kind in ("feasible", "infeasible"):
+            result = lp_feasible(p)
+            assert result.feasible == (kind == "feasible"), label
+            if result.feasible:
+                assert p.contains(result.witness), label
+            else:
+                lam = result.certificate["farkas"]
+                assert all(l >= 0 for l in lam), label
+                assert all(sum(l * a[k] for l, (a, _) in zip(lam, p.rows)) == 0
+                           for k in range(d)), label
+                assert sum(l * b for l, (_, b) in zip(lam, p.rows)) < 0, label
+        else:
+            outcome = lp_minimize(objective, p)
+            assert outcome[0] == kind, label
+            if kind == "optimal":
+                assert outcome[1] == value, label
+                assert sum(c * v for c, v in zip(objective, outcome[2])) == value, label
+                assert p.contains(outcome[2]), label
+
+
+def test_tampered_dual_and_ray_are_rejected(monkeypatch):
+    from hyperball import lp
+
+    box = box_to_polyhedron(Box(pt(-1, 2), pt(3, 5)))
+    c = pt(1, 0)
+    tab = lp._Tableau(box.rows, 2, c)
+    assert tab.phase1() is None and tab.phase2() is None
+    y = tab.duals()
+    lp._verify_dual(box.rows, c, y, F(-1))
+    for bad_y, bad_value in [
+        ((y[0] + 1,) + y[1:], F(-1)),  # y.A no longer equals -c
+        (y, F(-2)),                    # bound below the optimum
+        (tuple(-v for v in y), F(1)),  # negative multipliers
+    ]:
+        with pytest.raises(lp.LPKernelError):
+            lp._verify_dual(box.rows, c, bad_y, bad_value)
+
+    hs = halfspace([1, 0], 7)
+    tab = lp._Tableau(hs.rows, 2, c)
+    assert tab.phase1() is None
+    ray = tab.phase2()
+    lp._verify_ray(hs.rows, c, ray)
+    for bad_ray in [tuple(-v for v in ray), pt(0, 1)]:
+        with pytest.raises(lp.LPKernelError):
+            lp._verify_ray(hs.rows, c, bad_ray)
+
+    monkeypatch.setattr(lp._Tableau, "duals", lambda self: (F(0),) * len(self.scales))
+    with pytest.raises(lp.LPKernelError):
+        lp_minimize(c, box)
+    monkeypatch.setattr(lp._Tableau, "phase2", lambda self: pt(1, 0))
+    with pytest.raises(lp.LPKernelError):
+        lp_minimize(c, hs)
