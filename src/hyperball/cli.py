@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 verdict holds / witness found, 1 refuted, 2 inconclusive,
-3 usage or validation error.  Reports echo the full configuration; with the
-same seed and inputs the JSON report is byte-identical up to its "timing"
-field.
+3 usage, validation or unreadable-file error, 4 internal error (a failed
+self-check or an unexpected exception); errors print one "error:" line.
+Reports echo the full configuration; with the same seed and inputs the JSON
+report is byte-identical up to its "timing" field.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .barycenter import (
     ip_threshold,
     linf_backend,
 )
-from .errors import HyperballError
-from .io import ParseError, ValidationError, canonical_dumps, parse_instance, to_jsonable
+from .errors import HyperballError, InternalError
+from .io import ValidationError, canonical_dumps, parse_instance, to_jsonable
 from .lab import (
     LinfBallFamily,
     check_admissible,
@@ -38,7 +39,7 @@ from .lab import (
     refute_search,
 )
 from .metric import is_modular
-from .rational import RationalParseError, parse_rational
+from .rational import parse_rational
 from .refine import exact_subset_oracle, almost_to_exact, triple_intersection, verify_trace
 from .reports import HOLDS, INCONCLUSIVE, REFUTED
 
@@ -46,6 +47,7 @@ EXIT_HOLDS = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 _VERDICT_EXIT = {HOLDS: EXIT_HOLDS, REFUTED: EXIT_REFUTED, INCONCLUSIVE: EXIT_INCONCLUSIVE}
 
@@ -291,7 +293,6 @@ def cmd_ip_threshold(args, report) -> int:
     report["checks"].append({"name": f"ip-threshold-k{args.k}", "verdict": HOLDS, "detail": str(value)})
     if not args.json:
         print(value)
-        return EXIT_HOLDS
     return EXIT_HOLDS
 
 
@@ -410,10 +411,16 @@ def main(argv=None) -> int:
     report = _report_scaffold(args, args.command)
     try:
         code = handler(args, report)
-    except (ParseError, ValidationError, RationalParseError, HyperballError) as exc:
+        _emit(report, args, started)
+    except InternalError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except (HyperballError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(report, args, started)
+    except Exception as exc:  # a bug; never reported as a verdict
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return code
 
 

@@ -5,6 +5,10 @@ class HyperballError(Exception):
     """Base class for all library errors."""
 
 
+class InternalError(HyperballError):
+    """A self-check of the library's own output failed: a bug, not bad input."""
+
+
 class DimMismatch(HyperballError):
     """Operands live in spaces of different dimensions."""
 

@@ -110,17 +110,12 @@ def _point(values: Any) -> Point:
 def parse_ball(data: Any) -> Ball:
     try:
         return Ball(_point(data["center"]), _rational(data["r"]))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad ball: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
 
 def parse_box(data: Any) -> Box:
-    try:
-        return Box(_point(data["lo"]), _point(data["hi"]))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad box: {exc}") from exc
+    return Box(_point(data["lo"]), _point(data["hi"]))
 
 
 def parse_polyhedron(data: Any) -> HPolyhedron:
@@ -130,10 +125,6 @@ def parse_polyhedron(data: Any) -> HPolyhedron:
             for row in data["rows"]
         )
         return HPolyhedron(int(data["dim"]), rows)
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"bad polyhedron: {exc}") from exc
-    except HyperballError:
-        raise
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -165,6 +156,13 @@ def parse_instance(source: str | Path | dict):
         data = source
     if not isinstance(data, dict):
         raise ParseError("instance must be a JSON object")
+    try:
+        return _parse_object(data)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ParseError(f"malformed instance: {type(exc).__name__}: {exc}") from exc
+
+
+def _parse_object(data: dict):
     if "polyhedron" in data and "type" not in data:
         return "polyhedron", parse_polyhedron(data["polyhedron"])
     if "ball" in data and "type" not in data:
@@ -173,10 +171,7 @@ def parse_instance(source: str | Path | dict):
         return "box", parse_box(data["box"])
     kind = data.get("type")
     if kind == "matrix":
-        try:
-            matrix = [[_rational(v) for v in row] for row in data["dist"]]
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad matrix: {exc}") from exc
+        matrix = [[_rational(v) for v in row] for row in data["dist"]]
         try:
             return "metric", validate_metric(matrix)
         except MetricError as exc:
@@ -191,8 +186,6 @@ def parse_instance(source: str | Path | dict):
                 tuple((int(u), int(v)) for u, v in data["edges"]),
                 weights,
             )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"bad graph: {exc}") from exc
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
         return "graph", graph
@@ -228,7 +221,10 @@ def parse_instance(source: str | Path | dict):
             "delta": _rational(data["delta"]),
         }
     if kind == "points":
-        return "points", tuple(_point(p) for p in data["points"])
+        points = tuple(_point(p) for p in data["points"])
+        if not points:
+            raise ValidationError("points instance needs at least one point")
+        return "points", points
     if kind == "ip":
         return "ip", {
             "k": int(data["k"]),

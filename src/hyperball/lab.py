@@ -14,7 +14,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Sequence
 
-from .errors import DimMismatch, HyperballError, SizeCapExceeded
+from .errors import DimMismatch, HyperballError, InternalError, SizeCapExceeded
 from .linf import Ball, Box, FeasibilityResult, Point, balls_box, linf_dist
 from .lp import EmptySet, HPolyhedron, lp_feasible
 from .metric import FiniteMetricSpace, GraphInstance, graph_metric
@@ -422,7 +422,7 @@ def refute_search(
 def _refutation(subset, balls, index: int, seed: int, mode: str) -> PropertyReport:
     """Report a found family after exact re-verification."""
     if not verify_refutation(subset, balls):
-        raise HyperballError("refutation failed exact re-verification")
+        raise InternalError("refutation failed exact re-verification")
     certificate = {"balls": balls, "index": index}
     if mode != "external":
         certificate["mode"] = mode

@@ -2,38 +2,43 @@
 
 One kernel: a dense simplex over Python ints (Bland's rule against cycling,
 Bareiss's fraction-free pivots dividing exactly by the previous pivot).
-Each row is scaled to integers by the lcm of its denominators; Fractions
-appear only when a result is read out, with the row scales multiplied back.
+Each row a . x <= b is scaled once to integers (s, a', b') = (s, s.a, s.b)
+by s > 0, the lcm of its denominators; a polyhedron caches its scaled rows.
+Fractions appear only when a result is read out.
 
-Every outcome carries a certificate that is checked by plain arithmetic on
-the original rows before it is returned:
+Every outcome carries a certificate that is checked in integer arithmetic
+on the caller's scaled rows, never on the tableau, before it is returned.
+With the point X/D (D > 0) and the scaled objective c':
 
-* a feasible point satisfies every row;
-* Farkas multipliers lam >= 0 with lam.A = 0 and lam.b < 0 prove emptiness;
-* duals y >= 0 with y.A = -c and -y.b equal to the value prove an optimum;
-* a ray d with A.d <= 0 and c.d < 0 proves unboundedness.
+* a feasible point satisfies every row: a'.X <= b'.D;
+* Farkas multipliers y >= 0 with y.A' = 0 and y.b' < 0 prove emptiness;
+* duals y >= 0 with y.A' = -D.c' and -y.b' = c'.X prove an optimum;
+* a ray d with A'.d <= 0 and c'.d < 0 proves unboundedness.
 
-A failed check is a kernel bug and raises LPKernelError.
+Each is the check on the original rows times a positive integer.  A failed
+check is a kernel bug and raises LPKernelError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .errors import DimMismatch, HyperballError
-from .linf import Ball, Box, FeasibilityResult, Point, linf_dist
+from .errors import DimMismatch, HyperballError, InternalError
+from .linf import Ball, Box, FeasibilityResult, Point
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # a . x <= b
+IntRow = tuple[int, Sequence[int], int]  # (s, s.a, s.b) with s > 0
 
 
 class EmptySet(HyperballError):
     """An operation that needs a non-empty set got an empty one."""
 
 
-class LPKernelError(HyperballError):
+class LPKernelError(InternalError):
     """Internal kernel failure (verification of its own output failed)."""
 
 
@@ -54,6 +59,11 @@ class HPolyhedron:
             raise DimMismatch("point dim does not match polyhedron dim")
         return all(sum(c * x for c, x in zip(a, p)) <= b for a, b in self.rows)
 
+    @cached_property
+    def _integer_rows(self) -> tuple[IntRow, ...]:
+        """The rows scaled to integers, built once; not a dataclass field."""
+        return tuple(_integer_row(a, b) for a, b in self.rows)
+
 
 def halfspace(a: Sequence[object], b: object) -> HPolyhedron:
     return HPolyhedron(
@@ -72,15 +82,14 @@ def box_to_polyhedron(box: Box) -> HPolyhedron:
     return HPolyhedron(d, tuple(rows))
 
 
-def ball_rows(ball: Ball) -> list[Row]:
-    """|x_k - c_k| <= r as 2*dim half-space rows."""
-    d = ball.dim
-    rows: list[Row] = []
-    for k in range(d):
-        unit = tuple(Fraction(1) if i == k else Fraction(0) for i in range(d))
-        neg = tuple(-u for u in unit)
-        rows.append((unit, ball.center[k] + ball.radius))
-        rows.append((neg, -(ball.center[k] - ball.radius)))
+def _ball_rows(ball: Ball) -> list[IntRow]:
+    """|x_k - c_k| <= r as 2*dim integer rows: x_k <= hi and -x_k <= -lo."""
+    rows: list[IntRow] = []
+    for k, c in enumerate(ball.center):
+        for sign, v in ((1, c + ball.radius), (-1, c - ball.radius)):
+            a = [0] * ball.dim
+            a[k] = sign * v.denominator
+            rows.append((v.denominator, a, sign * v.numerator))
     return rows
 
 
@@ -88,12 +97,12 @@ def ball_rows(ball: Ball) -> list[Row]:
 # Fraction-free simplex (Bareiss pivots, Bland's rule)
 
 
-def _integer_row(a: Sequence[Fraction], b: Fraction) -> tuple[int, list[int], int]:
+def _integer_row(a: Sequence[Fraction], b: Fraction) -> IntRow:
     """Scale a . x <= b by the lcm of its denominators: (scale, a', b')."""
     scale = lcm(b.denominator, *(v.denominator for v in a))
     return (
         scale,
-        [v.numerator * (scale // v.denominator) for v in a],
+        tuple(v.numerator * (scale // v.denominator) for v in a),
         b.numerator * (scale // b.denominator),
     )
 
@@ -110,27 +119,21 @@ class _Tableau:
     every pivot, so they are always in reduced-cost form.
     """
 
-    def __init__(self, rows: Sequence[Row], dim: int, objective=None):
+    def __init__(self, rows: Sequence[IntRow], dim: int, cost: Sequence[int] | None = None):
         self.dim = dim
         m = len(rows)
         self.slack = 2 * dim
         self.nstruct = 2 * dim + m
         self.D = 1
         self.T: list[list[int]] = []
-        self.scales: list[int] = []
         self.basis: list[int] = []
-        for i, (a, b) in enumerate(rows):
-            scale, a, b = _integer_row(a, b)
+        for i, (_, a, b) in enumerate(rows):
             sg = 1 if b >= 0 else -1
             row = [sg * v for v in a] + [-sg * v for v in a] + [0] * m + [sg * b]
             row[self.slack + i] = sg
             self.T.append(row)
-            self.scales.append(scale)
             self.basis.append(self.slack + i if sg > 0 else self.nstruct + i)
-        self.cost = None
-        if objective is not None:
-            self.cost_scale, c, _ = _integer_row(objective, Fraction(0))
-            self.cost = c + [-v for v in c] + [0] * (m + 1)
+        self.cost = None if cost is None else [*cost, *(-v for v in cost), *[0] * (m + 1)]
 
     def _pivot(self, objs: list[list[int]], r: int, col: int) -> None:
         T, D = self.T, self.D
@@ -169,19 +172,17 @@ class _Tableau:
                 return enter
             self._pivot(objs, leave, enter)
 
-    def phase1(self) -> tuple[Fraction, ...] | None:
+    def phase1(self) -> tuple[int, ...] | None:
         """Drive the artificials out; None when feasible, else Farkas
-        multipliers, read off the phase-1 reduced costs of the slacks."""
+        multipliers for the scaled rows (times D), read off the phase-1
+        reduced costs of the slacks."""
         arts = [r for r, col in enumerate(self.basis) if col >= self.nstruct]
         objs = [] if self.cost is None else [self.cost]
         if arts:
             obj = [-sum(col) for col in zip(*(self.T[r] for r in arts))]
             self._run(obj, objs + [obj])
             if obj[-1] < 0:  # obj[-1] is -D times the least sum of artificials
-                D = self.D
-                return tuple(
-                    Fraction(obj[self.slack + i] * s, D) for i, s in enumerate(self.scales)
-                )
+                return tuple(obj[self.slack:self.nstruct])
             # Pivot each basic artificial (at level 0) onto a structural
             # column, so that phase 2 can never make it positive again.  A
             # row with no such column is redundant and keeps its artificial.
@@ -201,55 +202,54 @@ class _Tableau:
         enter = self._run(self.cost, [self.cost])
         if enter is None:
             return None
-        ray = [0] * self.dim
-        for col, step in [(enter, self.D)] + [
-            (col, -row[enter]) for col, row in zip(self.basis, self.T)
-        ]:
-            if col < self.dim:
-                ray[col] += step
-            elif col < self.slack:
-                ray[col - self.dim] -= step
-        return tuple(ray)
+        steps = [(col, -row[enter]) for col, row in zip(self.basis, self.T)]
+        return tuple(self._unsplit([(enter, self.D)] + steps))
 
-    def point(self) -> Point:
+    def point(self) -> list[int]:
+        """The basic solution times D."""
+        return self._unsplit([(col, row[-1]) for col, row in zip(self.basis, self.T)])
+
+    def _unsplit(self, values: list[tuple[int, int]]) -> list[int]:
+        """x = x+ - x-, from values on columns; slack columns are dropped."""
         x = [0] * self.dim
-        for col, row in zip(self.basis, self.T):
+        for col, v in values:
             if col < self.dim:
-                x[col] += row[-1]
+                x[col] += v
             elif col < self.slack:
-                x[col - self.dim] -= row[-1]
-        return tuple(Fraction(v, self.D) for v in x)
+                x[col - self.dim] -= v
+        return x
 
-    def duals(self) -> tuple[Fraction, ...]:
-        """Optimal y >= 0 with y.A = -c: the reduced costs of the slacks."""
-        D = self.D * self.cost_scale
-        return tuple(
-            Fraction(self.cost[self.slack + i] * s, D) for i, s in enumerate(self.scales)
-        )
+    def duals(self) -> tuple[int, ...]:
+        """Optimal y >= 0 with y.A' = -D.c': the reduced costs of the slacks."""
+        return tuple(self.cost[self.slack:self.nstruct])
 
 
-def _solve(rows: Sequence[Row], dim: int, objective: Sequence[Fraction] | None = None):
+def _solve(rows: Sequence[IntRow], dim: int, objective: Sequence[Fraction] | None = None,
+           farkas_rows: Sequence[IntRow] | None = None):
     """Run the kernel and verify its outcome.  Feasibility returns
     ("witness", point) or ("infeasible", multipliers); minimization returns
-    ("optimal", value, point), ("unbounded", None) or ("infeasible", ...)."""
-    tab = _Tableau(rows, dim, objective)
-    lam = tab.phase1()
-    if lam is not None:
-        _verify_farkas(rows, lam)
-        return "infeasible", lam
-    if objective is None:
-        x = tab.point()
-        _verify_witness(rows, x)
-        return "witness", x
-    ray = tab.phase2()
-    if ray is not None:
-        _verify_ray(rows, objective, ray)
-        return "unbounded", None
-    x = tab.point()
-    value = sum((c * v for c, v in zip(objective, x)), Fraction(0))
-    _verify_witness(rows, x)
-    _verify_dual(rows, objective, tab.duals(), value)
-    return "optimal", value, x
+    ("optimal", value, point), ("unbounded", None) or ("infeasible", ...).
+    An infeasibility certificate must hold on `farkas_rows`, leading rows of
+    `rows`, alone (all of `rows` by default)."""
+    scale, c, _ = (None, None, None) if objective is None else _integer_row(objective, 0)
+    tab = _Tableau(rows, dim, c)
+    y = tab.phase1()
+    if y is not None:
+        farkas_rows = rows if farkas_rows is None else farkas_rows
+        _verify_farkas(farkas_rows, y[: len(farkas_rows)], tab.D)
+        return "infeasible", tuple(Fraction(v * s, tab.D) for v, (s, _, _) in zip(y, rows))
+    if c is not None:
+        ray = tab.phase2()
+        if ray is not None:
+            _verify_ray(rows, c, ray)
+            return "unbounded", None
+    x, D = tab.point(), tab.D
+    _verify_witness(rows, x, D)
+    point = tuple(Fraction(v, D) for v in x)
+    if c is None:
+        return "witness", point
+    _verify_dual(rows, c, tab.duals(), D, x)
+    return "optimal", Fraction(_dot(c, x), D * scale), point
 
 
 # ---------------------------------------------------------------------------
@@ -258,74 +258,79 @@ def _solve(rows: Sequence[Row], dim: int, objective: Sequence[Fraction] | None =
 
 def _assemble(
     p: HPolyhedron | None, balls: Sequence[Ball], dim: int | None
-) -> tuple[list[Row], int]:
-    rows: list[Row] = []
+) -> tuple[list[IntRow], int]:
+    rows: list[IntRow] = []
     if p is not None:
         dim = p.dim if dim is None else dim
         if p.dim != dim:
             raise DimMismatch("polyhedron dim mismatch")
-        rows.extend(p.rows)
+        rows.extend(p._integer_rows)
     for ball in balls:
         dim = ball.dim if dim is None else dim
         if ball.dim != dim:
             raise DimMismatch("ball dim mismatch")
-        rows.extend(ball_rows(ball))
+        rows.extend(_ball_rows(ball))
     if dim is None:
         raise ValueError("cannot infer dimension from empty input")
     return rows, dim
 
 
-def _verify_witness(rows: Sequence[Row], x: Point) -> None:
-    for a, b in rows:
-        if sum(c * v for c, v in zip(a, x) if c) > b:
-            raise LPKernelError("witness fails a constraint")
+def _dot(a: Sequence[int], x: Sequence[int]) -> int:
+    return sum(u * v for u, v in zip(a, x) if u)
 
 
-def _combination(rows: Sequence[Row], y: Sequence[Fraction], dim: int):
-    """(y.A, y.b) for multipliers y >= 0, one per row; zero terms skipped."""
+def _verify_witness(rows: Sequence[IntRow], x: Sequence[int], D: int) -> None:
+    """D > 0 and a'.x <= b'.D on every row: the point x/D satisfies them."""
+    if D <= 0:
+        raise LPKernelError("point has a non-positive denominator")
+    if any(_dot(a, x) > b * D for _, a, b in rows):
+        raise LPKernelError("witness fails a constraint")
+
+
+def _combination(rows: Sequence[IntRow], y: Sequence[int], dim: int):
+    """(y.A', y.b') for multipliers y >= 0, one per row; zero terms skipped."""
     if len(y) != len(rows) or any(v < 0 for v in y):
         raise LPKernelError("multipliers are not one non-negative value per row")
-    support = [(v, a, b) for v, (a, b) in zip(y, rows) if v]
+    support = [(v, a, b) for v, (_, a, b) in zip(y, rows) if v]
     return (
         [sum(v * a[k] for v, a, _ in support) for k in range(dim)],
         sum(v * b for v, _, b in support),
     )
 
 
-def _verify_farkas(rows: Sequence[Row], lam: Sequence[Fraction]) -> None:
-    """lam >= 0, lam.A = 0 and lam.b < 0 prove that no x has A x <= b."""
-    combo, bound = _combination(rows, lam, len(rows[0][0]) if rows else 0)
+def _verify_farkas(rows: Sequence[IntRow], y: Sequence[int], D: int) -> None:
+    """y >= 0, y.A' = 0 and y.b' < 0 prove that no x has A x <= b; the
+    multipliers read out, y_i s_i / D, need D > 0."""
+    if D <= 0:
+        raise LPKernelError("multipliers have a non-positive denominator")
+    combo, bound = _combination(rows, y, len(rows[0][1]) if rows else 0)
     if any(combo):
         raise LPKernelError("Farkas combination does not vanish")
     if bound >= 0:
         raise LPKernelError("Farkas combination is not contradictory")
 
 
-def _verify_dual(
-    rows: Sequence[Row], c: Sequence[Fraction], y: Sequence[Fraction], value: Fraction
-) -> None:
-    """y >= 0, y.A = -c and -y.b = value prove value is the minimum of c.x:
-    for any feasible x, c.x = -y.A x >= -y.b."""
+def _verify_dual(rows: Sequence[IntRow], c: Sequence[int], y: Sequence[int], D: int,
+                 x: Sequence[int]) -> None:
+    """y >= 0, y.A' = -D.c' and -y.b' = c'.x prove that c'.x/D is the minimum
+    of c'.z (D > 0, checked with the witness): D.c'.z = -y.A' z >= -y.b'."""
     combo, bound = _combination(rows, y, len(c))
-    if any(u != -v for u, v in zip(combo, c)):
+    if any(u != -D * v for u, v in zip(combo, c)):
         raise LPKernelError("dual does not reproduce the objective")
-    if -bound != value:
+    if -bound != _dot(c, x):
         raise LPKernelError("dual bound differs from the optimum")
 
 
-def _verify_ray(rows: Sequence[Row], c: Sequence[Fraction], ray: Sequence[int]) -> None:
-    """A.d <= 0 and c.d < 0: the objective falls without bound along d."""
-    if any(sum(a_k * d_k for a_k, d_k in zip(a, ray)) > 0 for a, _ in rows):
+def _verify_ray(rows: Sequence[IntRow], c: Sequence[int], ray: Sequence[int]) -> None:
+    """A'.d <= 0 and c'.d < 0: the objective falls without bound along d."""
+    if any(_dot(a, ray) > 0 for _, a, _ in rows):
         raise LPKernelError("ray leaves the set")
-    if sum(c_k * d_k for c_k, d_k in zip(c, ray)) >= 0:
+    if _dot(c, ray) >= 0:
         raise LPKernelError("objective does not fall along the ray")
 
 
-def lp_feasible(
-    p: HPolyhedron | None,
-    balls: Sequence[Ball] = (),
-    dim: int | None = None,
-) -> FeasibilityResult:
+def lp_feasible(p: HPolyhedron | None, balls: Sequence[Ball] = (),
+                dim: int | None = None) -> FeasibilityResult:
     """Exact feasibility of polyhedron rows plus ball (box) constraints."""
     rows, dim = _assemble(p, balls, dim)
     status, payload = _solve(rows, dim)
@@ -334,11 +339,7 @@ def lp_feasible(
     return FeasibilityResult("infeasible", certificate={"farkas": payload})
 
 
-def lp_minimize(
-    objective: Sequence[object],
-    p: HPolyhedron | None,
-    balls: Sequence[Ball] = (),
-):
+def lp_minimize(objective: Sequence[object], p: HPolyhedron | None, balls: Sequence[Ball] = ()):
     """Minimize objective . x over the rows; returns ("optimal", value, point),
     ("unbounded", None) or ("infeasible", multipliers)."""
     rows, dim = _assemble(p, balls, None)
@@ -349,10 +350,8 @@ def polyhedron_coordinate_bounds(
     p: HPolyhedron, k: int
 ) -> tuple[Fraction | None, Fraction | None]:
     """Exact (min, max) of coordinate k over the set; None where unbounded."""
-    unit = [Fraction(0)] * p.dim
-    unit[k] = Fraction(1)
-    low = lp_minimize(tuple(unit), p)
-    high = lp_minimize(tuple(-u for u in unit), p)
+    unit = [int(i == k) for i in range(p.dim)]
+    low, high = lp_minimize(unit, p), lp_minimize([-u for u in unit], p)
     if low[0] == "infeasible" or high[0] == "infeasible":
         raise EmptySet("cannot bound an empty polyhedron")
     lo = low[1] if low[0] == "optimal" else None
@@ -362,37 +361,26 @@ def polyhedron_coordinate_bounds(
 
 def dist_to_polyhedron(x: Point, p: HPolyhedron) -> tuple[Fraction, Point]:
     """Chebyshev distance from x to a non-empty polyhedron, with a nearest
-    point, as the exact LP min r s.t. a in p, |x_k - a_k| <= r."""
+    point, as the exact LP min r s.t. a in p, |x_k - a_k| <= r.  The witness
+    check on the LP's rows proves that the point lies in p within r of x."""
     if len(x) != p.dim:
         raise DimMismatch("point dim does not match polyhedron dim")
     d = p.dim
-    # Variables (r, a_0 .. a_{d-1}).
-    rows: list[Row] = [((Fraction(0),) + tuple(a), b) for a, b in p.rows]
-    for k in range(d):
-        unit = [Fraction(0)] * d
-        unit[k] = Fraction(1)
-        rows.append(((Fraction(-1),) + tuple(unit), x[k]))
-        rows.append(((Fraction(-1),) + tuple(-u for u in unit), -x[k]))
+    # Variables (r, a_0 .. a_{d-1}); x_k = n/q gives -q.r +- q.a_k <= +-n.
+    rows: list[IntRow] = [(s, (0, *a), b) for s, a, b in p._integer_rows]
+    for k, v in enumerate(x):
+        for sign in (1, -1):
+            a = [0] * (d + 1)
+            a[0], a[k + 1] = -v.denominator, sign * v.denominator
+            rows.append((v.denominator, a, sign * v.numerator))
     if not d:
-        rows.append(((Fraction(-1),), Fraction(0)))  # r >= 0: no linking row bounds r
-    objective = (Fraction(1),) + tuple(Fraction(0) for _ in range(d))
-    outcome = _solve(rows, d + 1, objective)
+        rows.append((1, (-1,), 0))  # r >= 0: no linking row bounds r
+    # Only the rows after p's carry r, each with a negative coefficient, so a
+    # certificate's vanishing r column zeroes their multipliers: it must
+    # prove p empty on p's rows alone.
+    outcome = _solve(rows, d + 1, (1,) + (0,) * d, farkas_rows=p._integer_rows)
     if outcome[0] == "infeasible":
-        # Only the rows after p's carry r, each with coefficient -1, so a
-        # certificate's vanishing r column zeroes their multipliers: the
-        # certificate restricted to p's rows proves p empty.
-        lam = outcome[1][: len(p.rows)]
-        _verify_farkas(p.rows, lam)
         raise EmptySet("polyhedron is empty")
     if outcome[0] != "optimal":
         raise LPKernelError("distance LP did not reach an optimum")
-    r, nearest = outcome[1], outcome[2][1:]
-    _check_distance(x, p, r, nearest)
-    return r, nearest
-
-
-def _check_distance(x: Point, p: HPolyhedron, r: Fraction, nearest: Point) -> None:
-    if not p.contains(nearest):
-        raise LPKernelError("nearest point lies outside the set")
-    if linf_dist(x, nearest) > r:
-        raise LPKernelError("nearest point farther than reported distance")
+    return outcome[1], outcome[2][1:]

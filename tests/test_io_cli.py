@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -226,3 +230,60 @@ def test_cli_ip_lift(tmp_path, capsys):
     inst.write_text(json.dumps({"type": "ip", "k": 2, "eps": "1/64", "balls": balls}))
     assert main(["ip-lift", "--instance", inst.as_posix(), "--iters", "10"]) == 0
     capsys.readouterr()
+
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+BOX = {"box": {"lo": ["0/1", "0/1"], "hi": ["1/1", "1/1"]}}
+
+
+@pytest.mark.parametrize(
+    "argv, instance",
+    [
+        (["check", "--instance", "{dir}/missing.json"], None),
+        (["refute", "--instance", "{file}", "--level", "1"], BOX),
+        (["check", "--instance", "{file}"], {"type": "family", "subset": None}),
+        (["barycenter", "--instance", "{file}"], {"type": "points", "points": []}),
+        (["check", "--instance", "{file}"], {"type": "family", "balls": 5, "subset": None}),
+        (["refine", "--instance", "{file}", "--scheme", "triple-34"], {"type": "triple", "sets": [BOX] * 3}),
+        (["ip-lift", "--instance", "{file}"], {"type": "ip", "k": 5, "balls": [{"ball": {"center": ["0/1"], "r": "1/1"}}] * 2}),
+    ],
+    ids=["missing-file", "level-1", "family-without-balls", "empty-points", "balls-not-a-list",
+         "triple-without-x0", "ip-k-above-n"],
+)
+def test_cli_bad_input_is_a_usage_error_without_traceback(tmp_path, argv, instance):
+    file = write(tmp_path, "instance.json", instance) if instance is not None else ""
+    argv = [arg.format(dir=tmp_path, file=file) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run(
+        [sys.executable, "-m", "hyperball.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert "Traceback" not in result.stderr
+    assert result.returncode == 3, result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
+    from hyperball import cli, lab, lp
+
+    polyhedron = write(tmp_path, "p.json", {"polyhedron": {"dim": 1, "rows": [{"a": ["1/1"], "b": "0/1"}]}})
+    union = write(tmp_path, "union.json", {
+        "type": "family",
+        "balls": [{"ball": {"center": ["0/1", "0/1"], "r": "1/1"}}],
+        "subset": {"union": [BOX, {"box": {"lo": ["3/1", "0/1"], "hi": ["4/1", "1/1"]}}]},
+    })
+
+    def kernel_bug(*args):
+        raise lp.LPKernelError("witness fails a constraint")
+
+    monkeypatch.setattr(lp, "_verify_witness", kernel_bug)
+    assert main(["check", "--instance", polyhedron]) == 4
+    monkeypatch.setattr(lab, "verify_refutation", lambda subset, balls: False)
+    assert main(["refute", "--instance", union, "--level", "2", "--budget", "1000", "--seed", "7"]) == 4
+    monkeypatch.setattr(cli, "ip_threshold", lambda k: 1 // 0)
+    assert main(["ip-threshold", "--k", "2"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: internal error: witness fails a constraint",
+        "error: internal error: refutation failed exact re-verification",
+        "error: internal error: ZeroDivisionError: integer division or modulo by zero",
+    ]

@@ -1,11 +1,13 @@
-"""Guards on where numpy and the SplitMix64 constants may live, and on
-knobs that were removed."""
+"""Guards on where numpy and the SplitMix64 constants may live, on knobs
+that were removed, and on the LP kernel staying in integers."""
 
+import ast
 import inspect
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -53,3 +55,16 @@ def test_lp_entry_points_have_no_kernel_knob():
     for fn in (lp.lp_feasible, lp.lp_minimize, lp.polyhedron_coordinate_bounds,
                lp.dist_to_polyhedron):
         assert "kernel" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_lp_kernel_and_certificate_checks_build_no_fraction():
+    # Fractions belong only in the read-out of _solve; the tableau and the
+    # certificate checks work on the integer rows.
+    from hyperball import lp
+
+    verifiers = [getattr(lp, name) for name in dir(lp) if name.startswith("_verify")]
+    assert len(verifiers) == 4
+    for obj in [lp._Tableau, lp._combination, lp._dot, *verifiers]:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert "Fraction" not in names, obj.__name__

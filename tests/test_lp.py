@@ -305,31 +305,95 @@ def test_tampered_dual_and_ray_are_rejected(monkeypatch):
     from hyperball import lp
 
     box = box_to_polyhedron(Box(pt(-1, 2), pt(3, 5)))
-    c = pt(1, 0)
-    tab = lp._Tableau(box.rows, 2, c)
+    rows_ = box._integer_rows
+    c = (1, 0)
+    tab = lp._Tableau(rows_, 2, c)
     assert tab.phase1() is None and tab.phase2() is None
-    y = tab.duals()
-    lp._verify_dual(box.rows, c, y, F(-1))
-    for bad_y, bad_value in [
-        ((y[0] + 1,) + y[1:], F(-1)),  # y.A no longer equals -c
-        (y, F(-2)),                    # bound below the optimum
-        (tuple(-v for v in y), F(1)),  # negative multipliers
+    x, D, y = tab.point(), tab.D, tab.duals()
+    lp._verify_witness(rows_, x, D)
+    lp._verify_dual(rows_, c, y, D, x)
+    low = [x[0] - D, x[1]]  # the point (-2, 2): below the optimum, outside the box
+    for bad_y, bad_x in [
+        ((y[0] + 1,) + y[1:], x),         # y.A' no longer equals -D.c'
+        (y, low),                         # bound below the optimum
+        (tuple(-v for v in y), [D, x[1]]),  # negative multipliers
     ]:
         with pytest.raises(lp.LPKernelError):
-            lp._verify_dual(box.rows, c, bad_y, bad_value)
+            lp._verify_dual(rows_, c, bad_y, D, bad_x)
+    for bad_x, bad_D in [
+        (low, D),                   # a tampered witness
+        ([-v for v in x], -D),      # the same point over a negative D
+        ([0, 0], 0),                # D = 0 makes every row read 0 <= 0
+    ]:
+        with pytest.raises(lp.LPKernelError):
+            lp._verify_witness(rows_, bad_x, bad_D)
 
     hs = halfspace([1, 0], 7)
-    tab = lp._Tableau(hs.rows, 2, c)
+    tab = lp._Tableau(hs._integer_rows, 2, c)
     assert tab.phase1() is None
     ray = tab.phase2()
-    lp._verify_ray(hs.rows, c, ray)
-    for bad_ray in [tuple(-v for v in ray), pt(0, 1)]:
+    lp._verify_ray(hs._integer_rows, c, ray)
+    for bad_ray in [tuple(-v for v in ray), (0, 1)]:
         with pytest.raises(lp.LPKernelError):
-            lp._verify_ray(hs.rows, c, bad_ray)
+            lp._verify_ray(hs._integer_rows, c, bad_ray)
 
-    monkeypatch.setattr(lp._Tableau, "duals", lambda self: (F(0),) * len(self.scales))
+    empty = HPolyhedron(1, rows(((1,), 0), ((-1,), -1)))
+    tab = lp._Tableau(empty._integer_rows, 1)
+    lam = tab.phase1()
+    lp._verify_farkas(empty._integer_rows, lam, tab.D)
+    for bad_lam, bad_D in [
+        ((lam[0] + 1, lam[1]), tab.D),  # the combination no longer vanishes
+        ((0, 0), tab.D),                # 0 <= 0 is no contradiction
+        ((-lam[0], -lam[1]), tab.D),    # negative multipliers
+        (lam[:1], tab.D),               # not one multiplier per row
+        (lam, -tab.D),                  # read out as negative multipliers
+    ]:
+        with pytest.raises(lp.LPKernelError):
+            lp._verify_farkas(empty._integer_rows, bad_lam, bad_D)
+
+    monkeypatch.setattr(lp._Tableau, "duals", lambda self: (0,) * len(self.T))
     with pytest.raises(lp.LPKernelError):
         lp_minimize(c, box)
-    monkeypatch.setattr(lp._Tableau, "phase2", lambda self: pt(1, 0))
+    monkeypatch.setattr(lp._Tableau, "phase2", lambda self: (1, 0))
     with pytest.raises(lp.LPKernelError):
         lp_minimize(c, hs)
+    monkeypatch.setattr(lp._Tableau, "point", lambda self: [7 * self.D, 0])
+    with pytest.raises(lp.LPKernelError):
+        lp_feasible(box)
+    # A certificate that leans on the distance LP's linking rows proves
+    # nothing about the polyhedron itself.
+    monkeypatch.setattr(lp._Tableau, "phase1", lambda self: (0,) * 4 + (1,) * 4)
+    with pytest.raises(lp.LPKernelError):
+        dist_to_polyhedron(pt(9, 9), box)
+    monkeypatch.setattr(lp._Tableau, "phase1", lambda self: (1,) * len(self.T))
+    with pytest.raises(lp.LPKernelError):
+        lp_feasible(box)
+
+
+def test_cached_integer_rows_survive_every_entry_point():
+    import dataclasses
+
+    from hyperball import io, lp
+
+    p = HPolyhedron(2, rows(
+        ((1, F(1, 2)), F(7, 3)), ((-1, 0), F(5, 4)), ((0, -1), 3), ((F(-2, 3), 1), F(1, 6)),
+    ))
+    twin = HPolyhedron(p.dim, p.rows)
+    before = (hash(p), io.to_jsonable(p), repr(p))
+    cached = p._integer_rows
+    assert "_integer_rows" not in {f.name for f in dataclasses.fields(p)}
+
+    def queries(i):
+        ball = Ball(pt(F(i, 3), -1), F(i + 1, 2))
+        return (
+            lp_feasible(p), lp_feasible(p, [ball]),
+            lp_minimize([1, -i], p), lp_minimize([-1, F(1, i + 1)], p, [ball]),
+            polyhedron_coordinate_bounds(p, i % 2), dist_to_polyhedron(pt(i, -i), p),
+        )
+
+    first = [queries(i) for i in range(12)]
+    assert [queries(i) for i in range(12)] == first
+    assert p._integer_rows is cached
+    assert cached == tuple(lp._integer_row(a, b) for a, b in p.rows)
+    assert p == twin and hash(p) == hash(twin)
+    assert (hash(p), io.to_jsonable(p), repr(p)) == before
