@@ -8,10 +8,9 @@ from typing import Sequence
 
 from .errors import HyperballError
 from .linf import Point, sigma
-from .lp import EmptySet
 from .rational import DYADIC_GRID_16
 from .reports import HOLDS, REFUTED, PropertyReport
-from .sets import subset_contains, subset_dist, subset_nonempty
+from .sets import subset_dist
 
 
 class PointNotInSet(HyperballError):
@@ -29,9 +28,9 @@ def sigma_convexity_check(
     fixture is expected to produce a refuting (pair, t).
     """
     for x, y in pairs:
-        if not subset_contains(subset, x):
+        if not subset.contains(x):
             raise PointNotInSet(f"{x} is not in the set")
-        if not subset_contains(subset, y):
+        if not subset.contains(y):
             raise PointNotInSet(f"{y} is not in the set")
     if not grid:
         return PropertyReport(
@@ -39,7 +38,7 @@ def sigma_convexity_check(
         )
     for idx, (x, y) in enumerate(pairs):
         for t in grid:
-            if not subset_contains(subset, sigma(x, y, t)):
+            if not subset.contains(sigma(x, y, t)):
                 return PropertyReport(
                     REFUTED,
                     certificate={"pair_index": idx, "x": x, "y": y, "t": t},
@@ -58,8 +57,6 @@ def distance_convexity_check(
     For every s, t in the grid the check asserts
     d(sigma((s+t)/2)) <= (d(sigma(s)) + d(sigma(t))) / 2 with exact rationals.
     """
-    if not subset_nonempty(subset):
-        raise EmptySet("distance to an empty set is undefined")
     cache: dict[Fraction, Fraction] = {}
 
     def dist_at(t: Fraction) -> Fraction:

@@ -9,6 +9,10 @@ class InternalError(HyperballError):
     """A self-check of the library's own output failed: a bug, not bad input."""
 
 
+class EmptySet(HyperballError):
+    """An operation that needs a non-empty set got an empty one."""
+
+
 class DimMismatch(HyperballError):
     """Operands live in spaces of different dimensions."""
 

@@ -14,18 +14,16 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Sequence
 
-from .errors import DimMismatch, HyperballError, InternalError, SizeCapExceeded
+from .errors import DimMismatch, EmptySet, HyperballError, InternalError, SizeCapExceeded
 from .linf import Ball, Box, FeasibilityResult, Point, balls_box, linf_dist
-from .lp import EmptySet, HPolyhedron, lp_feasible
+from .lp import HPolyhedron, lp_feasible
 from .metric import FiniteMetricSpace, GraphInstance, graph_metric
 from .rng import derive_seed, draw
 from .reports import HOLDS, INCONCLUSIVE, REFUTED, PropertyReport
 from .sets import (
-    BoxUnion,
+    BoxUnion,  # re-exported: ``from hyperball.lab import BoxUnion``
     FiniteSubset,
-    subset_contains,
     subset_dist,
-    subset_dim,
     subset_nearest,
     subset_nonempty,
     subset_window,
@@ -62,7 +60,7 @@ class LinfBallFamily:
         for b in self.balls:
             if b.dim != d:
                 raise DimMismatch("balls of different dims")
-        if self.subset is not None and subset_dim(self.subset) != d:
+        if self.subset is not None and self.subset.dim != d:
             raise DimMismatch("subset dim does not match ball dim")
 
     @property
@@ -174,25 +172,20 @@ def external_witness(subset, family: LinfBallFamily | FiniteBallFamily) -> Feasi
     adm = check_admissible(LinfBallFamily(family.balls, subset))
     if not adm:
         raise NotAdmissible(f"{adm.kind} violation at {adm.indices}")
+    boxes = getattr(subset, "boxes", None)
+    if boxes is None:
+        return lp_feasible(subset, family.balls)
     window = balls_box(family.balls)
-    if isinstance(subset, Box):
-        joint = subset.intersect(window)
+    empties = []
+    for member in boxes:
+        joint = member.intersect(window)
         k = joint.first_empty_coordinate()
         if k is None:
-            return FeasibilityResult("witness", witness=joint.lowest_corner())
-        return FeasibilityResult("infeasible", certificate={"coordinate": k})
-    if isinstance(subset, HPolyhedron):
-        return lp_feasible(subset, family.balls)
-    if isinstance(subset, BoxUnion):
-        empties = []
-        for member in subset.boxes:
-            joint = member.intersect(window)
-            k = joint.first_empty_coordinate()
-            if k is None:
-                return FeasibilityResult("witness", witness=joint.lowest_corner())
-            empties.append(k)
-        return FeasibilityResult("infeasible", certificate={"coordinates": tuple(empties)})
-    raise TypeError(f"unsupported subset kind {type(subset).__name__}")
+            return FeasibilityResult("witness", witness=joint.witness())
+        empties.append(k)
+    if boxes[0] is subset:  # a box: the union of itself
+        return FeasibilityResult("infeasible", certificate={"coordinate": empties[0]})
+    return FeasibilityResult("infeasible", certificate={"coordinates": tuple(empties)})
 
 
 def weakly_external_witness(
@@ -204,7 +197,7 @@ def weakly_external_witness(
         if not isinstance(subset, FiniteSubset):
             raise TypeError("finite family needs a finite subset")
         for c, _ in inner.items:
-            if c not in subset.indices:
+            if not subset.contains(c):
                 raise CenterNotInA(f"inner center {c} not in subset")
         if subset_dist(subset, x) > r:
             raise NotAdmissible("d(x, A) > r")
@@ -218,7 +211,7 @@ def weakly_external_witness(
             raise NotAdmissible(f"{adm.kind} violation at {adm.indices}")
         return external_witness(subset, FiniteBallFamily(inner.space, family.items))
     for i, b in enumerate(inner.balls):
-        if not subset_contains(subset, b.center):
+        if not subset.contains(b.center):
             raise CenterNotInA(f"inner center {i} not in subset")
     if subset_dist(subset, x) > r:
         raise NotAdmissible("d(x, A) > r")
@@ -356,7 +349,7 @@ def _pull_centers(subset, balls, start: int):
     ``start`` leading centers need ``subset_dist``."""
     centers = [b.center for b in balls]
     for i in range(start, len(centers)):
-        if not subset_contains(subset, centers[i]):
+        if not subset.contains(centers[i]):
             centers[i] = subset_nearest(subset, centers[i])
     floor = [subset_dist(subset, c) for c in centers[:start]]
     floor += [Fraction(0)] * (len(centers) - start)
@@ -651,10 +644,10 @@ def uniform_local_external_sample(
     """Sampled uniform local external hyperconvexity: around each probe point
     of the subset, search for refutations confined to the ball window."""
     for idx, probe in enumerate(probes):
-        if not subset_contains(subset, probe):
+        if not subset.contains(probe):
             raise CenterNotInA(f"probe {idx} not in subset")
         window = Ball(probe, radius).to_box()
-        local = _intersect_with_box(subset, window)
+        local = subset.intersect(window)
         if not subset_nonempty(local):
             continue
         report = refute_search(
@@ -668,16 +661,3 @@ def uniform_local_external_sample(
             )
     return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=budget * len(probes), notes=("no local refutation found",))
 
-
-def _intersect_with_box(subset, box: Box):
-    from .lp import box_to_polyhedron
-
-    if isinstance(subset, Box):
-        return subset.intersect(box)
-    if isinstance(subset, BoxUnion):
-        members = tuple(b.intersect(box) for b in subset.boxes)
-        keep = tuple(b for b in members if not b.is_empty()) or members[:1]
-        return BoxUnion(keep)
-    if isinstance(subset, HPolyhedron):
-        return HPolyhedron(subset.dim, subset.rows + box_to_polyhedron(box).rows)
-    raise TypeError(f"unsupported subset kind {type(subset).__name__}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import DimMismatch, HyperballError
+from .errors import DimMismatch, EmptySet, HyperballError
 from .rational import parse_rational
 
 Point = tuple[Fraction, ...]
@@ -23,7 +23,7 @@ class ParamOutOfRange(HyperballError):
     """Interpolation time outside [0, 1]."""
 
 
-class EmptyBox(HyperballError):
+class EmptyBox(EmptySet):
     """A coordinate box with lo > hi in some coordinate."""
 
 
@@ -116,10 +116,20 @@ class Box:
         gaps = [max(l - x, x - h, Fraction(0)) for l, x, h in zip(self.lo, p, self.hi)]
         return max(gaps) if gaps else Fraction(0)
 
-    def lowest_corner(self) -> Point:
+    nearest = clamp
+
+    def witness(self) -> Point | None:
+        return None if self.is_empty() else self.lo
+
+    def window(self, fallback: Fraction) -> "Box":
         if self.is_empty():
-            raise EmptyBox("empty box has no points")
-        return self.lo
+            raise EmptySet("empty box has no window")
+        return self
+
+    @property
+    def boxes(self) -> tuple["Box", ...]:
+        """A box is the union of one box."""
+        return (self,)
 
 
 def balls_box(balls: Sequence[Ball]) -> Box:
@@ -166,7 +176,7 @@ def ball_family_intersection(balls: Sequence[Ball]) -> FeasibilityResult:
     k = box.first_empty_coordinate()
     if k is not None:
         return FeasibilityResult("infeasible", certificate={"coordinate": k})
-    return FeasibilityResult("witness", witness=box.lowest_corner())
+    return FeasibilityResult("witness", witness=box.witness())
 
 
 def sigma(x: Point, y: Point, t: Fraction) -> Point:
@@ -222,13 +232,3 @@ def mean_point(points: Sequence[Point]) -> Point:
     dim = len(points[0])
     n = len(points)
     return tuple(sum((p[k] for p in points), Fraction(0)) / n for k in range(dim))
-
-
-def tuple_diameter(points: Sequence[Point]) -> Fraction:
-    best = Fraction(0)
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = linf_dist(points[i], points[j])
-            if d > best:
-                best = d
-    return best

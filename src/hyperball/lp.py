@@ -27,15 +27,11 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .errors import DimMismatch, HyperballError, InternalError
+from .errors import DimMismatch, EmptySet, InternalError
 from .linf import Ball, Box, FeasibilityResult, Point
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # a . x <= b
 IntRow = tuple[int, Sequence[int], int]  # (s, s.a, s.b) with s > 0
-
-
-class EmptySet(HyperballError):
-    """An operation that needs a non-empty set got an empty one."""
 
 
 class LPKernelError(InternalError):
@@ -58,6 +54,30 @@ class HPolyhedron:
         if len(p) != self.dim:
             raise DimMismatch("point dim does not match polyhedron dim")
         return all(sum(c * x for c, x in zip(a, p)) <= b for a, b in self.rows)
+
+    def dist(self, p: Point) -> Fraction:
+        return dist_to_polyhedron(p, self)[0]
+
+    def nearest(self, p: Point) -> Point:
+        return dist_to_polyhedron(p, self)[1]
+
+    def witness(self) -> Point | None:
+        return lp_feasible(self).witness
+
+    def window(self, fallback: Fraction) -> Box:
+        """Exact coordinate bounds, with [-fallback, fallback] standing in
+        for an unbounded side."""
+        lo, hi = [], []
+        for k in range(self.dim):
+            lo_k, hi_k = polyhedron_coordinate_bounds(self, k)
+            lo.append(lo_k if lo_k is not None else -fallback)
+            hi.append(hi_k if hi_k is not None else fallback)
+            if lo[-1] > hi[-1]:  # bounded on one side beyond the fallback
+                lo[-1], hi[-1] = min(lo[-1], hi[-1]), max(lo[-1], hi[-1])
+        return Box(tuple(lo), tuple(hi))
+
+    def intersect(self, box: Box) -> "HPolyhedron":
+        return HPolyhedron(self.dim, self.rows + box_to_polyhedron(box).rows)
 
     @cached_property
     def _integer_rows(self) -> tuple[IntRow, ...]:

@@ -49,11 +49,6 @@ def format_rational(value: Fraction | int) -> str:
     return f"{frac.numerator}/{frac.denominator}"
 
 
-def is_dyadic(value: Fraction) -> bool:
-    den = value.denominator
-    return den & (den - 1) == 0
-
-
 #: Default interpolation-time grid for convexity checks: {k/16 : 0 <= k <= 16}.
 #: Dyadic rationals keep downstream arithmetic exact.
 DYADIC_GRID_16 = tuple(Fraction(k, 16) for k in range(17))

@@ -25,7 +25,7 @@ from typing import Any, Callable, Mapping
 from .errors import HyperballError
 from .lab import LinfBallFamily, NotAdmissible, check_admissible
 from .linf import Ball, Point, balls_box, linf_dist
-from .sets import pair_witness, subset_contains, subset_dist, subset_witness_in_box
+from .sets import pair_witness, subset_dist, subset_witness_in_box
 
 
 class OracleFailure(HyperballError):
@@ -131,7 +131,7 @@ def _verify_oracle_point(
     for b in balls:
         if linf_dist(p, b.center) > b.radius + slack:
             raise OracleFailure(call, f"outside inflated ball around {b.center}")
-    if oracle.subset is not None and not subset_contains(oracle.subset, p):
+    if oracle.subset is not None and not oracle.subset.contains(p):
         raise OracleFailure(call, "point not in subset")
     return p
 
@@ -248,8 +248,8 @@ def _chain_step(
     calls += 1
     a, a_prime = (p1, p2) if n0 % 2 == 0 else (p2, p1)
     checks = {
-        "a in A": subset_contains(oracle_a.subset, a),
-        "a' in A'": subset_contains(oracle_b.subset, a_prime),
+        "a in A": oracle_a.subset.contains(a),
+        "a' in A'": oracle_b.subset.contains(a_prime),
         "d(x,a) <= r+delta": linf_dist(x, a) <= r + delta,
         "d(x,a') <= r+delta": linf_dist(x, a_prime) <= r + delta,
         "d(a,a') <= eps": linf_dist(a, a_prime) <= eps,
@@ -284,7 +284,7 @@ def chain_walk(
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
     for oracle, name in ((oracle_a, "A"), (oracle_b, "A'")):
-        if not subset_contains(oracle.subset, y):
+        if not oracle.subset.contains(y):
             raise ValueError(f"y is not in {name}")
         if subset_dist(oracle.subset, x) > r:
             raise NotAdmissible(f"d(x, {name}) > r")
@@ -367,7 +367,7 @@ def triple_intersection(
     if oracle0.level < 3:
         raise ValueError("oracle0 must cover 3 balls")
     A0, A1, A2 = oracle0.subset, oracle1.subset, oracle2.subset
-    if not (subset_contains(A1, x0) and subset_contains(A2, x0)):
+    if not (A1.contains(x0) and A2.contains(x0)):
         raise ValueError("x0 must lie in A1 and A2")
     for left, right, name in ((A0, A1, "A0,A1"), (A0, A2, "A0,A2"), (A1, A2, "A1,A2")):
         if pair_witness(left, right) is None:

@@ -12,10 +12,8 @@ from math import lcm
 import numpy as np
 
 from .lab import RADIUS_STEPS
-from .linf import Box
 from .lp import HPolyhedron
 from .rng import draw
-from .sets import BoxUnion
 
 _INT64_GUARD = 1 << 52
 _BATCH = 4096
@@ -27,6 +25,8 @@ class FastScreen:
     Every length is represented as value * unit over int64; the unit folds in
     all denominators in play (grid step, window corners, subset parameters,
     and the half-space dual-norm divisor), so no rounding ever happens.
+    A box screens as a union of one box; empty members of a union are
+    dropped, as the exact distances drop them.
     Construction raises ``TypeError`` for a subset kind without a screen and
     ``OverflowError`` when magnitudes would not fit int64.
     """
@@ -35,14 +35,12 @@ class FastScreen:
         self.arena = arena
         dens = [arena.step.denominator]
         dens += [w.denominator for w in arena.wlo]
-        self.kind = None
         self.data: dict = {}
-        if isinstance(subset, Box):
-            self.kind = "box"
-            dens += [v.denominator for v in subset.lo + subset.hi]
-        elif isinstance(subset, BoxUnion):
-            self.kind = "union"
-            for b in subset.boxes:
+        boxes = getattr(subset, "boxes", None)
+        if boxes is not None:
+            self.kind = "boxes"
+            boxes = [b for b in boxes if not b.is_empty()]
+            for b in boxes:
                 dens += [v.denominator for v in b.lo + b.hi]
         elif isinstance(subset, HPolyhedron) and len(subset.rows) == 1:
             self.kind = "halfspace"
@@ -61,15 +59,12 @@ class FastScreen:
         self.step_i = int(arena.step * unit)
         self.wlo_i = np.array([int(w * unit) for w in arena.wlo], dtype=np.int64)
         self.cells = np.array(arena.cells, dtype=np.int64)
-        if isinstance(subset, Box):
-            self.data["lo"] = np.array([int(v * unit) for v in subset.lo], dtype=np.int64)
-            self.data["hi"] = np.array([int(v * unit) for v in subset.hi], dtype=np.int64)
-        elif isinstance(subset, BoxUnion):
+        if self.kind == "boxes":
             self.data["los"] = [
-                np.array([int(v * unit) for v in b.lo], dtype=np.int64) for b in subset.boxes
+                np.array([int(v * unit) for v in b.lo], dtype=np.int64) for b in boxes
             ]
             self.data["his"] = [
-                np.array([int(v * unit) for v in b.hi], dtype=np.int64) for b in subset.boxes
+                np.array([int(v * unit) for v in b.hi], dtype=np.int64) for b in boxes
             ]
         # magnitude guard: worst coordinate plus worst radius, times dual norm
         worst = max(
@@ -83,10 +78,7 @@ class FastScreen:
 
     def dist_ints(self, coords: np.ndarray) -> np.ndarray:
         """d(center, subset) * unit for an (N, level, dim) int64 array."""
-        if self.kind == "box":
-            gap = np.maximum(self.data["lo"] - coords, coords - self.data["hi"])
-            return np.maximum(gap, 0).max(axis=2)
-        if self.kind == "union":
+        if self.kind == "boxes":
             best = None
             for lo, hi in zip(self.data["los"], self.data["his"]):
                 gap = np.maximum(lo - coords, coords - hi)
@@ -104,11 +96,7 @@ class FastScreen:
     def empty_mask(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """True where (combined ball box) ∩ subset = ∅; boxes are (N, dim)."""
         box_ok = np.all(lo <= hi, axis=1)
-        if self.kind == "box":
-            jlo = np.maximum(lo, self.data["lo"])
-            jhi = np.minimum(hi, self.data["hi"])
-            meets = np.all(jlo <= jhi, axis=1)
-        elif self.kind == "union":
+        if self.kind == "boxes":
             meets = np.zeros(len(lo), dtype=bool)
             for mlo, mhi in zip(self.data["los"], self.data["his"]):
                 jlo = np.maximum(lo, mlo)

@@ -1,4 +1,4 @@
-"""Uniform operations over the subset kinds the predicates run against.
+"""The subset kinds the predicates run against, and one protocol they share.
 
 Supported kinds:
 
@@ -7,9 +7,14 @@ Supported kinds:
 * ``BoxUnion`` — finite union of boxes, the standard non-convex fixture;
 * ``FiniteSubset`` — an index set inside a finite metric space.
 
-Each helper dispatches on type and stays exact.  ``pair_witness`` searches
-the intersection of two subsets and extra balls — the workhorse behind the
-iteration schemes whose proofs repeatedly pick points in two sets at once.
+Every kind answers for itself: ``contains(p)``, ``dist(p)``, ``nearest(p)``
+and ``witness()`` (a point, or None when the kind is empty).  The three
+max-norm kinds add ``window(fallback)`` and ``intersect(box)``, and ``Box``
+and ``BoxUnion`` carry their member ``boxes``: a box is a union of one box.
+The ``subset_*`` functions are the entry points the other modules call.
+``pair_witness`` searches the intersection of two subsets and extra balls —
+the workhorse behind the iteration schemes whose proofs repeatedly pick
+points in two sets at once.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimMismatch, HyperballError
-from .linf import Ball, Box, Point, balls_box, linf_dist
-from .lp import EmptySet, HPolyhedron, box_to_polyhedron, dist_to_polyhedron, lp_feasible, polyhedron_coordinate_bounds
+from .errors import DimMismatch, EmptySet
+from .linf import Ball, Box, Point, balls_box
+from .lp import HPolyhedron, box_to_polyhedron, lp_feasible
 from .metric import FiniteMetricSpace
 
 
@@ -42,8 +47,35 @@ class BoxUnion:
     def dim(self) -> int:
         return self.boxes[0].dim
 
+    def _members(self) -> list[Box]:
+        members = [b for b in self.boxes if not b.is_empty()]
+        if not members:
+            raise EmptySet("union of empty boxes")
+        return members
+
     def contains(self, p: Point) -> bool:
         return any(b.contains(p) for b in self.boxes)
+
+    def dist(self, p: Point) -> Fraction:
+        return min(b.dist(p) for b in self._members())
+
+    def nearest(self, p: Point) -> Point:
+        """The clamp onto the first member at minimal distance."""
+        return min(self._members(), key=lambda b: b.dist(p)).clamp(p)
+
+    def witness(self) -> Point | None:
+        return next((b.lo for b in self.boxes if not b.is_empty()), None)
+
+    def window(self, fallback: Fraction) -> Box:
+        members = self._members()
+        lo = tuple(min(b.lo[k] for b in members) for k in range(self.dim))
+        hi = tuple(max(b.hi[k] for b in members) for k in range(self.dim))
+        return Box(lo, hi)
+
+    def intersect(self, box: Box) -> "BoxUnion":
+        """The non-empty member intersections, or one empty one if none."""
+        members = tuple(b.intersect(box) for b in self.boxes)
+        return BoxUnion(tuple(b for b in members if not b.is_empty()) or members[:1])
 
 
 @dataclass(frozen=True)
@@ -58,101 +90,39 @@ class FiniteSubset:
             if not (0 <= i < self.space.size):
                 raise ValueError(f"index {i} out of range")
 
+    def contains(self, p: int) -> bool:
+        return p in self.indices
 
-LinfSubset = Box | HPolyhedron | BoxUnion
+    def dist(self, p: int) -> Fraction:
+        return self.space.d(p, self.nearest(p))
 
+    def nearest(self, p: int) -> int:
+        """The index at minimal distance, the smallest one on ties."""
+        if not self.indices:
+            raise EmptySet("empty finite subset")
+        return min(self.indices, key=lambda i: (self.space.d(p, i), i))
 
-def subset_dim(subset: LinfSubset) -> int:
-    return subset.dim
+    def witness(self) -> int | None:
+        return self.indices[0] if self.indices else None
 
 
 def subset_nonempty(subset) -> bool:
-    if isinstance(subset, Box):
-        return not subset.is_empty()
-    if isinstance(subset, HPolyhedron):
-        return lp_feasible(subset).feasible
-    if isinstance(subset, BoxUnion):
-        return any(not b.is_empty() for b in subset.boxes)
-    if isinstance(subset, FiniteSubset):
-        return bool(subset.indices)
-    raise TypeError(f"unsupported subset kind {type(subset).__name__}")
-
-
-def subset_contains(subset, p) -> bool:
-    if isinstance(subset, (Box, HPolyhedron, BoxUnion)):
-        return subset.contains(p)
-    if isinstance(subset, FiniteSubset):
-        return p in subset.indices
-    raise TypeError(f"unsupported subset kind {type(subset).__name__}")
+    return subset.witness() is not None
 
 
 def subset_dist(subset, p) -> Fraction:
     """Exact distance from a point to the subset."""
-    if isinstance(subset, Box):
-        return subset.dist(p)
-    if isinstance(subset, HPolyhedron):
-        return dist_to_polyhedron(p, subset)[0]
-    if isinstance(subset, BoxUnion):
-        candidates = [b.dist(p) for b in subset.boxes if not b.is_empty()]
-        if not candidates:
-            raise EmptySet("union of empty boxes")
-        return min(candidates)
-    if isinstance(subset, FiniteSubset):
-        if not subset.indices:
-            raise EmptySet("empty finite subset")
-        return min(subset.space.d(p, i) for i in subset.indices)
-    raise TypeError(f"unsupported subset kind {type(subset).__name__}")
+    return subset.dist(p)
 
 
 def subset_nearest(subset, p):
     """A nearest point of the subset (ties broken deterministically)."""
-    if isinstance(subset, Box):
-        return subset.clamp(p)
-    if isinstance(subset, HPolyhedron):
-        return dist_to_polyhedron(p, subset)[1]
-    if isinstance(subset, BoxUnion):
-        best = None
-        for b in subset.boxes:
-            if b.is_empty():
-                continue
-            d = b.dist(p)
-            if best is None or d < best[0]:
-                best = (d, b.clamp(p))
-        if best is None:
-            raise EmptySet("union of empty boxes")
-        return best[1]
-    if isinstance(subset, FiniteSubset):
-        if not subset.indices:
-            raise EmptySet("empty finite subset")
-        return min(subset.indices, key=lambda i: (subset.space.d(p, i), i))
-    raise TypeError(f"unsupported subset kind {type(subset).__name__}")
+    return subset.nearest(p)
 
 
 def subset_witness_in_box(subset, box: Box):
     """A point of subset inside the box, or None (exact either way)."""
-    if box.is_empty():
-        return None
-    if isinstance(subset, Box):
-        joint = subset.intersect(box)
-        return None if joint.is_empty() else joint.lowest_corner()
-    if isinstance(subset, HPolyhedron):
-        result = lp_feasible(
-            HPolyhedron(subset.dim, subset.rows + box_to_polyhedron(box).rows)
-        )
-        return result.witness if result.feasible else None
-    if isinstance(subset, BoxUnion):
-        for member in subset.boxes:
-            joint = member.intersect(box)
-            if not joint.is_empty():
-                return joint.lowest_corner()
-        return None
-    raise TypeError(f"unsupported subset kind {type(subset).__name__}")
-
-
-def subset_meets_balls(subset, balls: Sequence[Ball]) -> bool:
-    if not balls:
-        return subset_nonempty(subset)
-    return subset_witness_in_box(subset, balls_box(balls)) is not None
+    return None if box.is_empty() else subset.intersect(box).witness()
 
 
 def pair_witness(first, second, balls: Sequence[Ball] = ()):
@@ -162,39 +132,25 @@ def pair_witness(first, second, balls: Sequence[Ball] = ()):
     polyhedron goes through the LP kernel.
     """
     window = balls_box(balls) if balls else None
-
-    def components(subset):
-        if isinstance(subset, Box):
-            return (subset,)
-        if isinstance(subset, BoxUnion):
-            return subset.boxes
-        return None
-
-    left, right = components(first), components(second)
+    left, right = getattr(first, "boxes", None), getattr(second, "boxes", None)
     if left is not None and right is not None:
         for a in left:
             for b in right:
                 joint = a.intersect(b)
-                if window is not None:
-                    joint = joint.intersect(window)
-                if not joint.is_empty():
-                    return joint.lowest_corner()
+                hit = (joint if window is None else joint.intersect(window)).witness()
+                if hit is not None:
+                    return hit
         return None
 
     # At least one polyhedron: fold boxes into rows.
-    def rows_of(subset):
-        if isinstance(subset, HPolyhedron):
+    def rows_of(subset, boxes):
+        if boxes is None:
             return (subset.rows,)
-        if isinstance(subset, Box):
-            return (box_to_polyhedron(subset).rows,)
-        if isinstance(subset, BoxUnion):
-            return tuple(box_to_polyhedron(b).rows for b in subset.boxes)
-        raise TypeError(f"unsupported subset kind {type(subset).__name__}")
+        return tuple(box_to_polyhedron(b).rows for b in boxes)
 
-    dim = subset_dim(first)
-    for rows_a in rows_of(first):
-        for rows_b in rows_of(second):
-            result = lp_feasible(HPolyhedron(dim, rows_a + rows_b), balls)
+    for rows_a in rows_of(first, left):
+        for rows_b in rows_of(second, right):
+            result = lp_feasible(HPolyhedron(first.dim, rows_a + rows_b), balls)
             if result.feasible:
                 return result.witness
     return None
@@ -206,24 +162,4 @@ DEFAULT_WINDOW = Fraction(8)
 def subset_window(subset, fallback: Fraction = DEFAULT_WINDOW) -> Box:
     """A bounding box of the subset, clamping unbounded directions to
     [-fallback, fallback] so randomized searches have a finite arena."""
-    if isinstance(subset, Box):
-        if subset.is_empty():
-            raise EmptySet("empty box has no window")
-        return subset
-    if isinstance(subset, BoxUnion):
-        members = [b for b in subset.boxes if not b.is_empty()]
-        if not members:
-            raise EmptySet("union of empty boxes")
-        lo = tuple(min(b.lo[k] for b in members) for k in range(subset.dim))
-        hi = tuple(max(b.hi[k] for b in members) for k in range(subset.dim))
-        return Box(lo, hi)
-    if isinstance(subset, HPolyhedron):
-        lo, hi = [], []
-        for k in range(subset.dim):
-            lo_k, hi_k = polyhedron_coordinate_bounds(subset, k)
-            lo.append(lo_k if lo_k is not None else -fallback)
-            hi.append(hi_k if hi_k is not None else fallback)
-            if lo[-1] > hi[-1]:  # bounded on one side beyond the fallback
-                lo[-1], hi[-1] = min(lo[-1], hi[-1]), max(lo[-1], hi[-1])
-        return Box(tuple(lo), tuple(hi))
-    raise TypeError(f"unsupported subset kind {type(subset).__name__}")
+    return subset.window(fallback)

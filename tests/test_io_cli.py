@@ -155,6 +155,24 @@ def test_cli_refute_modes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_refute_union_with_an_empty_member(tmp_path, capsys):
+    # The screen once measured distances to the empty member too, hit a
+    # candidate the exact check rejected, and exited 4.
+    members = [
+        {"box": {"lo": ["0/1", "0/1"], "hi": ["1/1", "1/1"]}},
+        {"box": {"lo": ["3/1", "0/1"], "hi": ["4/1", "1/1"]}},
+        {"box": {"lo": ["2/1", "5/1"], "hi": ["1/1", "6/1"]}},
+    ]
+    union = write(tmp_path, "union.json", {
+        "type": "family",
+        "balls": [{"ball": {"center": ["0/1", "0/1"], "r": "1/1"}}],
+        "subset": {"union": members},
+    })
+    assert main(["refute", "--instance", union, "--level", "2", "--seed", "11", "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"][0]["certificate"]["index"] == 13
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_cli_refute_out_of_range_seed_is_inconclusive(tmp_path, capsys, seed):
     box = tmp_path / "box.json"

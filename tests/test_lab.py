@@ -34,6 +34,8 @@ from hyperball.sets import FiniteSubset
 from conftest import F, pt
 
 UNION = BoxUnion((Box(pt(0, 0), pt(1, 1)), Box(pt(3, 0), pt(4, 1))))
+# the same union with an empty third member (lo > hi in x)
+UNION_EMPTY_MEMBER = BoxUnion(UNION.boxes + (Box(pt(2, 5), pt(1, 6)),))
 DIAG = halfspace([1, 1], -1)
 
 
@@ -171,7 +173,7 @@ def _scalar_reference(subset, level, budget, seed):
 
 
 def test_refuter_scalar_vector_agreement():
-    for subset in (UNION, Box(pt(0, 0), pt(1, 1)), DIAG):
+    for subset in (UNION, Box(pt(0, 0), pt(1, 1)), DIAG, UNION_EMPTY_MEMBER):
         for level in (2, 4):
             reference = _scalar_reference(subset, level, 250, 11)
             hit = FastScreen(subset, _build_arena(subset, level, None)).scan(11, 0, 250)

@@ -1,5 +1,6 @@
 """Guards on where numpy and the SplitMix64 constants may live, on knobs
-that were removed, and on the LP kernel staying in integers."""
+that were removed, on the LP kernel staying in integers, and on subset
+kinds answering for themselves instead of through type ladders."""
 
 import ast
 import inspect
@@ -68,3 +69,21 @@ def test_lp_kernel_and_certificate_checks_build_no_fraction():
         tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert "Fraction" not in names, obj.__name__
+
+
+def test_subset_entry_points_dispatch_through_the_protocol():
+    from hyperball import lab
+
+    tree = ast.parse(_sources()["sets.py"])
+    entry_points = [node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name.startswith("subset_")]
+    assert {fn.name for fn in entry_points} == {
+        "subset_nonempty", "subset_dist", "subset_nearest", "subset_witness_in_box", "subset_window"}
+    for fn in entry_points:
+        calls = {node.func.id for node in ast.walk(fn)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "isinstance" not in calls, fn.name
+    imported = {alias.name for node in ast.walk(ast.parse(_sources()["screen.py"]))
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"Box", "BoxUnion"}
+    assert not hasattr(lab, "_intersect_with_box")

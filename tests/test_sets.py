@@ -1,0 +1,101 @@
+"""The subset protocol: every kind answers contains, dist, nearest and
+witness for itself, and the max-norm kinds add window and intersect."""
+
+import pytest
+
+from hyperball.errors import EmptySet
+from hyperball.linf import Box, linf_dist
+from hyperball.lp import HPolyhedron, halfspace
+from hyperball.metric import GraphInstance, graph_metric
+from hyperball.sets import BoxUnion, FiniteSubset, subset_nonempty, subset_witness_in_box
+
+from conftest import F, pt
+
+UNIT = Box(pt(0, 0), pt(1, 1))
+EMPTY_BOX = Box(pt(2, 0), pt(1, 1))
+PATH4 = graph_metric(GraphInstance(4, ((0, 1), (1, 2), (2, 3))))
+TRIANGLE = HPolyhedron(2, (((F(-1), F(0)), F(0)), ((F(0), F(-1)), F(0)), ((F(1), F(1)), F(2))))
+
+# (kind, empty?)
+KINDS = {
+    "box": (UNIT, False),
+    "empty-box": (EMPTY_BOX, True),
+    "union": (BoxUnion((UNIT, Box(pt(3, 0), pt(4, 1)))), False),
+    "union-with-empty-member": (BoxUnion((EMPTY_BOX, Box(pt(3, 0), pt(4, 1)))), False),
+    "empty-union": (BoxUnion((EMPTY_BOX, Box(pt(0, 3), pt(1, 2)))), True),
+    "polyhedron": (TRIANGLE, False),
+    "unbounded-polyhedron": (halfspace([1, 1], -1), False),
+    "empty-polyhedron": (HPolyhedron(2, (((F(1), F(0)), F(0)), ((F(-1), F(0)), F(-1)))), True),
+    "finite": (FiniteSubset(PATH4, (1, 3)), False),
+    "empty-finite": (FiniteSubset(PATH4, ()), True),
+}
+LINF_PROBES = [pt(0, 0), pt(-3, 2), (F(1, 2), F(1, 2)), pt(5, -1), pt(3, 1), pt(2, 2)]
+WINDOWS = [Box(pt(-1, -1), pt(2, 2)), Box(pt(3, 0), pt(5, 5)), Box(pt(10, 10), pt(11, 11)),
+           Box(pt(1, 1), pt(0, 0))]
+
+
+def _is_finite(subset):
+    return isinstance(subset, FiniteSubset)
+
+
+def _probes(subset):
+    return range(subset.space.size) if _is_finite(subset) else LINF_PROBES
+
+
+def _d(subset, p, q):
+    return subset.space.d(p, q) if _is_finite(subset) else linf_dist(p, q)
+
+
+@pytest.mark.parametrize("name", list(KINDS))
+def test_witness_is_none_exactly_when_empty(name):
+    subset, empty = KINDS[name]
+    w = subset.witness()
+    assert (w is None) == empty
+    assert subset_nonempty(subset) == (not empty)
+    if w is not None:
+        assert subset.contains(w)
+
+
+@pytest.mark.parametrize("name", [n for n, (_, empty) in KINDS.items() if not empty])
+def test_nearest_realizes_dist_and_dist_vanishes_on_the_set(name):
+    subset, _ = KINDS[name]
+    for p in _probes(subset):
+        q = subset.nearest(p)
+        assert subset.contains(q)
+        assert _d(subset, p, q) == subset.dist(p)
+        assert (subset.dist(p) == 0) == subset.contains(p)
+
+
+@pytest.mark.parametrize("name", [n for n in KINDS if not _is_finite(KINDS[n][0])])
+def test_intersect_witness_lies_in_both_sets(name):
+    subset, empty = KINDS[name]
+    for window in WINDOWS:
+        w = subset.intersect(window).witness()
+        assert w == subset_witness_in_box(subset, window)
+        if w is not None:
+            assert subset.contains(w) and window.contains(w)
+        if empty or window.is_empty():
+            assert w is None
+    # a window around every example meets each non-empty one
+    assert (subset.intersect(Box(pt(-8, -8), pt(8, 8))).witness() is None) == empty
+
+
+@pytest.mark.parametrize("name", [n for n, (_, empty) in KINDS.items() if empty])
+def test_empty_kinds_raise_empty_set(name):
+    subset, _ = KINDS[name]
+    p = 0 if _is_finite(subset) else pt(0, 0)
+    with pytest.raises(EmptySet):
+        subset.dist(p)
+    with pytest.raises(EmptySet):
+        subset.nearest(p)
+    if not _is_finite(subset):
+        with pytest.raises(EmptySet):
+            subset.window(F(8))
+
+
+def test_a_box_is_a_union_of_one_box():
+    assert UNIT.boxes == (UNIT,)
+    assert UNIT.window(F(8)) == BoxUnion((UNIT,)).window(F(8)) == UNIT
+    union = KINDS["union-with-empty-member"][0]
+    assert union.window(F(8)) == Box(pt(3, 0), pt(4, 1))
+    assert union.nearest(pt(0, 0)) == pt(3, 0)
