@@ -10,7 +10,7 @@ is iterated until the tuple's diameter drops below the stop tolerance; any
 component is then returned.  On a linear selection the sub-barycenters are
 evaluated through exact affine weights (the inner limits are exact means),
 which keeps the iteration honest while making large tuples affordable; a
-pointwise recursion is kept alongside for cross-checking small tuples.
+non-linear selection runs the pointwise recursion, limited to small tuples.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def linf_backend(dim: int) -> BicombingBackend:
 class BarycenterConfig:
     tau: Fraction = Fraction(1, 1 << 30)
     max_rounds: int = 200
-    pointwise: bool = False  # force the slow recursion (testing aid)
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -83,7 +82,7 @@ def barycenter(
     pts = tuple(points)
     if not pts:
         raise ValueError("barycenter of no points")
-    if cfg.pointwise or not backend.linear:
+    if not backend.linear:
         if len(pts) > _POINTWISE_LIMIT:
             raise TupleTooLarge(
                 f"pointwise recursion limited to {_POINTWISE_LIMIT} points"

@@ -1,6 +1,11 @@
 """Hyperconvexity predicates, witness searches, randomized refuters, and
 Helly-order machinery over the max-norm and finite-metric backends.
 
+Both ball-family kinds answer ``d`` (their metric) and ``items`` (their
+(center, radius) pairs), so one path serves both metrics, and a family
+rejects a subset, ball or pair of the other metric.  Only the witness
+search differs by subset kind: enumeration, box intervals or an LP.
+
 Certificates are the contract: a refutation always carries a ball family
 that re-verifies exactly (admissible, intersection certified empty), and a
 randomized search that finds nothing reports "inconclusive", never "holds".
@@ -52,20 +57,30 @@ class LinfBallFamily:
 
     balls: tuple[Ball, ...]
     subset: object | None = None
+    d = staticmethod(linf_dist)  # the family's metric
 
     def __post_init__(self):
         if not self.balls:
             raise ValueError("family needs at least one ball")
-        d = self.balls[0].dim
         for b in self.balls:
-            if b.dim != d:
+            if not isinstance(b, Ball):
+                raise DimMismatch(f"{b!r} is not a max-norm ball")
+            if b.dim != self.dim:
                 raise DimMismatch("balls of different dims")
-        if self.subset is not None and self.subset.dim != d:
-            raise DimMismatch("subset dim does not match ball dim")
+        if self.subset is not None and getattr(self.subset, "dim", None) != self.dim:
+            raise DimMismatch("subset is not a max-norm subset of the balls' dim")
 
     @property
     def dim(self) -> int:
         return self.balls[0].dim
+
+    @property
+    def items(self) -> tuple[tuple[Point, Fraction], ...]:
+        return tuple((b.center, b.radius) for b in self.balls)
+
+    def prepend(self, center: Point, radius: Fraction) -> "LinfBallFamily":
+        """The family with B(center, radius) put first."""
+        return replace(self, balls=(Ball(center, radius),) + self.balls)
 
     def __len__(self) -> int:
         return len(self.balls)
@@ -80,11 +95,24 @@ class FiniteBallFamily:
     subset: FiniteSubset | None = None
 
     def __post_init__(self):
-        for i, r in self.items:
+        for item in self.items:
+            if isinstance(item, Ball) or not isinstance(item[0], int):
+                raise DimMismatch(f"{item!r} is not a (center index, radius) pair")
+            i, r = item
             if not (0 <= i < self.space.size):
                 raise ValueError(f"center index {i} out of range")
             if r < 0:
                 raise ValueError("radius must be >= 0")
+        if self.subset is not None and getattr(self.subset, "space", None) != self.space:
+            raise DimMismatch("subset is not a finite subset of the family's space")
+
+    @property
+    def d(self):
+        return self.space.d
+
+    def prepend(self, center: int, radius: Fraction) -> "FiniteBallFamily":
+        """The family with B(center, radius) put first."""
+        return replace(self, items=((center, radius),) + self.items)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -103,19 +131,7 @@ class AdmissibilityResult:
 def check_admissible(family: LinfBallFamily | FiniteBallFamily) -> AdmissibilityResult:
     """Exact pairwise admissibility d(x_i,x_j) <= r_i + r_j, plus
     d(x_i, A) <= r_i when the family carries a subset."""
-    if isinstance(family, LinfBallFamily):
-        balls = family.balls
-        for i in range(len(balls)):
-            for j in range(i + 1, len(balls)):
-                if linf_dist(balls[i].center, balls[j].center) > balls[i].radius + balls[j].radius:
-                    return AdmissibilityResult(False, "pairwise", (i, j))
-        if family.subset is not None:
-            for i, b in enumerate(balls):
-                if subset_dist(family.subset, b.center) > b.radius:
-                    return AdmissibilityResult(False, "external", (i,))
-        return AdmissibilityResult(True)
-    items = family.items
-    d = family.space.d
+    d, items = family.d, family.items
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
             (ci, ri), (cj, rj) = items[i], items[j]
@@ -128,50 +144,43 @@ def check_admissible(family: LinfBallFamily | FiniteBallFamily) -> Admissibility
     return AdmissibilityResult(True)
 
 
+def _require_admissible(family: LinfBallFamily | FiniteBallFamily) -> None:
+    adm = check_admissible(family)
+    if not adm:
+        raise NotAdmissible(f"{adm.kind} violation at {adm.indices}")
+
+
 def hyperconvex_witness(family: LinfBallFamily | FiniteBallFamily) -> FeasibilityResult:
     """Common point of a pairwise-admissible family, or certified emptiness.
 
     Max-norm balls always intersect when admissible (per-coordinate interval
-    arithmetic); the finite backend decides by exhaustive enumeration.
+    arithmetic); a finite family is an external one over the whole space.
     """
     if family.subset is not None:
         raise ValueError("hyperconvex_witness takes a family without a subset")
-    adm = check_admissible(family)
-    if not adm:
-        raise NotAdmissible(f"{adm.kind} violation at {adm.indices}")
-    if isinstance(family, LinfBallFamily):
-        from .linf import ball_family_intersection
+    if isinstance(family, FiniteBallFamily):
+        return external_witness(FiniteSubset(family.space, tuple(range(family.space.size))), family)
+    _require_admissible(family)
+    from .linf import ball_family_intersection
 
-        return ball_family_intersection(family.balls)
-    d = family.space.d
-    for v in range(family.space.size):
-        if all(d(v, c) <= r for c, r in family.items):
-            return FeasibilityResult("witness", witness=v)
-    return FeasibilityResult(
-        "infeasible", certificate={"checked": family.space.size}
-    )
+    return ball_family_intersection(family.balls)
 
 
 def external_witness(subset, family: LinfBallFamily | FiniteBallFamily) -> FeasibilityResult:
     """Point of subset inside every ball of an externally admissible family,
     or certified emptiness (a refutation certificate for external
-    hyperconvexity at this family size)."""
+    hyperconvexity at this family size).  A finite subset is searched by
+    enumeration, a box or union by intervals, a polyhedron by LP."""
     if not subset_nonempty(subset):
         raise EmptySet("subset is empty")
-    if isinstance(family, FiniteBallFamily):
-        if not isinstance(subset, FiniteSubset):
-            raise TypeError("finite family needs a finite subset")
-        adm = check_admissible(FiniteBallFamily(family.space, family.items, subset))
-        if not adm:
-            raise NotAdmissible(f"{adm.kind} violation at {adm.indices}")
-        d = family.space.d
+    family = replace(family, subset=subset)
+    _require_admissible(family)
+    if isinstance(subset, FiniteSubset):
+        d = family.d
         for v in subset.indices:
             if all(d(v, c) <= r for c, r in family.items):
                 return FeasibilityResult("witness", witness=v)
         return FeasibilityResult("infeasible", certificate={"checked": len(subset.indices)})
-    adm = check_admissible(LinfBallFamily(family.balls, subset))
-    if not adm:
-        raise NotAdmissible(f"{adm.kind} violation at {adm.indices}")
     boxes = getattr(subset, "boxes", None)
     if boxes is None:
         return lp_feasible(subset, family.balls)
@@ -192,37 +201,14 @@ def weakly_external_witness(
     subset, x, r: Fraction, inner: LinfBallFamily | FiniteBallFamily
 ) -> FeasibilityResult:
     """Point of subset ∩ B(x, r) ∩ (inner balls), where inner centers lie in
-    the subset and x is a single external center with d(x, subset) <= r."""
-    if isinstance(inner, FiniteBallFamily):
-        if not isinstance(subset, FiniteSubset):
-            raise TypeError("finite family needs a finite subset")
-        for c, _ in inner.items:
-            if not subset.contains(c):
-                raise CenterNotInA(f"inner center {c} not in subset")
-        if subset_dist(subset, x) > r:
-            raise NotAdmissible("d(x, A) > r")
-        d = inner.space.d
-        for i, (c, rc) in enumerate(inner.items):
-            if d(x, c) > r + rc:
-                raise NotAdmissible(f"d(x, x_{i}) > r + r_{i}")
-        family = FiniteBallFamily(inner.space, ((x, r),) + inner.items, subset)
-        adm = check_admissible(family)
-        if not adm:
-            raise NotAdmissible(f"{adm.kind} violation at {adm.indices}")
-        return external_witness(subset, FiniteBallFamily(inner.space, family.items))
-    for i, b in enumerate(inner.balls):
-        if not subset.contains(b.center):
+    the subset and x is a single external center: the external witness of
+    the family with (x, r) prepended, so admissibility covers d(x, subset)
+    <= r and d(x, x_i) <= r + r_i."""
+    family = replace(inner.prepend(x, r), subset=subset)
+    for i, (c, _) in enumerate(inner.items):
+        if not subset.contains(c):
             raise CenterNotInA(f"inner center {i} not in subset")
-    if subset_dist(subset, x) > r:
-        raise NotAdmissible("d(x, A) > r")
-    for i, b in enumerate(inner.balls):
-        if linf_dist(x, b.center) > r + b.radius:
-            raise NotAdmissible(f"d(x, x_{i}) > r + r_{i}")
-    family = LinfBallFamily((Ball(x, r),) + inner.balls, subset)
-    adm = check_admissible(family)
-    if not adm:
-        raise NotAdmissible(f"{adm.kind} violation at {adm.indices}")
-    return external_witness(subset, LinfBallFamily(family.balls))
+    return external_witness(subset, family)
 
 
 def pad_family(family: LinfBallFamily, n: int) -> LinfBallFamily:
@@ -237,13 +223,15 @@ def verify_refutation(subset, balls: Sequence) -> bool:
     """Exact re-verification: the family is externally admissible and its
     intersection with the subset is certifiably empty.  Over a
     ``FiniteSubset`` the balls are (center index, radius) pairs."""
+    family = _family(subset, balls)
+    return bool(check_admissible(family)) and not external_witness(subset, family).feasible
+
+
+def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
+    """The family of ``balls`` over ``subset``, in the subset's metric."""
     if isinstance(subset, FiniteSubset):
-        family = FiniteBallFamily(subset.space, tuple(balls))
-    else:
-        family = LinfBallFamily(tuple(balls))
-    if not check_admissible(replace(family, subset=subset)):
-        return False
-    return not external_witness(subset, family).feasible
+        return FiniteBallFamily(subset.space, tuple(balls), subset)
+    return LinfBallFamily(tuple(balls), subset)
 
 
 # ---------------------------------------------------------------------------
@@ -388,55 +376,50 @@ def refute_search(
         raise EmptySet("cannot refute over an empty subset")
     if budget <= 0:
         return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
-    if isinstance(subset, FiniteSubset):
-        return _refute_finite(subset, level, budget, seed, mode)
-    built = _build_arena(subset, level, arena)
     start = REFUTE_MODES[mode]
     indices, screened = range(budget), False
-    if mode == "external":
-        from .screen import FastScreen
+    if isinstance(subset, FiniteSubset):
+        build = _finite_builder(subset, level, seed, start)
+    else:
+        built = _build_arena(subset, level, arena)
+        if mode == "external":
+            from .screen import FastScreen
 
-        try:
-            screen = FastScreen(subset, built)
-        except (TypeError, OverflowError):
-            pass
-        else:
-            hit = screen.scan(seed, 0, budget)
-            indices, screened = (() if hit is None else (hit,)), True
+            try:
+                screen = FastScreen(subset, built)
+            except (TypeError, OverflowError):
+                pass
+            else:
+                hit = screen.scan(seed, 0, budget)
+                indices, screened = (() if hit is None else (hit,)), True
+
+        def build(index):
+            balls = _scalar_candidate(subset, built, seed, index)
+            return balls if start is None else _pull_centers(subset, balls, start)
+
     for index in indices:
-        balls = _scalar_candidate(subset, built, seed, index)
-        if start is not None:
-            balls = _pull_centers(subset, balls, start)
-        if screened or not external_witness(subset, LinfBallFamily(balls)).feasible:
-            return _refutation(subset, balls, index, seed, mode)
-    return _no_refutation(budget, seed, mode)
-
-
-def _refutation(subset, balls, index: int, seed: int, mode: str) -> PropertyReport:
-    """Report a found family after exact re-verification."""
-    if not verify_refutation(subset, balls):
-        raise InternalError("refutation failed exact re-verification")
-    certificate = {"balls": balls, "index": index}
-    if mode != "external":
-        certificate["mode"] = mode
-    return PropertyReport(REFUTED, certificate=certificate, seed=seed, budget_used=index + 1)
-
-
-def _no_refutation(budget: int, seed: int, mode: str) -> PropertyReport:
+        balls = build(index)
+        if screened or not external_witness(subset, _family(subset, balls)).feasible:
+            if not verify_refutation(subset, balls):
+                raise InternalError("refutation failed exact re-verification")
+            certificate = {"balls": balls, "index": index}
+            if mode != "external":
+                certificate["mode"] = mode
+            return PropertyReport(REFUTED, certificate=certificate, seed=seed, budget_used=index + 1)
     notes = ("no refutation found",) + ((mode,) if mode != "external" else ())
     return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=budget, notes=notes)
 
 
-def _refute_finite(subset: FiniteSubset, level, budget, seed, mode):
-    """Finite-space refuter: centers are drawn from the whole space for
-    balls before the mode's start index and from the subset after it; radii
-    are distances to the subset plus a sampled distance value, tightened in
-    index order."""
+def _finite_builder(subset: FiniteSubset, level: int, seed: int, start: int | None):
+    """Candidate builder over a finite space: centers are drawn from the
+    whole space for balls before the mode's start index and from the subset
+    after it; radii are distances to the subset plus a sampled distance
+    value, tightened in index order."""
     space = subset.space
     values = sorted({d for row in space.dist for d in row})
-    start = REFUTE_MODES[mode]
     whole = tuple(range(space.size))
-    for index in range(budget):
+
+    def build(index):
         base = index * (1 + 2 * level)
         k = _size_at(seed, base, level)
         pools = [whole if start is None or i < start else subset.indices for i in range(k)]
@@ -447,10 +430,9 @@ def _refute_finite(subset: FiniteSubset, level, budget, seed, mode):
             for i in range(k)
         ]
         _tighten(dists, [[space.d(a, b) for b in centers] for a in centers], radii, range(k))
-        items = tuple(zip(centers, radii))
-        if not external_witness(subset, FiniteBallFamily(space, items)).feasible:
-            return _refutation(subset, items, index, seed, mode)
-    return _no_refutation(budget, seed, mode)
+        return tuple(zip(centers, radii))
+
+    return build
 
 
 # ---------------------------------------------------------------------------

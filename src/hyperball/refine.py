@@ -18,12 +18,12 @@ exact rationals; a contract breach is attributed to the oracle via
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Callable, Mapping
 
 from .errors import HyperballError
-from .lab import LinfBallFamily, NotAdmissible, check_admissible
+from .lab import LinfBallFamily, NotAdmissible, _require_admissible
 from .linf import Ball, Point, balls_box, linf_dist
 from .sets import pair_witness, subset_dist, subset_witness_in_box
 
@@ -44,23 +44,19 @@ class PairwiseIntersectionUnverified(HyperballError):
 class EpsOracle:
     """Callable (balls, slack) -> point in subset ∩ (inflated balls).
 
-    ``level`` declares how many balls the contract covers; ``external``
-    distinguishes the externally-admissible contract (centers anywhere with
-    d(center, A) <= radius) from the plain one (centers in A).  ``subset``
-    is the set handle used for exact membership and distance verification.
+    ``level`` declares how many balls the contract covers; ``subset`` is
+    the set handle used for exact membership and distance verification.
     """
 
     query: Callable[[tuple[Ball, ...], Fraction], Point | None]
     level: int
     subset: Any
-    external: bool = True
-    label: str = ""
 
     def __call__(self, balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
         return self.query(balls, slack)
 
 
-def exact_subset_oracle(subset, level: int = 64, label: str = "") -> EpsOracle:
+def exact_subset_oracle(subset, level: int = 64) -> EpsOracle:
     """Oracle backed by the subset's exact witness search: returned points
     satisfy the *uninflated* constraints whenever that is possible."""
 
@@ -72,10 +68,10 @@ def exact_subset_oracle(subset, level: int = 64, label: str = "") -> EpsOracle:
         grown = balls_box(tuple(Ball(b.center, b.radius + slack) for b in balls))
         return subset_witness_in_box(subset, grown)
 
-    return EpsOracle(query, level, subset, label=label or "exact")
+    return EpsOracle(query, level, subset)
 
 
-def saturating_subset_oracle(subset, level: int = 64, label: str = "") -> EpsOracle:
+def saturating_subset_oracle(subset, level: int = 64) -> EpsOracle:
     """Contract-conformant stress oracle: answers from the fully inflated
     system only, so returned points may violate the uninflated constraints
     by up to the whole slack."""
@@ -84,7 +80,7 @@ def saturating_subset_oracle(subset, level: int = 64, label: str = "") -> EpsOra
         grown = balls_box(tuple(Ball(b.center, b.radius + slack) for b in balls))
         return subset_witness_in_box(subset, grown)
 
-    return EpsOracle(query, level, subset, label=label or "saturating")
+    return EpsOracle(query, level, subset)
 
 
 def broken_oracle(subset, offset: Fraction, level: int = 64) -> EpsOracle:
@@ -97,7 +93,7 @@ def broken_oracle(subset, offset: Fraction, level: int = 64) -> EpsOracle:
             return None
         return tuple(c + offset for c in hit)
 
-    return EpsOracle(query, level, subset, label="broken")
+    return EpsOracle(query, level, subset)
 
 
 @dataclass(frozen=True)
@@ -160,11 +156,7 @@ def almost_to_exact(
         raise ValueError("scale must be positive")
     if oracle.level < len(family) + 1:
         raise ValueError("oracle contract does not cover |family| + 1 balls")
-    adm = check_admissible(
-        LinfBallFamily(family.balls, oracle.subset) if oracle.subset is not None else family
-    )
-    if not adm:
-        raise NotAdmissible(f"{adm.kind} violation at {adm.indices}")
+    _require_admissible(family if oracle.subset is None else replace(family, subset=oracle.subset))
     balls = family.balls
     iterates: list[Point] = []
     slacks: list[Fraction] = []
@@ -438,10 +430,10 @@ def triple_intersection(
 # Independent trace verification
 
 
-def verify_trace(trace: RefinementTrace, scheme: str | None = None) -> ContractionReport:
+def verify_trace(trace: RefinementTrace) -> ContractionReport:
     """Recompute every recorded step distance exactly and re-check the
     scheme's bounds; a perturbed iterate fails at its step."""
-    scheme = scheme or trace.scheme
+    scheme = trace.scheme
     if not trace.iterates:
         return ContractionReport(
             scheme, (), (), (), True, notes=("empty trace: vacuously consistent",)

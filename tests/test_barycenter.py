@@ -4,6 +4,7 @@ import pytest
 
 from hyperball.barycenter import (
     BarycenterConfig,
+    BicombingBackend,
     ContractionNotGuaranteed,
     Isometry,
     KSubfamilyEmpty,
@@ -20,7 +21,7 @@ from hyperball.barycenter import (
     linf_backend,
     min_matching_average,
 )
-from hyperball.linf import Ball, linf_dist, mean_point
+from hyperball.linf import Ball, linf_dist, mean_point, sigma
 from hyperball.rng import SplitMix64
 
 from conftest import F, pt
@@ -44,7 +45,7 @@ def test_barycenter_weight_and_pointwise_paths_agree():
     be = linf_backend(2)
     points = (pt(0, 0), pt(3, 1), pt(-1, 4), pt(2, -2))
     fast = barycenter(be, points, CFG)
-    slow = barycenter(be, points, BarycenterConfig(pointwise=True))
+    slow = barycenter(BicombingBackend(2, sigma, linf_dist), points, CFG)
     assert linf_dist(fast, slow) <= 2 * CFG.tau
     assert linf_dist(fast, mean_point(points)) <= CFG.tau
 
@@ -53,7 +54,7 @@ def test_barycenter_pointwise_size_guard():
     be = linf_backend(1)
     points = tuple(pt(i) for i in range(7))
     with pytest.raises(TupleTooLarge):
-        barycenter(be, points, BarycenterConfig(pointwise=True))
+        barycenter(BicombingBackend(1, sigma, linf_dist), points, CFG)
     # the weight path handles the same tuple
     assert linf_dist(barycenter(be, points, CFG), mean_point(points)) <= CFG.tau
 

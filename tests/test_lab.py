@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hyperball.errors import SizeCapExceeded
+from hyperball.errors import DimMismatch, SizeCapExceeded
 from hyperball.lab import (
     BoxUnion,
     CenterNotInA,
@@ -256,6 +256,36 @@ def test_refute_finite_backend(c5):
 
 C6 = graph_metric(GraphInstance(6, tuple((i, (i + 1) % 6) for i in range(6))))
 C6_PART = FiniteSubset(C6, (0, 2, 3))
+
+
+def test_families_reject_subsets_and_balls_of_the_other_metric(c5):
+    with pytest.raises(DimMismatch):
+        external_witness(C6_PART, LinfBallFamily((Ball(pt(0), F(1)),)))
+    with pytest.raises(DimMismatch):
+        verify_refutation(C6_PART, (Ball(pt(0), F(1)),))
+    with pytest.raises(DimMismatch):
+        external_witness(Box(pt(0), pt(1)), FiniteBallFamily(C6, ((0, F(1)),)))
+    with pytest.raises(DimMismatch):
+        external_witness(FiniteSubset(c5, (0, 2)), FiniteBallFamily(C6, ((0, F(1)),)))
+    with pytest.raises(DimMismatch):
+        weakly_external_witness(Box(pt(0), pt(1)), pt(0), F(1), FiniteBallFamily(C6, ((0, F(1)),)))
+
+
+def test_weakly_external_witness_finite():
+    inner = FiniteBallFamily(C6, ((2, F(1)),))
+    # C6_PART ∩ B(1, 1) ∩ B(2, 1) = {0, 2, 3} ∩ {0, 1, 2} ∩ {1, 2, 3}
+    assert weakly_external_witness(C6_PART, 1, F(1), inner).witness == 2
+    with pytest.raises(NotAdmissible, match=r"external violation at \(0,\)"):
+        weakly_external_witness(C6_PART, 1, F(0), inner)  # d(1, subset) = 1 > 0
+    with pytest.raises(NotAdmissible, match=r"pairwise violation at \(0, 1\)"):
+        weakly_external_witness(C6_PART, 4, F(1), FiniteBallFamily(C6, ((0, F(0)),)))
+
+
+def test_finite_admissible_family_with_empty_intersection():
+    fam = FiniteBallFamily(C6, ((0, F(1)), (2, F(1)), (4, F(1))))
+    assert check_admissible(fam)
+    result = hyperconvex_witness(fam)
+    assert not result.feasible and result.certificate == {"checked": 6}
 
 
 def test_refute_finite_certificates_reverify():

@@ -1,6 +1,6 @@
 """Guards on where numpy and the SplitMix64 constants may live, on knobs
-that were removed, on the LP kernel staying in integers, and on subset
-kinds answering for themselves instead of through type ladders."""
+that were removed, on the LP kernel staying in integers, and on subset and
+ball-family kinds answering for themselves instead of through type ladders."""
 
 import ast
 import inspect
@@ -58,6 +58,19 @@ def test_lp_entry_points_have_no_kernel_knob():
         assert "kernel" not in inspect.signature(fn).parameters, fn.__name__
 
 
+def test_refine_and_barycenter_have_no_dead_knob():
+    from dataclasses import fields
+
+    from hyperball import refine
+    from hyperball.barycenter import BarycenterConfig
+
+    assert [f.name for f in fields(refine.EpsOracle)] == ["query", "level", "subset"]
+    for fn in (refine.exact_subset_oracle, refine.saturating_subset_oracle):
+        assert "label" not in inspect.signature(fn).parameters, fn.__name__
+    assert list(inspect.signature(refine.verify_trace).parameters) == ["trace"]
+    assert "pointwise" not in {f.name for f in fields(BarycenterConfig)}
+
+
 def test_lp_kernel_and_certificate_checks_build_no_fraction():
     # Fractions belong only in the read-out of _solve; the tableau and the
     # certificate checks work on the integer rows.
@@ -87,3 +100,18 @@ def test_subset_entry_points_dispatch_through_the_protocol():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not imported & {"Box", "BoxUnion"}
     assert not hasattr(lab, "_intersect_with_box")
+
+
+def _called_names(fn):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {node.func.id for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_ball_families_share_one_path():
+    from hyperball import lab
+
+    for fn in (lab.check_admissible, lab.weakly_external_witness, lab.verify_refutation):
+        assert "isinstance" not in _called_names(fn), fn.__name__
+    assert not hasattr(lab, "_refute_finite")
+    assert not hasattr(lab, "_no_refutation")
