@@ -363,10 +363,13 @@ def refute_search(
     """Seeded search for admissible families with empty intersection.
 
     Deterministic given (seed, budget): candidate ``i`` is a pure function of
-    the seed and the counter ``i``.  In ``external`` mode an exact int64
-    screen picks the first refuting index when the subset kind and its
-    magnitudes allow one; otherwise every candidate is tested with exact
-    rationals.  A found family is re-verified exactly before being reported.
+    the seed and the counter ``i``.  An exact int64 screen picks the first
+    refuting index in every mode on boxes and box unions, and in
+    ``external`` mode on a one-row half-space, unless the magnitudes would
+    overflow; otherwise every candidate is tested with exact rationals.  A
+    found family is rebuilt exactly and re-verified before being reported.
+    ``arena`` overrides the sampling window of a max-norm subset; a finite
+    subset has no window and rejects it.
     """
     if mode not in REFUTE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -379,19 +382,20 @@ def refute_search(
     start = REFUTE_MODES[mode]
     indices, screened = range(budget), False
     if isinstance(subset, FiniteSubset):
+        if arena is not None:
+            raise ValueError("a finite subset takes no arena")
         build = _finite_builder(subset, level, seed, start)
     else:
         built = _build_arena(subset, level, arena)
-        if mode == "external":
-            from .screen import FastScreen
+        from .screen import FastScreen
 
-            try:
-                screen = FastScreen(subset, built)
-            except (TypeError, OverflowError):
-                pass
-            else:
-                hit = screen.scan(seed, 0, budget)
-                indices, screened = (() if hit is None else (hit,)), True
+        try:
+            screen = FastScreen(subset, built, start)
+        except (TypeError, OverflowError):
+            pass
+        else:
+            hit = screen.scan(seed, 0, budget)
+            indices, screened = (() if hit is None else (hit,)), True
 
         def build(index):
             balls = _scalar_candidate(subset, built, seed, index)
@@ -577,8 +581,14 @@ def four_to_n_consistency(
 ) -> PropertyReport:
     """Search levels 4 and 5..n_max; flag THEOREM-INCONSISTENT only when a
     verified refutation needs more than 4 balls while nothing of size <= 4
-    was found anywhere.  On conforming subsets this must never fire, since a
-    higher-level refutation implies a 4-ball one exists."""
+    was found anywhere.
+
+    The paper proves that 4-hyperconvexity implies finite hyperconvexity of
+    the space.  This check assumes that the result carries over to external
+    hyperconvexity of subsets: then a higher-level refutation implies that a
+    4-ball one exists, so on conforming subsets the flag must never fire.
+    The theorem promises some 4-ball family, not a 4-ball subfamily of the
+    one found."""
     if budget <= 0:
         return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
     levels = [4] + list(range(5, n_max + 1))

@@ -87,6 +87,8 @@ class FiniteSubset:
 
     def __post_init__(self):
         for i in self.indices:
+            if type(i) is not int:  # bool, Fraction and tuple are not indices
+                raise ValueError(f"index {i!r} is not an int")
             if not (0 <= i < self.space.size):
                 raise ValueError(f"index {i} out of range")
 

@@ -4,6 +4,7 @@ import pytest
 
 from hyperball.errors import DimMismatch, SizeCapExceeded
 from hyperball.lab import (
+    REFUTE_MODES,
     BoxUnion,
     CenterNotInA,
     DimTooSmall,
@@ -23,12 +24,13 @@ from hyperball.lab import (
     verify_refutation,
     weakly_external_witness,
     _build_arena,
+    _pull_centers,
     _scalar_candidate,
 )
 from hyperball.linf import Ball, Box, linf_dist
 from hyperball.lp import box_to_polyhedron, halfspace, lp_feasible
 from hyperball.metric import GraphInstance, graph_metric
-from hyperball.screen import FastScreen
+from hyperball.screen import _FIRST_BATCH, FastScreen
 from hyperball.sets import FiniteSubset
 
 from conftest import F, pt
@@ -37,6 +39,8 @@ UNION = BoxUnion((Box(pt(0, 0), pt(1, 1)), Box(pt(3, 0), pt(4, 1))))
 # the same union with an empty third member (lo > hi in x)
 UNION_EMPTY_MEMBER = BoxUnion(UNION.boxes + (Box(pt(2, 5), pt(1, 6)),))
 DIAG = halfspace([1, 1], -1)
+# a union whose refutations are rarer, so first hits come late
+TIGHT = BoxUnion((Box(pt(0, 0), pt(4, 4)), Box(pt(5, 0), pt(6, 1))))
 
 
 def test_admissible_examples():
@@ -162,28 +166,86 @@ def test_refute_union_found_and_reverifies():
     assert len(balls) == 2
 
 
-def _scalar_reference(subset, level, budget, seed):
-    """First (index, balls) whose exact candidate refutes, or None."""
-    arena = _build_arena(subset, level, None)
-    for index in range(budget):
+def _scalar_reference(subset, level, budget, seed, mode="external", first=0):
+    """First (index, balls) in [first, budget) whose exact candidate, with
+    its centers pulled as the mode asks, refutes; or None."""
+    arena, start = _build_arena(subset, level, None), REFUTE_MODES[mode]
+    for index in range(first, budget):
         balls = _scalar_candidate(subset, arena, seed, index)
+        if start is not None:
+            balls = _pull_centers(subset, balls, start)
         if not external_witness(subset, LinfBallFamily(balls)).feasible:
             return index, balls
     return None
 
 
+def _screen(subset, level, mode):
+    return FastScreen(subset, _build_arena(subset, level, None), REFUTE_MODES[mode])
+
+
 def test_refuter_scalar_vector_agreement():
-    for subset in (UNION, Box(pt(0, 0), pt(1, 1)), DIAG, UNION_EMPTY_MEMBER):
-        for level in (2, 4):
-            reference = _scalar_reference(subset, level, 250, 11)
-            hit = FastScreen(subset, _build_arena(subset, level, None)).scan(11, 0, 250)
-            assert hit == (None if reference is None else reference[0])
-            report = refute_search(subset, level, 250, seed=11)
+    subsets = (UNION, Box(pt(0, 0), pt(1, 1)), UNION_EMPTY_MEMBER)
+    for subset, mode in [(s, m) for s in subsets for m in REFUTE_MODES] + [(DIAG, "external")]:
+        for level in range(2, 7):
+            reference = _scalar_reference(subset, level, 100, 11, mode)
+            hit = _screen(subset, level, mode).scan(11, 0, 100)
+            assert hit == (None if reference is None else reference[0]), (subset, mode, level)
+            report = refute_search(subset, level, 100, seed=11, mode=mode)
             if reference is None:
-                assert report.verdict == "inconclusive" and report.budget_used == 250
+                assert report.verdict == "inconclusive" and report.budget_used == 100
             else:
                 assert report.certificate["index"] == reference[0]
                 assert report.certificate["balls"] == reference[1]
+
+
+@pytest.mark.parametrize(
+    "mode, seed", [("external", 4), ("hyperconvex", 3), ("weakly-external", 0)]
+)
+def test_screen_finds_hits_past_the_first_batch(mode, seed):
+    index, balls = _scalar_reference(TIGHT, 2, 300, seed, mode)
+    assert index >= _FIRST_BATCH
+    screen = _screen(TIGHT, 2, mode)
+    assert screen.scan(seed, 0, 300) == index
+    report = refute_search(TIGHT, 2, 300, seed=seed, mode=mode)
+    assert report.certificate["index"] == index and report.certificate["balls"] == balls
+    # a scan that starts later finds the first hit at or after its start
+    for first in (1, index, index + 1):
+        later = _scalar_reference(TIGHT, 2, 300, seed, mode, first)
+        assert screen.scan(seed, first, 300) == (None if later is None else later[0])
+    assert screen.scan(seed, 0, index) is None
+
+
+def test_screen_guard_covers_members_outside_the_arena():
+    far = 1 << 58  # the members' int64 lengths would wrap around
+    union = BoxUnion((Box((F(far),), (F(far + 1),)), Box((F(far + 3),), (F(far + 4),))))
+    arena = Box((F(0),), (F(1),))
+    with pytest.raises(OverflowError):
+        FastScreen(union, _build_arena(union, 3, arena))
+    for mode in REFUTE_MODES:  # the exact path finds nothing in 200 candidates
+        assert refute_search(union, 3, 200, 1, mode=mode, arena=arena).verdict == "inconclusive"
+
+
+def test_polyhedron_center_modes_refute_on_the_scalar_path():
+    wedge = halfspace([1, 1, 1], 0)
+    with pytest.raises(TypeError):
+        _screen(wedge, 3, "hyperconvex")
+    index, balls = _scalar_reference(wedge, 3, 40, 1, "hyperconvex")
+    report = refute_search(wedge, 3, 40, seed=1, mode="hyperconvex")
+    assert report.refuted and report.certificate["mode"] == "hyperconvex"
+    assert report.certificate["index"] == index and report.certificate["balls"] == balls
+
+
+def test_screen_spares_the_exact_center_pull(monkeypatch):
+    import hyperball.lab as lab
+
+    calls = []
+    real = lab._pull_centers
+    monkeypatch.setattr(lab, "_pull_centers", lambda *args: calls.append(1) or real(*args))
+    report = refute_search(Box(pt(0, 0), pt(2, 2)), 3, 200, seed=3, mode="hyperconvex")
+    assert report.verdict == "inconclusive" and not calls
+    report = refute_search(TIGHT, 2, 300, seed=3, mode="hyperconvex")
+    assert report.refuted and report.certificate["index"] >= _FIRST_BATCH
+    assert len(calls) == 1  # only the hit is rebuilt exactly
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64 + 7])
@@ -286,6 +348,11 @@ def test_finite_admissible_family_with_empty_intersection():
     assert check_admissible(fam)
     result = hyperconvex_witness(fam)
     assert not result.feasible and result.certificate == {"checked": 6}
+
+
+def test_refute_finite_rejects_an_arena():
+    with pytest.raises(ValueError, match="no arena"):
+        refute_search(C6_PART, 3, 200, 1, arena=Box((F(0),), (F(1),)))
 
 
 def test_refute_finite_certificates_reverify():

@@ -93,6 +93,12 @@ def test_empty_kinds_raise_empty_set(name):
             subset.window(F(8))
 
 
+@pytest.mark.parametrize("indices", [((F(0),),), (F(2),), (True,)])
+def test_finite_subset_rejects_indices_that_are_not_ints(indices):
+    with pytest.raises(ValueError, match="not an int"):
+        FiniteSubset(PATH4, indices)
+
+
 def test_a_box_is_a_union_of_one_box():
     assert UNIT.boxes == (UNIT,)
     assert UNIT.window(F(8)) == BoxUnion((UNIT,)).window(F(8)) == UNIT
