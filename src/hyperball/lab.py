@@ -387,15 +387,16 @@ def refute_search(
         build = _finite_builder(subset, level, seed, start)
     else:
         built = _build_arena(subset, level, arena)
-        from .screen import FastScreen
+        if getattr(subset, "boxes", None) is not None or start is None:
+            from .screen import FastScreen  # loads numpy only where a screen may apply
 
-        try:
-            screen = FastScreen(subset, built, start)
-        except (TypeError, OverflowError):
-            pass
-        else:
-            hit = screen.scan(seed, 0, budget)
-            indices, screened = (() if hit is None else (hit,)), True
+            try:
+                screen = FastScreen(subset, built, start)
+            except (TypeError, OverflowError):
+                pass
+            else:
+                hit = screen.scan(seed, 0, budget)
+                indices, screened = (() if hit is None else (hit,)), True
 
         def build(index):
             balls = _scalar_candidate(subset, built, seed, index)

@@ -19,6 +19,7 @@ points in two sets at once.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -86,11 +87,18 @@ class FiniteSubset:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        indices = []
         for i in self.indices:
-            if type(i) is not int:  # bool, Fraction and tuple are not indices
+            try:  # integer types such as numpy.int64 are stored as plain ints
+                index = None if isinstance(i, bool) else operator.index(i)
+            except TypeError:
+                index = None
+            if index is None:
                 raise ValueError(f"index {i!r} is not an int")
-            if not (0 <= i < self.space.size):
+            if not (0 <= index < self.space.size):
                 raise ValueError(f"index {i} out of range")
+            indices.append(index)
+        object.__setattr__(self, "indices", tuple(indices))
 
     def contains(self, p: int) -> bool:
         return p in self.indices

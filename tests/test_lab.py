@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -187,12 +191,12 @@ def test_refuter_scalar_vector_agreement():
     subsets = (UNION, Box(pt(0, 0), pt(1, 1)), UNION_EMPTY_MEMBER)
     for subset, mode in [(s, m) for s in subsets for m in REFUTE_MODES] + [(DIAG, "external")]:
         for level in range(2, 7):
-            reference = _scalar_reference(subset, level, 100, 11, mode)
-            hit = _screen(subset, level, mode).scan(11, 0, 100)
+            reference = _scalar_reference(subset, level, 250, 11, mode)
+            hit = _screen(subset, level, mode).scan(11, 0, 250)
             assert hit == (None if reference is None else reference[0]), (subset, mode, level)
-            report = refute_search(subset, level, 100, seed=11, mode=mode)
+            report = refute_search(subset, level, 250, seed=11, mode=mode)
             if reference is None:
-                assert report.verdict == "inconclusive" and report.budget_used == 100
+                assert report.verdict == "inconclusive" and report.budget_used == 250
             else:
                 assert report.certificate["index"] == reference[0]
                 assert report.certificate["balls"] == reference[1]
@@ -233,6 +237,18 @@ def test_polyhedron_center_modes_refute_on_the_scalar_path():
     report = refute_search(wedge, 3, 40, seed=1, mode="hyperconvex")
     assert report.refuted and report.certificate["mode"] == "hyperconvex"
     assert report.certificate["index"] == index and report.certificate["balls"] == balls
+
+
+def test_center_modes_on_a_polyhedron_leave_numpy_unloaded():
+    probe = (
+        "import sys; from hyperball.lab import refute_search; from hyperball.lp import halfspace; "
+        "refute_search(halfspace([1, 1], -1), 2, 2, 0, mode='hyperconvex'); "
+        "assert 'numpy' not in sys.modules, 'numpy loaded'"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_screen_spares_the_exact_center_pull(monkeypatch):

@@ -99,6 +99,13 @@ def test_finite_subset_rejects_indices_that_are_not_ints(indices):
         FiniteSubset(PATH4, indices)
 
 
+def test_finite_subset_stores_integer_types_as_ints():
+    import numpy as np
+
+    subset = FiniteSubset(PATH4, (np.int64(1), np.intp(3)))
+    assert subset.indices == (1, 3) and all(type(i) is int for i in subset.indices)
+
+
 def test_a_box_is_a_union_of_one_box():
     assert UNIT.boxes == (UNIT,)
     assert UNIT.window(F(8)) == BoxUnion((UNIT,)).window(F(8)) == UNIT
