@@ -3,8 +3,10 @@
 Exit codes: 0 verdict holds / witness found, 1 refuted, 2 inconclusive,
 3 usage, validation or unreadable-file error, 4 internal error (a failed
 self-check or an unexpected exception); errors print one "error:" line.
-Reports echo the full configuration; with the same seed and inputs the JSON
-report is byte-identical up to its "timing" field.
+Each subcommand takes only the flags it reads.  Reports echo the
+configuration, with null for a flag the subcommand does not take; with the
+same seed and inputs the JSON report is byte-identical up to its "timing"
+field.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from .barycenter import (
     linf_backend,
 )
 from .errors import HyperballError, InternalError
-from .io import ValidationError, canonical_dumps, parse_instance, to_jsonable
+from .io import ValidationError, canonical_dumps, parse_instance
 from .lab import (
-    LinfBallFamily,
-    check_admissible,
     external_witness,
     graph_n_helly_bruteforce,
     helly_counterexample,
@@ -38,9 +38,10 @@ from .lab import (
     REFUTE_MODES,
     refute_search,
 )
-from .metric import is_modular
+from .lp import lp_feasible
+from .metric import graph_metric, is_modular
 from .rational import parse_rational
-from .refine import exact_subset_oracle, almost_to_exact, triple_intersection, verify_trace
+from .refine import exact_subset_oracle, almost_to_exact, chain_walk, triple_intersection, verify_trace
 from .reports import HOLDS, INCONCLUSIVE, REFUTED
 
 EXIT_HOLDS = 0
@@ -86,15 +87,13 @@ def _emit(report: dict, args, started: float) -> None:
 
 
 def _tau(args) -> Fraction:
-    return parse_rational(args.tau) if getattr(args, "tau", None) else Fraction(1, 1 << 30)
+    return parse_rational(args.tau) if args.tau else Fraction(1, 1 << 30)
 
 
-def cmd_check(args, report) -> int:
+def cmd_check(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind in ("metric", "graph"):
-        from .io import metric_from_instance
-
-        space = metric_from_instance(kind, payload)
+        space = graph_metric(payload) if kind == "graph" else payload
         outcome = is_modular(space)
         report["checks"].append(
             {
@@ -107,53 +106,42 @@ def cmd_check(args, report) -> int:
             {
                 "name": "modularity",
                 "verdict": outcome.verdict,
-                "certificate": to_jsonable(outcome.certificate),
+                "certificate": outcome.certificate,
             }
         )
-        return _VERDICT_EXIT[outcome.verdict]
-    if kind == "polyhedron":
-        from .lp import lp_feasible
-
+    elif kind == "polyhedron":
         result = lp_feasible(payload)
         report["checks"].append(
             {
                 "name": "non-emptiness",
                 "verdict": HOLDS if result.feasible else REFUTED,
-                "certificate": to_jsonable(result.witness or result.certificate),
+                "certificate": result.witness or result.certificate,
             }
         )
-        return EXIT_HOLDS if result.feasible else EXIT_REFUTED
-    if kind == "family":
+    elif kind == "family":
         family = payload
-        adm = check_admissible(family)
-        if not adm:
-            report["checks"].append(
-                {"name": "admissibility", "verdict": REFUTED, "detail": f"{adm.kind} at {adm.indices}"}
-            )
-            return EXIT_USAGE
         if family.subset is None:
             result = hyperconvex_witness(family)
         else:
-            result = external_witness(family.subset, LinfBallFamily(family.balls))
+            result = external_witness(family.subset, family)
         report["checks"].append(
             {
                 "name": "common-point",
                 "verdict": HOLDS if result.feasible else REFUTED,
-                "certificate": to_jsonable(result.witness if result.feasible else result.certificate),
+                "certificate": result.witness if result.feasible else result.certificate,
             }
         )
-        return EXIT_HOLDS if result.feasible else EXIT_REFUTED
-    if kind == "helly":
+    elif kind == "helly":
         instance = payload
         outcome = helly_order_check(instance.halfspaces, args.k or instance.dim)
         report["checks"].append(
-            {"name": "helly-order", "verdict": outcome.verdict, "certificate": to_jsonable(outcome.certificate)}
+            {"name": "helly-order", "verdict": outcome.verdict, "certificate": outcome.certificate}
         )
-        return _VERDICT_EXIT[outcome.verdict]
-    raise ValidationError(f"check does not support instance kind {kind!r}")
+    else:
+        raise ValidationError(f"check does not support instance kind {kind!r}")
 
 
-def cmd_refute(args, report) -> int:
+def cmd_refute(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind == "family":
         subset = payload.subset
@@ -166,21 +154,19 @@ def cmd_refute(args, report) -> int:
         {
             "name": f"refute-level-{args.level}",
             "verdict": outcome.verdict,
-            "certificate": to_jsonable(outcome.certificate),
+            "certificate": outcome.certificate,
             "budget_used": outcome.budget_used,
             "seed": outcome.seed,
         }
     )
-    return _VERDICT_EXIT[outcome.verdict]
 
 
-def cmd_helly(args, report) -> int:
+def cmd_helly(args, report) -> None:
     instance = helly_counterexample(args.dim)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(canonical_dumps(instance))
         report["_artifact_written"] = True
-    exit_code = EXIT_HOLDS
     if args.verify:
         k = args.k or args.dim
         outcome = helly_order_check(instance.halfspaces, k)
@@ -191,19 +177,16 @@ def cmd_helly(args, report) -> int:
                 "detail": "; ".join(outcome.notes),
             }
         )
-        exit_code = _VERDICT_EXIT[outcome.verdict]
     else:
         report["checks"].append(
             {"name": "emit", "verdict": HOLDS, "detail": f"{args.dim + 1} half-spaces"}
         )
         if not args.out:
             sys.stdout.write(canonical_dumps(instance))
-    return exit_code
 
 
-def cmd_refine(args, report) -> int:
+def cmd_refine(args, report) -> None:
     kind, payload = parse_instance(args.instance)
-    tau = _tau(args)
     if args.scheme == "cauchy-halving":
         if kind != "family" or payload.subset is None:
             raise ValidationError("cauchy-halving needs a family instance with a subset")
@@ -211,7 +194,7 @@ def cmd_refine(args, report) -> int:
         oracle = exact_subset_oracle(family.subset)
         point_, trace = almost_to_exact(
             oracle,
-            LinfBallFamily(family.balls, family.subset),
+            family,
             iterations=args.iters,
             scale=parse_rational(args.scale),
         )
@@ -220,14 +203,11 @@ def cmd_refine(args, report) -> int:
             {
                 "name": "cauchy-halving",
                 "verdict": HOLDS if verdict.passed else REFUTED,
-                "point": to_jsonable(point_),
-                "trace": to_jsonable(
-                    {"iterates": trace.iterates, "slacks": trace.slacks, "steps": trace.steps}
-                ),
+                "point": point_,
+                "trace": {"iterates": trace.iterates, "slacks": trace.slacks, "steps": trace.steps},
             }
         )
-        return EXIT_HOLDS if verdict.passed else EXIT_REFUTED
-    if args.scheme == "triple-34":
+    elif args.scheme == "triple-34":
         if kind != "triple":
             raise ValidationError("triple-34 needs a triple instance")
         sets, x0 = payload
@@ -242,14 +222,11 @@ def cmd_refine(args, report) -> int:
             {
                 "name": "triple-34",
                 "verdict": HOLDS if outcome.passed else REFUTED,
-                "point": to_jsonable(point_),
-                "gaps": to_jsonable(outcome.observed),
+                "point": point_,
+                "gaps": outcome.observed,
             }
         )
-        return EXIT_HOLDS if outcome.passed else EXIT_REFUTED
-    if args.scheme == "chain-walk":
-        from .refine import chain_walk
-
+    else:  # chain-walk, the one scheme left among the parser's choices
         if kind != "chain":
             raise ValidationError("chain-walk needs a chain instance")
         spec = payload
@@ -267,14 +244,12 @@ def cmd_refine(args, report) -> int:
                 "name": "chain-walk",
                 "verdict": HOLDS,
                 "detail": f"path={result.path} n0={result.n0} calls={result.oracle_calls}",
-                "pair": to_jsonable((result.a, result.a_prime)),
+                "pair": (result.a, result.a_prime),
             }
         )
-        return EXIT_HOLDS
-    raise ValidationError(f"unknown scheme {args.scheme!r}")
 
 
-def cmd_barycenter(args, report) -> int:
+def cmd_barycenter(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind != "points":
         raise ValidationError("barycenter needs a points instance")
@@ -283,20 +258,18 @@ def cmd_barycenter(args, report) -> int:
     cfg = BarycenterConfig(tau=_tau(args))
     result = barycenter(backend, points, cfg)
     report["checks"].append(
-        {"name": "barycenter", "verdict": HOLDS, "point": to_jsonable(result)}
+        {"name": "barycenter", "verdict": HOLDS, "point": result}
     )
-    return EXIT_HOLDS
 
 
-def cmd_ip_threshold(args, report) -> int:
+def cmd_ip_threshold(args, report) -> None:
     value = ip_threshold(args.k)
     report["checks"].append({"name": f"ip-threshold-k{args.k}", "verdict": HOLDS, "detail": str(value)})
     if not args.json:
         print(value)
-    return EXIT_HOLDS
 
 
-def cmd_ip_lift(args, report) -> int:
+def cmd_ip_lift(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind != "ip":
         raise ValidationError("ip-lift needs an ip instance")
@@ -313,15 +286,14 @@ def cmd_ip_lift(args, report) -> int:
         {
             "name": "ip-lift",
             "verdict": HOLDS,
-            "point": to_jsonable(point_),
-            "reaches": to_jsonable(trace.slacks),
-            "c": to_jsonable(params.c),
+            "point": point_,
+            "reaches": trace.slacks,
+            "c": params.c,
         }
     )
-    return EXIT_HOLDS
 
 
-def cmd_graph_scan(args, report) -> int:
+def cmd_graph_scan(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind != "graph":
         raise ValidationError("graph-scan needs a graph instance")
@@ -330,10 +302,9 @@ def cmd_graph_scan(args, report) -> int:
         {
             "name": f"graph-helly-{args.level}",
             "verdict": outcome.verdict,
-            "certificate": to_jsonable(outcome.certificate),
+            "certificate": outcome.certificate,
         }
     )
-    return _VERDICT_EXIT[outcome.verdict]
 
 
 _COMMANDS = {
@@ -358,9 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--instance", required=True, help="instance JSON file")
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         p.add_argument("--out", help="write the JSON report (or emitted instance) here")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=10_000)
-        p.add_argument("--tau", help='stop tolerance as "p/q" (default 1/2^30)')
 
     p = sub.add_parser("check", help="validate an instance and run its predicate")
     common(p)
@@ -370,6 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--mode", default="external", choices=list(REFUTE_MODES))
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=10_000)
 
     p = sub.add_parser("helly", help="emit or verify the optimal-order family")
     common(p, instance=False)
@@ -385,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("barycenter", help="barycenter of a point tuple")
     common(p)
+    p.add_argument("--tau", help='stop tolerance as "p/q" (default 1/2^30)')
 
     p = sub.add_parser("ip-threshold", help="least lifting size for a given k")
     common(p, instance=False)
@@ -393,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ip-lift", help="run the intersection-property lift")
     common(p)
     p.add_argument("--iters", type=int, default=30)
+    p.add_argument("--tau", help='stop tolerance as "p/q" (default 1/2^30)')
 
     p = sub.add_parser("graph-scan", help="exhaustive graph ball-Helly check")
     common(p)
@@ -410,7 +382,7 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command]
     report = _report_scaffold(args, args.command)
     try:
-        code = handler(args, report)
+        handler(args, report)
         _emit(report, args, started)
     except InternalError as exc:
         print(f"error: internal error: {exc}", file=sys.stderr)
@@ -421,7 +393,7 @@ def main(argv=None) -> int:
     except Exception as exc:  # a bug; never reported as a verdict
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    return code
+    return _VERDICT_EXIT[report["checks"][-1]["verdict"]]
 
 
 if __name__ == "__main__":

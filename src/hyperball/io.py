@@ -32,7 +32,7 @@ from .errors import HyperballError
 from .lab import HellyInstance, LinfBallFamily
 from .linf import Ball, Box, Point
 from .lp import HPolyhedron
-from .metric import GraphInstance, MetricError, graph_metric, validate_metric
+from .metric import GraphInstance, MetricError, validate_metric
 from .rational import RationalParseError, format_rational, parse_rational
 from .sets import BoxUnion
 
@@ -232,11 +232,3 @@ def _parse_object(data: dict):
             "balls": tuple(parse_ball(item["ball"]) for item in data["balls"]),
         }
     raise ParseError(f"unknown instance type {kind!r}")
-
-
-def metric_from_instance(kind: str, payload):
-    if kind == "metric":
-        return payload
-    if kind == "graph":
-        return graph_metric(payload)
-    raise ValidationError(f"instance kind {kind!r} has no metric backend")

@@ -387,8 +387,8 @@ def refute_search(
         build = _finite_builder(subset, level, seed, start)
     else:
         built = _build_arena(subset, level, arena)
-        if getattr(subset, "boxes", None) is not None or start is None:
-            from .screen import FastScreen  # loads numpy only where a screen may apply
+        if getattr(subset, "boxes", None) is not None or (start is None and len(subset.rows) == 1):
+            from .screen import FastScreen  # loads numpy only where a screen applies
 
             try:
                 screen = FastScreen(subset, built, start)

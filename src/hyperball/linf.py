@@ -121,7 +121,7 @@ class Box:
     def witness(self) -> Point | None:
         return None if self.is_empty() else self.lo
 
-    def window(self, fallback: Fraction) -> "Box":
+    def window(self) -> "Box":
         if self.is_empty():
             raise EmptySet("empty box has no window")
         return self

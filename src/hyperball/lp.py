@@ -64,9 +64,10 @@ class HPolyhedron:
     def witness(self) -> Point | None:
         return lp_feasible(self).witness
 
-    def window(self, fallback: Fraction) -> Box:
-        """Exact coordinate bounds, with [-fallback, fallback] standing in
-        for an unbounded side."""
+    def window(self) -> Box:
+        """Exact coordinate bounds, with [-8, 8] standing in for an
+        unbounded side."""
+        fallback = Fraction(8)
         lo, hi = [], []
         for k in range(self.dim):
             lo_k, hi_k = polyhedron_coordinate_bounds(self, k)

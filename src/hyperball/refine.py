@@ -100,7 +100,7 @@ def broken_oracle(subset, offset: Fraction, level: int = 64) -> EpsOracle:
 class RefinementTrace:
     """Iterates with their slack schedule and recorded step distances."""
 
-    scheme: str  # "cauchy-halving" | "chain-walk" | "triple-34"
+    scheme: str  # "cauchy-halving" | "triple-34" | "ip-lift" (barycenter.ip_lift)
     iterates: tuple[Point, ...]
     slacks: tuple[Fraction, ...]
     steps: tuple[Fraction, ...]
@@ -432,7 +432,11 @@ def triple_intersection(
 
 def verify_trace(trace: RefinementTrace) -> ContractionReport:
     """Recompute every recorded step distance exactly and re-check the
-    scheme's bounds; a perturbed iterate fails at its step."""
+    scheme's bounds; a perturbed iterate fails at its step.
+
+    Checks "cauchy-halving" and "triple-34" traces.  Any other scheme,
+    "ip-lift" included, raises ``ValueError`` unless the trace is empty or
+    its recorded steps already disagree with its iterates."""
     scheme = trace.scheme
     if not trace.iterates:
         return ContractionReport(

@@ -9,7 +9,7 @@ Supported kinds:
 
 Every kind answers for itself: ``contains(p)``, ``dist(p)``, ``nearest(p)``
 and ``witness()`` (a point, or None when the kind is empty).  The three
-max-norm kinds add ``window(fallback)`` and ``intersect(box)``, and ``Box``
+max-norm kinds add ``window()`` and ``intersect(box)``, and ``Box``
 and ``BoxUnion`` carry their member ``boxes``: a box is a union of one box.
 The ``subset_*`` functions are the entry points the other modules call.
 ``pair_witness`` searches the intersection of two subsets and extra balls —
@@ -67,7 +67,7 @@ class BoxUnion:
     def witness(self) -> Point | None:
         return next((b.lo for b in self.boxes if not b.is_empty()), None)
 
-    def window(self, fallback: Fraction) -> Box:
+    def window(self) -> Box:
         members = self._members()
         lo = tuple(min(b.lo[k] for b in members) for k in range(self.dim))
         hi = tuple(max(b.hi[k] for b in members) for k in range(self.dim))
@@ -166,10 +166,7 @@ def pair_witness(first, second, balls: Sequence[Ball] = ()):
     return None
 
 
-DEFAULT_WINDOW = Fraction(8)
-
-
-def subset_window(subset, fallback: Fraction = DEFAULT_WINDOW) -> Box:
+def subset_window(subset) -> Box:
     """A bounding box of the subset, clamping unbounded directions to
-    [-fallback, fallback] so randomized searches have a finite arena."""
-    return subset.window(fallback)
+    [-8, 8] so randomized searches have a finite arena."""
+    return subset.window()

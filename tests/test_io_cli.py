@@ -116,8 +116,40 @@ def test_cli_helly_emit_and_check(tmp_path, capsys):
     assert canonical_dumps(parsed) == open(out).read()
 
 
-def test_cli_unknown_flag_is_usage_error():
+def test_cli_unknown_flag_is_usage_error(tmp_path, capsys):
     assert main(["ip-threshold", "--k", "2", "--bogus"]) == 3
+    # A flag is accepted only by the subcommands that read it.
+    c4 = write(tmp_path, "c4.json", {"type": "graph", "n": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]})
+    fam = write(tmp_path, "fam.json", {
+        "type": "family", "balls": [{"ball": {"center": ["0/1"], "r": "1/1"}}], "subset": {"box": {"lo": ["0/1"], "hi": ["2/1"]}},
+    })
+    for argv, unread in [
+        (["check", "--instance", c4], ["--seed", "1"]),
+        (["refine", "--instance", fam, "--scheme", "cauchy-halving", "--iters", "2"], ["--tau", "1/2"]),
+        (["graph-scan", "--instance", c4, "--level", "2"], ["--budget", "5"]),
+    ]:
+        assert main(argv) == 0
+        assert main(argv + unread) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["barycenter", "ip-lift"])
+def test_cli_tau_reaches_the_computation_and_the_report(tmp_path, capsys, command):
+    instance = {
+        "barycenter": {"type": "points", "points": [["0/1", "0/1"], ["1/1", "3/1"], ["2/1", "1/1"]]},
+        "ip-lift": {"type": "ip", "k": 2, "balls": [
+            {"ball": {"center": [x, y], "r": "6/1"}}
+            for x, y in [("-4/1", "4/1"), ("-2/1", "-5/1"), ("-1/1", "5/1"), ("3/1", "0/1"), ("4/1", "-1/1")]]},
+    }[command]
+    path = write(tmp_path, "instance.json", instance)
+    reports = {}
+    for tau in (None, "1/64"):
+        argv = [command, "--instance", path, "--json"] + (["--tau", tau] if tau else [])
+        argv += ["--iters", "4"] if command == "ip-lift" else []
+        assert main(argv) == 0
+        reports[tau] = json.loads(capsys.readouterr().out)
+    assert reports[None]["config"]["tau"] is None and reports["1/64"]["config"]["tau"] == "1/64"
+    assert reports[None]["checks"][0]["point"] != reports["1/64"]["checks"][0]["point"]
 
 
 def test_cli_check_matrix(tmp_path, capsys):
@@ -264,9 +296,11 @@ BOX = {"box": {"lo": ["0/1", "0/1"], "hi": ["1/1", "1/1"]}}
         (["check", "--instance", "{file}"], {"type": "family", "balls": 5, "subset": None}),
         (["refine", "--instance", "{file}", "--scheme", "triple-34"], {"type": "triple", "sets": [BOX] * 3}),
         (["ip-lift", "--instance", "{file}"], {"type": "ip", "k": 5, "balls": [{"ball": {"center": ["0/1"], "r": "1/1"}}] * 2}),
+        (["check", "--instance", "{file}"], {"type": "family", "balls": [
+            {"ball": {"center": ["0/1"], "r": "1/1"}}, {"ball": {"center": ["5/1"], "r": "1/1"}}]}),
     ],
     ids=["missing-file", "level-1", "family-without-balls", "empty-points", "balls-not-a-list",
-         "triple-without-x0", "ip-k-above-n"],
+         "triple-without-x0", "ip-k-above-n", "family-not-admissible"],
 )
 def test_cli_bad_input_is_a_usage_error_without_traceback(tmp_path, argv, instance):
     file = write(tmp_path, "instance.json", instance) if instance is not None else ""

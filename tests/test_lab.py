@@ -241,8 +241,10 @@ def test_polyhedron_center_modes_refute_on_the_scalar_path():
 
 def test_center_modes_on_a_polyhedron_leave_numpy_unloaded():
     probe = (
-        "import sys; from hyperball.lab import refute_search; from hyperball.lp import halfspace; "
+        "import sys; from hyperball.lab import refute_search; from hyperball.linf import Box; "
+        "from hyperball.lp import box_to_polyhedron, halfspace; "
         "refute_search(halfspace([1, 1], -1), 2, 2, 0, mode='hyperconvex'); "
+        "refute_search(box_to_polyhedron(Box((0, 0), (1, 1))), 2, 2, 0); "  # external, 4 rows
         "assert 'numpy' not in sys.modules, 'numpy loaded'"
     )
     src = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -1,5 +1,6 @@
 """Guards on where numpy and the SplitMix64 constants may live, on knobs
-that were removed, on the LP kernel staying in integers, and on subset and
+that were removed, on each CLI subcommand taking only the flags it reads, on
+the LP kernel staying in integers, and on subset and
 ball-family kinds answering for themselves instead of through type ladders."""
 
 import ast
@@ -115,3 +116,26 @@ def test_ball_families_share_one_path():
         assert "isinstance" not in _called_names(fn), fn.__name__
     assert not hasattr(lab, "_refute_finite")
     assert not hasattr(lab, "_no_refutation")
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    import argparse
+
+    from hyperball.cli import build_parser
+
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {s for action in parser._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, parser in subparsers.choices.items()
+    }
+    report = {"--json", "--out"}
+    assert flags == {
+        "check": report | {"--instance", "--k"},
+        "refute": report | {"--instance", "--level", "--mode", "--seed", "--budget"},
+        "helly": report | {"--dim", "--verify", "--k"},
+        "refine": report | {"--instance", "--scheme", "--iters", "--scale"},
+        "barycenter": report | {"--instance", "--tau"},
+        "ip-threshold": report | {"--k"},
+        "ip-lift": report | {"--instance", "--iters", "--tau"},
+        "graph-scan": report | {"--instance", "--level"},
+    }

@@ -90,7 +90,7 @@ def test_empty_kinds_raise_empty_set(name):
         subset.nearest(p)
     if not _is_finite(subset):
         with pytest.raises(EmptySet):
-            subset.window(F(8))
+            subset.window()
 
 
 @pytest.mark.parametrize("indices", [((F(0),),), (F(2),), (True,)])
@@ -108,7 +108,7 @@ def test_finite_subset_stores_integer_types_as_ints():
 
 def test_a_box_is_a_union_of_one_box():
     assert UNIT.boxes == (UNIT,)
-    assert UNIT.window(F(8)) == BoxUnion((UNIT,)).window(F(8)) == UNIT
+    assert UNIT.window() == BoxUnion((UNIT,)).window() == UNIT
     union = KINDS["union-with-empty-member"][0]
-    assert union.window(F(8)) == Box(pt(3, 0), pt(4, 1))
+    assert union.window() == Box(pt(3, 0), pt(4, 1))
     assert union.nearest(pt(0, 0)) == pt(3, 0)
