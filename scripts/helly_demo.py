@@ -10,10 +10,10 @@ from hyperball.lab import helly_counterexample, helly_order_check
 from hyperball.lp import HPolyhedron, lp_feasible
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-dim", type=int, default=8)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print(f"{'n':>3} {'sets':>5} {'n-fold':>8} {'total':>8} {'order-n':>10} {'ms':>8}")
     for n in range(2, args.max_dim + 1):

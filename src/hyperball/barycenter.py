@@ -21,8 +21,10 @@ from itertools import combinations, permutations
 from typing import Callable, Sequence
 
 from .errors import HyperballError
+from .lab import LinfBallFamily
 from .linf import Ball, Point, balls_box, linf_dist, sigma
 from .refine import RefinementTrace
+from .reports import HOLDS, REFUTED, PropertyReport
 
 
 class NoConvergence(HyperballError):
@@ -187,8 +189,6 @@ def barycenter_contraction_check(
     cfg: BarycenterConfig | None = None,
 ):
     """d(bar(xs), bar(ys)) <= min-matching average + 3*tau (truncation slack)."""
-    from .reports import HOLDS, REFUTED, PropertyReport
-
     cfg = cfg or BarycenterConfig()
     bx = barycenter(backend, xs, cfg)
     by = barycenter(backend, ys, cfg)
@@ -219,8 +219,6 @@ def equivariance_check(
     cfg: BarycenterConfig | None = None,
 ):
     """d(iso(bar(xs)), bar(iso(xs))) <= 2*tau."""
-    from .reports import HOLDS, REFUTED, PropertyReport
-
     cfg = cfg or BarycenterConfig()
     direct = iso.apply(barycenter(backend, xs, cfg))
     mapped = barycenter(backend, tuple(iso.apply(p) for p in xs), cfg)
@@ -316,7 +314,8 @@ def ip_lift(
     From a base point, each round gathers a witness inside every
     (n-1)-subfamily within (1+eps) of the current reach R_j and barycenters
     them; the distance to every (k-1)-fold intersection contracts by the
-    factor c < 1.  The trace records iterates, reaches, and steps.
+    factor c < 1.  The trace records iterates, reaches, steps and the balls;
+    ``refine.verify_trace`` re-checks it.
     """
     cfg = cfg or BarycenterConfig()
     balls = tuple(balls)
@@ -367,6 +366,7 @@ def ip_lift(
         tuple(iterates),
         tuple(reaches),
         tuple(steps),
-        aux={"R": R, "c": params.c, "eps": params.eps, "k": k, "n": n},
+        LinfBallFamily(balls),
+        aux={"R": R, "c": params.c, "eps": params.eps, "k": k, "n": n, "tau": cfg.tau},
     )
     return iterates[-1], trace

@@ -90,8 +90,17 @@ def _tau(args) -> Fraction:
     return parse_rational(args.tau) if args.tau else Fraction(1, 1 << 30)
 
 
+def _helly_order(args, dim: int) -> int:
+    """The Helly order --k, dim when the flag is not given."""
+    if args.k is not None and args.k < 1:
+        raise ValidationError("--k must be >= 1")
+    return dim if args.k is None else args.k
+
+
 def cmd_check(args, report) -> None:
     kind, payload = parse_instance(args.instance)
+    if args.k is not None and kind != "helly":
+        raise ValidationError("--k applies only to helly instances")
     if kind in ("metric", "graph"):
         space = graph_metric(payload) if kind == "graph" else payload
         outcome = is_modular(space)
@@ -133,7 +142,7 @@ def cmd_check(args, report) -> None:
         )
     elif kind == "helly":
         instance = payload
-        outcome = helly_order_check(instance.halfspaces, args.k or instance.dim)
+        outcome = helly_order_check(instance.halfspaces, _helly_order(args, instance.dim))
         report["checks"].append(
             {"name": "helly-order", "verdict": outcome.verdict, "certificate": outcome.certificate}
         )
@@ -162,13 +171,15 @@ def cmd_refute(args, report) -> None:
 
 
 def cmd_helly(args, report) -> None:
+    if args.k is not None and not args.verify:
+        raise ValidationError("--k applies only with --verify")
+    k = _helly_order(args, args.dim)
     instance = helly_counterexample(args.dim)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(canonical_dumps(instance))
         report["_artifact_written"] = True
     if args.verify:
-        k = args.k or args.dim
         outcome = helly_order_check(instance.halfspaces, k)
         report["checks"].append(
             {
@@ -198,11 +209,10 @@ def cmd_refine(args, report) -> None:
             iterations=args.iters,
             scale=parse_rational(args.scale),
         )
-        verdict = verify_trace(trace)
         report["checks"].append(
             {
                 "name": "cauchy-halving",
-                "verdict": HOLDS if verdict.passed else REFUTED,
+                "verdict": HOLDS if verify_trace(trace).passed else REFUTED,
                 "point": point_,
                 "trace": {"iterates": trace.iterates, "slacks": trace.slacks, "steps": trace.steps},
             }
@@ -285,7 +295,7 @@ def cmd_ip_lift(args, report) -> None:
     report["checks"].append(
         {
             "name": "ip-lift",
-            "verdict": HOLDS,
+            "verdict": HOLDS if verify_trace(trace).passed else REFUTED,
             "point": point_,
             "reaches": trace.slacks,
             "c": params.c,
@@ -332,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate an instance and run its predicate")
     common(p)
-    p.add_argument("--k", type=int, help="Helly order for helly instances")
+    p.add_argument("--k", type=int, help="Helly order for helly instances (default: dim)")
 
     p = sub.add_parser("refute", help="seeded counterexample search")
     common(p)
@@ -345,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, instance=False)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, help="Helly order for --verify (default: dim)")
 
     p = sub.add_parser("refine", help="run a refinement scheme with exact oracles")
     common(p)

@@ -20,7 +20,9 @@ from math import comb
 from typing import Sequence
 
 from .errors import DimMismatch, EmptySet, HyperballError, InternalError, SizeCapExceeded
-from .linf import Ball, Box, FeasibilityResult, Point, balls_box, linf_dist
+from .linf import (
+    Ball, Box, FeasibilityResult, Point, ball_family_intersection, balls_box, linf_dist,
+)
 from .lp import HPolyhedron, lp_feasible
 from .metric import FiniteMetricSpace, GraphInstance, graph_metric
 from .rng import derive_seed, draw
@@ -161,8 +163,6 @@ def hyperconvex_witness(family: LinfBallFamily | FiniteBallFamily) -> Feasibilit
     if isinstance(family, FiniteBallFamily):
         return external_witness(FiniteSubset(family.space, tuple(range(family.space.size))), family)
     _require_admissible(family)
-    from .linf import ball_family_intersection
-
     return ball_family_intersection(family.balls)
 
 

@@ -277,15 +277,9 @@ def _solve(rows: Sequence[IntRow], dim: int, objective: Sequence[Fraction] | Non
 # Public entry points
 
 
-def _assemble(
-    p: HPolyhedron | None, balls: Sequence[Ball], dim: int | None
-) -> tuple[list[IntRow], int]:
-    rows: list[IntRow] = []
-    if p is not None:
-        dim = p.dim if dim is None else dim
-        if p.dim != dim:
-            raise DimMismatch("polyhedron dim mismatch")
-        rows.extend(p._integer_rows)
+def _assemble(p: HPolyhedron | None, balls: Sequence[Ball]) -> tuple[list[IntRow], int]:
+    rows: list[IntRow] = [] if p is None else list(p._integer_rows)
+    dim = None if p is None else p.dim
     for ball in balls:
         dim = ball.dim if dim is None else dim
         if ball.dim != dim:
@@ -350,10 +344,9 @@ def _verify_ray(rows: Sequence[IntRow], c: Sequence[int], ray: Sequence[int]) ->
         raise LPKernelError("objective does not fall along the ray")
 
 
-def lp_feasible(p: HPolyhedron | None, balls: Sequence[Ball] = (),
-                dim: int | None = None) -> FeasibilityResult:
+def lp_feasible(p: HPolyhedron | None, balls: Sequence[Ball] = ()) -> FeasibilityResult:
     """Exact feasibility of polyhedron rows plus ball (box) constraints."""
-    rows, dim = _assemble(p, balls, dim)
+    rows, dim = _assemble(p, balls)
     status, payload = _solve(rows, dim)
     if status == "witness":
         return FeasibilityResult("witness", witness=payload)
@@ -363,7 +356,7 @@ def lp_feasible(p: HPolyhedron | None, balls: Sequence[Ball] = (),
 def lp_minimize(objective: Sequence[object], p: HPolyhedron | None, balls: Sequence[Ball] = ()):
     """Minimize objective . x over the rows; returns ("optimal", value, point),
     ("unbounded", None) or ("infeasible", multipliers)."""
-    rows, dim = _assemble(p, balls, None)
+    rows, dim = _assemble(p, balls)
     return _solve(rows, dim, tuple(Fraction(v) for v in objective))
 
 

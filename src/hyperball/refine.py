@@ -11,15 +11,16 @@ schemes here turn such answers into points with certified error bounds:
 * ``triple_intersection`` — the 3/4-contraction onto a third subset
                          ("triple-34").
 
-Every recorded inequality in a trace is a postcondition re-verified with
-exact rationals; a contract breach is attributed to the oracle via
-``OracleFailure``, never absorbed.
+``EpsOracle.ask`` checks every oracle answer and attributes a breach to the
+oracle via ``OracleFailure``, never absorbed; ``verify_trace`` re-checks a
+trace with exact rationals and is the one place that states scheme bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import combinations
 from typing import Any, Callable, Mapping
 
 from .errors import HyperballError
@@ -42,7 +43,7 @@ class PairwiseIntersectionUnverified(HyperballError):
 
 @dataclass(frozen=True)
 class EpsOracle:
-    """Callable (balls, slack) -> point in subset ∩ (inflated balls).
+    """``query(balls, slack)`` -> point in subset ∩ (inflated balls).
 
     ``level`` declares how many balls the contract covers; ``subset`` is
     the set handle used for exact membership and distance verification.
@@ -52,8 +53,17 @@ class EpsOracle:
     level: int
     subset: Any
 
-    def __call__(self, balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
-        return self.query(balls, slack)
+    def ask(self, balls: tuple[Ball, ...], slack: Fraction, call: int) -> Point:
+        """The query's answer, or ``OracleFailure`` at ``call`` if it breaks the contract."""
+        p = self.query(balls, slack)
+        if p is None:
+            raise OracleFailure(call, "no point returned")
+        for b in balls:
+            if linf_dist(p, b.center) > b.radius + slack:
+                raise OracleFailure(call, f"outside inflated ball around {b.center}")
+        if self.subset is not None and not self.subset.contains(p):
+            raise OracleFailure(call, "point not in subset")
+        return p
 
 
 def exact_subset_oracle(subset, level: int = 64) -> EpsOracle:
@@ -119,19 +129,6 @@ class ContractionReport:
     trace: RefinementTrace | None = None
 
 
-def _verify_oracle_point(
-    oracle: EpsOracle, balls: tuple[Ball, ...], slack: Fraction, p: Point | None, call: int
-) -> Point:
-    if p is None:
-        raise OracleFailure(call, "no point returned")
-    for b in balls:
-        if linf_dist(p, b.center) > b.radius + slack:
-            raise OracleFailure(call, f"outside inflated ball around {b.center}")
-    if oracle.subset is not None and not oracle.subset.contains(p):
-        raise OracleFailure(call, "point not in subset")
-    return p
-
-
 # ---------------------------------------------------------------------------
 # Scheme 1: halving-slack Cauchy iteration
 
@@ -165,7 +162,7 @@ def almost_to_exact(
     for k in range(iterations):
         slack = scale / (1 << (k + 1))
         asked = balls if prev is None else balls + (Ball(prev, scale / (1 << k)),)
-        p = _verify_oracle_point(oracle, asked, slack, oracle(asked, slack), k)
+        p = oracle.ask(asked, slack, k)
         if prev is not None:
             steps.append(linf_dist(prev, p))
         iterates.append(p)
@@ -223,7 +220,7 @@ def _chain_step(
         target = oracle_a if n % 2 == 1 else oracle_b
         slack = delta_used / (1 << n)
         asked = (Ball(prev, eps_tilde + acc), Ball(x, d_xy - n * eps_tilde + acc))
-        prev = _verify_oracle_point(target, asked, slack, target(asked, slack), call_base + calls)
+        prev = target.ask(asked, slack, call_base + calls)
         calls += 1
         acc += slack
     # prev sits in A' when n0 is even (y counts as both); finish with the
@@ -231,12 +228,12 @@ def _chain_step(
     first, second = (oracle_a, oracle_b) if n0 % 2 == 0 else (oracle_b, oracle_a)
     slack1 = delta_used / (1 << (n0 + 1))
     asked1 = (Ball(prev, eps_tilde + acc), Ball(x, r + acc))
-    p1 = _verify_oracle_point(first, asked1, slack1, first(asked1, slack1), call_base + calls)
+    p1 = first.ask(asked1, slack1, call_base + calls)
     calls += 1
     acc += slack1
     slack2 = delta_used / (1 << (n0 + 2))
     asked2 = (Ball(p1, eps_tilde + acc), Ball(x, r + acc))
-    p2 = _verify_oracle_point(second, asked2, slack2, second(asked2, slack2), call_base + calls)
+    p2 = second.ask(asked2, slack2, call_base + calls)
     calls += 1
     a, a_prime = (p1, p2) if n0 % 2 == 0 else (p2, p1)
     checks = {
@@ -304,7 +301,7 @@ def chain_walk(
             Ball(x, r + acc - eps_n),
         )
         slack = delta / (1 << (n + 2))
-        x_n = _verify_oracle_point(ambient, asked, slack, ambient(asked, slack), calls)
+        x_n = ambient.ask(asked, slack, calls)
         calls += 1
         inner = _chain_step(
             oracle_a, oracle_b, x_n, r_n, y, eps_n, delta / (1 << (n + 1)), calls
@@ -353,8 +350,8 @@ def triple_intersection(
     """March a point of A1 ∩ A2 toward A0 with ratio 3/4 per round.
 
     Requires oracle0 to cover 3 balls and all three subsets to pairwise
-    intersect (certified up front).  Records d(x_n, A0) <= (3/4)^n r0 and
-    d(x_n, x_{n+1}) <= (1/2)(3/4)^n r0, both re-verified exactly.
+    intersect (certified up front).  Records d(x_n, A0) and d(x_n, x_{n+1})
+    and returns ``verify_trace``'s report on them.
     """
     if oracle0.level < 3:
         raise ValueError("oracle0 must cover 3 balls")
@@ -387,7 +384,7 @@ def triple_intersection(
             Ball(z, rho * Fraction(7, 12)),
         )
         slack = rho / 12
-        xbar = _verify_oracle_point(oracle0, asked, slack, oracle0(asked, slack), calls)
+        xbar = oracle0.ask(asked, slack, calls)
         calls += 1
         xn1 = pair_witness(
             A1, A2, (Ball(xbar, rho * Fraction(3, 4)), Ball(xn, rho / 2))
@@ -403,27 +400,14 @@ def triple_intersection(
         iterates.append(xn1)
         gaps.append(gap)
         steps.append(step)
-    r0 = gaps[0]
-    bounds = tuple(r0 * Fraction(3, 4) ** n for n in range(len(gaps)))
-    step_bounds = tuple(r0 * Fraction(1, 2) * Fraction(3, 4) ** n for n in range(len(steps)))
-    ok_gaps = tuple(g <= b for g, b in zip(gaps, bounds))
-    ok_steps = tuple(s <= b for s, b in zip(steps, step_bounds))
     trace = RefinementTrace(
         "triple-34",
         tuple(iterates),
         tuple(gaps),
         tuple(steps),
-        aux={"r0": r0, "subsets": (A0, A1, A2)},
+        aux={"r0": gaps[0], "subsets": (A0, A1, A2)},
     )
-    report = ContractionReport(
-        "triple-34",
-        observed=tuple(gaps),
-        bounds=bounds,
-        step_ok=ok_gaps + ok_steps,
-        passed=all(ok_gaps) and all(ok_steps),
-        trace=trace,
-    )
-    return iterates[-1], report
+    return iterates[-1], verify_trace(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +416,12 @@ def triple_intersection(
 
 def verify_trace(trace: RefinementTrace) -> ContractionReport:
     """Recompute every recorded step distance exactly and re-check the
-    scheme's bounds; a perturbed iterate fails at its step.
-
-    Checks "cauchy-halving" and "triple-34" traces.  Any other scheme,
-    "ip-lift" included, raises ``ValueError`` unless the trace is empty or
-    its recorded steps already disagree with its iterates."""
+    scheme's bounds; a perturbed iterate fails at its step.  The one place
+    that states the bounds of "cauchy-halving", "triple-34" and "ip-lift"
+    (``barycenter.ip_lift``, whose reaches are recomputed from the balls in
+    ``family``; a trace without them fails).  Any other scheme raises
+    ``ValueError`` unless the trace is empty or its recorded steps already
+    disagree with its iterates."""
     scheme = trace.scheme
     if not trace.iterates:
         return ContractionReport(
@@ -470,24 +455,28 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
                     ok = ok + (False,)
                     notes.append("final iterate violates the final slack")
         return ContractionReport(scheme, recomputed, bounds, ok, all(ok), tuple(notes))
-    if scheme == "triple-34":
-        r0 = trace.aux["r0"]
-        gaps = trace.slacks  # d(x_n, A0) recorded per iterate
-        subsets = trace.aux.get("subsets")
-        if subsets is not None:
-            A0 = subsets[0]
-            for n, (p, g) in enumerate(zip(trace.iterates, gaps)):
-                if subset_dist(A0, p) != g:
-                    return ContractionReport(
-                        scheme, recomputed, (), (), False,
-                        notes=(f"recorded gap at round {n} disagrees",),
-                    )
-        gap_bounds = tuple(r0 * Fraction(3, 4) ** n for n in range(len(gaps)))
-        step_bounds = tuple(
-            r0 * Fraction(1, 2) * Fraction(3, 4) ** n for n in range(len(recomputed))
-        )
-        ok = tuple(g <= b for g, b in zip(gaps, gap_bounds)) + tuple(
-            s <= b for s, b in zip(recomputed, step_bounds)
-        )
-        return ContractionReport(scheme, recomputed, gap_bounds + step_bounds, ok, all(ok))
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if scheme == "triple-34":  # slacks hold the gaps d(x_n, A0)
+        subsets, r0 = trace.aux.get("subsets"), trace.aux["r0"]
+        observed = trace.slacks if subsets is None else tuple(
+            subset_dist(subsets[0], p) for p in trace.iterates)
+        bounds = tuple(r0 * Fraction(3, 4) ** n for n in range(len(observed)))
+        step_bounds = tuple(b / 2 for b in bounds)
+    elif scheme == "ip-lift":  # slacks hold the reaches
+        if trace.family is None:
+            return ContractionReport(scheme, (), (), (), False, notes=("no balls recorded",))
+        balls = trace.family.balls
+        folds = [balls_box(tuple(balls[i] for i in J))
+                 for J in combinations(range(len(balls)), trace.aux["k"] - 1)]
+        observed = tuple(max(box.dist(p) for box in folds) for p in trace.iterates)
+        c, R, tau = trace.aux["c"], observed[0], trace.aux["tau"]
+        bounds = step_bounds = tuple(c**j * R + 3 * tau for j in range(len(observed)))
+    else:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if observed != trace.slacks:
+        agree = tuple(a == b for a, b in zip(observed, trace.slacks))
+        return ContractionReport(scheme, observed, trace.slacks, agree, False,
+                                 notes=("recorded gaps or reaches disagree with iterates",))
+    # gap or reach checks, then step checks
+    ok = tuple(g <= b for g, b in zip(observed, bounds))
+    ok += tuple(s <= b for s, b in zip(recomputed, step_bounds))
+    return ContractionReport(scheme, observed, bounds, ok, all(ok), trace=trace)

@@ -46,6 +46,7 @@ from hyperball.refine import (
     almost_to_exact,
     saturating_subset_oracle,
     triple_intersection,
+    verify_trace,
 )
 from hyperball.rng import SplitMix64, derive_seed
 
@@ -250,13 +251,14 @@ def test_criterion_06_ip_lift_contraction():
     assert R > 0  # nontrivial instance
     rate = F(4, 5) + F(1, 20)
     steps_ok = all(s <= rate**j * R + 3 * TAU for j, s in enumerate(trace.steps))
+    trace_ok = verify_trace(trace).passed
     violation = max(
         max((linf_dist(final, b.center) - b.radius for b in balls), default=F(0)), F(0)
     )
     final_ok = violation <= F(1, 10**6)
-    _line(6, "ip-lift step bounds and final violation", steps_ok and final_ok,
-          f"violation={float(violation):.2e}")
-    assert steps_ok and final_ok
+    _line(6, "ip-lift step bounds, trace re-check and final violation",
+          steps_ok and trace_ok and final_ok, f"violation={float(violation):.2e}")
+    assert steps_ok and trace_ok and final_ok
 
 
 def test_criterion_07_refinement_schemes():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from hyperball.barycenter import (
     min_matching_average,
 )
 from hyperball.linf import Ball, linf_dist, mean_point, sigma
+from hyperball.refine import verify_trace
 from hyperball.rng import SplitMix64
 
 from conftest import F, pt
@@ -157,6 +159,7 @@ def test_ip_lift_contracts():
     balls = seeded_instance(424242)
     params = ip_constants(4, 2, F(1, 64))
     final, trace = ip_lift(exact_box_ip_oracle, balls, linf_backend(2), params, rounds=20)
+    assert verify_trace(trace).passed
     R = trace.aux["R"]
     assert R > 0
     for j, reach in enumerate(trace.slacks):
@@ -167,6 +170,32 @@ def test_ip_lift_contracts():
         max((linf_dist(final, b.center) - b.radius for b in balls), default=F(0)), F(0)
     )
     assert violation <= params.c ** len(trace.steps) * R + 3 * CFG.tau
+
+
+def test_verify_trace_rejects_a_tampered_ip_lift_trace():
+    balls = seeded_instance(424242)
+    params = ip_constants(4, 2, F(1, 64))
+    _, trace = ip_lift(exact_box_ip_oracle, balls, linf_backend(2), params, rounds=8)
+    report = verify_trace(trace)
+    assert report.passed and report.observed == trace.slacks and len(trace.steps) == 8
+    assert len(report.step_ok) == len(trace.slacks) + len(trace.steps)
+    # One recorded reach raised by 2^-40.
+    reaches = trace.slacks[:3] + (trace.slacks[3] + F(1, 1 << 40),) + trace.slacks[4:]
+    report = verify_trace(replace(trace, slacks=reaches))
+    assert not report.passed and report.notes == ("recorded gaps or reaches disagree with iterates",)
+    # One iterate moved by 2^-20 along the coordinate that sets its step.
+    prev, p = trace.iterates[2], trace.iterates[3]
+    k = max(range(2), key=lambda i: abs(p[i] - prev[i]))
+    shift = F(1, 1 << 20) if p[k] >= prev[k] else -F(1, 1 << 20)
+    moved = tuple(x + shift if i == k else x for i, x in enumerate(p))
+    assert linf_dist(prev, moved) == trace.steps[2] + F(1, 1 << 20)
+    iterates = trace.iterates[:3] + (moved,) + trace.iterates[4:]
+    assert not verify_trace(replace(trace, iterates=iterates)).passed
+    # The bounds bite: a quarter of the recorded c breaks them.
+    assert not verify_trace(replace(trace, aux={**trace.aux, "c": params.c / 4})).passed
+    # A trace without its balls cannot pass by default.
+    report = verify_trace(replace(trace, family=None))
+    assert not report.passed and report.notes == ("no balls recorded",)
 
 
 def test_ip_lift_immediate_when_base_in_all():

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -114,6 +115,30 @@ def test_cli_helly_emit_and_check(tmp_path, capsys):
     capsys.readouterr()
     kind, parsed = parse_instance(out)
     assert canonical_dumps(parsed) == open(out).read()
+
+
+def test_cli_k_is_a_usage_error_where_it_is_not_read(tmp_path, capsys):
+    helly = str(tmp_path / "h3.json")
+    assert main(["helly", "--dim", "3", "--out", helly]) == 0
+    poly = write(tmp_path, "p.json", {"polyhedron": {"dim": 1, "rows": [{"a": ["1/1"], "b": "0/1"}]}})
+    assert main(["check", "--instance", poly]) == 0
+    capsys.readouterr()
+    emitted = tmp_path / "h.json"
+    for argv, message in [
+        (["check", "--instance", poly, "--k", "7"], "--k applies only to helly instances"),
+        (["helly", "--dim", "3", "--k", "9", "--out", str(emitted)], "--k applies only with --verify"),
+        (["check", "--instance", helly, "--k", "0"], "--k must be >= 1"),
+        (["helly", "--dim", "3", "--verify", "--k", "0"], "--k must be >= 1"),
+        (["helly", "--dim", "3", "--verify", "--k", "-1"], "--k must be >= 1"),
+    ]:
+        assert main(argv) == 3, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not emitted.exists()
+    # Where --k is read it reaches the check: order 3 fails on the 3-d family, order 4 holds.
+    for command in (["check", "--instance", helly], ["helly", "--dim", "3", "--verify"]):
+        assert main(command + ["--k", "3"]) == 1
+        assert main(command + ["--k", "4"]) == 0
+    capsys.readouterr()
 
 
 def test_cli_unknown_flag_is_usage_error(tmp_path, capsys):
@@ -268,7 +293,7 @@ def test_cli_graph_scan(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_ip_lift(tmp_path, capsys):
+def test_cli_ip_lift(tmp_path, capsys, monkeypatch):
     balls = [
         {"ball": {"center": ["0/1", "0/1"], "r": "2/1"}},
         {"ball": {"center": ["1/1", "0/1"], "r": "1/1"}},
@@ -279,6 +304,11 @@ def test_cli_ip_lift(tmp_path, capsys):
     inst = tmp_path / "ip.json"
     inst.write_text(json.dumps({"type": "ip", "k": 2, "eps": "1/64", "balls": balls}))
     assert main(["ip-lift", "--instance", inst.as_posix(), "--iters", "10"]) == 0
+    # The verdict is the trace check's: a failing check refutes.
+    from hyperball import cli
+
+    monkeypatch.setattr(cli, "verify_trace", lambda trace: SimpleNamespace(passed=False))
+    assert main(["ip-lift", "--instance", inst.as_posix(), "--iters", "10"]) == 1
     capsys.readouterr()
 
 

@@ -1,7 +1,8 @@
 """Guards on where numpy and the SplitMix64 constants may live, on knobs
 that were removed, on each CLI subcommand taking only the flags it reads, on
-the LP kernel staying in integers, and on subset and
-ball-family kinds answering for themselves instead of through type ladders."""
+the LP kernel staying in integers, on the refinement bounds living only in
+``verify_trace``, and on subset and ball-family kinds answering for
+themselves instead of through type ladders."""
 
 import ast
 import inspect
@@ -56,7 +57,7 @@ def test_lp_entry_points_have_no_kernel_knob():
 
     for fn in (lp.lp_feasible, lp.lp_minimize, lp.polyhedron_coordinate_bounds,
                lp.dist_to_polyhedron):
-        assert "kernel" not in inspect.signature(fn).parameters, fn.__name__
+        assert not {"kernel", "dim"} & set(inspect.signature(fn).parameters), fn.__name__
 
 
 def test_refine_and_barycenter_have_no_dead_knob():
@@ -70,6 +71,18 @@ def test_refine_and_barycenter_have_no_dead_knob():
         assert "label" not in inspect.signature(fn).parameters, fn.__name__
     assert list(inspect.signature(refine.verify_trace).parameters) == ["trace"]
     assert "pointwise" not in {f.name for f in fields(BarycenterConfig)}
+
+
+def test_scheme_bounds_live_only_in_verify_trace():
+    from hyperball import refine
+
+    def reports_built(source):
+        return sum(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ContractionReport"
+                   for node in ast.walk(ast.parse(textwrap.dedent(source))))
+
+    everywhere = sum(reports_built(text) for text in _sources().values())
+    assert everywhere == reports_built(inspect.getsource(refine.verify_trace)) > 0
+    assert "_verify_oracle_point" not in _sources()["refine.py"]
 
 
 def test_lp_kernel_and_certificate_checks_build_no_fraction():

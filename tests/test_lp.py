@@ -84,7 +84,7 @@ def test_interval_and_lp_routes_agree_on_1000_instances():
             for _ in range(rng.randint(1, 4))
         )
         interval = ball_family_intersection(balls)
-        lp = lp_feasible(None, balls, dim=dim)
+        lp = lp_feasible(None, balls)
         assert interval.feasible == lp.feasible
         if interval.feasible:
             w = interval.witness

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,10 @@ def test_triple_intersection_contraction():
     assert a1.contains(final) and a2.contains(final)
     assert a0.dist(final) <= Fraction(3, 4) ** 40 * r0
     assert verify_trace(report.trace).passed
+    # The gaps are recomputed from the subsets: a recorded gap cut by 2^-40 fails.
+    gaps = report.trace.slacks
+    tampered = replace(report.trace, slacks=gaps[:2] + (gaps[2] - F(1, 1 << 40),) + gaps[3:])
+    assert not verify_trace(tampered).passed
 
 
 def test_triple_intersection_constant_when_inside():

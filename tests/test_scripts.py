@@ -28,3 +28,26 @@ def test_refuter_sweep_covers_every_mode_with_a_rate(capsys):
         *_, mode, _, _, used, _, rate = row.split()
         scalar = mode != "external" and not hasattr(subsets[row[:28].strip()], "boxes")
         assert int(used) <= (4 if scalar else 16) and float(rate) > 0
+
+
+def test_contraction_rates_prints_every_scheme_against_its_bound(capsys):
+    _load("contraction_rates").main(["--rounds", "4"])
+    out = capsys.readouterr().out
+    titles = [line for line in out.splitlines() if line and not line[0].isspace()]
+    assert len(titles) == 4
+    # The halving, 3/4 and lift tables carry verify_trace's verdict.
+    assert sum(title.endswith(": passed") for title in titles) == 3
+    assert "FAILED" not in out
+    for block in out.strip().split("\n\n"):
+        for row in block.splitlines()[2:]:
+            _, observed, bound = row.split()
+            assert float(observed) <= float(bound)
+
+
+def test_helly_demo_checks_both_directions(capsys):
+    _load("helly_demo").main(["--max-dim", "4"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split()[:5] == ["n", "sets", "n-fold", "total", "order-n"]
+    assert [row.split()[:5] for row in rows] == [
+        [str(n), str(n + 1), "ok", "empty", "refuted"] for n in range(2, 5)
+    ]
