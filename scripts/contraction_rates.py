@@ -11,7 +11,6 @@ from fractions import Fraction as F
 
 from hyperball.barycenter import (
     exact_box_ip_oracle,
-    ip_constants,
     ip_lift,
     linf_backend,
 )
@@ -22,6 +21,7 @@ from hyperball.refine import (
     almost_to_exact,
     chain_walk,
     exact_subset_oracle,
+    ip_constants,
     saturating_subset_oracle,
     triple_intersection,
     verify_trace,

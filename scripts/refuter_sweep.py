@@ -8,8 +8,9 @@ normals are refutable externally even though they are weakly externally
 hyperconvex, and the sweep records at which budget the first certificate
 appears.  Boxes and unions run on the int64 screen in every mode,
 half-spaces only in ``external`` mode, so the center modes on half-spaces
-show the rate of the exact scalar path.  Those rows cost milliseconds per
-candidate and take the smaller of ``--budget`` and ``--scalar-budget``."""
+and every mode on the multi-row polyhedra show the rate of the exact scalar
+path.  Those rows cost milliseconds per candidate and take the smaller of
+``--budget`` and ``--scalar-budget``."""
 
 import argparse
 import time
@@ -17,11 +18,13 @@ from fractions import Fraction as F
 
 from hyperball.lab import REFUTE_MODES, BoxUnion, refute_search
 from hyperball.linf import Box
-from hyperball.lp import halfspace
+from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace
 
 
 def fixtures():
     unit = Box((F(0), F(0)), (F(1), F(1)))
+    rows = (((1, 1, 0), 2), ((-1, 0, 1), 1), ((0, -1, -1), 1), ((1, -2, 1), 3))
+    poly3 = HPolyhedron(3, tuple((tuple(F(c) for c in a), F(b)) for a, b in rows))
     slab = Box((F(-2), F(-1)), (F(3), F(5, 2)))
     union = BoxUnion((Box((F(0), F(0)), (F(1), F(1))), Box((F(3), F(0)), (F(4), F(1)))))
     return [
@@ -31,7 +34,18 @@ def fixtures():
         ("diag half-plane x1+x2<=-1", halfspace([1, 1], -1)),
         ("axis half-plane x2>=0", halfspace([0, -1], 0)),
         ("3d diagonal x1+x2+x3>=0", halfspace([-1, -1, -1], 0)),
+        ("unit square as 4 rows", box_to_polyhedron(unit)),
+        ("3d 4-row polyhedron", poly3),
     ]
+
+
+def scalar_path(subset, mode) -> bool:
+    """Whether the refuter tests every candidate of this row with exact
+    rationals: anything but a box or union, except a one-row half-space in
+    ``external`` mode, which the int64 screen takes."""
+    if getattr(subset, "boxes", None) is not None:
+        return False
+    return mode != "external" or len(subset.rows) > 1
 
 
 def main(argv=None):
@@ -49,7 +63,7 @@ def main(argv=None):
     for name, subset in fixtures():
         for mode in REFUTE_MODES:
             budget = args.budget
-            if mode != "external" and getattr(subset, "boxes", None) is None:
+            if scalar_path(subset, mode):
                 budget = min(budget, args.scalar_budget)
             for level in range(2, 7):
                 began = time.perf_counter()

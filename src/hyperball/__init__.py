@@ -12,14 +12,12 @@ __version__ = "0.1.0"
 from .barycenter import (
     BarycenterConfig,
     BicombingBackend,
-    IPParams,
     Isometry,
     barycenter,
     barycenter_contraction_check,
     default_ip_eps,
     equivariance_check,
     exact_box_ip_oracle,
-    ip_constants,
     ip_lift,
     ip_threshold,
     linf_backend,
@@ -77,10 +75,12 @@ from .refine import (
     ChainWalkResult,
     ContractionReport,
     EpsOracle,
+    IPParams,
     RefinementTrace,
     almost_to_exact,
     chain_walk,
     exact_subset_oracle,
+    ip_constants,
     saturating_subset_oracle,
     triple_intersection,
     verify_trace,

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 from .errors import HyperballError
 from .lab import LinfBallFamily
 from .linf import Ball, Point, balls_box, linf_dist, sigma
-from .refine import RefinementTrace
+from .refine import IPParams, KTooSmall, RefinementTrace, ip_constants
 from .reports import HOLDS, REFUTED, PropertyReport
 
 
@@ -33,10 +33,6 @@ class NoConvergence(HyperballError):
 
 class TupleTooLarge(HyperballError):
     """Exhaustive permutation matching is limited to small tuples."""
-
-
-class KTooSmall(HyperballError):
-    """Intersection-property parameters need k >= 2."""
 
 
 class ContractionNotGuaranteed(HyperballError):
@@ -228,7 +224,8 @@ def equivariance_check(
 
 
 # ---------------------------------------------------------------------------
-# (n, k) intersection property: threshold, constants, lift
+# (n, k) intersection property: threshold and lift (the constants live in
+# ``refine``, beside the trace check that recomputes them)
 
 
 def ip_threshold(k: int) -> int:
@@ -240,42 +237,6 @@ def ip_threshold(k: int) -> int:
     while 2 * (n - k + 2) * (n - k + 1) <= n * (n + 1):
         n += 1
     return n
-
-
-@dataclass(frozen=True)
-class IPParams:
-    n: int
-    k: int
-    N: int
-    N_prime: int
-    c: Fraction
-    eps: Fraction
-
-
-def ip_constants(n: int, k: int, eps: Fraction = Fraction(0)) -> IPParams:
-    """Enumerate the (n-1)-subsets of {1..n+1} and those containing a fixed
-    (k-1)-set; c = 2 (N - N')/N (1+eps)^2.
-
-    N' is counted, not taken from a closed form: the count is
-    (n-k+2)(n-k+1)/2, which is also cross-checked in the tests against the
-    threshold formula.
-    """
-    if k < 2:
-        raise KTooSmall("k must be >= 2")
-    if not (k <= n):
-        raise ValueError("need k <= n")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    ground = range(1, n + 2)
-    fixed = set(range(1, k))  # a (k-1)-subset
-    N = 0
-    N_prime = 0
-    for alpha in combinations(ground, n - 1):
-        N += 1
-        if fixed.issubset(alpha):
-            N_prime += 1
-    c = Fraction(2 * (N - N_prime), N) * (1 + eps) ** 2
-    return IPParams(n, k, N, N_prime, c, eps)
 
 
 def default_ip_eps(n: int, k: int) -> Fraction:

@@ -22,7 +22,6 @@ from .barycenter import (
     barycenter,
     default_ip_eps,
     exact_box_ip_oracle,
-    ip_constants,
     ip_lift,
     ip_threshold,
     linf_backend,
@@ -41,7 +40,9 @@ from .lab import (
 from .lp import lp_feasible
 from .metric import graph_metric, is_modular
 from .rational import parse_rational
-from .refine import exact_subset_oracle, almost_to_exact, chain_walk, triple_intersection, verify_trace
+from .refine import (
+    almost_to_exact, chain_walk, exact_subset_oracle, ip_constants, triple_intersection, verify_trace,
+)
 from .reports import HOLDS, INCONCLUSIVE, REFUTED
 
 EXIT_HOLDS = 0
@@ -152,11 +153,8 @@ def cmd_check(args, report) -> None:
 
 def cmd_refute(args, report) -> None:
     kind, payload = parse_instance(args.instance)
-    if kind == "family":
-        subset = payload.subset
-    elif kind in ("polyhedron", "box"):
-        subset = payload
-    else:
+    subset = payload.subset if kind == "family" else payload
+    if kind not in ("family", "polyhedron", "box") or subset is None:
         raise ValidationError("refute needs a polyhedron, box, or family-with-subset instance")
     outcome = refute_search(subset, args.level, args.budget, args.seed, mode=args.mode)
     report["checks"].append(

@@ -141,6 +141,16 @@ def parse_subset(data: Any):
     raise ParseError("subset must be a polyhedron, box, union, or null")
 
 
+def _parse_sets(data: dict, kind: str, count: int) -> tuple:
+    """The ``count`` subsets of a triple or chain instance, none of them null."""
+    sets = tuple(parse_subset(s) for s in data["sets"])
+    if len(sets) != count:
+        raise ParseError(f"{kind} instance needs exactly {count} sets")
+    if any(s is None for s in sets):
+        raise ParseError(f"{kind} instance sets must not be null")
+    return sets
+
+
 def parse_instance(source: str | Path | dict):
     """Parse an instance file (or already-loaded dict) into domain objects.
 
@@ -204,16 +214,10 @@ def _parse_object(data: dict):
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
     if kind == "triple":
-        sets = tuple(parse_subset(s) for s in data["sets"])
-        if len(sets) != 3:
-            raise ParseError("triple instance needs exactly 3 sets")
-        return "triple", (sets, _point(data["x0"]))
+        return "triple", (_parse_sets(data, kind, 3), _point(data["x0"]))
     if kind == "chain":
-        sets = tuple(parse_subset(s) for s in data["sets"])
-        if len(sets) != 2:
-            raise ParseError("chain instance needs exactly 2 sets")
         return "chain", {
-            "sets": sets,
+            "sets": _parse_sets(data, kind, 2),
             "x": _point(data["x"]),
             "y": _point(data["y"]),
             "r": _rational(data["r"]),

@@ -169,12 +169,18 @@ def hyperconvex_witness(family: LinfBallFamily | FiniteBallFamily) -> Feasibilit
 def external_witness(subset, family: LinfBallFamily | FiniteBallFamily) -> FeasibilityResult:
     """Point of subset inside every ball of an externally admissible family,
     or certified emptiness (a refutation certificate for external
-    hyperconvexity at this family size).  A finite subset is searched by
-    enumeration, a box or union by intervals, a polyhedron by LP."""
+    hyperconvexity at this family size).  Checks that the subset is
+    non-empty and the family admissible, then runs ``_external_search``."""
     if not subset_nonempty(subset):
         raise EmptySet("subset is empty")
     family = replace(family, subset=subset)
     _require_admissible(family)
+    return _external_search(subset, family)
+
+
+def _external_search(subset, family: LinfBallFamily | FiniteBallFamily) -> FeasibilityResult:
+    """The search of ``external_witness`` for a family known admissible: by
+    enumeration, box intervals or an LP, as the subset's kind asks."""
     if isinstance(subset, FiniteSubset):
         d = family.d
         for v in subset.indices:
@@ -248,8 +254,12 @@ def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
 # grid step is E / 2**GRID_BITS.  Radii start at d(center, subset) plus an
 # offset of up to RADIUS_STEPS grid steps, then every radius is shrunk to its
 # minimal admissible value along the sampled order, which also repairs any
-# initial pairwise violation.  A candidate refutes when the (now admissible)
-# family has empty intersection with the subset.
+# initial pairwise violation.  In the center modes the centers from the
+# mode's start index on then move to their nearest points of the subset, and
+# every radius is tightened again in index order, with floor 0 for them.  One
+# nearest-point query per center gives its pull target and its distance.  A
+# candidate is thus admissible by construction and refutes when its
+# intersection with the subset is empty.
 
 GRID_BITS = 3
 RADIUS_STEPS = 8
@@ -306,8 +316,9 @@ def _tighten(floor, pair, radii, order):
         radii[i] = need
 
 
-def _scalar_candidate(subset, arena: _Arena, seed: int, index: int):
-    """Build candidate ``index`` with exact rationals: its tightened balls."""
+def _scalar_candidate(subset, arena: _Arena, seed: int, index: int, start: int | None):
+    """Build candidate ``index`` with exact rationals: its tightened balls,
+    the centers from ``start`` on (none if None) pulled onto the subset."""
     base = index * arena.slots
     level, dim = arena.level, arena.dim
     k = _size_at(seed, base, level)
@@ -318,33 +329,20 @@ def _scalar_candidate(subset, arena: _Arena, seed: int, index: int):
             j = draw(seed, base + 1 + i * dim + c) % (arena.cells[c] + 1)
             coords.append(arena.wlo[c] + j * arena.step)
         centers.append(tuple(coords))
-    dists_to_a = [subset_dist(subset, p) for p in centers]
+    nearest = [subset_nearest(subset, p) for p in centers]
+    floor = [linf_dist(p, q) for p, q in zip(centers, nearest)]
     off_base = base + 1 + level * dim
     radii = [
-        dists_to_a[i] + (draw(seed, off_base + i) % (RADIUS_STEPS + 1)) * arena.step
+        floor[i] + (draw(seed, off_base + i) % (RADIUS_STEPS + 1)) * arena.step
         for i in range(k)
     ]
     key_base = off_base + level
     order = [i for _, i in sorted((draw(seed, key_base + i), i) for i in range(k))]
-    _tighten(dists_to_a, [[linf_dist(p, q) for q in centers] for p in centers], radii, order)
+    _tighten(floor, [[linf_dist(p, q) for q in centers] for p in centers], radii, order)
+    if start is not None:
+        centers[start:], floor[start:] = nearest[start:], [Fraction(0)] * (k - start)
+        _tighten(floor, [[linf_dist(p, q) for q in centers] for p in centers], radii, range(k))
     return tuple(Ball(centers[i], radii[i]) for i in range(k))
-
-
-def _pull_centers(subset, balls, start: int):
-    """Move the centers of ``balls[start:]`` onto the subset (to a nearest
-    point when outside), keep their radii, and re-tighten once in index
-    order.  A center in the subset has distance 0 to it, so only the
-    ``start`` leading centers need ``subset_dist``."""
-    centers = [b.center for b in balls]
-    for i in range(start, len(centers)):
-        if not subset.contains(centers[i]):
-            centers[i] = subset_nearest(subset, centers[i])
-    floor = [subset_dist(subset, c) for c in centers[:start]]
-    floor += [Fraction(0)] * (len(centers) - start)
-    radii = [b.radius for b in balls]
-    pair = [[linf_dist(p, q) for q in centers] for p in centers]
-    _tighten(floor, pair, radii, range(len(radii)))
-    return tuple(Ball(c, r) for c, r in zip(centers, radii))
 
 
 # Mode -> number of leading balls whose centers may lie outside the subset
@@ -366,8 +364,9 @@ def refute_search(
     the seed and the counter ``i``.  An exact int64 screen picks the first
     refuting index in every mode on boxes and box unions, and in
     ``external`` mode on a one-row half-space, unless the magnitudes would
-    overflow; otherwise every candidate is tested with exact rationals.  A
-    found family is rebuilt exactly and re-verified before being reported.
+    overflow; otherwise every candidate, admissible by construction, gets
+    the exact witness search alone.  A found family is rebuilt exactly and
+    re-verified in full before being reported.
     ``arena`` overrides the sampling window of a max-norm subset; a finite
     subset has no window and rejects it.
     """
@@ -399,12 +398,11 @@ def refute_search(
                 indices, screened = (() if hit is None else (hit,)), True
 
         def build(index):
-            balls = _scalar_candidate(subset, built, seed, index)
-            return balls if start is None else _pull_centers(subset, balls, start)
+            return _scalar_candidate(subset, built, seed, index, start)
 
     for index in indices:
         balls = build(index)
-        if screened or not external_witness(subset, _family(subset, balls)).feasible:
+        if screened or not _external_search(subset, _family(subset, balls)).feasible:
             if not verify_refutation(subset, balls):
                 raise InternalError("refutation failed exact re-verification")
             certificate = {"balls": balls, "index": index}

@@ -13,7 +13,8 @@ schemes here turn such answers into points with certified error bounds:
 
 ``EpsOracle.ask`` checks every oracle answer and attributes a breach to the
 oracle via ``OracleFailure``, never absorbed; ``verify_trace`` re-checks a
-trace with exact rationals and is the one place that states scheme bounds.
+trace with exact rationals and is the one place that states scheme bounds;
+``ip_constants`` gives the ``ip-lift`` contraction constant it recomputes.
 """
 
 from __future__ import annotations
@@ -411,6 +412,50 @@ def triple_intersection(
 
 
 # ---------------------------------------------------------------------------
+# (n, k) intersection-property constants (the ``ip-lift`` contraction bound)
+
+
+class KTooSmall(HyperballError):
+    """Intersection-property parameters need k >= 2."""
+
+
+@dataclass(frozen=True)
+class IPParams:
+    n: int
+    k: int
+    N: int
+    N_prime: int
+    c: Fraction
+    eps: Fraction
+
+
+def ip_constants(n: int, k: int, eps: Fraction = Fraction(0)) -> IPParams:
+    """Enumerate the (n-1)-subsets of {1..n+1} and those containing a fixed
+    (k-1)-set; c = 2 (N - N')/N (1+eps)^2.
+
+    N' is counted, not taken from a closed form: the count is
+    (n-k+2)(n-k+1)/2, which is also cross-checked in the tests against the
+    threshold formula.
+    """
+    if k < 2:
+        raise KTooSmall("k must be >= 2")
+    if not (k <= n):
+        raise ValueError("need k <= n")
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
+    ground = range(1, n + 2)
+    fixed = set(range(1, k))  # a (k-1)-subset
+    N = 0
+    N_prime = 0
+    for alpha in combinations(ground, n - 1):
+        N += 1
+        if fixed.issubset(alpha):
+            N_prime += 1
+    c = Fraction(2 * (N - N_prime), N) * (1 + eps) ** 2
+    return IPParams(n, k, N, N_prime, c, eps)
+
+
+# ---------------------------------------------------------------------------
 # Independent trace verification
 
 
@@ -419,9 +464,11 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
     scheme's bounds; a perturbed iterate fails at its step.  The one place
     that states the bounds of "cauchy-halving", "triple-34" and "ip-lift"
     (``barycenter.ip_lift``, whose reaches are recomputed from the balls in
-    ``family``; a trace without them fails).  Any other scheme raises
-    ``ValueError`` unless the trace is empty or its recorded steps already
-    disagree with its iterates."""
+    ``family``, a trace without them failing, and whose c must be
+    ``ip_constants(len(balls) - 1, k, eps).c`` and below 1).  A
+    "cauchy-halving" trace must record the slacks scale * 2^-(i+1).  Any
+    other scheme raises ``ValueError`` unless the trace is empty or its
+    recorded steps already disagree with its iterates."""
     scheme = trace.scheme
     if not trace.iterates:
         return ContractionReport(
@@ -443,6 +490,9 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
         )
     if scheme == "cauchy-halving":
         scale = trace.aux.get("scale", Fraction(1))
+        if trace.slacks != tuple(scale / (1 << (i + 1)) for i in range(len(trace.iterates))):
+            return ContractionReport(scheme, recomputed, (), (), False,
+                                     notes=("recorded slacks disagree with scale * 2^-(i+1)",))
         bounds = tuple(
             scale * (Fraction(1, 1 << (i + 1)) + Fraction(1, 1 << (i + 2)))
             for i in range(len(recomputed))
@@ -469,6 +519,9 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
                  for J in combinations(range(len(balls)), trace.aux["k"] - 1)]
         observed = tuple(max(box.dist(p) for box in folds) for p in trace.iterates)
         c, R, tau = trace.aux["c"], observed[0], trace.aux["tau"]
+        if c >= 1 or c != ip_constants(len(balls) - 1, trace.aux["k"], trace.aux["eps"]).c:
+            return ContractionReport(scheme, observed, (), (), False,
+                                     notes=("recorded c is not ip_constants' c below 1",))
         bounds = step_bounds = tuple(c**j * R + 3 * tau for j in range(len(observed)))
     else:
         raise ValueError(f"unknown scheme {scheme!r}")

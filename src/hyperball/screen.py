@@ -31,7 +31,8 @@ class FastScreen:
     A box screens as a union of one box; empty members of a union are
     dropped, as the exact distances drop them.  ``start`` is the mode's
     ``REFUTE_MODES`` entry: when it is not None, the centers from index
-    ``start`` on are pulled onto the subset as ``lab._pull_centers`` does.
+    ``start`` on are pulled onto the subset as ``lab._scalar_candidate``
+    pulls them.
     Construction raises ``TypeError`` for a subset kind without a screen in
     this mode and ``OverflowError`` when magnitudes would not fit int64.
     """
@@ -117,8 +118,8 @@ class FastScreen:
     def scan(self, seed: int, start: int, stop: int):
         """First candidate index in [start, stop) whose family screens empty.
 
-        Mirrors ``lab._scalar_candidate`` (and ``lab._pull_centers`` in the
-        center modes) batch by batch.  The first batch is small, so a search
+        Mirrors ``lab._scalar_candidate``, the center pull included, batch
+        by batch.  The first batch is small, so a search
         that refutes early does not pay for a full batch.
         """
         lo_idx, size = start, _FIRST_BATCH

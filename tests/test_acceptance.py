@@ -16,7 +16,6 @@ from hyperball.barycenter import (
     Isometry,
     barycenter,
     exact_box_ip_oracle,
-    ip_constants,
     ip_lift,
     ip_threshold,
     linf_backend,
@@ -44,6 +43,7 @@ from hyperball.metric import (
 from hyperball.refine import (
     exact_subset_oracle,
     almost_to_exact,
+    ip_constants,
     saturating_subset_oracle,
     triple_intersection,
     verify_trace,

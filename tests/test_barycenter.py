@@ -9,21 +9,19 @@ from hyperball.barycenter import (
     ContractionNotGuaranteed,
     Isometry,
     KSubfamilyEmpty,
-    KTooSmall,
     TupleTooLarge,
     barycenter,
     barycenter_contraction_check,
     default_ip_eps,
     equivariance_check,
     exact_box_ip_oracle,
-    ip_constants,
     ip_lift,
     ip_threshold,
     linf_backend,
     min_matching_average,
 )
 from hyperball.linf import Ball, linf_dist, mean_point, sigma
-from hyperball.refine import verify_trace
+from hyperball.refine import KTooSmall, ip_constants, verify_trace
 from hyperball.rng import SplitMix64
 
 from conftest import F, pt
@@ -191,11 +189,38 @@ def test_verify_trace_rejects_a_tampered_ip_lift_trace():
     assert linf_dist(prev, moved) == trace.steps[2] + F(1, 1 << 20)
     iterates = trace.iterates[:3] + (moved,) + trace.iterates[4:]
     assert not verify_trace(replace(trace, iterates=iterates)).passed
-    # The bounds bite: a quarter of the recorded c breaks them.
-    assert not verify_trace(replace(trace, aux={**trace.aux, "c": params.c / 4})).passed
+    # A recorded c other than ip_constants' (a quarter of it here) is rejected.
+    report = verify_trace(replace(trace, aux={**trace.aux, "c": params.c / 4}))
+    assert not report.passed and report.notes == ("recorded c is not ip_constants' c below 1",)
     # A trace without its balls cannot pass by default.
     report = verify_trace(replace(trace, family=None))
     assert not report.passed and report.notes == ("no balls recorded",)
+
+
+# The five balls of the ``ip`` instance under bench/instances.
+IP_BALLS = (
+    Ball(pt(-4, 4), F(6)), Ball(pt(-2, -5), F(6)), Ball(pt(-1, 5), F(6)),
+    Ball(pt(2, 0), F(5)), Ball(pt(4, -3), F(3)),
+)
+
+
+def test_verify_trace_recomputes_the_ip_lift_constant():
+    """A stalled trace (the base point eight times, reaches and steps
+    consistent) breaks the bounds under c = 845/1024 and cannot pass by
+    recording c = 1."""
+    params = ip_constants(4, 2, F(1, 64))
+    _, trace = ip_lift(exact_box_ip_oracle, IP_BALLS, linf_backend(2), params, rounds=7)
+    assert params.c == F(845, 1024) and verify_trace(trace).passed
+    stalled = replace(trace, iterates=trace.iterates[:1] * 8, slacks=trace.slacks[:1] * 8,
+                      steps=(F(0),) * 7)
+    assert trace.slacks[0] > 0 and not verify_trace(stalled).passed
+    report = verify_trace(replace(stalled, aux={**stalled.aux, "c": F(1)}))
+    assert not report.passed and report.notes == ("recorded c is not ip_constants' c below 1",)
+    # c >= 1 never passes, even where eps makes it the recomputed value
+    eps = F(1, 2)
+    assert ip_constants(4, 2, eps).c >= 1
+    report = verify_trace(replace(stalled, aux={**stalled.aux, "c": ip_constants(4, 2, eps).c, "eps": eps}))
+    assert not report.passed
 
 
 def test_ip_lift_immediate_when_base_in_all():

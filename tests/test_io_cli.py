@@ -328,9 +328,17 @@ BOX = {"box": {"lo": ["0/1", "0/1"], "hi": ["1/1", "1/1"]}}
         (["ip-lift", "--instance", "{file}"], {"type": "ip", "k": 5, "balls": [{"ball": {"center": ["0/1"], "r": "1/1"}}] * 2}),
         (["check", "--instance", "{file}"], {"type": "family", "balls": [
             {"ball": {"center": ["0/1"], "r": "1/1"}}, {"ball": {"center": ["5/1"], "r": "1/1"}}]}),
+        (["refute", "--instance", "{file}", "--level", "2"], {"type": "family", "balls": [
+            {"ball": {"center": ["0/1", "0/1"], "r": "1/1"}}], "subset": None}),
+        (["refine", "--instance", "{file}", "--scheme", "triple-34"],
+         {"type": "triple", "sets": [BOX, None, BOX], "x0": ["0/1", "0/1"]}),
+        (["refine", "--instance", "{file}", "--scheme", "chain-walk"],
+         {"type": "chain", "sets": [BOX, None], "x": ["0/1", "0/1"], "y": ["1/1", "1/1"],
+          "r": "1/1", "eps": "1/4", "delta": "1/8"}),
     ],
     ids=["missing-file", "level-1", "family-without-balls", "empty-points", "balls-not-a-list",
-         "triple-without-x0", "ip-k-above-n", "family-not-admissible"],
+         "triple-without-x0", "ip-k-above-n", "family-not-admissible", "refute-family-without-subset",
+         "triple-null-set", "chain-null-set"],
 )
 def test_cli_bad_input_is_a_usage_error_without_traceback(tmp_path, argv, instance):
     file = write(tmp_path, "instance.json", instance) if instance is not None else ""

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperball.errors import DimMismatch, SizeCapExceeded
 from hyperball.lab import (
@@ -28,16 +30,17 @@ from hyperball.lab import (
     verify_refutation,
     weakly_external_witness,
     _build_arena,
-    _pull_centers,
+    _finite_builder,
     _scalar_candidate,
+    _tighten,
 )
 from hyperball.linf import Ball, Box, linf_dist
-from hyperball.lp import box_to_polyhedron, halfspace, lp_feasible
+from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace, lp_feasible
 from hyperball.metric import GraphInstance, graph_metric
 from hyperball.screen import _FIRST_BATCH, FastScreen
-from hyperball.sets import FiniteSubset
+from hyperball.sets import FiniteSubset, subset_dist, subset_nearest
 
-from conftest import F, pt
+from conftest import F, pt, random_metric
 
 UNION = BoxUnion((Box(pt(0, 0), pt(1, 1)), Box(pt(3, 0), pt(4, 1))))
 # the same union with an empty third member (lo > hi in x)
@@ -45,6 +48,11 @@ UNION_EMPTY_MEMBER = BoxUnion(UNION.boxes + (Box(pt(2, 5), pt(1, 6)),))
 DIAG = halfspace([1, 1], -1)
 # a union whose refutations are rarer, so first hits come late
 TIGHT = BoxUnion((Box(pt(0, 0), pt(4, 4)), Box(pt(5, 0), pt(6, 1))))
+# multi-row polyhedra: the unit square as four rows, and a 3-d one with four
+SQUARE_ROWS = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
+POLY3 = HPolyhedron(3, tuple(
+    (pt(*a), F(b)) for a, b in (((1, 1, 0), 2), ((-1, 0, 1), 1), ((0, -1, -1), 1), ((1, -2, 1), 3))
+))
 
 
 def test_admissible_examples():
@@ -170,14 +178,30 @@ def test_refute_union_found_and_reverifies():
     assert len(balls) == 2
 
 
+def _reference_pull(subset, balls, start):
+    """The two-step center pull: move the centers of ``balls[start:]`` onto
+    the subset (to a nearest point when outside), keep their radii, and
+    re-tighten once in index order against fresh ``subset_dist`` floors."""
+    centers = [b.center for b in balls]
+    for i in range(start, len(centers)):
+        if not subset.contains(centers[i]):
+            centers[i] = subset_nearest(subset, centers[i])
+    floor = [subset_dist(subset, c) for c in centers[:start]]
+    floor += [F(0)] * (len(centers) - start)
+    radii = [b.radius for b in balls]
+    _tighten(floor, [[linf_dist(p, q) for q in centers] for p in centers], radii, range(len(radii)))
+    return tuple(Ball(c, r) for c, r in zip(centers, radii))
+
+
 def _scalar_reference(subset, level, budget, seed, mode="external", first=0):
     """First (index, balls) in [first, budget) whose exact candidate, with
-    its centers pulled as the mode asks, refutes; or None."""
+    its centers pulled as the mode asks, passes the full external check
+    (admissibility included) with an empty intersection; or None."""
     arena, start = _build_arena(subset, level, None), REFUTE_MODES[mode]
     for index in range(first, budget):
-        balls = _scalar_candidate(subset, arena, seed, index)
+        balls = _scalar_candidate(subset, arena, seed, index, None)
         if start is not None:
-            balls = _pull_centers(subset, balls, start)
+            balls = _reference_pull(subset, balls, start)
         if not external_witness(subset, LinfBallFamily(balls)).feasible:
             return index, balls
     return None
@@ -239,6 +263,86 @@ def test_polyhedron_center_modes_refute_on_the_scalar_path():
     assert report.certificate["index"] == index and report.certificate["balls"] == balls
 
 
+@pytest.mark.parametrize("mode", list(REFUTE_MODES))
+def test_multirow_polyhedron_matches_the_two_step_reference(mode):
+    start = REFUTE_MODES[mode]
+    for level, seed in ((2, 5), (4, 0)):
+        arena = _build_arena(POLY3, level, None)
+        for index in range(12):
+            unpulled = _scalar_candidate(POLY3, arena, seed, index, None)
+            expected = unpulled if start is None else _reference_pull(POLY3, unpulled, start)
+            assert _scalar_candidate(POLY3, arena, seed, index, start) == expected
+        reference = _scalar_reference(POLY3, level, 12, seed, mode)
+        report = refute_search(POLY3, level, 12, seed=seed, mode=mode)
+        if reference is None:
+            assert report.verdict == "inconclusive" and report.budget_used == 12
+        else:
+            assert report.certificate["index"] == reference[0]
+            assert report.certificate["balls"] == reference[1]
+
+
+def test_exact_candidate_costs_at_most_k_plus_one_lps(monkeypatch):
+    """One nearest-point LP per center and one intersection LP per
+    candidate; the hyperconvex square keeps every candidate a non-hit."""
+    import hyperball.lab as lab
+    import hyperball.lp as lp
+
+    lps, builds = [0], []  # builds: (LP count at its start, family size)
+    real_solve, real_build = lp._solve, lab._scalar_candidate
+
+    def solve(*args, **kwargs):
+        lps[0] += 1
+        return real_solve(*args, **kwargs)
+
+    def build(*args):
+        begin = lps[0]
+        balls = real_build(*args)
+        builds.append((begin, len(balls)))
+        return balls
+
+    monkeypatch.setattr(lp, "_solve", solve)
+    monkeypatch.setattr(lab, "_scalar_candidate", build)
+    for mode in REFUTE_MODES:
+        del builds[:]
+        report = refute_search(SQUARE_ROWS, 4, 20, seed=5, mode=mode)
+        assert report.verdict == "inconclusive" and len(builds) == 20
+        ends = [begin for begin, _ in builds[1:]] + [lps[0]]
+        for (begin, k), end in zip(builds, ends):
+            assert end - begin <= k + 1, (mode, end - begin, k)
+
+
+ADMISSIBLE_FIXTURES = {
+    "box": Box(pt(0, 0), pt(1, 1)),
+    "union": UNION_EMPTY_MEMBER,
+    "halfspace": DIAG,
+    "square-rows": SQUARE_ROWS,
+    "poly3": POLY3,
+}
+
+
+@pytest.mark.parametrize("mode", list(REFUTE_MODES))
+@pytest.mark.parametrize("kind", list(ADMISSIBLE_FIXTURES))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 10**6), level=st.integers(2, 6))
+def test_every_exact_candidate_is_admissible(kind, mode, seed, index, level):
+    """The refuter loop trusts this and runs only the witness search."""
+    subset, start = ADMISSIBLE_FIXTURES[kind], REFUTE_MODES[mode]
+    balls = _scalar_candidate(subset, _build_arena(subset, level, None), seed, index, start)
+    assert check_admissible(LinfBallFamily(balls, subset))
+    assert all(subset.contains(b.center) for b in balls[len(balls) if start is None else start:])
+
+
+@pytest.mark.parametrize("mode", list(REFUTE_MODES))
+@settings(max_examples=40, deadline=None)
+@given(space_seed=st.integers(0, 10**6), seed=st.integers(0, 2**64 - 1),
+       index=st.integers(0, 10**6), level=st.integers(2, 6))
+def test_every_finite_candidate_is_admissible(mode, space_seed, seed, index, level):
+    space = random_metric(space_seed)
+    subset = FiniteSubset(space, tuple(range(0, space.size, 2)))
+    items = _finite_builder(subset, level, seed, REFUTE_MODES[mode])(index)
+    assert check_admissible(FiniteBallFamily(space, items, subset))
+
+
 def test_center_modes_on_a_polyhedron_leave_numpy_unloaded():
     probe = (
         "import sys; from hyperball.lab import refute_search; from hyperball.linf import Box; "
@@ -257,8 +361,8 @@ def test_screen_spares_the_exact_center_pull(monkeypatch):
     import hyperball.lab as lab
 
     calls = []
-    real = lab._pull_centers
-    monkeypatch.setattr(lab, "_pull_centers", lambda *args: calls.append(1) or real(*args))
+    real = lab._scalar_candidate
+    monkeypatch.setattr(lab, "_scalar_candidate", lambda *args: calls.append(1) or real(*args))
     report = refute_search(Box(pt(0, 0), pt(2, 2)), 3, 200, seed=3, mode="hyperconvex")
     assert report.verdict == "inconclusive" and not calls
     report = refute_search(TIGHT, 2, 300, seed=3, mode="hyperconvex")

@@ -230,6 +230,19 @@ def test_verify_trace_catches_perturbation():
     assert not verify_trace(tampered).passed
 
 
+def test_verify_trace_checks_the_halving_slacks():
+    _, trace = almost_to_exact(saturating_subset_oracle(BOX), box_family(), iterations=6, scale=F(4))
+    assert trace.slacks == tuple(F(4, 1 << (i + 1)) for i in range(6))
+    assert verify_trace(trace).passed
+    note = ("recorded slacks disagree with scale * 2^-(i+1)",)
+    loose = trace.slacks[:-1] + (2 * trace.slacks[-1],)  # a doubled final slack
+    assert verify_trace(replace(trace, slacks=loose)).notes == note
+    # a larger recorded scale alone no longer matches the slacks
+    report = verify_trace(replace(trace, aux={"scale": F(8)}))
+    assert not report.passed and report.notes == note
+    assert verify_trace(replace(trace, slacks=trace.slacks[:-1])).notes == note
+
+
 def test_verify_trace_empty_is_vacuous():
     empty = RefinementTrace("cauchy-halving", (), (), ())
     report = verify_trace(empty)

@@ -23,10 +23,11 @@ def test_refuter_sweep_covers_every_mode_with_a_rate(capsys):
     assert len(rows) == len(sweep.fixtures()) * len(REFUTE_MODES) * 5
     for mode in REFUTE_MODES:
         assert any(f" {mode} " in row for row in rows), mode
+        assert any(f"3d 4-row polyhedron {mode:>15} " in row for row in rows), mode
     subsets = dict(sweep.fixtures())
     for row in rows:
         *_, mode, _, _, used, _, rate = row.split()
-        scalar = mode != "external" and not hasattr(subsets[row[:28].strip()], "boxes")
+        scalar = sweep.scalar_path(subsets[row[:28].strip()], mode)
         assert int(used) <= (4 if scalar else 16) and float(rate) > 0
 
 
