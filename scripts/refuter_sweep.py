@@ -6,17 +6,17 @@ Boxes should stay inconclusive at every level and in every mode (they are
 hyperconvex); the two-box union falls quickly; half-spaces with diagonal
 normals are refutable externally even though they are weakly externally
 hyperconvex, and the sweep records at which budget the first certificate
-appears.  Boxes and unions run on the int64 screen in every mode,
-half-spaces only in ``external`` mode, so the center modes on half-spaces
-and every mode on the multi-row polyhedra show the rate of the exact scalar
-path.  Those rows cost milliseconds per candidate and take the smaller of
-``--budget`` and ``--scalar-budget``."""
+appears.  Rows where ``lab.screen_applies`` holds run on the int64 screen
+(boxes and unions in every mode, half-spaces only in ``external`` mode); the
+center modes on half-spaces and every mode on the multi-row polyhedra show
+the rate of the exact scalar path.  Those rows cost milliseconds per
+candidate and take the smaller of ``--budget`` and ``--scalar-budget``."""
 
 import argparse
 import time
 from fractions import Fraction as F
 
-from hyperball.lab import REFUTE_MODES, BoxUnion, refute_search
+from hyperball.lab import REFUTE_MODES, BoxUnion, refute_search, screen_applies
 from hyperball.linf import Box
 from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace
 
@@ -41,11 +41,8 @@ def fixtures():
 
 def scalar_path(subset, mode) -> bool:
     """Whether the refuter tests every candidate of this row with exact
-    rationals: anything but a box or union, except a one-row half-space in
-    ``external`` mode, which the int64 screen takes."""
-    if getattr(subset, "boxes", None) is not None:
-        return False
-    return mode != "external" or len(subset.rows) > 1
+    rationals: wherever the int64 screen does not apply."""
+    return not screen_applies(subset, mode)
 
 
 def main(argv=None):

@@ -60,15 +60,13 @@ def linf_backend(dim: int) -> BicombingBackend:
 @dataclass(frozen=True)
 class BarycenterConfig:
     tau: Fraction = Fraction(1, 1 << 30)
-    max_rounds: int = 200
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
 
 
+MAX_ROUNDS = 200  # rounds of either iteration before NoConvergence
 _POINTWISE_LIMIT = 6
 _INNER_SHRINK = 1 << 9  # inner tolerance factor for the pointwise recursion
 
@@ -85,12 +83,12 @@ def barycenter(
             raise TupleTooLarge(
                 f"pointwise recursion limited to {_POINTWISE_LIMIT} points"
             )
-        return _barycenter_pointwise(backend, pts, cfg.tau, cfg.max_rounds)
+        return _barycenter_pointwise(backend, pts, cfg.tau)
     return _barycenter_weights(backend, pts, cfg)
 
 
 def _barycenter_pointwise(
-    backend: BicombingBackend, pts: tuple[Point, ...], tau: Fraction, max_rounds: int
+    backend: BicombingBackend, pts: tuple[Point, ...], tau: Fraction
 ) -> Point:
     m = len(pts)
     if m == 1:
@@ -99,19 +97,14 @@ def _barycenter_pointwise(
         return backend.sigma(pts[0], pts[1], Fraction(1, 2))
     inner_tau = tau / _INNER_SHRINK
     current = pts
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         if _diameter(backend, current) * 2 <= tau:
             return current[0]
         current = tuple(
-            _barycenter_pointwise(
-                backend,
-                current[:i] + current[i + 1 :],
-                inner_tau,
-                max_rounds,
-            )
+            _barycenter_pointwise(backend, current[:i] + current[i + 1 :], inner_tau)
             for i in range(m)
         )
-    raise NoConvergence(f"no convergence within {max_rounds} rounds")
+    raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
 
 
 def _diameter(backend: BicombingBackend, pts: Sequence[Point]) -> Fraction:
@@ -141,7 +134,7 @@ def _barycenter_weights(
         return backend.sigma(pts[0], pts[1], Fraction(1, 2))
     current = pts
     prev_diam = None
-    for _ in range(cfg.max_rounds):
+    for _ in range(MAX_ROUNDS):
         diam = _diameter(backend, current)
         if prev_diam is not None and diam > prev_diam:
             raise HyperballError("leave-one-out round increased the diameter")
@@ -156,7 +149,7 @@ def _barycenter_weights(
             tuple((sums[k] - p[k]) * share for k in range(backend.dim))
             for p in current
         )
-    raise NoConvergence(f"no convergence within {cfg.max_rounds} rounds")
+    raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import DimMismatch, EmptySet, HyperballError, InternalError, SizeCapExceeded
 from .linf import (
-    Ball, Box, FeasibilityResult, Point, ball_family_intersection, balls_box, linf_dist,
+    Ball, FeasibilityResult, Point, ball_family_intersection, balls_box, linf_dist,
 )
 from .lp import HPolyhedron, lp_feasible
 from .metric import FiniteMetricSpace, GraphInstance, graph_metric
@@ -146,6 +146,11 @@ def check_admissible(family: LinfBallFamily | FiniteBallFamily) -> Admissibility
     return AdmissibilityResult(True)
 
 
+def _require_nonempty(subset) -> None:
+    if not subset_nonempty(subset):
+        raise EmptySet("subset is empty")
+
+
 def _require_admissible(family: LinfBallFamily | FiniteBallFamily) -> None:
     adm = check_admissible(family)
     if not adm:
@@ -171,8 +176,7 @@ def external_witness(subset, family: LinfBallFamily | FiniteBallFamily) -> Feasi
     or certified emptiness (a refutation certificate for external
     hyperconvexity at this family size).  Checks that the subset is
     non-empty and the family admissible, then runs ``_external_search``."""
-    if not subset_nonempty(subset):
-        raise EmptySet("subset is empty")
+    _require_nonempty(subset)
     family = replace(family, subset=subset)
     _require_admissible(family)
     return _external_search(subset, family)
@@ -226,11 +230,13 @@ def pad_family(family: LinfBallFamily, n: int) -> LinfBallFamily:
 
 
 def verify_refutation(subset, balls: Sequence) -> bool:
-    """Exact re-verification: the family is externally admissible and its
-    intersection with the subset is certifiably empty.  Over a
-    ``FiniteSubset`` the balls are (center index, radius) pairs."""
+    """Exact re-verification in one pass: the subset is non-empty, the
+    family externally admissible, and its intersection with the subset
+    certifiably empty.  Over a ``FiniteSubset`` the balls are (center index,
+    radius) pairs."""
     family = _family(subset, balls)
-    return bool(check_admissible(family)) and not external_witness(subset, family).feasible
+    _require_nonempty(subset)
+    return bool(check_admissible(family)) and not _external_search(subset, family).feasible
 
 
 def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
@@ -275,8 +281,10 @@ class _Arena:
     level: int
 
 
-def _build_arena(subset, level: int, override: Box | None) -> _Arena:
-    window = override if override is not None else subset_window(subset)
+def _build_arena(subset, level: int) -> _Arena:
+    """The sampling grid over the subset's window; raises ``EmptySet`` on an
+    empty subset, since the window bounds the subset's points."""
+    window = subset_window(subset)
     dim = window.dim
     side = max(
         max((h - l for l, h in zip(window.lo, window.hi)), default=Fraction(1)),
@@ -299,8 +307,6 @@ def _build_arena(subset, level: int, override: Box | None) -> _Arena:
 
 
 def _size_at(seed: int, base: int, level: int) -> int:
-    if level <= 2:
-        return 2
     return 2 + draw(seed, base) % (level - 1)
 
 
@@ -350,56 +356,57 @@ def _scalar_candidate(subset, arena: _Arena, seed: int, index: int, start: int |
 REFUTE_MODES = {"external": None, "hyperconvex": 0, "weakly-external": 1}
 
 
+def screen_applies(subset, mode: str) -> bool:
+    """Whether the int64 screen of ``screen.py`` takes this subset in this
+    mode: boxes and box unions of positive dimension in every mode, and a
+    one-row half-space with a non-zero normal in ``external`` mode only.
+    Every other subset runs on exact rationals."""
+    if getattr(subset, "boxes", None) is not None:
+        return subset.dim > 0
+    rows = getattr(subset, "rows", ())
+    return mode == "external" and len(rows) == 1 and any(rows[0][0])
+
+
 def refute_search(
-    subset,
-    level: int,
-    budget: int,
-    seed: int,
-    mode: str = "external",
-    arena: Box | None = None,
+    subset, level: int, budget: int, seed: int, mode: str = "external"
 ) -> PropertyReport:
     """Seeded search for admissible families with empty intersection.
 
     Deterministic given (seed, budget): candidate ``i`` is a pure function of
-    the seed and the counter ``i``.  An exact int64 screen picks the first
-    refuting index in every mode on boxes and box unions, and in
-    ``external`` mode on a one-row half-space, unless the magnitudes would
-    overflow; otherwise every candidate, admissible by construction, gets
-    the exact witness search alone.  A found family is rebuilt exactly and
-    re-verified in full before being reported.
-    ``arena`` overrides the sampling window of a max-norm subset; a finite
-    subset has no window and rejects it.
+    the seed and the counter ``i``.  Centers are drawn around the subset's
+    window (see the recipe above), which also proves the subset non-empty.
+    Where ``screen_applies``, an exact int64 screen picks the first refuting
+    index, unless the magnitudes would overflow; otherwise every candidate,
+    admissible by construction, gets the exact witness search alone.  A
+    found family is rebuilt exactly and re-verified before being reported.
     """
     if mode not in REFUTE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if level < 2:
         raise ValueError("level must be >= 2")
-    if not subset_nonempty(subset):
-        raise EmptySet("cannot refute over an empty subset")
-    if budget <= 0:
-        return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
     start = REFUTE_MODES[mode]
-    indices, screened = range(budget), False
     if isinstance(subset, FiniteSubset):
-        if arena is not None:
-            raise ValueError("a finite subset takes no arena")
+        _require_nonempty(subset)
         build = _finite_builder(subset, level, seed, start)
     else:
-        built = _build_arena(subset, level, arena)
-        if getattr(subset, "boxes", None) is not None or (start is None and len(subset.rows) == 1):
-            from .screen import FastScreen  # loads numpy only where a screen applies
-
-            try:
-                screen = FastScreen(subset, built, start)
-            except (TypeError, OverflowError):
-                pass
-            else:
-                hit = screen.scan(seed, 0, budget)
-                indices, screened = (() if hit is None else (hit,)), True
+        arena = _build_arena(subset, level)
 
         def build(index):
-            return _scalar_candidate(subset, built, seed, index, start)
+            return _scalar_candidate(subset, arena, seed, index, start)
 
+    if budget <= 0:
+        return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
+    indices, screened = range(budget), False
+    if screen_applies(subset, mode):
+        from .screen import FastScreen  # loads numpy only where a screen applies
+
+        try:
+            screen = FastScreen(subset, arena, start)
+        except OverflowError:
+            pass
+        else:
+            hit = screen.scan(seed, 0, budget)
+            indices, screened = (() if hit is None else (hit,)), True
     for index in indices:
         balls = build(index)
         if screened or not _external_search(subset, _family(subset, balls)).feasible:
@@ -633,17 +640,14 @@ def uniform_local_external_sample(
     subset, radius: Fraction, probes: Sequence[Point], budget: int, seed: int
 ) -> PropertyReport:
     """Sampled uniform local external hyperconvexity: around each probe point
-    of the subset, search for refutations confined to the ball window."""
+    of the subset, search for refutations over the subset's part in the ball
+    window B(probe, radius), which holds the probe and so is never empty.
+    Centers are drawn around that part's own window."""
     for idx, probe in enumerate(probes):
         if not subset.contains(probe):
             raise CenterNotInA(f"probe {idx} not in subset")
-        window = Ball(probe, radius).to_box()
-        local = subset.intersect(window)
-        if not subset_nonempty(local):
-            continue
-        report = refute_search(
-            local, 2, budget, derive_seed(seed, idx), arena=window
-        )
+        local = subset.intersect(Ball(probe, radius).to_box())
+        report = refute_search(local, 2, budget, derive_seed(seed, idx))
         if report.refuted:
             return PropertyReport(
                 REFUTED,

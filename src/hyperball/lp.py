@@ -51,9 +51,13 @@ class HPolyhedron:
                 raise DimMismatch("row length does not match polyhedron dim")
 
     def contains(self, p: Point) -> bool:
+        """Exact membership on the integer rows: with p = X/D (D > 0, the
+        lcm of p's denominators), a'.X <= b'.D on every row."""
         if len(p) != self.dim:
             raise DimMismatch("point dim does not match polyhedron dim")
-        return all(sum(c * x for c, x in zip(a, p)) <= b for a, b in self.rows)
+        D = lcm(*(v.denominator for v in p))
+        X = [v.numerator * (D // v.denominator) for v in p]
+        return all(_dot(a, X) <= b * D for _, a, b in self._integer_rows)
 
     def dist(self, p: Point) -> Fraction:
         return dist_to_polyhedron(p, self)[0]
@@ -66,7 +70,9 @@ class HPolyhedron:
 
     def window(self) -> Box:
         """Exact coordinate bounds, with [-8, 8] standing in for an
-        unbounded side."""
+        unbounded side.  Raises ``EmptySet`` on an empty polyhedron."""
+        if not self.dim and not self.contains(()):  # no coordinate LP runs
+            raise EmptySet("cannot bound an empty polyhedron")
         fallback = Fraction(8)
         lo, hi = [], []
         for k in range(self.dim):
@@ -376,9 +382,10 @@ def polyhedron_coordinate_bounds(
 def dist_to_polyhedron(x: Point, p: HPolyhedron) -> tuple[Fraction, Point]:
     """Chebyshev distance from x to a non-empty polyhedron, with a nearest
     point, as the exact LP min r s.t. a in p, |x_k - a_k| <= r.  The witness
-    check on the LP's rows proves that the point lies in p within r of x."""
-    if len(x) != p.dim:
-        raise DimMismatch("point dim does not match polyhedron dim")
+    check on the LP's rows proves that the point lies in p within r of x.
+    A point of p is its own nearest point, the LP's optimum, without an LP."""
+    if p.contains(x):
+        return Fraction(0), tuple(Fraction(v) for v in x)
     d = p.dim
     # Variables (r, a_0 .. a_{d-1}); x_k = n/q gives -q.r +- q.a_k <= +-n.
     rows: list[IntRow] = [(s, (0, *a), b) for s, a, b in p._integer_rows]

@@ -1,9 +1,8 @@
 """Integer-exact batch screen for the refuter's sampling recipe.
 
-The only module that imports numpy.  ``lab.refute_search`` imports it when
-it refutes over a max-norm subset, so every other command starts without
-loading numpy.  Every mode is screened on boxes and box unions; a one-row
-half-space is screened in ``external`` mode.
+The only module that imports numpy.  ``lab.refute_search`` imports it only
+where ``lab.screen_applies`` says the screen takes the subset in the mode,
+so every other command starts without loading numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from math import lcm
 import numpy as np
 
 from .lab import RADIUS_STEPS
-from .lp import HPolyhedron
 from .rng import draw
 
 _INT64_GUARD = 1 << 52
@@ -33,8 +31,9 @@ class FastScreen:
     ``REFUTE_MODES`` entry: when it is not None, the centers from index
     ``start`` on are pulled onto the subset as ``lab._scalar_candidate``
     pulls them.
-    Construction raises ``TypeError`` for a subset kind without a screen in
-    this mode and ``OverflowError`` when magnitudes would not fit int64.
+    The subset and mode must pass ``lab.screen_applies``, and ``arena`` must
+    be built from the subset's window, so that it covers every member.
+    Construction raises ``OverflowError`` when magnitudes would not fit int64.
     """
 
     def __init__(self, subset, arena, start: int | None = None):
@@ -48,7 +47,7 @@ class FastScreen:
             boxes = [b for b in boxes if not b.is_empty()]
             for b in boxes:
                 dens += [v.denominator for v in b.lo + b.hi]
-        elif isinstance(subset, HPolyhedron) and len(subset.rows) == 1 and start is None:
+        else:  # a one-row half-space with a non-zero normal, in external mode
             self.kind = "halfspace"
             (a, b), = subset.rows
             row_scale = lcm(*(v.denominator for v in a + (b,)))
@@ -56,8 +55,6 @@ class FastScreen:
             self.b_int = int(b * row_scale)
             self.dual = sum(abs(int(v)) for v in self.a_int)  # the dual (l1) norm of a
             dens.append(self.dual)
-        else:
-            raise TypeError("no fast path for this subset kind in this mode")
         unit = lcm(*dens)
         self.unit = unit
         self.step_i = int(arena.step * unit)
@@ -66,12 +63,11 @@ class FastScreen:
         if self.kind == "boxes":  # (members, dim) corners
             self.los = np.array([[int(v * unit) for v in b.lo] for b in boxes], dtype=np.int64)
             self.his = np.array([[int(v * unit) for v in b.hi] for b in boxes], dtype=np.int64)
-        # magnitude guard: worst coordinate plus worst radius, times dual norm
+        # magnitude guard: worst coordinate (the arena covers the members)
+        # plus worst radius, times dual norm
         worst = max(
             abs(int(w)) + c * abs(self.step_i) for w, c in zip(self.wlo_i, self.cells)
         )
-        if self.kind == "boxes":  # an arena given by the caller may miss the members
-            worst = max(worst, int(np.abs([self.los, self.his]).max(initial=0)))
         worst_len = worst + (RADIUS_STEPS + 2) * abs(self.step_i) + worst
         if self.kind == "halfspace":
             worst_len *= self.dual + abs(self.b_int)
@@ -137,11 +133,7 @@ class FastScreen:
         level, dim = arena.level, arena.dim
         n = hi_idx - lo_idx
         base = (np.arange(lo_idx, hi_idx, dtype=np.uint64)) * np.uint64(arena.slots)
-        sizes = (
-            np.full(n, 2, dtype=np.int64)
-            if level <= 2
-            else 2 + (draw(seed, base) % np.uint64(level - 1)).astype(np.int64)
-        )
+        sizes = 2 + (draw(seed, base) % np.uint64(level - 1)).astype(np.int64)
         idx_counters = base[:, None] + np.uint64(1) + np.arange(level * dim, dtype=np.uint64)
         grid_idx = draw(seed, idx_counters).reshape(n, level, dim)
         grid_idx = (grid_idx % (self.cells + 1).astype(np.uint64)).astype(np.int64)

@@ -53,7 +53,7 @@ from hyperball.rng import SplitMix64, derive_seed
 from conftest import F, pt, random_metric
 
 TAU = Fraction(1, 1 << 30)
-CFG = BarycenterConfig(tau=TAU, max_rounds=200)
+CFG = BarycenterConfig(tau=TAU)
 
 
 def _line(num, name, ok, detail=""):

@@ -14,9 +14,11 @@ from hyperball.io import (
     ValidationError,
     canonical_dumps,
     parse_instance,
+    parse_subset,
     to_jsonable,
 )
 from hyperball.lab import helly_counterexample
+from hyperball.lp import box_to_polyhedron
 
 from conftest import F, pt
 
@@ -350,6 +352,37 @@ def test_cli_bad_input_is_a_usage_error_without_traceback(tmp_path, argv, instan
     assert "Traceback" not in result.stderr
     assert result.returncode == 3, result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"polyhedron": {"dim": 0, "rows": [{"a": [], "b": "1/1"}]}},
+        {"box": {"lo": [], "hi": []}},
+        {"type": "family", "balls": [{"ball": {"center": [], "r": "1/1"}}],
+         "subset": {"union": [{"box": {"lo": [], "hi": []}}]}},
+    ],
+    ids=["polyhedron", "box", "union"],
+)
+def test_cli_refute_on_a_point_is_inconclusive_in_every_mode(tmp_path, capsys, instance):
+    file = write(tmp_path, "point.json", instance)
+    for mode in ("external", "hyperconvex", "weakly-external"):
+        assert main(["refute", "--instance", file, "--level", "2", "--mode", mode]) == 2, mode
+    assert "error" not in capsys.readouterr().err
+
+
+def test_cli_refine_triple_34_through_polyhedra(tmp_path, capsys):
+    """Sets 0 and 2 of the triple as four rows each: the LP path of
+    ``pair_witness`` gives the box triple's report."""
+    boxes = json.loads((SRC.parent / "bench" / "instances" / "triple.json").read_text())
+    sets = [to_jsonable(box_to_polyhedron(parse_subset(s))) if i != 1 else s
+            for i, s in enumerate(boxes["sets"])]
+    checks = []
+    for instance in (boxes, dict(boxes, sets=sets)):
+        file = write(tmp_path, "triple.json", instance)
+        assert main(["refine", "--instance", file, "--scheme", "triple-34", "--json"]) == 0
+        checks.append(json.loads(capsys.readouterr().out)["checks"])
+    assert checks[0] == checks[1]
 
 
 def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperball.errors import DimMismatch, SizeCapExceeded
+from hyperball.errors import DimMismatch, EmptySet, SizeCapExceeded
 from hyperball.lab import (
     REFUTE_MODES,
     BoxUnion,
@@ -29,7 +29,9 @@ from hyperball.lab import (
     uniform_local_external_sample,
     verify_refutation,
     weakly_external_witness,
+    screen_applies,
     _build_arena,
+    _family,
     _finite_builder,
     _scalar_candidate,
     _tighten,
@@ -53,6 +55,9 @@ SQUARE_ROWS = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
 POLY3 = HPolyhedron(3, tuple(
     (pt(*a), F(b)) for a, b in (((1, 1, 0), 2), ((-1, 0, 1), 1), ((0, -1, -1), 1), ((1, -2, 1), 3))
 ))
+
+C6 = graph_metric(GraphInstance(6, tuple((i, (i + 1) % 6) for i in range(6))))
+C6_PART = FiniteSubset(C6, (0, 2, 3))
 
 
 def test_admissible_examples():
@@ -197,7 +202,7 @@ def _scalar_reference(subset, level, budget, seed, mode="external", first=0):
     """First (index, balls) in [first, budget) whose exact candidate, with
     its centers pulled as the mode asks, passes the full external check
     (admissibility included) with an empty intersection; or None."""
-    arena, start = _build_arena(subset, level, None), REFUTE_MODES[mode]
+    arena, start = _build_arena(subset, level), REFUTE_MODES[mode]
     for index in range(first, budget):
         balls = _scalar_candidate(subset, arena, seed, index, None)
         if start is not None:
@@ -208,7 +213,7 @@ def _scalar_reference(subset, level, budget, seed, mode="external", first=0):
 
 
 def _screen(subset, level, mode):
-    return FastScreen(subset, _build_arena(subset, level, None), REFUTE_MODES[mode])
+    return FastScreen(subset, _build_arena(subset, level), REFUTE_MODES[mode])
 
 
 def test_refuter_scalar_vector_agreement():
@@ -243,20 +248,19 @@ def test_screen_finds_hits_past_the_first_batch(mode, seed):
     assert screen.scan(seed, 0, index) is None
 
 
-def test_screen_guard_covers_members_outside_the_arena():
-    far = 1 << 58  # the members' int64 lengths would wrap around
+def test_screen_overflow_falls_back_to_the_exact_path():
+    far = 1 << 58  # the int64 lengths of the arena would wrap around
     union = BoxUnion((Box((F(far),), (F(far + 1),)), Box((F(far + 3),), (F(far + 4),))))
-    arena = Box((F(0),), (F(1),))
-    with pytest.raises(OverflowError):
-        FastScreen(union, _build_arena(union, 3, arena))
-    for mode in REFUTE_MODES:  # the exact path finds nothing in 200 candidates
-        assert refute_search(union, 3, 200, 1, mode=mode, arena=arena).verdict == "inconclusive"
+    for mode in REFUTE_MODES:
+        with pytest.raises(OverflowError):
+            _screen(union, 3, mode)
+        index, balls = _scalar_reference(union, 3, 40, 1, mode)
+        report = refute_search(union, 3, 40, 1, mode=mode)
+        assert report.certificate["index"] == index and report.certificate["balls"] == balls
 
 
 def test_polyhedron_center_modes_refute_on_the_scalar_path():
     wedge = halfspace([1, 1, 1], 0)
-    with pytest.raises(TypeError):
-        _screen(wedge, 3, "hyperconvex")
     index, balls = _scalar_reference(wedge, 3, 40, 1, "hyperconvex")
     report = refute_search(wedge, 3, 40, seed=1, mode="hyperconvex")
     assert report.refuted and report.certificate["mode"] == "hyperconvex"
@@ -267,7 +271,7 @@ def test_polyhedron_center_modes_refute_on_the_scalar_path():
 def test_multirow_polyhedron_matches_the_two_step_reference(mode):
     start = REFUTE_MODES[mode]
     for level, seed in ((2, 5), (4, 0)):
-        arena = _build_arena(POLY3, level, None)
+        arena = _build_arena(POLY3, level)
         for index in range(12):
             unpulled = _scalar_candidate(POLY3, arena, seed, index, None)
             expected = unpulled if start is None else _reference_pull(POLY3, unpulled, start)
@@ -304,11 +308,112 @@ def test_exact_candidate_costs_at_most_k_plus_one_lps(monkeypatch):
     monkeypatch.setattr(lab, "_scalar_candidate", build)
     for mode in REFUTE_MODES:
         del builds[:]
+        lps[0] = 0
         report = refute_search(SQUARE_ROWS, 4, 20, seed=5, mode=mode)
         assert report.verdict == "inconclusive" and len(builds) == 20
+        assert builds[0][0] == 4  # set-up: the window's 2 * dim LPs alone
         ends = [begin for begin, _ in builds[1:]] + [lps[0]]
         for (begin, k), end in zip(builds, ends):
             assert end - begin <= k + 1, (mode, end - begin, k)
+
+
+def _count_lps(monkeypatch):
+    """A one-item list that counts the calls of the LP kernel from now on."""
+    import hyperball.lp as lp
+
+    lps, real = [0], lp._solve
+
+    def solve(*args, **kwargs):
+        lps[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_solve", solve)
+    return lps
+
+
+@pytest.mark.parametrize("subset", [SQUARE_ROWS, POLY3, DIAG])
+def test_refute_setup_costs_two_lps_per_dimension(monkeypatch, subset):
+    lps = _count_lps(monkeypatch)
+    for mode in REFUTE_MODES:
+        lps[0] = 0
+        assert refute_search(subset, 3, 0, seed=1, mode=mode).budget_used == 0
+        assert lps[0] == 2 * subset.dim, mode
+
+
+def test_verify_refutation_costs_at_most_k_plus_two_lps(monkeypatch):
+    """One non-emptiness LP, one distance LP per center outside the subset
+    and one intersection LP: the hit is checked once, not twice."""
+    diag_rows = DIAG.intersect(Box(pt(-8, -8), pt(8, 8)))
+    lps = _count_lps(monkeypatch)
+    for level in (2, 4):
+        balls = refute_search(diag_rows, level, 100, seed=1).certificate["balls"]
+        outside = sum(not diag_rows.contains(b.center) for b in balls)
+        assert len(balls) == level and outside >= 2
+        lps[0] = 0
+        assert verify_refutation(diag_rows, balls)
+        assert lps[0] <= outside + 2 <= len(balls) + 2, level
+
+
+@pytest.mark.parametrize(
+    "subset, modes",
+    [
+        (Box(pt(0, 0), pt(1, 1)), set(REFUTE_MODES)),
+        (UNION_EMPTY_MEMBER, set(REFUTE_MODES)),
+        (DIAG, {"external"}),
+        (halfspace([0, -1], 0), {"external"}),
+        (halfspace([0, 0], 1), set()),  # the whole plane: no normal
+        (SQUARE_ROWS, set()),
+        (Box((), ()), set()),  # 0-dimensional: a point
+        (BoxUnion((Box((), ()),)), set()),
+        (HPolyhedron(0, (((), F(1)),)), set()),
+        (C6_PART, set()),
+    ],
+)
+def test_screen_applies_states_the_screens_reach(subset, modes):
+    assert {mode for mode in REFUTE_MODES if screen_applies(subset, mode)} == modes
+
+
+@pytest.mark.parametrize(
+    "subset",
+    [Box((), ()), BoxUnion((Box((), ()),)), HPolyhedron(0, (((), F(1)),)), HPolyhedron(0, ())],
+)
+def test_zero_dimensional_subsets_are_inconclusive_in_every_mode(subset):
+    for mode in REFUTE_MODES:
+        report = refute_search(subset, 3, 20, seed=2, mode=mode)
+        assert report.verdict == "inconclusive" and report.budget_used == 20, mode
+
+
+def test_whole_plane_takes_the_exact_path_without_warnings():
+    import warnings
+
+    plane = halfspace([0, 0], 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for level in (2, 4):
+            report = refute_search(plane, level, 30, seed=level)
+            assert report.verdict == "inconclusive" and report.budget_used == 30
+
+
+EMPTY_SUBSETS = {
+    "box": (Box(pt(1), pt(0)), (Ball(pt(0), F(1)),)),
+    "union": (BoxUnion((Box(pt(1), pt(0)), Box(pt(3), pt(2)))), (Ball(pt(0), F(1)),)),
+    "polyhedron-1d": (HPolyhedron(1, (((F(1),), F(0)), ((F(-1),), F(-1)))), (Ball(pt(0), F(1)),)),
+    "polyhedron-0d": (HPolyhedron(0, (((), F(-1)),)), (Ball((), F(1)),)),
+    "finite": (FiniteSubset(C6, ()), ((0, F(1)),)),
+    "finite-no-balls": (FiniteSubset(C6, ()), ()),
+}
+
+
+@pytest.mark.parametrize("kind", list(EMPTY_SUBSETS))
+def test_empty_subsets_raise_empty_set(kind):
+    subset, balls = EMPTY_SUBSETS[kind]
+    for budget in (0, 5):
+        with pytest.raises(EmptySet):
+            refute_search(subset, 2, budget, seed=1)
+    with pytest.raises(EmptySet):
+        verify_refutation(subset, balls)
+    with pytest.raises(EmptySet):
+        external_witness(subset, _family(subset, balls))
 
 
 ADMISSIBLE_FIXTURES = {
@@ -327,7 +432,7 @@ ADMISSIBLE_FIXTURES = {
 def test_every_exact_candidate_is_admissible(kind, mode, seed, index, level):
     """The refuter loop trusts this and runs only the witness search."""
     subset, start = ADMISSIBLE_FIXTURES[kind], REFUTE_MODES[mode]
-    balls = _scalar_candidate(subset, _build_arena(subset, level, None), seed, index, start)
+    balls = _scalar_candidate(subset, _build_arena(subset, level), seed, index, start)
     assert check_admissible(LinfBallFamily(balls, subset))
     assert all(subset.contains(b.center) for b in balls[len(balls) if start is None else start:])
 
@@ -438,10 +543,6 @@ def test_refute_finite_backend(c5):
     assert report.verdict in ("inconclusive", "refuted")
 
 
-C6 = graph_metric(GraphInstance(6, tuple((i, (i + 1) % 6) for i in range(6))))
-C6_PART = FiniteSubset(C6, (0, 2, 3))
-
-
 def test_families_reject_subsets_and_balls_of_the_other_metric(c5):
     with pytest.raises(DimMismatch):
         external_witness(C6_PART, LinfBallFamily((Ball(pt(0), F(1)),)))
@@ -470,11 +571,6 @@ def test_finite_admissible_family_with_empty_intersection():
     assert check_admissible(fam)
     result = hyperconvex_witness(fam)
     assert not result.feasible and result.certificate == {"checked": 6}
-
-
-def test_refute_finite_rejects_an_arena():
-    with pytest.raises(ValueError, match="no arena"):
-        refute_search(C6_PART, 3, 200, 1, arena=Box((F(0),), (F(1),)))
 
 
 def test_refute_finite_certificates_reverify():
@@ -600,6 +696,14 @@ def test_four_to_n_union_consistent_via_small_refutation():
 def test_four_to_n_budget_zero():
     report = four_to_n_consistency(UNION, 6, 0, seed=9)
     assert report.verdict == "inconclusive"
+
+
+def test_uniform_local_sample_refutes_between_union_members():
+    probe, radius = pt(1, F(1, 2)), F(2)
+    report = uniform_local_external_sample(UNION, radius, (probe,), budget=50, seed=0)
+    assert report.refuted and report.certificate["probe"] == probe
+    local = UNION.intersect(Ball(probe, radius).to_box())
+    assert verify_refutation(local, report.certificate["balls"])
 
 
 def test_uniform_local_sample_on_box():

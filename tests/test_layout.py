@@ -1,6 +1,7 @@
 """Guards on where numpy and the SplitMix64 constants may live, on knobs
-that were removed, on each CLI subcommand taking only the flags it reads, on
-the LP kernel staying in integers, on the refinement bounds living only in
+that were removed (the refuter's ``arena`` and ``BarycenterConfig.max_rounds``
+among them), on each CLI subcommand taking only the flags it reads, on the
+LP kernel staying in integers, on the refinement bounds living only in
 ``verify_trace``, and on subset and ball-family kinds answering for
 themselves instead of through type ladders."""
 
@@ -71,6 +72,20 @@ def test_refine_and_barycenter_have_no_dead_knob():
         assert "label" not in inspect.signature(fn).parameters, fn.__name__
     assert list(inspect.signature(refine.verify_trace).parameters) == ["trace"]
     assert "pointwise" not in {f.name for f in fields(BarycenterConfig)}
+
+
+def test_refuter_setup_has_no_dead_knob():
+    from dataclasses import fields
+
+    from hyperball import lab
+    from hyperball.barycenter import BarycenterConfig
+
+    assert "arena" not in inspect.signature(lab.refute_search).parameters
+    assert list(inspect.signature(lab._build_arena).parameters) == ["subset", "level"]
+    screen = ast.parse(_sources()["screen.py"])
+    modules = {node.module for node in ast.walk(screen) if isinstance(node, ast.ImportFrom)}
+    assert "lp" not in modules and "TypeError" not in _sources()["screen.py"]
+    assert [f.name for f in fields(BarycenterConfig)] == ["tau"]
 
 
 def test_scheme_bounds_live_only_in_verify_trace():

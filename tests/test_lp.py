@@ -154,6 +154,43 @@ def test_dist_zero_iff_member():
     assert box.contains(inside) and not box.contains(outside)
 
 
+def test_dist_of_a_member_runs_no_lp(monkeypatch):
+    from hyperball import lp
+
+    calls, real = [], lp._solve
+    monkeypatch.setattr(lp, "_solve", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    square = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
+    for member in (pt(F(1, 2), F(1, 3)), pt(1, F(1, 2))):  # interior, boundary
+        assert dist_to_polyhedron(member, square) == (0, member)
+        assert square.dist(member) == 0 and square.nearest(member) == member
+    assert not calls
+    assert dist_to_polyhedron(pt(3, 3), square) == (2, pt(1, 1))  # the unique nearest point
+    assert len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 100_000))
+def test_contains_on_integer_rows_matches_fractions(seed):
+    from hyperball.rng import SplitMix64
+
+    rng = SplitMix64(seed)
+    dim = rng.randint(0, 3)
+    p = HPolyhedron(dim, tuple(
+        (tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(dim)),
+         F(rng.randint(-4, 4), 3))
+        for _ in range(rng.randint(0, 4))
+    ))
+    x = tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
+    assert p.contains(x) == all(sum(c * v for c, v in zip(a, x)) <= b for a, b in p.rows)
+
+
+def test_empty_polyhedron_has_no_window():
+    for empty in (HPolyhedron(0, rows(((), -1))), HPolyhedron(1, rows(((1,), 0), ((-1,), -1)))):
+        with pytest.raises(EmptySet):
+            empty.window()
+    assert HPolyhedron(0, rows(((), 0))).window() == Box((), ())
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 100_000))
 def test_dist_agrees_with_box_clamp(seed):

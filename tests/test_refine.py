@@ -5,7 +5,7 @@ import pytest
 
 from hyperball.lab import LinfBallFamily, NotAdmissible
 from hyperball.linf import Ball, Box, linf_dist
-from hyperball.lp import halfspace
+from hyperball.lp import box_to_polyhedron, halfspace
 from hyperball.refine import (
     ChainWalkResult,
     OracleFailure,
@@ -180,6 +180,27 @@ def test_triple_intersection_contraction():
     gaps = report.trace.slacks
     tampered = replace(report.trace, slacks=gaps[:2] + (gaps[2] - F(1, 1 << 40),) + gaps[3:])
     assert not verify_trace(tampered).passed
+
+
+def test_triple_intersection_through_polyhedra_matches_boxes():
+    """With A0 and A2 as four rows each, every pick goes through the LP path
+    of ``pair_witness`` and lands where the box picks land."""
+    a0, a1, a2 = triple_boxes()
+    runs = [
+        triple_intersection(*(exact_subset_oracle(s) for s in sets), pt(0, 1), rounds=40)
+        for sets in ((a0, a1, a2), (box_to_polyhedron(a0), a1, box_to_polyhedron(a2)))
+    ]
+    (box_final, box_report), (final, report) = runs
+    assert final == box_final and report.observed == box_report.observed
+    assert len(report.observed) == 41 and verify_trace(report.trace).passed
+
+
+def test_exact_oracle_retries_with_the_inflated_balls():
+    oracle = exact_subset_oracle(BOX)
+    balls = (Ball(pt(3, 1), F(1, 2)),)  # misses BOX = [0, 2]^2 by 1/2
+    assert oracle.query(balls, F(1, 4)) is None
+    p = oracle.ask(balls, F(1, 2), 0)
+    assert BOX.contains(p) and linf_dist(p, pt(3, 1)) == 1
 
 
 def test_triple_intersection_constant_when_inside():
