@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Census of the exact LP kernel on a seeded corpus, by caller: planted
+feasibility and minimization systems (dims 2-6, 2-14 rows), Helly families
+(``helly_order_check`` on the optimal-order family at k = n and n + 1) and
+distance queries (``dist_to_polyhedron`` from points outside small
+polyhedra).  Each row prints the LPs run, pivots per LP, integers stored
+per pivot (the tableau's and its objective rows' entries when the pivot
+starts) and the seconds spent in ``lp._solve``.
+
+The counts come from wrapping ``lp._solve`` and ``lp._Tableau._pivot`` in
+this script; the library keeps no counters.  A first pass counts, a second
+pass, without the pivot wrapper, times."""
+
+import argparse
+import time
+from fractions import Fraction as F
+
+from hyperball import lab, lp
+from hyperball.lab import helly_counterexample
+from hyperball.lp import HPolyhedron
+from hyperball.rng import SplitMix64
+
+
+def planted(rng, d, m):
+    """m rows in dim d, each tight or loose at a planted point of the 1/2
+    grid, or, one time in four, with a contradicting pair of rows."""
+    x0 = [F(rng.randint(-6, 6), 2) for _ in range(d)]
+    rows = []
+    for _ in range(m):
+        a = [F(rng.randint(-4, 4)) for _ in range(d)]
+        rows.append((tuple(a), sum(c * v for c, v in zip(a, x0)) + max(0, rng.randint(-3, 5))))
+    if rng.randint(0, 3) == 0:
+        a, b = rows[0]
+        rows[1] = (tuple(-c for c in a), -b - rng.randint(1, 3))
+    return HPolyhedron(d, tuple(rows))
+
+
+def corpus(seed, size):
+    """(caller, query) pairs; each query is a no-argument call."""
+    rng = SplitMix64(seed)
+    out = []
+    for d in range(2, 7):
+        for m in range(2, 15, 2):
+            for _ in range(size):
+                p = planted(rng, d, m)
+                c = [F(rng.randint(-3, 3)) for _ in range(d)]
+                out.append(("lp_feasible", lambda p=p: lp.lp_feasible(p)))
+                out.append(("lp_minimize", lambda p=p, c=c: lp.lp_minimize(c, p)))
+    for n in range(3, 3 + 2 * size):
+        for k in (n, n + 1):
+            def helly(n=n, k=k):  # fresh polyhedra: no integer rows cached yet
+                sets = [HPolyhedron(h.dim, h.rows) for h in helly_counterexample(n).halfspaces]
+                return lab.helly_order_check(sets, k)
+            out.append(("helly_order_check", helly))
+    for _ in range(30 * size):
+        d = rng.randint(2, 4)
+        p = planted(rng, d, rng.randint(2, 6))
+        x = tuple(F(rng.randint(-30, 30), 4) for _ in range(d))
+        out.append(("dist_to_polyhedron", lambda p=p, x=x: _distance(x, p)))
+    return out
+
+
+def _distance(x, p):
+    try:
+        return lp.dist_to_polyhedron(x, p)
+    except lp.EmptySet:
+        return None
+
+
+def census(seed, size):
+    """{caller: [LPs, pivots, stored integers, seconds in _solve]}."""
+    queries = corpus(seed, size)
+    table = {caller: [0, 0, 0, 0.0] for caller, _ in queries}
+    current = [None]
+    real_solve, real_pivot = lp._solve, lp._Tableau._pivot
+
+    def counted_solve(*args, **kwargs):
+        table[current[0]][0] += 1
+        return real_solve(*args, **kwargs)
+
+    def counted_pivot(self, objs, *rest):
+        row = table[current[0]]
+        row[1] += 1
+        row[2] += sum(map(len, self.T)) + sum(map(len, objs))
+        return real_pivot(self, objs, *rest)
+
+    def timed_solve(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return real_solve(*args, **kwargs)
+        finally:
+            table[current[0]][3] += time.perf_counter() - start
+
+    try:
+        for solve, pivot in ((counted_solve, counted_pivot), (timed_solve, real_pivot)):
+            lp._solve, lp._Tableau._pivot = solve, pivot
+            for current[0], query in queries:
+                query()
+    finally:
+        lp._solve, lp._Tableau._pivot = real_solve, real_pivot
+    return table
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--size", type=int, default=10,
+                        help="systems per planted cell; scales every part of the corpus")
+    args = parser.parse_args(argv)
+    table = census(args.seed, args.size)
+    print(f"{'caller':<20}{'LPs':>7}{'pivots/LP':>11}{'ints/pivot':>12}{'solve s':>10}")
+    for caller, (lps, pivots, ints, seconds) in table.items():
+        print(f"{caller:<20}{lps:>7}{pivots / lps:>11.2f}{ints / max(pivots, 1):>12.1f}"
+              f"{seconds:>10.3f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import HyperballError
@@ -45,7 +46,9 @@ class KSubfamilyEmpty(HyperballError):
 
 @dataclass(frozen=True)
 class BicombingBackend:
-    """A symmetric constant-speed geodesic selection with its metric."""
+    """A symmetric constant-speed geodesic selection with its metric;
+    ``linear`` (only ``linf_backend``) promises straight-line geodesics and a
+    positively homogeneous metric, dist(s.p, s.q) = s.dist(p, q) for s > 0."""
 
     dim: int
     sigma: Callable[[Point, Point, Fraction], Point]
@@ -125,30 +128,29 @@ def _barycenter_weights(
     On a linear selection the limit of the (m-1)-point recursion is the
     arithmetic mean, so each component of the iterate tuple is an exact
     affine combination of the inputs; rounds then contract the diameter by
-    1/(m-1) and the tuple mean is preserved exactly.
+    1/(m-1) and the tuple mean is preserved exactly.  A round maps the
+    numerators N_i over one denominator to (sum N) - N_i and multiplies the
+    denominator by m - 1; the metric being homogeneous, the diameter checks
+    run on the numerators.
     """
     m = len(pts)
     if m == 1:
         return pts[0]
     if m == 2:
         return backend.sigma(pts[0], pts[1], Fraction(1, 2))
-    current = pts
+    tau, Q = Fraction(cfg.tau), lcm(*(v.denominator for p in pts for v in p))
+    current = [[v.numerator * (Q // v.denominator) for v in p] for p in pts]
     prev_diam = None
     for _ in range(MAX_ROUNDS):
-        diam = _diameter(backend, current)
-        if prev_diam is not None and diam > prev_diam:
+        diam = _diameter(backend, current)  # Q times the true diameter
+        if prev_diam is not None and diam > prev_diam * (m - 1):
             raise HyperballError("leave-one-out round increased the diameter")
         prev_diam = diam
-        if diam * 2 <= cfg.tau:
-            return current[0]
-        share = Fraction(1, m - 1)
-        sums = tuple(
-            sum((p[k] for p in current), Fraction(0)) for k in range(backend.dim)
-        )
-        current = tuple(
-            tuple((sums[k] - p[k]) * share for k in range(backend.dim))
-            for p in current
-        )
+        if diam * 2 * tau.denominator <= tau.numerator * Q:
+            return tuple(Fraction(v, Q) for v in current[0])
+        sums = [sum(col) for col in zip(*current)]
+        current = [[t - v for t, v in zip(sums, p)] for p in current]
+        Q *= m - 1
     raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
 
 

@@ -16,14 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import DimMismatch, EmptySet, HyperballError, InternalError, SizeCapExceeded
 from .linf import (
     Ball, FeasibilityResult, Point, ball_family_intersection, balls_box, linf_dist,
 )
-from .lp import HPolyhedron, lp_feasible
+from .lp import HPolyhedron, intersection, lp_feasible
 from .metric import FiniteMetricSpace, GraphInstance, graph_metric
 from .rng import derive_seed, draw
 from .reports import HOLDS, INCONCLUSIVE, REFUTED, PropertyReport
@@ -233,10 +233,13 @@ def verify_refutation(subset, balls: Sequence) -> bool:
     """Exact re-verification in one pass: the subset is non-empty, the
     family externally admissible, and its intersection with the subset
     certifiably empty.  Over a ``FiniteSubset`` the balls are (center index,
-    radius) pairs."""
+    radius) pairs.  The floors d(c_i, A) raise ``EmptySet`` on an empty
+    subset; a family with no balls or a failed pair reaches none."""
     family = _family(subset, balls)
-    _require_nonempty(subset)
-    return bool(check_admissible(family)) and not _external_search(subset, family).feasible
+    admissible = check_admissible(family)
+    if not len(family) or admissible.kind == "pairwise":
+        _require_nonempty(subset)
+    return bool(admissible) and not _external_search(subset, family).feasible
 
 
 def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
@@ -511,8 +514,7 @@ def helly_order_check(sets: Sequence[HPolyhedron], k: int) -> PropertyReport:
     dim = sets[0].dim
     k_witnesses = {}
     for idx in combinations(range(len(sets)), min(k, len(sets))):
-        rows = tuple(r for i in idx for r in sets[i].rows)
-        result = lp_feasible(HPolyhedron(dim, rows))
+        result = lp_feasible(intersection(dim, [sets[i] for i in idx]))
         if not result.feasible:
             return PropertyReport(
                 HOLDS,
@@ -520,8 +522,7 @@ def helly_order_check(sets: Sequence[HPolyhedron], k: int) -> PropertyReport:
                 notes=("premise fails: a k-fold intersection is empty",),
             )
         k_witnesses[idx] = result.witness
-    total_rows = tuple(r for s in sets for r in s.rows)
-    total = lp_feasible(HPolyhedron(dim, total_rows))
+    total = lp_feasible(intersection(dim, sets))
     if total.feasible:
         return PropertyReport(
             HOLDS, certificate={"total_witness": total.witness, "k": k}
@@ -555,26 +556,27 @@ def graph_n_helly_bruteforce(g: GraphInstance, n: int, cap: int = GRAPH_ENUM_CAP
     families = comb(V + n - 1, n) * (radius_hi + 1) ** n
     if families > cap:
         raise SizeCapExceeded(f"{families} families exceed cap {cap}")
-    d = space.dist
+    if not n:  # the empty family's intersection is the whole space
+        return PropertyReport(HOLDS, certificate={"families": families})
+    L = lcm(*(v.denominator for row in space.dist for v in row))  # d * L is an integer
+    d = [[v.numerator * (L // v.denominator) for v in row] for row in space.dist]
     for centers in combinations_with_replacement(range(V), n):
-        for radii in product(range(radius_hi + 1), repeat=n):
-            ok = True
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if d[centers[i]][centers[j]] > radii[i] + radii[j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+        *head, last = centers
+        for prefix in product(range(radius_hi + 1), repeat=n - 1):
+            scaled = [r * L for r in prefix]
+            if any(d[head[i]][head[j]] > scaled[i] + scaled[j]
+                   for i in range(n - 1) for j in range(i + 1, n - 1)):
                 continue
-            if not any(
-                all(d[v][centers[i]] <= radii[i] for i in range(n)) for v in range(V)
+            # The least admissible last radius is the first hit of the
+            # prefix, if any: the balls' intersection only grows with it.
+            need = max((d[c][last] - s for c, s in zip(head, scaled)), default=0)
+            r_last = max(0, -(-need // L))
+            if r_last <= radius_hi and all(
+                d[v][last] > r_last * L
+                for v in range(V) if all(d[v][c] <= s for c, s in zip(head, scaled))
             ):
-                return PropertyReport(
-                    REFUTED,
-                    certificate={"centers": centers, "radii": radii},
-                )
+                certificate = {"centers": centers, "radii": prefix + (r_last,)}
+                return PropertyReport(REFUTED, certificate=certificate)
     return PropertyReport(HOLDS, certificate={"families": families})
 
 

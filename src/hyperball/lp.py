@@ -1,10 +1,11 @@
 """Exact rational linear feasibility and minimization over H-polyhedra.
 
-One kernel: a dense simplex over Python ints (Bland's rule against cycling,
-Bareiss's fraction-free pivots dividing exactly by the previous pivot).
-Each row a . x <= b is scaled once to integers (s, a', b') = (s, s.a, s.b)
-by s > 0, the lcm of its denominators; a polyhedron caches its scaled rows.
-Fractions appear only when a result is read out.
+One kernel: a simplex over Python ints on a dictionary that stores only the
+nonbasic columns (Bland's rule against cycling, Bareiss's fraction-free
+pivots dividing exactly by the previous pivot, as in lrs).  Each row
+a . x <= b is scaled once to integers (s, a', b') = (s, s.a, s.b) by s > 0,
+the lcm of its denominators; a polyhedron caches its scaled rows, and one
+joined from others reuses theirs.  Fractions appear only at read-out.
 
 Every outcome carries a certificate that is checked in integer arithmetic
 on the caller's scaled rows, never on the tableau, before it is returned.
@@ -84,12 +85,20 @@ class HPolyhedron:
         return Box(tuple(lo), tuple(hi))
 
     def intersect(self, box: Box) -> "HPolyhedron":
-        return HPolyhedron(self.dim, self.rows + box_to_polyhedron(box).rows)
+        return intersection(self.dim, (self, box_to_polyhedron(box)))
 
     @cached_property
     def _integer_rows(self) -> tuple[IntRow, ...]:
         """The rows scaled to integers, built once; not a dataclass field."""
         return tuple(_integer_row(a, b) for a, b in self.rows)
+
+
+def intersection(dim: int, parts: Sequence[HPolyhedron]) -> HPolyhedron:
+    """The polyhedron in dim of all the parts' rows, in order.  Its integer
+    rows are the parts' cached ones joined, so no row is scaled again."""
+    joined = HPolyhedron(dim, tuple(r for q in parts for r in q.rows))
+    joined.__dict__["_integer_rows"] = tuple(r for q in parts for r in q._integer_rows)
+    return joined
 
 
 def halfspace(a: Sequence[object], b: object) -> HPolyhedron:
@@ -135,69 +144,89 @@ def _integer_row(a: Sequence[Fraction], b: Fraction) -> IntRow:
 
 
 class _Tableau:
-    """Dense integer tableau for min c.x s.t. A x <= b with free x.
+    """Integer dictionary for min c.x s.t. A x <= b with free x.
 
-    Columns are x+ (dim), x- (dim), one slack per row, then the right-hand
-    side; a row with b < 0 is negated and gets an artificial basic variable,
-    whose column is never stored because it never re-enters.  The stored
-    integers are D times the true tableau, D being the determinant of the
-    current basis, so a pivot divides exactly by the previous pivot (Bareiss).
-    The objective rows (phase 1, and c when minimizing) are carried through
-    every pivot, so they are always in reduced-cost form.
+    Variables are numbered x+ (dim), x- (dim), one slack per row, then one
+    artificial per row: a row with b < 0 is negated and starts with its
+    artificial basic.  A row stores only the nonbasic columns, named by
+    ``cols``, then the right-hand side; a free variable is stored once, as
+    x+, and x- is the negated column.  The integers are D times the true
+    dictionary, D being the determinant of the basis (Bareiss).  Bland's rule
+    and ratio ties go by variable number, so the pivots are those of a dense
+    tableau.  The objective rows (phase 1, and c when minimizing) are carried
+    through every pivot, so they are always in reduced-cost form.
     """
 
     def __init__(self, rows: Sequence[IntRow], dim: int, cost: Sequence[int] | None = None):
         self.dim = dim
-        m = len(rows)
         self.slack = 2 * dim
-        self.nstruct = 2 * dim + m
+        self.nstruct = 2 * dim + len(rows)
         self.D = 1
+        negated = [i for i, (_, _, b) in enumerate(rows) if b < 0]
+        self.cols = [*range(dim), *(self.slack + i for i in negated)]
         self.T: list[list[int]] = []
         self.basis: list[int] = []
         for i, (_, a, b) in enumerate(rows):
             sg = 1 if b >= 0 else -1
-            row = [sg * v for v in a] + [-sg * v for v in a] + [0] * m + [sg * b]
-            row[self.slack + i] = sg
-            self.T.append(row)
+            self.T.append([sg * v for v in a] + [-(i == j) for j in negated] + [sg * b])
             self.basis.append(self.slack + i if sg > 0 else self.nstruct + i)
-        self.cost = None if cost is None else [*cost, *(-v for v in cost), *[0] * (m + 1)]
+        self.cost = None if cost is None else [*cost, *[0] * (len(negated) + 1)]
 
-    def _pivot(self, objs: list[list[int]], r: int, col: int) -> None:
+    def _pivot(self, objs: list[list[int]], r: int, s: int, enter: int) -> None:
+        """``enter`` (in slot s, as x+ when it is x-) replaces the basic
+        variable of row r, whose column takes slot s; a basic x- goes back
+        as x+, and an artificial is dropped, as it never re-enters."""
         T, D = self.T, self.D
+        sg = 1 if enter == self.cols[s] else -1
+        leave = self.basis[r]
+        back = -1 if self.dim <= leave < self.slack else 1  # x- is stored as x+
         pr = T[r]
-        p = pr[col]
-        for row in T + objs:
+        p = sg * pr[s]
+        rows = T + objs
+        for row in rows:
             if row is pr:
                 continue
-            f = row[col]
+            f = sg * row[s]
             if f:
                 row[:] = [(p * x - f * y) // D for x, y in zip(row, pr)]
             elif p != D:
                 row[:] = [p * x // D for x in row]
+            row[s] = -back * f
+        pr[s] = back * D
+        if leave >= self.nstruct:
+            del self.cols[s]
+            for row in rows:
+                del row[s]
+        else:
+            self.cols[s] = leave if back > 0 else leave - self.dim
         self.D = p
-        self.basis[r] = col
+        self.basis[r] = enter
 
-    def _run(self, obj: list[int], objs: list[list[int]]) -> int | None:
-        """Bland's-rule iterations on obj; returns None at the optimum, else
-        the entering column along which the objective is unbounded."""
-        T, basis = self.T, self.basis
+    def _run(self, obj: list[int], objs: list[list[int]]) -> tuple[int | None, list[int] | None]:
+        """Bland's-rule iterations on obj; (None, None) at the optimum, else
+        the entering variable, with its column, along which obj is unbounded."""
+        T, basis, dim = self.T, self.basis, self.dim
         while True:
-            enter = next((j for j in range(self.nstruct) if obj[j] < 0), None)
+            # x- enters where the stored reduced cost of x+ is positive.
+            enter, slot = min(
+                ((v if c < 0 else v + dim, s) for s, (v, c) in enumerate(zip(self.cols, obj))
+                 if c < 0 or (c > 0 and v < dim)), default=(None, 0))
             if enter is None:
-                return None
+                return None, None
+            sg = 1 if enter == self.cols[slot] else -1
+            column = [sg * row[slot] for row in T]
             leave = None
-            for r, row in enumerate(T):
-                q = row[enter]
+            for r, q in enumerate(column):
                 if q > 0:
                     if leave is None:
-                        leave, lv, lq = r, row[-1], q
+                        leave, lv, lq = r, T[r][-1], q
                         continue
-                    here, best = row[-1] * lq, lv * q  # ratio test, cross-multiplied
+                    here, best = T[r][-1] * lq, lv * q  # ratio test, cross-multiplied
                     if here < best or (here == best and basis[r] < basis[leave]):
-                        leave, lv, lq = r, row[-1], q
+                        leave, lv, lq = r, T[r][-1], q
             if leave is None:
-                return enter
-            self._pivot(objs, leave, enter)
+                return enter, column
+            self._pivot(objs, leave, slot, enter)
 
     def phase1(self) -> tuple[int, ...] | None:
         """Drive the artificials out; None when feasible, else Farkas
@@ -209,7 +238,7 @@ class _Tableau:
             obj = [-sum(col) for col in zip(*(self.T[r] for r in arts))]
             self._run(obj, objs + [obj])
             if obj[-1] < 0:  # obj[-1] is -D times the least sum of artificials
-                return tuple(obj[self.slack:self.nstruct])
+                return self._slacks(obj)
             # Pivot each basic artificial (at level 0) onto a structural
             # column, so that phase 2 can never make it positive again.  A
             # row with no such column is redundant and keeps its artificial.
@@ -217,19 +246,20 @@ class _Tableau:
             # and with it D, positive.
             for r in arts:
                 row = self.T[r]
-                col = next((j for j in range(self.nstruct) if row[j]), None)
-                if self.basis[r] >= self.nstruct and col is not None:
-                    if row[col] < 0:
+                enter, slot = min(((v, s) for s, v in enumerate(self.cols) if row[s]),
+                                  default=(None, 0))
+                if self.basis[r] >= self.nstruct and enter is not None:
+                    if row[slot] < 0:
                         row[:] = [-v for v in row]
-                    self._pivot(objs, r, col)
+                    self._pivot(objs, r, slot, enter)
         return None
 
     def phase2(self) -> tuple[int, ...] | None:
         """Minimize the cost row; None at the optimum, else a recession ray."""
-        enter = self._run(self.cost, [self.cost])
+        enter, column = self._run(self.cost, [self.cost])
         if enter is None:
             return None
-        steps = [(col, -row[enter]) for col, row in zip(self.basis, self.T)]
+        steps = [(col, -q) for col, q in zip(self.basis, column)]
         return tuple(self._unsplit([(enter, self.D)] + steps))
 
     def point(self) -> list[int]:
@@ -237,7 +267,7 @@ class _Tableau:
         return self._unsplit([(col, row[-1]) for col, row in zip(self.basis, self.T)])
 
     def _unsplit(self, values: list[tuple[int, int]]) -> list[int]:
-        """x = x+ - x-, from values on columns; slack columns are dropped."""
+        """x = x+ - x-, from values on variables; slacks are dropped."""
         x = [0] * self.dim
         for col, v in values:
             if col < self.dim:
@@ -246,9 +276,14 @@ class _Tableau:
                 x[col - self.dim] -= v
         return x
 
+    def _slacks(self, obj: list[int]) -> tuple[int, ...]:
+        """The slacks' reduced costs on an objective row; a basic one is 0."""
+        stored = dict(zip(self.cols, obj))
+        return tuple(stored.get(v, 0) for v in range(self.slack, self.nstruct))
+
     def duals(self) -> tuple[int, ...]:
         """Optimal y >= 0 with y.A' = -D.c': the reduced costs of the slacks."""
-        return tuple(self.cost[self.slack:self.nstruct])
+        return self._slacks(self.cost)
 
 
 def _solve(rows: Sequence[IntRow], dim: int, objective: Sequence[Fraction] | None = None,

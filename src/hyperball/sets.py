@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .errors import DimMismatch, EmptySet
 from .linf import Ball, Box, Point, balls_box
-from .lp import HPolyhedron, box_to_polyhedron, lp_feasible
+from .lp import box_to_polyhedron, intersection, lp_feasible
 from .metric import FiniteMetricSpace
 
 
@@ -153,14 +153,13 @@ def pair_witness(first, second, balls: Sequence[Ball] = ()):
         return None
 
     # At least one polyhedron: fold boxes into rows.
-    def rows_of(subset, boxes):
-        if boxes is None:
-            return (subset.rows,)
-        return tuple(box_to_polyhedron(b).rows for b in boxes)
+    def parts(subset, boxes):
+        return (subset,) if boxes is None else tuple(map(box_to_polyhedron, boxes))
 
-    for rows_a in rows_of(first, left):
-        for rows_b in rows_of(second, right):
-            result = lp_feasible(HPolyhedron(first.dim, rows_a + rows_b), balls)
+    lefts, rights = parts(first, left), parts(second, right)
+    for a in lefts:
+        for b in rights:
+            result = lp_feasible(intersection(first.dim, (a, b)), balls)
             if result.feasible:
                 return result.witness
     return None

@@ -1,14 +1,17 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from hyperball.barycenter import (
+    MAX_ROUNDS,
     BarycenterConfig,
     BicombingBackend,
     ContractionNotGuaranteed,
     Isometry,
     KSubfamilyEmpty,
+    NoConvergence,
     TupleTooLarge,
     barycenter,
     barycenter_contraction_check,
@@ -20,6 +23,7 @@ from hyperball.barycenter import (
     linf_backend,
     min_matching_average,
 )
+from hyperball.errors import HyperballError
 from hyperball.linf import Ball, linf_dist, mean_point, sigma
 from hyperball.refine import KTooSmall, ip_constants, verify_trace
 from hyperball.rng import SplitMix64
@@ -48,6 +52,46 @@ def test_barycenter_weight_and_pointwise_paths_agree():
     slow = barycenter(BicombingBackend(2, sigma, linf_dist), points, CFG)
     assert linf_dist(fast, slow) <= 2 * CFG.tau
     assert linf_dist(fast, mean_point(points)) <= CFG.tau
+
+
+def _barycenter_weights_reference(backend, pts, tau):
+    """The Fraction iteration _barycenter_weights replaced (m >= 3)."""
+    m = len(pts)
+    current = pts
+    prev_diam = None
+    for _ in range(MAX_ROUNDS):
+        diam = max((backend.dist(p, q) for p, q in combinations(current, 2)), default=F(0))
+        if prev_diam is not None and diam > prev_diam:
+            raise HyperballError("leave-one-out round increased the diameter")
+        prev_diam = diam
+        if diam * 2 <= tau:
+            return current[0]
+        share = Fraction(1, m - 1)
+        sums = tuple(sum((p[k] for p in current), Fraction(0)) for k in range(backend.dim))
+        current = tuple(tuple((sums[k] - p[k]) * share for k in range(backend.dim))
+                        for p in current)
+    raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
+
+
+def test_barycenter_weights_match_the_fraction_iteration():
+    """Integer numerators over one denominator give the same point, or the
+    same NoConvergence, as the iteration on Fractions."""
+    taus = (CFG.tau, F(1, 64), F(3), F(1, 1 << 300), 0.001)  # a float tau is read exactly
+    for seed in range(120):
+        rng = SplitMix64(seed)
+        dim, m = rng.randint(0, 3), rng.randint(3, 7)
+        pts = tuple(tuple(F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(dim))
+                    for _ in range(m))
+        tau = taus[seed % len(taus)]
+        try:
+            expected = _barycenter_weights_reference(linf_backend(dim), pts, tau)
+        except NoConvergence:
+            expected = NoConvergence
+        if expected is NoConvergence:
+            with pytest.raises(NoConvergence):
+                barycenter(linf_backend(dim), pts, BarycenterConfig(tau))
+        else:
+            assert barycenter(linf_backend(dim), pts, BarycenterConfig(tau)) == expected, seed
 
 
 def test_barycenter_pointwise_size_guard():

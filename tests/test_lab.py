@@ -3,6 +3,8 @@ import pathlib
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +40,8 @@ from hyperball.lab import (
 )
 from hyperball.linf import Ball, Box, linf_dist
 from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace, lp_feasible
-from hyperball.metric import GraphInstance, graph_metric
+from hyperball.metric import Disconnected, GraphInstance, graph_metric
+from hyperball.rng import SplitMix64
 from hyperball.screen import _FIRST_BATCH, FastScreen
 from hyperball.sets import FiniteSubset, subset_dist, subset_nearest
 
@@ -352,6 +355,20 @@ def test_verify_refutation_costs_at_most_k_plus_two_lps(monkeypatch):
         lps[0] = 0
         assert verify_refutation(diag_rows, balls)
         assert lps[0] <= outside + 2 <= len(balls) + 2, level
+
+
+def test_verify_refutation_on_four_rows_costs_at_most_k_plus_one_lps(monkeypatch):
+    """One distance LP per center outside the square and one intersection
+    LP: the floors already prove the subset non-empty, so no feasibility LP
+    runs first (k + 2 LPs before).  The count does not depend on whether the
+    family refutes."""
+    centers = [pt(2, 0), pt(F(1, 2), 3), pt(-1, -1), pt(3, 2)]
+    lps = _count_lps(monkeypatch)
+    for k in (2, 3, 4):
+        balls = tuple(Ball(c, F(3)) for c in centers[:k])
+        lps[0] = 0
+        assert not verify_refutation(SQUARE_ROWS, balls)
+        assert lps[0] == k + 1, k
 
 
 @pytest.mark.parametrize(
@@ -672,6 +689,60 @@ def test_graph_helly_c6_refuted():
         all(space.d(v, centers[i]) <= radii[i] for i in range(3))
         for v in range(6)
     )
+
+
+def _graph_helly_reference(g, n):
+    """The enumeration graph_n_helly_bruteforce replaced: every radius tuple
+    in product order, with no closed form for the last radius."""
+    space = graph_metric(g)
+    V = space.size
+    diam = space.diameter()
+    radius_hi = int(-(-diam.numerator // diam.denominator))
+    families = comb(V + n - 1, n) * (radius_hi + 1) ** n
+    d = space.dist
+    for centers in combinations_with_replacement(range(V), n):
+        for radii in product(range(radius_hi + 1), repeat=n):
+            if any(d[centers[i]][centers[j]] > radii[i] + radii[j]
+                   for i in range(n) for j in range(i + 1, n)):
+                continue
+            if not any(all(d[v][centers[i]] <= radii[i] for i in range(n)) for v in range(V)):
+                return "refuted", {"centers": centers, "radii": radii}
+    return "holds", {"families": families}
+
+
+def _connected_graphs(max_vertices):
+    """One graph per isomorphism class of connected graphs on 1..max_vertices
+    vertices."""
+    for V in range(1, max_vertices + 1):
+        pairs, seen = list(combinations(range(V), 2)), set()
+        for mask in range(1 << len(pairs)):
+            edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+            canon = min(tuple(sorted(tuple(sorted((pi[u], pi[v]))) for u, v in edges))
+                        for pi in permutations(range(V)))
+            if canon not in seen:
+                seen.add(canon)
+                g = GraphInstance(V, canon)
+                try:
+                    graph_metric(g)
+                except Disconnected:
+                    continue
+                yield g
+
+
+def test_graph_helly_matches_the_enumeration_of_every_radius():
+    """Unit and fractional weights on every connected graph of up to 5
+    vertices, levels 0-4 (0-3 on 5 vertices): same verdict, same first
+    certificate, same family count."""
+    refuted = 0
+    for i, g in enumerate(_connected_graphs(5)):
+        rng = SplitMix64(i)
+        weighted = GraphInstance(g.n, g.edges, tuple(F(rng.randint(1, 4), 2) for _ in g.edges))
+        for h in (g, weighted):
+            for n in range(5 if g.n < 5 else 4):
+                report = graph_n_helly_bruteforce(h, n)
+                assert (report.verdict, report.certificate) == _graph_helly_reference(h, n), (h, n)
+                refuted += report.refuted
+    assert refuted > 40
 
 
 def test_graph_helly_cap():

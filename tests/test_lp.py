@@ -298,7 +298,7 @@ def _planted(seed: int, d: int, m: int, kind: str):
             rows.append(loose([-c for c in a] if dot(a, dvec) > 0 else a))
         objective = tuple(F(-v) for v in dvec)
     else:
-        tight = d if kind == "optimal" else 0
+        tight = min(m, d) if kind == "optimal" else 0
         rows = [(tuple(a), dot(a, x0)) if i < tight else loose(a)
                 for i, a in enumerate(normal() for _ in range(m))]
         if kind == "optimal":
@@ -434,3 +434,136 @@ def test_cached_integer_rows_survive_every_entry_point():
     assert cached == tuple(lp._integer_row(a, b) for a, b in p.rows)
     assert p == twin and hash(p) == hash(twin)
     assert (hash(p), io.to_jsonable(p), repr(p)) == before
+
+
+def _outcome(solve, *args, **kwargs):
+    """A kernel outcome, or the exception it raised, for comparison."""
+    try:
+        return solve(*args, **kwargs)
+    except Exception as exc:  # the reference must raise the same
+        return type(exc).__name__, str(exc)
+
+
+def _degenerate(seed: int):
+    """Up to 8 small rows in dims 0-4 with zero rows, equalities (a row and
+    its negation) and scaled duplicates, and an objective or None."""
+    from hyperball.rng import SplitMix64
+
+    rng = SplitMix64(seed)
+    d = rng.randint(0, 4)
+    out = []
+    for _ in range(rng.randint(0, 8)):
+        a, b = tuple(F(rng.randint(-2, 2)) for _ in range(d)), F(rng.randint(-3, 3))
+        kind = rng.randint(0, 3)
+        a = (F(0),) * d if kind == 0 else a
+        out.append((a, b))
+        if kind == 1:
+            out.append((tuple(-v for v in a), -b))
+        elif kind == 2:
+            k = rng.randint(2, 3)
+            out.append((tuple(k * v for v in a), k * b))
+    objective = None if rng.randint(0, 2) == 0 else tuple(F(rng.randint(-2, 2)) for _ in range(d))
+    return HPolyhedron(d, tuple(out)), objective
+
+
+# Every lp-distinct cell: dims 2-6, 2-14 rows, four kinds.
+LP_DISTINCT_CELLS = [(d, m, kind) for d in range(2, 7) for m in range(2, 15, 2)
+                     for kind in ("feasible", "infeasible", "optimal", "unbounded")]
+
+
+def test_kernel_matches_the_dense_reference(monkeypatch):
+    """Status, point, optimum, multipliers and exceptions equal those of the
+    dense tableau, which stores every column."""
+    import dense_reference
+    from hyperball import lp
+    from hyperball.rng import SplitMix64
+
+    systems = [_planted(seed, d, m, kind) for seed in range(2)
+               for d, m, kind in LP_DISTINCT_CELLS]
+    systems += [_degenerate(seed) + (None,) for seed in range(400)]
+    statuses = set()
+    for p, objective, _ in systems:
+        args = (p._integer_rows, p.dim, objective)
+        outcome = _outcome(lp._solve, *args)
+        assert outcome == _outcome(dense_reference._solve, *args), (p, objective)
+        statuses.add(outcome[0])
+    assert statuses == {"witness", "infeasible", "optimal", "unbounded"}
+
+    # Distance LPs and ball rows: every kernel call the entry points make.
+    calls, real = [], lp._solve
+
+    def solve(*args, **kwargs):
+        calls.append((args, kwargs, _outcome(real, *args, **kwargs)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_solve", solve)
+    for seed in range(150):
+        rng = SplitMix64(seed)
+        p, objective = _degenerate(seed)
+        x = tuple(F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(p.dim))
+        ball = Ball(x, F(rng.randint(0, 6), 2))
+        for query in (lambda: dist_to_polyhedron(x, p), lambda: lp_feasible(p, [ball]),
+                      lambda: lp_minimize(objective or (0,) * p.dim, p, [ball])):
+            _outcome(query)
+    assert len(calls) > 300
+    for args, kwargs, outcome in calls:
+        assert outcome == _outcome(dense_reference._solve, *args, **kwargs), args
+
+
+def test_stored_rows_hold_only_nonbasic_columns(monkeypatch):
+    """A row stores dim + (rows with b < 0) columns and the right-hand side
+    at set-up, never more, and never a basic variable's column."""
+    from hyperball import lp
+
+    pivots, real = [0], lp._Tableau._pivot
+
+    def check(tab, width):
+        assert len(tab.cols) + 1 <= width and not set(tab.cols) & set(tab.basis)
+        for row in tab.T + ([tab.cost] if tab.cost else []):
+            assert len(row) == len(tab.cols) + 1
+
+    def pivot(self, *args):
+        real(self, *args)
+        pivots[0] += 1
+        check(self, width)
+
+    monkeypatch.setattr(lp._Tableau, "_pivot", pivot)
+    for seed, (d, m, kind) in enumerate(LP_DISTINCT_CELLS):
+        p, objective, _ = _planted(seed, d, m, kind)
+        rows_ = p._integer_rows
+        c = None if objective is None else lp._integer_row(objective, 0)[1]
+        tab = lp._Tableau(rows_, d, c)
+        width = d + sum(b < 0 for _, _, b in rows_) + 1
+        assert all(len(row) == width for row in tab.T)
+        check(tab, width)
+        if tab.phase1() is None and c is not None:
+            tab.phase2()
+    assert pivots[0] > 500
+
+
+def test_joined_polyhedra_scale_only_uncached_rows(monkeypatch):
+    """helly_order_check, intersect and pair_witness join the parts' cached
+    integer rows instead of scaling every row of every join again."""
+    from hyperball import lp
+    from hyperball.lab import helly_counterexample, helly_order_check
+    from hyperball.sets import BoxUnion, pair_witness
+
+    scaled, real = [0], lp._integer_row
+
+    def integer_row(a, b):
+        scaled[0] += 1
+        return real(a, b)
+
+    sets_ = [HPolyhedron(h.dim, h.rows) for h in helly_counterexample(6).halfspaces]
+    monkeypatch.setattr(lp, "_integer_row", integer_row)
+    assert helly_order_check(sets_, 6).refuted
+    assert scaled[0] == 7  # one row per set; 7 * 6 + 7 = 49 when every join scaled its rows
+    p = HPolyhedron(2, rows(((1, 1), 3), ((1, -1), 1), ((-1, 0), 2)))
+    scaled[0] = 0
+    assert lp_feasible(p.intersect(Box(pt(0, 0), pt(1, 1)))).feasible
+    assert scaled[0] == 3 + 4
+    union = BoxUnion((Box(pt(5, 5), pt(6, 6)), Box(pt(0, 0), pt(1, 1))))
+    for first, second in ((p, union), (union, p)):
+        scaled[0] = 0
+        assert pair_witness(first, second) is not None
+        assert scaled[0] == 2 * 4  # two LPs, each scaling only its box's rows

@@ -52,3 +52,14 @@ def test_helly_demo_checks_both_directions(capsys):
     assert [row.split()[:5] for row in rows] == [
         [str(n), str(n + 1), "ok", "empty", "refuted"] for n in range(2, 5)
     ]
+
+
+def test_lp_census_counts_every_caller(capsys):
+    _load("lp_census").main(["--size", "1"])
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["caller", "LPs", "pivots/LP", "ints/pivot", "solve", "s"]
+    assert [row.split()[0] for row in rows] == [
+        "lp_feasible", "lp_minimize", "helly_order_check", "dist_to_polyhedron"]
+    for row in rows:
+        _, lps, pivots, ints, seconds = row.split()
+        assert int(lps) > 0 and float(pivots) > 0 and float(ints) > 0 and float(seconds) > 0
