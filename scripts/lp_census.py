@@ -3,9 +3,12 @@
 feasibility and minimization systems (dims 2-6, 2-14 rows), Helly families
 (``helly_order_check`` on the optimal-order family at k = n and n + 1) and
 distance queries (``dist_to_polyhedron`` from points outside small
-polyhedra).  Each row prints the LPs run, pivots per LP, integers stored
-per pivot (the tableau's and its objective rows' entries when the pivot
-starts) and the seconds spent in ``lp._solve``.
+polyhedra) and distance-convexity checks (``distance_convexity_check``
+along segments, one LP per affine piece of the distance).  Each row prints
+the queries, the LPs run, LPs and pivots per query (per segment for the
+convexity check), pivots per LP, integers stored per pivot (the tableau's
+and its objective rows' entries when the pivot starts) and the seconds
+spent in ``lp._solve``.
 
 The counts come from wrapping ``lp._solve`` and ``lp._Tableau._pivot`` in
 this script; the library keeps no counters.  A first pass counts, a second
@@ -15,7 +18,7 @@ import argparse
 import time
 from fractions import Fraction as F
 
-from hyperball import lab, lp
+from hyperball import convexity, lab, lp
 from hyperball.lab import helly_counterexample
 from hyperball.lp import HPolyhedron
 from hyperball.rng import SplitMix64
@@ -56,32 +59,41 @@ def corpus(seed, size):
         d = rng.randint(2, 4)
         p = planted(rng, d, rng.randint(2, 6))
         x = tuple(F(rng.randint(-30, 30), 4) for _ in range(d))
-        out.append(("dist_to_polyhedron", lambda p=p, x=x: _distance(x, p)))
+        out.append(("dist_to_polyhedron",
+                    lambda p=p, x=x: _empty_is_none(lp.dist_to_polyhedron, x, p)))
+    for _ in range(10 * size):
+        d = rng.randint(2, 3)
+        p = planted(rng, d, rng.randint(2, 4))
+        x, y = (tuple(F(rng.randint(-80, 80), 8) for _ in range(d)) for _ in range(2))
+        out.append(("distance_convexity_check", lambda p=p, x=x, y=y: _empty_is_none(
+            convexity.distance_convexity_check, p, x, y)))
     return out
 
 
-def _distance(x, p):
+def _empty_is_none(query, *args):
     try:
-        return lp.dist_to_polyhedron(x, p)
+        return query(*args)
     except lp.EmptySet:
         return None
 
 
 def census(seed, size):
-    """{caller: [LPs, pivots, stored integers, seconds in _solve]}."""
+    """{caller: [queries, LPs, pivots, stored integers, seconds in _solve]}."""
     queries = corpus(seed, size)
-    table = {caller: [0, 0, 0, 0.0] for caller, _ in queries}
+    table = {caller: [0, 0, 0, 0, 0.0] for caller, _ in queries}
+    for caller, _ in queries:
+        table[caller][0] += 1
     current = [None]
     real_solve, real_pivot = lp._solve, lp._Tableau._pivot
 
     def counted_solve(*args, **kwargs):
-        table[current[0]][0] += 1
+        table[current[0]][1] += 1
         return real_solve(*args, **kwargs)
 
     def counted_pivot(self, objs, *rest):
         row = table[current[0]]
-        row[1] += 1
-        row[2] += sum(map(len, self.T)) + sum(map(len, objs))
+        row[2] += 1
+        row[3] += sum(map(len, self.T)) + sum(map(len, objs))
         return real_pivot(self, objs, *rest)
 
     def timed_solve(*args, **kwargs):
@@ -89,7 +101,7 @@ def census(seed, size):
         try:
             return real_solve(*args, **kwargs)
         finally:
-            table[current[0]][3] += time.perf_counter() - start
+            table[current[0]][4] += time.perf_counter() - start
 
     try:
         for solve, pivot in ((counted_solve, counted_pivot), (timed_solve, real_pivot)):
@@ -108,10 +120,11 @@ def main(argv=None):
                         help="systems per planted cell; scales every part of the corpus")
     args = parser.parse_args(argv)
     table = census(args.seed, args.size)
-    print(f"{'caller':<20}{'LPs':>7}{'pivots/LP':>11}{'ints/pivot':>12}{'solve s':>10}")
-    for caller, (lps, pivots, ints, seconds) in table.items():
-        print(f"{caller:<20}{lps:>7}{pivots / lps:>11.2f}{ints / max(pivots, 1):>12.1f}"
-              f"{seconds:>10.3f}")
+    print(f"{'caller':<26}{'queries':>8}{'LPs':>7}{'LPs/q':>7}{'pivots/q':>10}{'pivots/LP':>11}"
+          f"{'ints/pivot':>12}{'solve s':>10}")
+    for caller, (queries, lps, pivots, ints, seconds) in table.items():
+        print(f"{caller:<26}{queries:>8}{lps:>7}{lps / queries:>7.2f}{pivots / queries:>10.2f}"
+              f"{pivots / lps:>11.2f}{ints / max(pivots, 1):>12.1f}{seconds:>10.3f}")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ exact midpoint convexity of the distance-to-set function along segments."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import HyperballError
-from .linf import Point, sigma
+from .linf import ParamOutOfRange, Point, sigma
 from .rational import DYADIC_GRID_16
 from .reports import HOLDS, REFUTED, PropertyReport
 from .sets import subset_dist
@@ -15,6 +16,13 @@ from .sets import subset_dist
 
 class PointNotInSet(HyperballError):
     """A point asserted to lie in the set does not."""
+
+
+def _check_grid(grid: Sequence[Fraction]) -> None:
+    """Every grid time lies in [0, 1], checked before any point is built."""
+    for t in grid:
+        if not (0 <= t <= 1):
+            raise ParamOutOfRange(f"interpolation time {t} outside [0, 1]")
 
 
 def sigma_convexity_check(
@@ -27,6 +35,7 @@ def sigma_convexity_check(
     Affine half-space systems pass for every pair by convexity; a union
     fixture is expected to produce a refuting (pair, t).
     """
+    _check_grid(grid)
     for x, y in pairs:
         if not subset.contains(x):
             raise PointNotInSet(f"{x} is not in the set")
@@ -56,29 +65,38 @@ def distance_convexity_check(
 
     For every s, t in the grid the check asserts
     d(sigma((s+t)/2)) <= (d(sigma(s)) + d(sigma(t))) / 2 with exact rationals.
+    A time t is indexed by its numerator k over n, twice the lcm of the
+    grid's denominators, so every midpoint is an integer k too.  A kind that
+    answers ``dists_along`` (a polyhedron) gives all distances on the
+    segment at once; any other is asked ``dist`` point by point.
     """
-    cache: dict[Fraction, Fraction] = {}
-
-    def dist_at(t: Fraction) -> Fraction:
-        if t not in cache:
-            cache[t] = subset_dist(subset, sigma(x, y, t))
-        return cache[t]
-
+    _check_grid(grid)
     if not grid:
         return PropertyReport(HOLDS, notes=("empty grid: vacuous",))
-    ts = sorted(set(grid))
-    for i, s in enumerate(ts):
-        for t in ts[i:]:
-            mid = (s + t) / 2
-            if 2 * dist_at(mid) > dist_at(s) + dist_at(t):
+    n = 2 * lcm(*(t.denominator for t in grid))
+    ks = sorted({t.numerator * (n // t.denominator) for t in grid})
+    times = {(s + t) // 2 for i, s in enumerate(ks) for t in ks[i:]}
+    along = getattr(subset, "dists_along", None)
+    if along is None:
+        dists = {k: subset_dist(subset, sigma(x, y, Fraction(k, n))) for k in times}
+    else:
+        dists = along(x, y, n, times)
+    # The distances as integers over one denominator: the pair loop below
+    # compares ints only.
+    den = lcm(*(v.denominator for v in dists.values()))
+    num = {k: v.numerator * (den // v.denominator) for k, v in dists.items()}
+    for i, s in enumerate(ks):
+        for t in ks[i:]:
+            mid = (s + t) // 2
+            if 2 * num[mid] > num[s] + num[t]:
                 return PropertyReport(
                     REFUTED,
                     certificate={
-                        "s": s,
-                        "t": t,
-                        "d_s": dist_at(s),
-                        "d_t": dist_at(t),
-                        "d_mid": dist_at(mid),
+                        "s": Fraction(s, n),
+                        "t": Fraction(t, n),
+                        "d_s": dists[s],
+                        "d_t": dists[t],
+                        "d_mid": dists[mid],
                     },
                 )
-    return PropertyReport(HOLDS, certificate={"grid": len(ts)})
+    return PropertyReport(HOLDS, certificate={"grid": len(ks)})

@@ -66,6 +66,9 @@ class HPolyhedron:
     def nearest(self, p: Point) -> Point:
         return dist_to_polyhedron(p, self)[1]
 
+    def dists_along(self, x: Point, y: Point, n: int, ks: Sequence[int]) -> dict[int, Fraction]:
+        return dists_along_segment(self, x, y, n, ks)
+
     def witness(self) -> Point | None:
         return lp_feasible(self).witness
 
@@ -155,9 +158,13 @@ class _Tableau:
     and ratio ties go by variable number, so the pivots are those of a dense
     tableau.  The objective rows (phase 1, and c when minimizing) are carried
     through every pivot, so they are always in reduced-cost form.
+    An optional ``step`` b1 (one int per row) rides as a column before the
+    right-hand side b; no pivot choice reads it, so an optimal basis gives
+    the basic solution at b + j.b1 as ``point()`` plus j times ``point(-2)``.
     """
 
-    def __init__(self, rows: Sequence[IntRow], dim: int, cost: Sequence[int] | None = None):
+    def __init__(self, rows: Sequence[IntRow], dim: int, cost: Sequence[int] | None = None,
+                 step: Sequence[int] | None = None):
         self.dim = dim
         self.slack = 2 * dim
         self.nstruct = 2 * dim + len(rows)
@@ -168,9 +175,11 @@ class _Tableau:
         self.basis: list[int] = []
         for i, (_, a, b) in enumerate(rows):
             sg = 1 if b >= 0 else -1
-            self.T.append([sg * v for v in a] + [-(i == j) for j in negated] + [sg * b])
+            rhs = [sg * b] if step is None else [sg * step[i], sg * b]
+            self.T.append([sg * v for v in a] + [-(i == j) for j in negated] + rhs)
             self.basis.append(self.slack + i if sg > 0 else self.nstruct + i)
-        self.cost = None if cost is None else [*cost, *[0] * (len(negated) + 1)]
+        tail = len(negated) + 1 + (step is not None)
+        self.cost = None if cost is None else [*cost, *[0] * tail]
 
     def _pivot(self, objs: list[list[int]], r: int, s: int, enter: int) -> None:
         """``enter`` (in slot s, as x+ when it is x-) replaces the basic
@@ -262,9 +271,10 @@ class _Tableau:
         steps = [(col, -q) for col, q in zip(self.basis, column)]
         return tuple(self._unsplit([(enter, self.D)] + steps))
 
-    def point(self) -> list[int]:
-        """The basic solution times D."""
-        return self._unsplit([(col, row[-1]) for col, row in zip(self.basis, self.T)])
+    def point(self, column: int = -1) -> list[int]:
+        """The basic solution times D; on column -2, its rate of change
+        per unit of step."""
+        return self._unsplit([(col, row[column]) for col, row in zip(self.basis, self.T)])
 
     def _unsplit(self, values: list[tuple[int, int]]) -> list[int]:
         """x = x+ - x-, from values on variables; slacks are dropped."""
@@ -287,14 +297,16 @@ class _Tableau:
 
 
 def _solve(rows: Sequence[IntRow], dim: int, objective: Sequence[Fraction] | None = None,
-           farkas_rows: Sequence[IntRow] | None = None):
+           farkas_rows: Sequence[IntRow] | None = None, step: Sequence[int] | None = None):
     """Run the kernel and verify its outcome.  Feasibility returns
     ("witness", point) or ("infeasible", multipliers); minimization returns
     ("optimal", value, point), ("unbounded", None) or ("infeasible", ...).
     An infeasibility certificate must hold on `farkas_rows`, leading rows of
-    `rows`, alone (all of `rows` by default)."""
+    `rows`, alone (all of `rows` by default).  With a `step` column an
+    optimum also returns its basis as (x, x1, y, D): on the rows moved by
+    j steps the basic solution is (x + j.x1)/D and the duals stay y."""
     scale, c, _ = (None, None, None) if objective is None else _integer_row(objective, 0)
-    tab = _Tableau(rows, dim, c)
+    tab = _Tableau(rows, dim, c, step)
     y = tab.phase1()
     if y is not None:
         farkas_rows = rows if farkas_rows is None else farkas_rows
@@ -310,8 +322,10 @@ def _solve(rows: Sequence[IntRow], dim: int, objective: Sequence[Fraction] | Non
     point = tuple(Fraction(v, D) for v in x)
     if c is None:
         return "witness", point
-    _verify_dual(rows, c, tab.duals(), D, x)
-    return "optimal", Fraction(_dot(c, x), D * scale), point
+    y = tab.duals()
+    _verify_dual(rows, c, y, D, x)
+    outcome = "optimal", Fraction(_dot(c, x), D * scale), point
+    return outcome if step is None else (*outcome, (x, tab.point(-2), y, D))
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +428,36 @@ def polyhedron_coordinate_bounds(
     return lo, hi
 
 
+def _distance_rows(p: HPolyhedron, link: Sequence[tuple[int, int]]) -> list[IntRow]:
+    """The rows, over (r, a_0 .. a_{d-1}), of the LP min r s.t. a in p and
+    |x_k - a_k| <= r, with x_k = n/q for link[k] = (q, n): p's rows, then
+    -q.r +- q.a_k <= +-n for each k."""
+    d = p.dim
+    rows: list[IntRow] = [(s, (0, *a), b) for s, a, b in p._integer_rows]
+    for k, (q, n) in enumerate(link):
+        for sign in (1, -1):
+            a = [0] * (d + 1)
+            a[0], a[k + 1] = -q, sign * q
+            rows.append((q, a, sign * n))
+    if not d:
+        rows.append((1, (-1,), 0))  # r >= 0: no linking row bounds r
+    return rows
+
+
+def _distance_lp(p: HPolyhedron, rows: Sequence[IntRow], **step):
+    """The optimum of a distance LP built by `_distance_rows`; a ``step=``
+    column (the segment walk's) goes on to `_solve`."""
+    # Only the rows after p's carry r, each with a negative coefficient, so a
+    # certificate's vanishing r column zeroes their multipliers: it must
+    # prove p empty on p's rows alone.
+    outcome = _solve(rows, p.dim + 1, (1,) + (0,) * p.dim, farkas_rows=p._integer_rows, **step)
+    if outcome[0] == "infeasible":
+        raise EmptySet("polyhedron is empty")
+    if outcome[0] != "optimal":
+        raise LPKernelError("distance LP did not reach an optimum")
+    return outcome
+
+
 def dist_to_polyhedron(x: Point, p: HPolyhedron) -> tuple[Fraction, Point]:
     """Chebyshev distance from x to a non-empty polyhedron, with a nearest
     point, as the exact LP min r s.t. a in p, |x_k - a_k| <= r.  The witness
@@ -421,22 +465,49 @@ def dist_to_polyhedron(x: Point, p: HPolyhedron) -> tuple[Fraction, Point]:
     A point of p is its own nearest point, the LP's optimum, without an LP."""
     if p.contains(x):
         return Fraction(0), tuple(Fraction(v) for v in x)
+    rows = _distance_rows(p, [(v.denominator, v.numerator) for v in x])
+    _, value, point = _distance_lp(p, rows)
+    return value, point[1:]
+
+
+def dists_along_segment(p: HPolyhedron, x: Point, y: Point, n: int,
+                        ks: Sequence[int]) -> dict[int, Fraction]:
+    """The distance from x + (k/n)(y - x) to a non-empty polyhedron for each
+    k in ks, from one LP per affine piece.  With x = X/q and y = Y/q that
+    point is (n.X + k.(Y - X))/(n.q), so only the right-hand sides of the
+    distance LP move, as b0 + k.b1.  A solve at k0 with the step column b1
+    gives the vertex (x + (k - k0).x1)/D and duals that do not depend on k;
+    a later k takes that vertex only if it passes the witness check on the
+    rows at k, and the dual check on them proves it optimal.  Elsewhere a
+    fresh LP starts the next piece; a point inside p needs no LP."""
     d = p.dim
-    # Variables (r, a_0 .. a_{d-1}); x_k = n/q gives -q.r +- q.a_k <= +-n.
-    rows: list[IntRow] = [(s, (0, *a), b) for s, a, b in p._integer_rows]
-    for k, v in enumerate(x):
-        for sign in (1, -1):
-            a = [0] * (d + 1)
-            a[0], a[k + 1] = -v.denominator, sign * v.denominator
-            rows.append((v.denominator, a, sign * v.numerator))
-    if not d:
-        rows.append((1, (-1,), 0))  # r >= 0: no linking row bounds r
-    # Only the rows after p's carry r, each with a negative coefficient, so a
-    # certificate's vanishing r column zeroes their multipliers: it must
-    # prove p empty on p's rows alone.
-    outcome = _solve(rows, d + 1, (1,) + (0,) * d, farkas_rows=p._integer_rows)
-    if outcome[0] == "infeasible":
-        raise EmptySet("polyhedron is empty")
-    if outcome[0] != "optimal":
-        raise LPKernelError("distance LP did not reach an optimum")
-    return outcome[1], outcome[2][1:]
+    if len(x) != d or len(y) != d:
+        raise DimMismatch("point dim does not match polyhedron dim")
+    q = lcm(*(v.denominator for v in (*x, *y)))
+    X = [v.numerator * (q // v.denominator) for v in x]
+    S = [v.numerator * (q // v.denominator) - u for v, u in zip(y, X)]
+    # Row i holds the point at k iff u + k.v <= w.
+    lines = [(n * _dot(a, X), _dot(a, S), n * q * b) for _, a, b in p._integer_rows]
+    step = [0] * len(lines) + [sign * v for v in S for sign in (1, -1)] + [0] * (not d)
+    cost = (1,) + (0,) * d
+    out: dict[int, Fraction] = {}
+    piece = None
+    for k in sorted(set(ks)):
+        if all(u + k * v <= w for u, v, w in lines):
+            out[k] = Fraction(0)
+            continue
+        rows = _distance_rows(p, [(n * q, n * u + k * v) for u, v in zip(X, S)])
+        if piece is not None:
+            k0, x0, x1, duals, D = piece
+            xk = [u + (k - k0) * v for u, v in zip(x0, x1)]
+            try:
+                _verify_witness(rows, xk, D)
+            except LPKernelError:
+                pass  # the vertex left the rows at k: a fresh LP starts a new piece
+            else:
+                _verify_dual(rows, cost, duals, D, xk)
+                out[k] = Fraction(xk[0], D)
+                continue
+        _, out[k], _, basis = _distance_lp(p, rows, step=step)
+        piece = (k, *basis)
+    return out

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from hyperball import lp
 from hyperball.convexity import PointNotInSet, distance_convexity_check, sigma_convexity_check
 from hyperball.lab import BoxUnion, helly_counterexample
-from hyperball.linf import Box
-from hyperball.lp import EmptySet, HPolyhedron, halfspace
-from hyperball.rng import SplitMix64
+from hyperball.linf import Box, ParamOutOfRange, sigma
+from hyperball.lp import EmptySet, HPolyhedron, box_to_polyhedron, dist_to_polyhedron, halfspace
+from hyperball.rational import DYADIC_GRID_16
+from hyperball.rng import SplitMix64, derive_seed
 
 from conftest import F, pt
 
@@ -80,3 +82,146 @@ def test_distance_convexity_random_polyhedra():
         x = tuple(Fraction(rng.randint(-10, 10), 2) for _ in range(dim))
         y = tuple(Fraction(rng.randint(-10, 10), 2) for _ in range(dim))
         assert distance_convexity_check(p, x, y).holds
+
+
+def test_distance_convexity_refutes_the_two_box_union():
+    report = distance_convexity_check(UNION, pt(0, 0), pt(4, 0))
+    assert report.refuted
+    assert report.certificate == {"s": F(0), "t": F(11, 16), "d_s": F(0), "d_t": F(1, 4),
+                                  "d_mid": F(3, 8)}
+    assert all(type(v) is Fraction for v in report.certificate.values())
+
+
+class _Spy:
+    """A subset that counts the membership and distance questions put to it."""
+
+    def __init__(self, inner):
+        self.inner, self.asked = inner, 0
+
+    def contains(self, p):
+        self.asked += 1
+        return self.inner.contains(p)
+
+    def dist(self, p):
+        self.asked += 1
+        return self.inner.dist(p)
+
+
+@pytest.mark.parametrize("late", [F(2), F(-1, 16)])
+def test_grid_times_outside_the_unit_interval_raise_before_any_question(late, monkeypatch):
+    # On the union a violation comes before the bad time, on the box none does:
+    # both raise, and neither set is asked anything.
+    grid = DYADIC_GRID_16 + (late,)
+    for inner in (UNION, Box(pt(0, 0), pt(1, 1))):
+        spy = _Spy(inner)
+        with pytest.raises(ParamOutOfRange):
+            distance_convexity_check(spy, pt(0, 0), pt(4, 0), grid)
+        with pytest.raises(ParamOutOfRange):
+            sigma_convexity_check(spy, [(pt(0, 0), pt(4, 1))], grid)
+        assert spy.asked == 0
+    solves = []
+    monkeypatch.setattr(lp, "_solve", lambda *args, **kwargs: solves.append(args))
+    with pytest.raises(ParamOutOfRange):
+        distance_convexity_check(box_to_polyhedron(Box(pt(0, 0), pt(1, 1))), pt(5, 0),
+                                 pt(4, 0), grid)
+    assert not solves
+
+
+# Segment distances against one dist_to_polyhedron per grid time.
+
+N = 32
+
+
+def _assert_matches_per_point(poly, x, y):
+    along = poly.dists_along(x, y, N, range(N + 1))
+    assert along == {k: dist_to_polyhedron(sigma(x, y, F(k, N)), poly)[0] for k in range(N + 1)}
+
+
+def test_segment_distances_match_per_point_lps_on_the_criterion_9_corpus():
+    for i in range(200):
+        rng = SplitMix64(derive_seed(91, i))
+        dim = rng.randint(2, 3)
+        rows = tuple(
+            (tuple(Fraction(rng.randint(-3, 3)) for _ in range(dim)), Fraction(rng.randint(0, 8)))
+            for _ in range(rng.randint(1, 4))
+        )
+        x = tuple(Fraction(rng.randint(-80, 80), 8) for _ in range(dim))
+        y = tuple(Fraction(rng.randint(-80, 80), 8) for _ in range(dim))
+        _assert_matches_per_point(HPolyhedron(dim, rows), x, y)
+
+
+def test_segment_distances_match_per_point_lps_on_the_lp_repeat_pool(monkeypatch):
+    import pathlib
+
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    from workloads import LPRepeat
+
+    workload = LPRepeat(seed=1, smoke=False)
+    for index in range(6):  # the segments of six blocks, drawn as the workload draws them
+        rng = workload.rng(index)
+        for poly in workload.pool:
+            x = tuple(F(rng.randint(-80, 80), 8) for _ in range(poly.dim))
+            y = tuple(F(rng.randint(-80, 80), 8) for _ in range(poly.dim))
+            _assert_matches_per_point(poly, x, y)
+
+
+@pytest.mark.parametrize("poly, x, y", [
+    (HPolyhedron(0, ()), (), ()),
+    (HPolyhedron(0, (((), F(1)),)), (), ()),
+    (box_to_polyhedron(Box(pt(0, 0), pt(1, 1))), pt(3, F(5, 2)), pt(3, F(5, 2))),
+    (halfspace([1, 1], -1), pt(2, 3), pt(-5, 1)),
+    (halfspace([1, -2, 1], F(1, 3)), pt(-4, 1, 9), pt(F(7, 3), -2, 0)),
+    (box_to_polyhedron(Box(pt(0, 0), pt(4, 4))), pt(1, 1), pt(3, F(7, 2))),
+])
+def test_segment_distances_on_edge_cases(poly, x, y):
+    _assert_matches_per_point(poly, x, y)
+
+
+def test_segment_inside_the_polyhedron_needs_no_lp(monkeypatch):
+    solves = []
+    monkeypatch.setattr(lp, "_solve", lambda *args, **kwargs: solves.append(args))
+    poly = box_to_polyhedron(Box(pt(0, 0), pt(4, 4)))
+    assert set(poly.dists_along(pt(1, 1), pt(3, F(7, 2)), N, range(N + 1)).values()) == {0}
+    assert not solves
+
+
+@pytest.mark.parametrize("poly", [
+    HPolyhedron(0, (((), F(-1)),)),
+    HPolyhedron(2, (((F(1), F(0)), F(0)), ((F(-1), F(0)), F(-1)))),
+])
+def test_segment_distances_to_an_empty_polyhedron_raise_with_farkas_on_its_rows(poly,
+                                                                               monkeypatch):
+    checked, real = [], lp._verify_farkas
+
+    def verify(rows, *args):
+        checked.append(rows)
+        return real(rows, *args)
+
+    monkeypatch.setattr(lp, "_verify_farkas", verify)
+    x, y = (pt(0, 0), pt(3, -1)) if poly.dim else ((), ())
+    with pytest.raises(EmptySet, match="^polyhedron is empty$"):
+        poly.dists_along(x, y, N, range(N + 1))
+    assert checked == [poly._integer_rows]
+
+
+def test_one_affine_piece_costs_one_lp_and_every_time_is_verified(monkeypatch):
+    # From (3, 1/2) to (5, 1/2) the distance to the unit square is 2 + 2t.
+    solves, duals = [], []
+    real_solve, real_dual = lp._solve, lp._verify_dual
+
+    def solve(*args, **kwargs):
+        solves.append(args)
+        return real_solve(*args, **kwargs)
+
+    def dual(rows, *args):
+        duals.append(tuple(b for _, _, b in rows))
+        return real_dual(rows, *args)
+
+    monkeypatch.setattr(lp, "_solve", solve)
+    monkeypatch.setattr(lp, "_verify_dual", dual)
+    poly = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
+    along = poly.dists_along(pt(3, F(1, 2)), pt(5, F(1, 2)), N, range(N + 1))
+    assert along == {k: 2 + F(2 * k, N) for k in range(N + 1)}
+    assert len(solves) == 1
+    assert len(set(duals)) == len(duals) == N + 1  # each time on its own rows

@@ -146,6 +146,15 @@ def test_ball_families_share_one_path():
     assert not hasattr(lab, "_no_refutation")
 
 
+def test_distance_convexity_takes_segment_distances_through_the_protocol():
+    from hyperball import convexity, lp
+
+    assert "isinstance" not in _called_names(convexity.distance_convexity_check)
+    # One distance-row builder serves the point and the segment paths.
+    for fn in (lp.dist_to_polyhedron, lp.dists_along_segment):
+        assert "_distance_rows" in _called_names(fn), fn.__name__
+
+
 def test_each_subcommand_takes_only_the_flags_it_reads():
     import argparse
 

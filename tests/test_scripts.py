@@ -57,9 +57,16 @@ def test_helly_demo_checks_both_directions(capsys):
 def test_lp_census_counts_every_caller(capsys):
     _load("lp_census").main(["--size", "1"])
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["caller", "LPs", "pivots/LP", "ints/pivot", "solve", "s"]
+    assert header.split() == ["caller", "queries", "LPs", "LPs/q", "pivots/q", "pivots/LP",
+                              "ints/pivot", "solve", "s"]
     assert [row.split()[0] for row in rows] == [
-        "lp_feasible", "lp_minimize", "helly_order_check", "dist_to_polyhedron"]
+        "lp_feasible", "lp_minimize", "helly_order_check", "dist_to_polyhedron",
+        "distance_convexity_check"]
     for row in rows:
-        _, lps, pivots, ints, seconds = row.split()
-        assert int(lps) > 0 and float(pivots) > 0 and float(ints) > 0 and float(seconds) > 0
+        _, queries, lps, per_query, pivots_per_query, pivots, ints, seconds = row.split()
+        assert int(queries) > 0 and int(lps) > 0 and float(per_query) > 0
+        assert float(pivots_per_query) > 0 and float(pivots) > 0 and float(ints) > 0
+        assert float(seconds) > 0
+    # A segment of 33 grid times costs a few LPs, not one per time outside the set.
+    segments = rows[-1].split()
+    assert int(segments[1]) == 10 and float(segments[3]) < 5
