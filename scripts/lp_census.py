@@ -3,18 +3,23 @@
 feasibility and minimization systems (dims 2-6, 2-14 rows), Helly families
 (``helly_order_check`` on the optimal-order family at k = n and n + 1) and
 distance queries (``dist_to_polyhedron`` from points outside small
-polyhedra) and distance-convexity checks (``distance_convexity_check``
-along segments, one LP per affine piece of the distance).  Each row prints
-the queries, the LPs run, LPs and pivots per query (per segment for the
-convexity check), pivots per LP, integers stored per pivot (the tableau's
-and its objective rows' entries when the pivot starts) and the seconds
-spent in ``lp._solve``.
+polyhedra), distance-convexity checks (``distance_convexity_check``
+along segments, one LP per affine piece of the distance) and the exact
+subset oracle (``almost_to_exact``, 40 iterations, on the ``lp-repeat``
+refinements of ``bench/workloads.py``, each oracle query one box search).
+Each row prints the queries, the LPs run, LPs per query (per segment for
+the convexity check, per 40-iteration run for ``almost_to_exact``), rows
+per LP, pivots per query and per LP, integers stored per pivot (the
+tableau's and its objective rows' entries when the pivot starts) and the
+seconds spent in ``lp._solve``.
 
 The counts come from wrapping ``lp._solve`` and ``lp._Tableau._pivot`` in
 this script; the library keeps no counters.  A first pass counts, a second
 pass, without the pivot wrapper, times."""
 
 import argparse
+import pathlib
+import sys
 import time
 from fractions import Fraction as F
 
@@ -22,6 +27,9 @@ from hyperball import convexity, lab, lp
 from hyperball.lab import helly_counterexample
 from hyperball.lp import HPolyhedron
 from hyperball.rng import SplitMix64
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+from workloads import LPRepeat  # noqa: E402  (the lp-repeat pool and its ball families)
 
 
 def planted(rng, d, m):
@@ -67,6 +75,10 @@ def corpus(seed, size):
         x, y = (tuple(F(rng.randint(-80, 80), 8) for _ in range(d)) for _ in range(2))
         out.append(("distance_convexity_check", lambda p=p, x=x, y=y: _empty_is_none(
             convexity.distance_convexity_check, p, x, y)))
+    workload = LPRepeat(seed, smoke=False)
+    for index in range(size):
+        out.extend(("almost_to_exact", op.run) for op in workload.block(index)
+                   if ".refine." in op.op_id)
     return out
 
 
@@ -78,22 +90,23 @@ def _empty_is_none(query, *args):
 
 
 def census(seed, size):
-    """{caller: [queries, LPs, pivots, stored integers, seconds in _solve]}."""
+    """{caller: [queries, LPs, rows, pivots, stored integers, seconds in _solve]}."""
     queries = corpus(seed, size)
-    table = {caller: [0, 0, 0, 0, 0.0] for caller, _ in queries}
+    table = {caller: [0, 0, 0, 0, 0, 0.0] for caller, _ in queries}
     for caller, _ in queries:
         table[caller][0] += 1
     current = [None]
     real_solve, real_pivot = lp._solve, lp._Tableau._pivot
 
-    def counted_solve(*args, **kwargs):
+    def counted_solve(rows, *args, **kwargs):
         table[current[0]][1] += 1
-        return real_solve(*args, **kwargs)
+        table[current[0]][2] += len(rows)
+        return real_solve(rows, *args, **kwargs)
 
     def counted_pivot(self, objs, *rest):
         row = table[current[0]]
-        row[2] += 1
-        row[3] += sum(map(len, self.T)) + sum(map(len, objs))
+        row[3] += 1
+        row[4] += sum(map(len, self.T)) + sum(map(len, objs))
         return real_pivot(self, objs, *rest)
 
     def timed_solve(*args, **kwargs):
@@ -101,7 +114,7 @@ def census(seed, size):
         try:
             return real_solve(*args, **kwargs)
         finally:
-            table[current[0]][4] += time.perf_counter() - start
+            table[current[0]][5] += time.perf_counter() - start
 
     try:
         for solve, pivot in ((counted_solve, counted_pivot), (timed_solve, real_pivot)):
@@ -120,11 +133,12 @@ def main(argv=None):
                         help="systems per planted cell; scales every part of the corpus")
     args = parser.parse_args(argv)
     table = census(args.seed, args.size)
-    print(f"{'caller':<26}{'queries':>8}{'LPs':>7}{'LPs/q':>7}{'pivots/q':>10}{'pivots/LP':>11}"
-          f"{'ints/pivot':>12}{'solve s':>10}")
-    for caller, (queries, lps, pivots, ints, seconds) in table.items():
-        print(f"{caller:<26}{queries:>8}{lps:>7}{lps / queries:>7.2f}{pivots / queries:>10.2f}"
-              f"{pivots / lps:>11.2f}{ints / max(pivots, 1):>12.1f}{seconds:>10.3f}")
+    print(f"{'caller':<26}{'queries':>8}{'LPs':>7}{'LPs/q':>7}{'rows/LP':>9}{'pivots/q':>10}"
+          f"{'pivots/LP':>11}{'ints/pivot':>12}{'solve s':>10}")
+    for caller, (queries, lps, rows, pivots, ints, seconds) in table.items():
+        print(f"{caller:<26}{queries:>8}{lps:>7}{lps / queries:>7.2f}{rows / lps:>9.2f}"
+              f"{pivots / queries:>10.2f}{pivots / lps:>11.2f}{ints / max(pivots, 1):>12.1f}"
+              f"{seconds:>10.3f}")
 
 
 if __name__ == "__main__":

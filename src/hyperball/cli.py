@@ -38,7 +38,7 @@ from .lab import (
     refute_search,
 )
 from .lp import lp_feasible
-from .metric import graph_metric, is_modular
+from .metric import check_cap, graph_metric, is_modular
 from .rational import parse_rational
 from .refine import (
     almost_to_exact, chain_walk, exact_subset_oracle, ip_constants, triple_intersection, verify_trace,
@@ -103,6 +103,7 @@ def cmd_check(args, report) -> None:
     if args.k is not None and kind != "helly":
         raise ValidationError("--k applies only to helly instances")
     if kind in ("metric", "graph"):
+        check_cap(payload.n if kind == "graph" else payload.size)  # before the shortest paths
         space = graph_metric(payload) if kind == "graph" else payload
         outcome = is_modular(space)
         report["checks"].append(

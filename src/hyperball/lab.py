@@ -4,7 +4,7 @@ Helly-order machinery over the max-norm and finite-metric backends.
 Both ball-family kinds answer ``d`` (their metric) and ``items`` (their
 (center, radius) pairs), so one path serves both metrics, and a family
 rejects a subset, ball or pair of the other metric.  Only the witness
-search differs by subset kind: enumeration, box intervals or an LP.
+search differs by subset kind: enumeration, or ``subset_witness_in_box``.
 
 Certificates are the contract: a refutation always carries a ball family
 that re-verifies exactly (admissible, intersection certified empty), and a
@@ -34,6 +34,7 @@ from .sets import (
     subset_nearest,
     subset_nonempty,
     subset_window,
+    subset_witness_in_box,
 )
 
 
@@ -183,28 +184,15 @@ def external_witness(subset, family: LinfBallFamily | FiniteBallFamily) -> Feasi
 
 
 def _external_search(subset, family: LinfBallFamily | FiniteBallFamily) -> FeasibilityResult:
-    """The search of ``external_witness`` for a family known admissible: by
-    enumeration, box intervals or an LP, as the subset's kind asks."""
+    """The search of ``external_witness`` for a family known admissible:
+    enumeration on a finite subset, else the box search in the balls' box."""
     if isinstance(subset, FiniteSubset):
         d = family.d
         for v in subset.indices:
             if all(d(v, c) <= r for c, r in family.items):
                 return FeasibilityResult("witness", witness=v)
         return FeasibilityResult("infeasible", certificate={"checked": len(subset.indices)})
-    boxes = getattr(subset, "boxes", None)
-    if boxes is None:
-        return lp_feasible(subset, family.balls)
-    window = balls_box(family.balls)
-    empties = []
-    for member in boxes:
-        joint = member.intersect(window)
-        k = joint.first_empty_coordinate()
-        if k is None:
-            return FeasibilityResult("witness", witness=joint.witness())
-        empties.append(k)
-    if boxes[0] is subset:  # a box: the union of itself
-        return FeasibilityResult("infeasible", certificate={"coordinate": empties[0]})
-    return FeasibilityResult("infeasible", certificate={"coordinates": tuple(empties)})
+    return subset_witness_in_box(subset, balls_box(family.balls))
 
 
 def weakly_external_witness(
@@ -549,8 +537,13 @@ def graph_n_helly_bruteforce(g: GraphInstance, n: int, cap: int = GRAPH_ENUM_CAP
     vertex.  Balls of radius >= diameter are the whole space, so the cap on
     radii is exact, not an approximation.
     """
+    # With V >= 2 vertices radius_hi >= 1, so this bound on the families
+    # refuses a large graph before its shortest paths are computed.
+    V = g.n
+    bound = comb(V + n - 1, n) * min(V, 2) ** n
+    if bound > cap:
+        raise SizeCapExceeded(f"at least {bound} families exceed cap {cap}")
     space = graph_metric(g)
-    V = space.size
     diam = space.diameter()
     radius_hi = int(-(-diam.numerator // diam.denominator))  # ceil
     families = comb(V + n - 1, n) * (radius_hi + 1) ** n
@@ -589,7 +582,7 @@ def four_to_n_consistency(
 ) -> PropertyReport:
     """Search levels 4 and 5..n_max; flag THEOREM-INCONSISTENT only when a
     verified refutation needs more than 4 balls while nothing of size <= 4
-    was found anywhere.
+    was found anywhere; else "inconclusive", since the searches are sampled.
 
     The paper proves that 4-hyperconvexity implies finite hyperconvexity of
     the space.  This check assumes that the result carries over to external
@@ -630,7 +623,7 @@ def four_to_n_consistency(
             budget_used=used,
         )
     return PropertyReport(
-        HOLDS,
+        INCONCLUSIVE,
         certificate={"outcomes": outcomes},
         seed=seed,
         budget_used=used,

@@ -121,12 +121,12 @@ def box_to_polyhedron(box: Box) -> HPolyhedron:
     return HPolyhedron(d, tuple(rows))
 
 
-def _ball_rows(ball: Ball) -> list[IntRow]:
-    """|x_k - c_k| <= r as 2*dim integer rows: x_k <= hi and -x_k <= -lo."""
+def _box_rows(box: Box) -> list[IntRow]:
+    """x_k <= hi_k and -x_k <= -lo_k as integer rows; a ball's are its box's."""
     rows: list[IntRow] = []
-    for k, c in enumerate(ball.center):
-        for sign, v in ((1, c + ball.radius), (-1, c - ball.radius)):
-            a = [0] * ball.dim
+    for k, (lo, hi) in enumerate(zip(box.lo, box.hi)):
+        for sign, v in ((1, hi), (-1, lo)):
+            a = [0] * box.dim
             a[k] = sign * v.denominator
             rows.append((v.denominator, a, sign * v.numerator))
     return rows
@@ -336,10 +336,11 @@ def _assemble(p: HPolyhedron | None, balls: Sequence[Ball]) -> tuple[list[IntRow
     rows: list[IntRow] = [] if p is None else list(p._integer_rows)
     dim = None if p is None else p.dim
     for ball in balls:
-        dim = ball.dim if dim is None else dim
-        if ball.dim != dim:
+        box = ball.to_box() if isinstance(ball, Ball) else ball
+        dim = box.dim if dim is None else dim
+        if box.dim != dim:
             raise DimMismatch("ball dim mismatch")
-        rows.extend(_ball_rows(ball))
+        rows.extend(_box_rows(box))
     if dim is None:
         raise ValueError("cannot infer dimension from empty input")
     return rows, dim

@@ -170,10 +170,11 @@ def _check_index(s: FiniteMetricSpace, *indices: int) -> None:
             raise IndexError(f"point index {i} out of range for size {s.size}")
 
 
-def _check_cap(s: FiniteMetricSpace) -> None:
-    if s.size > ENUMERATION_CAP:
+def check_cap(size: int) -> None:
+    """Refuse a space of more than ``ENUMERATION_CAP`` points."""
+    if size > ENUMERATION_CAP:
         raise SizeCapExceeded(
-            f"enumeration oracle limited to {ENUMERATION_CAP} points, got {s.size}"
+            f"enumeration oracle limited to {ENUMERATION_CAP} points, got {size}"
         )
 
 
@@ -198,7 +199,7 @@ def _raw_matrix(s: FiniteMetricSpace):
 def metric_interval(s: FiniteMetricSpace, x: int, y: int) -> tuple[int, ...]:
     """All z with d(x,z) + d(z,y) = d(x,y), by exact enumeration."""
     _check_index(s, x, y)
-    _check_cap(s)
+    check_cap(s.size)
     d = _raw_matrix(s)
     dxy = d[x][y]
     return tuple(z for z in range(s.size) if d[x][z] + d[z][y] == dxy)
@@ -207,7 +208,7 @@ def metric_interval(s: FiniteMetricSpace, x: int, y: int) -> tuple[int, ...]:
 def median_set(s: FiniteMetricSpace, x: int, y: int, z: int) -> tuple[int, ...]:
     """Intersection of the three metric intervals of the triple; may be empty."""
     _check_index(s, x, y, z)
-    _check_cap(s)
+    check_cap(s.size)
     d = _raw_matrix(s)
     dxy, dyz, dzx = d[x][y], d[y][z], d[z][x]
     return tuple(
@@ -226,7 +227,7 @@ def is_modular(s: FiniteMetricSpace) -> PropertyReport:
     median, so only distinct triples are scanned.  The first refuting triple
     (lexicographic order) is returned as the certificate.
     """
-    _check_cap(s)
+    check_cap(s.size)
     n = s.size
     d = _raw_matrix(s)
     for x, y, z in combinations(range(n), 3):

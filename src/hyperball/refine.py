@@ -67,17 +67,19 @@ class EpsOracle:
         return p
 
 
+def _grown_witness(subset, balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
+    """The box search in every ball grown by slack: a point, or None."""
+    grown = balls_box(tuple(Ball(b.center, b.radius + slack) for b in balls))
+    return subset_witness_in_box(subset, grown).witness
+
+
 def exact_subset_oracle(subset, level: int = 64) -> EpsOracle:
     """Oracle backed by the subset's exact witness search: returned points
     satisfy the *uninflated* constraints whenever that is possible."""
 
     def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
-        window = balls_box(balls)
-        hit = subset_witness_in_box(subset, window)
-        if hit is not None:
-            return hit
-        grown = balls_box(tuple(Ball(b.center, b.radius + slack) for b in balls))
-        return subset_witness_in_box(subset, grown)
+        hit = _grown_witness(subset, balls, Fraction(0))
+        return hit if hit is not None else _grown_witness(subset, balls, slack)
 
     return EpsOracle(query, level, subset)
 
@@ -88,8 +90,7 @@ def saturating_subset_oracle(subset, level: int = 64) -> EpsOracle:
     by up to the whole slack."""
 
     def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
-        grown = balls_box(tuple(Ball(b.center, b.radius + slack) for b in balls))
-        return subset_witness_in_box(subset, grown)
+        return _grown_witness(subset, balls, slack)
 
     return EpsOracle(query, level, subset)
 
@@ -98,11 +99,8 @@ def broken_oracle(subset, offset: Fraction, level: int = 64) -> EpsOracle:
     """Deliberately out-of-contract oracle for failure-path tests."""
 
     def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
-        grown = balls_box(tuple(Ball(b.center, b.radius + slack) for b in balls))
-        hit = subset_witness_in_box(subset, grown)
-        if hit is None:
-            return None
-        return tuple(c + offset for c in hit)
+        hit = _grown_witness(subset, balls, slack)
+        return None if hit is None else tuple(c + offset for c in hit)
 
     return EpsOracle(query, level, subset)
 

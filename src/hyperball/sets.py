@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimMismatch, EmptySet
-from .linf import Ball, Box, Point, balls_box
+from .linf import Ball, Box, FeasibilityResult, Point, balls_box
 from .lp import box_to_polyhedron, intersection, lp_feasible
 from .metric import FiniteMetricSpace
 
@@ -132,26 +132,38 @@ def subset_nearest(subset, p):
     return subset.nearest(p)
 
 
-def subset_witness_in_box(subset, box: Box):
-    """A point of subset inside the box, or None (exact either way)."""
-    return None if box.is_empty() else subset.intersect(box).witness()
+def subset_witness_in_box(subset, box: Box) -> FeasibilityResult:
+    """A point of a max-norm subset inside the box, or a certificate of none:
+    on a box or union, the first member's joint corner or each member's empty
+    coordinate; on a polyhedron, the LP on its rows plus the box's rows."""
+    boxes = getattr(subset, "boxes", None)
+    if boxes is None:
+        return lp_feasible(subset, (box,))
+    empties = []
+    for member in boxes:
+        joint = member.intersect(box)
+        k = joint.first_empty_coordinate()
+        if k is None:
+            return FeasibilityResult("witness", witness=joint.witness())
+        empties.append(k)
+    if boxes[0] is subset:  # a box: the union of itself
+        return FeasibilityResult("infeasible", certificate={"coordinate": empties[0]})
+    return FeasibilityResult("infeasible", certificate={"coordinates": tuple(empties)})
 
 
 def pair_witness(first, second, balls: Sequence[Ball] = ()):
     """A point of first ∩ second ∩ (all balls), or None.
 
-    Box/union pairs reduce to interval arithmetic; anything involving a
-    polyhedron goes through the LP kernel.
+    Box/union pairs ask the box search once per member of the first set;
+    anything involving a polyhedron goes through the LP kernel.
     """
     window = balls_box(balls) if balls else None
     left, right = getattr(first, "boxes", None), getattr(second, "boxes", None)
     if left is not None and right is not None:
         for a in left:
-            for b in right:
-                joint = a.intersect(b)
-                hit = (joint if window is None else joint.intersect(window)).witness()
-                if hit is not None:
-                    return hit
+            hit = subset_witness_in_box(second, a if window is None else a.intersect(window))
+            if hit.feasible:
+                return hit.witness
         return None
 
     # At least one polyhedron: fold boxes into rows.

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -7,6 +9,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperball.cli import main
 from hyperball.io import (
@@ -410,3 +414,91 @@ def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
         "error: internal error: refutation failed exact re-verification",
         "error: internal error: ZeroDivisionError: integer division or modulo by zero",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["check"], "limited to 12 points, got 200"),
+     (["graph-scan", "--level", "3"], "at least 10827200 families exceed cap 5000000")],
+    ids=["check", "graph-scan"],
+)
+def test_cli_refuses_a_large_graph_before_its_shortest_paths(tmp_path, capsys, monkeypatch,
+                                                             argv, message):
+    from hyperball import cli, lab
+
+    def cubic(graph):
+        raise AssertionError("graph_metric ran")  # an internal error: exit 4
+
+    monkeypatch.setattr(cli, "graph_metric", cubic)
+    monkeypatch.setattr(lab, "graph_metric", cubic)
+    path = write(tmp_path, "path.json", {"type": "graph", "n": 200,
+                                         "edges": [[i, i + 1] for i in range(199)]})
+    assert main([argv[0], "--instance", path, *argv[1:]]) == 3
+    assert message in capsys.readouterr().err
+
+
+# Small JSON: ints |v| <= 20, "p/q" with q <= 20, at most 4 items per list.
+# Instances mostly follow a schema of io.py in one dimension, with any value
+# one time in sixteen, so that most examples get past the parser.
+_leaf = st.one_of(st.none(), st.booleans(), st.integers(-20, 20),
+                  st.builds("{}/{}".format, st.integers(-20, 20), st.integers(0, 20)))
+_any = st.recursive(_leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=12)
+_rational = st.builds("{}/{}".format, st.integers(-20, 20), st.integers(1, 20))
+_radius = st.builds("{}/{}".format, st.integers(0, 20), st.integers(1, 20))
+
+
+def _or_any(strategy):
+    return st.integers(0, 15).flatmap(lambda i: _any if i == 0 else strategy)
+
+
+def _instances(dim):
+    q, small = _or_any(_rational), _or_any(st.integers(-1, 6))
+    pt = _or_any(st.lists(_rational, min_size=dim, max_size=dim))
+
+    def items(strategy, size=None):
+        return _or_any(st.lists(strategy, min_size=size or 0, max_size=size or 4))
+
+    def typed(name, **fields):
+        return st.fixed_dictionaries({"type": st.just(name), **fields})
+
+    box = st.fixed_dictionaries({"box": st.fixed_dictionaries({"lo": pt, "hi": pt})})
+    poly = st.fixed_dictionaries({"polyhedron": st.fixed_dictionaries(
+        {"dim": _or_any(st.just(dim)), "rows": items(st.fixed_dictionaries({"a": pt, "b": q}))})})
+    subset = _or_any(st.one_of(box, poly, st.fixed_dictionaries({"union": items(box)})))
+    ball = st.fixed_dictionaries(
+        {"ball": st.fixed_dictionaries({"center": pt, "r": _or_any(_radius)})})
+    return st.one_of(
+        box, ball, poly,
+        typed("matrix", dist=items(items(q))),
+        typed("graph", n=small, edges=items(st.lists(small, min_size=2, max_size=2))),
+        typed("family", balls=items(ball), subset=subset),
+        typed("helly", dim=_or_any(st.just(dim)), halfspaces=items(poly), witnesses=items(pt)),
+        typed("triple", sets=items(subset, 3), x0=pt),
+        typed("chain", sets=items(subset, 2), x=pt, y=pt, r=q, eps=q, delta=q),
+        typed("points", points=items(pt)),
+        typed("ip", k=small, eps=q, balls=items(ball)),
+    )
+
+
+_INSTANCES = st.integers(0, 9).flatmap(
+    lambda i: st.dictionaries(st.text(max_size=4), _any, max_size=4) if i == 0
+    else st.integers(0, 3).flatmap(_instances))
+_COMMANDS = (
+    ["check"], ["refute", "--level", "2", "--budget", "20"], ["barycenter"],
+    ["ip-lift", "--iters", "3"], ["graph-scan", "--level", "2"],
+    *(["refine", "--scheme", scheme, "--iters", "3"]
+      for scheme in ("cauchy-halving", "chain-walk", "triple-34")),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_INSTANCES)
+def test_cli_any_json_object_exits_0_to_3_without_traceback(tmp_path_factory, instance):
+    path = write(tmp_path_factory.mktemp("any"), "instance.json", instance)
+    for command in _COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], "--instance", path, "--json", *command[1:]])
+        assert 0 <= code <= 3 and "Traceback" not in err.getvalue(), (command, err.getvalue())

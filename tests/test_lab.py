@@ -146,6 +146,26 @@ def test_external_witness_diag_halfspace():
     assert w[0] + w[1] <= -1
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_external_search_on_a_halfspace_is_one_lp_over_the_balls_box(monkeypatch, k):
+    """The balls enter the search as their box: one feasibility LP on the
+    half-space's row plus 2*dim rows, however many balls there are."""
+    import hyperball.lp as lp
+
+    feasibility, real = [], lp._solve
+
+    def solve(rows, dim, objective=None, **kwargs):
+        if objective is None:
+            feasibility.append(len(rows))
+        return real(rows, dim, objective, **kwargs)
+
+    monkeypatch.setattr(lp, "_solve", solve)
+    balls = tuple(Ball(pt(j, -j - 1), F(k)) for j in range(k))  # centers on the boundary
+    result = external_witness(DIAG, LinfBallFamily(balls))
+    assert result.feasible and DIAG.contains(result.witness)
+    assert feasibility == [1, 1 + 2 * DIAG.dim]  # the non-emptiness check, then the search
+
+
 def test_weakly_external_witness_example():
     inner = LinfBallFamily((Ball(pt(-1, 0), F(1)),))
     result = weakly_external_witness(DIAG, pt(0, 0), F(1, 2), inner)
@@ -613,7 +633,7 @@ def test_refute_finite_center_modes():
 
 def test_four_to_n_runs_on_finite_subset():
     report = four_to_n_consistency(C6_PART, 5, 200, seed=3)
-    assert report.holds
+    assert report.verdict == "inconclusive" and report.notes == ("consistent",)
     assert any(v.get("family_size") for v in report.certificate["outcomes"].values())
 
 
@@ -753,13 +773,13 @@ def test_graph_helly_cap():
 
 def test_four_to_n_box_consistent():
     report = four_to_n_consistency(Box(pt(0, 0), pt(1, 1)), 6, 500, seed=9)
-    assert report.holds
+    assert report.verdict == "inconclusive" and report.notes == ("consistent",)
     assert all(v["verdict"] == "inconclusive" for v in report.certificate["outcomes"].values())
 
 
 def test_four_to_n_union_consistent_via_small_refutation():
     report = four_to_n_consistency(UNION, 6, 500, seed=9)
-    assert report.holds
+    assert report.verdict == "inconclusive" and report.notes == ("consistent",)
     sizes = [v.get("family_size") for v in report.certificate["outcomes"].values()]
     assert any(s is not None and s <= 4 for s in sizes)
 

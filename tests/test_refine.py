@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hyperball.lab import LinfBallFamily, NotAdmissible
-from hyperball.linf import Ball, Box, linf_dist
+from hyperball.linf import Ball, Box, balls_box, linf_dist
 from hyperball.lp import box_to_polyhedron, halfspace
 from hyperball.refine import (
     ChainWalkResult,
@@ -268,3 +268,45 @@ def test_verify_trace_empty_is_vacuous():
     empty = RefinementTrace("cauchy-halving", (), (), ())
     report = verify_trace(empty)
     assert report.passed and report.notes
+
+
+def _intersected_answer(subset, balls, slack):
+    """The exact oracle's answer read from ``subset.intersect(window)``: the
+    uninflated window first, then the one grown by slack."""
+    for grow in (Fraction(0), slack):
+        window = balls_box(tuple(Ball(b.center, b.radius + grow) for b in balls))
+        hit = None if window.is_empty() else subset.intersect(window).witness()
+        if hit is not None:
+            return hit
+    return None
+
+
+def test_exact_oracle_answers_match_the_intersected_polyhedron_on_the_lp_repeat_pool(monkeypatch):
+    import pathlib
+
+    from hyperball import refine
+
+    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    from workloads import LPRepeat
+
+    real, answers = refine.exact_subset_oracle, []
+
+    def checked(subset, level=64):
+        oracle = real(subset, level)
+
+        def query(balls, slack):
+            hit = oracle.query(balls, slack)
+            assert hit == _intersected_answer(subset, balls, slack)
+            answers.append(hit)
+            return hit
+
+        return replace(oracle, query=query)
+
+    monkeypatch.setattr(refine, "exact_subset_oracle", checked)
+    workload = LPRepeat(seed=7, smoke=False)
+    for index in range(10):  # the 40 refinements of ten blocks, as the workload runs them
+        for op in workload.block(index):
+            if ".refine." in op.op_id:
+                assert op.check(op.run()) is None
+    assert len(answers) == 10 * len(workload.refined) * 40 and None not in answers

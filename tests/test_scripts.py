@@ -57,16 +57,21 @@ def test_helly_demo_checks_both_directions(capsys):
 def test_lp_census_counts_every_caller(capsys):
     _load("lp_census").main(["--size", "1"])
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["caller", "queries", "LPs", "LPs/q", "pivots/q", "pivots/LP",
-                              "ints/pivot", "solve", "s"]
+    assert header.split() == ["caller", "queries", "LPs", "LPs/q", "rows/LP", "pivots/q",
+                              "pivots/LP", "ints/pivot", "solve", "s"]
     assert [row.split()[0] for row in rows] == [
         "lp_feasible", "lp_minimize", "helly_order_check", "dist_to_polyhedron",
-        "distance_convexity_check"]
+        "distance_convexity_check", "almost_to_exact"]
     for row in rows:
-        _, queries, lps, per_query, pivots_per_query, pivots, ints, seconds = row.split()
+        _, queries, lps, per_query, rows_per_lp, pivots_per_query, pivots, ints, seconds = row.split()
         assert int(queries) > 0 and int(lps) > 0 and float(per_query) > 0
-        assert float(pivots_per_query) > 0 and float(pivots) > 0 and float(ints) > 0
-        assert float(seconds) > 0
+        assert float(rows_per_lp) > 0 and float(pivots_per_query) > 0 and float(pivots) > 0
+        assert float(ints) > 0 and float(seconds) > 0
     # A segment of 33 grid times costs a few LPs, not one per time outside the set.
-    segments = rows[-1].split()
+    segments = rows[-2].split()
     assert int(segments[1]) == 10 and float(segments[3]) < 5
+    # The four lp-repeat refinements of one block: each of the 40 oracle
+    # queries is one or two LPs on the pool polyhedron's 2 rows plus the
+    # window's 2*dim (dims 2 and 3).
+    oracle = rows[-1].split()
+    assert int(oracle[1]) == 4 and 40 <= float(oracle[3]) <= 80 and 6 <= float(oracle[4]) <= 8

@@ -5,7 +5,7 @@ import pytest
 
 from hyperball.errors import EmptySet
 from hyperball.linf import Box, linf_dist
-from hyperball.lp import HPolyhedron, halfspace
+from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace
 from hyperball.metric import GraphInstance, graph_metric
 from hyperball.sets import BoxUnion, FiniteSubset, subset_nonempty, subset_witness_in_box
 
@@ -66,14 +66,34 @@ def test_nearest_realizes_dist_and_dist_vanishes_on_the_set(name):
         assert (subset.dist(p) == 0) == subset.contains(p)
 
 
+def _assert_certifies_none_in(subset, window, certificate):
+    members = getattr(subset, "boxes", None)
+    if members is None:  # Farkas multipliers on the subset's rows, then the window's
+        rows = subset.rows + box_to_polyhedron(window).rows
+        y = certificate["farkas"]
+        assert len(y) == len(rows) and min(y) >= 0
+        assert all(sum(v * a[k] for v, (a, _) in zip(y, rows)) == 0 for k in range(subset.dim))
+        assert sum(v * b for v, (_, b) in zip(y, rows)) < 0
+        return
+    ks = (certificate["coordinate"],) if members[0] is subset else certificate["coordinates"]
+    assert len(ks) == len(members)
+    for member, k in zip(members, ks):
+        joint = member.intersect(window)
+        assert joint.lo[k] > joint.hi[k]
+
+
 @pytest.mark.parametrize("name", [n for n in KINDS if not _is_finite(KINDS[n][0])])
 def test_intersect_witness_lies_in_both_sets(name):
     subset, empty = KINDS[name]
     for window in WINDOWS:
-        w = subset.intersect(window).witness()
-        assert w == subset_witness_in_box(subset, window)
+        result = subset_witness_in_box(subset, window)
+        w = result.witness
+        assert w == subset.intersect(window).witness()
+        assert result.feasible == (w is not None)
         if w is not None:
             assert subset.contains(w) and window.contains(w)
+        else:
+            _assert_certifies_none_in(subset, window, result.certificate)
         if empty or window.is_empty():
             assert w is None
     # a window around every example meets each non-empty one
