@@ -9,11 +9,7 @@ per-round records ``chain_walk`` re-verifies."""
 import argparse
 from fractions import Fraction as F
 
-from hyperball.barycenter import (
-    exact_box_ip_oracle,
-    ip_lift,
-    linf_backend,
-)
+from hyperball.barycenter import ip_lift, linf_backend
 from hyperball.lab import LinfBallFamily
 from hyperball.linf import Ball, Box, linf_dist
 from hyperball.lp import halfspace
@@ -83,7 +79,7 @@ def main(argv=None):
         balls.append(Ball(c, linf_dist(c, anchor) + F(rng.randint(0, 8), 8)))
     params = ip_constants(4, 2, F(1, 64))
     _, trace = ip_lift(
-        exact_box_ip_oracle, tuple(balls), linf_backend(2), params, rounds=args.rounds
+        exact_subset_oracle(None), tuple(balls), linf_backend(2), params, rounds=args.rounds
     )
     show_report(f"ip-lift reach vs c^j R + 3 tau (c = {params.c})", verify_trace(trace))
 

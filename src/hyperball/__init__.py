@@ -17,7 +17,6 @@ from .barycenter import (
     barycenter_contraction_check,
     default_ip_eps,
     equivariance_check,
-    exact_box_ip_oracle,
     ip_lift,
     ip_threshold,
     linf_backend,

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from .errors import HyperballError
 from .lab import LinfBallFamily
 from .linf import Ball, Point, balls_box, linf_dist, sigma
-from .refine import IPParams, KTooSmall, RefinementTrace, ip_constants
+from .refine import EpsOracle, IPParams, KTooSmall, RefinementTrace, ip_constants
 from .reports import HOLDS, REFUTED, PropertyReport
 
 
@@ -248,17 +248,8 @@ def default_ip_eps(n: int, k: int) -> Fraction:
     return eps
 
 
-def exact_box_ip_oracle(balls: Sequence[Ball], center: Point, radius: Fraction) -> Point | None:
-    """Exact witness provider: the point of (∩ balls) ∩ B(center, radius)
-    nearest to center (coordinatewise clamp), or None."""
-    window = balls_box(tuple(balls) + (Ball(center, radius),))
-    if window.first_empty_coordinate() is not None:
-        return None
-    return window.clamp(center)
-
-
 def ip_lift(
-    oracle: Callable[[Sequence[Ball], Point, Fraction], Point | None],
+    oracle: EpsOracle,
     balls: Sequence[Ball],
     backend: BicombingBackend,
     params: IPParams,
@@ -267,17 +258,19 @@ def ip_lift(
 ) -> tuple[Point, RefinementTrace]:
     """Lift the (n,k)-intersection property to n+1 balls by iteration.
 
-    From a base point, each round gathers a witness inside every
-    (n-1)-subfamily within (1+eps) of the current reach R_j and barycenters
-    them; the distance to every (k-1)-fold intersection contracts by the
-    factor c < 1.  The trace records iterates, reaches, steps and the balls;
-    ``refine.verify_trace`` re-checks it.
+    From a base point, each round asks the oracle for a witness inside every
+    (n-1)-subfamily within (1+eps) of the current reach R_j, with slack 0,
+    and barycenters them; the distance to every (k-1)-fold intersection
+    contracts by the factor c < 1.  The trace records iterates, reaches,
+    steps and the balls; ``refine.verify_trace`` re-checks it.
     """
     cfg = cfg or BarycenterConfig()
     balls = tuple(balls)
     n, k = params.n, params.k
     if len(balls) != n + 1:
         raise ValueError(f"need n+1 = {n + 1} balls")
+    if oracle.level < n:
+        raise ValueError("oracle contract does not cover n balls")
     if params.c >= 1:
         raise ContractionNotGuaranteed(f"c = {params.c} is not < 1")
     for subset in combinations(range(n + 1), k):
@@ -302,17 +295,10 @@ def ip_lift(
         if R_j == 0:
             break
         window = (1 + params.eps) * R_j
-        witnesses = []
-        for alpha in omega:
-            w = oracle(tuple(balls[i] for i in alpha), y, window)
-            if w is None:
-                raise HyperballError(f"witness oracle failed on subfamily {alpha}")
-            if backend.dist(y, w) > window:
-                raise HyperballError("oracle point outside the allowed window")
-            for i in alpha:
-                if not balls[i].contains(w):
-                    raise HyperballError("oracle point outside a subfamily ball")
-            witnesses.append(w)
+        witnesses = [
+            oracle.ask(tuple(balls[i] for i in alpha) + (Ball(y, window),), Fraction(0), call)
+            for call, alpha in enumerate(omega, len(steps) * len(omega))
+        ]
         nxt = barycenter(backend, tuple(witnesses), cfg)
         steps.append(backend.dist(y, nxt))
         iterates.append(nxt)

@@ -14,14 +14,12 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .barycenter import (
     BarycenterConfig,
     barycenter,
     default_ip_eps,
-    exact_box_ip_oracle,
     ip_lift,
     ip_threshold,
     linf_backend,
@@ -87,8 +85,9 @@ def _emit(report: dict, args, started: float) -> None:
             print(line)
 
 
-def _tau(args) -> Fraction:
-    return parse_rational(args.tau) if args.tau else Fraction(1, 1 << 30)
+def _config(args) -> BarycenterConfig:
+    """The --tau stop tolerance, ``BarycenterConfig``'s default when not given."""
+    return BarycenterConfig(parse_rational(args.tau)) if args.tau else BarycenterConfig()
 
 
 def _helly_order(args, dim: int) -> int:
@@ -264,8 +263,7 @@ def cmd_barycenter(args, report) -> None:
         raise ValidationError("barycenter needs a points instance")
     points = payload
     backend = linf_backend(len(points[0]))
-    cfg = BarycenterConfig(tau=_tau(args))
-    result = barycenter(backend, points, cfg)
+    result = barycenter(backend, points, _config(args))
     report["checks"].append(
         {"name": "barycenter", "verdict": HOLDS, "point": result}
     )
@@ -288,8 +286,8 @@ def cmd_ip_lift(args, report) -> None:
     eps = payload["eps"] if payload["eps"] is not None else default_ip_eps(n, k)
     params = ip_constants(n, k, eps)
     point_, trace = ip_lift(
-        exact_box_ip_oracle, balls, linf_backend(balls[0].dim), params, rounds=args.iters,
-        cfg=BarycenterConfig(tau=_tau(args)),
+        exact_subset_oracle(None, n), balls, linf_backend(balls[0].dim), params, rounds=args.iters,
+        cfg=_config(args),
     )
     report["checks"].append(
         {

@@ -32,7 +32,7 @@ from .errors import HyperballError
 from .lab import HellyInstance, LinfBallFamily
 from .linf import Ball, Box, Point
 from .lp import HPolyhedron
-from .metric import GraphInstance, MetricError, validate_metric
+from .metric import GraphInstance, MetricError, check_cap, validate_metric
 from .rational import RationalParseError, format_rational, parse_rational
 from .sets import BoxUnion
 
@@ -181,6 +181,7 @@ def _parse_object(data: dict):
         return "box", parse_box(data["box"])
     kind = data.get("type")
     if kind == "matrix":
+        check_cap(len(data["dist"]))  # before the cubic triangle scan
         matrix = [[_rational(v) for v in row] for row in data["dist"]]
         try:
             return "metric", validate_metric(matrix)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, lcm
+from math import comb
 from typing import Sequence
 
 from .errors import DimMismatch, EmptySet, HyperballError, InternalError, SizeCapExceeded
@@ -24,7 +24,7 @@ from .linf import (
     Ball, FeasibilityResult, Point, ball_family_intersection, balls_box, linf_dist,
 )
 from .lp import HPolyhedron, intersection, lp_feasible
-from .metric import FiniteMetricSpace, GraphInstance, graph_metric
+from .metric import FiniteMetricSpace, GraphInstance, graph_metric, integer_matrix
 from .rng import derive_seed, draw
 from .reports import HOLDS, INCONCLUSIVE, REFUTED, PropertyReport
 from .sets import (
@@ -217,9 +217,10 @@ def pad_family(family: LinfBallFamily, n: int) -> LinfBallFamily:
     return LinfBallFamily(family.balls + extra, family.subset)
 
 
-def verify_refutation(subset, balls: Sequence) -> bool:
+def verify_refutation(subset, balls: Sequence, mode: str = "external") -> bool:
     """Exact re-verification in one pass: the subset is non-empty, the
-    family externally admissible, and its intersection with the subset
+    family externally admissible, every center from ``REFUTE_MODES[mode]``
+    on in the subset, and the family's intersection with the subset
     certifiably empty.  Over a ``FiniteSubset`` the balls are (center index,
     radius) pairs.  The floors d(c_i, A) raise ``EmptySet`` on an empty
     subset; a family with no balls or a failed pair reaches none."""
@@ -227,7 +228,9 @@ def verify_refutation(subset, balls: Sequence) -> bool:
     admissible = check_admissible(family)
     if not len(family) or admissible.kind == "pairwise":
         _require_nonempty(subset)
-    return bool(admissible) and not _external_search(subset, family).feasible
+    start = REFUTE_MODES[mode]
+    centered = start is None or all(subset.contains(c) for c, _ in family.items[start:])
+    return bool(admissible) and centered and not _external_search(subset, family).feasible
 
 
 def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
@@ -401,7 +404,7 @@ def refute_search(
     for index in indices:
         balls = build(index)
         if screened or not _external_search(subset, _family(subset, balls)).feasible:
-            if not verify_refutation(subset, balls):
+            if not verify_refutation(subset, balls, mode):
                 raise InternalError("refutation failed exact re-verification")
             certificate = {"balls": balls, "index": index}
             if mode != "external":
@@ -551,8 +554,7 @@ def graph_n_helly_bruteforce(g: GraphInstance, n: int, cap: int = GRAPH_ENUM_CAP
         raise SizeCapExceeded(f"{families} families exceed cap {cap}")
     if not n:  # the empty family's intersection is the whole space
         return PropertyReport(HOLDS, certificate={"families": families})
-    L = lcm(*(v.denominator for row in space.dist for v in row))  # d * L is an integer
-    d = [[v.numerator * (L // v.denominator) for v in row] for row in space.dist]
+    L, d = integer_matrix(space)
     for centers in combinations_with_replacement(range(V), n):
         *head, last = centers
         for prefix in product(range(radius_hi + 1), repeat=n - 1):

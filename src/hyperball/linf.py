@@ -140,10 +140,8 @@ def balls_box(balls: Sequence[Ball]) -> Box:
     for b in balls:
         if b.dim != dim:
             raise DimMismatch("balls of different dims")
-    box = balls[0].to_box()
-    for b in balls[1:]:
-        box = box.intersect(b.to_box())
-    return box
+    return Box(tuple(max(b.center[k] - b.radius for b in balls) for k in range(dim)),
+               tuple(min(b.center[k] + b.radius for b in balls) for k in range(dim)))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Sequence
 
 from .errors import HyperballError, SizeCapExceeded
@@ -185,39 +186,40 @@ def gromov_product(s: FiniteMetricSpace, y: int, z: int, base: int) -> Fraction:
     return (d[base][y] + d[base][z] - d[y][z]) / 2
 
 
-def _raw_matrix(s: FiniteMetricSpace):
-    """Plain-int view of the matrix when all entries are integral.
+def integer_matrix(s: FiniteMetricSpace) -> tuple[int, list[list[int]]]:
+    """(L, L·d): the matrix scaled by the lcm L of its denominators.
 
-    Exactness is unchanged (integers are rationals); triple scans over ints
-    run an order of magnitude faster than over Fraction.
+    Every comparison of sums of distances reads the same on L·d, and triple
+    scans over ints run an order of magnitude faster than over Fraction.
     """
-    if all(x.denominator == 1 for row in s.dist for x in row):
-        return [[x.numerator for x in row] for row in s.dist]
-    return s.dist
+    L = lcm(*(v.denominator for row in s.dist for v in row))
+    return L, [[v.numerator * (L // v.denominator) for v in row] for row in s.dist]
 
 
 def metric_interval(s: FiniteMetricSpace, x: int, y: int) -> tuple[int, ...]:
     """All z with d(x,z) + d(z,y) = d(x,y), by exact enumeration."""
     _check_index(s, x, y)
     check_cap(s.size)
-    d = _raw_matrix(s)
-    dxy = d[x][y]
-    return tuple(z for z in range(s.size) if d[x][z] + d[z][y] == dxy)
+    d = integer_matrix(s)[1]
+    return tuple(z for z in range(s.size) if d[x][z] + d[z][y] == d[x][y])
+
+
+def _medians(d: list[list[int]], x: int, y: int, z: int):
+    """The points w of all three intervals of the triple, lazily, over an
+    integer matrix."""
+    dxy, dyz, dzx = d[x][y], d[y][z], d[z][x]
+    return (
+        w
+        for w in range(len(d))
+        if d[x][w] + d[w][y] == dxy and d[y][w] + d[w][z] == dyz and d[z][w] + d[w][x] == dzx
+    )
 
 
 def median_set(s: FiniteMetricSpace, x: int, y: int, z: int) -> tuple[int, ...]:
     """Intersection of the three metric intervals of the triple; may be empty."""
     _check_index(s, x, y, z)
     check_cap(s.size)
-    d = _raw_matrix(s)
-    dxy, dyz, dzx = d[x][y], d[y][z], d[z][x]
-    return tuple(
-        w
-        for w in range(s.size)
-        if d[x][w] + d[w][y] == dxy
-        and d[y][w] + d[w][z] == dyz
-        and d[z][w] + d[w][x] == dzx
-    )
+    return tuple(_medians(integer_matrix(s)[1], x, y, z))
 
 
 def is_modular(s: FiniteMetricSpace) -> PropertyReport:
@@ -229,18 +231,8 @@ def is_modular(s: FiniteMetricSpace) -> PropertyReport:
     """
     check_cap(s.size)
     n = s.size
-    d = _raw_matrix(s)
+    d = integer_matrix(s)[1]
     for x, y, z in combinations(range(n), 3):
-        dxy, dyz, dzx = d[x][y], d[y][z], d[z][x]
-        found = False
-        for w in range(n):
-            if (
-                d[x][w] + d[w][y] == dxy
-                and d[y][w] + d[w][z] == dyz
-                and d[z][w] + d[w][x] == dzx
-            ):
-                found = True
-                break
-        if not found:
+        if next(_medians(d, x, y, z), None) is None:
             return PropertyReport(REFUTED, certificate={"triple": (x, y, z)})
     return PropertyReport(HOLDS, certificate={"triples_checked": n * (n - 1) * (n - 2) // 6})

@@ -11,8 +11,9 @@ schemes here turn such answers into points with certified error bounds:
 * ``triple_intersection`` — the 3/4-contraction onto a third subset
                          ("triple-34").
 
-``EpsOracle.ask`` checks every oracle answer and attributes a breach to the
-oracle via ``OracleFailure``, never absorbed; ``verify_trace`` re-checks a
+``EpsOracle.ask`` checks every oracle answer, those of
+``barycenter.ip_lift`` included, and attributes a breach to the oracle via
+``OracleFailure``, never absorbed; ``verify_trace`` re-checks a
 trace with exact rationals and is the one place that states scheme bounds;
 ``ip_constants`` gives the ``ip-lift`` contraction constant it recomputes.
 """
@@ -26,7 +27,7 @@ from typing import Any, Callable, Mapping
 
 from .errors import HyperballError
 from .lab import LinfBallFamily, NotAdmissible, _require_admissible
-from .linf import Ball, Point, balls_box, linf_dist
+from .linf import Ball, Box, Point, balls_box, linf_dist
 from .sets import pair_witness, subset_dist, subset_witness_in_box
 
 
@@ -47,7 +48,8 @@ class EpsOracle:
     """``query(balls, slack)`` -> point in subset ∩ (inflated balls).
 
     ``level`` declares how many balls the contract covers; ``subset`` is
-    the set handle used for exact membership and distance verification.
+    the set handle used for exact membership and distance verification,
+    None for the whole max-norm space.
     """
 
     query: Callable[[tuple[Ball, ...], Fraction], Point | None]
@@ -67,19 +69,25 @@ class EpsOracle:
         return p
 
 
-def _grown_witness(subset, balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
-    """The box search in every ball grown by slack: a point, or None."""
-    grown = balls_box(tuple(Ball(b.center, b.radius + slack) for b in balls))
-    return subset_witness_in_box(subset, grown).witness
+def _grown_witness(subset, balls: tuple[Ball, ...], box: Box, slack: Fraction) -> Point | None:
+    """The box search in the balls' box grown by slack: a point, or None.
+    Over the whole space (subset None) the point is the grown box's clamp
+    of the last ball's center."""
+    grown = Box(tuple(v - slack for v in box.lo), tuple(v + slack for v in box.hi)) if slack else box
+    if subset is not None:
+        return subset_witness_in_box(subset, grown).witness
+    return None if grown.is_empty() else grown.clamp(balls[-1].center)
 
 
 def exact_subset_oracle(subset, level: int = 64) -> EpsOracle:
     """Oracle backed by the subset's exact witness search: returned points
-    satisfy the *uninflated* constraints whenever that is possible."""
+    satisfy the *uninflated* constraints whenever that is possible.  With
+    subset None it answers over the whole max-norm space."""
 
     def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
-        hit = _grown_witness(subset, balls, Fraction(0))
-        return hit if hit is not None else _grown_witness(subset, balls, slack)
+        box = balls_box(balls)
+        hit = _grown_witness(subset, balls, box, Fraction(0))
+        return hit if hit is not None else _grown_witness(subset, balls, box, slack)
 
     return EpsOracle(query, level, subset)
 
@@ -90,7 +98,7 @@ def saturating_subset_oracle(subset, level: int = 64) -> EpsOracle:
     by up to the whole slack."""
 
     def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
-        return _grown_witness(subset, balls, slack)
+        return _grown_witness(subset, balls, balls_box(balls), slack)
 
     return EpsOracle(query, level, subset)
 
@@ -99,7 +107,7 @@ def broken_oracle(subset, offset: Fraction, level: int = 64) -> EpsOracle:
     """Deliberately out-of-contract oracle for failure-path tests."""
 
     def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
-        hit = _grown_witness(subset, balls, slack)
+        hit = _grown_witness(subset, balls, balls_box(balls), slack)
         return None if hit is None else tuple(c + offset for c in hit)
 
     return EpsOracle(query, level, subset)

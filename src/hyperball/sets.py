@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .errors import DimMismatch, EmptySet
 from .linf import Ball, Box, FeasibilityResult, Point, balls_box
-from .lp import box_to_polyhedron, intersection, lp_feasible
+from .lp import intersection, lp_feasible
 from .metric import FiniteMetricSpace
 
 
@@ -154,28 +154,19 @@ def subset_witness_in_box(subset, box: Box) -> FeasibilityResult:
 def pair_witness(first, second, balls: Sequence[Ball] = ()):
     """A point of first ∩ second ∩ (all balls), or None.
 
-    Box/union pairs ask the box search once per member of the first set;
-    anything involving a polyhedron goes through the LP kernel.
+    When either set has member boxes, each member, cut to the balls' box,
+    asks the box search on the other set; two polyhedra run one LP on their
+    joined rows and the balls.
     """
+    if getattr(first, "boxes", None) is None:
+        if getattr(second, "boxes", None) is None:
+            return lp_feasible(intersection(first.dim, (first, second)), balls).witness
+        first, second = second, first
     window = balls_box(balls) if balls else None
-    left, right = getattr(first, "boxes", None), getattr(second, "boxes", None)
-    if left is not None and right is not None:
-        for a in left:
-            hit = subset_witness_in_box(second, a if window is None else a.intersect(window))
-            if hit.feasible:
-                return hit.witness
-        return None
-
-    # At least one polyhedron: fold boxes into rows.
-    def parts(subset, boxes):
-        return (subset,) if boxes is None else tuple(map(box_to_polyhedron, boxes))
-
-    lefts, rights = parts(first, left), parts(second, right)
-    for a in lefts:
-        for b in rights:
-            result = lp_feasible(intersection(first.dim, (a, b)), balls)
-            if result.feasible:
-                return result.witness
+    for member in first.boxes:
+        hit = subset_witness_in_box(second, member if window is None else member.intersect(window))
+        if hit.feasible:
+            return hit.witness
     return None
 
 

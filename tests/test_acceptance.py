@@ -15,7 +15,6 @@ from hyperball.barycenter import (
     BarycenterConfig,
     Isometry,
     barycenter,
-    exact_box_ip_oracle,
     ip_lift,
     ip_threshold,
     linf_backend,
@@ -246,7 +245,7 @@ def test_criterion_06_ip_lift_contraction():
         c = (anchor[0] + F(rng.randint(-40, 40), 8), anchor[1] + F(rng.randint(-40, 40), 8))
         balls.append(Ball(c, linf_dist(c, anchor) + F(rng.randint(0, 8), 8)))
     params = ip_constants(4, 2, F(1, 64))
-    final, trace = ip_lift(exact_box_ip_oracle, tuple(balls), linf_backend(2), params, rounds=30, cfg=CFG)
+    final, trace = ip_lift(exact_subset_oracle(None), tuple(balls), linf_backend(2), params, rounds=30, cfg=CFG)
     R = trace.aux["R"]
     assert R > 0  # nontrivial instance
     rate = F(4, 5) + F(1, 20)

@@ -17,15 +17,16 @@ from hyperball.barycenter import (
     barycenter_contraction_check,
     default_ip_eps,
     equivariance_check,
-    exact_box_ip_oracle,
     ip_lift,
     ip_threshold,
     linf_backend,
     min_matching_average,
 )
 from hyperball.errors import HyperballError
-from hyperball.linf import Ball, linf_dist, mean_point, sigma
-from hyperball.refine import KTooSmall, ip_constants, verify_trace
+from hyperball.linf import Ball, balls_box, linf_dist, mean_point, sigma
+from hyperball.refine import (
+    EpsOracle, KTooSmall, OracleFailure, exact_subset_oracle, ip_constants, verify_trace,
+)
 from hyperball.rng import SplitMix64
 
 from conftest import F, pt
@@ -200,7 +201,7 @@ def seeded_instance(seed, n=4, dim=2):
 def test_ip_lift_contracts():
     balls = seeded_instance(424242)
     params = ip_constants(4, 2, F(1, 64))
-    final, trace = ip_lift(exact_box_ip_oracle, balls, linf_backend(2), params, rounds=20)
+    final, trace = ip_lift(exact_subset_oracle(None), balls, linf_backend(2), params, rounds=20)
     assert verify_trace(trace).passed
     R = trace.aux["R"]
     assert R > 0
@@ -217,7 +218,7 @@ def test_ip_lift_contracts():
 def test_verify_trace_rejects_a_tampered_ip_lift_trace():
     balls = seeded_instance(424242)
     params = ip_constants(4, 2, F(1, 64))
-    _, trace = ip_lift(exact_box_ip_oracle, balls, linf_backend(2), params, rounds=8)
+    _, trace = ip_lift(exact_subset_oracle(None), balls, linf_backend(2), params, rounds=8)
     report = verify_trace(trace)
     assert report.passed and report.observed == trace.slacks and len(trace.steps) == 8
     assert len(report.step_ok) == len(trace.slacks) + len(trace.steps)
@@ -253,7 +254,7 @@ def test_verify_trace_recomputes_the_ip_lift_constant():
     consistent) breaks the bounds under c = 845/1024 and cannot pass by
     recording c = 1."""
     params = ip_constants(4, 2, F(1, 64))
-    _, trace = ip_lift(exact_box_ip_oracle, IP_BALLS, linf_backend(2), params, rounds=7)
+    _, trace = ip_lift(exact_subset_oracle(None), IP_BALLS, linf_backend(2), params, rounds=7)
     assert params.c == F(845, 1024) and verify_trace(trace).passed
     stalled = replace(trace, iterates=trace.iterates[:1] * 8, slacks=trace.slacks[:1] * 8,
                       steps=(F(0),) * 7)
@@ -267,10 +268,39 @@ def test_verify_trace_recomputes_the_ip_lift_constant():
     assert not report.passed
 
 
+@pytest.mark.parametrize("breach", ["no point", "outside the window", "outside a subfamily ball"])
+def test_ip_lift_fails_at_the_call_of_a_breaching_oracle_answer(breach):
+    """Every answer of the lift goes through ``EpsOracle.ask``: a whole-space
+    oracle that breaks its contract at its 14th query (round 1) fails the
+    lift with ``OracleFailure`` at call 13, naming the ball it left."""
+    exact, queries = exact_subset_oracle(None), []
+
+    def query(balls, slack):
+        queries.append(balls)
+        p = exact.query(balls, slack)
+        if len(queries) != 14:
+            return p
+        if breach == "no point":
+            return None
+        far = tuple(v + 100 for v in balls[-1].center)  # clamped onto the subfamily or shifted
+        return balls_box(balls[:-1]).clamp(far) if breach == "outside the window" else far
+
+    params = ip_constants(4, 2, F(1, 64))
+    with pytest.raises(OracleFailure) as failure:
+        ip_lift(EpsOracle(query, 4, None), IP_BALLS, linf_backend(2), params, rounds=5)
+    assert failure.value.step == 13 and len(queries) == 14
+    left = {"no point": "no point returned",
+            "outside the window": f"around {queries[-1][-1].center}",
+            "outside a subfamily ball": f"around {queries[-1][0].center}"}[breach]
+    assert left in str(failure.value)
+    with pytest.raises(ValueError, match="does not cover"):
+        ip_lift(EpsOracle(query, 3, None), IP_BALLS, linf_backend(2), params, rounds=5)
+
+
 def test_ip_lift_immediate_when_base_in_all():
     balls = tuple(Ball(pt(0, 0), F(5)) for _ in range(5))
     params = ip_constants(4, 2, F(1, 64))
-    final, trace = ip_lift(exact_box_ip_oracle, balls, linf_backend(2), params, rounds=10)
+    final, trace = ip_lift(exact_subset_oracle(None), balls, linf_backend(2), params, rounds=10)
     assert trace.steps == ()
     assert all(b.contains(final) for b in balls)
 
@@ -278,7 +308,7 @@ def test_ip_lift_immediate_when_base_in_all():
 def test_ip_lift_rejects_c_at_least_one():
     balls = seeded_instance(7, n=3)
     with pytest.raises(ContractionNotGuaranteed):
-        ip_lift(exact_box_ip_oracle, balls, linf_backend(2), ip_constants(3, 2), rounds=5)
+        ip_lift(exact_subset_oracle(None), balls, linf_backend(2), ip_constants(3, 2), rounds=5)
 
 
 def test_ip_lift_rejects_empty_k_subfamily():
@@ -290,4 +320,4 @@ def test_ip_lift_rejects_empty_k_subfamily():
         Ball(pt(5, 5), F(1)),
     )
     with pytest.raises(KSubfamilyEmpty):
-        ip_lift(exact_box_ip_oracle, balls, linf_backend(2), ip_constants(4, 2, F(1, 64)), rounds=5)
+        ip_lift(exact_subset_oracle(None), balls, linf_backend(2), ip_constants(4, 2, F(1, 64)), rounds=5)

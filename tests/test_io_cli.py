@@ -376,8 +376,8 @@ def test_cli_refute_on_a_point_is_inconclusive_in_every_mode(tmp_path, capsys, i
 
 
 def test_cli_refine_triple_34_through_polyhedra(tmp_path, capsys):
-    """Sets 0 and 2 of the triple as four rows each: the LP path of
-    ``pair_witness`` gives the box triple's report."""
+    """Sets 0 and 2 of the triple as four rows each: the box search of
+    ``pair_witness`` on their rows gives the box triple's report."""
     boxes = json.loads((SRC.parent / "bench" / "instances" / "triple.json").read_text())
     sets = [to_jsonable(box_to_polyhedron(parse_subset(s))) if i != 1 else s
             for i, s in enumerate(boxes["sets"])]
@@ -404,7 +404,7 @@ def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(lp, "_verify_witness", kernel_bug)
     assert main(["check", "--instance", polyhedron]) == 4
-    monkeypatch.setattr(lab, "verify_refutation", lambda subset, balls: False)
+    monkeypatch.setattr(lab, "verify_refutation", lambda subset, balls, mode: False)
     assert main(["refute", "--instance", union, "--level", "2", "--budget", "1000", "--seed", "7"]) == 4
     monkeypatch.setattr(cli, "ip_threshold", lambda k: 1 // 0)
     assert main(["ip-threshold", "--k", "2"]) == 4
@@ -435,6 +435,19 @@ def test_cli_refuses_a_large_graph_before_its_shortest_paths(tmp_path, capsys, m
                                          "edges": [[i, i + 1] for i in range(199)]})
     assert main([argv[0], "--instance", path, *argv[1:]]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_cli_refuses_a_large_matrix_before_its_triangle_scan(tmp_path, capsys, monkeypatch):
+    from hyperball import io as hio
+
+    def cubic(matrix):
+        raise AssertionError("validate_metric ran")  # an internal error: exit 4
+
+    monkeypatch.setattr(hio, "validate_metric", cubic)
+    ones = [["0/1" if i == j else "1/1" for j in range(100)] for i in range(100)]
+    path = write(tmp_path, "ones.json", {"type": "matrix", "dist": ones})
+    assert main(["check", "--instance", path]) == 3
+    assert "limited to 12 points, got 100" in capsys.readouterr().err
 
 
 # Small JSON: ints |v| <= 20, "p/q" with q <= 20, at most 4 items per list.

@@ -615,9 +615,36 @@ def test_refute_finite_certificates_reverify():
         report = refute_search(C6_PART, 3, 200, seed=1, mode=mode)
         assert report.refuted
         items = report.certificate["balls"]
-        assert verify_refutation(C6_PART, items)
+        assert verify_refutation(C6_PART, items) and verify_refutation(C6_PART, items, mode)
     assert not verify_refutation(C6_PART, ((1, F(0)),))  # d(1, subset) = 1 > 0
     assert not verify_refutation(C6_PART, ((1, F(1)),))  # meets the subset at 0
+
+
+def test_verify_refutation_checks_the_centers_of_its_mode(monkeypatch):
+    """On A = [0,1] ∪ [3,4] the balls B(3/2, 1/2) and B(5/2, 1/2) refute
+    external hyperconvexity, but neither center lies in A; a family whose
+    first center alone lies outside refutes the weakly-external mode only."""
+    A = BoxUnion((Box(pt(0), pt(1)), Box(pt(3), pt(4))))
+    outside = (Ball((F(3, 2),), F(1, 2)), Ball((F(5, 2),), F(1, 2)))
+    first_outside = (Ball((F(3, 2),), F(1, 2)), Ball(pt(3), F(1)))  # meet at 2
+    assert verify_refutation(A, outside) and verify_refutation(A, first_outside)
+    verdicts = {mode: (verify_refutation(A, outside, mode), verify_refutation(A, first_outside, mode))
+                for mode in REFUTE_MODES}
+    assert verdicts == {"external": (True, True), "hyperconvex": (False, False),
+                        "weakly-external": (False, True)}
+    # over C6_PART = {0, 2, 3}: B(4, 1) ∩ B(0, 1) = {5}, B(4, 1) ∩ B(5, 1) = {4, 5}
+    for items, expected in ((((4, F(1)), (0, F(1))), [True, False, True]),
+                            (((4, F(1)), (5, F(1))), [True, False, False])):
+        assert [verify_refutation(C6_PART, items, mode) for mode in REFUTE_MODES] == expected
+    # refute_search re-verifies a hit in its own mode
+    from hyperball import lab
+
+    modes, real = [], lab.verify_refutation
+    monkeypatch.setattr(lab, "verify_refutation",
+                        lambda subset, balls, mode: modes.append(mode) or real(subset, balls, mode))
+    for mode in REFUTE_MODES:
+        assert refute_search(UNION, 2, 1000, seed=7, mode=mode).refuted
+    assert modes == list(REFUTE_MODES)
 
 
 def test_refute_finite_center_modes():

@@ -566,4 +566,4 @@ def test_joined_polyhedra_scale_only_uncached_rows(monkeypatch):
     for first, second in ((p, union), (union, p)):
         scaled[0] = 0
         assert pair_witness(first, second) is not None
-        assert scaled[0] == 2 * 4  # two LPs, each scaling only its box's rows
+        assert scaled[0] == 0  # two box searches: cached rows plus integer box rows

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,20 @@ def test_enumeration_cap():
         is_modular(space)
     with pytest.raises(SizeCapExceeded):
         metric_interval(space, 0, 1)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scaled_metric_keeps_intervals_medians_and_certificates(seed):
+    """Dividing a metric by 21 (entries with denominators) changes no
+    interval, median set or modularity certificate."""
+    space = random_metric(seed)
+    n = space.size
+    scaled = validate_metric([[space.d(i, j) / 21 for j in range(n)] for i in range(n)])
+    assert is_modular(scaled) == is_modular(space)
+    for x, y in itertools.product(range(n), repeat=2):
+        assert metric_interval(scaled, x, y) == metric_interval(space, x, y)
+    for x, y, z in itertools.combinations(range(n), 3):
+        assert median_set(scaled, x, y, z) == median_set(space, x, y, z)
 
 
 @settings(max_examples=25, deadline=None)

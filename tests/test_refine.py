@@ -183,8 +183,8 @@ def test_triple_intersection_contraction():
 
 
 def test_triple_intersection_through_polyhedra_matches_boxes():
-    """With A0 and A2 as four rows each, every pick goes through the LP path
-    of ``pair_witness`` and lands where the box picks land."""
+    """With A0 and A2 as four rows each, every pick on them is the box search
+    of ``pair_witness`` on their rows and lands where the box picks land."""
     a0, a1, a2 = triple_boxes()
     runs = [
         triple_intersection(*(exact_subset_oracle(s) for s in sets), pt(0, 1), rounds=40)

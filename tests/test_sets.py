@@ -4,10 +4,11 @@ witness for itself, and the max-norm kinds add window and intersect."""
 import pytest
 
 from hyperball.errors import EmptySet
-from hyperball.linf import Box, linf_dist
-from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace
+from hyperball.linf import Ball, Box, linf_dist
+from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace, intersection, lp_feasible
 from hyperball.metric import GraphInstance, graph_metric
-from hyperball.sets import BoxUnion, FiniteSubset, subset_nonempty, subset_witness_in_box
+from hyperball.rng import SplitMix64
+from hyperball.sets import BoxUnion, FiniteSubset, pair_witness, subset_nonempty, subset_witness_in_box
 
 from conftest import F, pt
 
@@ -132,3 +133,42 @@ def test_a_box_is_a_union_of_one_box():
     union = KINDS["union-with-empty-member"][0]
     assert union.window() == Box(pt(3, 0), pt(4, 1))
     assert union.nearest(pt(0, 0)) == pt(3, 0)
+
+
+PAIR_SETS = {
+    "box": Box(pt(0, 0), pt(2, 2)),
+    "union": BoxUnion((Box(pt(-3, -1), pt(0, 1)), Box(pt(3, 0), pt(4, 1)))),
+    "box-rows": box_to_polyhedron(Box(pt(1, -2), pt(3, 1))),
+    "halfspace": halfspace([1, 1], 1),
+}
+
+
+def _rows(subset):
+    """The subset as polyhedra: one per member box, or itself."""
+    return [box_to_polyhedron(b) for b in subset.boxes] if hasattr(subset, "boxes") else [subset]
+
+
+@pytest.mark.parametrize("first", list(PAIR_SETS))
+@pytest.mark.parametrize("second", list(PAIR_SETS))
+def test_pair_witness_finds_a_point_exactly_when_the_joined_rows_are_feasible(first, second):
+    """Box-side pairs run the box search, two polyhedra one LP; either way a
+    point comes back exactly when some member's rows joined with the other
+    set's rows and the balls are feasible, and it lies in both sets and
+    every ball."""
+    a, b = PAIR_SETS[first], PAIR_SETS[second]
+    rng = SplitMix64(17)
+    families = [()] + [
+        tuple(Ball(pt(rng.randint(-4, 4), rng.randint(-4, 4)), F(rng.randint(0, 6), 2))
+              for _ in range(2))
+        for _ in range(12)
+    ]
+    outcomes = set()
+    for balls in families:
+        expected = any(lp_feasible(intersection(2, (p, q)), balls).feasible
+                       for p in _rows(a) for q in _rows(b))
+        w = pair_witness(a, b, balls)
+        assert (w is not None) == expected, balls
+        if w is not None:
+            assert a.contains(w) and b.contains(w) and all(ball.contains(w) for ball in balls)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
