@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Sweep the seeded refuter over the standard fixtures, all three modes and
-levels 2..6, and print candidates per second for each row.
+levels 2..6, and print for each row the path it ran on (``screen`` or
+``scalar``) and its candidates per second.
 
 Boxes should stay inconclusive at every level and in every mode (they are
 hyperconvex); the two-box union falls quickly; half-spaces with diagonal
@@ -54,14 +55,14 @@ def main(argv=None):
 
     print(
         f"{'fixture':>28} {'mode':>15} {'level':>6} {'verdict':>14} "
-        f"{'used':>8} {'family':>7} {'cand/s':>10}"
+        f"{'used':>8} {'family':>7} {'path':>6} {'cand/s':>10}"
     )
     refute_search(fixtures()[0][1], 2, 1, args.seed)  # loads numpy outside the timed rows
     for name, subset in fixtures():
         for mode in REFUTE_MODES:
-            budget = args.budget
+            budget, path = args.budget, "screen"
             if scalar_path(subset, mode):
-                budget = min(budget, args.scalar_budget)
+                budget, path = min(budget, args.scalar_budget), "scalar"
             for level in range(2, 7):
                 began = time.perf_counter()
                 report = refute_search(subset, level, budget, args.seed + level, mode=mode)
@@ -69,7 +70,7 @@ def main(argv=None):
                 size = len(report.certificate["balls"]) if report.refuted else "-"
                 print(
                     f"{name:>28} {mode:>15} {level:>6} {report.verdict:>14} "
-                    f"{report.budget_used:>8} {size!s:>7} {rate:>10.0f}"
+                    f"{report.budget_used:>8} {size!s:>7} {path:>6} {rate:>10.0f}"
                 )
 
 

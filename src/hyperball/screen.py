@@ -3,6 +3,14 @@
 The only module that imports numpy.  ``lab.refute_search`` imports it only
 where ``lab.screen_applies`` says the screen takes the subset in the mode,
 so every other command starts without loading numpy.
+
+A batch of N candidates is laid out batch-last: the candidate axis is the
+last, contiguous one of every array, so each numpy loop runs over the whole
+batch.  The draws are (slots, N), centers (level, dim, N), radii, floors and
+member indices (level, N), and pair distances (level, level, N).  The pair
+distances grow with level², so a batch holds at most ``_PAIR_CAP // level²``
+candidates (at least one): ``_PAIR_CAP`` int64 elements, 8 MB, per pair
+distance array at any level.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from .rng import draw
 _INT64_GUARD = 1 << 52
 _FIRST_BATCH = 32  # small, so that an early hit costs little
 _BATCH = 4096
+_PAIR_CAP = 1 << 20  # level² * N bound on a batch's pair distances
 _BIG = np.int64(1 << 60)
 
 
@@ -75,117 +84,128 @@ class FastScreen:
             raise OverflowError("fast-path magnitudes would overflow int64")
 
     def dist_ints(self, coords: np.ndarray):
-        """d(center, subset) * unit for an (N, level, dim) int64 array, and
+        """d(center, subset) * unit for a (level, dim, N) int64 array, and
         on boxes the index of the first member at that distance (None on a
-        half-space)."""
+        half-space); both are (level, N)."""
         if self.kind == "boxes":
             best = which = None
             for m, (lo, hi) in enumerate(zip(self.los, self.his)):
-                d = np.zeros(coords.shape[:2], dtype=np.int64)
-                for k in range(coords.shape[2]):
-                    np.maximum(d, lo[k] - coords[:, :, k], out=d)
-                    np.maximum(d, coords[:, :, k] - hi[k], out=d)
+                d = np.zeros((coords.shape[0], coords.shape[2]), dtype=np.int64)
+                for k in range(coords.shape[1]):
+                    np.maximum(d, lo[k] - coords[:, k], out=d)
+                    np.maximum(d, coords[:, k] - hi[k], out=d)
                 if best is None:
                     best, which = d, np.zeros(d.shape, dtype=np.intp)
                 else:
                     which[d < best] = m  # strict: ties keep the earlier member
                     np.minimum(best, d, out=best)
             return best, which
-        margin = coords @ self.a_int - np.int64(self.b_int) * np.int64(self.unit)
+        bound = np.int64(self.b_int) * np.int64(self.unit)
+        margin = np.tensordot(self.a_int, coords, axes=(0, 1)) - bound
         scaled = np.maximum(margin, 0)
         if np.any(scaled % self.dual):
             raise ArithmeticError("half-space distance left the integer lattice")
         return scaled // self.dual, None
 
     def empty_mask(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """True where (combined ball box) ∩ subset = ∅; boxes are (N, dim)."""
-        box_ok = np.all(lo <= hi, axis=1)
+        """True where (combined ball box) ∩ subset = ∅; boxes are (dim, N)."""
+        box_ok = np.all(lo <= hi, axis=0)
         if self.kind == "boxes":
-            meets = np.zeros(len(lo), dtype=bool)
+            meets = np.zeros(lo.shape[1], dtype=bool)
             for mlo, mhi in zip(self.los, self.his):
-                jlo = np.maximum(lo, mlo)
-                jhi = np.minimum(hi, mhi)
-                meets |= np.all(jlo <= jhi, axis=1)
+                jlo = np.maximum(lo, mlo[:, None])
+                jhi = np.minimum(hi, mhi[:, None])
+                meets |= np.all(jlo <= jhi, axis=0)
         else:
-            corner = np.where(self.a_int > 0, lo, hi)
-            meets = corner @ self.a_int <= np.int64(self.b_int) * np.int64(self.unit)
+            corner = np.where(self.a_int[:, None] > 0, lo, hi)
+            bound = np.int64(self.b_int) * np.int64(self.unit)
+            meets = np.tensordot(self.a_int, corner, axes=(0, 0)) <= bound
         return ~(box_ok & meets)
 
     def scan(self, seed: int, start: int, stop: int):
         """First candidate index in [start, stop) whose family screens empty.
 
         Mirrors ``lab._scalar_candidate``, the center pull included, batch
-        by batch.  The first batch is small, so a search
-        that refutes early does not pay for a full batch.
+        by batch.  The first batch is small, so a search that refutes early
+        does not pay for a full batch.  Batches only split the index range,
+        so their size never moves the first hit.
         """
-        lo_idx, size = start, _FIRST_BATCH
+        batch = max(1, min(_BATCH, _PAIR_CAP // self.arena.level ** 2))
+        lo_idx, size = start, min(_FIRST_BATCH, batch)
         while lo_idx < stop:
             hi_idx = min(lo_idx + size, stop)
             hits = np.nonzero(self._screen_batch(seed, lo_idx, hi_idx))[0]
             if len(hits):
                 return lo_idx + int(hits[0])
-            lo_idx, size = hi_idx, _BATCH
+            lo_idx, size = hi_idx, batch
         return None
 
     def _screen_batch(self, seed: int, lo_idx: int, hi_idx: int) -> np.ndarray:
         """Whether each candidate in [lo_idx, hi_idx) screens empty."""
         arena = self.arena
-        level, dim = arena.level, arena.dim
+        level, dim, slots = arena.level, arena.dim, arena.slots
         n = hi_idx - lo_idx
-        base = (np.arange(lo_idx, hi_idx, dtype=np.uint64)) * np.uint64(arena.slots)
-        sizes = 2 + (draw(seed, base) % np.uint64(level - 1)).astype(np.int64)
-        idx_counters = base[:, None] + np.uint64(1) + np.arange(level * dim, dtype=np.uint64)
-        grid_idx = draw(seed, idx_counters).reshape(n, level, dim)
-        grid_idx = (grid_idx % (self.cells + 1).astype(np.uint64)).astype(np.int64)
-        coords = self.wlo_i + grid_idx * np.int64(self.step_i)
+        # Every slot of every candidate from one draw: slot s of candidate i
+        # is counter i * slots + s, in row s.
+        base = np.arange(lo_idx, hi_idx, dtype=np.uint64) * np.uint64(slots)
+        drawn = draw(seed, np.arange(slots, dtype=np.uint64)[:, None] + base)
+        sizes = 2 + (drawn[0] % np.uint64(level - 1)).astype(np.int64)
+        off = 1 + level * dim  # the first radius-offset slot
+        grid_idx = drawn[1:off].reshape(level, dim, n)
+        grid_idx = (grid_idx % (self.cells + 1).astype(np.uint64)[:, None]).astype(np.int64)
+        coords = self.wlo_i[:, None] + grid_idx * np.int64(self.step_i)
         dist_a, member = self.dist_ints(coords)
-        off_counters = base[:, None] + np.uint64(1 + level * dim) + np.arange(level, dtype=np.uint64)
-        offs = (draw(seed, off_counters) % np.uint64(RADIUS_STEPS + 1)).astype(np.int64)
-        keys = draw(seed, off_counters + np.uint64(level))
-        order = np.argsort(keys, axis=1, kind="stable")
+        offs = (drawn[off:off + level] % np.uint64(RADIUS_STEPS + 1)).astype(np.int64)
+        order = np.argsort(drawn[off + level:], axis=0, kind="stable")
         # Balls past a candidate's size get radius _BIG: no gap against them
         # counts, and they drop out of the box of the family.
-        active = np.arange(level)[None, :] < sizes[:, None]
+        active = np.arange(level)[:, None] < sizes
         radii = np.where(active, dist_a + offs * np.int64(abs(self.step_i)), _BIG)
-        rows = np.arange(n)
-        diff = _pair_dists(coords)
-        for t in range(level):
-            i_t = order[:, t]
-            _tighten_one(diff[rows, i_t, :], radii, dist_a[rows, i_t], (rows, i_t), i_t < sizes)
-        if self.start is not None:
+        # Tightening along the sampled order is tightening in index order
+        # once the balls are sorted into that order.  Flat indices of ball
+        # order[t, c] of candidate c gather faster than np.take_along_axis.
+        cols = np.arange(n)
+        at = order * n + cols  # in a (level, N) array
+        at_coords = (order * (dim * n) + cols)[:, None] + (np.arange(dim) * n)[:, None]
+        by_order = np.take(coords, at_coords)
+        radii_by_order = np.take(radii, at)
+        _tighten(np.take(dist_a, at), _pair_dists(by_order), radii_by_order, order < sizes)
+        if self.start is None:  # the family's box does not depend on ball order
+            coords, radii = by_order, radii_by_order
+        else:
+            np.put(radii, at, radii_by_order)
             # Clamp each center from ``start`` on onto its first member at
             # minimal distance, which leaves centers in the subset in place.
-            tail, which = coords[:, self.start:, :], member[:, self.start:]
-            np.clip(tail, self.los[which], self.his[which], out=tail)
-            floor = np.where(np.arange(level) < self.start, dist_a, 0)
-            diff = _pair_dists(coords)
-            for t in range(level):
-                _tighten_one(diff[:, t, :], radii, floor[:, t], (slice(None), t), t < sizes)
-        lo_box = coords[:, 0, :] - radii[:, 0, None]
-        hi_box = coords[:, 0, :] + radii[:, 0, None]
-        for i in range(1, level):
-            np.maximum(lo_box, coords[:, i, :] - radii[:, i, None], out=lo_box)
-            np.minimum(hi_box, coords[:, i, :] + radii[:, i, None], out=hi_box)
+            which = member[self.start:]
+            for k in range(dim):
+                tail = coords[self.start:, k]
+                np.clip(tail, self.los[which, k], self.his[which, k], out=tail)
+            floor = np.where(np.arange(level)[:, None] < self.start, dist_a, 0)
+            _tighten(floor, _pair_dists(coords), radii, active)
+        lo_box = (coords - radii[:, None]).max(axis=0)
+        hi_box = (coords + radii[:, None]).min(axis=0)
         return self.empty_mask(lo_box, hi_box)
 
 
 def _pair_dists(coords: np.ndarray) -> np.ndarray:
-    """(N, level, level) max-norm distances between the centers of each
+    """(level, level, N) max-norm distances between the centers of each
     candidate, one coordinate at a time."""
-    n, level, dim = coords.shape
-    diff = np.zeros((n, level, level), dtype=np.int64)
+    level, dim, n = coords.shape
+    diff = np.empty((level, level, n), dtype=np.int64)
+    gap = np.empty_like(diff)
     for k in range(dim):
-        col = coords[:, :, k]
-        np.maximum(diff, np.abs(col[:, :, None] - col[:, None, :]), out=diff)
+        col, out = coords[:, k], (gap if k else diff)
+        np.abs(np.subtract(col[:, None], col[None, :], out=out), out=out)
+        if k:
+            np.maximum(diff, gap, out=diff)
     return diff
 
 
-def _tighten_one(diff_row, radii, floor, at, live) -> None:
-    """One step of the vectorized ``lab._tighten``: where ``live``, radius
-    ``at`` becomes the least value admissible against the others.  The pair
-    of a ball with itself never binds, since floor >= 0 >= 0 - radius."""
-    gaps = diff_row - radii
-    need = floor.copy()
-    for j in range(gaps.shape[1]):
-        np.maximum(need, gaps[:, j], out=need)
-    radii[at] = np.where(live, need, radii[at])
+def _tighten(floor, diff, radii, live) -> None:
+    """The vectorized ``lab._tighten`` in index order: where ``live``, each
+    radius in turn becomes the least value admissible against the others.
+    Arrays are (level, N) and ``diff`` is (level, level, N).  The pair of a
+    ball with itself never binds, since floor >= 0 >= 0 - radius."""
+    for t in range(len(radii)):
+        need = np.maximum(floor[t], (diff[t] - radii).max(axis=0))
+        radii[t] = np.where(live[t], need, radii[t])

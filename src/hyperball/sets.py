@@ -135,10 +135,14 @@ def subset_nearest(subset, p):
 def subset_witness_in_box(subset, box: Box) -> FeasibilityResult:
     """A point of a max-norm subset inside the box, or a certificate of none:
     on a box or union, the first member's joint corner or each member's empty
-    coordinate; on a polyhedron, the LP on its rows plus the box's rows."""
+    coordinate; on a polyhedron, the box's empty coordinate or else the LP on
+    its rows plus the box's rows."""
     boxes = getattr(subset, "boxes", None)
     if boxes is None:
-        return lp_feasible(subset, (box,))
+        k = box.first_empty_coordinate()
+        if k is None:
+            return lp_feasible(subset, (box,))
+        return FeasibilityResult("infeasible", certificate={"coordinate": k})
     empties = []
     for member in boxes:
         joint = member.intersect(box)

@@ -271,6 +271,56 @@ def test_screen_finds_hits_past_the_first_batch(mode, seed):
     assert screen.scan(seed, 0, index) is None
 
 
+def test_screen_mask_matches_the_exact_test_on_every_candidate():
+    """Every entry of a batch mask, not just the first hit, equals the exact
+    refutation test on the exact candidate; the batch starts off the batch
+    grid."""
+    subsets = (Box(pt(0, 0), pt(1, 1)), UNION, UNION_EMPTY_MEMBER, DIAG, halfspace([2, -1, 3], 1))
+    outcomes = set()
+    for subset in subsets:
+        for mode in (m for m in REFUTE_MODES if screen_applies(subset, m)):
+            for level in range(2, 7):
+                seed, lo = 100 + level, 37 + level
+                arena = _build_arena(subset, level)
+                screen = FastScreen(subset, arena, REFUTE_MODES[mode])
+                mask = screen._screen_batch(seed, lo, lo + 24)
+                for i, screened in enumerate(mask):
+                    balls = _scalar_candidate(subset, arena, seed, lo + i, REFUTE_MODES[mode])
+                    assert screened == verify_refutation(subset, balls, mode), (subset, mode, level, i)
+                    outcomes.add(bool(screened))
+    assert outcomes == {True, False}
+
+
+def test_screen_batches_stay_under_the_pair_cap(monkeypatch):
+    """At level 60 a batch's pair distances stay within the element cap, and
+    batches of any size give the same reports."""
+    import hyperball.screen as screen
+
+    cap, level, elements = screen._PAIR_CAP, 60, []
+    real = screen._pair_dists
+
+    def spy(coords):
+        elements.append(coords.shape[0] ** 2 * coords.shape[2])
+        return real(coords)
+
+    monkeypatch.setattr(screen, "_pair_dists", spy)
+
+    def reports(pair_cap):
+        monkeypatch.setattr(screen, "_PAIR_CAP", pair_cap)
+        del elements[:]
+        searches = [(Box(pt(0, 0), pt(1, 1)), 700, 0, "external")]
+        searches += [(TIGHT, 300, seed, mode) for seed, mode in
+                     ((6, "external"), (0, "hyperconvex"), (8, "hyperconvex"))]
+        return [refute_search(s, level, budget, seed, mode) for s, budget, seed, mode in searches]
+
+    capped = reports(cap)
+    assert max(elements) <= cap and len(elements) > 4
+    assert [r.verdict for r in capped] == ["inconclusive"] + ["refuted"] * 3
+    assert reports(1 << 40) == capped  # uncapped: 32 candidates, then the rest at once
+    assert max(elements) > cap
+    assert reports(level ** 2 * 5) == capped  # batches of 5 candidates
+
+
 def test_screen_overflow_falls_back_to_the_exact_path():
     far = 1 << 58  # the int64 lengths of the arena would wrap around
     union = BoxUnion((Box((F(far),), (F(far + 1),)), Box((F(far + 3),), (F(far + 4),))))

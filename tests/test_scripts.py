@@ -25,9 +25,11 @@ def test_refuter_sweep_covers_every_mode_with_a_rate(capsys):
         assert any(f" {mode} " in row for row in rows), mode
         assert any(f"3d 4-row polyhedron {mode:>15} " in row for row in rows), mode
     subsets = dict(sweep.fixtures())
+    assert header.split()[-2] == "path"
     for row in rows:
-        *_, mode, _, _, used, _, rate = row.split()
+        *_, mode, _, _, used, _, path, rate = row.split()
         scalar = sweep.scalar_path(subsets[row[:28].strip()], mode)
+        assert path == ("scalar" if scalar else "screen")
         assert int(used) <= (4 if scalar else 16) and float(rate) > 0
 
 

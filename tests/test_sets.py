@@ -69,6 +69,10 @@ def test_nearest_realizes_dist_and_dist_vanishes_on_the_set(name):
 
 def _assert_certifies_none_in(subset, window, certificate):
     members = getattr(subset, "boxes", None)
+    if members is None and "coordinate" in certificate:  # an empty window: no LP
+        k = certificate["coordinate"]
+        assert window.lo[k] > window.hi[k]
+        return
     if members is None:  # Farkas multipliers on the subset's rows, then the window's
         rows = subset.rows + box_to_polyhedron(window).rows
         y = certificate["farkas"]
@@ -172,3 +176,18 @@ def test_pair_witness_finds_a_point_exactly_when_the_joined_rows_are_feasible(fi
             assert a.contains(w) and b.contains(w) and all(ball.contains(w) for ball in balls)
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+def test_an_empty_box_on_a_polyhedron_runs_no_lp(monkeypatch):
+    """The box's empty coordinate already certifies that no point of the
+    polyhedron lies in it, so only the non-empty member asks the LP."""
+    import hyperball.lp as lp
+
+    calls, real = [], lp._solve
+    monkeypatch.setattr(lp, "_solve", lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    half = halfspace([1, 1], 1)
+    assert pair_witness(BoxUnion((EMPTY_BOX, UNIT)), half) is not None
+    assert len(calls) == 1
+    result = subset_witness_in_box(half, EMPTY_BOX)
+    assert not result.feasible and result.certificate == {"coordinate": 0}
+    assert len(calls) == 1
