@@ -4,7 +4,8 @@ feasibility and minimization systems (dims 2-6, 2-14 rows), Helly families
 (``helly_order_check`` on the optimal-order family at k = n and n + 1) and
 distance queries (``dist_to_polyhedron`` from points outside small
 polyhedra), distance-convexity checks (``distance_convexity_check``
-along segments, one LP per affine piece of the distance) and the exact
+along segments, where an LP runs only when no optimal basis the
+polyhedron keeps passes the checks at a grid time) and the exact
 subset oracle (``almost_to_exact``, 40 iterations, on the ``lp-repeat``
 refinements of ``bench/workloads.py``, each oracle query one box search).
 Each row prints the queries, the LPs run, LPs per query (per segment for
@@ -15,7 +16,8 @@ seconds spent in ``lp._solve``.
 
 The counts come from wrapping ``lp._solve`` and ``lp._Tableau._pivot`` in
 this script; the library keeps no counters.  A first pass counts, a second
-pass, without the pivot wrapper, times."""
+pass, without the pivot wrapper, times.  Each pass builds the corpus anew,
+so both start on polyhedra that keep no distance piece or window."""
 
 import argparse
 import pathlib
@@ -91,10 +93,9 @@ def _empty_is_none(query, *args):
 
 def census(seed, size):
     """{caller: [queries, LPs, rows, pivots, stored integers, seconds in _solve]}."""
-    queries = corpus(seed, size)
-    table = {caller: [0, 0, 0, 0, 0, 0.0] for caller, _ in queries}
-    for caller, _ in queries:
-        table[caller][0] += 1
+    table = {}
+    for caller, _ in corpus(seed, size):
+        table.setdefault(caller, [0, 0, 0, 0, 0, 0.0])[0] += 1
     current = [None]
     real_solve, real_pivot = lp._solve, lp._Tableau._pivot
 
@@ -119,7 +120,7 @@ def census(seed, size):
     try:
         for solve, pivot in ((counted_solve, counted_pivot), (timed_solve, real_pivot)):
             lp._solve, lp._Tableau._pivot = solve, pivot
-            for current[0], query in queries:
+            for current[0], query in corpus(seed, size):  # a cold corpus for each pass
                 query()
     finally:
         lp._solve, lp._Tableau._pivot = real_solve, real_pivot

@@ -256,10 +256,12 @@ def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
 # minimal admissible value along the sampled order, which also repairs any
 # initial pairwise violation.  In the center modes the centers from the
 # mode's start index on then move to their nearest points of the subset, and
-# every radius is tightened again in index order, with floor 0 for them.  One
-# nearest-point query per center gives its pull target and its distance.  A
-# candidate is thus admissible by construction and refutes when its
-# intersection with the subset is empty.
+# every radius is tightened again in index order, with floor 0 for them.  A
+# pulled center's nearest point gives its pull target and its floor; every
+# other floor is a distance query, which a polyhedron answers from its kept
+# LP pieces (no nearest point, no LP, on a hit).  A candidate is thus
+# admissible by construction and refutes when its intersection with the
+# subset is empty.
 
 GRID_BITS = 3
 RADIUS_STEPS = 8
@@ -329,8 +331,10 @@ def _scalar_candidate(subset, arena: _Arena, seed: int, index: int, start: int |
             j = draw(seed, base + 1 + i * dim + c) % (arena.cells[c] + 1)
             coords.append(arena.wlo[c] + j * arena.step)
         centers.append(tuple(coords))
-    nearest = [subset_nearest(subset, p) for p in centers]
-    floor = [linf_dist(p, q) for p, q in zip(centers, nearest)]
+    cut = k if start is None else start  # the centers from here on are pulled
+    nearest = [subset_nearest(subset, p) for p in centers[cut:]]
+    floor = [subset_dist(subset, p) for p in centers[:cut]]
+    floor += [linf_dist(p, q) for p, q in zip(centers[cut:], nearest)]
     off_base = base + 1 + level * dim
     radii = [
         floor[i] + (draw(seed, off_base + i) % (RADIUS_STEPS + 1)) * arena.step
@@ -340,7 +344,7 @@ def _scalar_candidate(subset, arena: _Arena, seed: int, index: int, start: int |
     order = [i for _, i in sorted((draw(seed, key_base + i), i) for i in range(k))]
     _tighten(floor, [[linf_dist(p, q) for q in centers] for p in centers], radii, order)
     if start is not None:
-        centers[start:], floor[start:] = nearest[start:], [Fraction(0)] * (k - start)
+        centers[start:], floor[start:] = nearest, [Fraction(0)] * (k - start)
         _tighten(floor, [[linf_dist(p, q) for q in centers] for p in centers], radii, range(k))
     return tuple(Ball(centers[i], radii[i]) for i in range(k))
 

@@ -18,6 +18,13 @@ With the point X/D (D > 0) and the scaled objective c':
 
 Each is the check on the original rows times a positive integer.  A failed
 check is a kernel bug and raises LPKernelError.
+
+Distances reuse optimal bases.  Only the right-hand side of the distance LP
+depends on the point, so one optimal basis gives one affine piece of the
+distance, and a polyhedron keeps the bases it has met (``_dist_at``).  A
+kept piece answers only after the witness and dual checks above pass on
+the point's own rows; a piece that fails them is not an error, and a fresh
+LP runs instead.  A nearest point always comes from a fresh LP.
 """
 
 from __future__ import annotations
@@ -26,7 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import DimMismatch, EmptySet, InternalError
 from .linf import Ball, Box, FeasibilityResult, Point
@@ -56,12 +64,15 @@ class HPolyhedron:
         lcm of p's denominators), a'.X <= b'.D on every row."""
         if len(p) != self.dim:
             raise DimMismatch("point dim does not match polyhedron dim")
-        D = lcm(*(v.denominator for v in p))
-        X = [v.numerator * (D // v.denominator) for v in p]
+        D, X = _common_denominator(p)
         return all(_dot(a, X) <= b * D for _, a, b in self._integer_rows)
 
     def dist(self, p: Point) -> Fraction:
-        return dist_to_polyhedron(p, self)[0]
+        """The distance to a non-empty polyhedron, from a kept LP piece that
+        passes the checks at p, else from a fresh LP (see `_dist_at`)."""
+        if len(p) != self.dim:
+            raise DimMismatch("point dim does not match polyhedron dim")
+        return _dist_at(self, *_common_denominator(p))
 
     def nearest(self, p: Point) -> Point:
         return dist_to_polyhedron(p, self)[1]
@@ -74,7 +85,12 @@ class HPolyhedron:
 
     def window(self) -> Box:
         """Exact coordinate bounds, with [-8, 8] standing in for an
-        unbounded side.  Raises ``EmptySet`` on an empty polyhedron."""
+        unbounded side, computed once.  Raises ``EmptySet`` on an empty
+        polyhedron, on every call: a raising cached_property keeps nothing."""
+        return self._window
+
+    @cached_property
+    def _window(self) -> Box:
         if not self.dim and not self.contains(()):  # no coordinate LP runs
             raise EmptySet("cannot bound an empty polyhedron")
         fallback = Fraction(8)
@@ -94,6 +110,19 @@ class HPolyhedron:
     def _integer_rows(self) -> tuple[IntRow, ...]:
         """The rows scaled to integers, built once; not a dataclass field."""
         return tuple(_integer_row(a, b) for a, b in self.rows)
+
+    @cached_property
+    def _pieces(self) -> dict:
+        """The distance LP's optimal bases met so far, oldest first (see
+        `_dist_at`); not a dataclass field.  A query reads one dict and a
+        new basis replaces it whole, so threads never see it change."""
+        return {}
+
+
+def _common_denominator(p: Point) -> tuple[int, list[int]]:
+    """(D, X) with p = X/D and D > 0 the lcm of p's denominators."""
+    D = lcm(*(v.denominator for v in p))
+    return D, [v.numerator * (D // v.denominator) for v in p]
 
 
 def intersection(dim: int, parts: Sequence[HPolyhedron]) -> HPolyhedron:
@@ -158,13 +187,9 @@ class _Tableau:
     and ratio ties go by variable number, so the pivots are those of a dense
     tableau.  The objective rows (phase 1, and c when minimizing) are carried
     through every pivot, so they are always in reduced-cost form.
-    An optional ``step`` b1 (one int per row) rides as a column before the
-    right-hand side b; no pivot choice reads it, so an optimal basis gives
-    the basic solution at b + j.b1 as ``point()`` plus j times ``point(-2)``.
     """
 
-    def __init__(self, rows: Sequence[IntRow], dim: int, cost: Sequence[int] | None = None,
-                 step: Sequence[int] | None = None):
+    def __init__(self, rows: Sequence[IntRow], dim: int, cost: Sequence[int] | None = None):
         self.dim = dim
         self.slack = 2 * dim
         self.nstruct = 2 * dim + len(rows)
@@ -175,11 +200,9 @@ class _Tableau:
         self.basis: list[int] = []
         for i, (_, a, b) in enumerate(rows):
             sg = 1 if b >= 0 else -1
-            rhs = [sg * b] if step is None else [sg * step[i], sg * b]
-            self.T.append([sg * v for v in a] + [-(i == j) for j in negated] + rhs)
+            self.T.append([sg * v for v in a] + [-(i == j) for j in negated] + [sg * b])
             self.basis.append(self.slack + i if sg > 0 else self.nstruct + i)
-        tail = len(negated) + 1 + (step is not None)
-        self.cost = None if cost is None else [*cost, *[0] * tail]
+        self.cost = None if cost is None else [*cost, *[0] * (len(negated) + 1)]
 
     def _pivot(self, objs: list[list[int]], r: int, s: int, enter: int) -> None:
         """``enter`` (in slot s, as x+ when it is x-) replaces the basic
@@ -271,10 +294,21 @@ class _Tableau:
         steps = [(col, -q) for col, q in zip(self.basis, column)]
         return tuple(self._unsplit([(enter, self.D)] + steps))
 
-    def point(self, column: int = -1) -> list[int]:
-        """The basic solution times D; on column -2, its rate of change
-        per unit of step."""
-        return self._unsplit([(col, row[column]) for col, row in zip(self.basis, self.T)])
+    def point(self) -> list[int]:
+        """The basic solution times D."""
+        return self._unsplit([(col, row[-1]) for col, row in zip(self.basis, self.T)])
+
+    def rates(self) -> list[list[int]]:
+        """Per row, D times the rate of change of the basic solution per
+        unit of that row's right-hand side b_i.  With x_B = B^-1 (b - N x_N),
+        and the slack of row i entering the rows just as b_i does, it is the
+        stored column of that slack; a basic slack moves only itself, so
+        its row's rate is 0."""
+        slots = {v: s for s, v in enumerate(self.cols)}
+        zero = [0] * self.dim
+        return [zero if v not in slots else
+                self._unsplit([(col, row[slots[v]]) for col, row in zip(self.basis, self.T)])
+                for v in range(self.slack, self.nstruct)]
 
     def _unsplit(self, values: list[tuple[int, int]]) -> list[int]:
         """x = x+ - x-, from values on variables; slacks are dropped."""
@@ -297,16 +331,17 @@ class _Tableau:
 
 
 def _solve(rows: Sequence[IntRow], dim: int, objective: Sequence[Fraction] | None = None,
-           farkas_rows: Sequence[IntRow] | None = None, step: Sequence[int] | None = None):
+           farkas_rows: Sequence[IntRow] | None = None, basis: bool = False):
     """Run the kernel and verify its outcome.  Feasibility returns
     ("witness", point) or ("infeasible", multipliers); minimization returns
     ("optimal", value, point), ("unbounded", None) or ("infeasible", ...).
     An infeasibility certificate must hold on `farkas_rows`, leading rows of
-    `rows`, alone (all of `rows` by default).  With a `step` column an
-    optimum also returns its basis as (x, x1, y, D): on the rows moved by
-    j steps the basic solution is (x + j.x1)/D and the duals stay y."""
+    `rows`, alone (all of `rows` by default).  With ``basis`` an optimum
+    also returns its basis as (key, rates, y, D): the sorted basic
+    variables, the rows' ``_Tableau.rates``, and the duals and D, which
+    do not depend on the right-hand sides."""
     scale, c, _ = (None, None, None) if objective is None else _integer_row(objective, 0)
-    tab = _Tableau(rows, dim, c, step)
+    tab = _Tableau(rows, dim, c)
     y = tab.phase1()
     if y is not None:
         farkas_rows = rows if farkas_rows is None else farkas_rows
@@ -325,7 +360,7 @@ def _solve(rows: Sequence[IntRow], dim: int, objective: Sequence[Fraction] | Non
     y = tab.duals()
     _verify_dual(rows, c, y, D, x)
     outcome = "optimal", Fraction(_dot(c, x), D * scale), point
-    return outcome if step is None else (*outcome, (x, tab.point(-2), y, D))
+    return (*outcome, (tuple(sorted(tab.basis)), tab.rates(), y, D)) if basis else outcome
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +382,7 @@ def _assemble(p: HPolyhedron | None, balls: Sequence[Ball]) -> tuple[list[IntRow
 
 
 def _dot(a: Sequence[int], x: Sequence[int]) -> int:
-    return sum(u * v for u, v in zip(a, x) if u)
+    return sum(map(mul, a, x))
 
 
 def _verify_witness(rows: Sequence[IntRow], x: Sequence[int], D: int) -> None:
@@ -429,29 +464,31 @@ def polyhedron_coordinate_bounds(
     return lo, hi
 
 
-def _distance_rows(p: HPolyhedron, link: Sequence[tuple[int, int]]) -> list[IntRow]:
+def _distance_rows(p: HPolyhedron, link: Sequence[tuple[int, int]], q: int = 1) -> list[IntRow]:
     """The rows, over (r, a_0 .. a_{d-1}), of the LP min r s.t. a in p and
-    |x_k - a_k| <= r, with x_k = n/q for link[k] = (q, n): p's rows, then
-    -q.r +- q.a_k <= +-n for each k."""
+    |x_k - a_k| <= r, with x_k = n/m for link[k] = (m, n): p's rows with
+    their right-hand sides times q, then -m.r +- m.a_k <= +-n for each k.
+    With every m = 1 and x = X/q, link[k] = (1, X_k) gives the same LP in
+    the variables q.(r, a)."""
     d = p.dim
-    rows: list[IntRow] = [(s, (0, *a), b) for s, a, b in p._integer_rows]
-    for k, (q, n) in enumerate(link):
+    rows: list[IntRow] = [(s, (0, *a), q * b) for s, a, b in p._integer_rows]
+    for k, (m, n) in enumerate(link):
         for sign in (1, -1):
             a = [0] * (d + 1)
-            a[0], a[k + 1] = -q, sign * q
-            rows.append((q, a, sign * n))
+            a[0], a[k + 1] = -m, sign * m
+            rows.append((m, a, sign * n))
     if not d:
         rows.append((1, (-1,), 0))  # r >= 0: no linking row bounds r
     return rows
 
 
-def _distance_lp(p: HPolyhedron, rows: Sequence[IntRow], **step):
-    """The optimum of a distance LP built by `_distance_rows`; a ``step=``
-    column (the segment walk's) goes on to `_solve`."""
+def _distance_lp(p: HPolyhedron, rows: Sequence[IntRow], **basis):
+    """The optimum of a distance LP built by `_distance_rows`; a ``basis=``
+    flag goes on to `_solve`."""
     # Only the rows after p's carry r, each with a negative coefficient, so a
     # certificate's vanishing r column zeroes their multipliers: it must
     # prove p empty on p's rows alone.
-    outcome = _solve(rows, p.dim + 1, (1,) + (0,) * p.dim, farkas_rows=p._integer_rows, **step)
+    outcome = _solve(rows, p.dim + 1, (1,) + (0,) * p.dim, farkas_rows=p._integer_rows, **basis)
     if outcome[0] == "infeasible":
         raise EmptySet("polyhedron is empty")
     if outcome[0] != "optimal":
@@ -463,7 +500,9 @@ def dist_to_polyhedron(x: Point, p: HPolyhedron) -> tuple[Fraction, Point]:
     """Chebyshev distance from x to a non-empty polyhedron, with a nearest
     point, as the exact LP min r s.t. a in p, |x_k - a_k| <= r.  The witness
     check on the LP's rows proves that the point lies in p within r of x.
-    A point of p is its own nearest point, the LP's optimum, without an LP."""
+    A point of p is its own nearest point, the LP's optimum, without an LP.
+    This LP starts from scratch every time: a degenerate optimum has more
+    than one nearest point, and a kept piece could pick another."""
     if p.contains(x):
         return Fraction(0), tuple(Fraction(v) for v in x)
     rows = _distance_rows(p, [(v.denominator, v.numerator) for v in x])
@@ -471,44 +510,82 @@ def dist_to_polyhedron(x: Point, p: HPolyhedron) -> tuple[Fraction, Point]:
     return value, point[1:]
 
 
+# The most optimal distance-LP bases one polyhedron keeps, the oldest out
+# first.  The 3-d box of the lp-repeat pool keeps 30 after 150 blocks.
+_PIECE_CAP = 64
+
+
+def _dist_at(p: HPolyhedron, q: int, X: Sequence[int]) -> Fraction:
+    """The distance from the point X/q (q > 0) to a non-empty polyhedron.
+
+    In the variables w = q.(r, a) the distance LP (`_distance_rows` with
+    link (1, X_k)) has rows that do not depend on the point, and right-hand
+    sides linear in the parameters (q, X).  An optimal basis thus gives the
+    vertex D.w = W.(q, X) at every point, with duals y and D that do not
+    depend on it (multiparametric LP): one affine piece of the distance.
+    ``p._pieces`` keeps up to _PIECE_CAP.  A piece answers only if its
+    vertex passes the witness check and its duals the dual check on the
+    point's own rows, which proves it optimal there; else a fresh LP runs
+    and its basis is kept.  Only pieces whose dual bound at the point is
+    the largest are tried: by weak duality no other can pass both checks."""
+    if all(_dot(a, X) <= b * q for _, a, b in p._integer_rows):
+        return Fraction(0)
+    rows = _distance_rows(p, [(1, v) for v in X], q)
+    params = (q, *X)
+    cost = (1,) + (0,) * p.dim
+    pieces = p._pieces  # never changed in place: a miss publishes a new dict
+    for W, y, D, _ in _best_bounds(pieces.values(), params):
+        w = [_dot(row, params) for row in W]
+        try:
+            _verify_witness(rows, w, D)
+            _verify_dual(rows, cost, y, D, w)
+        except LPKernelError:
+            continue  # the vertex left the rows here, or the piece is corrupt
+        return Fraction(w[0], D * q)
+    _, value, _, (key, rates, y, D) = _distance_lp(p, rows, basis=True)
+    W = [_per_parameter(p, [rate[i] for rate in rates]) for i in range(p.dim + 1)]
+    g = _per_parameter(p, y)  # the dual bound at the point is -g.(q, X)/(D.q)
+    try:
+        bound = [-v / D for v in g]
+    except OverflowError:  # a bound no float holds: the piece stays out
+        return value / q
+    kept = [item for item in pieces.items() if item[0] != key]
+    p.__dict__["_pieces"] = dict([*kept, (key, (W, y, D, bound))][-_PIECE_CAP:])
+    return value / q
+
+
+def _per_parameter(p: HPolyhedron, values: Sequence[int]) -> list[int]:
+    """sum_i values_i . db_i/dz for z = q, X_0, .., X_{d-1}, where b_i is
+    the right-hand side of row i of the distance LP in the variables q.(r, a):
+    q.b'_i on p's rows, +-X_k on the two linking rows of coordinate k."""
+    m = len(p._integer_rows)
+    return [sum(v * b for v, (_, _, b) in zip(values, p._integer_rows)),
+            *(values[m + 2 * k] - values[m + 2 * k + 1] for k in range(p.dim))]
+
+
+def _best_bounds(pieces: Iterable[tuple], params: Sequence[int]) -> list[tuple]:
+    """The pieces whose dual bound at the point X/q, params (q, X), is the
+    largest, up to float rounding, the newest first; none if the point has
+    no float.  The ranking needs no exactness: the checks decide."""
+    try:
+        x = [v / params[0] for v in params]
+    except OverflowError:
+        return []
+    bounds = [(sum(map(mul, piece[3], x)), piece) for piece in pieces]
+    top = max((v for v, _ in bounds), default=0.0)
+    top -= 1e-9 * (1 + abs(top))
+    return [piece for v, piece in reversed(bounds) if v >= top]
+
+
 def dists_along_segment(p: HPolyhedron, x: Point, y: Point, n: int,
                         ks: Sequence[int]) -> dict[int, Fraction]:
     """The distance from x + (k/n)(y - x) to a non-empty polyhedron for each
-    k in ks, from one LP per affine piece.  With x = X/q and y = Y/q that
-    point is (n.X + k.(Y - X))/(n.q), so only the right-hand sides of the
-    distance LP move, as b0 + k.b1.  A solve at k0 with the step column b1
-    gives the vertex (x + (k - k0).x1)/D and duals that do not depend on k;
-    a later k takes that vertex only if it passes the witness check on the
-    rows at k, and the dual check on them proves it optimal.  Elsewhere a
-    fresh LP starts the next piece; a point inside p needs no LP."""
-    d = p.dim
-    if len(x) != d or len(y) != d:
+    k in ks.  With x = X/q and y = Y/q that point is (n.X + k.(Y - X))/(n.q),
+    so each k asks `_dist_at` with no fraction to reduce, and the pieces
+    that one k solves serve the later ones."""
+    if len(x) != p.dim or len(y) != p.dim:
         raise DimMismatch("point dim does not match polyhedron dim")
-    q = lcm(*(v.denominator for v in (*x, *y)))
-    X = [v.numerator * (q // v.denominator) for v in x]
-    S = [v.numerator * (q // v.denominator) - u for v, u in zip(y, X)]
-    # Row i holds the point at k iff u + k.v <= w.
-    lines = [(n * _dot(a, X), _dot(a, S), n * q * b) for _, a, b in p._integer_rows]
-    step = [0] * len(lines) + [sign * v for v in S for sign in (1, -1)] + [0] * (not d)
-    cost = (1,) + (0,) * d
-    out: dict[int, Fraction] = {}
-    piece = None
-    for k in sorted(set(ks)):
-        if all(u + k * v <= w for u, v, w in lines):
-            out[k] = Fraction(0)
-            continue
-        rows = _distance_rows(p, [(n * q, n * u + k * v) for u, v in zip(X, S)])
-        if piece is not None:
-            k0, x0, x1, duals, D = piece
-            xk = [u + (k - k0) * v for u, v in zip(x0, x1)]
-            try:
-                _verify_witness(rows, xk, D)
-            except LPKernelError:
-                pass  # the vertex left the rows at k: a fresh LP starts a new piece
-            else:
-                _verify_dual(rows, cost, duals, D, xk)
-                out[k] = Fraction(xk[0], D)
-                continue
-        _, out[k], _, basis = _distance_lp(p, rows, step=step)
-        piece = (k, *basis)
-    return out
+    q, XY = _common_denominator((*x, *y))
+    X, S = XY[:p.dim], [v - u for u, v in zip(XY, XY[p.dim:])]
+    return {k: _dist_at(p, n * q, [n * u + k * v for u, v in zip(X, S)])
+            for k in sorted(set(ks))}

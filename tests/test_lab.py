@@ -359,8 +359,10 @@ def test_multirow_polyhedron_matches_the_two_step_reference(mode):
 
 
 def test_exact_candidate_costs_at_most_k_plus_one_lps(monkeypatch):
-    """One nearest-point LP per center and one intersection LP per
-    candidate; the hyperconvex square keeps every candidate a non-hit."""
+    """At most one distance or nearest-point LP per center and one
+    intersection LP per candidate; the hyperconvex square keeps every
+    candidate a non-hit.  Each mode starts on a fresh copy of the square,
+    with no window or distance piece kept."""
     import hyperball.lab as lab
     import hyperball.lp as lp
 
@@ -382,12 +384,26 @@ def test_exact_candidate_costs_at_most_k_plus_one_lps(monkeypatch):
     for mode in REFUTE_MODES:
         del builds[:]
         lps[0] = 0
-        report = refute_search(SQUARE_ROWS, 4, 20, seed=5, mode=mode)
+        square = HPolyhedron(SQUARE_ROWS.dim, SQUARE_ROWS.rows)
+        report = refute_search(square, 4, 20, seed=5, mode=mode)
         assert report.verdict == "inconclusive" and len(builds) == 20
         assert builds[0][0] == 4  # set-up: the window's 2 * dim LPs alone
         ends = [begin for begin, _ in builds[1:]] + [lps[0]]
         for (begin, k), end in zip(builds, ends):
             assert end - begin <= k + 1, (mode, end - begin, k)
+
+
+def test_only_pulled_centers_ask_for_a_nearest_point(monkeypatch):
+    """A floor is a distance; only the centers a mode pulls onto the subset
+    ask for their nearest point, which on a polyhedron is a fresh LP."""
+    import hyperball.lab as lab
+
+    asked, real = [], lab.subset_nearest
+    monkeypatch.setattr(lab, "subset_nearest", lambda subset, p: asked.append(p) or real(subset, p))
+    for mode, start in REFUTE_MODES.items():
+        del asked[:]
+        balls = lab._scalar_candidate(POLY3, lab._build_arena(POLY3, 4), 3, 7, start)
+        assert len(asked) == (0 if start is None else len(balls) - start), mode
 
 
 def _count_lps(monkeypatch):
@@ -406,11 +422,14 @@ def _count_lps(monkeypatch):
 
 @pytest.mark.parametrize("subset", [SQUARE_ROWS, POLY3, DIAG])
 def test_refute_setup_costs_two_lps_per_dimension(monkeypatch, subset):
+    """The window's coordinate LPs run on the first search of a polyhedron
+    only: it keeps its window."""
+    subset = HPolyhedron(subset.dim, subset.rows)  # no window kept yet
     lps = _count_lps(monkeypatch)
-    for mode in REFUTE_MODES:
+    for i, mode in enumerate((*REFUTE_MODES, "external")):
         lps[0] = 0
         assert refute_search(subset, 3, 0, seed=1, mode=mode).budget_used == 0
-        assert lps[0] == 2 * subset.dim, mode
+        assert lps[0] == (0 if i else 2 * subset.dim), mode
 
 
 def test_verify_refutation_costs_at_most_k_plus_two_lps(monkeypatch):
@@ -428,17 +447,25 @@ def test_verify_refutation_costs_at_most_k_plus_two_lps(monkeypatch):
 
 
 def test_verify_refutation_on_four_rows_costs_at_most_k_plus_one_lps(monkeypatch):
-    """One distance LP per center outside the square and one intersection
-    LP: the floors already prove the subset non-empty, so no feasibility LP
-    runs first (k + 2 LPs before).  The count does not depend on whether the
-    family refutes."""
+    """At most one distance LP per center outside the square, none for a
+    distance piece the square keeps, and one intersection LP: the floors
+    already prove the subset non-empty, so no feasibility LP runs first
+    (k + 2 LPs before).  The count does not depend on whether the family
+    refutes."""
+    import hyperball.lp as lp
+
     centers = [pt(2, 0), pt(F(1, 2), 3), pt(-1, -1), pt(3, 2)]
-    lps = _count_lps(monkeypatch)
+    solves, real = [], lp._solve
+    monkeypatch.setattr(lp, "_solve", lambda *args, **kw: solves.append(kw) or real(*args, **kw))
     for k in (2, 3, 4):
+        square = HPolyhedron(SQUARE_ROWS.dim, SQUARE_ROWS.rows)  # no piece kept yet
         balls = tuple(Ball(c, F(3)) for c in centers[:k])
-        lps[0] = 0
-        assert not verify_refutation(SQUARE_ROWS, balls)
-        assert lps[0] == k + 1, k
+        for warm in (False, True):
+            del solves[:]
+            assert not verify_refutation(square, balls)
+            distance = sum("farkas_rows" in kw for kw in solves)
+            assert len(solves) - distance == 1 and distance <= (0 if warm else k), (k, warm)
+        assert len(square._pieces) >= 2  # (2, 0) and (1/2, 3) need two pieces
 
 
 @pytest.mark.parametrize(

@@ -150,9 +150,12 @@ def test_distance_convexity_takes_segment_distances_through_the_protocol():
     from hyperball import convexity, lp
 
     assert "isinstance" not in _called_names(convexity.distance_convexity_check)
-    # One distance-row builder serves the point and the segment paths.
-    for fn in (lp.dist_to_polyhedron, lp.dists_along_segment):
+    # One distance-row builder serves the nearest point and the kept pieces,
+    # and one piece lookup serves the point and the segment distances.
+    for fn in (lp.dist_to_polyhedron, lp._dist_at):
         assert "_distance_rows" in _called_names(fn), fn.__name__
+    for fn in (lp.HPolyhedron.dist, lp.dists_along_segment):
+        assert "_dist_at" in _called_names(fn), fn.__name__
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():

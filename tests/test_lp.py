@@ -418,7 +418,7 @@ def test_cached_integer_rows_survive_every_entry_point():
     twin = HPolyhedron(p.dim, p.rows)
     before = (hash(p), io.to_jsonable(p), repr(p))
     cached = p._integer_rows
-    assert "_integer_rows" not in {f.name for f in dataclasses.fields(p)}
+    assert not {"_integer_rows", "_pieces", "_window"} & {f.name for f in dataclasses.fields(p)}
 
     def queries(i):
         ball = Ball(pt(F(i, 3), -1), F(i + 1, 2))
@@ -426,6 +426,7 @@ def test_cached_integer_rows_survive_every_entry_point():
             lp_feasible(p), lp_feasible(p, [ball]),
             lp_minimize([1, -i], p), lp_minimize([-1, F(1, i + 1)], p, [ball]),
             polyhedron_coordinate_bounds(p, i % 2), dist_to_polyhedron(pt(i, -i), p),
+            p.dist(pt(-i, i)), p.window(),
         )
 
     first = [queries(i) for i in range(12)]
@@ -567,3 +568,217 @@ def test_joined_polyhedra_scale_only_uncached_rows(monkeypatch):
         scaled[0] = 0
         assert pair_witness(first, second) is not None
         assert scaled[0] == 0  # two box searches: cached rows plus integer box rows
+
+
+# ---------------------------------------------------------------------------
+# Kept distance pieces: HPolyhedron.dist answers from a checked optimal basis
+# of an earlier distance LP, or solves one.
+
+
+def _solves(monkeypatch):
+    """The keyword arguments of every kernel call from now on."""
+    from hyperball import lp
+
+    calls, real = [], lp._solve
+    monkeypatch.setattr(lp, "_solve", lambda *args, **kw: calls.append(kw) or real(*args, **kw))
+    return calls
+
+
+def _lp_repeat(monkeypatch, seed):
+    """The lp-repeat workload of bench/workloads.py, with its polyhedron pool."""
+    import pathlib
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import LPRepeat
+
+    return LPRepeat(seed=seed, smoke=False)
+
+
+def _piece_corpus(workload):
+    """Polyhedra in dims 0-3 with zero-coefficient rows, flat ones (a row
+    and its opposite), boxes and the lp-repeat pool, each with query points
+    inside and outside, some of them repeated."""
+    from hyperball.rng import SplitMix64
+
+    polys = [HPolyhedron(0, ()), HPolyhedron(0, rows(((), 2))),
+             HPolyhedron(1, rows(((0,), 1), ((2,), 3), ((-1,), F(1, 2)))),
+             HPolyhedron(2, rows(((1, -1), 1), ((-1, 1), -1))),  # the line x - y = 1
+             HPolyhedron(3, rows(((0, 0, 0), 0), ((1, 1, 1), 2), ((-1, -1, -1), -2),
+                                 ((0, 1, 0), 1))),  # a flat strip of a plane
+             box_to_polyhedron(Box(pt(0, F(1, 3), -1), pt(1, 1, F(5, 2)))),
+             *workload.pool, *workload.boxes]
+    rng = SplitMix64(17)
+    for i in range(40):
+        d = rng.randint(1, 3)
+        polys.append(HPolyhedron(d, tuple(
+            (tuple(F(rng.randint(-3, 3)) for _ in range(d)), F(rng.randint(-2, 8), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 5)))))
+    out = []
+    for p in polys:
+        points = [tuple(F(rng.randint(-40, 40), rng.randint(1, 8)) for _ in range(p.dim))
+                  for _ in range(12)]
+        witness = p.witness()
+        if witness is not None:
+            points.append(witness)
+        out.append((p, points + points[::3]))
+    return out
+
+
+def test_kept_distances_equal_fresh_lps_on_fresh_and_warm_polyhedra(monkeypatch):
+    import random
+
+    rng = random.Random(5)
+    for p, points in _piece_corpus(_lp_repeat(monkeypatch, 3)):
+        for q in (p, p, HPolyhedron(p.dim, p.rows)):  # cold, warm, then a fresh copy
+            rng.shuffle(points)
+            for x in points:
+                try:
+                    expected = dist_to_polyhedron(x, p)[0]
+                except EmptySet:
+                    with pytest.raises(EmptySet):
+                        q.dist(x)
+                    continue
+                assert q.dist(x) == expected, (p, x)
+
+
+def test_kept_distances_beyond_float_range_are_exact():
+    """A point no float holds skips the ranking, and a piece whose dual bound
+    no float holds is not kept: both answer from the LP."""
+    big = F(10**400)
+    square = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
+    far = HPolyhedron(2, rows(((1, 0), big),))
+    for p, x in ((square, pt(big, 0)), (square, pt(-big / 3, big)), (square, pt(1 / big, -3)),
+                 (far, pt(10 * big, 0)), (far, pt(10 * big, 1))):
+        assert p.dist(x) == dist_to_polyhedron(x, p)[0], x
+    assert square._pieces and not far._pieces
+
+
+def test_a_warm_polyhedron_answers_repeat_queries_without_an_lp(monkeypatch):
+    corpus = [(p, points) for p, points in _piece_corpus(_lp_repeat(monkeypatch, 3))
+              if p.witness() is not None]
+    first = [[p.dist(x) for x in points] for p, points in corpus]
+    solves = _solves(monkeypatch)
+    assert [[p.dist(x) for x in points[::-1]] for p, points in corpus] == [f[::-1] for f in first]
+    assert not solves
+
+
+@pytest.mark.parametrize("poly", [
+    HPolyhedron(0, rows(((), -1))),
+    HPolyhedron(2, rows(((1, 0), 0), ((-1, 0), -1))),
+    HPolyhedron(3, rows(((0, 0, 0), -1))),
+])
+def test_dist_to_an_empty_polyhedron_raises_with_farkas_on_its_rows_every_time(poly, monkeypatch):
+    from hyperball import lp
+
+    checked, real = [], lp._verify_farkas
+    monkeypatch.setattr(lp, "_verify_farkas", lambda rows, *args: checked.append(rows) or real(rows, *args))
+    for x in (pt(*[0] * poly.dim), pt(*[3] * poly.dim)) * 2:
+        with pytest.raises(EmptySet, match="^polyhedron is empty$"):
+            poly.dist(x)
+    assert checked == [poly._integer_rows] * 4 and not poly._pieces
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda W, y, D, bound: (W, [v + (i == y.index(max(y))) for i, v in enumerate(y)], D, bound),
+    lambda W, y, D, bound: ([[v + 1 for v in W[0]], *W[1:]], y, D, bound),  # the radius
+    lambda W, y, D, bound: ([W[0], [v + 5 * D for v in W[1]], *W[2:]], y, D, bound),  # a_0
+    lambda W, y, D, bound: (W, y, D + 1, bound),
+    lambda W, y, D, bound: (W, y, -D, bound),
+], ids=["dual", "radius", "vertex", "denominator", "sign"])
+def test_a_corrupt_piece_never_changes_an_answer(corrupt, monkeypatch):
+    from hyperball import lp
+
+    for p in (box_to_polyhedron(Box(pt(0, 0), pt(1, 1))), HPolyhedron(3, rows(
+            ((1, 1, 0), 2), ((-1, 0, 1), 1), ((0, -1, -1), 1), ((1, -2, 1), 3)))):
+        x = pt(*[F(7, 2), F(-5, 3), 4][:p.dim])
+        expected = dist_to_polyhedron(x, p)[0]
+        assert p.dist(x) == expected and len(p._pieces) == 1
+        (key, piece), = p._pieces.items()
+        p._pieces[key] = corrupt(*piece)
+        solves = _solves(monkeypatch)
+        assert p.dist(x) == expected
+        assert len(solves) == 1 and solves[0]["basis"]  # the corrupt piece was refused
+        assert p._pieces[key] == piece  # the LP's basis replaced it
+        monkeypatch.undo()
+
+
+def test_kept_pieces_stay_within_the_cap(monkeypatch):
+    import random
+
+    from hyperball import lp
+
+    box3 = _lp_repeat(monkeypatch, 1).boxes[1]  # the 3-d pool box
+    rng = random.Random(2)
+    points = [tuple(F(rng.randint(-200, 200), 16) for _ in range(3)) for _ in range(600)]
+    for cap in (lp._PIECE_CAP, 5):
+        monkeypatch.setattr(lp, "_PIECE_CAP", cap)
+        p = HPolyhedron(box3.dim, box3.rows)
+        for x in points:
+            assert p.dist(x) == dist_to_polyhedron(x, p)[0]
+            assert len(p._pieces) <= cap
+    assert len(p._pieces) == 5
+
+
+def test_replaying_a_block_of_pool_segments_runs_no_lp(monkeypatch):
+    from hyperball.convexity import distance_convexity_check
+
+    workload = _lp_repeat(monkeypatch, 11)
+    rng = workload.rng(0)  # block 0's segments, drawn as the workload draws them
+    segments = [(poly, tuple(F(rng.randint(-80, 80), 8) for _ in range(poly.dim)),
+                 tuple(F(rng.randint(-80, 80), 8) for _ in range(poly.dim)))
+                for poly in workload.pool]
+    solves = _solves(monkeypatch)
+    first = [distance_convexity_check(*segment) for segment in segments]
+    assert solves  # a cold pool solves its pieces
+    del solves[:]
+    assert [distance_convexity_check(*segment) for segment in segments] == first
+    assert not solves
+
+
+def test_the_window_is_computed_once_and_an_empty_one_raises_every_time(monkeypatch):
+    p = HPolyhedron(2, rows(((1, 1), 3), ((-1, 0), 0), ((0, -1), 1)))
+    solves = _solves(monkeypatch)
+    window = p.window()
+    assert window == Box(pt(0, -1), pt(4, 3)) and len(solves) == 4
+    assert p.window() is window and len(solves) == 4
+    for empty in (HPolyhedron(0, rows(((), -1))), HPolyhedron(1, rows(((1,), 0), ((-1,), -1)))):
+        for _ in range(3):
+            with pytest.raises(EmptySet):
+                empty.window()
+
+
+def test_threads_sharing_a_polyhedron_get_exact_distances():
+    """Queries from more threads than cores on one cold polyhedron, with a
+    short switch interval: each answer equals a fresh LP's, none raises,
+    and the kept pieces stay within the cap."""
+    import sys
+    import threading
+
+    from hyperball import lp
+
+    p = box_to_polyhedron(Box(pt(0, F(1, 3), -1), pt(1, 1, F(5, 2))))
+    points = [pt(F(i % 7 - 3, 2), F(i % 5 - 2, 3), F(i % 11 - 5, 4)) for i in range(120)]
+    expected = [dist_to_polyhedron(x, p)[0] for x in points]
+    shared = HPolyhedron(p.dim, p.rows)
+    answers, errors = {}, []
+
+    def work(t):
+        try:
+            for i in range(t, len(points) + t):
+                answers[t, i % len(points)] = shared.dist(points[i % len(points)])
+        except Exception as exc:  # reported below, with the thread that raised it
+            errors.append((t, exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads) and not errors
+    assert all(answers[t, i] == expected[i] for t in range(6) for i in range(len(points)))
+    assert 0 < len(shared._pieces) <= lp._PIECE_CAP
