@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 from .errors import HyperballError
 from .lab import LinfBallFamily
 from .linf import Ball, Point, balls_box, linf_dist, sigma
-from .refine import EpsOracle, IPParams, KTooSmall, RefinementTrace, ip_constants
+from .refine import EpsOracle, IPParams, KTooSmall, RefinementTrace, ip_constants, ip_reach
 from .reports import HOLDS, REFUTED, PropertyReport
 
 
@@ -269,21 +269,15 @@ def ip_lift(
     n, k = params.n, params.k
     if len(balls) != n + 1:
         raise ValueError(f"need n+1 = {n + 1} balls")
-    if oracle.level < n:
-        raise ValueError("oracle contract does not cover n balls")
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
     if params.c >= 1:
         raise ContractionNotGuaranteed(f"c = {params.c} is not < 1")
     for subset in combinations(range(n + 1), k):
         if balls_box(tuple(balls[i] for i in subset)).first_empty_coordinate() is not None:
             raise KSubfamilyEmpty(f"k-subfamily {subset} has empty intersection")
-    j_sets = list(combinations(range(n + 1), k - 1))
     omega = list(combinations(range(n + 1), n - 1))
-
-    def reach(p: Point) -> Fraction:
-        return max(
-            balls_box(tuple(balls[i] for i in J)).dist(p) for J in j_sets
-        )
-
+    reach = ip_reach(balls, k)
     base = barycenter(backend, tuple(b.center for b in balls), cfg)
     iterates = [base]
     reaches = [reach(base)]

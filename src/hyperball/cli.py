@@ -195,6 +195,11 @@ def cmd_helly(args, report) -> None:
 
 
 def cmd_refine(args, report) -> None:
+    unread = {"cauchy-halving": (), "triple-34": ("scale",), "chain-walk": ("iters", "scale")}[args.scheme]
+    for flag in unread:
+        if getattr(args, flag) is not None:
+            raise ValidationError(f"--{flag} does not apply to {args.scheme}")
+    iters = 40 if args.iters is None else args.iters
     kind, payload = parse_instance(args.instance)
     if args.scheme == "cauchy-halving":
         if kind != "family" or payload.subset is None:
@@ -204,8 +209,8 @@ def cmd_refine(args, report) -> None:
         point_, trace = almost_to_exact(
             oracle,
             family,
-            iterations=args.iters,
-            scale=parse_rational(args.scale),
+            iterations=iters,
+            scale=parse_rational("1" if args.scale is None else args.scale),
         )
         report["checks"].append(
             {
@@ -224,7 +229,7 @@ def cmd_refine(args, report) -> None:
             exact_subset_oracle(sets[1]),
             exact_subset_oracle(sets[2]),
             x0,
-            rounds=args.iters,
+            rounds=iters,
         )
         report["checks"].append(
             {
@@ -357,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="run a refinement scheme with exact oracles")
     common(p)
     p.add_argument("--scheme", required=True, choices=["cauchy-halving", "chain-walk", "triple-34"])
-    p.add_argument("--iters", type=int, default=40)
-    p.add_argument("--scale", default="1/1")
+    p.add_argument("--iters", type=int, help="rounds for cauchy-halving and triple-34 (default 40)")
+    p.add_argument("--scale", help='slack scale for cauchy-halving as "p/q" (default 1)')
 
     p = sub.add_parser("barycenter", help="barycenter of a point tuple")
     common(p)

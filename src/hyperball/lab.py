@@ -382,6 +382,8 @@ def refute_search(
         raise ValueError(f"unknown mode {mode!r}")
     if level < 2:
         raise ValueError("level must be >= 2")
+    if budget < 0:
+        raise ValueError("budget must be >= 0")
     start = REFUTE_MODES[mode]
     if isinstance(subset, FiniteSubset):
         _require_nonempty(subset)
@@ -392,7 +394,7 @@ def refute_search(
         def build(index):
             return _scalar_candidate(subset, arena, seed, index, start)
 
-    if budget <= 0:
+    if budget == 0:
         return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
     indices, screened = range(budget), False
     if screen_applies(subset, mode):
@@ -544,6 +546,8 @@ def graph_n_helly_bruteforce(g: GraphInstance, n: int, cap: int = GRAPH_ENUM_CAP
     vertex.  Balls of radius >= diameter are the whole space, so the cap on
     radii is exact, not an approximation.
     """
+    if n < 0:
+        raise ValueError("family size n must be >= 0")
     # With V >= 2 vertices radius_hi >= 1, so this bound on the families
     # refuses a large graph before its shortest paths are computed.
     V = g.n

@@ -11,11 +11,11 @@ schemes here turn such answers into points with certified error bounds:
 * ``triple_intersection`` — the 3/4-contraction onto a third subset
                          ("triple-34").
 
-``EpsOracle.ask`` checks every oracle answer, those of
-``barycenter.ip_lift`` included, and attributes a breach to the oracle via
-``OracleFailure``, never absorbed; ``verify_trace`` re-checks a
-trace with exact rationals and is the one place that states scheme bounds;
-``ip_constants`` gives the ``ip-lift`` contraction constant it recomputes.
+``EpsOracle.ask`` checks every ask, those of ``barycenter.ip_lift``
+included: more balls than ``level`` is a ``ValueError``, a breaching answer
+an ``OracleFailure``, never absorbed.  ``verify_trace`` re-checks a trace
+with exact rationals, derives what it checks from the trace alone, and is
+the one place that states scheme bounds.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class OracleFailure(HyperballError):
 
 
 class PairwiseIntersectionUnverified(HyperballError):
-    """A required pairwise intersection could not be certified non-empty."""
+    """A required intersection of two subsets (and a pick's balls) could not be certified non-empty."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,10 @@ class EpsOracle:
     subset: Any
 
     def ask(self, balls: tuple[Ball, ...], slack: Fraction, call: int) -> Point:
-        """The query's answer, or ``OracleFailure`` at ``call`` if it breaks the contract."""
+        """The query's answer, or ``OracleFailure`` at ``call`` if it breaks
+        the contract; ``ValueError`` if asked more balls than ``level``."""
+        if len(balls) > self.level:
+            raise ValueError(f"oracle contract does not cover {len(balls)} balls (level {self.level})")
         p = self.query(balls, slack)
         if p is None:
             raise OracleFailure(call, "no point returned")
@@ -158,8 +161,6 @@ def almost_to_exact(
         raise ValueError("need at least one iteration")
     if scale <= 0:
         raise ValueError("scale must be positive")
-    if oracle.level < len(family) + 1:
-        raise ValueError("oracle contract does not cover |family| + 1 balls")
     _require_admissible(family if oracle.subset is None else replace(family, subset=oracle.subset))
     balls = family.balls
     iterates: list[Point] = []
@@ -279,6 +280,8 @@ def chain_walk(
     """
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
     for oracle, name in ((oracle_a, "A"), (oracle_b, "A'")):
         if not oracle.subset.contains(y):
             raise ValueError(f"y is not in {name}")
@@ -287,12 +290,10 @@ def chain_walk(
     s = linf_dist(x, y) - r
     if s < 0:
         return ChainWalkResult(y, y, "negative-gap", 0, eps / 2, delta, 0)
-    if rounds <= 1:
+    if rounds == 1:
         return _chain_step(oracle_a, oracle_b, x, r, y, eps, delta, 0)
     if ambient is None:
         raise ValueError("outer rounds need a 3-ball ambient oracle")
-    if ambient.level < 3:
-        raise ValueError("ambient oracle must cover 3 balls")
     result = _chain_step(oracle_a, oracle_b, x, r, y, eps / 2, delta / 2, 0)
     a, b = result.a, result.a_prime
     calls = result.oracle_calls
@@ -347,6 +348,14 @@ def chain_walk(
 # Scheme 3: 3/4-contraction onto a third subset
 
 
+def _pick(first, second, balls: tuple[Ball, ...], name: str):
+    """``pair_witness``'s point, or ``PairwiseIntersectionUnverified`` naming the pair."""
+    p = pair_witness(first, second, balls)
+    if p is None:
+        raise PairwiseIntersectionUnverified(name if not balls else f"{name} within the pick's balls")
+    return p
+
+
 def triple_intersection(
     oracle0: EpsOracle,
     oracle1: EpsOracle,
@@ -356,63 +365,36 @@ def triple_intersection(
 ) -> tuple[Point, ContractionReport]:
     """March a point of A1 ∩ A2 toward A0 with ratio 3/4 per round.
 
-    Requires oracle0 to cover 3 balls and all three subsets to pairwise
-    intersect (certified up front).  Records d(x_n, A0) and d(x_n, x_{n+1})
-    and returns ``verify_trace``'s report on them.
+    Requires all three subsets to pairwise intersect (certified up front).
+    Each round asks oracle0 for 3 balls and re-centers exactly inside
+    B(x_n, rho/2) ∩ B(xbar, 3/4 rho) with xbar in A0; ``verify_trace``
+    states and re-checks the bounds that follow, and its report is returned.
     """
-    if oracle0.level < 3:
-        raise ValueError("oracle0 must cover 3 balls")
+    if rounds < 0:
+        raise ValueError("rounds must be >= 0")
     A0, A1, A2 = oracle0.subset, oracle1.subset, oracle2.subset
     if not (A1.contains(x0) and A2.contains(x0)):
         raise ValueError("x0 must lie in A1 and A2")
     for left, right, name in ((A0, A1, "A0,A1"), (A0, A2, "A0,A2"), (A1, A2, "A1,A2")):
-        if pair_witness(left, right) is None:
-            raise PairwiseIntersectionUnverified(name)
+        _pick(left, right, (), name)
     iterates: list[Point] = [x0]
     gaps: list[Fraction] = [subset_dist(A0, x0)]
-    steps: list[Fraction] = []
-    calls = 0
-    for _ in range(rounds):
-        rho = gaps[-1]
+    for call in range(rounds):
+        rho, xn = gaps[-1], iterates[-1]
         if rho == 0:
             break
-        xn = iterates[-1]
-        y = pair_witness(A0, A1, (Ball(xn, rho * Fraction(13, 12)),))
-        if y is None:
-            raise OracleFailure(calls, "A0 ∩ A1 pick failed")
-        z = pair_witness(
-            A0, A2, (Ball(xn, rho * Fraction(7, 6)), Ball(y, rho * Fraction(7, 6)))
-        )
-        if z is None:
-            raise OracleFailure(calls, "A0 ∩ A2 pick failed")
-        asked = (
-            Ball(xn, rho),
-            Ball(y, rho * Fraction(7, 12)),
-            Ball(z, rho * Fraction(7, 12)),
-        )
-        slack = rho / 12
-        xbar = oracle0.ask(asked, slack, calls)
-        calls += 1
-        xn1 = pair_witness(
-            A1, A2, (Ball(xbar, rho * Fraction(3, 4)), Ball(xn, rho / 2))
-        )
-        if xn1 is None:
-            raise OracleFailure(calls, "A1 ∩ A2 re-centering failed")
-        step = linf_dist(xn, xn1)
-        if step > rho / 2:
-            raise OracleFailure(calls, "step exceeded rho/2")
-        gap = subset_dist(A0, xn1)
-        if gap > rho * Fraction(3, 4):
-            raise OracleFailure(calls, "contraction exceeded 3/4")
-        iterates.append(xn1)
-        gaps.append(gap)
-        steps.append(step)
+        y = _pick(A0, A1, (Ball(xn, rho * Fraction(13, 12)),), "A0,A1")
+        z = _pick(A0, A2, (Ball(xn, rho * Fraction(7, 6)), Ball(y, rho * Fraction(7, 6))), "A0,A2")
+        asked = (Ball(xn, rho), Ball(y, rho * Fraction(7, 12)), Ball(z, rho * Fraction(7, 12)))
+        xbar = oracle0.ask(asked, rho / 12, call)
+        iterates.append(_pick(A1, A2, (Ball(xbar, rho * Fraction(3, 4)), Ball(xn, rho / 2)), "A1,A2"))
+        gaps.append(subset_dist(A0, iterates[-1]))
     trace = RefinementTrace(
         "triple-34",
         tuple(iterates),
         tuple(gaps),
-        tuple(steps),
-        aux={"r0": gaps[0], "subsets": (A0, A1, A2)},
+        tuple(linf_dist(p, q) for p, q in zip(iterates, iterates[1:])),
+        aux={"subsets": (A0, A1, A2)},
     )
     return iterates[-1], verify_trace(trace)
 
@@ -461,6 +443,13 @@ def ip_constants(n: int, k: int, eps: Fraction = Fraction(0)) -> IPParams:
     return IPParams(n, k, N, N_prime, c, eps)
 
 
+def ip_reach(balls: tuple[Ball, ...], k: int) -> Callable[[Point], Fraction]:
+    """The ``ip-lift`` reach: p -> the largest distance from p to a
+    (k-1)-fold intersection of the balls, whose boxes are built once."""
+    folds = [balls_box(tuple(balls[i] for i in J)) for J in combinations(range(len(balls)), k - 1)]
+    return lambda p: max(box.dist(p) for box in folds)
+
+
 # ---------------------------------------------------------------------------
 # Independent trace verification
 
@@ -468,12 +457,14 @@ def ip_constants(n: int, k: int, eps: Fraction = Fraction(0)) -> IPParams:
 def verify_trace(trace: RefinementTrace) -> ContractionReport:
     """Recompute every recorded step distance exactly and re-check the
     scheme's bounds; a perturbed iterate fails at its step.  The one place
-    that states the bounds of "cauchy-halving", "triple-34" and "ip-lift"
-    (``barycenter.ip_lift``, whose reaches are recomputed from the balls in
-    ``family``, a trace without them failing, and whose c must be
-    ``ip_constants(len(balls) - 1, k, eps).c`` and below 1).  A
-    "cauchy-halving" trace must record the slacks scale * 2^-(i+1).  Any
-    other scheme raises ``ValueError`` unless the trace is empty or its
+    that states the bounds of "cauchy-halving" (whose slacks must be
+    scale * 2^-(i+1)), "triple-34" (gaps d(x_n, A0) recomputed from
+    ``aux["subsets"]``, at most r0 (3/4)^n with r0 the first, and steps at
+    most half the gap before them) and "ip-lift" (reaches recomputed by
+    ``ip_reach`` from the balls in ``family``, and c equal to
+    ``ip_constants(len(balls) - 1, k, eps).c`` and below 1); a triple-34
+    trace without subsets or an ip-lift one without balls fails.  Any other
+    scheme raises ``ValueError`` unless the trace is empty or its
     recorded steps already disagree with its iterates."""
     scheme = trace.scheme
     if not trace.iterates:
@@ -512,18 +503,16 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
                     notes.append("final iterate violates the final slack")
         return ContractionReport(scheme, recomputed, bounds, ok, all(ok), tuple(notes))
     if scheme == "triple-34":  # slacks hold the gaps d(x_n, A0)
-        subsets, r0 = trace.aux.get("subsets"), trace.aux["r0"]
-        observed = trace.slacks if subsets is None else tuple(
-            subset_dist(subsets[0], p) for p in trace.iterates)
-        bounds = tuple(r0 * Fraction(3, 4) ** n for n in range(len(observed)))
-        step_bounds = tuple(b / 2 for b in bounds)
+        if "subsets" not in trace.aux:
+            return ContractionReport(scheme, (), (), (), False, notes=("no subsets recorded",))
+        observed = tuple(subset_dist(trace.aux["subsets"][0], p) for p in trace.iterates)
+        bounds = tuple(observed[0] * Fraction(3, 4) ** n for n in range(len(observed)))
+        step_bounds = tuple(g / 2 for g in observed)
     elif scheme == "ip-lift":  # slacks hold the reaches
         if trace.family is None:
             return ContractionReport(scheme, (), (), (), False, notes=("no balls recorded",))
         balls = trace.family.balls
-        folds = [balls_box(tuple(balls[i] for i in J))
-                 for J in combinations(range(len(balls)), trace.aux["k"] - 1)]
-        observed = tuple(max(box.dist(p) for box in folds) for p in trace.iterates)
+        observed = tuple(map(ip_reach(balls, trace.aux["k"]), trace.iterates))
         c, R, tau = trace.aux["c"], observed[0], trace.aux["tau"]
         if c >= 1 or c != ip_constants(len(balls) - 1, trace.aux["k"], trace.aux["eps"]).c:
             return ContractionReport(scheme, observed, (), (), False,

@@ -154,10 +154,16 @@ def test_cli_unknown_flag_is_usage_error(tmp_path, capsys):
     fam = write(tmp_path, "fam.json", {
         "type": "family", "balls": [{"ball": {"center": ["0/1"], "r": "1/1"}}], "subset": {"box": {"lo": ["0/1"], "hi": ["2/1"]}},
     })
+    instances = SRC.parent / "bench" / "instances"
+    chain, triple = str(instances / "chain.json"), str(instances / "triple.json")
     for argv, unread in [
         (["check", "--instance", c4], ["--seed", "1"]),
         (["refine", "--instance", fam, "--scheme", "cauchy-halving", "--iters", "2"], ["--tau", "1/2"]),
         (["graph-scan", "--instance", c4, "--level", "2"], ["--budget", "5"]),
+        # refine schemes take only the flags they read: chain-walk neither, triple-34 no --scale
+        (["refine", "--instance", chain, "--scheme", "chain-walk"], ["--iters", "5"]),
+        (["refine", "--instance", chain, "--scheme", "chain-walk"], ["--scale", "2"]),
+        (["refine", "--instance", triple, "--scheme", "triple-34", "--iters", "3"], ["--scale", "2"]),
     ]:
         assert main(argv) == 0
         assert main(argv + unread) == 3
@@ -375,6 +381,21 @@ def test_cli_refute_on_a_point_is_inconclusive_in_every_mode(tmp_path, capsys, i
     assert "error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["refute", "--instance", "{dir}/union.json", "--level", "2", "--budget", "-5"], "budget must be >= 0"),
+     (["refine", "--instance", "{dir}/triple.json", "--scheme", "triple-34", "--iters", "-3"],
+      "rounds must be >= 0"),
+     (["ip-lift", "--instance", "{dir}/ip.json", "--iters", "-2"], "rounds must be >= 0"),
+     (["graph-scan", "--instance", "{dir}/scan.json", "--level", "-1"], "family size n must be >= 0")],
+    ids=["refute-budget", "triple-34-iters", "ip-lift-iters", "graph-scan-level"],
+)
+def test_cli_negative_counts_are_usage_errors(capsys, argv, message):
+    instances = SRC.parent / "bench" / "instances"
+    assert main([arg.format(dir=instances) for arg in argv]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_refine_triple_34_through_polyhedra(tmp_path, capsys):
     """Sets 0 and 2 of the triple as four rows each: the box search of
     ``pair_witness`` on their rows gives the box triple's report."""
@@ -501,8 +522,8 @@ _INSTANCES = st.integers(0, 9).flatmap(
 _COMMANDS = (
     ["check"], ["refute", "--level", "2", "--budget", "20"], ["barycenter"],
     ["ip-lift", "--iters", "3"], ["graph-scan", "--level", "2"],
-    *(["refine", "--scheme", scheme, "--iters", "3"]
-      for scheme in ("cauchy-halving", "chain-walk", "triple-34")),
+    *(["refine", "--scheme", scheme, "--iters", "3"] for scheme in ("cauchy-halving", "triple-34")),
+    ["refine", "--scheme", "chain-walk"],
 )
 
 

@@ -2,7 +2,7 @@
 that were removed (the refuter's ``arena`` and ``BarycenterConfig.max_rounds``
 among them), on each CLI subcommand taking only the flags it reads, on the
 LP kernel staying in integers, on the refinement bounds living only in
-``verify_trace``, and on subset and ball-family kinds answering for
+``verify_trace`` and the oracle's ball count only in ``EpsOracle.ask``, and on subset and ball-family kinds answering for
 themselves instead of through type ladders."""
 
 import ast
@@ -98,6 +98,28 @@ def test_scheme_bounds_live_only_in_verify_trace():
     everywhere = sum(reports_built(text) for text in _sources().values())
     assert everywhere == reports_built(inspect.getsource(refine.verify_trace)) > 0
     assert "_verify_oracle_point" not in _sources()["refine.py"]
+
+
+def test_oracle_level_is_read_only_by_ask_and_triple_34_raises_no_bound():
+    def level_readers(tree):
+        readers, stack = [], [(tree, None)]
+        while stack:
+            node, scope = stack.pop()
+            if isinstance(node, ast.FunctionDef):
+                scope = node.name
+            if isinstance(node, ast.Attribute) and node.attr == "level":
+                readers.append(scope)
+            stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+        return readers
+
+    trees = {name: ast.parse(_sources()[name]) for name in ("refine.py", "barycenter.py")}
+    assert set(level_readers(trees["refine.py"])) == {"ask"}
+    assert level_readers(trees["barycenter.py"]) == []
+    scheme = next(node for node in ast.walk(trees["refine.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "triple_intersection")
+    raised = {node.exc.func.id for node in ast.walk(scheme)
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)}
+    assert "OracleFailure" not in raised
 
 
 def test_lp_kernel_and_certificate_checks_build_no_fraction():

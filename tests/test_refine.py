@@ -156,6 +156,28 @@ def test_chain_walk_outer_rounds_need_ambient():
         )
 
 
+def test_chain_walk_checks_its_ball_counts_and_rounds():
+    """Every pick of the walk asks two balls, so level-1 subset oracles fail
+    at the first ask; outer rounds need an ambient oracle of level 3, and
+    at least one round is run."""
+    with pytest.raises(ValueError, match="does not cover 2 balls"):
+        chain_walk(
+            exact_subset_oracle(A_RIGHT, level=1), exact_subset_oracle(A_UP, level=1),
+            pt(-3, -3), F(3), pt(2, 2), F(1, 2), F(1, 4),
+        )
+    with pytest.raises(ValueError, match="does not cover 3 balls"):
+        chain_walk(
+            exact_subset_oracle(A_RIGHT), exact_subset_oracle(A_UP),
+            pt(-3, -3), F(3), pt(2, 2), F(1, 2), F(1, 4),
+            rounds=2, ambient=exact_subset_oracle(Box(pt(-50, -50), pt(50, 50)), level=2),
+        )
+    with pytest.raises(ValueError, match="rounds must be >= 1"):
+        chain_walk(
+            exact_subset_oracle(A_RIGHT), exact_subset_oracle(A_UP),
+            pt(-3, -3), F(3), pt(2, 2), F(1, 2), F(1, 4), rounds=0,
+        )
+
+
 def triple_boxes():
     a0 = Box(pt(4, 0), pt(6, 2))
     a1 = Box(pt(0, 0), pt(5, 1))
@@ -222,6 +244,41 @@ def test_triple_intersection_zero_rounds():
     )
     assert final == pt(0, 1)
     assert report.observed[0] == a0.dist(pt(0, 1))
+
+
+def test_triple_34_trace_is_checked_from_its_subsets_alone():
+    """The gaps and r0 come from the recorded subsets: a stalled trace fails
+    whatever r0 it records, and a trace without subsets fails with a note."""
+    a0, a1, a2 = triple_boxes()
+    x0 = pt(0, 1)
+    stalled = RefinementTrace("triple-34", (x0, x0), (F(4), F(4)), (F(0),),
+                              aux={"subsets": (a0, a1, a2)})
+    assert not verify_trace(stalled).passed
+    assert not verify_trace(replace(stalled, aux={**stalled.aux, "r0": F(100)})).passed
+    bare = RefinementTrace("triple-34", (x0, x0), (F(0), F(0)), (F(0),), aux={"r0": F(0)})
+    report = verify_trace(bare)
+    assert not report.passed and report.notes == ("no subsets recorded",)
+
+
+def test_triple_intersection_reports_a_re_centering_outside_its_bounds(monkeypatch):
+    """A re-centering pick far outside B(x_n, rho/2) is not raised inside the
+    scheme: ``verify_trace``'s report carries the breach."""
+    from hyperball import refine
+
+    a0 = Box(pt(4, 0), pt(6, 2))
+    a1, a2 = Box(pt(-90, -90), pt(90, 1)), Box(pt(-90, 1), pt(90, 90))
+    real = refine.pair_witness
+
+    def far(first, second, balls=()):
+        p = real(first, second, balls)
+        return (p[0] - 80, p[1]) if first is a1 and second is a2 and balls else p
+
+    monkeypatch.setattr(refine, "pair_witness", far)
+    final, report = triple_intersection(
+        *(exact_subset_oracle(s) for s in (a0, a1, a2)), pt(0, 1), rounds=1,
+    )
+    assert a1.contains(final) and a2.contains(final)
+    assert not report.passed and report.step_ok == (True, False, False)
 
 
 def test_triple_intersection_requires_pairwise():
