@@ -7,7 +7,8 @@ polyhedra), distance-convexity checks (``distance_convexity_check``
 along segments, where an LP runs only when no optimal basis the
 polyhedron keeps passes the checks at a grid time) and the exact
 subset oracle (``almost_to_exact``, 40 iterations, on the ``lp-repeat``
-refinements of ``bench/workloads.py``, each oracle query one box search).
+refinements of ``bench/workloads.py``; an oracle query runs a box search
+only when the last ball's center misses the subset or a ball).
 Each row prints the queries, the LPs run, LPs per query (per segment for
 the convexity check, per 40-iteration run for ``almost_to_exact``), rows
 per LP, pivots per query and per LP, integers stored per pivot (the
@@ -139,7 +140,7 @@ def main(argv=None):
     for caller, (queries, lps, rows, pivots, ints, seconds) in table.items():
         print(f"{caller:<26}{queries:>8}{lps:>7}{lps / queries:>7.2f}{rows / lps:>9.2f}"
               f"{pivots / queries:>10.2f}{pivots / lps:>11.2f}{ints / max(pivots, 1):>12.1f}"
-              f"{seconds:>10.3f}")
+              f"{seconds:>10.6f}")
 
 
 if __name__ == "__main__":

@@ -84,10 +84,16 @@ def _grown_witness(subset, balls: tuple[Ball, ...], box: Box, slack: Fraction) -
 
 def exact_subset_oracle(subset, level: int = 64) -> EpsOracle:
     """Oracle backed by the subset's exact witness search: returned points
-    satisfy the *uninflated* constraints whenever that is possible.  With
-    subset None it answers over the whole max-norm space."""
+    satisfy the *uninflated* constraints whenever that is possible.  The
+    last ball's center is the answer when it lies in the subset and in
+    every ball, as each later ask of ``almost_to_exact`` is centred on an
+    answer; otherwise the box search runs.  With subset None it answers
+    over the whole max-norm space."""
 
     def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
+        center = balls[-1].center
+        if (subset is None or subset.contains(center)) and all(b.contains(center) for b in balls):
+            return center
         box = balls_box(balls)
         hit = _grown_witness(subset, balls, box, Fraction(0))
         return hit if hit is not None else _grown_witness(subset, balls, box, slack)
@@ -102,16 +108,6 @@ def saturating_subset_oracle(subset, level: int = 64) -> EpsOracle:
 
     def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
         return _grown_witness(subset, balls, balls_box(balls), slack)
-
-    return EpsOracle(query, level, subset)
-
-
-def broken_oracle(subset, offset: Fraction, level: int = 64) -> EpsOracle:
-    """Deliberately out-of-contract oracle for failure-path tests."""
-
-    def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
-        hit = _grown_witness(subset, balls, balls_box(balls), slack)
-        return None if hit is None else tuple(c + offset for c in hit)
 
     return EpsOracle(query, level, subset)
 
@@ -458,13 +454,13 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
     """Recompute every recorded step distance exactly and re-check the
     scheme's bounds; a perturbed iterate fails at its step.  The one place
     that states the bounds of "cauchy-halving" (whose slacks must be
-    scale * 2^-(i+1)), "triple-34" (gaps d(x_n, A0) recomputed from
-    ``aux["subsets"]``, at most r0 (3/4)^n with r0 the first, and steps at
-    most half the gap before them) and "ip-lift" (reaches recomputed by
-    ``ip_reach`` from the balls in ``family``, and c equal to
-    ``ip_constants(len(balls) - 1, k, eps).c`` and below 1); a triple-34
-    trace without subsets or an ip-lift one without balls fails.  Any other
-    scheme raises ``ValueError`` unless the trace is empty or its
+    scale * 2^-(i+1)), "triple-34" (iterates in A1 ∩ A2, gaps d(x_n, A0)
+    recomputed from ``aux["subsets"]``, at most r0 (3/4)^n with r0 the
+    first, and steps at most half the gap before them) and "ip-lift"
+    (reaches recomputed by ``ip_reach`` from the balls in ``family``, and c
+    equal to ``ip_constants(len(balls) - 1, k, eps).c`` and below 1); a
+    triple-34 trace without subsets or an ip-lift one without balls fails.
+    Any other scheme raises ``ValueError`` unless the trace is empty or its
     recorded steps already disagree with its iterates."""
     scheme = trace.scheme
     if not trace.iterates:
@@ -505,7 +501,10 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
     if scheme == "triple-34":  # slacks hold the gaps d(x_n, A0)
         if "subsets" not in trace.aux:
             return ContractionReport(scheme, (), (), (), False, notes=("no subsets recorded",))
-        observed = tuple(subset_dist(trace.aux["subsets"][0], p) for p in trace.iterates)
+        A0, A1, A2 = trace.aux["subsets"]
+        if not all(A1.contains(p) and A2.contains(p) for p in trace.iterates):
+            return ContractionReport(scheme, (), (), (), False, notes=("an iterate lies outside A1 ∩ A2",))
+        observed = tuple(subset_dist(A0, p) for p in trace.iterates)
         bounds = tuple(observed[0] * Fraction(3, 4) ** n for n in range(len(observed)))
         step_bounds = tuple(g / 2 for g in observed)
     elif scheme == "ip-lift":  # slacks hold the reaches

@@ -1,18 +1,20 @@
+import pathlib
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from hyperball.io import parse_instance
 from hyperball.lab import LinfBallFamily, NotAdmissible
 from hyperball.linf import Ball, Box, balls_box, linf_dist
 from hyperball.lp import box_to_polyhedron, halfspace
 from hyperball.refine import (
     ChainWalkResult,
+    EpsOracle,
     OracleFailure,
     PairwiseIntersectionUnverified,
     RefinementTrace,
     almost_to_exact,
-    broken_oracle,
     chain_walk,
     exact_subset_oracle,
     saturating_subset_oracle,
@@ -23,6 +25,19 @@ from hyperball.refine import (
 from conftest import F, pt
 
 BOX = Box(pt(0, 0), pt(2, 2))
+INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "bench" / "instances"
+
+
+def broken_oracle(subset, offset: Fraction, level: int = 64) -> EpsOracle:
+    """Deliberately out-of-contract oracle for failure-path tests: the
+    saturating oracle's answer shifted by offset in every coordinate."""
+    inner = saturating_subset_oracle(subset, level)
+
+    def query(balls, slack):
+        hit = inner.query(balls, slack)
+        return None if hit is None else tuple(c + offset for c in hit)
+
+    return replace(inner, query=query)
 
 
 def box_family():
@@ -248,7 +263,8 @@ def test_triple_intersection_zero_rounds():
 
 def test_triple_34_trace_is_checked_from_its_subsets_alone():
     """The gaps and r0 come from the recorded subsets: a stalled trace fails
-    whatever r0 it records, and a trace without subsets fails with a note."""
+    whatever r0 it records, and a trace without subsets, or with an iterate
+    outside A1 ∩ A2, fails with a note."""
     a0, a1, a2 = triple_boxes()
     x0 = pt(0, 1)
     stalled = RefinementTrace("triple-34", (x0, x0), (F(4), F(4)), (F(0),),
@@ -258,6 +274,12 @@ def test_triple_34_trace_is_checked_from_its_subsets_alone():
     bare = RefinementTrace("triple-34", (x0, x0), (F(0), F(0)), (F(0),), aux={"r0": F(0)})
     report = verify_trace(bare)
     assert not report.passed and report.notes == ("no subsets recorded",)
+    # Over the boxes of the bench triple instance, (5, 5) is in neither A1 nor A2.
+    kind, (subsets, _) = parse_instance(INSTANCES / "triple.json")
+    assert kind == "triple" and subsets == (a0, a1, a2)
+    outside = RefinementTrace("triple-34", (pt(5, 5),), (F(3),), (), aux={"subsets": subsets})
+    report = verify_trace(outside)
+    assert not report.passed and report.notes == ("an iterate lies outside A1 ∩ A2",)
 
 
 def test_triple_intersection_reports_a_re_centering_outside_its_bounds(monkeypatch):
@@ -327,43 +349,123 @@ def test_verify_trace_empty_is_vacuous():
     assert report.passed and report.notes
 
 
-def _intersected_answer(subset, balls, slack):
-    """The exact oracle's answer read from ``subset.intersect(window)``: the
-    uninflated window first, then the one grown by slack."""
-    for grow in (Fraction(0), slack):
+def _intersected_answer(subset, balls, *grows):
+    """The box search's answer read from the balls' window grown by each of
+    ``grows`` in turn: ``subset.intersect(window)``'s witness, or over the
+    whole space (subset None) the window's clamp of the last ball's center."""
+    for grow in grows:
         window = balls_box(tuple(Ball(b.center, b.radius + grow) for b in balls))
-        hit = None if window.is_empty() else subset.intersect(window).witness()
+        if window.is_empty():
+            continue
+        hit = window.clamp(balls[-1].center) if subset is None else subset.intersect(window).witness()
         if hit is not None:
             return hit
     return None
 
 
-def test_exact_oracle_answers_match_the_intersected_polyhedron_on_the_lp_repeat_pool(monkeypatch):
-    import pathlib
+def _center_first_answer(subset, balls, slack):
+    """The exact oracle's contract: the last ball's center when it lies in
+    the subset and in every ball, else the uninflated window's answer, else
+    the one grown by slack."""
+    center = balls[-1].center
+    if (subset is None or subset.contains(center)) and all(b.contains(center) for b in balls):
+        return center
+    return _intersected_answer(subset, balls, F(0), slack)
 
-    from hyperball import refine
 
-    bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
-    monkeypatch.syspath_prepend(str(bench))
-    from workloads import LPRepeat
-
-    real, answers = refine.exact_subset_oracle, []
+def _checked(real, expected, answers):
+    """``real`` (an oracle factory) with every query's answer asserted equal
+    to ``expected(subset, balls, slack)`` and recorded in ``answers`` with
+    its balls."""
 
     def checked(subset, level=64):
         oracle = real(subset, level)
 
         def query(balls, slack):
             hit = oracle.query(balls, slack)
-            assert hit == _intersected_answer(subset, balls, slack)
-            answers.append(hit)
+            assert hit == expected(subset, balls, slack)
+            answers.append((balls, hit))
             return hit
 
         return replace(oracle, query=query)
 
-    monkeypatch.setattr(refine, "exact_subset_oracle", checked)
+    return checked
+
+
+def test_exact_oracle_answers_match_the_intersected_polyhedron_on_the_lp_repeat_pool(monkeypatch):
+    """On the refinements of ten ``lp-repeat`` blocks every answer is the
+    last center when that center lies in the subset and every asked ball,
+    and otherwise ``subset.intersect(window)``'s witness; at least 1,560 of
+    the 1,600 queries are center answers."""
+    from hyperball import refine
+
+    monkeypatch.syspath_prepend(str(INSTANCES.parent))
+    from workloads import LPRepeat
+
+    answers = []
+    monkeypatch.setattr(refine, "exact_subset_oracle",
+                        _checked(refine.exact_subset_oracle, _center_first_answer, answers))
     workload = LPRepeat(seed=7, smoke=False)
     for index in range(10):  # the 40 refinements of ten blocks, as the workload runs them
         for op in workload.block(index):
             if ".refine." in op.op_id:
                 assert op.check(op.run()) is None
-    assert len(answers) == 10 * len(workload.refined) * 40 and None not in answers
+    assert len(answers) == 10 * len(workload.refined) * 40
+    assert None not in (hit for _, hit in answers)
+    assert sum(hit == balls[-1].center for balls, hit in answers) >= 1560
+
+
+def _counted_solves(monkeypatch):
+    from hyperball import lp
+
+    solves, real = [], lp._solve
+    monkeypatch.setattr(lp, "_solve", lambda *args, **kw: solves.append(args) or real(*args, **kw))
+    return solves
+
+
+def test_exact_oracle_answers_a_qualifying_center_without_an_lp(monkeypatch):
+    poly = box_to_polyhedron(BOX)
+    balls = (Ball(pt(3, 1), F(2)), Ball(pt(1, 1), F(1)))  # (1, 1) lies in BOX and both balls
+    solves = _counted_solves(monkeypatch)
+    assert exact_subset_oracle(poly).ask(balls, F(1, 4), 0) == pt(1, 1)
+    assert solves == []
+
+
+@pytest.mark.parametrize("balls", [
+    (Ball(pt(1, 1), F(2)), Ball(pt(3, 1), F(2))),  # last center outside the subset
+    (Ball(pt(3, 1), F(3, 2)), Ball(pt(1, 1), F(1))),  # last center outside the first ball
+], ids=["outside-subset", "outside-ball"])
+def test_exact_oracle_falls_back_to_the_box_search_when_the_center_misses(monkeypatch, balls):
+    poly = box_to_polyhedron(BOX)
+    solves = _counted_solves(monkeypatch)
+    p = exact_subset_oracle(poly).ask(balls, F(1, 4), 0)
+    assert p != balls[-1].center and len(solves) == 1
+    assert p == _intersected_answer(poly, balls, F(0), F(1, 4))
+    assert exact_subset_oracle(BOX).ask(balls, F(1, 4), 0) == _intersected_answer(BOX, balls, F(0), F(1, 4))
+
+
+def test_saturating_oracle_answers_from_the_grown_window_even_at_a_qualifying_center():
+    """The stress oracle keeps no center-first answer: it reads the window
+    grown by the slack, here another point than the qualifying center."""
+    poly = box_to_polyhedron(BOX)
+    balls = (Ball(pt(3, 1), F(2)), Ball(pt(1, 1), F(1)))
+    for subset in (poly, BOX):
+        p = saturating_subset_oracle(subset).ask(balls, F(1, 4), 0)
+        assert p == _intersected_answer(subset, balls, F(1, 4))
+    assert saturating_subset_oracle(poly).ask(balls, F(1, 4), 0) != pt(1, 1)
+
+
+def test_whole_space_oracle_answers_the_clamp_on_the_ip_instance(monkeypatch, capsys):
+    """Over the whole space a center inside every ball is its own clamp, so
+    ``ip-lift`` on the bench ``ip`` instance gets the answers of the
+    window clamp alone, as before the center-first answer."""
+    from hyperball import cli
+
+    answers = []
+    monkeypatch.setattr(cli, "exact_subset_oracle",
+                        _checked(cli.exact_subset_oracle,
+                                 lambda subset, balls, slack: _intersected_answer(None, balls, F(0), slack),
+                                 answers))
+    assert cli.main(["ip-lift", "--instance", str(INSTANCES / "ip.json")]) == 0
+    capsys.readouterr()
+    assert answers and None not in (hit for _, hit in answers)
