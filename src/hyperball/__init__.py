@@ -35,7 +35,6 @@ from .lab import (
     helly_counterexample,
     helly_order_check,
     hyperconvex_witness,
-    pad_family,
     refute_search,
     verify_refutation,
     weakly_external_witness,
@@ -47,7 +46,6 @@ from .linf import (
     ball_family_intersection,
     box_retraction,
     linf_dist,
-    min_modulus_selection,
     sigma,
 )
 from .lp import (
@@ -71,7 +69,6 @@ from .metric import (
 )
 from .rational import format_rational, parse_rational
 from .refine import (
-    ChainWalkResult,
     ContractionReport,
     EpsOracle,
     IPParams,

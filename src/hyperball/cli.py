@@ -194,6 +194,11 @@ def cmd_helly(args, report) -> None:
             sys.stdout.write(canonical_dumps(instance))
 
 
+def _trace_verdict(trace) -> str:
+    """Every refinement verdict: ``verify_trace``'s re-check of the trace."""
+    return HOLDS if verify_trace(trace).passed else REFUTED
+
+
 def cmd_refine(args, report) -> None:
     unread = {"cauchy-halving": (), "triple-34": ("scale",), "chain-walk": ("iters", "scale")}[args.scheme]
     for flag in unread:
@@ -212,38 +217,18 @@ def cmd_refine(args, report) -> None:
             iterations=iters,
             scale=parse_rational("1" if args.scale is None else args.scale),
         )
-        report["checks"].append(
-            {
-                "name": "cauchy-halving",
-                "verdict": HOLDS if verify_trace(trace).passed else REFUTED,
-                "point": point_,
-                "trace": {"iterates": trace.iterates, "slacks": trace.slacks, "steps": trace.steps},
-            }
-        )
+        shown = {"point": point_, "trace": {"iterates": trace.iterates, "slacks": trace.slacks, "steps": trace.steps}}
     elif args.scheme == "triple-34":
         if kind != "triple":
             raise ValidationError("triple-34 needs a triple instance")
         sets, x0 = payload
-        point_, outcome = triple_intersection(
-            exact_subset_oracle(sets[0]),
-            exact_subset_oracle(sets[1]),
-            exact_subset_oracle(sets[2]),
-            x0,
-            rounds=iters,
-        )
-        report["checks"].append(
-            {
-                "name": "triple-34",
-                "verdict": HOLDS if outcome.passed else REFUTED,
-                "point": point_,
-                "gaps": outcome.observed,
-            }
-        )
+        point_, trace = triple_intersection(*map(exact_subset_oracle, sets), x0, rounds=iters)
+        shown = {"point": point_, "gaps": trace.slacks}
     else:  # chain-walk, the one scheme left among the parser's choices
         if kind != "chain":
             raise ValidationError("chain-walk needs a chain instance")
         spec = payload
-        result = chain_walk(
+        pair, trace = chain_walk(
             exact_subset_oracle(spec["sets"][0]),
             exact_subset_oracle(spec["sets"][1]),
             spec["x"],
@@ -252,14 +237,8 @@ def cmd_refine(args, report) -> None:
             spec["eps"],
             spec["delta"],
         )
-        report["checks"].append(
-            {
-                "name": "chain-walk",
-                "verdict": HOLDS,
-                "detail": f"path={result.path} n0={result.n0} calls={result.oracle_calls}",
-                "pair": (result.a, result.a_prime),
-            }
-        )
+        shown = {"detail": "path={path} n0={n0} calls={calls}".format(**trace.aux), "pair": pair}
+    report["checks"].append({"name": args.scheme, "verdict": _trace_verdict(trace), **shown})
 
 
 def cmd_barycenter(args, report) -> None:
@@ -297,7 +276,7 @@ def cmd_ip_lift(args, report) -> None:
     report["checks"].append(
         {
             "name": "ip-lift",
-            "verdict": HOLDS if verify_trace(trace).passed else REFUTED,
+            "verdict": _trace_verdict(trace),
             "point": point_,
             "reaches": trace.slacks,
             "c": params.c,

@@ -209,14 +209,6 @@ def weakly_external_witness(
     return external_witness(subset, family)
 
 
-def pad_family(family: LinfBallFamily, n: int) -> LinfBallFamily:
-    """Pad to n balls by repeating the last ball (admissibility preserved)."""
-    if n < len(family):
-        raise ValueError("cannot pad downwards")
-    extra = (family.balls[-1],) * (n - len(family))
-    return LinfBallFamily(family.balls + extra, family.subset)
-
-
 def verify_refutation(subset, balls: Sequence, mode: str = "external") -> bool:
     """Exact re-verification in one pass: the subset is non-empty, the
     family externally admissible, every center from ``REFUTE_MODES[mode]``

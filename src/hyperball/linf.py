@@ -27,10 +27,6 @@ class EmptyBox(EmptySet):
     """A coordinate box with lo > hi in some coordinate."""
 
 
-class EmptyIntersection(HyperballError):
-    """Two intervals that were required to intersect do not."""
-
-
 def point(*coords: object) -> Point:
     return tuple(parse_rational(c) for c in coords)
 
@@ -201,21 +197,6 @@ def box_retraction(region: Box | Ball, x: Point) -> Point:
     if box.is_empty():
         raise EmptyBox("retraction target is empty")
     return box.clamp(x)
-
-
-def min_modulus_selection(x: Fraction, r: Fraction, y: Fraction, s: Fraction) -> Fraction:
-    """Unique point of [x-r, x+r] intersected with [y-s, y+s] nearest to 0.
-
-    Zero if the intersection straddles the origin, otherwise the endpoint of
-    smaller modulus.
-    """
-    lo = max(x - r, y - s)
-    hi = min(x + r, y + s)
-    if lo > hi:
-        raise EmptyIntersection(f"[{x - r},{x + r}] and [{y - s},{y + s}] are disjoint")
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    return lo if lo > 0 else hi
 
 
 def conical_bound(x: Point, y: Point, x2: Point, y2: Point, t: Fraction) -> Fraction:

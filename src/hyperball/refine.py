@@ -2,7 +2,8 @@
 
 A slack oracle answers "give me a point of the subset inside every ball,
 each inflated by eps" — the almost-hyperconvexity interface.  The three
-schemes here turn such answers into points with certified error bounds:
+schemes here turn such answers into points, each returned with the
+``RefinementTrace`` that certifies its error bounds:
 
 * ``almost_to_exact``  — halving-slack Cauchy iteration ("cauchy-halving");
 * ``chain_walk``       — the finite alternating walk between two subsets
@@ -13,9 +14,10 @@ schemes here turn such answers into points with certified error bounds:
 
 ``EpsOracle.ask`` checks every ask, those of ``barycenter.ip_lift``
 included: more balls than ``level`` is a ``ValueError``, a breaching answer
-an ``OracleFailure``, never absorbed.  ``verify_trace`` re-checks a trace
-with exact rationals, derives what it checks from the trace alone, and is
-the one place that states scheme bounds.
+an ``OracleFailure``, never absorbed.  ``verify_trace`` re-checks a
+cauchy-halving, chain-walk, triple-34 or ip-lift trace with exact
+rationals, derives what it checks from the trace alone, and is the one
+place that states scheme bounds: no scheme checks its own.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def saturating_subset_oracle(subset, level: int = 64) -> EpsOracle:
 class RefinementTrace:
     """Iterates with their slack schedule and recorded step distances."""
 
-    scheme: str  # "cauchy-halving" | "triple-34" | "ip-lift" (barycenter.ip_lift)
+    scheme: str  # "cauchy-halving" | "chain-walk" | "triple-34" | "ip-lift" (barycenter.ip_lift)
     iterates: tuple[Point, ...]
     slacks: tuple[Fraction, ...]
     steps: tuple[Fraction, ...]
@@ -187,18 +189,6 @@ def almost_to_exact(
 # Scheme 2: alternating chain walk between two subsets
 
 
-@dataclass(frozen=True)
-class ChainWalkResult:
-    a: Point
-    a_prime: Point
-    path: str  # "chain" | "negative-gap"
-    n0: int
-    eps_tilde: Fraction
-    delta_used: Fraction
-    oracle_calls: int
-    rounds: tuple[Mapping[str, Any], ...] = ()
-
-
 def _chain_step(
     oracle_a: EpsOracle,
     oracle_b: EpsOracle,
@@ -208,50 +198,35 @@ def _chain_step(
     eps: Fraction,
     delta: Fraction,
     call_base: int,
-) -> ChainWalkResult:
-    """One pass of the finite walk: alternate slack-oracle picks marching
-    from y toward the ball B(x, r), ending with a pair (a, a') at distance
-    <= eps, both within r + delta of x and with d(y, a) <= s + eps."""
+) -> tuple[Point, Point, int]:
+    """One pass of the finite walk: n0 alternate slack-oracle picks marching
+    from y toward the ball B(x, r), then two picks ending with a pair
+    (a, a'); returns (a, a', n0) after n0 + 2 asks.  ``verify_trace``
+    states the pair's bounds."""
     d_xy = linf_dist(x, y)
     s = d_xy - r
     eps_tilde = eps / 2
     n0 = int(s // eps_tilde) if s > 0 else 0
     delta_used = min(delta, eps_tilde / (n0 + 1))
-    calls = 0
     acc = Fraction(0)  # running sum of delta_used / 2^i
     prev = y
     for n in range(1, n0 + 1):
         target = oracle_a if n % 2 == 1 else oracle_b
         slack = delta_used / (1 << n)
         asked = (Ball(prev, eps_tilde + acc), Ball(x, d_xy - n * eps_tilde + acc))
-        prev = target.ask(asked, slack, call_base + calls)
-        calls += 1
+        prev = target.ask(asked, slack, call_base + n - 1)
         acc += slack
     # prev sits in A' when n0 is even (y counts as both); finish with the
     # opposite set first so the pair straddles both subsets.
     first, second = (oracle_a, oracle_b) if n0 % 2 == 0 else (oracle_b, oracle_a)
     slack1 = delta_used / (1 << (n0 + 1))
     asked1 = (Ball(prev, eps_tilde + acc), Ball(x, r + acc))
-    p1 = first.ask(asked1, slack1, call_base + calls)
-    calls += 1
+    p1 = first.ask(asked1, slack1, call_base + n0)
     acc += slack1
     slack2 = delta_used / (1 << (n0 + 2))
     asked2 = (Ball(p1, eps_tilde + acc), Ball(x, r + acc))
-    p2 = second.ask(asked2, slack2, call_base + calls)
-    calls += 1
-    a, a_prime = (p1, p2) if n0 % 2 == 0 else (p2, p1)
-    checks = {
-        "a in A": oracle_a.subset.contains(a),
-        "a' in A'": oracle_b.subset.contains(a_prime),
-        "d(x,a) <= r+delta": linf_dist(x, a) <= r + delta,
-        "d(x,a') <= r+delta": linf_dist(x, a_prime) <= r + delta,
-        "d(a,a') <= eps": linf_dist(a, a_prime) <= eps,
-        "d(y,a) <= s+eps": linf_dist(y, a) <= max(s, 0) + eps,
-    }
-    for name, ok in checks.items():
-        if not ok:
-            raise OracleFailure(call_base + calls - 1, f"postcondition {name} failed")
-    return ChainWalkResult(a, a_prime, "chain", n0, eps_tilde, delta_used, calls)
+    p2 = second.ask(asked2, slack2, call_base + n0 + 1)
+    return (p1, p2, n0) if n0 % 2 == 0 else (p2, p1, n0)
 
 
 def chain_walk(
@@ -264,15 +239,17 @@ def chain_walk(
     delta: Fraction,
     rounds: int = 1,
     ambient: EpsOracle | None = None,
-) -> ChainWalkResult:
+) -> tuple[tuple[Point, Point], RefinementTrace]:
     """Find a straddling pair near B(x, r) starting from a common point y.
 
     Preconditions (verified exactly): y lies in both subsets and
     d(x, A), d(x, A') <= r.  With s := d(x,y) - r < 0 the walk is skipped and
     (y, y) is returned on the "negative-gap" path.  ``rounds`` > 1 runs the
     outer double-sequence, re-centering through a 3-ball ambient oracle and
-    halving both tolerances each round; per-round bounds are recorded and
-    re-verified.
+    halving both tolerances each round.  The trace's iterates are the pairs
+    a_1, a'_1, a_2, a'_2, ... and its slacks their gaps; ``aux`` holds the
+    subsets, the inputs, the ambient centers x_n of rounds 2.., and the
+    path, the first pass's n0 and the number of asks.
     """
     if eps <= 0 or delta <= 0:
         raise ValueError("eps and delta must be positive")
@@ -283,61 +260,32 @@ def chain_walk(
             raise ValueError(f"y is not in {name}")
         if subset_dist(oracle.subset, x) > r:
             raise NotAdmissible(f"d(x, {name}) > r")
-    s = linf_dist(x, y) - r
-    if s < 0:
-        return ChainWalkResult(y, y, "negative-gap", 0, eps / 2, delta, 0)
-    if rounds == 1:
-        return _chain_step(oracle_a, oracle_b, x, r, y, eps, delta, 0)
-    if ambient is None:
-        raise ValueError("outer rounds need a 3-ball ambient oracle")
-    result = _chain_step(oracle_a, oracle_b, x, r, y, eps / 2, delta / 2, 0)
-    a, b = result.a, result.a_prime
-    calls = result.oracle_calls
-    acc = delta / 2  # Delta_1
-    eps_acc = eps / 2  # E_1
-    log: list[Mapping[str, Any]] = []
-    for n in range(2, rounds + 1):
-        eps_n = eps / (1 << n)
-        r_n = eps_n + delta / (1 << (n + 2))
-        asked = (
-            Ball(a, eps_n),
-            Ball(b, eps_n),
-            Ball(x, r + acc - eps_n),
-        )
-        slack = delta / (1 << (n + 2))
-        x_n = ambient.ask(asked, slack, calls)
-        calls += 1
-        inner = _chain_step(
-            oracle_a, oracle_b, x_n, r_n, y, eps_n, delta / (1 << (n + 1)), calls
-        )
-        calls += inner.oracle_calls
-        a_new, b_new = inner.a, inner.a_prime
-        acc += delta / (1 << n)
-        eps_acc += eps / (1 << n)
-        record = {
-            "round": n,
-            "pair_gap": linf_dist(a_new, b_new),
-            "pair_gap_bound": eps / (1 << n),
-            "step_a": linf_dist(a, a_new),
-            "step_bound": (2 * eps + delta) / (1 << n),
-            "d_x": max(linf_dist(x, a_new), linf_dist(x, b_new)),
-            "d_x_bound": r + acc,
-            "d_y": linf_dist(y, a_new),
-            "d_y_bound": max(s, 0) + eps_acc,
-        }
-        for got, bound in (
-            ("pair_gap", "pair_gap_bound"),
-            ("step_a", "step_bound"),
-            ("d_x", "d_x_bound"),
-            ("d_y", "d_y_bound"),
-        ):
-            if record[got] > record[bound]:
-                raise OracleFailure(calls - 1, f"round {n}: {got} exceeded {bound}")
-        log.append(record)
-        a, b = a_new, b_new
-    return ChainWalkResult(
-        a, b, "chain", result.n0, eps / 2, result.delta_used, calls, tuple(log)
+    pairs, centers, n0, calls = [(y, y)], [], 0, 0
+    if linf_dist(x, y) >= r:
+        if rounds > 1 and ambient is None:
+            raise ValueError("outer rounds need a 3-ball ambient oracle")
+        halve = 2 if rounds > 1 else 1
+        a, b, n0 = _chain_step(oracle_a, oracle_b, x, r, y, eps / halve, delta / halve, 0)
+        pairs, calls = [(a, b)], n0 + 2
+        for n in range(2, rounds + 1):
+            eps_n = eps / (1 << n)  # the third ball's radius is r + delta (1 - 2^-(n-1)) - eps_n
+            asked = (Ball(a, eps_n), Ball(b, eps_n), Ball(x, r + delta - delta / (1 << (n - 1)) - eps_n))
+            centers.append(ambient.ask(asked, delta / (1 << (n + 2)), calls))
+            a, b, inner_n0 = _chain_step(oracle_a, oracle_b, centers[-1], eps_n + delta / (1 << (n + 2)),
+                                         y, eps_n, delta / (1 << (n + 1)), calls + 1)
+            pairs.append((a, b))
+            calls += inner_n0 + 3
+    iterates = tuple(p for pair in pairs for p in pair)
+    trace = RefinementTrace(
+        "chain-walk",
+        iterates,
+        tuple(linf_dist(a, b) for a, b in pairs),
+        tuple(linf_dist(p, q) for p, q in zip(iterates, iterates[1:])),
+        aux={"subsets": (oracle_a.subset, oracle_b.subset), "x": x, "r": r, "y": y, "eps": eps,
+             "delta": delta, "centers": tuple(centers), "path": "chain" if calls else "negative-gap",
+             "n0": n0, "calls": calls},
     )
+    return pairs[-1], trace
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +306,14 @@ def triple_intersection(
     oracle2: EpsOracle,
     x0: Point,
     rounds: int = 40,
-) -> tuple[Point, ContractionReport]:
+) -> tuple[Point, RefinementTrace]:
     """March a point of A1 ∩ A2 toward A0 with ratio 3/4 per round.
 
     Requires all three subsets to pairwise intersect (certified up front).
     Each round asks oracle0 for 3 balls and re-centers exactly inside
     B(x_n, rho/2) ∩ B(xbar, 3/4 rho) with xbar in A0; ``verify_trace``
-    states and re-checks the bounds that follow, and its report is returned.
+    states and re-checks the bounds that follow.  The trace's slacks are
+    the gaps d(x_n, A0) and its ``aux`` holds the subsets.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -392,7 +341,7 @@ def triple_intersection(
         tuple(linf_dist(p, q) for p, q in zip(iterates, iterates[1:])),
         aux={"subsets": (A0, A1, A2)},
     )
-    return iterates[-1], verify_trace(trace)
+    return iterates[-1], trace
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +403,21 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
     """Recompute every recorded step distance exactly and re-check the
     scheme's bounds; a perturbed iterate fails at its step.  The one place
     that states the bounds of "cauchy-halving" (whose slacks must be
-    scale * 2^-(i+1)), "triple-34" (iterates in A1 ∩ A2, gaps d(x_n, A0)
-    recomputed from ``aux["subsets"]``, at most r0 (3/4)^n with r0 the
-    first, and steps at most half the gap before them) and "ip-lift"
-    (reaches recomputed by ``ip_reach`` from the balls in ``family``, and c
-    equal to ``ip_constants(len(balls) - 1, k, eps).c`` and below 1); a
+    scale * 2^-(i+1)), "chain-walk" (each pass's pair in A × A', within its
+    radius plus delta of its center, at most its eps apart, and a within
+    max(s, 0) + eps of y; each outer round n's pair moved at most
+    (2 eps + delta)/2^n, within r + delta (1 - 2^-n) of x, and a within
+    s + eps (1 - 2^-n) of y; a negative gap s gives the pair (y, y)),
+    "triple-34" (iterates in A1 ∩ A2, gaps d(x_n, A0) recomputed from
+    ``aux["subsets"]``, at most r0 (3/4)^n with r0 the first, and steps at
+    most half the gap before them) and "ip-lift" (reaches recomputed by
+    ``ip_reach`` from the balls in ``family``, and c equal to
+    ``ip_constants(len(balls) - 1, k, eps).c`` and below 1); a chain-walk or
     triple-34 trace without subsets or an ip-lift one without balls fails.
-    Any other scheme raises ``ValueError`` unless the trace is empty or its
-    recorded steps already disagree with its iterates."""
+    Any other scheme raises ``ValueError``."""
     scheme = trace.scheme
+    if scheme not in ("cauchy-halving", "chain-walk", "triple-34", "ip-lift"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     if not trace.iterates:
         return ContractionReport(
             scheme, (), (), (), True, notes=("empty trace: vacuously consistent",)
@@ -481,6 +436,8 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
             False,
             notes=("recorded step distances disagree with iterates",),
         )
+    if scheme in ("chain-walk", "triple-34") and "subsets" not in trace.aux:
+        return ContractionReport(scheme, (), (), (), False, notes=("no subsets recorded",))
     if scheme == "cauchy-halving":
         scale = trace.aux.get("scale", Fraction(1))
         if trace.slacks != tuple(scale / (1 << (i + 1)) for i in range(len(trace.iterates))):
@@ -499,14 +456,12 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
                     notes.append("final iterate violates the final slack")
         return ContractionReport(scheme, recomputed, bounds, ok, all(ok), tuple(notes))
     if scheme == "triple-34":  # slacks hold the gaps d(x_n, A0)
-        if "subsets" not in trace.aux:
-            return ContractionReport(scheme, (), (), (), False, notes=("no subsets recorded",))
         A0, A1, A2 = trace.aux["subsets"]
         if not all(A1.contains(p) and A2.contains(p) for p in trace.iterates):
             return ContractionReport(scheme, (), (), (), False, notes=("an iterate lies outside A1 ∩ A2",))
         observed = tuple(subset_dist(A0, p) for p in trace.iterates)
         bounds = tuple(observed[0] * Fraction(3, 4) ** n for n in range(len(observed)))
-        step_bounds = tuple(g / 2 for g in observed)
+        others = tuple(s <= g / 2 for s, g in zip(recomputed, observed))
     elif scheme == "ip-lift":  # slacks hold the reaches
         if trace.family is None:
             return ContractionReport(scheme, (), (), (), False, notes=("no balls recorded",))
@@ -516,14 +471,34 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
         if c >= 1 or c != ip_constants(len(balls) - 1, trace.aux["k"], trace.aux["eps"]).c:
             return ContractionReport(scheme, observed, (), (), False,
                                      notes=("recorded c is not ip_constants' c below 1",))
-        bounds = step_bounds = tuple(c**j * R + 3 * tau for j in range(len(observed)))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        bounds = tuple(c**j * R + 3 * tau for j in range(len(observed)))
+        others = tuple(s <= b for s, b in zip(recomputed, bounds))
+    else:  # chain-walk: iterates a_1, a'_1, a_2, a'_2, ...; slacks hold the pair gaps
+        (A, A_prime), aux = trace.aux["subsets"], trace.aux
+        x, r, y, eps, delta, centers = (aux[key] for key in ("x", "r", "y", "eps", "delta", "centers"))
+        pairs = tuple(zip(trace.iterates[::2], trace.iterates[1::2]))
+        if not all(A.contains(a) and A_prime.contains(b) for a, b in pairs):
+            return ContractionReport(scheme, (), (), (), False, notes=("a pair lies outside A × A'",))
+        # each pass's (center, radius, eps, delta); round 1 halves eps and delta when outer rounds follow
+        passes = [(x, r) + ((eps / 2, delta / 2) if centers else (eps, delta))] + [
+            (c, eps / (1 << n) + delta / (1 << (n + 2)), eps / (1 << n), delta / (1 << (n + 1)))
+            for n, c in enumerate(centers, start=2)
+        ]
+        observed = tuple(linf_dist(a, b) for a, b in pairs)
+        bounds = tuple(e for _, _, e, _ in passes)  # also each outer round's pair-gap bound eps/2^n
+        s = linf_dist(x, y) - r
+        others = (len(trace.iterates) == 2 * len(passes), s >= 0 or pairs == ((y, y),))
+        for (a, b), (c, radius, e, d) in zip(pairs, passes):
+            others += (linf_dist(c, a) <= radius + d, linf_dist(c, b) <= radius + d,
+                       linf_dist(y, a) <= max(linf_dist(c, y) - radius, 0) + e)
+        for n, ((a_prev, _), (a, b)) in enumerate(zip(pairs, pairs[1:]), start=2):
+            others += (linf_dist(a_prev, a) <= (2 * eps + delta) / (1 << n),
+                       max(linf_dist(x, a), linf_dist(x, b)) <= r + delta - delta / (1 << n),
+                       linf_dist(y, a) <= s + eps - eps / (1 << n))
     if observed != trace.slacks:
         agree = tuple(a == b for a, b in zip(observed, trace.slacks))
         return ContractionReport(scheme, observed, trace.slacks, agree, False,
                                  notes=("recorded gaps or reaches disagree with iterates",))
-    # gap or reach checks, then step checks
-    ok = tuple(g <= b for g, b in zip(observed, bounds))
-    ok += tuple(s <= b for s, b in zip(recomputed, step_bounds))
+    # gap or reach checks, then the steps' and the other bounds' checks
+    ok = tuple(g <= b for g, b in zip(observed, bounds)) + others
     return ContractionReport(scheme, observed, bounds, ok, all(ok), trace=trace)

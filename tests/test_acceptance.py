@@ -307,10 +307,11 @@ def test_criterion_07_refinement_schemes():
             )
         a0, a1, a2 = hull(w01, w02), hull(w01, w12), hull(w02, w12)
         x0 = w12
-        final, report = triple_intersection(
+        final, trace = triple_intersection(
             exact_subset_oracle(a0), exact_subset_oracle(a1), exact_subset_oracle(a2),
             x0, rounds=40,
         )
+        report = verify_trace(trace)
         r0 = report.observed[0]
         if r0 > 0:
             nontrivial += 1

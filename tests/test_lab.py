@@ -26,7 +26,6 @@ from hyperball.lab import (
     helly_counterexample,
     helly_order_check,
     hyperconvex_witness,
-    pad_family,
     refute_search,
     uniform_local_external_sample,
     verify_refutation,
@@ -739,14 +738,6 @@ def test_four_to_n_runs_on_finite_subset():
     report = four_to_n_consistency(C6_PART, 5, 200, seed=3)
     assert report.verdict == "inconclusive" and report.notes == ("consistent",)
     assert any(v.get("family_size") for v in report.certificate["outcomes"].values())
-
-
-def test_ladder_padding_preserves_refutation():
-    report = refute_search(UNION, 2, 1000, seed=7)
-    balls = report.certificate["balls"]
-    padded = pad_family(LinfBallFamily(balls, UNION), 5)
-    assert check_admissible(padded)
-    assert verify_refutation(UNION, padded.balls)
 
 
 def test_helly_counterexample_small_dims():

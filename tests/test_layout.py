@@ -2,7 +2,7 @@
 that were removed (the refuter's ``arena`` and ``BarycenterConfig.max_rounds``
 among them), on each CLI subcommand taking only the flags it reads, on the
 LP kernel staying in integers, on the refinement bounds living only in
-``verify_trace`` and the oracle's ball count only in ``EpsOracle.ask``, and on subset and ball-family kinds answering for
+``verify_trace`` (every refinement verdict included) and the oracle's ball count only in ``EpsOracle.ask``, and on subset and ball-family kinds answering for
 themselves instead of through type ladders."""
 
 import ast
@@ -120,6 +120,29 @@ def test_oracle_level_is_read_only_by_ask_and_triple_34_raises_no_bound():
     raised = {node.exc.func.id for node in ast.walk(scheme)
               if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)}
     assert "OracleFailure" not in raised
+
+
+def test_every_refinement_verdict_comes_from_verify_trace():
+    """No scheme raises a bound of its own: ``OracleFailure`` is raised only
+    by ``EpsOracle.ask``, and the ``refine`` and ``ip-lift`` handlers name no
+    verdict themselves."""
+    from hyperball import cli, refine
+
+    raisers, stack = set(), [(ast.parse(_sources()["refine.py"]), None)]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and \
+                getattr(node.exc.func, "id", None) == "OracleFailure":
+            raisers.add(scope)
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    assert raisers == {"ask"}
+    for fn in (cli.cmd_refine, cli.cmd_ip_lift):
+        names = {node.id for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn))))
+                 if isinstance(node, ast.Name)}
+        assert "HOLDS" not in names, fn.__name__
+    assert not hasattr(refine, "ChainWalkResult") and "ChainWalkResult" not in _sources()["refine.py"]
 
 
 def test_lp_kernel_and_certificate_checks_build_no_fraction():

@@ -9,13 +9,11 @@ from hyperball.linf import (
     Ball,
     Box,
     EmptyBox,
-    EmptyIntersection,
     ParamOutOfRange,
     ball_family_intersection,
     box_retraction,
     conical_bound,
     linf_dist,
-    min_modulus_selection,
     sigma,
 )
 from hyperball.rng import SplitMix64
@@ -120,26 +118,3 @@ def test_retraction_contract(seed):
     assert linf_dist(x, rho_x) == box.dist(x)  # proximinal
     assert box_retraction(box, rho_x) == rho_x  # idempotent
     assert linf_dist(rho_x, y) <= max(linf_dist(x, y), box.dist(y))
-
-
-def test_min_modulus_examples():
-    assert min_modulus_selection(F(1), F(2), F(-1), F(2)) == 0
-    assert min_modulus_selection(F(5), F(1), F(3), F(1)) == 4
-    assert min_modulus_selection(F(3), F(1), F(0), F(2)) == 2
-    with pytest.raises(EmptyIntersection):
-        min_modulus_selection(F(0), F(1), F(4), F(1))
-
-
-@settings(max_examples=80, deadline=None)
-@given(rational, st.integers(0, 8), rational, st.integers(0, 8))
-def test_min_modulus_is_minimal(x, r_num, y, s_num):
-    r, s = Fraction(r_num), Fraction(s_num)
-    if abs(x - y) > r + s:
-        return
-    z = min_modulus_selection(x, r, y, s)
-    assert abs(z - x) <= r and abs(z - y) <= s
-    # no grid point of the intersection beats it
-    lo, hi = max(x - r, y - s), min(x + r, y + s)
-    for k in range(33):
-        candidate = lo + Fraction(k, 32) * (hi - lo)
-        assert abs(z) <= abs(candidate)

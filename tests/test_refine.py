@@ -9,7 +9,6 @@ from hyperball.lab import LinfBallFamily, NotAdmissible
 from hyperball.linf import Ball, Box, balls_box, linf_dist
 from hyperball.lp import box_to_polyhedron, halfspace
 from hyperball.refine import (
-    ChainWalkResult,
     EpsOracle,
     OracleFailure,
     PairwiseIntersectionUnverified,
@@ -102,65 +101,176 @@ A_UP = halfspace([0, -1], 0)  # y >= 0
 
 def test_chain_walk_crossing_halfplanes():
     x, y, r = pt(-3, -3), pt(2, 2), F(3)
-    result = chain_walk(
+    (a, a_prime), trace = chain_walk(
         saturating_subset_oracle(A_RIGHT),
         saturating_subset_oracle(A_UP),
         x, r, y, F(1, 2), F(1, 4),
     )
     s = linf_dist(x, y) - r
-    assert result.a[0] >= 0  # a in A
-    assert result.a_prime[1] >= 0  # a' in A'
-    assert linf_dist(x, result.a) <= r + F(1, 4)
-    assert linf_dist(x, result.a_prime) <= r + F(1, 4)
-    assert linf_dist(result.a, result.a_prime) <= F(1, 2)
-    assert linf_dist(y, result.a) <= s + F(1, 2)
-    assert result.n0 == int(s / (F(1, 4)))
+    assert a[0] >= 0  # a in A
+    assert a_prime[1] >= 0  # a' in A'
+    assert linf_dist(x, a) <= r + F(1, 4)
+    assert linf_dist(x, a_prime) <= r + F(1, 4)
+    assert linf_dist(a, a_prime) <= F(1, 2)
+    assert linf_dist(y, a) <= s + F(1, 2)
+    assert trace.aux["n0"] == int(s / (F(1, 4)))
+    assert trace.iterates == (a, a_prime) and verify_trace(trace).passed
 
 
 def test_chain_walk_zero_gap_single_round():
     # x in both sets with r = d(x, y): s = 0, no chain steps, two final picks
-    result = chain_walk(
+    _, trace = chain_walk(
         exact_subset_oracle(A_RIGHT),
         exact_subset_oracle(A_UP),
         pt(0, 0), F(3), pt(3, 0), F(1, 2), F(1, 4),
     )
-    assert result.n0 == 0 and result.oracle_calls == 2
+    assert trace.aux["n0"] == 0 and trace.aux["calls"] == 2
 
 
 def test_chain_walk_eps_larger_than_gap():
-    result = chain_walk(
+    _, trace = chain_walk(
         saturating_subset_oracle(A_RIGHT),
         saturating_subset_oracle(A_UP),
         pt(-3, -3), F(3), pt(2, 2), F(8), F(1, 4),
     )
-    assert result.n0 == 0 and result.oracle_calls == 2
+    assert trace.aux["n0"] == 0 and trace.aux["calls"] == 2
 
 
 def test_chain_walk_negative_gap_path():
     y = pt(2, 2)
-    result = chain_walk(
+    pair, trace = chain_walk(
         exact_subset_oracle(A_RIGHT),
         exact_subset_oracle(A_UP),
         pt(1, 1), F(5), y, F(1, 2), F(1, 4),
     )
-    assert result.path == "negative-gap"
-    assert result.a == y and result.a_prime == y
+    assert trace.aux["path"] == "negative-gap" and trace.aux["calls"] == 0
+    assert pair == (y, y) and verify_trace(trace).passed
+    # on the negative-gap path only (y, y) passes, even a pair within every bound
+    q = (F(2), F(5, 2))  # in A ∩ A', within r + delta of x and eps of y
+    assert A_RIGHT.contains(q) and A_UP.contains(q) and linf_dist(y, q) == F(1, 2)
+    report = verify_trace(replace(trace, iterates=(q, q)))
+    assert not report.passed and report.step_ok.count(False) == 1
 
 
-def test_chain_walk_outer_rounds_contract():
+def test_refine_cli_takes_the_chain_walk_verdict_from_its_trace(monkeypatch, capsys):
+    """The chain walk on the bench instance records a passing trace; a
+    trace that breaks a bound gives ``refuted`` (exit 1)."""
+    from hyperball import cli
+
+    traces, real = [], cli.chain_walk
+
+    def recorded(*args):
+        traces.append(real(*args))
+        return traces[-1]
+
+    monkeypatch.setattr(cli, "chain_walk", recorded)
+    argv = ["refine", "--instance", str(INSTANCES / "chain.json"), "--scheme", "chain-walk"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "chain-walk: holds  (path=chain n0=8 calls=10)\n"
+    ((a, b), trace), = traces
+    assert verify_trace(trace).passed
+    # b moved within A' and within r + delta of x, but 1 away from a
+    broken = _moved(trace, 1, (b[0] - 1, b[1]))
+    monkeypatch.setattr(cli, "chain_walk", lambda *args: ((a, broken.iterates[1]), broken))
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out.startswith("chain-walk: refuted")
+
+
+def outer_walk():
     ambient = exact_subset_oracle(Box(pt(-50, -50), pt(50, 50)), level=3)
-    result = chain_walk(
+    return chain_walk(
         saturating_subset_oracle(A_RIGHT),
         saturating_subset_oracle(A_UP),
         pt(-3, -3), F(3), pt(2, 2), F(1, 2), F(1, 4),
         rounds=5, ambient=ambient,
     )
-    assert len(result.rounds) == 4
-    for record in result.rounds:
-        assert record["pair_gap"] <= record["pair_gap_bound"]
-        assert record["d_x"] <= record["d_x_bound"]
-        assert record["d_y"] <= record["d_y_bound"]
-    assert linf_dist(result.a, result.a_prime) <= F(1, 2) / (1 << 5)
+
+
+def test_chain_walk_outer_rounds_contract():
+    """``verify_trace`` checks each round's pair gap against eps/2^n (eps/2
+    for round 1) along with the step, d_x and d_y bounds of rounds 2..5."""
+    (a, a_prime), trace = outer_walk()
+    assert len(trace.aux["centers"]) == 4 and len(trace.iterates) == 10
+    report = verify_trace(trace)
+    assert report.passed and report.observed == trace.slacks
+    assert report.bounds == tuple(F(1, 2) / (1 << n) for n in range(1, 6))
+    assert all(g <= b for g, b in zip(report.observed, report.bounds))
+    assert linf_dist(a, a_prime) <= F(1, 2) / (1 << 5)
+    # the last pair dropped: four pairs for the five passes the centers record
+    cut = replace(trace, iterates=trace.iterates[:-2], slacks=trace.slacks[:-1], steps=trace.steps[:-2])
+    assert not verify_trace(cut).passed
+
+
+def _moved(trace, index, point):
+    """The trace with iterate ``index`` replaced and its steps and gaps recomputed."""
+    iterates = trace.iterates[:index] + (point,) + trace.iterates[index + 1:]
+    return replace(trace, iterates=iterates,
+                   slacks=tuple(linf_dist(p, q) for p, q in zip(iterates[::2], iterates[1::2])),
+                   steps=tuple(linf_dist(p, q) for p, q in zip(iterates, iterates[1:])))
+
+
+def _shifted(trace, first, shift):
+    """The chain-walk trace with the pairs of rounds ``first``.. and their
+    ambient centers moved by ``shift`` along the first axis."""
+    moved = lambda p: (p[0] + shift, p[1])
+    for index in range(2 * first - 2, len(trace.iterates)):
+        trace = _moved(trace, index, moved(trace.iterates[index]))
+    centers = trace.aux["centers"]
+    return replace(trace, aux={**trace.aux, "centers": centers[:first - 2] + tuple(map(moved, centers[first - 2:]))})
+
+
+def test_chain_walk_trace_is_checked_from_its_subsets_and_inputs_alone():
+    """Hand-made breaches fail: a' moved out of A', a pair gap above eps,
+    an outer round's pair moved past its step bound or past its distance
+    bound from x, and a trace without subsets."""
+    _, single = chain_walk(
+        saturating_subset_oracle(A_RIGHT), saturating_subset_oracle(A_UP),
+        pt(-3, -3), F(3), pt(2, 2), F(1, 2), F(1, 4),
+    )
+    a, a_prime = single.iterates
+    outside = _moved(single, 1, (a_prime[0], F(-1)))
+    report = verify_trace(outside)
+    assert not report.passed and report.notes == ("a pair lies outside A × A'",)
+    # a' still in A' and within r + delta of x, but 3/4 away from a: only the gap check fails
+    wide = verify_trace(_moved(single, 1, (a[0] - F(3, 4), a_prime[1])))
+    assert wide.observed == (F(3, 4),) and wide.bounds == (F(1, 2),)
+    assert not wide.passed and wide.step_ok[0] is False and all(wide.step_ok[1:])
+    # each pass keeps its own bounds when its ambient center moves with it
+    _, outer = outer_walk()
+    step_bound = (2 * F(1, 2) + F(1, 4)) / 8  # round 3's (2 eps + delta)/2^3
+    past = _shifted(outer, 3, step_bound + F(1, 64))
+    assert linf_dist(past.iterates[2], past.iterates[4]) > step_bound
+    report = verify_trace(past)
+    assert not report.passed and not report.notes and report.step_ok.count(False) == 1
+    # rounds 2..5 moved by 1/4: each step within bound, each pair past r + delta (1 - 2^-n) from x
+    far = verify_trace(_shifted(outer, 2, F(1, 4)))
+    assert not far.passed and far.step_ok.count(False) == 4
+    # round 3's ambient center alone moved by 1: a_3 and a'_3 leave B(x_3, r_3 + delta_3)
+    centers = outer.aux["centers"]
+    off = (centers[0], (centers[1][0] + 1, centers[1][1])) + centers[2:]
+    assert verify_trace(replace(outer, aux={**outer.aux, "centers": off})).step_ok.count(False) == 2
+    bare = replace(single, aux={key: v for key, v in single.aux.items() if key != "subsets"})
+    report = verify_trace(bare)
+    assert not report.passed and report.notes == ("no subsets recorded",)
+
+
+def test_chain_walk_distance_from_y_is_checked_per_pass_and_per_round():
+    """Over one box as both subsets, with x = 0, r = 1, y = (3, 0),
+    eps = 1/2 and delta = 1/4 (so s = 2): a pair 3 from y breaks its pass's
+    bound s + eps, and a second round ending 5/2 from y breaks the round
+    bound s + eps (1 - 2^-2) while its own pass, around a far center, holds."""
+    box = Box(pt(-10, -10), pt(10, 10))
+    aux = {"subsets": (box, box), "x": pt(0, 0), "r": F(1), "y": pt(3, 0), "eps": F(1, 2), "delta": F(1, 4)}
+
+    def report(*points, centers=()):  # the pairs (p, p)
+        iterates = tuple(p for p in points for _ in range(2))
+        steps = tuple(linf_dist(p, q) for p, q in zip(iterates, iterates[1:]))
+        trace = RefinementTrace("chain-walk", iterates, (F(0),) * len(points), steps, aux={**aux, "centers": centers})
+        return verify_trace(trace)
+
+    assert report(pt(1, 0)).passed
+    assert report(pt(0, F(-5, 4))).step_ok.count(False) == 1
+    assert report(pt(F(3, 4), 0), pt(F(1, 2), 0), centers=(pt(F(21, 64), 0),)).step_ok.count(False) == 1
 
 
 def test_chain_walk_outer_rounds_need_ambient():
@@ -202,10 +312,11 @@ def triple_boxes():
 
 def test_triple_intersection_contraction():
     a0, a1, a2 = triple_boxes()
-    final, report = triple_intersection(
+    final, trace = triple_intersection(
         exact_subset_oracle(a0), exact_subset_oracle(a1), exact_subset_oracle(a2),
         pt(0, 1), rounds=40,
     )
+    report = verify_trace(trace)
     assert report.passed
     r0 = report.observed[0]
     for n, gap in enumerate(report.observed):
@@ -227,7 +338,7 @@ def test_triple_intersection_through_polyhedra_matches_boxes():
         triple_intersection(*(exact_subset_oracle(s) for s in sets), pt(0, 1), rounds=40)
         for sets in ((a0, a1, a2), (box_to_polyhedron(a0), a1, box_to_polyhedron(a2)))
     ]
-    (box_final, box_report), (final, report) = runs
+    (box_final, box_report), (final, report) = ((p, verify_trace(trace)) for p, trace in runs)
     assert final == box_final and report.observed == box_report.observed
     assert len(report.observed) == 41 and verify_trace(report.trace).passed
 
@@ -243,20 +354,22 @@ def test_exact_oracle_retries_with_the_inflated_balls():
 def test_triple_intersection_constant_when_inside():
     a0, a1, a2 = triple_boxes()
     x0 = pt(5, 1)  # already in all three
-    final, report = triple_intersection(
+    final, trace = triple_intersection(
         exact_subset_oracle(a0), exact_subset_oracle(a1), exact_subset_oracle(a2),
         x0, rounds=10,
     )
+    report = verify_trace(trace)
     assert final == x0
     assert report.observed == (F(0),)
 
 
 def test_triple_intersection_zero_rounds():
     a0, a1, a2 = triple_boxes()
-    final, report = triple_intersection(
+    final, trace = triple_intersection(
         exact_subset_oracle(a0), exact_subset_oracle(a1), exact_subset_oracle(a2),
         pt(0, 1), rounds=0,
     )
+    report = verify_trace(trace)
     assert final == pt(0, 1)
     assert report.observed[0] == a0.dist(pt(0, 1))
 
@@ -296,9 +409,10 @@ def test_triple_intersection_reports_a_re_centering_outside_its_bounds(monkeypat
         return (p[0] - 80, p[1]) if first is a1 and second is a2 and balls else p
 
     monkeypatch.setattr(refine, "pair_witness", far)
-    final, report = triple_intersection(
+    final, trace = triple_intersection(
         *(exact_subset_oracle(s) for s in (a0, a1, a2)), pt(0, 1), rounds=1,
     )
+    report = verify_trace(trace)
     assert a1.contains(final) and a2.contains(final)
     assert not report.passed and report.step_ok == (True, False, False)
 
@@ -341,6 +455,14 @@ def test_verify_trace_checks_the_halving_slacks():
     report = verify_trace(replace(trace, aux={"scale": F(8)}))
     assert not report.passed and report.notes == note
     assert verify_trace(replace(trace, slacks=trace.slacks[:-1])).notes == note
+
+
+def test_verify_trace_refuses_unknown_schemes():
+    """An unknown scheme raises ``ValueError``, even with an empty trace or
+    recorded steps that disagree with its iterates."""
+    for iterates, steps in (((), ()), ((pt(0, 0), pt(1, 1)), (F(0),))):
+        with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+            verify_trace(RefinementTrace("bogus", iterates, (), steps))
 
 
 def test_verify_trace_empty_is_vacuous():

@@ -38,8 +38,8 @@ def test_contraction_rates_prints_every_scheme_against_its_bound(capsys):
     out = capsys.readouterr().out
     titles = [line for line in out.splitlines() if line and not line[0].isspace()]
     assert len(titles) == 4
-    # The halving, 3/4 and lift tables carry verify_trace's verdict.
-    assert sum(title.endswith(": passed") for title in titles) == 3
+    # All four tables, the chain walk's included, carry verify_trace's verdict.
+    assert sum(title.endswith(": passed") for title in titles) == 4
     assert "FAILED" not in out
     for block in out.strip().split("\n\n"):
         for row in block.splitlines()[2:]:
