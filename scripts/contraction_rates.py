@@ -8,7 +8,7 @@ All four bounds, and each table's verdict, are the ones
 import argparse
 from fractions import Fraction as F
 
-from hyperball.barycenter import ip_lift, linf_backend
+from hyperball.barycenter import ip_lift
 from hyperball.lab import LinfBallFamily
 from hyperball.linf import Ball, Box, linf_dist
 from hyperball.lp import halfspace
@@ -69,9 +69,7 @@ def main(argv=None):
         c = (anchor[0] + F(rng.randint(-40, 40), 8), anchor[1] + F(rng.randint(-40, 40), 8))
         balls.append(Ball(c, linf_dist(c, anchor) + F(rng.randint(0, 8), 8)))
     params = ip_constants(4, 2, F(1, 64))
-    _, trace = ip_lift(
-        exact_subset_oracle(None), tuple(balls), linf_backend(2), params, rounds=args.rounds
-    )
+    _, trace = ip_lift(exact_subset_oracle(None), tuple(balls), params, rounds=args.rounds)
     show_report(f"ip-lift reach vs c^j R + 3 tau (c = {params.c})", verify_trace(trace))
 
 

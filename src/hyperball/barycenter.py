@@ -251,18 +251,19 @@ def default_ip_eps(n: int, k: int) -> Fraction:
 def ip_lift(
     oracle: EpsOracle,
     balls: Sequence[Ball],
-    backend: BicombingBackend,
     params: IPParams,
     rounds: int = 30,
     cfg: BarycenterConfig | None = None,
 ) -> tuple[Point, RefinementTrace]:
-    """Lift the (n,k)-intersection property to n+1 balls by iteration.
+    """Lift the (n,k)-intersection property to n+1 balls by iteration over
+    the max norm.
 
     From a base point, each round asks the oracle for a witness inside every
     (n-1)-subfamily within (1+eps) of the current reach R_j, with slack 0,
     and barycenters them; the distance to every (k-1)-fold intersection
-    contracts by the factor c < 1.  The trace records iterates, reaches,
-    steps and the balls; ``refine.verify_trace`` re-checks it.
+    contracts by the factor c < 1.  The trace records the iterates, the
+    balls and k, eps and tau; ``refine.verify_trace`` derives the reaches
+    and steps from them, recomputes c and re-checks the bounds.
     """
     cfg = cfg or BarycenterConfig()
     balls = tuple(balls)
@@ -276,33 +277,22 @@ def ip_lift(
     for subset in combinations(range(n + 1), k):
         if balls_box(tuple(balls[i] for i in subset)).first_empty_coordinate() is not None:
             raise KSubfamilyEmpty(f"k-subfamily {subset} has empty intersection")
+    backend = linf_backend(balls[0].dim)
     omega = list(combinations(range(n + 1), n - 1))
     reach = ip_reach(balls, k)
-    base = barycenter(backend, tuple(b.center for b in balls), cfg)
-    iterates = [base]
-    reaches = [reach(base)]
-    steps: list[Fraction] = []
-    R = reaches[0]
-    for _ in range(rounds):
-        y = iterates[-1]
-        R_j = reaches[-1]
+    iterates = [barycenter(backend, tuple(b.center for b in balls), cfg)]
+    R_j = reach(iterates[0])
+    for j in range(rounds):
         if R_j == 0:
             break
-        window = (1 + params.eps) * R_j
+        window = Ball(iterates[-1], (1 + params.eps) * R_j)
         witnesses = [
-            oracle.ask(tuple(balls[i] for i in alpha) + (Ball(y, window),), Fraction(0), call)
-            for call, alpha in enumerate(omega, len(steps) * len(omega))
+            oracle.ask(tuple(balls[i] for i in alpha) + (window,), Fraction(0), call)
+            for call, alpha in enumerate(omega, j * len(omega))
         ]
-        nxt = barycenter(backend, tuple(witnesses), cfg)
-        steps.append(backend.dist(y, nxt))
-        iterates.append(nxt)
-        reaches.append(reach(nxt))
+        iterates.append(barycenter(backend, tuple(witnesses), cfg))
+        R_j = reach(iterates[-1])
     trace = RefinementTrace(
-        "ip-lift",
-        tuple(iterates),
-        tuple(reaches),
-        tuple(steps),
-        LinfBallFamily(balls),
-        aux={"R": R, "c": params.c, "eps": params.eps, "k": k, "n": n, "tau": cfg.tau},
+        "ip-lift", tuple(iterates), LinfBallFamily(balls), aux={"eps": params.eps, "k": k, "tau": cfg.tau}
     )
     return iterates[-1], trace

@@ -270,8 +270,7 @@ def cmd_ip_lift(args, report) -> None:
     eps = payload["eps"] if payload["eps"] is not None else default_ip_eps(n, k)
     params = ip_constants(n, k, eps)
     point_, trace = ip_lift(
-        exact_subset_oracle(None, n), balls, linf_backend(balls[0].dim), params, rounds=args.iters,
-        cfg=_config(args),
+        exact_subset_oracle(None, n), balls, params, rounds=args.iters, cfg=_config(args)
     )
     report["checks"].append(
         {

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import DimMismatch, EmptySet, HyperballError
-from .rational import parse_rational
 
 Point = tuple[Fraction, ...]
 
@@ -25,10 +24,6 @@ class ParamOutOfRange(HyperballError):
 
 class EmptyBox(EmptySet):
     """A coordinate box with lo > hi in some coordinate."""
-
-
-def point(*coords: object) -> Point:
-    return tuple(parse_rational(c) for c in coords)
 
 
 def linf_dist(p: Point, q: Point) -> Fraction:

@@ -14,16 +14,18 @@ schemes here turn such answers into points, each returned with the
 
 ``EpsOracle.ask`` checks every ask, those of ``barycenter.ip_lift``
 included: more balls than ``level`` is a ``ValueError``, a breaching answer
-an ``OracleFailure``, never absorbed.  ``verify_trace`` re-checks a
-cauchy-halving, chain-walk, triple-34 or ip-lift trace with exact
-rationals, derives what it checks from the trace alone, and is the one
-place that states scheme bounds: no scheme checks its own.
+an ``OracleFailure``, never absorbed.  A trace keeps only its iterates and
+the inputs its bounds are stated in; its steps and slacks are derived from
+them once.  ``verify_trace`` re-checks a cauchy-halving, chain-walk,
+triple-34 or ip-lift trace on those derived values with exact rationals,
+and is the one place that states scheme bounds: no scheme checks its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Any, Callable, Mapping
 
@@ -116,14 +118,35 @@ def saturating_subset_oracle(subset, level: int = 64) -> EpsOracle:
 
 @dataclass(frozen=True)
 class RefinementTrace:
-    """Iterates with their slack schedule and recorded step distances."""
+    """What a run chose and the inputs its bounds are stated in: the
+    iterates, the ball family and ``aux``.  ``steps`` and ``slacks`` are
+    derived from these once, never recorded."""
 
     scheme: str  # "cauchy-halving" | "chain-walk" | "triple-34" | "ip-lift" (barycenter.ip_lift)
     iterates: tuple[Point, ...]
-    slacks: tuple[Fraction, ...]
-    steps: tuple[Fraction, ...]
     family: LinfBallFamily | None = None
     aux: Mapping[str, Any] = field(default_factory=dict)
+
+    @cached_property
+    def steps(self) -> tuple[Fraction, ...]:
+        """The step distances d(x_i, x_i+1)."""
+        return tuple(linf_dist(p, q) for p, q in zip(self.iterates, self.iterates[1:]))
+
+    @cached_property
+    def slacks(self) -> tuple[Fraction, ...]:
+        """Per scheme: the halving schedule scale * 2^-(i+1) per iterate, the
+        chain-walk pair gaps, the triple-34 gaps d(x_n, A0), or the ip-lift
+        reaches; ``ValueError`` for an unknown scheme."""
+        iterates, aux = self.iterates, self.aux
+        if self.scheme == "cauchy-halving":
+            return tuple(aux.get("scale", Fraction(1)) / (1 << (i + 1)) for i in range(len(iterates)))
+        if self.scheme == "chain-walk":
+            return tuple(linf_dist(a, b) for a, b in zip(iterates[::2], iterates[1::2]))
+        if self.scheme == "triple-34":
+            return tuple(subset_dist(aux["subsets"][0], p) for p in iterates)
+        if self.scheme == "ip-lift":
+            return tuple(map(ip_reach(self.family.balls, aux["k"]), iterates))
+        raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -134,7 +157,6 @@ class ContractionReport:
     step_ok: tuple[bool, ...]
     passed: bool
     notes: tuple[str, ...] = ()
-    trace: RefinementTrace | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -162,27 +184,12 @@ def almost_to_exact(
     _require_admissible(family if oracle.subset is None else replace(family, subset=oracle.subset))
     balls = family.balls
     iterates: list[Point] = []
-    slacks: list[Fraction] = []
-    steps: list[Fraction] = []
     prev: Point | None = None
     for k in range(iterations):
-        slack = scale / (1 << (k + 1))
         asked = balls if prev is None else balls + (Ball(prev, scale / (1 << k)),)
-        p = oracle.ask(asked, slack, k)
-        if prev is not None:
-            steps.append(linf_dist(prev, p))
-        iterates.append(p)
-        slacks.append(slack)
-        prev = p
-    trace = RefinementTrace(
-        "cauchy-halving",
-        tuple(iterates),
-        tuple(slacks),
-        tuple(steps),
-        family,
-        aux={"scale": scale},
-    )
-    return prev, trace
+        prev = oracle.ask(asked, scale / (1 << (k + 1)), k)
+        iterates.append(prev)
+    return prev, RefinementTrace("cauchy-halving", tuple(iterates), family, aux={"scale": scale})
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +254,7 @@ def chain_walk(
     (y, y) is returned on the "negative-gap" path.  ``rounds`` > 1 runs the
     outer double-sequence, re-centering through a 3-ball ambient oracle and
     halving both tolerances each round.  The trace's iterates are the pairs
-    a_1, a'_1, a_2, a'_2, ... and its slacks their gaps; ``aux`` holds the
+    a_1, a'_1, a_2, a'_2, ..., whose gaps are its slacks; ``aux`` holds the
     subsets, the inputs, the ambient centers x_n of rounds 2.., and the
     path, the first pass's n0 and the number of asks.
     """
@@ -275,12 +282,9 @@ def chain_walk(
                                          y, eps_n, delta / (1 << (n + 1)), calls + 1)
             pairs.append((a, b))
             calls += inner_n0 + 3
-    iterates = tuple(p for pair in pairs for p in pair)
     trace = RefinementTrace(
         "chain-walk",
-        iterates,
-        tuple(linf_dist(a, b) for a, b in pairs),
-        tuple(linf_dist(p, q) for p, q in zip(iterates, iterates[1:])),
+        tuple(p for pair in pairs for p in pair),
         aux={"subsets": (oracle_a.subset, oracle_b.subset), "x": x, "r": r, "y": y, "eps": eps,
              "delta": delta, "centers": tuple(centers), "path": "chain" if calls else "negative-gap",
              "n0": n0, "calls": calls},
@@ -312,8 +316,8 @@ def triple_intersection(
     Requires all three subsets to pairwise intersect (certified up front).
     Each round asks oracle0 for 3 balls and re-centers exactly inside
     B(x_n, rho/2) ∩ B(xbar, 3/4 rho) with xbar in A0; ``verify_trace``
-    states and re-checks the bounds that follow.  The trace's slacks are
-    the gaps d(x_n, A0) and its ``aux`` holds the subsets.
+    states and re-checks the bounds that follow.  The trace's ``aux``
+    holds the subsets, from which its slacks, the gaps d(x_n, A0), follow.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -334,14 +338,7 @@ def triple_intersection(
         xbar = oracle0.ask(asked, rho / 12, call)
         iterates.append(_pick(A1, A2, (Ball(xbar, rho * Fraction(3, 4)), Ball(xn, rho / 2)), "A1,A2"))
         gaps.append(subset_dist(A0, iterates[-1]))
-    trace = RefinementTrace(
-        "triple-34",
-        tuple(iterates),
-        tuple(gaps),
-        tuple(linf_dist(p, q) for p, q in zip(iterates, iterates[1:])),
-        aux={"subsets": (A0, A1, A2)},
-    )
-    return iterates[-1], trace
+    return iterates[-1], RefinementTrace("triple-34", tuple(iterates), aux={"subsets": (A0, A1, A2)})
 
 
 # ---------------------------------------------------------------------------
@@ -400,81 +397,54 @@ def ip_reach(balls: tuple[Ball, ...], k: int) -> Callable[[Point], Fraction]:
 
 
 def verify_trace(trace: RefinementTrace) -> ContractionReport:
-    """Recompute every recorded step distance exactly and re-check the
-    scheme's bounds; a perturbed iterate fails at its step.  The one place
-    that states the bounds of "cauchy-halving" (whose slacks must be
-    scale * 2^-(i+1)), "chain-walk" (each pass's pair in A × A', within its
-    radius plus delta of its center, at most its eps apart, and a within
-    max(s, 0) + eps of y; each outer round n's pair moved at most
-    (2 eps + delta)/2^n, within r + delta (1 - 2^-n) of x, and a within
-    s + eps (1 - 2^-n) of y; a negative gap s gives the pair (y, y)),
-    "triple-34" (iterates in A1 ∩ A2, gaps d(x_n, A0) recomputed from
-    ``aux["subsets"]``, at most r0 (3/4)^n with r0 the first, and steps at
-    most half the gap before them) and "ip-lift" (reaches recomputed by
-    ``ip_reach`` from the balls in ``family``, and c equal to
-    ``ip_constants(len(balls) - 1, k, eps).c`` and below 1); a chain-walk or
-    triple-34 trace without subsets or an ip-lift one without balls fails.
-    Any other scheme raises ``ValueError``."""
+    """Re-check the scheme's bounds on the trace's derived steps and slacks;
+    a perturbed iterate fails at its step.  The one place that states the
+    bounds of "cauchy-halving" (steps within the sum of the slacks around
+    them, and the final iterate within the final slack of every ball),
+    "chain-walk" (each pass's pair in A × A', within its radius plus delta
+    of its center, at most its eps apart, and a within max(s, 0) + eps of
+    y; each outer round n's pair moved at most (2 eps + delta)/2^n, within
+    r + delta (1 - 2^-n) of x, and a within s + eps (1 - 2^-n) of y; a
+    negative gap s gives the pair (y, y)), "triple-34" (iterates in
+    A1 ∩ A2, gaps d(x_n, A0) at most r0 (3/4)^n with r0 the first, and
+    steps at most half the gap before them) and "ip-lift" (reaches and
+    steps at most c^j R + 3 tau, R the first reach and c
+    ``ip_constants(len(balls) - 1, k, eps).c``, which must be below 1).
+    A trace without iterates, a chain-walk or triple-34 one without
+    subsets and an ip-lift one without balls fail with a note.  Any other
+    scheme raises ``ValueError``."""
     scheme = trace.scheme
     if scheme not in ("cauchy-halving", "chain-walk", "triple-34", "ip-lift"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if not trace.iterates:
-        return ContractionReport(
-            scheme, (), (), (), True, notes=("empty trace: vacuously consistent",)
-        )
-    recomputed = tuple(
-        linf_dist(trace.iterates[i], trace.iterates[i + 1])
-        for i in range(len(trace.iterates) - 1)
-    )
-    notes: list[str] = []
-    if recomputed != trace.steps:
-        return ContractionReport(
-            scheme,
-            recomputed,
-            trace.steps,
-            tuple(a == b for a, b in zip(recomputed, trace.steps)),
-            False,
-            notes=("recorded step distances disagree with iterates",),
-        )
-    if scheme in ("chain-walk", "triple-34") and "subsets" not in trace.aux:
-        return ContractionReport(scheme, (), (), (), False, notes=("no subsets recorded",))
-    if scheme == "cauchy-halving":
-        scale = trace.aux.get("scale", Fraction(1))
-        if trace.slacks != tuple(scale / (1 << (i + 1)) for i in range(len(trace.iterates))):
-            return ContractionReport(scheme, recomputed, (), (), False,
-                                     notes=("recorded slacks disagree with scale * 2^-(i+1)",))
-        bounds = tuple(
-            scale * (Fraction(1, 1 << (i + 1)) + Fraction(1, 1 << (i + 2)))
-            for i in range(len(recomputed))
-        )
-        ok = tuple(s <= b for s, b in zip(recomputed, bounds))
-        if trace.family is not None and trace.slacks:
-            final, slack = trace.iterates[-1], trace.slacks[-1]
+    missing = ("no iterates recorded" if not trace.iterates else
+               "no subsets recorded" if scheme in ("chain-walk", "triple-34") and "subsets" not in trace.aux else
+               "no balls recorded" if scheme == "ip-lift" and trace.family is None else None)
+    if missing:
+        return ContractionReport(scheme, (), (), (), False, notes=(missing,))
+    steps, slacks, aux = trace.steps, trace.slacks, trace.aux
+    if scheme == "cauchy-halving":  # slacks hold the schedule scale * 2^-(i+1)
+        bounds = tuple(a + b for a, b in zip(slacks, slacks[1:]))
+        ok = tuple(s <= b for s, b in zip(steps, bounds))
+        notes: tuple[str, ...] = ()
+        if trace.family is not None:
             for b in trace.family.balls:
-                if linf_dist(final, b.center) > b.radius + slack:
-                    ok = ok + (False,)
-                    notes.append("final iterate violates the final slack")
-        return ContractionReport(scheme, recomputed, bounds, ok, all(ok), tuple(notes))
+                if linf_dist(trace.iterates[-1], b.center) > b.radius + slacks[-1]:
+                    ok, notes = ok + (False,), notes + ("final iterate violates the final slack",)
+        return ContractionReport(scheme, steps, bounds, ok, all(ok), notes)
     if scheme == "triple-34":  # slacks hold the gaps d(x_n, A0)
-        A0, A1, A2 = trace.aux["subsets"]
+        _, A1, A2 = aux["subsets"]
         if not all(A1.contains(p) and A2.contains(p) for p in trace.iterates):
             return ContractionReport(scheme, (), (), (), False, notes=("an iterate lies outside A1 ∩ A2",))
-        observed = tuple(subset_dist(A0, p) for p in trace.iterates)
-        bounds = tuple(observed[0] * Fraction(3, 4) ** n for n in range(len(observed)))
-        others = tuple(s <= g / 2 for s, g in zip(recomputed, observed))
+        bounds = tuple(slacks[0] * Fraction(3, 4) ** n for n in range(len(slacks)))
+        others = tuple(s <= g / 2 for s, g in zip(steps, slacks))
     elif scheme == "ip-lift":  # slacks hold the reaches
-        if trace.family is None:
-            return ContractionReport(scheme, (), (), (), False, notes=("no balls recorded",))
-        balls = trace.family.balls
-        observed = tuple(map(ip_reach(balls, trace.aux["k"]), trace.iterates))
-        c, R, tau = trace.aux["c"], observed[0], trace.aux["tau"]
-        if c >= 1 or c != ip_constants(len(balls) - 1, trace.aux["k"], trace.aux["eps"]).c:
-            return ContractionReport(scheme, observed, (), (), False,
-                                     notes=("recorded c is not ip_constants' c below 1",))
-        bounds = tuple(c**j * R + 3 * tau for j in range(len(observed)))
-        others = tuple(s <= b for s, b in zip(recomputed, bounds))
+        c = ip_constants(len(trace.family.balls) - 1, aux["k"], aux["eps"]).c
+        if c >= 1:
+            return ContractionReport(scheme, slacks, (), (), False, notes=(f"c = {c} is not below 1",))
+        bounds = tuple(c**j * slacks[0] + 3 * aux["tau"] for j in range(len(slacks)))
+        others = tuple(s <= b for s, b in zip(steps, bounds))
     else:  # chain-walk: iterates a_1, a'_1, a_2, a'_2, ...; slacks hold the pair gaps
-        (A, A_prime), aux = trace.aux["subsets"], trace.aux
+        A, A_prime = aux["subsets"]
         x, r, y, eps, delta, centers = (aux[key] for key in ("x", "r", "y", "eps", "delta", "centers"))
         pairs = tuple(zip(trace.iterates[::2], trace.iterates[1::2]))
         if not all(A.contains(a) and A_prime.contains(b) for a, b in pairs):
@@ -484,7 +454,6 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
             (c, eps / (1 << n) + delta / (1 << (n + 2)), eps / (1 << n), delta / (1 << (n + 1)))
             for n, c in enumerate(centers, start=2)
         ]
-        observed = tuple(linf_dist(a, b) for a, b in pairs)
         bounds = tuple(e for _, _, e, _ in passes)  # also each outer round's pair-gap bound eps/2^n
         s = linf_dist(x, y) - r
         others = (len(trace.iterates) == 2 * len(passes), s >= 0 or pairs == ((y, y),))
@@ -495,10 +464,6 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
             others += (linf_dist(a_prev, a) <= (2 * eps + delta) / (1 << n),
                        max(linf_dist(x, a), linf_dist(x, b)) <= r + delta - delta / (1 << n),
                        linf_dist(y, a) <= s + eps - eps / (1 << n))
-    if observed != trace.slacks:
-        agree = tuple(a == b for a, b in zip(observed, trace.slacks))
-        return ContractionReport(scheme, observed, trace.slacks, agree, False,
-                                 notes=("recorded gaps or reaches disagree with iterates",))
     # gap or reach checks, then the steps' and the other bounds' checks
-    ok = tuple(g <= b for g, b in zip(observed, bounds)) + others
-    return ContractionReport(scheme, observed, bounds, ok, all(ok), trace=trace)
+    ok = tuple(g <= b for g, b in zip(slacks, bounds)) + others
+    return ContractionReport(scheme, slacks, bounds, ok, all(ok))

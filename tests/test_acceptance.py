@@ -245,8 +245,8 @@ def test_criterion_06_ip_lift_contraction():
         c = (anchor[0] + F(rng.randint(-40, 40), 8), anchor[1] + F(rng.randint(-40, 40), 8))
         balls.append(Ball(c, linf_dist(c, anchor) + F(rng.randint(0, 8), 8)))
     params = ip_constants(4, 2, F(1, 64))
-    final, trace = ip_lift(exact_subset_oracle(None), tuple(balls), linf_backend(2), params, rounds=30, cfg=CFG)
-    R = trace.aux["R"]
+    final, trace = ip_lift(exact_subset_oracle(None), tuple(balls), params, rounds=30, cfg=CFG)
+    R = trace.slacks[0]
     assert R > 0  # nontrivial instance
     rate = F(4, 5) + F(1, 20)
     steps_ok = all(s <= rate**j * R + 3 * TAU for j, s in enumerate(trace.steps))
@@ -317,7 +317,7 @@ def test_criterion_07_refinement_schemes():
             nontrivial += 1
         for n, gap in enumerate(report.observed):
             b_ok &= gap <= Fraction(3, 4) ** n * r0
-        for n, step in enumerate(report.trace.steps):
+        for n, step in enumerate(trace.steps):
             b_ok &= step <= Fraction(1, 2) * Fraction(3, 4) ** n * r0
         b_ok &= a1.contains(final) and a2.contains(final)
         b_ok &= a0.dist(final) <= Fraction(3, 4) ** 40 * r0

@@ -25,7 +25,7 @@ from hyperball.barycenter import (
 from hyperball.errors import HyperballError
 from hyperball.linf import Ball, balls_box, linf_dist, mean_point, sigma
 from hyperball.refine import (
-    EpsOracle, KTooSmall, OracleFailure, exact_subset_oracle, ip_constants, verify_trace,
+    EpsOracle, KTooSmall, OracleFailure, exact_subset_oracle, ip_constants, ip_reach, verify_trace,
 )
 from hyperball.rng import SplitMix64
 
@@ -201,9 +201,9 @@ def seeded_instance(seed, n=4, dim=2):
 def test_ip_lift_contracts():
     balls = seeded_instance(424242)
     params = ip_constants(4, 2, F(1, 64))
-    final, trace = ip_lift(exact_subset_oracle(None), balls, linf_backend(2), params, rounds=20)
+    final, trace = ip_lift(exact_subset_oracle(None), balls, params, rounds=20)
     assert verify_trace(trace).passed
-    R = trace.aux["R"]
+    R = trace.slacks[0]
     assert R > 0
     for j, reach in enumerate(trace.slacks):
         assert reach <= params.c ** j * R + 3 * CFG.tau
@@ -218,25 +218,27 @@ def test_ip_lift_contracts():
 def test_verify_trace_rejects_a_tampered_ip_lift_trace():
     balls = seeded_instance(424242)
     params = ip_constants(4, 2, F(1, 64))
-    _, trace = ip_lift(exact_subset_oracle(None), balls, linf_backend(2), params, rounds=8)
+    _, trace = ip_lift(exact_subset_oracle(None), balls, params, rounds=8)
     report = verify_trace(trace)
     assert report.passed and report.observed == trace.slacks and len(trace.steps) == 8
     assert len(report.step_ok) == len(trace.slacks) + len(trace.steps)
-    # One recorded reach raised by 2^-40.
-    reaches = trace.slacks[:3] + (trace.slacks[3] + F(1, 1 << 40),) + trace.slacks[4:]
-    report = verify_trace(replace(trace, slacks=reaches))
-    assert not report.passed and report.notes == ("recorded gaps or reaches disagree with iterates",)
-    # One iterate moved by 2^-20 along the coordinate that sets its step.
+    # The reaches are derived from the balls and k, never recorded.
+    assert trace.slacks == tuple(map(ip_reach(balls, 2), trace.iterates))
+    # One iterate moved along the coordinate that sets its step: the derived
+    # step follows the move, and a move past the step's bound c^2 R + 3 tau fails.
     prev, p = trace.iterates[2], trace.iterates[3]
     k = max(range(2), key=lambda i: abs(p[i] - prev[i]))
-    shift = F(1, 1 << 20) if p[k] >= prev[k] else -F(1, 1 << 20)
-    moved = tuple(x + shift if i == k else x for i, x in enumerate(p))
-    assert linf_dist(prev, moved) == trace.steps[2] + F(1, 1 << 20)
-    iterates = trace.iterates[:3] + (moved,) + trace.iterates[4:]
-    assert not verify_trace(replace(trace, iterates=iterates)).passed
-    # A recorded c other than ip_constants' (a quarter of it here) is rejected.
-    report = verify_trace(replace(trace, aux={**trace.aux, "c": params.c / 4}))
-    assert not report.passed and report.notes == ("recorded c is not ip_constants' c below 1",)
+    sign = 1 if p[k] >= prev[k] else -1
+
+    def moved(by):
+        point = tuple(x + sign * by if i == k else x for i, x in enumerate(p))
+        return replace(trace, iterates=trace.iterates[:3] + (point,) + trace.iterates[4:])
+
+    assert moved(F(1, 1 << 20)).steps[2] == trace.steps[2] + F(1, 1 << 20)
+    past = verify_trace(moved(report.bounds[2] - trace.steps[2] + F(1, 1 << 20)))
+    assert not past.passed and past.step_ok[len(trace.slacks) + 2] is False
+    # c is recomputed from n, k and eps, never recorded.
+    assert set(trace.aux) == {"eps", "k", "tau"}
     # A trace without its balls cannot pass by default.
     report = verify_trace(replace(trace, family=None))
     assert not report.passed and report.notes == ("no balls recorded",)
@@ -250,22 +252,21 @@ IP_BALLS = (
 
 
 def test_verify_trace_recomputes_the_ip_lift_constant():
-    """A stalled trace (the base point eight times, reaches and steps
-    consistent) breaks the bounds under c = 845/1024 and cannot pass by
-    recording c = 1."""
+    """A stalled trace (the base point eight times, so its reaches and steps
+    follow) breaks the bounds under c = 845/1024, which ``verify_trace``
+    recomputes; c >= 1 never passes."""
     params = ip_constants(4, 2, F(1, 64))
-    _, trace = ip_lift(exact_subset_oracle(None), IP_BALLS, linf_backend(2), params, rounds=7)
+    _, trace = ip_lift(exact_subset_oracle(None), IP_BALLS, params, rounds=7)
     assert params.c == F(845, 1024) and verify_trace(trace).passed
-    stalled = replace(trace, iterates=trace.iterates[:1] * 8, slacks=trace.slacks[:1] * 8,
-                      steps=(F(0),) * 7)
+    stalled = replace(trace, iterates=trace.iterates[:1] * 8)
+    assert stalled.slacks == trace.slacks[:1] * 8 and stalled.steps == (F(0),) * 7
     assert trace.slacks[0] > 0 and not verify_trace(stalled).passed
-    report = verify_trace(replace(stalled, aux={**stalled.aux, "c": F(1)}))
-    assert not report.passed and report.notes == ("recorded c is not ip_constants' c below 1",)
     # c >= 1 never passes, even where eps makes it the recomputed value
     eps = F(1, 2)
-    assert ip_constants(4, 2, eps).c >= 1
-    report = verify_trace(replace(stalled, aux={**stalled.aux, "c": ip_constants(4, 2, eps).c, "eps": eps}))
-    assert not report.passed
+    c = ip_constants(4, 2, eps).c
+    assert c >= 1
+    report = verify_trace(replace(stalled, aux={**stalled.aux, "eps": eps}))
+    assert not report.passed and report.notes == (f"c = {c} is not below 1",)
 
 
 @pytest.mark.parametrize("breach", ["no point", "outside the window", "outside a subfamily ball"])
@@ -287,20 +288,20 @@ def test_ip_lift_fails_at_the_call_of_a_breaching_oracle_answer(breach):
 
     params = ip_constants(4, 2, F(1, 64))
     with pytest.raises(OracleFailure) as failure:
-        ip_lift(EpsOracle(query, 4, None), IP_BALLS, linf_backend(2), params, rounds=5)
+        ip_lift(EpsOracle(query, 4, None), IP_BALLS, params, rounds=5)
     assert failure.value.step == 13 and len(queries) == 14
     left = {"no point": "no point returned",
             "outside the window": f"around {queries[-1][-1].center}",
             "outside a subfamily ball": f"around {queries[-1][0].center}"}[breach]
     assert left in str(failure.value)
     with pytest.raises(ValueError, match="does not cover"):
-        ip_lift(EpsOracle(query, 3, None), IP_BALLS, linf_backend(2), params, rounds=5)
+        ip_lift(EpsOracle(query, 3, None), IP_BALLS, params, rounds=5)
 
 
 def test_ip_lift_immediate_when_base_in_all():
     balls = tuple(Ball(pt(0, 0), F(5)) for _ in range(5))
     params = ip_constants(4, 2, F(1, 64))
-    final, trace = ip_lift(exact_subset_oracle(None), balls, linf_backend(2), params, rounds=10)
+    final, trace = ip_lift(exact_subset_oracle(None), balls, params, rounds=10)
     assert trace.steps == ()
     assert all(b.contains(final) for b in balls)
 
@@ -308,7 +309,7 @@ def test_ip_lift_immediate_when_base_in_all():
 def test_ip_lift_rejects_c_at_least_one():
     balls = seeded_instance(7, n=3)
     with pytest.raises(ContractionNotGuaranteed):
-        ip_lift(exact_subset_oracle(None), balls, linf_backend(2), ip_constants(3, 2), rounds=5)
+        ip_lift(exact_subset_oracle(None), balls, ip_constants(3, 2), rounds=5)
 
 
 def test_ip_lift_rejects_empty_k_subfamily():
@@ -320,4 +321,4 @@ def test_ip_lift_rejects_empty_k_subfamily():
         Ball(pt(5, 5), F(1)),
     )
     with pytest.raises(KSubfamilyEmpty):
-        ip_lift(exact_subset_oracle(None), balls, linf_backend(2), ip_constants(4, 2, F(1, 64)), rounds=5)
+        ip_lift(exact_subset_oracle(None), balls, ip_constants(4, 2, F(1, 64)), rounds=5)

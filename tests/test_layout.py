@@ -2,8 +2,11 @@
 that were removed (the refuter's ``arena`` and ``BarycenterConfig.max_rounds``
 among them), on each CLI subcommand taking only the flags it reads, on the
 LP kernel staying in integers, on the refinement bounds living only in
-``verify_trace`` (every refinement verdict included) and the oracle's ball count only in ``EpsOracle.ask``, and on subset and ball-family kinds answering for
-themselves instead of through type ladders."""
+``verify_trace`` (every refinement verdict included) and the oracle's ball
+count only in ``EpsOracle.ask``, on a refinement trace keeping only its
+iterates and inputs (steps, slacks and the ip-lift constants derived, never
+recorded and cross-checked), and on subset and ball-family kinds answering
+for themselves instead of through type ladders."""
 
 import ast
 import inspect
@@ -143,6 +146,33 @@ def test_every_refinement_verdict_comes_from_verify_trace():
                  if isinstance(node, ast.Name)}
         assert "HOLDS" not in names, fn.__name__
     assert not hasattr(refine, "ChainWalkResult") and "ChainWalkResult" not in _sources()["refine.py"]
+
+
+def test_refinement_trace_keeps_only_its_iterates_and_inputs():
+    """Steps and slacks are cached derivations, no scheme builds them, and
+    no report compares a recorded copy with a recomputed one."""
+    from dataclasses import fields
+    from fractions import Fraction
+    from functools import cached_property
+
+    from hyperball import refine
+    from hyperball.barycenter import ip_lift
+    from hyperball.linf import Ball
+
+    assert [f.name for f in fields(refine.RefinementTrace)] == ["scheme", "iterates", "family", "aux"]
+    for name in ("steps", "slacks"):
+        assert isinstance(vars(refine.RefinementTrace)[name], cached_property), name
+    for fn in (refine.almost_to_exact, refine.chain_walk, refine.triple_intersection, ip_lift):
+        names = {node.id for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(fn))))
+                 if isinstance(node, ast.Name)}
+        assert not {"steps", "slacks"} & names, fn.__name__
+    assert "trace" not in {f.name for f in fields(refine.ContractionReport)}
+    assert "backend" not in inspect.signature(ip_lift).parameters
+    assert "disagree" not in _sources()["refine.py"]
+    balls = tuple(Ball((Fraction(i), Fraction(0)), Fraction(5)) for i in range(5))
+    params = refine.ip_constants(4, 2, Fraction(1, 64))
+    _, trace = ip_lift(refine.exact_subset_oracle(None), balls, params, rounds=2)
+    assert set(trace.aux) == {"eps", "k", "tau"}
 
 
 def test_lp_kernel_and_certificate_checks_build_no_fraction():

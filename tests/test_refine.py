@@ -197,16 +197,13 @@ def test_chain_walk_outer_rounds_contract():
     assert all(g <= b for g, b in zip(report.observed, report.bounds))
     assert linf_dist(a, a_prime) <= F(1, 2) / (1 << 5)
     # the last pair dropped: four pairs for the five passes the centers record
-    cut = replace(trace, iterates=trace.iterates[:-2], slacks=trace.slacks[:-1], steps=trace.steps[:-2])
+    cut = replace(trace, iterates=trace.iterates[:-2])
     assert not verify_trace(cut).passed
 
 
 def _moved(trace, index, point):
-    """The trace with iterate ``index`` replaced and its steps and gaps recomputed."""
-    iterates = trace.iterates[:index] + (point,) + trace.iterates[index + 1:]
-    return replace(trace, iterates=iterates,
-                   slacks=tuple(linf_dist(p, q) for p, q in zip(iterates[::2], iterates[1::2])),
-                   steps=tuple(linf_dist(p, q) for p, q in zip(iterates, iterates[1:])))
+    """The trace with iterate ``index`` replaced; its steps and gaps follow."""
+    return replace(trace, iterates=trace.iterates[:index] + (point,) + trace.iterates[index + 1:])
 
 
 def _shifted(trace, first, shift):
@@ -264,9 +261,7 @@ def test_chain_walk_distance_from_y_is_checked_per_pass_and_per_round():
 
     def report(*points, centers=()):  # the pairs (p, p)
         iterates = tuple(p for p in points for _ in range(2))
-        steps = tuple(linf_dist(p, q) for p, q in zip(iterates, iterates[1:]))
-        trace = RefinementTrace("chain-walk", iterates, (F(0),) * len(points), steps, aux={**aux, "centers": centers})
-        return verify_trace(trace)
+        return verify_trace(RefinementTrace("chain-walk", iterates, aux={**aux, "centers": centers}))
 
     assert report(pt(1, 0)).passed
     assert report(pt(0, F(-5, 4))).step_ok.count(False) == 1
@@ -323,11 +318,8 @@ def test_triple_intersection_contraction():
         assert gap <= Fraction(3, 4) ** n * r0
     assert a1.contains(final) and a2.contains(final)
     assert a0.dist(final) <= Fraction(3, 4) ** 40 * r0
-    assert verify_trace(report.trace).passed
-    # The gaps are recomputed from the subsets: a recorded gap cut by 2^-40 fails.
-    gaps = report.trace.slacks
-    tampered = replace(report.trace, slacks=gaps[:2] + (gaps[2] - F(1, 1 << 40),) + gaps[3:])
-    assert not verify_trace(tampered).passed
+    # The gaps are derived from the iterates and A0, never recorded.
+    assert trace.slacks == report.observed == tuple(a0.dist(p) for p in trace.iterates)
 
 
 def test_triple_intersection_through_polyhedra_matches_boxes():
@@ -340,7 +332,7 @@ def test_triple_intersection_through_polyhedra_matches_boxes():
     ]
     (box_final, box_report), (final, report) = ((p, verify_trace(trace)) for p, trace in runs)
     assert final == box_final and report.observed == box_report.observed
-    assert len(report.observed) == 41 and verify_trace(report.trace).passed
+    assert len(report.observed) == 41 and report.passed
 
 
 def test_exact_oracle_retries_with_the_inflated_balls():
@@ -380,17 +372,17 @@ def test_triple_34_trace_is_checked_from_its_subsets_alone():
     outside A1 ∩ A2, fails with a note."""
     a0, a1, a2 = triple_boxes()
     x0 = pt(0, 1)
-    stalled = RefinementTrace("triple-34", (x0, x0), (F(4), F(4)), (F(0),),
-                              aux={"subsets": (a0, a1, a2)})
+    stalled = RefinementTrace("triple-34", (x0, x0), aux={"subsets": (a0, a1, a2)})
+    assert stalled.slacks == (F(4), F(4)) and stalled.steps == (F(0),)
     assert not verify_trace(stalled).passed
     assert not verify_trace(replace(stalled, aux={**stalled.aux, "r0": F(100)})).passed
-    bare = RefinementTrace("triple-34", (x0, x0), (F(0), F(0)), (F(0),), aux={"r0": F(0)})
+    bare = RefinementTrace("triple-34", (x0, x0), aux={"r0": F(0)})
     report = verify_trace(bare)
     assert not report.passed and report.notes == ("no subsets recorded",)
     # Over the boxes of the bench triple instance, (5, 5) is in neither A1 nor A2.
     kind, (subsets, _) = parse_instance(INSTANCES / "triple.json")
     assert kind == "triple" and subsets == (a0, a1, a2)
-    outside = RefinementTrace("triple-34", (pt(5, 5),), (F(3),), (), aux={"subsets": subsets})
+    outside = RefinementTrace("triple-34", (pt(5, 5),), aux={"subsets": subsets})
     report = verify_trace(outside)
     assert not report.passed and report.notes == ("an iterate lies outside A1 ∩ A2",)
 
@@ -436,39 +428,52 @@ def test_verify_trace_catches_perturbation():
     tampered = RefinementTrace(
         trace.scheme,
         trace.iterates[:-1] + ((trace.iterates[-1][0] + 1, trace.iterates[-1][1]),),
-        trace.slacks,
-        trace.steps,
         trace.family,
         trace.aux,
     )
     assert not verify_trace(tampered).passed
 
 
+def test_verify_trace_checks_the_final_slack():
+    """Six saturating steps end at (63/64, 0), exactly the final slack 1/64
+    past B((3, 1), 2); moved to (251/256, 0), every step stays within its
+    bound but the point leaves that slack, so only the last check fails."""
+    _, trace = almost_to_exact(saturating_subset_oracle(BOX), box_family(), iterations=6)
+    assert trace.iterates[-1] == (F(63, 64), F(0)) and trace.slacks[-1] == F(1, 64)
+    assert verify_trace(trace).passed
+    report = verify_trace(replace(trace, iterates=trace.iterates[:-1] + ((F(251, 256), F(0)),)))
+    assert not report.passed and report.notes == ("final iterate violates the final slack",)
+    assert report.step_ok[-1] is False and all(report.step_ok[:-1])
+
+
 def test_verify_trace_checks_the_halving_slacks():
     _, trace = almost_to_exact(saturating_subset_oracle(BOX), box_family(), iterations=6, scale=F(4))
     assert trace.slacks == tuple(F(4, 1 << (i + 1)) for i in range(6))
     assert verify_trace(trace).passed
-    note = ("recorded slacks disagree with scale * 2^-(i+1)",)
-    loose = trace.slacks[:-1] + (2 * trace.slacks[-1],)  # a doubled final slack
-    assert verify_trace(replace(trace, slacks=loose)).notes == note
-    # a larger recorded scale alone no longer matches the slacks
-    report = verify_trace(replace(trace, aux={"scale": F(8)}))
-    assert not report.passed and report.notes == note
-    assert verify_trace(replace(trace, slacks=trace.slacks[:-1])).notes == note
+    # the slacks are derived from the scale and the iterates, one per iterate
+    assert replace(trace, iterates=trace.iterates[:-1]).slacks == trace.slacks[:-1]
+    forged = replace(trace, aux={"scale": F(8)})
+    assert forged.slacks == tuple(F(8, 1 << (i + 1)) for i in range(6))
+    # the trace alone cannot tell a forged scale from the one the run used:
+    # a larger scale only loosens every bound (ROADMAP item 14)
+    assert verify_trace(forged).passed
 
 
 def test_verify_trace_refuses_unknown_schemes():
-    """An unknown scheme raises ``ValueError``, even with an empty trace or
-    recorded steps that disagree with its iterates."""
-    for iterates, steps in (((), ()), ((pt(0, 0), pt(1, 1)), (F(0),))):
+    """An unknown scheme raises ``ValueError``, even with an empty trace,
+    and so does reading its slacks."""
+    for iterates in ((), (pt(0, 0), pt(1, 1))):
         with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
-            verify_trace(RefinementTrace("bogus", iterates, (), steps))
+            verify_trace(RefinementTrace("bogus", iterates))
+        with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+            RefinementTrace("bogus", iterates).slacks
 
 
-def test_verify_trace_empty_is_vacuous():
-    empty = RefinementTrace("cauchy-halving", (), (), ())
-    report = verify_trace(empty)
-    assert report.passed and report.notes
+def test_verify_trace_fails_every_empty_trace():
+    """No scheme returns a trace without iterates, so none passes."""
+    for scheme in ("cauchy-halving", "chain-walk", "triple-34", "ip-lift"):
+        report = verify_trace(RefinementTrace(scheme, ()))
+        assert not report.passed and report.notes == ("no iterates recorded",), scheme
 
 
 def _intersected_answer(subset, balls, *grows):
