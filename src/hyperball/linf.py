@@ -1,16 +1,20 @@
 """Exact geometry of (R^n, max norm): points, balls-as-boxes, the linear
-geodesic selection, clamp retraction, and minimal-modulus interval picks.
+geodesic selection and the clamp retraction.
 
 Points are plain tuples of Fractions.  Balls of the max norm are axis
 boxes; most witness searches below reduce to per-coordinate interval
 arithmetic, which is the fast exact path everything else cross-checks
-against.
+against.  Distances, ball tests and the balls' box run on integers over
+one common denominator (the lcm of every denominator involved), so they
+compare integers and build a Fraction only for a returned distance or
+box side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import DimMismatch, EmptySet, HyperballError
@@ -27,12 +31,26 @@ class EmptyBox(EmptySet):
 
 
 def linf_dist(p: Point, q: Point) -> Fraction:
-    """Chebyshev distance max_k |p_k - q_k|."""
+    """Chebyshev distance max_k |p_k - q_k|: with p = P/D and q = Q/D, D
+    the common denominator, max_k |P_k - Q_k| / D."""
     if len(p) != len(q):
         raise DimMismatch(f"points of dim {len(p)} and {len(q)}")
-    if not p:
-        return Fraction(0)
-    return max(abs(a - b) for a, b in zip(p, q))
+    D = lcm(*[v.denominator for v in (*p, *q)])
+    return Fraction(max((abs(a.numerator * (D // a.denominator) - b.numerator * (D // b.denominator))
+                         for a, b in zip(p, q)), default=0), D)
+
+
+def linf_within(p: Point, q: Point, *bounds: Fraction) -> bool:
+    """linf_dist(p, q) <= sum(bounds), decided on integers over the common
+    denominator of p, q and the bounds: no Fraction is built."""
+    if len(p) != len(q):
+        raise DimMismatch(f"points of dim {len(p)} and {len(q)}")
+    D = lcm(*[v.denominator for v in (*p, *q, *bounds)])
+    R = sum(b.numerator * (D // b.denominator) for b in bounds)
+    for a, b in zip(p, q):
+        if abs(a.numerator * (D // a.denominator) - b.numerator * (D // b.denominator)) > R:
+            return False
+    return R >= 0
 
 
 @dataclass(frozen=True)
@@ -55,7 +73,7 @@ class Ball:
         return Box(tuple(c - r for c in self.center), tuple(c + r for c in self.center))
 
     def contains(self, p: Point) -> bool:
-        return linf_dist(self.center, p) <= self.radius
+        return linf_within(self.center, p, self.radius)
 
 
 @dataclass(frozen=True)
@@ -124,15 +142,20 @@ class Box:
 
 
 def balls_box(balls: Sequence[Ball]) -> Box:
-    """Intersection of max-norm balls as a single (possibly empty) box."""
+    """Intersection of max-norm balls as a single (possibly empty) box:
+    each side's max and min taken over integers on the balls' common
+    denominator."""
     if not balls:
         raise ValueError("need at least one ball")
     dim = balls[0].dim
     for b in balls:
         if b.dim != dim:
             raise DimMismatch("balls of different dims")
-    return Box(tuple(max(b.center[k] - b.radius for b in balls) for k in range(dim)),
-               tuple(min(b.center[k] + b.radius for b in balls) for k in range(dim)))
+    D = lcm(*[v.denominator for b in balls for v in (b.radius, *b.center)])
+    scaled = [(b.radius.numerator * (D // b.radius.denominator),
+               [c.numerator * (D // c.denominator) for c in b.center]) for b in balls]
+    return Box(tuple(Fraction(max(C[k] - R for R, C in scaled), D) for k in range(dim)),
+               tuple(Fraction(min(C[k] + R for R, C in scaled), D) for k in range(dim)))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from typing import Any, Callable, Mapping
 
 from .errors import HyperballError
 from .lab import LinfBallFamily, NotAdmissible, _require_admissible
-from .linf import Ball, Box, Point, balls_box, linf_dist
+from .linf import Ball, Box, Point, balls_box, linf_dist, linf_within
 from .sets import pair_witness, subset_dist, subset_witness_in_box
 
 
@@ -69,7 +69,7 @@ class EpsOracle:
         if p is None:
             raise OracleFailure(call, "no point returned")
         for b in balls:
-            if linf_dist(p, b.center) > b.radius + slack:
+            if not linf_within(p, b.center, b.radius, slack):
                 raise OracleFailure(call, f"outside inflated ball around {b.center}")
         if self.subset is not None and not self.subset.contains(p):
             raise OracleFailure(call, "point not in subset")
@@ -396,6 +396,11 @@ def ip_reach(balls: tuple[Ball, ...], k: int) -> Callable[[Point], Fraction]:
 # Independent trace verification
 
 
+#: The ``aux`` inputs each scheme's bounds are stated in.
+_RECORDED = {"cauchy-halving": (), "chain-walk": ("subsets", "x", "r", "y", "eps", "delta", "centers"),
+             "triple-34": ("subsets",), "ip-lift": ("k", "eps", "tau")}
+
+
 def verify_trace(trace: RefinementTrace) -> ContractionReport:
     """Re-check the scheme's bounds on the trace's derived steps and slacks;
     a perturbed iterate fails at its step.  The one place that states the
@@ -410,25 +415,30 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
     steps at most half the gap before them) and "ip-lift" (reaches and
     steps at most c^j R + 3 tau, R the first reach and c
     ``ip_constants(len(balls) - 1, k, eps).c``, which must be below 1).
-    A trace without iterates, a chain-walk or triple-34 one without
-    subsets and an ip-lift one without balls fail with a note.  Any other
+    A trace without iterates or without one of the ``aux`` inputs its
+    bounds are stated in, and an ip-lift one without balls, with k
+    outside 2..n or with a negative eps, fail with a note.  Any other
     scheme raises ``ValueError``."""
-    scheme = trace.scheme
-    if scheme not in ("cauchy-halving", "chain-walk", "triple-34", "ip-lift"):
+    scheme, aux = trace.scheme, trace.aux
+    if scheme not in _RECORDED:
         raise ValueError(f"unknown scheme {scheme!r}")
     missing = ("no iterates recorded" if not trace.iterates else
-               "no subsets recorded" if scheme in ("chain-walk", "triple-34") and "subsets" not in trace.aux else
-               "no balls recorded" if scheme == "ip-lift" and trace.family is None else None)
+               "no balls recorded" if scheme == "ip-lift" and trace.family is None else
+               next((f"no {key} recorded" for key in _RECORDED[scheme] if key not in aux), None))
+    if missing is None and scheme == "ip-lift":
+        n = len(trace.family.balls) - 1
+        missing = (f"k = {aux['k']} is outside 2..{n}" if aux["k"] not in range(2, n + 1) else
+                   f"eps = {aux['eps']} is negative" if aux["eps"] < 0 else None)
     if missing:
         return ContractionReport(scheme, (), (), (), False, notes=(missing,))
-    steps, slacks, aux = trace.steps, trace.slacks, trace.aux
+    steps, slacks = trace.steps, trace.slacks
     if scheme == "cauchy-halving":  # slacks hold the schedule scale * 2^-(i+1)
         bounds = tuple(a + b for a, b in zip(slacks, slacks[1:]))
         ok = tuple(s <= b for s, b in zip(steps, bounds))
         notes: tuple[str, ...] = ()
         if trace.family is not None:
             for b in trace.family.balls:
-                if linf_dist(trace.iterates[-1], b.center) > b.radius + slacks[-1]:
+                if not linf_within(trace.iterates[-1], b.center, b.radius, slacks[-1]):
                     ok, notes = ok + (False,), notes + ("final iterate violates the final slack",)
         return ContractionReport(scheme, steps, bounds, ok, all(ok), notes)
     if scheme == "triple-34":  # slacks hold the gaps d(x_n, A0)
@@ -458,12 +468,13 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
         s = linf_dist(x, y) - r
         others = (len(trace.iterates) == 2 * len(passes), s >= 0 or pairs == ((y, y),))
         for (a, b), (c, radius, e, d) in zip(pairs, passes):
-            others += (linf_dist(c, a) <= radius + d, linf_dist(c, b) <= radius + d,
-                       linf_dist(y, a) <= max(linf_dist(c, y) - radius, 0) + e)
+            others += (linf_within(c, a, radius, d), linf_within(c, b, radius, d),
+                       linf_within(y, a, max(linf_dist(c, y) - radius, 0), e))
         for n, ((a_prev, _), (a, b)) in enumerate(zip(pairs, pairs[1:]), start=2):
-            others += (linf_dist(a_prev, a) <= (2 * eps + delta) / (1 << n),
-                       max(linf_dist(x, a), linf_dist(x, b)) <= r + delta - delta / (1 << n),
-                       linf_dist(y, a) <= s + eps - eps / (1 << n))
+            reach = r + delta - delta / (1 << n)
+            others += (linf_within(a_prev, a, (2 * eps + delta) / (1 << n)),
+                       linf_within(x, a, reach) and linf_within(x, b, reach),
+                       linf_within(y, a, s + eps - eps / (1 << n)))
     # gap or reach checks, then the steps' and the other bounds' checks
     ok = tuple(g <= b for g, b in zip(slacks, bounds)) + others
     return ContractionReport(scheme, slacks, bounds, ok, all(ok))

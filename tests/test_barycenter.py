@@ -269,6 +269,24 @@ def test_verify_trace_recomputes_the_ip_lift_constant():
     assert not report.passed and report.notes == (f"c = {c} is not below 1",)
 
 
+@pytest.mark.parametrize("aux, note", [
+    ({}, "no k recorded"),
+    ({"eps": F(1, 64), "tau": F(0)}, "no k recorded"),
+    ({"k": 2, "tau": F(0)}, "no eps recorded"),
+    ({"k": 2, "eps": F(1, 64)}, "no tau recorded"),
+    ({"k": 9, "eps": F(1, 64), "tau": F(0)}, "k = 9 is outside 2..4"),
+    ({"k": 1, "eps": F(1, 64), "tau": F(0)}, "k = 1 is outside 2..4"),
+    ({"k": 2, "eps": F(-1, 2), "tau": F(0)}, "eps = -1/2 is negative"),
+], ids=["empty", "no-k", "no-eps", "no-tau", "k-above-n", "k-below-2", "negative-eps"])
+def test_verify_trace_fails_a_malformed_ip_lift_aux_with_a_note(aux, note):
+    """A saved trace whose ``aux`` lacks k, eps or tau, or holds a k outside
+    2..n or a negative eps, fails with a note instead of raising."""
+    _, trace = ip_lift(exact_subset_oracle(None), IP_BALLS, ip_constants(4, 2, F(1, 64)), rounds=3)
+    assert verify_trace(trace).passed
+    report = verify_trace(replace(trace, aux=aux))
+    assert not report.passed and report.notes == (note,)
+
+
 @pytest.mark.parametrize("breach", ["no point", "outside the window", "outside a subfamily ball"])
 def test_ip_lift_fails_at_the_call_of_a_breaching_oracle_answer(breach):
     """Every answer of the lift goes through ``EpsOracle.ask``: a whole-space

@@ -1,12 +1,13 @@
 """Guards on where numpy and the SplitMix64 constants may live, on knobs
 that were removed (the refuter's ``arena`` and ``BarycenterConfig.max_rounds``
 among them), on each CLI subcommand taking only the flags it reads, on the
-LP kernel staying in integers, on the refinement bounds living only in
-``verify_trace`` (every refinement verdict included) and the oracle's ball
-count only in ``EpsOracle.ask``, on a refinement trace keeping only its
-iterates and inputs (steps, slacks and the ip-lift constants derived, never
-recorded and cross-checked), and on subset and ball-family kinds answering
-for themselves instead of through type ladders."""
+LP kernel and the oracle's ball tests staying in integers, on the
+refinement bounds living only in ``verify_trace`` (every refinement verdict
+included) and the oracle's ball count only in ``EpsOracle.ask``, on a
+refinement trace keeping only its iterates and inputs (steps, slacks and
+the ip-lift constants derived, never recorded and cross-checked), and on
+subset and ball-family kinds answering for themselves instead of through
+type ladders."""
 
 import ast
 import inspect
@@ -186,6 +187,23 @@ def test_lp_kernel_and_certificate_checks_build_no_fraction():
         tree = ast.parse(textwrap.dedent(inspect.getsource(obj)))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert "Fraction" not in names, obj.__name__
+
+
+def test_oracle_ball_tests_compare_integers():
+    # The oracle's hit test and contract re-check go through linf_within, the
+    # ball test on integers over one common denominator, never linf_dist.
+    from hyperball import linf, refine
+
+    def names(obj):
+        return {node.id for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(obj))))
+                if isinstance(node, ast.Name)}
+
+    for fn in (refine.EpsOracle.ask, refine.exact_subset_oracle):
+        assert "linf_dist" not in names(fn), fn.__name__
+    assert "linf_within" in names(refine.EpsOracle.ask)
+    assert "linf_within" in names(linf.Ball.contains)
+    for fn in (linf.Ball.contains, linf.linf_within):
+        assert "Fraction" not in _called_names(fn), fn.__name__
 
 
 def test_subset_entry_points_dispatch_through_the_protocol():

@@ -11,9 +11,11 @@ from hyperball.linf import (
     EmptyBox,
     ParamOutOfRange,
     ball_family_intersection,
+    balls_box,
     box_retraction,
     conical_bound,
     linf_dist,
+    linf_within,
     sigma,
 )
 from hyperball.rng import SplitMix64
@@ -29,6 +31,49 @@ def test_linf_dist_examples():
     assert linf_dist(pt(0, 0, 0), pt(1, 2, -5)) == 5
     with pytest.raises(DimMismatch):
         linf_dist(pt(0), pt(0, 0))
+
+
+# The integer kernel against plain Fraction arithmetic: coordinates and
+# radii are ints or Fractions with denominators up to 2^40.
+coordinate = st.one_of(st.integers(-1000, 1000),
+                       st.builds(Fraction, st.integers(-(1 << 50), 1 << 50), st.integers(1, 1 << 40)))
+radius = st.one_of(st.integers(0, 1000), st.builds(Fraction, st.integers(0, 1 << 50), st.integers(1, 1 << 40)))
+
+
+def reference_dist(p, q):
+    return max((abs(Fraction(a) - Fraction(b)) for a, b in zip(p, q)), default=Fraction(0))
+
+
+def reference_box(balls):
+    dim = len(balls[0].center)
+    return Box(tuple(max(Fraction(b.center[k]) - b.radius for b in balls) for k in range(dim)),
+               tuple(min(Fraction(b.center[k]) + b.radius for b in balls) for k in range(dim)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_integer_kernel_matches_the_fraction_reference(data):
+    dim = data.draw(st.integers(0, 4))
+    point = st.tuples(*[coordinate] * dim)
+    p, q = data.draw(point), data.draw(point)
+    balls = [Ball(data.draw(point), r) for r in data.draw(st.lists(radius, min_size=1, max_size=4))]
+    d = linf_dist(p, q)
+    assert type(d) is Fraction and d == reference_dist(p, q)
+    bounds = data.draw(st.lists(radius, max_size=3))
+    assert linf_within(p, q, *bounds) == (d <= sum(bounds))
+    for b in balls:
+        exact = reference_dist(b.center, p)
+        assert b.contains(p) == (exact <= b.radius)
+        # a ball through p holds it, and one shrunk by any positive amount does not
+        assert Ball(b.center, exact).contains(p)
+        if exact:
+            assert not Ball(b.center, exact * (1 - Fraction(1, 1 << 60))).contains(p)
+    assert balls_box(balls) == reference_box(balls)
+    longer = p + (Fraction(0),)
+    for call in (lambda: linf_dist(p, longer), lambda: linf_within(longer, p, Fraction(1)),
+                 lambda: balls[0].contains(longer), lambda: balls_box(balls + [Ball(longer, Fraction(1))])):
+        with pytest.raises(DimMismatch):
+            call()
 
 
 def test_ball_intersection_witness_is_lowest_corner():

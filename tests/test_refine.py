@@ -83,6 +83,22 @@ def test_almost_to_exact_oracle_contract_enforced():
     assert exc.value.step == 0
 
 
+def test_oracle_contract_is_exact_at_halving_denominators():
+    """After 40 halvings the asked centers and slacks are over 2^40: a point
+    exactly radius + slack from a center passes ``ask``, and the same point
+    2^-60 further out is an ``OracleFailure`` at its call."""
+    center = (F(-12345, 1 << 40), F(678901, 1 << 40))
+    radius, slack = F(1, 1 << 39), F(1, 1 << 40)
+    balls = (Ball(pt(0, 0), F(1)), Ball(center, radius))
+    for k, sign in ((0, 1), (1, -1)):
+        edge = tuple(c + sign * (radius + slack) if i == k else c for i, c in enumerate(center))
+        beyond = tuple(c + sign * F(1, 1 << 60) if i == k else c for i, c in enumerate(edge))
+        assert EpsOracle(lambda balls, slack: edge, 2, None).ask(balls, slack, 39) == edge
+        with pytest.raises(OracleFailure, match="outside inflated ball") as failure:
+            EpsOracle(lambda balls, slack: beyond, 2, None).ask(balls, slack, 39)
+        assert failure.value.step == 39
+
+
 def test_almost_to_exact_rejects_inadmissible():
     balls = (Ball(pt(0, 0), F(1)), Ball(pt(9, 0), F(1)))
     with pytest.raises(NotAdmissible):
@@ -249,6 +265,14 @@ def test_chain_walk_trace_is_checked_from_its_subsets_and_inputs_alone():
     bare = replace(single, aux={key: v for key, v in single.aux.items() if key != "subsets"})
     report = verify_trace(bare)
     assert not report.passed and report.notes == ("no subsets recorded",)
+
+
+@pytest.mark.parametrize("key", ["x", "r", "y", "eps", "delta", "centers"])
+def test_chain_walk_trace_without_an_input_fails_with_a_note(key):
+    _, trace = outer_walk()
+    assert verify_trace(trace).passed
+    report = verify_trace(replace(trace, aux={k: v for k, v in trace.aux.items() if k != key}))
+    assert not report.passed and report.notes == (f"no {key} recorded",)
 
 
 def test_chain_walk_distance_from_y_is_checked_per_pass_and_per_round():
