@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .barycenter import (
     BarycenterConfig,
-    BicombingBackend,
     Isometry,
     barycenter,
     barycenter_contraction_check,
@@ -19,7 +18,6 @@ from .barycenter import (
     equivariance_check,
     ip_lift,
     ip_threshold,
-    linf_backend,
 )
 from .convexity import distance_convexity_check, sigma_convexity_check
 from .errors import DimMismatch, HyperballError, SizeCapExceeded

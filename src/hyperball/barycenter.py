@@ -1,16 +1,16 @@
-"""Barycenters over a geodesic selection, their three contract checks, and
-the ball-family intersection-property threshold with its lifting iteration.
+"""Barycenters over the max norm's linear geodesic selection, their three
+contract checks, and the ball-family intersection-property threshold with
+its lifting iteration.
 
-The barycenter of one point is that point, of two the geodesic midpoint,
-and for m >= 3 the leave-one-out map
+The barycenter of one point is that point, of two the geodesic midpoint
+``sigma(x, y, 1/2)``, and for m >= 3 the leave-one-out map
 
     (x_1, ..., x_m)  ->  (bar(x̂^1), ..., bar(x̂^m))
 
 is iterated until the tuple's diameter drops below the stop tolerance; any
-component is then returned.  On a linear selection the sub-barycenters are
-evaluated through exact affine weights (the inner limits are exact means),
-which keeps the iteration honest while making large tuples affordable; a
-non-linear selection runs the pointwise recursion, limited to small tuples.
+component is then returned.  The selection being linear, the inner limits
+are exact means, so each round is an exact affine map of the inputs and
+runs on integer numerators over one denominator.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import HyperballError
+from .errors import DimMismatch, HyperballError
 from .lab import LinfBallFamily
 from .linf import Ball, Point, balls_box, linf_dist, sigma
 from .refine import EpsOracle, IPParams, KTooSmall, RefinementTrace, ip_constants, ip_reach
@@ -45,22 +45,6 @@ class KSubfamilyEmpty(HyperballError):
 
 
 @dataclass(frozen=True)
-class BicombingBackend:
-    """A symmetric constant-speed geodesic selection with its metric;
-    ``linear`` (only ``linf_backend``) promises straight-line geodesics and a
-    positively homogeneous metric, dist(s.p, s.q) = s.dist(p, q) for s > 0."""
-
-    dim: int
-    sigma: Callable[[Point, Point, Fraction], Point]
-    dist: Callable[[Point, Point], Fraction]
-    linear: bool = False
-
-
-def linf_backend(dim: int) -> BicombingBackend:
-    return BicombingBackend(dim, sigma, linf_dist, linear=True)
-
-
-@dataclass(frozen=True)
 class BarycenterConfig:
     tau: Fraction = Fraction(1, 1 << 30)
 
@@ -69,86 +53,45 @@ class BarycenterConfig:
             raise ValueError("tau must be positive")
 
 
-MAX_ROUNDS = 200  # rounds of either iteration before NoConvergence
-_POINTWISE_LIMIT = 6
-_INNER_SHRINK = 1 << 9  # inner tolerance factor for the pointwise recursion
+MAX_ROUNDS = 200  # leave-one-out rounds before NoConvergence
 
 
-def barycenter(
-    backend: BicombingBackend, points: Sequence[Point], cfg: BarycenterConfig | None = None
-) -> Point:
+def barycenter(points: Sequence[Point], cfg: BarycenterConfig | None = None) -> Point:
+    """Leave-one-out iteration with sub-barycenters evaluated exactly.
+
+    The limit of the (m-1)-point recursion is the arithmetic mean, so each
+    component of the iterate tuple is an exact affine combination of the
+    inputs; rounds contract the diameter by 1/(m-1) and the tuple mean is
+    preserved exactly.  A round maps the numerators N_i over one
+    denominator to (sum N) - N_i and multiplies the denominator by m - 1;
+    the max norm being homogeneous, the diameter, the largest coordinate
+    spread, is checked on the numerators.
+    """
     cfg = cfg or BarycenterConfig()
     pts = tuple(points)
     if not pts:
         raise ValueError("barycenter of no points")
-    if not backend.linear:
-        if len(pts) > _POINTWISE_LIMIT:
-            raise TupleTooLarge(
-                f"pointwise recursion limited to {_POINTWISE_LIMIT} points"
-            )
-        return _barycenter_pointwise(backend, pts, cfg.tau)
-    return _barycenter_weights(backend, pts, cfg)
-
-
-def _barycenter_pointwise(
-    backend: BicombingBackend, pts: tuple[Point, ...], tau: Fraction
-) -> Point:
     m = len(pts)
     if m == 1:
         return pts[0]
     if m == 2:
-        return backend.sigma(pts[0], pts[1], Fraction(1, 2))
-    inner_tau = tau / _INNER_SHRINK
-    current = pts
-    for _ in range(MAX_ROUNDS):
-        if _diameter(backend, current) * 2 <= tau:
-            return current[0]
-        current = tuple(
-            _barycenter_pointwise(backend, current[:i] + current[i + 1 :], inner_tau)
-            for i in range(m)
-        )
-    raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
-
-
-def _diameter(backend: BicombingBackend, pts: Sequence[Point]) -> Fraction:
-    best = Fraction(0)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d = backend.dist(pts[i], pts[j])
-            if d > best:
-                best = d
-    return best
-
-
-def _barycenter_weights(
-    backend: BicombingBackend, pts: tuple[Point, ...], cfg: BarycenterConfig
-) -> Point:
-    """Leave-one-out iteration with sub-barycenters evaluated exactly.
-
-    On a linear selection the limit of the (m-1)-point recursion is the
-    arithmetic mean, so each component of the iterate tuple is an exact
-    affine combination of the inputs; rounds then contract the diameter by
-    1/(m-1) and the tuple mean is preserved exactly.  A round maps the
-    numerators N_i over one denominator to (sum N) - N_i and multiplies the
-    denominator by m - 1; the metric being homogeneous, the diameter checks
-    run on the numerators.
-    """
-    m = len(pts)
-    if m == 1:
-        return pts[0]
-    if m == 2:
-        return backend.sigma(pts[0], pts[1], Fraction(1, 2))
+        return sigma(pts[0], pts[1], Fraction(1, 2))
+    dim = len(pts[0])
+    for p in pts:
+        if len(p) != dim:
+            raise DimMismatch(f"points of dim {dim} and {len(p)}")
     tau, Q = Fraction(cfg.tau), lcm(*(v.denominator for p in pts for v in p))
     current = [[v.numerator * (Q // v.denominator) for v in p] for p in pts]
     prev_diam = None
     for _ in range(MAX_ROUNDS):
-        diam = _diameter(backend, current)  # Q times the true diameter
+        columns = list(zip(*current))
+        diam = max((max(col) - min(col) for col in columns), default=0)  # Q times the true diameter
         if prev_diam is not None and diam > prev_diam * (m - 1):
             raise HyperballError("leave-one-out round increased the diameter")
         prev_diam = diam
         if diam * 2 * tau.denominator <= tau.numerator * Q:
             return tuple(Fraction(v, Q) for v in current[0])
-        sums = [sum(col) for col in zip(*current)]
+        sums = [sum(col) for col in columns]
         current = [[t - v for t, v in zip(sums, p)] for p in current]
         Q *= m - 1
     raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
@@ -158,33 +101,32 @@ def _barycenter_weights(
 # Contract checks
 
 
-def min_matching_average(xs: Sequence[Point], ys: Sequence[Point], dist) -> Fraction:
-    """min over permutations of (1/m) sum d(x_i, y_pi(i)); exhaustive, m <= 8."""
+def min_matching_average(xs: Sequence[Point], ys: Sequence[Point]) -> Fraction:
+    """min over permutations of (1/m) sum d(x_i, y_pi(i)); exhaustive, 1 <= m <= 8."""
     if len(xs) != len(ys):
         raise ValueError("tuples of different sizes")
     m = len(xs)
+    if not m:
+        raise ValueError("matching of no points")
     if m > 8:
         raise TupleTooLarge("matching minimum enumerates m! permutations, m <= 8")
     best = None
     for pi in permutations(range(m)):
-        cost = sum((dist(xs[i], ys[pi[i]]) for i in range(m)), Fraction(0))
+        cost = sum((linf_dist(xs[i], ys[pi[i]]) for i in range(m)), Fraction(0))
         if best is None or cost < best:
             best = cost
     return best / m
 
 
 def barycenter_contraction_check(
-    backend: BicombingBackend,
-    xs: Sequence[Point],
-    ys: Sequence[Point],
-    cfg: BarycenterConfig | None = None,
+    xs: Sequence[Point], ys: Sequence[Point], cfg: BarycenterConfig | None = None
 ):
     """d(bar(xs), bar(ys)) <= min-matching average + 3*tau (truncation slack)."""
     cfg = cfg or BarycenterConfig()
-    bx = barycenter(backend, xs, cfg)
-    by = barycenter(backend, ys, cfg)
-    left = backend.dist(bx, by)
-    right = min_matching_average(xs, ys, backend.dist)
+    bx = barycenter(xs, cfg)
+    by = barycenter(ys, cfg)
+    left = linf_dist(bx, by)
+    right = min_matching_average(xs, ys)
     slack = 3 * cfg.tau
     if left <= right + slack:
         return PropertyReport(HOLDS, certificate={"left": left, "right": right})
@@ -203,17 +145,12 @@ class Isometry:
         return tuple(p[self.perm[k]] + self.shift[k] for k in range(len(self.perm)))
 
 
-def equivariance_check(
-    backend: BicombingBackend,
-    iso: Isometry,
-    xs: Sequence[Point],
-    cfg: BarycenterConfig | None = None,
-):
+def equivariance_check(iso: Isometry, xs: Sequence[Point], cfg: BarycenterConfig | None = None):
     """d(iso(bar(xs)), bar(iso(xs))) <= 2*tau."""
     cfg = cfg or BarycenterConfig()
-    direct = iso.apply(barycenter(backend, xs, cfg))
-    mapped = barycenter(backend, tuple(iso.apply(p) for p in xs), cfg)
-    gap = backend.dist(direct, mapped)
+    direct = iso.apply(barycenter(xs, cfg))
+    mapped = barycenter(tuple(iso.apply(p) for p in xs), cfg)
+    gap = linf_dist(direct, mapped)
     verdict = HOLDS if gap <= 2 * cfg.tau else REFUTED
     return PropertyReport(verdict, certificate={"gap": gap})
 
@@ -277,10 +214,9 @@ def ip_lift(
     for subset in combinations(range(n + 1), k):
         if balls_box(tuple(balls[i] for i in subset)).first_empty_coordinate() is not None:
             raise KSubfamilyEmpty(f"k-subfamily {subset} has empty intersection")
-    backend = linf_backend(balls[0].dim)
     omega = list(combinations(range(n + 1), n - 1))
     reach = ip_reach(balls, k)
-    iterates = [barycenter(backend, tuple(b.center for b in balls), cfg)]
+    iterates = [barycenter(tuple(b.center for b in balls), cfg)]
     R_j = reach(iterates[0])
     for j in range(rounds):
         if R_j == 0:
@@ -290,7 +226,7 @@ def ip_lift(
             oracle.ask(tuple(balls[i] for i in alpha) + (window,), Fraction(0), call)
             for call, alpha in enumerate(omega, j * len(omega))
         ]
-        iterates.append(barycenter(backend, tuple(witnesses), cfg))
+        iterates.append(barycenter(tuple(witnesses), cfg))
         R_j = reach(iterates[-1])
     trace = RefinementTrace(
         "ip-lift", tuple(iterates), LinfBallFamily(balls), aux={"eps": params.eps, "k": k, "tau": cfg.tau}

@@ -22,7 +22,6 @@ from .barycenter import (
     default_ip_eps,
     ip_lift,
     ip_threshold,
-    linf_backend,
 )
 from .errors import HyperballError, InternalError
 from .io import ValidationError, canonical_dumps, parse_instance
@@ -245,9 +244,7 @@ def cmd_barycenter(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind != "points":
         raise ValidationError("barycenter needs a points instance")
-    points = payload
-    backend = linf_backend(len(points[0]))
-    result = barycenter(backend, points, _config(args))
+    result = barycenter(payload, _config(args))
     report["checks"].append(
         {"name": "barycenter", "verdict": HOLDS, "point": result}
     )

@@ -1,6 +1,7 @@
 """Instance files and report serialization.
 
-All rationals travel as "p/q" strings; floats are rejected at parse time.
+All rationals travel as "p/q" strings; floats are rejected at parse time,
+and so are a bool, float or string where a count or index is due.
 ``canonical_dumps`` fixes key order and layout so that identical inputs and
 seeds yield byte-identical artifacts (reports exclude their timing field
 from that guarantee).
@@ -101,6 +102,12 @@ def _rational(value: Any) -> Fraction:
         raise ParseError(str(exc)) from exc
 
 
+def _integer(value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _point(values: Any) -> Point:
     if not isinstance(values, list):
         raise ParseError("point must be a list of rationals")
@@ -124,7 +131,7 @@ def parse_polyhedron(data: Any) -> HPolyhedron:
             (tuple(_rational(c) for c in row["a"]), _rational(row["b"]))
             for row in data["rows"]
         )
-        return HPolyhedron(int(data["dim"]), rows)
+        return HPolyhedron(_integer(data["dim"]), rows)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -193,8 +200,8 @@ def _parse_object(data: dict):
                 tuple(_rational(w) for w in data["weights"]) if "weights" in data else None
             )
             graph = GraphInstance(
-                int(data["n"]),
-                tuple((int(u), int(v)) for u, v in data["edges"]),
+                _integer(data["n"]),
+                tuple((_integer(u), _integer(v)) for u, v in data["edges"]),
                 weights,
             )
         except ValueError as exc:
@@ -211,7 +218,7 @@ def _parse_object(data: dict):
         halfspaces = tuple(parse_polyhedron(h["polyhedron"]) for h in data["halfspaces"])
         witnesses = tuple(_point(w) for w in data["witnesses"])
         try:
-            return "helly", HellyInstance(int(data["dim"]), halfspaces, witnesses)
+            return "helly", HellyInstance(_integer(data["dim"]), halfspaces, witnesses)
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
     if kind == "triple":
@@ -232,7 +239,7 @@ def _parse_object(data: dict):
         return "points", points
     if kind == "ip":
         return "ip", {
-            "k": int(data["k"]),
+            "k": _integer(data["k"]),
             "eps": _rational(data["eps"]) if "eps" in data else None,
             "balls": tuple(parse_ball(item["ball"]) for item in data["balls"]),
         }

@@ -17,7 +17,6 @@ from hyperball.barycenter import (
     barycenter,
     ip_lift,
     ip_threshold,
-    linf_backend,
     min_matching_average,
 )
 from hyperball.convexity import distance_convexity_check
@@ -203,24 +202,22 @@ def test_criterion_03_modularity_fixtures():
 
 
 def test_criterion_04_barycenter_contract():
-    backend_cache = {d: linf_backend(d) for d in (1, 2, 3)}
     ok = True
     for i in range(100):
         rng = SplitMix64(derive_seed(40, i))
         dim = rng.randint(1, 3)
         m = rng.randint(1, 5)
-        be = backend_cache[dim]
         mk = lambda: tuple(Fraction(rng.randint(-80, 80), 8) for _ in range(dim))
         xs = tuple(mk() for _ in range(m))
         ys = tuple(mk() for _ in range(m))
-        bx = barycenter(be, xs, CFG)  # raises NoConvergence past 200 rounds
+        bx = barycenter(xs, CFG)  # raises NoConvergence past 200 rounds
         ok &= linf_dist(bx, mean_point(xs)) <= TAU
-        by = barycenter(be, ys, CFG)
-        ok &= linf_dist(bx, by) <= min_matching_average(xs, ys, be.dist) + 3 * TAU
+        by = barycenter(ys, CFG)
+        ok &= linf_dist(bx, by) <= min_matching_average(xs, ys) + 3 * TAU
         perm = tuple(rng.shuffled(list(range(dim))))
         shift = tuple(Fraction(rng.randint(-8, 8)) for _ in range(dim))
         iso = Isometry(perm, shift)
-        mapped = barycenter(be, tuple(iso.apply(p) for p in xs), CFG)
+        mapped = barycenter(tuple(iso.apply(p) for p in xs), CFG)
         ok &= linf_dist(iso.apply(bx), mapped) <= 2 * TAU
         if not ok:
             break

@@ -7,7 +7,6 @@ import pytest
 from hyperball.barycenter import (
     MAX_ROUNDS,
     BarycenterConfig,
-    BicombingBackend,
     ContractionNotGuaranteed,
     Isometry,
     KSubfamilyEmpty,
@@ -19,10 +18,9 @@ from hyperball.barycenter import (
     equivariance_check,
     ip_lift,
     ip_threshold,
-    linf_backend,
     min_matching_average,
 )
-from hyperball.errors import HyperballError
+from hyperball.errors import DimMismatch, HyperballError
 from hyperball.linf import Ball, balls_box, linf_dist, mean_point, sigma
 from hyperball.refine import (
     EpsOracle, KTooSmall, OracleFailure, exact_subset_oracle, ip_constants, ip_reach, verify_trace,
@@ -35,41 +33,65 @@ CFG = BarycenterConfig()
 
 
 def test_barycenter_trivial_sizes():
-    be = linf_backend(1)
-    assert barycenter(be, (pt(7),), CFG) == pt(7)
-    assert barycenter(be, (pt(0), pt(1)), CFG) == pt(F(1, 2))
+    assert barycenter((pt(7),), CFG) == pt(7)
+    assert barycenter((pt(0), pt(1)), CFG) == pt(F(1, 2))
 
 
 def test_barycenter_three_on_line_converges_to_mean():
-    be = linf_backend(1)
-    result = barycenter(be, (pt(0), pt(1), pt(2)), CFG)
+    result = barycenter((pt(0), pt(1), pt(2)), CFG)
     assert linf_dist(result, pt(1)) <= CFG.tau
 
 
+@pytest.mark.parametrize("points", [
+    (pt(0, 1), pt(2)),
+    (pt(0, 1), pt(2), pt(3, 4)),
+    (pt(0, 1), pt(3, 4), pt(5, 6), pt(2)),
+], ids=["m=2", "m=3", "m=4-last"])
+def test_barycenter_rejects_points_of_different_dims(points):
+    with pytest.raises(DimMismatch):
+        barycenter(points, CFG)
+
+
+def _barycenter_pointwise_reference(pts, tau):
+    """The definition itself: every sub-barycenter is computed by recursion
+    with a tolerance 2^9 times finer, the midpoint at m = 2."""
+    m = len(pts)
+    if m == 1:
+        return pts[0]
+    if m == 2:
+        return sigma(pts[0], pts[1], Fraction(1, 2))
+    current = pts
+    for _ in range(MAX_ROUNDS):
+        if max(linf_dist(p, q) for p, q in combinations(current, 2)) * 2 <= tau:
+            return current[0]
+        current = tuple(_barycenter_pointwise_reference(current[:i] + current[i + 1:], tau / (1 << 9))
+                        for i in range(m))
+    raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
+
+
 def test_barycenter_weight_and_pointwise_paths_agree():
-    be = linf_backend(2)
     points = (pt(0, 0), pt(3, 1), pt(-1, 4), pt(2, -2))
-    fast = barycenter(be, points, CFG)
-    slow = barycenter(BicombingBackend(2, sigma, linf_dist), points, CFG)
+    fast = barycenter(points, CFG)
+    slow = _barycenter_pointwise_reference(points, CFG.tau)
     assert linf_dist(fast, slow) <= 2 * CFG.tau
     assert linf_dist(fast, mean_point(points)) <= CFG.tau
 
 
-def _barycenter_weights_reference(backend, pts, tau):
-    """The Fraction iteration _barycenter_weights replaced (m >= 3)."""
-    m = len(pts)
+def _barycenter_weights_reference(pts, tau):
+    """The Fraction iteration the integer numerators replaced (m >= 3)."""
+    m, dim = len(pts), len(pts[0])
     current = pts
     prev_diam = None
     for _ in range(MAX_ROUNDS):
-        diam = max((backend.dist(p, q) for p, q in combinations(current, 2)), default=F(0))
+        diam = max((linf_dist(p, q) for p, q in combinations(current, 2)), default=F(0))
         if prev_diam is not None and diam > prev_diam:
             raise HyperballError("leave-one-out round increased the diameter")
         prev_diam = diam
         if diam * 2 <= tau:
             return current[0]
         share = Fraction(1, m - 1)
-        sums = tuple(sum((p[k] for p in current), Fraction(0)) for k in range(backend.dim))
-        current = tuple(tuple((sums[k] - p[k]) * share for k in range(backend.dim))
+        sums = tuple(sum((p[k] for p in current), Fraction(0)) for k in range(dim))
+        current = tuple(tuple((sums[k] - p[k]) * share for k in range(dim))
                         for p in current)
     raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
 
@@ -85,61 +107,61 @@ def test_barycenter_weights_match_the_fraction_iteration():
                     for _ in range(m))
         tau = taus[seed % len(taus)]
         try:
-            expected = _barycenter_weights_reference(linf_backend(dim), pts, tau)
+            expected = _barycenter_weights_reference(pts, tau)
         except NoConvergence:
             expected = NoConvergence
         if expected is NoConvergence:
             with pytest.raises(NoConvergence):
-                barycenter(linf_backend(dim), pts, BarycenterConfig(tau))
+                barycenter(pts, BarycenterConfig(tau))
         else:
-            assert barycenter(linf_backend(dim), pts, BarycenterConfig(tau)) == expected, seed
+            assert barycenter(pts, BarycenterConfig(tau)) == expected, seed
 
 
 def test_barycenter_pointwise_size_guard():
-    be = linf_backend(1)
+    # the weight iteration takes a tuple of any size
     points = tuple(pt(i) for i in range(7))
-    with pytest.raises(TupleTooLarge):
-        barycenter(BicombingBackend(1, sigma, linf_dist), points, CFG)
-    # the weight path handles the same tuple
-    assert linf_dist(barycenter(be, points, CFG), mean_point(points)) <= CFG.tau
+    assert linf_dist(barycenter(points, CFG), mean_point(points)) <= CFG.tau
 
 
 def test_contraction_check_identity_and_permutation():
-    be = linf_backend(2)
     xs = (pt(0, 0), pt(2, 1), pt(-1, 3))
-    assert barycenter_contraction_check(be, xs, xs, CFG).holds
+    assert barycenter_contraction_check(xs, xs, CFG).holds
     ys = (xs[2], xs[0], xs[1])
-    report = barycenter_contraction_check(be, xs, ys, CFG)
+    report = barycenter_contraction_check(xs, ys, CFG)
     assert report.holds
     assert report.certificate["right"] == 0  # permutation matches at zero cost
 
 
 def test_contraction_check_random_tuples():
-    be = linf_backend(3)
     for seed in range(25):
         rng = SplitMix64(seed)
         m = rng.randint(2, 4)
         mk = lambda: tuple(Fraction(rng.randint(-40, 40), 4) for _ in range(3))
         xs = tuple(mk() for _ in range(m))
         ys = tuple(mk() for _ in range(m))
-        assert barycenter_contraction_check(be, xs, ys, CFG).holds
+        assert barycenter_contraction_check(xs, ys, CFG).holds
 
 
 def test_matching_minimum_size_guard():
-    be = linf_backend(1)
     xs = tuple(pt(i) for i in range(9))
     with pytest.raises(TupleTooLarge):
-        min_matching_average(xs, xs, be.dist)
+        min_matching_average(xs, xs)
+
+
+def test_matching_minimum_of_no_points_is_a_value_error():
+    with pytest.raises(ValueError, match="no points"):
+        min_matching_average((), ())
+    with pytest.raises(ValueError, match="different sizes"):
+        min_matching_average((pt(0),), ())
 
 
 def test_equivariance_translation_and_permutation():
-    be = linf_backend(3)
     xs = (pt(1, 2, 3), pt(4, 0, -2), pt(-3, 5, 1), pt(2, 2, 2))
     translation = Isometry((0, 1, 2), (F(1), F(1), F(1)))
     permutation = Isometry((2, 0, 1), (F(0), F(0), F(0)))
     both = Isometry((2, 0, 1), (F(1), F(-2), F(3)))
     for iso in (translation, permutation, both):
-        report = equivariance_check(be, iso, xs, CFG)
+        report = equivariance_check(iso, xs, CFG)
         assert report.holds
         assert report.certificate["gap"] == 0  # linear selection commutes exactly
 

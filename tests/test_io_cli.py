@@ -60,6 +60,30 @@ def test_float_rejected(tmp_path):
         parse_instance(path)
 
 
+_HALF = {"polyhedron": {"dim": 1, "rows": [{"a": ["1/1"], "b": "0/1"}]}}
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"type": "graph", "n": 3.9, "edges": [[0, 1]]},
+        {"type": "graph", "n": 3, "edges": [[0.7, 1]]},
+        {"type": "graph", "n": 3, "edges": [[True, 0]]},
+        {"type": "graph", "n": "3", "edges": [[0, 1]]},
+        {"type": "ip", "k": 2.9, "balls": []},
+        {"type": "ip", "k": True, "balls": []},
+        {"polyhedron": {"dim": 2.5, "rows": [{"a": ["1/1", "1/1"], "b": "0/1"}]}},
+        {"type": "helly", "dim": 2.5, "halfspaces": [_HALF], "witnesses": []},
+    ],
+    ids=["graph-n-float", "edge-float", "edge-bool", "graph-n-string", "ip-k-float", "ip-k-bool",
+         "polyhedron-dim-float", "helly-dim-float"],
+)
+def test_integer_fields_take_a_json_integer_only(tmp_path, instance):
+    """A count, dimension or edge end is never truncated or read from a bool."""
+    with pytest.raises(ParseError, match="expected an integer"):
+        parse_instance(write(tmp_path, "i.json", instance))
+
+
 def test_polyhedron_and_ball_wire_format(tmp_path):
     path = write(
         tmp_path,
@@ -347,10 +371,13 @@ BOX = {"box": {"lo": ["0/1", "0/1"], "hi": ["1/1", "1/1"]}}
         (["refine", "--instance", "{file}", "--scheme", "chain-walk"],
          {"type": "chain", "sets": [BOX, None], "x": ["0/1", "0/1"], "y": ["1/1", "1/1"],
           "r": "1/1", "eps": "1/4", "delta": "1/8"}),
+        (["barycenter", "--instance", "{file}"],
+         {"type": "points", "points": [["0/1", "1/1"], ["2/1"], ["3/1", "4/1"]]}),
+        (["check", "--instance", "{file}"], {"type": "graph", "n": 2.5, "edges": [[0, 1]]}),
     ],
     ids=["missing-file", "level-1", "family-without-balls", "empty-points", "balls-not-a-list",
          "triple-without-x0", "ip-k-above-n", "family-not-admissible", "refute-family-without-subset",
-         "triple-null-set", "chain-null-set"],
+         "triple-null-set", "chain-null-set", "points-of-different-dims", "graph-n-float"],
 )
 def test_cli_bad_input_is_a_usage_error_without_traceback(tmp_path, argv, instance):
     file = write(tmp_path, "instance.json", instance) if instance is not None else ""
@@ -394,6 +421,20 @@ def test_cli_negative_counts_are_usage_errors(capsys, argv, message):
     instances = SRC.parent / "bench" / "instances"
     assert main([arg.format(dir=instances) for arg in argv]) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_oracle_failure_on_a_subset_with_a_gap_exits_3(tmp_path, capsys):
+    """[0, 1] u [2, 3] is not externally hyperconvex: B(5/4, 1/4) and
+    B(7/4, 1/4) meet only at 3/2, in the gap, so the exact oracle of the
+    halving iteration has no point to return.  That is bad input, not a bug."""
+    member = lambda lo, hi: {"box": {"lo": [lo], "hi": [hi]}}
+    file = write(tmp_path, "gap.json", {
+        "type": "family",
+        "balls": [{"ball": {"center": ["5/4"], "r": "1/4"}}, {"ball": {"center": ["7/4"], "r": "1/4"}}],
+        "subset": {"union": [member("0/1", "1/1"), member("2/1", "3/1")]},
+    })
+    assert main(["refine", "--instance", file, "--scheme", "cauchy-halving"]) == 3
+    assert capsys.readouterr().err == "error: oracle contract violated at call 1: no point returned\n"
 
 
 def test_cli_refine_triple_34_through_polyhedra(tmp_path, capsys):

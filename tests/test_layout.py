@@ -1,6 +1,6 @@
 """Guards on where numpy and the SplitMix64 constants may live, on knobs
-that were removed (the refuter's ``arena`` and ``BarycenterConfig.max_rounds``
-among them), on each CLI subcommand taking only the flags it reads, on the
+that were removed (the refuter's ``arena``, ``BarycenterConfig.max_rounds``
+and the barycenter's backend object among them), on each CLI subcommand taking only the flags it reads, on the
 LP kernel and the oracle's ball tests staying in integers, on the
 refinement bounds living only in ``verify_trace`` (every refinement verdict
 included) and the oracle's ball count only in ``EpsOracle.ask``, on a
@@ -76,6 +76,19 @@ def test_refine_and_barycenter_have_no_dead_knob():
         assert "label" not in inspect.signature(fn).parameters, fn.__name__
     assert list(inspect.signature(refine.verify_trace).parameters) == ["trace"]
     assert "pointwise" not in {f.name for f in fields(BarycenterConfig)}
+    # One barycenter, over the max norm: no backend object, no pointwise path.
+    from hyperball.barycenter import barycenter, min_matching_average
+
+    tree = ast.parse(_sources()["barycenter.py"])
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert not {"BicombingBackend", "linf_backend", "_barycenter_pointwise"} & defined
+    assert list(inspect.signature(barycenter).parameters) == ["points", "cfg"]
+    assert list(inspect.signature(min_matching_average).parameters) == ["xs", "ys"]
+    called = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(barycenter)))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "linf_dist" not in called
 
 
 def test_refuter_setup_has_no_dead_knob():
