@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import lcm
+from itertools import combinations
+from math import inf, lcm
 from typing import Sequence
 
 from .errors import DimMismatch, HyperballError
@@ -30,10 +30,6 @@ from .reports import HOLDS, REFUTED, PropertyReport
 
 class NoConvergence(HyperballError):
     """The leave-one-out iteration exceeded its round budget."""
-
-
-class TupleTooLarge(HyperballError):
-    """Exhaustive permutation matching is limited to small tuples."""
 
 
 class ContractionNotGuaranteed(HyperballError):
@@ -102,20 +98,62 @@ def barycenter(points: Sequence[Point], cfg: BarycenterConfig | None = None) -> 
 
 
 def min_matching_average(xs: Sequence[Point], ys: Sequence[Point]) -> Fraction:
-    """min over permutations of (1/m) sum d(x_i, y_pi(i)); exhaustive, 1 <= m <= 8."""
+    """min over permutations pi of (1/m) sum d(x_i, y_pi(i)), m >= 1, as an
+    assignment problem: the m x m distances, built once as integers over
+    the common denominator Q of every coordinate, go to `_assignment_minimum`.
+    Points of different dims raise ``DimMismatch``."""
     if len(xs) != len(ys):
         raise ValueError("tuples of different sizes")
     m = len(xs)
     if not m:
         raise ValueError("matching of no points")
-    if m > 8:
-        raise TupleTooLarge("matching minimum enumerates m! permutations, m <= 8")
-    best = None
-    for pi in permutations(range(m)):
-        cost = sum((linf_dist(xs[i], ys[pi[i]]) for i in range(m)), Fraction(0))
-        if best is None or cost < best:
-            best = cost
-    return best / m
+    dim = len(xs[0])
+    for p in (*xs, *ys):
+        if len(p) != dim:
+            raise DimMismatch(f"points of dim {dim} and {len(p)}")
+    Q = lcm(*(v.denominator for p in (*xs, *ys) for v in p))
+    X = [[v.numerator * (Q // v.denominator) for v in p] for p in xs]
+    Y = [[v.numerator * (Q // v.denominator) for v in p] for p in ys]
+    cost = [[max((abs(a - b) for a, b in zip(x, y)), default=0) for y in Y] for x in X]
+    return Fraction(_assignment_minimum(cost), Q * m)
+
+
+def _assignment_minimum(cost: list[list[int]]) -> int:
+    """min over permutations pi of sum_i cost[i][pi(i)], by the Hungarian
+    method (Kuhn 1955; Munkres 1957) in O(m^3) integer steps.  Potentials
+    u (rows) and v (columns) keep cost[i][j] >= u[i] + v[j], with equality
+    on matched pairs; each row in turn joins along a shortest augmenting
+    path from it, found Dijkstra-style on the reduced costs.  Column 0 is
+    the path's root, and ``row_of[j]`` is the row matched to column j
+    (rows and columns count from 1, 0 for none)."""
+    m = len(cost)
+    u, v, row_of = [0] * (m + 1), [0] * (m + 1), [0] * (m + 1)
+    for i in range(1, m + 1):
+        row_of[0], j0 = i, 0
+        slack, prev, reached = [inf] * (m + 1), [0] * (m + 1), [False] * (m + 1)
+        while row_of[j0]:  # column j0 is matched: grow the tree from its row
+            reached[j0] = True
+            i0, delta, j1 = row_of[j0], inf, 0
+            row = cost[i0 - 1]
+            for j in range(1, m + 1):
+                if not reached[j]:
+                    reduced = row[j - 1] - u[i0] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], prev[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(m + 1):
+                if reached[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # augment: shift the matching back along the path
+            j1 = prev[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    return sum(cost[row_of[j] - 1][j - 1] for j in range(1, m + 1))
 
 
 def barycenter_contraction_check(

@@ -23,8 +23,10 @@ Distances reuse optimal bases.  Only the right-hand side of the distance LP
 depends on the point, so one optimal basis gives one affine piece of the
 distance, and a polyhedron keeps the bases it has met (``_dist_at``).  A
 kept piece answers only after the witness and dual checks above pass on
-the point's own rows; a piece that fails them is not an error, and a fresh
-LP runs instead.  A nearest point always comes from a fresh LP.
+the point's own rows: p's cached integer rows and the linking rows, read
+in place (``_piece_vertex``).  A piece that fails them is not an error;
+the LP's rows are built and a fresh LP runs instead.  A nearest point
+always comes from a fresh LP.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DimMismatch, EmptySet, InternalError
@@ -523,25 +525,21 @@ def _dist_at(p: HPolyhedron, q: int, X: Sequence[int]) -> Fraction:
     sides linear in the parameters (q, X).  An optimal basis thus gives the
     vertex D.w = W.(q, X) at every point, with duals y and D that do not
     depend on it (multiparametric LP): one affine piece of the distance.
-    ``p._pieces`` keeps up to _PIECE_CAP.  A piece answers only if its
-    vertex passes the witness check and its duals the dual check on the
-    point's own rows, which proves it optimal there; else a fresh LP runs
-    and its basis is kept.  Only pieces whose dual bound at the point is
-    the largest are tried: by weak duality no other can pass both checks."""
+    ``p._pieces`` keeps up to _PIECE_CAP.  A piece answers only if
+    `_piece_vertex` finds it optimal at the point, by the witness and dual
+    checks on p's rows and the linking rows read in place; else the LP's
+    rows are built, a fresh LP runs and its basis is kept.  Only pieces
+    whose dual bound at the point is the largest are tried: by weak
+    duality no other can pass both checks."""
     if all(_dot(a, X) <= b * q for _, a, b in p._integer_rows):
         return Fraction(0)
-    rows = _distance_rows(p, [(1, v) for v in X], q)
     params = (q, *X)
-    cost = (1,) + (0,) * p.dim
     pieces = p._pieces  # never changed in place: a miss publishes a new dict
     for W, y, D, _ in _best_bounds(pieces.values(), params):
-        w = [_dot(row, params) for row in W]
-        try:
-            _verify_witness(rows, w, D)
-            _verify_dual(rows, cost, y, D, w)
-        except LPKernelError:
-            continue  # the vertex left the rows here, or the piece is corrupt
-        return Fraction(w[0], D * q)
+        w = _piece_vertex(p, params, W, y, D)  # None: the vertex left the rows, or a corrupt piece
+        if w is not None:
+            return Fraction(w[0], D * q)
+    rows = _distance_rows(p, [(1, v) for v in X], q)
     _, value, _, (key, rates, y, D) = _distance_lp(p, rows, basis=True)
     W = [_per_parameter(p, [rate[i] for rate in rates]) for i in range(p.dim + 1)]
     g = _per_parameter(p, y)  # the dual bound at the point is -g.(q, X)/(D.q)
@@ -552,6 +550,50 @@ def _dist_at(p: HPolyhedron, q: int, X: Sequence[int]) -> Fraction:
     kept = [item for item in pieces.items() if item[0] != key]
     p.__dict__["_pieces"] = dict([*kept, (key, (W, y, D, bound))][-_PIECE_CAP:])
     return value / q
+
+
+def _piece_vertex(p: HPolyhedron, params: Sequence[int], W: Sequence[Sequence[int]],
+                  y: Sequence[int], D: int) -> list[int] | None:
+    """The vertex D.w = W.params of a kept piece if the piece is optimal at
+    the point X/q, params (q, X), else None.  These are the checks that
+    `_verify_witness` and `_verify_dual` make on `_distance_rows(p, [(1,
+    X_k)], q)`, with p's rows and the linking rows -r +- a_k <= +-X_k read
+    in place, and w = (r, a):
+
+    * D > 0 and one multiplier y >= 0 per row, p's rows first;
+    * a'.a <= q.b'.D on p's rows and |a_k - X_k.D| <= r on the linking rows;
+    * y.A' = -D.c': the linking multipliers sum to D, and on each a_k the
+      column of p's rows cancels the two linking ones;
+    * -y.b(q, X) = r.
+
+    A dim-0 polyhedron keeps no piece, as its distance is 0 or it is empty,
+    so the pass refuses there."""
+    integer_rows, d = p._integer_rows, p.dim
+    m = len(integer_rows)
+    if D <= 0 or not d or len(y) != m + 2 * d or min(y) < 0:
+        return None
+    q, X = params[0], params[1:]
+    w = [sum(map(mul, row, params)) for row in W]
+    r, a = w[0], w[1:]
+    qD = q * D
+    for _, a_i, b in integer_rows:
+        if sum(map(mul, a_i, a)) > b * qD:
+            return None
+    for u, x in zip(a, X):
+        if abs(u - x * D) > r:
+            return None
+    up, down = y[m::2], y[m + 1::2]  # the multipliers of +a_k and of -a_k
+    if sum(up) + sum(down) != D:
+        return None
+    net = list(map(sub, up, down))  # y.A' on the a-columns, p's rows added below
+    bound = sum(map(mul, net, X))  # y.b(q, X)
+    for v, (_, a_i, b) in zip(y, integer_rows):
+        if v:
+            net = [t + v * c for t, c in zip(net, a_i)]
+            bound += v * b * q
+    if any(net) or bound != -r:
+        return None
+    return w
 
 
 def _per_parameter(p: HPolyhedron, values: Sequence[int]) -> list[int]:
@@ -582,7 +624,10 @@ def dists_along_segment(p: HPolyhedron, x: Point, y: Point, n: int,
     """The distance from x + (k/n)(y - x) to a non-empty polyhedron for each
     k in ks.  With x = X/q and y = Y/q that point is (n.X + k.(Y - X))/(n.q),
     so each k asks `_dist_at` with no fraction to reduce, and the pieces
-    that one k solves serve the later ones."""
+    that one k solves serve the later ones.  n must be at least 1, so that
+    n.q > 0."""
+    if n < 1:
+        raise ValueError(f"segment steps n must be >= 1, got {n}")
     if len(x) != p.dim or len(y) != p.dim:
         raise DimMismatch("point dim does not match polyhedron dim")
     q, XY = _common_denominator((*x, *y))

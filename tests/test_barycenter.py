@@ -1,8 +1,10 @@
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperball.barycenter import (
     MAX_ROUNDS,
@@ -11,7 +13,6 @@ from hyperball.barycenter import (
     Isometry,
     KSubfamilyEmpty,
     NoConvergence,
-    TupleTooLarge,
     barycenter,
     barycenter_contraction_check,
     default_ip_eps,
@@ -142,10 +143,47 @@ def test_contraction_check_random_tuples():
         assert barycenter_contraction_check(xs, ys, CFG).holds
 
 
-def test_matching_minimum_size_guard():
-    xs = tuple(pt(i) for i in range(9))
-    with pytest.raises(TupleTooLarge):
-        min_matching_average(xs, xs)
+def _matching_reference(xs, ys):
+    """The matching minimum by walking all m! permutations."""
+    m = len(xs)
+    best = None
+    for pi in permutations(range(m)):
+        cost = sum((linf_dist(xs[i], ys[pi[i]]) for i in range(m)), Fraction(0))
+        if best is None or cost < best:
+            best = cost
+    return best / m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 3), st.sampled_from([1, 3, 8]), st.integers(0, 100_000))
+def test_matching_minimum_matches_the_permutation_walk(m, dim, spread, seed):
+    # A small spread makes many equal distances, so ties are common.
+    rng = SplitMix64(seed)
+    mk = lambda: tuple(Fraction(rng.randint(-spread, spread), rng.randint(1, 4)) for _ in range(dim))
+    xs = tuple(mk() for _ in range(m))
+    ys = tuple(mk() for _ in range(m))
+    assert min_matching_average(xs, ys) == _matching_reference(xs, ys)
+
+
+def test_matching_minimum_has_no_size_cap():
+    xs = tuple(pt(i, -i) for i in range(40))
+    assert min_matching_average(xs, xs[::-1]) == 0
+    assert min_matching_average(xs, tuple(pt(i + F(1, 3), 1 - i) for i in range(40))) == 1
+
+
+def test_contraction_check_at_forty_points():
+    rng = SplitMix64(40)
+    mk = lambda: tuple(Fraction(rng.randint(-80, 80), 8) for _ in range(3))
+    xs = tuple(mk() for _ in range(40))
+    ys = tuple(mk() for _ in range(40))
+    report = barycenter_contraction_check(xs, ys, CFG)
+    assert report.holds
+    assert 0 < report.certificate["right"] <= max(linf_dist(x, y) for x, y in zip(xs, ys))
+
+
+def test_matching_minimum_of_points_of_different_dims_raises():
+    with pytest.raises(DimMismatch, match="points of dim 2 and 1"):
+        min_matching_average((pt(0, 0), pt(1, 1)), (pt(1, 1), pt(0)))
 
 
 def test_matching_minimum_of_no_points_is_a_value_error():

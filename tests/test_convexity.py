@@ -207,8 +207,11 @@ def test_segment_distances_to_an_empty_polyhedron_raise_with_farkas_on_its_rows(
 
 def test_one_affine_piece_costs_one_lp_and_every_time_is_verified(monkeypatch):
     # From (3, 1/2) to (5, 1/2) the distance to the unit square is 2 + 2t.
+    # The first time is checked by the LP's own dual check, each later one
+    # by a kept piece's check; both are recorded by the right-hand sides of
+    # the distance LP's rows at that time.
     solves, duals = [], []
-    real_solve, real_dual = lp._solve, lp._verify_dual
+    real_solve, real_dual, real_piece = lp._solve, lp._verify_dual, lp._piece_vertex
 
     def solve(*args, **kwargs):
         solves.append(args)
@@ -218,10 +221,29 @@ def test_one_affine_piece_costs_one_lp_and_every_time_is_verified(monkeypatch):
         duals.append(tuple(b for _, _, b in rows))
         return real_dual(rows, *args)
 
+    def piece(p, params, *args):
+        rows = lp._distance_rows(p, [(1, v) for v in params[1:]], params[0])
+        duals.append(tuple(b for _, _, b in rows))
+        return real_piece(p, params, *args)
+
     monkeypatch.setattr(lp, "_solve", solve)
     monkeypatch.setattr(lp, "_verify_dual", dual)
+    monkeypatch.setattr(lp, "_piece_vertex", piece)
     poly = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
     along = poly.dists_along(pt(3, F(1, 2)), pt(5, F(1, 2)), N, range(N + 1))
     assert along == {k: 2 + F(2 * k, N) for k in range(N + 1)}
     assert len(solves) == 1
     assert len(set(duals)) == len(duals) == N + 1  # each time on its own rows
+
+
+@pytest.mark.parametrize("n", [0, -1, -4])
+def test_segment_steps_below_one_raise_before_any_lp(n, monkeypatch):
+    # Time k/n needs n >= 1: n = 0 would put every point at q = 0, and read
+    # d((3, 1/2), square) = 2 as 0; n < 0 would reach the kernel with a
+    # negative denominator.
+    solves, real_solve = [], lp._solve
+    monkeypatch.setattr(lp, "_solve", lambda *args, **kw: solves.append(args) or real_solve(*args, **kw))
+    poly = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
+    with pytest.raises(ValueError, match=f"^segment steps n must be >= 1, got {n}$"):
+        poly.dists_along(pt(3, F(1, 2)), pt(5, F(1, 2)), n, [0])
+    assert not solves and not poly._pieces

@@ -702,6 +702,100 @@ def test_a_corrupt_piece_never_changes_an_answer(corrupt, monkeypatch):
         monkeypatch.undo()
 
 
+def _fresh_piece(p, params):
+    """(W, y, D) of the distance LP's optimal basis at the point X/q, params
+    (q, X), built as `_dist_at` keeps it."""
+    from hyperball import lp
+
+    rows_ = lp._distance_rows(p, [(1, v) for v in params[1:]], params[0])
+    _, _, _, (_, rates, y, D) = lp._distance_lp(p, rows_, basis=True)
+    return [lp._per_parameter(p, [rate[i] for rate in rates]) for i in range(p.dim + 1)], y, D
+
+
+def _generic_vertex(p, params, W, y, D):
+    """The vertex W.params if the generic witness and dual checks pass on
+    the distance LP's rows at the point, else None."""
+    from hyperball import lp
+
+    rows_ = lp._distance_rows(p, [(1, v) for v in params[1:]], params[0])
+    w = [lp._dot(row, params) for row in W]
+    try:
+        lp._verify_witness(rows_, w, D)
+        lp._verify_dual(rows_, (1,) + (0,) * p.dim, y, D, w)
+    except lp.LPKernelError:
+        return None
+    return w
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 100_000))
+def test_a_piece_passes_in_place_exactly_when_it_passes_the_generic_checks(seed):
+    from hyperball import lp
+    from hyperball.rng import SplitMix64
+
+    rng = SplitMix64(seed)
+    d = rng.randint(1, 3)
+    p = HPolyhedron(d, tuple(
+        (tuple(F(rng.randint(-3, 3)) for _ in range(d)), F(rng.randint(-4, 8), rng.randint(1, 3)))
+        for _ in range(rng.randint(1, 5))) + rows(*[((0,) * d, 0)] * rng.randint(0, 1)))
+
+    def point():
+        return tuple(F(rng.randint(-40, 40), rng.randint(1, 6)) for _ in range(d))
+
+    def params_of(x):
+        q, X = lp._common_denominator(x)
+        return (q, *X)
+
+    # A piece solved inside p has r = 0 there, where only the count of the
+    # linking multipliers tells a doubled y from the LP's.
+    witness = p.witness()
+    at = witness if witness is not None and rng.randint(0, 3) == 0 else point()
+    solved = params_of(at)
+    try:
+        W, y, D = _fresh_piece(p, solved)
+    except EmptySet:
+        return
+    i, k = rng.randint(0, d), rng.randint(0, d)
+    j = rng.randint(0, len(y) - 1)
+    pieces = [
+        (W, y, D),
+        ([[v + (r == i and c == k) * rng.choice([-1, 1]) for c, v in enumerate(row)]
+          for r, row in enumerate(W)], y, D),  # one W entry
+        (W, tuple(v + (c == j) * rng.choice([-1, 1]) for c, v in enumerate(y)), D),  # one y entry
+        (W, y, D + 1),
+        (W, y, -D),
+        (W, tuple(2 * v for v in y), D),
+    ]
+    nearby = tuple(v + F(rng.randint(-2, 2), 8) for v in at)
+    params = [solved, (3 * solved[0], *(3 * v for v in solved[1:]))]
+    params += [params_of(x) for x in (nearby, point(), point(), point())]
+    assert lp._piece_vertex(p, solved, W, y, D) == _generic_vertex(p, solved, W, y, D) is not None
+    for piece in pieces:
+        for at_params in params:
+            assert lp._piece_vertex(p, at_params, *piece) == _generic_vertex(p, at_params, *piece), (
+                p, at_params, piece)
+
+
+def test_a_dim_0_polyhedron_keeps_no_piece():
+    """Its distance is 0 or it is empty, so no distance LP keeps a basis, and
+    the in-place pass refuses even the piece of its LP's one row r >= 0."""
+    from hyperball import lp
+
+    for p, empty in ((HPolyhedron(0, ()), False), (HPolyhedron(0, rows(((), 2))), False),
+                     (HPolyhedron(0, rows(((), -1))), True)):
+        for _ in range(2):
+            if empty:
+                with pytest.raises(EmptySet):
+                    p.dist(())
+                with pytest.raises(EmptySet):
+                    p.dists_along((), (), 4, range(5))
+            else:
+                assert p.dist(()) == 0
+                assert p.dists_along((), (), 4, range(5)) == dict.fromkeys(range(5), 0)
+        assert not p._pieces
+    assert lp._piece_vertex(HPolyhedron(0, ()), (1,), [[0]], (1,), 1) is None
+
+
 def test_kept_pieces_stay_within_the_cap(monkeypatch):
     import random
 
@@ -720,6 +814,7 @@ def test_kept_pieces_stay_within_the_cap(monkeypatch):
 
 
 def test_replaying_a_block_of_pool_segments_runs_no_lp(monkeypatch):
+    from hyperball import lp
     from hyperball.convexity import distance_convexity_check
 
     workload = _lp_repeat(monkeypatch, 11)
@@ -727,12 +822,13 @@ def test_replaying_a_block_of_pool_segments_runs_no_lp(monkeypatch):
     segments = [(poly, tuple(F(rng.randint(-80, 80), 8) for _ in range(poly.dim)),
                  tuple(F(rng.randint(-80, 80), 8) for _ in range(poly.dim)))
                 for poly in workload.pool]
-    solves = _solves(monkeypatch)
+    solves, built, real_rows = _solves(monkeypatch), [], lp._distance_rows
+    monkeypatch.setattr(lp, "_distance_rows", lambda *args: built.append(args) or real_rows(*args))
     first = [distance_convexity_check(*segment) for segment in segments]
-    assert solves  # a cold pool solves its pieces
-    del solves[:]
+    assert solves and built  # a cold pool builds the LP's rows and solves its pieces
+    del solves[:], built[:]
     assert [distance_convexity_check(*segment) for segment in segments] == first
-    assert not solves
+    assert not solves and not built  # a hit is checked without building the rows
 
 
 def test_the_window_is_computed_once_and_an_empty_one_raises_every_time(monkeypatch):
