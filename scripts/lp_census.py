@@ -4,21 +4,25 @@ feasibility and minimization systems (dims 2-6, 2-14 rows), Helly families
 (``helly_order_check`` on the optimal-order family at k = n and n + 1) and
 distance queries (``dist_to_polyhedron`` from points outside small
 polyhedra), distance-convexity checks (``distance_convexity_check``
-along segments, where an LP runs only when no optimal basis the
-polyhedron keeps passes the checks at a grid time) and the exact
-subset oracle (``almost_to_exact``, 40 iterations, on the ``lp-repeat``
-refinements of ``bench/workloads.py``; an oracle query runs a box search
-only when the last ball's center misses the subset or a ball).
+along segments: a stretch of grid times starts with a kept optimal basis
+that passes the checks at its first time, or else with an LP, and one
+basis answers every time between two times at which it passes) and the
+exact subset oracle (``almost_to_exact``, 40 iterations, on the
+``lp-repeat`` refinements of ``bench/workloads.py``; an oracle query runs
+a box search only when the last ball's center misses the subset or a
+ball).
 Each row prints the queries, the LPs run, LPs per query (per segment for
-the convexity check, per 40-iteration run for ``almost_to_exact``), rows
-per LP, pivots per query and per LP, integers stored per pivot (the
-tableau's and its objective rows' entries when the pivot starts) and the
-seconds spent in ``lp._solve``.
+the convexity check, per 40-iteration run for ``almost_to_exact``), kept
+piece checks (``lp._piece_vertex``) per query, rows per LP, pivots per
+query and per LP, integers stored per pivot (the tableau's and its
+objective rows' entries when the pivot starts) and the seconds spent in
+``lp._solve``.
 
-The counts come from wrapping ``lp._solve`` and ``lp._Tableau._pivot`` in
-this script; the library keeps no counters.  A first pass counts, a second
-pass, without the pivot wrapper, times.  Each pass builds the corpus anew,
-so both start on polyhedra that keep no distance piece or window."""
+The counts come from wrapping ``lp._solve``, ``lp._piece_vertex`` and
+``lp._Tableau._pivot`` in this script; the library keeps no counters.  A
+first pass counts, a second pass, without the pivot and check wrappers,
+times.  Each pass builds the corpus anew, so both start on polyhedra that
+keep no distance piece or window."""
 
 import argparse
 import pathlib
@@ -93,12 +97,13 @@ def _empty_is_none(query, *args):
 
 
 def census(seed, size):
-    """{caller: [queries, LPs, rows, pivots, stored integers, seconds in _solve]}."""
+    """{caller: [queries, LPs, rows, pivots, stored integers, seconds in
+    _solve, piece checks]}."""
     table = {}
     for caller, _ in corpus(seed, size):
-        table.setdefault(caller, [0, 0, 0, 0, 0, 0.0])[0] += 1
+        table.setdefault(caller, [0, 0, 0, 0, 0, 0.0, 0])[0] += 1
     current = [None]
-    real_solve, real_pivot = lp._solve, lp._Tableau._pivot
+    real_solve, real_pivot, real_check = lp._solve, lp._Tableau._pivot, lp._piece_vertex
 
     def counted_solve(rows, *args, **kwargs):
         table[current[0]][1] += 1
@@ -111,6 +116,10 @@ def census(seed, size):
         row[4] += sum(map(len, self.T)) + sum(map(len, objs))
         return real_pivot(self, objs, *rest)
 
+    def counted_check(*args):
+        table[current[0]][6] += 1
+        return real_check(*args)
+
     def timed_solve(*args, **kwargs):
         start = time.perf_counter()
         try:
@@ -118,13 +127,14 @@ def census(seed, size):
         finally:
             table[current[0]][5] += time.perf_counter() - start
 
+    passes = ((counted_solve, counted_pivot, counted_check), (timed_solve, real_pivot, real_check))
     try:
-        for solve, pivot in ((counted_solve, counted_pivot), (timed_solve, real_pivot)):
-            lp._solve, lp._Tableau._pivot = solve, pivot
+        for solve, pivot, check in passes:
+            lp._solve, lp._Tableau._pivot, lp._piece_vertex = solve, pivot, check
             for current[0], query in corpus(seed, size):  # a cold corpus for each pass
                 query()
     finally:
-        lp._solve, lp._Tableau._pivot = real_solve, real_pivot
+        lp._solve, lp._Tableau._pivot, lp._piece_vertex = real_solve, real_pivot, real_check
     return table
 
 
@@ -135,12 +145,12 @@ def main(argv=None):
                         help="systems per planted cell; scales every part of the corpus")
     args = parser.parse_args(argv)
     table = census(args.seed, args.size)
-    print(f"{'caller':<26}{'queries':>8}{'LPs':>7}{'LPs/q':>7}{'rows/LP':>9}{'pivots/q':>10}"
-          f"{'pivots/LP':>11}{'ints/pivot':>12}{'solve s':>10}")
-    for caller, (queries, lps, rows, pivots, ints, seconds) in table.items():
-        print(f"{caller:<26}{queries:>8}{lps:>7}{lps / queries:>7.2f}{rows / lps:>9.2f}"
-              f"{pivots / queries:>10.2f}{pivots / lps:>11.2f}{ints / max(pivots, 1):>12.1f}"
-              f"{seconds:>10.6f}")
+    print(f"{'caller':<26}{'queries':>8}{'LPs':>7}{'LPs/q':>7}{'checks/q':>10}{'rows/LP':>9}"
+          f"{'pivots/q':>10}{'pivots/LP':>11}{'ints/pivot':>12}{'solve s':>10}")
+    for caller, (queries, lps, rows, pivots, ints, seconds, checks) in table.items():
+        print(f"{caller:<26}{queries:>8}{lps:>7}{lps / queries:>7.2f}{checks / queries:>10.2f}"
+              f"{rows / lps:>9.2f}{pivots / queries:>10.2f}{pivots / lps:>11.2f}"
+              f"{ints / max(pivots, 1):>12.1f}{seconds:>10.6f}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .barycenter import (
     ip_threshold,
 )
 from .convexity import distance_convexity_check, sigma_convexity_check
-from .errors import DimMismatch, HyperballError, SizeCapExceeded
+from .errors import DimMismatch, HyperballError, InvalidArgument, SizeCapExceeded
 from .lab import (
     BoxUnion,
     FiniteBallFamily,

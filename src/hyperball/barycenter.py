@@ -21,7 +21,7 @@ from itertools import combinations
 from math import inf, lcm
 from typing import Sequence
 
-from .errors import DimMismatch, HyperballError
+from .errors import DimMismatch, HyperballError, InvalidArgument
 from .lab import LinfBallFamily
 from .linf import Ball, Point, balls_box, linf_dist, sigma
 from .refine import EpsOracle, IPParams, KTooSmall, RefinementTrace, ip_constants, ip_reach
@@ -46,7 +46,7 @@ class BarycenterConfig:
 
     def __post_init__(self):
         if self.tau <= 0:
-            raise ValueError("tau must be positive")
+            raise InvalidArgument("tau must be positive")
 
 
 MAX_ROUNDS = 200  # leave-one-out rounds before NoConvergence
@@ -66,7 +66,7 @@ def barycenter(points: Sequence[Point], cfg: BarycenterConfig | None = None) -> 
     cfg = cfg or BarycenterConfig()
     pts = tuple(points)
     if not pts:
-        raise ValueError("barycenter of no points")
+        raise InvalidArgument("barycenter of no points")
     m = len(pts)
     if m == 1:
         return pts[0]
@@ -103,10 +103,10 @@ def min_matching_average(xs: Sequence[Point], ys: Sequence[Point]) -> Fraction:
     the common denominator Q of every coordinate, go to `_assignment_minimum`.
     Points of different dims raise ``DimMismatch``."""
     if len(xs) != len(ys):
-        raise ValueError("tuples of different sizes")
+        raise InvalidArgument("tuples of different sizes")
     m = len(xs)
     if not m:
-        raise ValueError("matching of no points")
+        raise InvalidArgument("matching of no points")
     dim = len(xs[0])
     for p in (*xs, *ys):
         if len(p) != dim:
@@ -244,9 +244,9 @@ def ip_lift(
     balls = tuple(balls)
     n, k = params.n, params.k
     if len(balls) != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} balls")
+        raise InvalidArgument(f"need n+1 = {n + 1} balls")
     if rounds < 0:
-        raise ValueError("rounds must be >= 0")
+        raise InvalidArgument("rounds must be >= 0")
     if params.c >= 1:
         raise ContractionNotGuaranteed(f"c = {params.c} is not < 1")
     for subset in combinations(range(n + 1), k):

@@ -374,7 +374,7 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"error: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (HyperballError, OSError, ValueError) as exc:
+    except (HyperballError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug; never reported as a verdict

@@ -5,6 +5,10 @@ class HyperballError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidArgument(HyperballError, ValueError):
+    """An entry point's argument is outside its domain: bad input, not a bug."""
+
+
 class InternalError(HyperballError):
     """A self-check of the library's own output failed: a bug, not bad input."""
 

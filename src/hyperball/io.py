@@ -144,7 +144,10 @@ def parse_subset(data: Any):
     if "box" in data:
         return parse_box(data["box"])
     if "union" in data:
-        return BoxUnion(tuple(parse_box(item["box"]) for item in data["union"]))
+        try:
+            return BoxUnion(tuple(parse_box(item["box"]) for item in data["union"]))
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
     raise ParseError("subset must be a polyhedron, box, union, or null")
 
 

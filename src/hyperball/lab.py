@@ -19,7 +19,9 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Sequence
 
-from .errors import DimMismatch, EmptySet, HyperballError, InternalError, SizeCapExceeded
+from .errors import (
+    DimMismatch, EmptySet, HyperballError, InternalError, InvalidArgument, SizeCapExceeded,
+)
 from .linf import (
     Ball, FeasibilityResult, Point, ball_family_intersection, balls_box, linf_dist,
 )
@@ -165,7 +167,7 @@ def hyperconvex_witness(family: LinfBallFamily | FiniteBallFamily) -> Feasibilit
     arithmetic); a finite family is an external one over the whole space.
     """
     if family.subset is not None:
-        raise ValueError("hyperconvex_witness takes a family without a subset")
+        raise InvalidArgument("hyperconvex_witness takes a family without a subset")
     if isinstance(family, FiniteBallFamily):
         return external_witness(FiniteSubset(family.space, tuple(range(family.space.size))), family)
     _require_admissible(family)
@@ -371,11 +373,11 @@ def refute_search(
     found family is rebuilt exactly and re-verified before being reported.
     """
     if mode not in REFUTE_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
     if level < 2:
-        raise ValueError("level must be >= 2")
+        raise InvalidArgument("level must be >= 2")
     if budget < 0:
-        raise ValueError("budget must be >= 0")
+        raise InvalidArgument("budget must be >= 0")
     start = REFUTE_MODES[mode]
     if isinstance(subset, FiniteSubset):
         _require_nonempty(subset)
@@ -499,7 +501,7 @@ def helly_order_check(sets: Sequence[HPolyhedron], k: int) -> PropertyReport:
     witness; otherwise refuted: the family is not a Helly family of order k.
     """
     if not sets:
-        raise ValueError("empty family")
+        raise InvalidArgument("empty family")
     dim = sets[0].dim
     k_witnesses = {}
     for idx in combinations(range(len(sets)), min(k, len(sets))):
@@ -539,7 +541,7 @@ def graph_n_helly_bruteforce(g: GraphInstance, n: int, cap: int = GRAPH_ENUM_CAP
     radii is exact, not an approximation.
     """
     if n < 0:
-        raise ValueError("family size n must be >= 0")
+        raise InvalidArgument("family size n must be >= 0")
     # With V >= 2 vertices radius_hi >= 1, so this bound on the families
     # refuses a large graph before its shortest paths are computed.
     V = g.n

@@ -25,8 +25,11 @@ distance, and a polyhedron keeps the bases it has met (``_dist_at``).  A
 kept piece answers only after the witness and dual checks above pass on
 the point's own rows: p's cached integer rows and the linking rows, read
 in place (``_piece_vertex``).  A piece that fails them is not an error;
-the LP's rows are built and a fresh LP runs instead.  A nearest point
-always comes from a fresh LP.
+the LP's rows are built and a fresh LP runs instead.  Along a segment
+every check is affine in the time, so the times at which one piece
+passes form an interval: a piece that passes at the two ends of a
+stretch of times answers every time between them
+(``dists_along_segment``).  A nearest point always comes from a fresh LP.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from math import lcm
 from operator import mul, sub
 from typing import Iterable, Sequence
 
-from .errors import DimMismatch, EmptySet, InternalError
+from .errors import DimMismatch, EmptySet, InternalError, InvalidArgument
 from .linf import Ball, Box, FeasibilityResult, Point
 
 Row = tuple[tuple[Fraction, ...], Fraction]  # a . x <= b
@@ -74,7 +77,7 @@ class HPolyhedron:
         passes the checks at p, else from a fresh LP (see `_dist_at`)."""
         if len(p) != self.dim:
             raise DimMismatch("point dim does not match polyhedron dim")
-        return _dist_at(self, *_common_denominator(p))
+        return _dist_at(self, *_common_denominator(p))[0]
 
     def nearest(self, p: Point) -> Point:
         return dist_to_polyhedron(p, self)[1]
@@ -517,8 +520,10 @@ def dist_to_polyhedron(x: Point, p: HPolyhedron) -> tuple[Fraction, Point]:
 _PIECE_CAP = 64
 
 
-def _dist_at(p: HPolyhedron, q: int, X: Sequence[int]) -> Fraction:
-    """The distance from the point X/q (q > 0) to a non-empty polyhedron.
+def _dist_at(p: HPolyhedron, q: int, X: Sequence[int]) -> tuple[Fraction, tuple | None, bool]:
+    """The distance from the point X/q (q > 0) to a non-empty polyhedron,
+    with the piece (W, y, D) that answered, None for a point of p, and
+    whether that piece is fresh from the LP.
 
     In the variables w = q.(r, a) the distance LP (`_distance_rows` with
     link (1, X_k)) has rows that do not depend on the point, and right-hand
@@ -530,15 +535,16 @@ def _dist_at(p: HPolyhedron, q: int, X: Sequence[int]) -> Fraction:
     checks on p's rows and the linking rows read in place; else the LP's
     rows are built, a fresh LP runs and its basis is kept.  Only pieces
     whose dual bound at the point is the largest are tried: by weak
-    duality no other can pass both checks."""
+    duality no other can pass both checks.  A fresh piece has passed the
+    LP's checks on the LP's own point, not `_piece_vertex` on W."""
     if all(_dot(a, X) <= b * q for _, a, b in p._integer_rows):
-        return Fraction(0)
+        return Fraction(0), None, False
     params = (q, *X)
     pieces = p._pieces  # never changed in place: a miss publishes a new dict
     for W, y, D, _ in _best_bounds(pieces.values(), params):
         w = _piece_vertex(p, params, W, y, D)  # None: the vertex left the rows, or a corrupt piece
         if w is not None:
-            return Fraction(w[0], D * q)
+            return Fraction(w[0], D * q), (W, y, D), False
     rows = _distance_rows(p, [(1, v) for v in X], q)
     _, value, _, (key, rates, y, D) = _distance_lp(p, rows, basis=True)
     W = [_per_parameter(p, [rate[i] for rate in rates]) for i in range(p.dim + 1)]
@@ -546,10 +552,10 @@ def _dist_at(p: HPolyhedron, q: int, X: Sequence[int]) -> Fraction:
     try:
         bound = [-v / D for v in g]
     except OverflowError:  # a bound no float holds: the piece stays out
-        return value / q
+        return value / q, (W, y, D), True
     kept = [item for item in pieces.items() if item[0] != key]
     p.__dict__["_pieces"] = dict([*kept, (key, (W, y, D, bound))][-_PIECE_CAP:])
-    return value / q
+    return value / q, (W, y, D), True
 
 
 def _piece_vertex(p: HPolyhedron, params: Sequence[int], W: Sequence[Sequence[int]],
@@ -622,15 +628,44 @@ def _best_bounds(pieces: Iterable[tuple], params: Sequence[int]) -> list[tuple]:
 def dists_along_segment(p: HPolyhedron, x: Point, y: Point, n: int,
                         ks: Sequence[int]) -> dict[int, Fraction]:
     """The distance from x + (k/n)(y - x) to a non-empty polyhedron for each
-    k in ks.  With x = X/q and y = Y/q that point is (n.X + k.(Y - X))/(n.q),
-    so each k asks `_dist_at` with no fraction to reduce, and the pieces
-    that one k solves serve the later ones.  n must be at least 1, so that
-    n.q > 0."""
+    k in ks, answered one stretch of the sorted times at a time.
+
+    With x = X/q and y = Y/q the point at time k has the parameters
+    (q', X(k)) = (n.q, n.X + k.(Y - X)), affine in k, and no fraction to
+    reduce.  The first time not yet answered asks `_dist_at`; a fresh
+    piece must then pass `_piece_vertex` there too.  Every check of
+    `_piece_vertex` at the vertex W.(q', X(k)) is then a linear inequality
+    in k, a test that does not depend on k, or the equality of two affine
+    functions of k, so the times at which the piece passes form an
+    interval.  Bisection over the later times, the last one first, finds
+    its end, and every time up to it is answered as W_0.(q', X(k))/(D.q').
+    n must be at least 1, so that q' > 0."""
     if n < 1:
-        raise ValueError(f"segment steps n must be >= 1, got {n}")
+        raise InvalidArgument(f"segment steps n must be >= 1, got {n}")
     if len(x) != p.dim or len(y) != p.dim:
         raise DimMismatch("point dim does not match polyhedron dim")
     q, XY = _common_denominator((*x, *y))
-    X, S = XY[:p.dim], [v - u for u, v in zip(XY, XY[p.dim:])]
-    return {k: _dist_at(p, n * q, [n * u + k * v for u, v in zip(X, S)])
-            for k in sorted(set(ks))}
+    q1, X, S = n * q, [n * u for u in XY[:p.dim]], [v - u for u, v in zip(XY, XY[p.dim:])]
+
+    def at(k):
+        return (q1, *(u + k * v for u, v in zip(X, S)))
+
+    ks, dists, i = sorted(set(ks)), {}, 0
+    while i < len(ks):
+        params = at(ks[i])
+        dists[ks[i]], piece, fresh = _dist_at(p, q1, params[1:])
+        if piece is None or fresh and _piece_vertex(p, params, *piece) is None:
+            i += 1
+            continue
+        W, _, D = piece
+        lo, hi = i, len(ks) - 1  # the piece passes at ks[lo]; at ks[hi] it is untried
+        if hi > lo and _piece_vertex(p, at(ks[hi]), *piece) is not None:
+            lo = hi
+        while hi - lo > 1:  # it fails at ks[hi]
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _piece_vertex(p, at(ks[mid]), *piece) is not None else (lo, mid)
+        base, slope = _dot(W[0], at(0)), _dot(W[0][1:], S)
+        for k in ks[i + 1:lo + 1]:
+            dists[k] = Fraction(base + k * slope, D * q1)
+        i = lo + 1
+    return dists

@@ -29,7 +29,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Any, Callable, Mapping
 
-from .errors import HyperballError
+from .errors import HyperballError, InvalidArgument
 from .lab import LinfBallFamily, NotAdmissible, _require_admissible
 from .linf import Ball, Box, Point, balls_box, linf_dist, linf_within
 from .sets import pair_witness, subset_dist, subset_witness_in_box
@@ -178,9 +178,9 @@ def almost_to_exact(
     instance's size and is recorded in the trace.
     """
     if iterations < 1:
-        raise ValueError("need at least one iteration")
+        raise InvalidArgument("need at least one iteration")
     if scale <= 0:
-        raise ValueError("scale must be positive")
+        raise InvalidArgument("scale must be positive")
     _require_admissible(family if oracle.subset is None else replace(family, subset=oracle.subset))
     balls = family.balls
     iterates: list[Point] = []
@@ -259,18 +259,18 @@ def chain_walk(
     path, the first pass's n0 and the number of asks.
     """
     if eps <= 0 or delta <= 0:
-        raise ValueError("eps and delta must be positive")
+        raise InvalidArgument("eps and delta must be positive")
     if rounds < 1:
-        raise ValueError("rounds must be >= 1")
+        raise InvalidArgument("rounds must be >= 1")
     for oracle, name in ((oracle_a, "A"), (oracle_b, "A'")):
         if not oracle.subset.contains(y):
-            raise ValueError(f"y is not in {name}")
+            raise InvalidArgument(f"y is not in {name}")
         if subset_dist(oracle.subset, x) > r:
             raise NotAdmissible(f"d(x, {name}) > r")
     pairs, centers, n0, calls = [(y, y)], [], 0, 0
     if linf_dist(x, y) >= r:
         if rounds > 1 and ambient is None:
-            raise ValueError("outer rounds need a 3-ball ambient oracle")
+            raise InvalidArgument("outer rounds need a 3-ball ambient oracle")
         halve = 2 if rounds > 1 else 1
         a, b, n0 = _chain_step(oracle_a, oracle_b, x, r, y, eps / halve, delta / halve, 0)
         pairs, calls = [(a, b)], n0 + 2
@@ -320,10 +320,10 @@ def triple_intersection(
     holds the subsets, from which its slacks, the gaps d(x_n, A0), follow.
     """
     if rounds < 0:
-        raise ValueError("rounds must be >= 0")
+        raise InvalidArgument("rounds must be >= 0")
     A0, A1, A2 = oracle0.subset, oracle1.subset, oracle2.subset
     if not (A1.contains(x0) and A2.contains(x0)):
-        raise ValueError("x0 must lie in A1 and A2")
+        raise InvalidArgument("x0 must lie in A1 and A2")
     for left, right, name in ((A0, A1, "A0,A1"), (A0, A2, "A0,A2"), (A1, A2, "A1,A2")):
         _pick(left, right, (), name)
     iterates: list[Point] = [x0]
@@ -370,9 +370,9 @@ def ip_constants(n: int, k: int, eps: Fraction = Fraction(0)) -> IPParams:
     if k < 2:
         raise KTooSmall("k must be >= 2")
     if not (k <= n):
-        raise ValueError("need k <= n")
+        raise InvalidArgument("need k <= n")
     if eps < 0:
-        raise ValueError("eps must be >= 0")
+        raise InvalidArgument("eps must be >= 0")
     ground = range(1, n + 2)
     fixed = set(range(1, k))  # a (k-1)-subset
     N = 0

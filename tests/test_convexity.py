@@ -206,34 +206,126 @@ def test_segment_distances_to_an_empty_polyhedron_raise_with_farkas_on_its_rows(
 
 
 def test_one_affine_piece_costs_one_lp_and_every_time_is_verified(monkeypatch):
-    # From (3, 1/2) to (5, 1/2) the distance to the unit square is 2 + 2t.
-    # The first time is checked by the LP's own dual check, each later one
-    # by a kept piece's check; both are recorded by the right-hand sides of
-    # the distance LP's rows at that time.
-    solves, duals = [], []
-    real_solve, real_dual, real_piece = lp._solve, lp._verify_dual, lp._piece_vertex
+    # From (3, 1/2) to (5, 1/2) the distance to the unit square is 2 + 2t,
+    # one affine piece.  The LP solves the first time; its piece then passes
+    # the in-place checks at the first and the last time, and the times at
+    # which a piece passes form an interval, so those two checks verify
+    # every time between.
+    solves, checked = [], []
+    real_solve, real_piece = lp._solve, lp._piece_vertex
 
     def solve(*args, **kwargs):
         solves.append(args)
         return real_solve(*args, **kwargs)
 
-    def dual(rows, *args):
-        duals.append(tuple(b for _, _, b in rows))
-        return real_dual(rows, *args)
-
     def piece(p, params, *args):
-        rows = lp._distance_rows(p, [(1, v) for v in params[1:]], params[0])
-        duals.append(tuple(b for _, _, b in rows))
+        checked.append(tuple(F(v, params[0]) for v in params[1:]))
         return real_piece(p, params, *args)
 
     monkeypatch.setattr(lp, "_solve", solve)
-    monkeypatch.setattr(lp, "_verify_dual", dual)
     monkeypatch.setattr(lp, "_piece_vertex", piece)
     poly = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
     along = poly.dists_along(pt(3, F(1, 2)), pt(5, F(1, 2)), N, range(N + 1))
     assert along == {k: 2 + F(2 * k, N) for k in range(N + 1)}
     assert len(solves) == 1
-    assert len(set(duals)) == len(duals) == N + 1  # each time on its own rows
+    assert checked == [pt(3, F(1, 2)), pt(5, F(1, 2))]
+
+
+# Stretches of segment times, each answered by one piece checked at its ends.
+
+
+def _on_line(x, y, k, n):
+    """x + (k/n)(y - x) for any integer k, also outside [0, n]."""
+    return tuple(u + F(k, n) * (v - u) for u, v in zip(x, y))
+
+
+def _spy_lookups(monkeypatch):
+    """The points that `lp._dist_at` is asked and the LPs run, as lists
+    that fill while the test runs."""
+    looked, solves = [], []
+    real_dist_at, real_solve = lp._dist_at, lp._solve
+
+    def dist_at(p, q, X):
+        looked.append(tuple(F(v, q) for v in X))
+        return real_dist_at(p, q, X)
+
+    monkeypatch.setattr(lp, "_dist_at", dist_at)
+    monkeypatch.setattr(lp, "_solve", lambda *a, **kw: solves.append(a) or real_solve(*a, **kw))
+    return looked, solves
+
+
+@pytest.mark.parametrize("ks", [[9, 3, 3, 27, 0, 9, 16], [-7, 40, 16, -1, 33, 64], [12], []],
+                         ids=["unsorted-repeated", "outside", "one", "none"])
+def test_segment_times_in_any_order_or_outside_the_segment(ks):
+    triangle = HPolyhedron(2, ((pt(1, 1), F(2)), (pt(-1, 0), F(1)), (pt(0, -1), F(1))))
+    for poly in (triangle, box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))):
+        for x, y in ((pt(F(-7, 2), 3), pt(4, F(-5, 3))), (pt(3, F(-9, 4)), pt(3, F(-9, 4)))):
+            along = poly.dists_along(x, y, N, ks)
+            assert list(along) == sorted(set(ks))
+            assert along == {k: dist_to_polyhedron(_on_line(x, y, k, N), poly)[0] for k in ks}
+
+
+def test_a_segment_through_the_polyhedron_answers_its_boundary_time_from_a_stretch(monkeypatch):
+    # From (-3, 0) to (5, 0) through [-1, 1]^2: the distance is 2 - k/4 up to
+    # time 8, where it is 0 at the boundary, then 0 inside, then k/4 - 4.
+    # The first piece answers times 0 to 8, the inside times get the row test
+    # one by one, and a second piece answers from time 17 to the end.
+    looked, solves = _spy_lookups(monkeypatch)
+    poly = box_to_polyhedron(Box(pt(-1, -1), pt(1, 1)))
+    x, y = pt(-3, 0), pt(5, 0)
+    along = poly.dists_along(x, y, N, range(N + 1))
+    assert along == {k: max(2 - F(k, 4), F(0), F(k, 4) - 4) for k in range(N + 1)}
+    assert along[8] == 0 and looked == [_on_line(x, y, k, N) for k in (0, *range(9, 18))]
+    assert len(solves) == 2
+
+
+def test_a_segment_around_a_corner_solves_each_piece_once(monkeypatch):
+    # From (3, 0) to (0, 3) around the corner (1, 1) of the unit square the
+    # distance is 2 - 3t, then 3t - 1.  The optima are degenerate, so more
+    # than one basis serves the segment; each is solved once.
+    looked, solves = _spy_lookups(monkeypatch)
+    poly = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
+    x, y = pt(3, 0), pt(0, 3)
+    along = poly.dists_along(x, y, N, range(N + 1))
+    assert along == {k: max(2 - F(3 * k, N), F(3 * k, N) - 1) for k in range(N + 1)}
+    assert 2 <= len(solves) == len(poly._pieces) == len(looked) < N + 1
+    assert poly.dists_along(x, y, N, range(N + 1)) == along
+    assert len(solves) == len(poly._pieces)  # the warm pieces answer it again
+
+
+def test_segment_distances_beyond_float_range_come_from_stretches(monkeypatch):
+    # No float holds these points, so `_best_bounds` offers no kept piece and
+    # each stretch starts with an LP; on the half-plane the dual bound has no
+    # float either, so its piece is not kept, yet it answers its stretch.
+    big = F(10**400)
+    looked, solves = _spy_lookups(monkeypatch)
+    square = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
+    far = HPolyhedron(2, ((pt(1, 0), big),))
+    for poly, x, y in ((square, pt(big, 0), pt(big + 5, F(1, 2))),
+                       (far, pt(10 * big, 0), pt(10 * big - 3, 1))):
+        del looked[:], solves[:]
+        along = poly.dists_along(x, y, N, range(N + 1))
+        assert len(solves) == len(looked) == 1
+        assert along == {k: dist_to_polyhedron(sigma(x, y, F(k, N)), poly)[0] for k in range(N + 1)}
+    assert not far._pieces
+
+
+def test_a_corrupt_piece_that_passes_at_one_time_answers_no_other(monkeypatch):
+    # The unit square's piece along (3, 1/2) -> (5, 1/2), with W_0 tilted by
+    # a vector v with v.(q', X(k)) = q'.(k - k0).4: the vertex is unchanged
+    # at k0 only, and elsewhere its radius breaks the dual equality.
+    poly = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
+    x, y, k0 = pt(3, F(1, 2)), pt(5, F(1, 2)), N // 2
+    q, XY = lp._common_denominator((*x, *y))
+    assert poly.dist(_on_line(x, y, k0, N)) == 3
+    (key, (W, duals, D, bound)), = poly._pieces.items()
+    tilt = [-N * XY[0] - k0 * (XY[2] - XY[0]), N * q, 0]  # c = (1, 0), S = (4, 0)
+    poly._pieces[key] = [[v + t for v, t in zip(W[0], tilt)], *W[1:]], duals, D, bound
+    looked, solves = _spy_lookups(monkeypatch)
+    along = poly.dists_along(x, y, N, range(k0, N + 1))
+    assert along == {k: 2 + F(2 * k, N) for k in range(k0, N + 1)}
+    assert looked == [_on_line(x, y, k, N) for k in (k0, k0 + 1)]
+    assert len(solves) == 1 and poly._pieces[key] == (W, duals, D, bound)
 
 
 @pytest.mark.parametrize("n", [0, -1, -4])

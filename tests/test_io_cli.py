@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperball import lab, refine
+from hyperball.barycenter import BarycenterConfig, ip_lift
 from hyperball.cli import main
+from hyperball.errors import HyperballError, InvalidArgument
 from hyperball.io import (
     ParseError,
     ValidationError,
@@ -476,6 +479,53 @@ def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
         "error: internal error: refutation failed exact re-verification",
         "error: internal error: ZeroDivisionError: integer division or modulo by zero",
     ]
+
+
+def test_cli_a_stray_value_error_inside_a_subcommand_exits_4(capsys, monkeypatch):
+    """Only parsing, the instance checks and the entry points' argument
+    checks (``InvalidArgument``) exit 3; any other ValueError is a bug."""
+    from hyperball import cli
+
+    def stray(*args, **kwargs):
+        raise ValueError("max() arg is an empty sequence")
+
+    union = str(SRC.parent / "bench" / "instances" / "union.json")
+    monkeypatch.setattr(cli, "refute_search", stray)
+    assert main(["refute", "--instance", union, "--level", "2"]) == 4
+    monkeypatch.setattr(cli, "ip_threshold", lambda k: int("two"))
+    assert main(["ip-threshold", "--k", "2"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: internal error: ValueError: max() arg is an empty sequence",
+        "error: internal error: ValueError: invalid literal for int() with base 10: 'two'",
+    ]
+
+
+def _bench_instance(name):
+    return parse_instance(SRC.parent / "bench" / "instances" / f"{name}.json")[1]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lab.refute_search(_bench_instance("union").subset, 1, 10, 0),
+    lambda: lab.refute_search(_bench_instance("union").subset, 2, -1, 0),
+    lambda: lab.refute_search(_bench_instance("union").subset, 2, 10, 0, mode="internal"),
+    lambda: lab.helly_order_check([], 2),
+    lambda: lab.graph_n_helly_bruteforce(_bench_instance("scan"), -1),
+    lambda: refine.almost_to_exact(refine.exact_subset_oracle(_bench_instance("family").subset),
+                                   _bench_instance("family"), iterations=0),
+    lambda: refine.triple_intersection(*map(refine.exact_subset_oracle, _bench_instance("triple")[0]),
+                                       pt(100, 100), rounds=3),
+    lambda: refine.chain_walk(*map(refine.exact_subset_oracle, _bench_instance("chain")["sets"]),
+                              pt(0, 0), F(1), pt(0, 0), F(0), F(1)),
+    lambda: refine.ip_constants(2, 3),
+    lambda: ip_lift(refine.exact_subset_oracle(None, 2), _bench_instance("ip")["balls"],
+                    refine.ip_constants(2, 2), rounds=-1),
+    lambda: BarycenterConfig(F(0)),
+], ids=["refute-level", "refute-budget", "refute-mode", "helly-empty", "graph-scan-level",
+        "cauchy-iterations", "triple-x0", "chain-eps", "ip-k-above-n", "ip-lift-rounds", "tau"])
+def test_entry_point_argument_checks_raise_invalid_argument(call):
+    with pytest.raises(InvalidArgument) as caught:
+        call()
+    assert isinstance(caught.value, ValueError) and isinstance(caught.value, HyperballError)
 
 
 @pytest.mark.parametrize(

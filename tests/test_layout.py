@@ -262,6 +262,11 @@ def test_distance_convexity_takes_segment_distances_through_the_protocol():
         assert "_distance_rows" in _called_names(fn), fn.__name__
     for fn in (lp.HPolyhedron.dist, lp.dists_along_segment):
         assert "_dist_at" in _called_names(fn), fn.__name__
+    # A segment gets each stretch's piece from that lookup alone and checks
+    # the stretch's ends in place; it ranks, builds and solves nothing itself.
+    along = _called_names(lp.dists_along_segment)
+    assert "_piece_vertex" in along
+    assert not {"_best_bounds", "_distance_rows", "_distance_lp", "_solve"} & along
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():

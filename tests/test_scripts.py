@@ -59,22 +59,25 @@ def test_helly_demo_checks_both_directions(capsys):
 def test_lp_census_counts_every_caller(capsys):
     _load("lp_census").main(["--size", "1"])
     header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["caller", "queries", "LPs", "LPs/q", "rows/LP", "pivots/q",
-                              "pivots/LP", "ints/pivot", "solve", "s"]
+    assert header.split() == ["caller", "queries", "LPs", "LPs/q", "checks/q", "rows/LP",
+                              "pivots/q", "pivots/LP", "ints/pivot", "solve", "s"]
     assert [row.split()[0] for row in rows] == [
         "lp_feasible", "lp_minimize", "helly_order_check", "dist_to_polyhedron",
         "distance_convexity_check", "almost_to_exact"]
     for row in rows:
-        _, queries, lps, per_query, rows_per_lp, pivots_per_query, pivots, ints, seconds = row.split()
-        assert int(queries) > 0 and int(lps) > 0 and float(per_query) > 0
+        _, queries, lps, per_query, checks, rows_per_lp, pivots_per_query, pivots, ints, seconds = (
+            row.split())
+        assert int(queries) > 0 and int(lps) > 0 and float(per_query) > 0 and float(checks) >= 0
         assert float(rows_per_lp) > 0 and float(pivots_per_query) > 0 and float(pivots) > 0
         assert float(ints) > 0 and float(seconds) > 0
-    # A segment of 33 grid times costs a few LPs, not one per time outside the set.
+    # A segment of 33 grid times costs a few LPs, not one per time outside
+    # the set, and a few kept-piece checks per stretch of times, not one per
+    # time.
     segments = rows[-2].split()
-    assert int(segments[1]) == 10 and float(segments[3]) < 5
+    assert int(segments[1]) == 10 and float(segments[3]) < 5 and 0 < float(segments[4]) < 33
     # The four lp-repeat refinements of one block: an oracle query whose
     # last center lies in the subset and every ball runs no LP, so the
     # 40-iteration runs average at most two LPs, each on the pool
     # polyhedron's 2 rows plus the window's 2*dim (dims 2 and 3).
     oracle = rows[-1].split()
-    assert int(oracle[1]) == 4 and float(oracle[3]) <= 2 and 6 <= float(oracle[4]) <= 8
+    assert int(oracle[1]) == 4 and float(oracle[3]) <= 2 and 6 <= float(oracle[5]) <= 8
