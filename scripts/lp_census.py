@@ -4,9 +4,11 @@ feasibility and minimization systems (dims 2-6, 2-14 rows), Helly families
 (``helly_order_check`` on the optimal-order family at k = n and n + 1) and
 distance queries (``dist_to_polyhedron`` from points outside small
 polyhedra), distance-convexity checks (``distance_convexity_check``
-along segments: a stretch of grid times starts with a kept optimal basis
-that passes the checks at its first time, or else with an LP, and one
-basis answers every time between two times at which it passes) and the
+along segments: a stretch of grid times starts with the polyhedron's zero
+piece at a time inside it, a kept optimal basis that passes the checks at
+its first time, or else with an LP, and one piece answers every time
+between two times at which it passes, so stretches inside the polyhedron
+are bisected too) and the
 exact subset oracle (``almost_to_exact``, 40 iterations, on the
 ``lp-repeat`` refinements of ``bench/workloads.py``; an oracle query runs
 a box search only when the last ball's center misses the subset or a

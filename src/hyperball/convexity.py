@@ -68,9 +68,10 @@ def distance_convexity_check(
     A time t is indexed by its numerator k over n, twice the lcm of the
     grid's denominators, so every midpoint is an integer k too.  A kind that
     answers ``dists_along`` (a polyhedron) gives all distances on the
-    segment at once, a stretch of times at a time: one LP piece, kept or
-    else fresh from one LP, answers every time between the two ends of the
-    stretch at which it passes its checks.  Any other kind is asked
+    segment at once, a stretch of times at a time: one piece (the zero
+    piece inside the polyhedron, else an LP piece, kept or fresh from one
+    LP) answers every time between the two ends of the stretch at which it
+    passes its checks.  Any other kind is asked
     ``dist`` point by point.
     """
     _check_grid(grid)

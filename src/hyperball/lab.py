@@ -218,6 +218,8 @@ def verify_refutation(subset, balls: Sequence, mode: str = "external") -> bool:
     certifiably empty.  Over a ``FiniteSubset`` the balls are (center index,
     radius) pairs.  The floors d(c_i, A) raise ``EmptySet`` on an empty
     subset; a family with no balls or a failed pair reaches none."""
+    if mode not in REFUTE_MODES:
+        raise InvalidArgument(f"unknown mode {mode!r}")
     family = _family(subset, balls)
     admissible = check_admissible(family)
     if not len(family) or admissible.kind == "pairwise":

@@ -114,12 +114,16 @@ class Box:
         )
 
     def clamp(self, p: Point) -> Point:
+        if len(p) != self.dim:
+            raise DimMismatch("point dim does not match box dim")
         if self.is_empty():
             raise EmptyBox("cannot clamp onto an empty box")
         return tuple(min(max(x, l), h) for l, x, h in zip(self.lo, p, self.hi))
 
     def dist(self, p: Point) -> Fraction:
         """Chebyshev distance from p to the box (0 when inside)."""
+        if len(p) != self.dim:
+            raise DimMismatch("point dim does not match box dim")
         if self.is_empty():
             raise EmptyBox("distance to an empty box is undefined")
         gaps = [max(l - x, x - h, Fraction(0)) for l, x, h in zip(self.lo, p, self.hi)]

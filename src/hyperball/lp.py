@@ -21,15 +21,13 @@ check is a kernel bug and raises LPKernelError.
 
 Distances reuse optimal bases.  Only the right-hand side of the distance LP
 depends on the point, so one optimal basis gives one affine piece of the
-distance, and a polyhedron keeps the bases it has met (``_dist_at``).  A
-kept piece answers only after the witness and dual checks above pass on
-the point's own rows: p's cached integer rows and the linking rows, read
-in place (``_piece_vertex``).  A piece that fails them is not an error;
-the LP's rows are built and a fresh LP runs instead.  Along a segment
-every check is affine in the time, so the times at which one piece
-passes form an interval: a piece that passes at the two ends of a
-stretch of times answers every time between them
-(``dists_along_segment``).  A nearest point always comes from a fresh LP.
+distance.  Each distance comes from a piece that passes the witness and
+dual checks on the point's own rows, read in place (``_piece_vertex``):
+p's zero piece at a point of p, else a kept basis (``_dist_at``), else a
+fresh LP's.  The times of a segment at which one piece passes form an
+interval, so it answers each stretch between two such times, inside p as
+well (``dists_along_segment``).  A nearest point always comes from a fresh
+LP.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Reversible, Sequence
 
 from .errors import DimMismatch, EmptySet, InternalError, InvalidArgument
 from .linf import Ball, Box, FeasibilityResult, Point
@@ -73,8 +71,8 @@ class HPolyhedron:
         return all(_dot(a, X) <= b * D for _, a, b in self._integer_rows)
 
     def dist(self, p: Point) -> Fraction:
-        """The distance to a non-empty polyhedron, from a kept LP piece that
-        passes the checks at p, else from a fresh LP (see `_dist_at`)."""
+        """The distance to a non-empty polyhedron, from the zero piece, a kept
+        piece or a fresh LP's, whichever first passes at p (see `_dist_at`)."""
         if len(p) != self.dim:
             raise DimMismatch("point dim does not match polyhedron dim")
         return _dist_at(self, *_common_denominator(p))[0]
@@ -122,6 +120,16 @@ class HPolyhedron:
         `_dist_at`); not a dataclass field.  A query reads one dict and a
         new basis replaces it whole, so threads never see it change."""
         return {}
+
+    @cached_property
+    def _zero_piece(self) -> tuple:
+        """The piece (W, y, D, g) of r = 0, a = x: D = 2, W = 2.(0 | I), y = 1
+        on both linking rows of the first coordinate, g = 0.  Its row check
+        at a = X is the membership test and its other checks always hold,
+        so it passes `_piece_vertex` exactly at the points of p."""
+        d, m = self.dim, len(self._integer_rows)
+        W = [[2 * (0 < i == j) for j in range(d + 1)] for i in range(d + 1)]
+        return W, tuple(int(i in (m, m + 1)) for i in range(m + 2 * d)), 2, [0] * (d + 1)
 
 
 def _common_denominator(p: Point) -> tuple[int, list[int]]:
@@ -520,47 +528,40 @@ def dist_to_polyhedron(x: Point, p: HPolyhedron) -> tuple[Fraction, Point]:
 _PIECE_CAP = 64
 
 
-def _dist_at(p: HPolyhedron, q: int, X: Sequence[int]) -> tuple[Fraction, tuple | None, bool]:
+def _dist_at(p: HPolyhedron, q: int, X: Sequence[int]) -> tuple[Fraction, tuple]:
     """The distance from the point X/q (q > 0) to a non-empty polyhedron,
-    with the piece (W, y, D) that answered, None for a point of p, and
-    whether that piece is fresh from the LP.
+    with the piece (W, y, D, g) that answered, which passes `_piece_vertex`.
 
     In the variables w = q.(r, a) the distance LP (`_distance_rows` with
-    link (1, X_k)) has rows that do not depend on the point, and right-hand
-    sides linear in the parameters (q, X).  An optimal basis thus gives the
-    vertex D.w = W.(q, X) at every point, with duals y and D that do not
-    depend on it (multiparametric LP): one affine piece of the distance.
-    ``p._pieces`` keeps up to _PIECE_CAP.  A piece answers only if
-    `_piece_vertex` finds it optimal at the point, by the witness and dual
-    checks on p's rows and the linking rows read in place; else the LP's
-    rows are built, a fresh LP runs and its basis is kept.  Only pieces
-    whose dual bound at the point is the largest are tried: by weak
-    duality no other can pass both checks.  A fresh piece has passed the
-    LP's checks on the LP's own point, not `_piece_vertex` on W."""
+    link (1, X_k)) has fixed rows and right-hand sides linear in (q, X), so
+    an optimal basis gives the vertex D.w = W.(q, X), duals y, D and the
+    dual bound -g.(q, X)/(D.q), g = `_per_parameter(p, y)`, at every point
+    (multiparametric LP).  A point of p gets the zero piece, whose row check
+    is the row test below and whose other checks always hold (in dim 0 no
+    piece passes).  Else the kept pieces that `_best_bounds` ranks first are
+    tried, then a fresh LP's, kept up to _PIECE_CAP; a fresh W that fails
+    at its own point, checked by the LP, is a kernel bug."""
     if all(_dot(a, X) <= b * q for _, a, b in p._integer_rows):
-        return Fraction(0), None, False
-    params = (q, *X)
-    pieces = p._pieces  # never changed in place: a miss publishes a new dict
-    for W, y, D, _ in _best_bounds(pieces.values(), params):
-        w = _piece_vertex(p, params, W, y, D)  # None: the vertex left the rows, or a corrupt piece
+        return Fraction(0), p._zero_piece
+    params, pieces = (q, *X), p._pieces  # never changed in place: a miss publishes a new dict
+    for W, y, D, g in _best_bounds(pieces.values(), params):
+        w = _piece_vertex(p, params, W, y, D)  # None: it fails at the point
         if w is not None:
-            return Fraction(w[0], D * q), (W, y, D), False
+            return Fraction(w[0], D * q), (W, y, D, g)
     rows = _distance_rows(p, [(1, v) for v in X], q)
     _, value, _, (key, rates, y, D) = _distance_lp(p, rows, basis=True)
     W = [_per_parameter(p, [rate[i] for rate in rates]) for i in range(p.dim + 1)]
-    g = _per_parameter(p, y)  # the dual bound at the point is -g.(q, X)/(D.q)
-    try:
-        bound = [-v / D for v in g]
-    except OverflowError:  # a bound no float holds: the piece stays out
-        return value / q, (W, y, D), True
+    if _piece_vertex(p, params, W, y, D) is None:
+        raise LPKernelError("fresh distance piece fails the checks at its own point")
+    piece = W, y, D, _per_parameter(p, y)
     kept = [item for item in pieces.items() if item[0] != key]
-    p.__dict__["_pieces"] = dict([*kept, (key, (W, y, D, bound))][-_PIECE_CAP:])
-    return value / q, (W, y, D), True
+    p.__dict__["_pieces"] = dict([*kept, (key, piece)][-_PIECE_CAP:])
+    return value / q, piece
 
 
 def _piece_vertex(p: HPolyhedron, params: Sequence[int], W: Sequence[Sequence[int]],
                   y: Sequence[int], D: int) -> list[int] | None:
-    """The vertex D.w = W.params of a kept piece if the piece is optimal at
+    """The vertex D.w = W.params of a piece (W, y, D) if it is optimal at
     the point X/q, params (q, X), else None.  These are the checks that
     `_verify_witness` and `_verify_dual` make on `_distance_rows(p, [(1,
     X_k)], q)`, with p's rows and the linking rows -r +- a_k <= +-X_k read
@@ -611,18 +612,19 @@ def _per_parameter(p: HPolyhedron, values: Sequence[int]) -> list[int]:
             *(values[m + 2 * k] - values[m + 2 * k + 1] for k in range(p.dim))]
 
 
-def _best_bounds(pieces: Iterable[tuple], params: Sequence[int]) -> list[tuple]:
-    """The pieces whose dual bound at the point X/q, params (q, X), is the
-    largest, up to float rounding, the newest first; none if the point has
-    no float.  The ranking needs no exactness: the checks decide."""
-    try:
-        x = [v / params[0] for v in params]
-    except OverflowError:
-        return []
-    bounds = [(sum(map(mul, piece[3], x)), piece) for piece in pieces]
-    top = max((v for v, _ in bounds), default=0.0)
-    top -= 1e-9 * (1 + abs(top))
-    return [piece for v, piece in reversed(bounds) if v >= top]
+def _best_bounds(pieces: Reversible[tuple], params: Sequence[int]) -> list[tuple]:
+    """The pieces (W, y, D, g) with the largest dual bound -g.(q, X)/(D.q) at
+    the point X/q, params (q, X), newest first.  q is common, so bounds
+    compare as -g.params/D, cross-multiplied in integers (D > 0 on a piece
+    the LP made).  By weak duality no other piece can pass both checks."""
+    best, top, top_D = [], 0, 1
+    for piece in reversed(pieces):
+        value, D = -_dot(piece[3], params), piece[2]
+        if not best or value * top_D > top * D:
+            best, top, top_D = [piece], value, D
+        elif value * top_D == top * D:
+            best.append(piece)
+    return best
 
 
 def dists_along_segment(p: HPolyhedron, x: Point, y: Point, n: int,
@@ -632,8 +634,8 @@ def dists_along_segment(p: HPolyhedron, x: Point, y: Point, n: int,
 
     With x = X/q and y = Y/q the point at time k has the parameters
     (q', X(k)) = (n.q, n.X + k.(Y - X)), affine in k, and no fraction to
-    reduce.  The first time not yet answered asks `_dist_at`; a fresh
-    piece must then pass `_piece_vertex` there too.  Every check of
+    reduce.  The first time not yet answered asks `_dist_at`, whose piece
+    (the zero piece inside p) passes `_piece_vertex` there.  Every check of
     `_piece_vertex` at the vertex W.(q', X(k)) is then a linear inequality
     in k, a test that does not depend on k, or the equality of two affine
     functions of k, so the times at which the piece passes form an
@@ -652,11 +654,7 @@ def dists_along_segment(p: HPolyhedron, x: Point, y: Point, n: int,
 
     ks, dists, i = sorted(set(ks)), {}, 0
     while i < len(ks):
-        params = at(ks[i])
-        dists[ks[i]], piece, fresh = _dist_at(p, q1, params[1:])
-        if piece is None or fresh and _piece_vertex(p, params, *piece) is None:
-            i += 1
-            continue
+        dists[ks[i]], (*piece, _) = _dist_at(p, q1, at(ks[i])[1:])  # piece: (W, y, D)
         W, _, D = piece
         lo, hi = i, len(ks) - 1  # the piece passes at ks[lo]; at ks[hi] it is untried
         if hi > lo and _piece_vertex(p, at(ks[hi]), *piece) is not None:

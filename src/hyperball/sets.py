@@ -13,10 +13,11 @@ max-norm kinds add ``window()`` and ``intersect(box)``, and ``Box``
 and ``BoxUnion`` carry their member ``boxes``: a box is a union of one box.
 ``HPolyhedron`` also answers ``dists_along(x, y, n, ks)``, the distances
 at the points x + (k/n)(y - x) of a segment.  A polyhedron keeps the
-optimal bases of its distance LPs and answers ``dist`` from one that passes
-the witness and dual checks at the point, else with one more LP; along a
-segment one basis that passes at both ends of a stretch of times answers
-the whole stretch.  Its ``nearest`` always solves the LP afresh.
+optimal bases of its distance LPs and answers ``dist`` from a piece that
+passes the witness and dual checks at the point: its zero piece at a point
+of it, else a kept basis, else one more LP's; along a segment one piece
+that passes at both ends of a stretch of times answers the whole stretch,
+inside the polyhedron too.  Its ``nearest`` always solves the LP afresh.
 The ``subset_*`` functions are the entry points the other modules call.
 ``pair_witness`` searches the intersection of two subsets and extra balls —
 the workhorse behind the iteration schemes whose proofs repeatedly pick

@@ -268,14 +268,14 @@ def test_segment_times_in_any_order_or_outside_the_segment(ks):
 def test_a_segment_through_the_polyhedron_answers_its_boundary_time_from_a_stretch(monkeypatch):
     # From (-3, 0) to (5, 0) through [-1, 1]^2: the distance is 2 - k/4 up to
     # time 8, where it is 0 at the boundary, then 0 inside, then k/4 - 4.
-    # The first piece answers times 0 to 8, the inside times get the row test
-    # one by one, and a second piece answers from time 17 to the end.
+    # The first piece answers times 0 to 8, the zero piece the inside times
+    # 9 to 16, and a second piece answers from time 17 to the end.
     looked, solves = _spy_lookups(monkeypatch)
     poly = box_to_polyhedron(Box(pt(-1, -1), pt(1, 1)))
     x, y = pt(-3, 0), pt(5, 0)
     along = poly.dists_along(x, y, N, range(N + 1))
     assert along == {k: max(2 - F(k, 4), F(0), F(k, 4) - 4) for k in range(N + 1)}
-    assert along[8] == 0 and looked == [_on_line(x, y, k, N) for k in (0, *range(9, 18))]
+    assert along[8] == 0 and looked == [_on_line(x, y, k, N) for k in (0, 9, 17)]
     assert len(solves) == 2
 
 
@@ -294,20 +294,22 @@ def test_a_segment_around_a_corner_solves_each_piece_once(monkeypatch):
 
 
 def test_segment_distances_beyond_float_range_come_from_stretches(monkeypatch):
-    # No float holds these points, so `_best_bounds` offers no kept piece and
-    # each stretch starts with an LP; on the half-plane the dual bound has no
-    # float either, so its piece is not kept, yet it answers its stretch.
+    # No float holds these points or the half-plane's dual bound; the kept
+    # pieces are ranked in integers, so each segment's one stretch costs one
+    # LP, the half-plane keeps its piece, and a second far segment on it
+    # runs no LP.
     big = F(10**400)
     looked, solves = _spy_lookups(monkeypatch)
     square = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
     far = HPolyhedron(2, ((pt(1, 0), big),))
-    for poly, x, y in ((square, pt(big, 0), pt(big + 5, F(1, 2))),
-                       (far, pt(10 * big, 0), pt(10 * big - 3, 1))):
+    for poly, x, y, lps in ((square, pt(big, 0), pt(big + 5, F(1, 2)), 1),
+                            (far, pt(10 * big, 0), pt(10 * big - 3, 1), 1),
+                            (far, pt(7 * big, 2), pt(8 * big, -5), 0)):
         del looked[:], solves[:]
         along = poly.dists_along(x, y, N, range(N + 1))
-        assert len(solves) == len(looked) == 1
+        assert len(looked) == 1 and len(solves) == lps
         assert along == {k: dist_to_polyhedron(sigma(x, y, F(k, N)), poly)[0] for k in range(N + 1)}
-    assert not far._pieces
+    assert len(far._pieces) == 1
 
 
 def test_a_corrupt_piece_that_passes_at_one_time_answers_no_other(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperball.errors import DimMismatch, EmptySet, SizeCapExceeded
+from hyperball.errors import DimMismatch, EmptySet, InvalidArgument, SizeCapExceeded
 from hyperball.lab import (
     REFUTE_MODES,
     BoxUnion,
@@ -598,9 +598,13 @@ def test_refuter_masks_out_of_range_seeds(seed):
 
 
 def test_refuter_rejects_unknown_mode(c5):
-    for subset in (UNION, FiniteSubset(c5, (0, 1, 2))):
+    # So does verify_refutation, which raised a bare KeyError from REFUTE_MODES.
+    for subset, balls in ((UNION, (Ball(pt(0, 0), F(1)), Ball(pt(3, 0), F(1)))),
+                          (FiniteSubset(c5, (0, 1, 2)), ((0, F(1)), (2, F(1))))):
         with pytest.raises(ValueError, match="unknown mode"):
             refute_search(subset, 2, 10, seed=0, mode="bogus")
+        with pytest.raises(InvalidArgument, match="^unknown mode 'bogus'$"):
+            verify_refutation(subset, balls, mode="bogus")
 
 
 def test_antipodal_c6_family_not_admissible():

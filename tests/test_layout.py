@@ -1,7 +1,8 @@
 """Guards on where numpy and the SplitMix64 constants may live, on knobs
 that were removed (the refuter's ``arena``, ``BarycenterConfig.max_rounds``
 and the barycenter's backend object among them), on each CLI subcommand taking only the flags it reads, on the
-LP kernel and the oracle's ball tests staying in integers, on the
+LP kernel, the kept distance pieces (ranked only by the one lookup) and
+the oracle's ball tests staying in integers, on the
 refinement bounds living only in ``verify_trace`` (every refinement verdict
 included) and the oracle's ball count only in ``EpsOracle.ask``, on a
 refinement trace keeping only its iterates and inputs (steps, slacks and
@@ -267,6 +268,26 @@ def test_distance_convexity_takes_segment_distances_through_the_protocol():
     along = _called_names(lp.dists_along_segment)
     assert "_piece_vertex" in along
     assert not {"_best_bounds", "_distance_rows", "_distance_lp", "_solve"} & along
+
+
+def test_kept_distance_pieces_are_ranked_and_checked_in_integers():
+    # The pieces are ranked by cross-multiplied integers: no float, so no
+    # OverflowError to catch, and no true division where a piece is ranked
+    # or checked.  The one piece lookup is the only caller of the ranking.
+    from hyperball import lp
+
+    module = ast.parse(inspect.getsource(lp))
+    assert "OverflowError" not in {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+    for fn in (lp._best_bounds, lp._piece_vertex, lp.dists_along_segment):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(node, ast.Div) for node in ast.walk(tree)), fn.__name__
+    def called(node):
+        return {call.func.id for call in ast.walk(node)
+                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)}
+
+    callers = {node.name for node in ast.walk(module)
+               if isinstance(node, ast.FunctionDef) and "_best_bounds" in called(node)}
+    assert callers == {"_dist_at"}
 
 
 def test_each_subcommand_takes_only_the_flags_it_reads():

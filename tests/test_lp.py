@@ -641,16 +641,21 @@ def test_kept_distances_equal_fresh_lps_on_fresh_and_warm_polyhedra(monkeypatch)
                 assert q.dist(x) == expected, (p, x)
 
 
-def test_kept_distances_beyond_float_range_are_exact():
-    """A point no float holds skips the ranking, and a piece whose dual bound
-    no float holds is not kept: both answer from the LP."""
+def test_kept_distances_beyond_float_range_are_exact(monkeypatch):
+    """Kept pieces are ranked in integers, so a point or a dual bound that no
+    float holds is ranked like any other: the far half-plane keeps its
+    piece, and a second far point on it is answered with no LP."""
     big = F(10**400)
     square = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
     far = HPolyhedron(2, rows(((1, 0), big),))
     for p, x in ((square, pt(big, 0)), (square, pt(-big / 3, big)), (square, pt(1 / big, -3)),
-                 (far, pt(10 * big, 0)), (far, pt(10 * big, 1))):
+                 (far, pt(10 * big, 0))):
         assert p.dist(x) == dist_to_polyhedron(x, p)[0], x
-    assert square._pieces and not far._pieces
+    assert square._pieces and len(far._pieces) == 1
+    solves = _solves(monkeypatch)
+    for x in (pt(10 * big, 1), pt(7 * big, -3)):
+        assert far.dist(x) == x[0] - big
+    assert not solves and len(far._pieces) == 1
 
 
 def test_a_warm_polyhedron_answers_repeat_queries_without_an_lp(monkeypatch):
@@ -794,6 +799,83 @@ def test_a_dim_0_polyhedron_keeps_no_piece():
                 assert p.dists_along((), (), 4, range(5)) == dict.fromkeys(range(5), 0)
         assert not p._pieces
     assert lp._piece_vertex(HPolyhedron(0, ()), (1,), [[0]], (1,), 1) is None
+
+
+def test_the_zero_piece_passes_exactly_at_the_points_of_the_polyhedron(monkeypatch):
+    """p's zero piece (r = 0, a = x) passes the in-place checks exactly where
+    `contains` holds, with dual bound 0, and a point of p is answered with it."""
+    from hyperball import lp
+    from hyperball.rng import SplitMix64
+
+    rng = SplitMix64(23)
+    polys = [*_lp_repeat(monkeypatch, 1).pool, box_to_polyhedron(Box(pt(0, 0), pt(1, 1))),
+             HPolyhedron(1, rows(((2,), 3), ((-1,), F(1, 2)))), HPolyhedron(2, ())]
+    for p in polys:
+        W, y, D, g = p._zero_piece
+        assert g == lp._per_parameter(p, y) == [0] * (p.dim + 1)
+        points = [p.witness(), *(tuple(F(rng.randint(-30, 30), rng.randint(1, 4))
+                                       for _ in range(p.dim)) for _ in range(60))]
+        verdicts = set()
+        for x in points:
+            q, X = lp._common_denominator(x)
+            inside = p.contains(x)
+            w = lp._piece_vertex(p, (q, *X), W, y, D)
+            assert w == ([0, *(D * v for v in X)] if inside else None), (p, x)
+            if inside:
+                assert lp._dist_at(p, q, X) == (0, p._zero_piece)
+            verdicts.add(inside)
+        assert verdicts == ({True} if not p.rows else {True, False}), p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 100_000))
+def test_kept_pieces_are_ranked_exactly_newest_first(seed):
+    """`_best_bounds` returns the pieces whose dual bound -g.(q, X)/(D.q) is
+    the largest, newest first, as a `Fraction` reference does: also on exact
+    ties between different (g, D) and at points beyond float range."""
+    from hyperball import lp
+    from hyperball.rng import SplitMix64
+
+    rng = SplitMix64(seed)
+    d = rng.randint(1, 3)
+    pieces = []
+    for i in range(rng.randint(0, 12)):
+        if pieces and rng.randint(0, 2) == 0:  # an exact tie: a multiple of an earlier piece
+            _, _, D, g = pieces[rng.randint(0, len(pieces) - 1)]
+            k = rng.randint(1, 3)
+            D, g = k * D, [k * v for v in g]
+        else:
+            D, g = rng.randint(1, 4), [rng.randint(-3, 3) for _ in range(d + 1)]
+        pieces.append((f"W{i}", f"y{i}", D, g))
+    params = (rng.randint(1, 4), *(rng.randint(-5, 5) for _ in range(d)))
+    if rng.randint(0, 3) == 0:
+        params = (params[0], *(v * 10**400 for v in params[1:]))
+    bounds = [Fraction(-sum(a * b for a, b in zip(g, params)), D * params[0])
+              for _, _, D, g in pieces]
+    top = max(bounds, default=None)
+    expected = [piece for piece, bound in reversed(list(zip(pieces, bounds))) if bound == top]
+    assert lp._best_bounds(pieces, params) == expected
+
+
+@pytest.mark.parametrize("corrupt", ["per-parameter", "rates"])
+def test_a_fresh_piece_that_fails_at_its_own_point_is_a_kernel_bug(corrupt, monkeypatch):
+    """W comes from the tableau's rates; one that disagrees with the LP's own
+    checked vertex raises, and the piece is not kept."""
+    from hyperball import lp
+
+    if corrupt == "rates":
+        real_rates = lp._Tableau.rates
+        monkeypatch.setattr(lp._Tableau, "rates",
+                            lambda self: [[v + 1 for v in rate] for rate in real_rates(self)])
+    else:
+        real_per = lp._per_parameter
+        monkeypatch.setattr(lp, "_per_parameter", lambda p, values: [v + 1 for v in real_per(p, values)])
+    square = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
+    assert square.dist(pt(F(1, 2), 1)) == 0  # a point of p needs no LP
+    with pytest.raises(lp.LPKernelError, match="^fresh distance piece fails"):
+        square.dist(pt(3, F(1, 2)))
+    assert not square._pieces
+    assert dist_to_polyhedron(pt(3, F(1, 2)), square)[0] == 2  # the nearest point reads no rates
 
 
 def test_kept_pieces_stay_within_the_cap(monkeypatch):

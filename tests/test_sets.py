@@ -191,3 +191,25 @@ def test_an_empty_box_on_a_polyhedron_runs_no_lp(monkeypatch):
     result = subset_witness_in_box(half, EMPTY_BOX)
     assert not result.feasible and result.certificate == {"coordinate": 0}
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["box", "union", "union-with-empty-member", "polyhedron",
+                                  "unbounded-polyhedron"])
+def test_a_point_of_another_dim_raises_dim_mismatch(name):
+    """Every max-norm kind refuses a point of another dimension; before,
+    `Box.dist` and `Box.clamp` answered from the shorter zip, so the unit
+    square's distance to (5,) read 4 and its convexity check held."""
+    from hyperball.convexity import distance_convexity_check
+    from hyperball.errors import DimMismatch
+    from hyperball.linf import box_retraction
+
+    subset, _ = KINDS[name]
+    for p in (pt(5), pt(3, 1, 2)):
+        for ask in (subset.contains, subset.dist, subset.nearest):
+            with pytest.raises(DimMismatch):
+                ask(p)
+        with pytest.raises(DimMismatch):
+            distance_convexity_check(subset, p, tuple(-v for v in p))
+        if isinstance(subset, Box):
+            with pytest.raises(DimMismatch):
+                box_retraction(subset, p)
