@@ -23,8 +23,8 @@ from .barycenter import (
     ip_lift,
     ip_threshold,
 )
-from .errors import HyperballError, InternalError
-from .io import ValidationError, canonical_dumps, parse_instance
+from .errors import HyperballError, InternalError, InvalidArgument
+from .io import canonical_dumps, parse_instance
 from .lab import (
     external_witness,
     graph_n_helly_bruteforce,
@@ -92,14 +92,14 @@ def _config(args) -> BarycenterConfig:
 def _helly_order(args, dim: int) -> int:
     """The Helly order --k, dim when the flag is not given."""
     if args.k is not None and args.k < 1:
-        raise ValidationError("--k must be >= 1")
+        raise InvalidArgument("--k must be >= 1")
     return dim if args.k is None else args.k
 
 
 def cmd_check(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if args.k is not None and kind != "helly":
-        raise ValidationError("--k applies only to helly instances")
+        raise InvalidArgument("--k applies only to helly instances")
     if kind in ("metric", "graph"):
         check_cap(payload.n if kind == "graph" else payload.size)  # before the shortest paths
         space = graph_metric(payload) if kind == "graph" else payload
@@ -147,14 +147,14 @@ def cmd_check(args, report) -> None:
             {"name": "helly-order", "verdict": outcome.verdict, "certificate": outcome.certificate}
         )
     else:
-        raise ValidationError(f"check does not support instance kind {kind!r}")
+        raise InvalidArgument(f"check does not support instance kind {kind!r}")
 
 
 def cmd_refute(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     subset = payload.subset if kind == "family" else payload
     if kind not in ("family", "polyhedron", "box") or subset is None:
-        raise ValidationError("refute needs a polyhedron, box, or family-with-subset instance")
+        raise InvalidArgument("refute needs a polyhedron, box, or family-with-subset instance")
     outcome = refute_search(subset, args.level, args.budget, args.seed, mode=args.mode)
     report["checks"].append(
         {
@@ -169,10 +169,10 @@ def cmd_refute(args, report) -> None:
 
 def cmd_helly(args, report) -> None:
     if args.k is not None and not args.verify:
-        raise ValidationError("--k applies only with --verify")
+        raise InvalidArgument("--k applies only with --verify")
     k = _helly_order(args, args.dim)
     instance = helly_counterexample(args.dim)
-    if args.out:
+    if args.out and not args.verify:  # with --verify, --out gets the report
         with open(args.out, "w") as fh:
             fh.write(canonical_dumps(instance))
         report["_artifact_written"] = True
@@ -202,14 +202,14 @@ def cmd_refine(args, report) -> None:
     unread = {"cauchy-halving": (), "triple-34": ("scale",), "chain-walk": ("iters", "scale")}[args.scheme]
     for flag in unread:
         if getattr(args, flag) is not None:
-            raise ValidationError(f"--{flag} does not apply to {args.scheme}")
+            raise InvalidArgument(f"--{flag} does not apply to {args.scheme}")
     iters = 40 if args.iters is None else args.iters
     kind, payload = parse_instance(args.instance)
     if args.scheme == "cauchy-halving":
         if kind != "family" or payload.subset is None:
-            raise ValidationError("cauchy-halving needs a family instance with a subset")
+            raise InvalidArgument("cauchy-halving needs a family instance with a subset")
         family = payload
-        oracle = exact_subset_oracle(family.subset)
+        oracle = exact_subset_oracle(family.subset, len(family) + 1)  # the family's balls and one more
         point_, trace = almost_to_exact(
             oracle,
             family,
@@ -219,13 +219,13 @@ def cmd_refine(args, report) -> None:
         shown = {"point": point_, "trace": {"iterates": trace.iterates, "slacks": trace.slacks, "steps": trace.steps}}
     elif args.scheme == "triple-34":
         if kind != "triple":
-            raise ValidationError("triple-34 needs a triple instance")
+            raise InvalidArgument("triple-34 needs a triple instance")
         sets, x0 = payload
         point_, trace = triple_intersection(*map(exact_subset_oracle, sets), x0, rounds=iters)
         shown = {"point": point_, "gaps": trace.slacks}
     else:  # chain-walk, the one scheme left among the parser's choices
         if kind != "chain":
-            raise ValidationError("chain-walk needs a chain instance")
+            raise InvalidArgument("chain-walk needs a chain instance")
         spec = payload
         pair, trace = chain_walk(
             exact_subset_oracle(spec["sets"][0]),
@@ -243,7 +243,7 @@ def cmd_refine(args, report) -> None:
 def cmd_barycenter(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind != "points":
-        raise ValidationError("barycenter needs a points instance")
+        raise InvalidArgument("barycenter needs a points instance")
     result = barycenter(payload, _config(args))
     report["checks"].append(
         {"name": "barycenter", "verdict": HOLDS, "point": result}
@@ -260,7 +260,7 @@ def cmd_ip_threshold(args, report) -> None:
 def cmd_ip_lift(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind != "ip":
-        raise ValidationError("ip-lift needs an ip instance")
+        raise InvalidArgument("ip-lift needs an ip instance")
     balls = payload["balls"]
     k = payload["k"]
     n = len(balls) - 1
@@ -283,7 +283,7 @@ def cmd_ip_lift(args, report) -> None:
 def cmd_graph_scan(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind != "graph":
-        raise ValidationError("graph-scan needs a graph instance")
+        raise InvalidArgument("graph-scan needs a graph instance")
     outcome = graph_n_helly_bruteforce(payload, args.level)
     report["checks"].append(
         {

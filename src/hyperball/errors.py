@@ -6,7 +6,7 @@ class HyperballError(Exception):
 
 
 class InvalidArgument(HyperballError, ValueError):
-    """An entry point's argument is outside its domain: bad input, not a bug."""
+    """An argument outside its domain, raised by the check that rejects it: bad input, not a bug."""
 
 
 class InternalError(HyperballError):

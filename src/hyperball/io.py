@@ -1,7 +1,8 @@
 """Instance files and report serialization.
 
-All rationals travel as "p/q" strings; floats are rejected at parse time,
-and so are a bool, float or string where a count or index is due.
+All rationals travel as "p/q" strings.  Non-UTF-8 or invalid JSON, a float,
+and a bool, float or string where a count or index is due are a
+``ParseError``; a constructor's ``InvalidArgument`` passes through unchanged.
 ``canonical_dumps`` fixes key order and layout so that identical inputs and
 seeds yield byte-identical artifacts (reports exclude their timing field
 from that guarantee).
@@ -29,21 +30,17 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import HyperballError
+from .errors import HyperballError, InvalidArgument
 from .lab import HellyInstance, LinfBallFamily
 from .linf import Ball, Box, Point
 from .lp import HPolyhedron
-from .metric import GraphInstance, MetricError, check_cap, validate_metric
+from .metric import GraphInstance, check_cap, validate_metric
 from .rational import RationalParseError, format_rational, parse_rational
 from .sets import BoxUnion
 
 
 class ParseError(HyperballError):
     """Structurally invalid instance data."""
-
-
-class ValidationError(HyperballError):
-    """Well-formed data that violates a domain invariant."""
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -115,10 +112,7 @@ def _point(values: Any) -> Point:
 
 
 def parse_ball(data: Any) -> Ball:
-    try:
-        return Ball(_point(data["center"]), _rational(data["r"]))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    return Ball(_point(data["center"]), _rational(data["r"]))
 
 
 def parse_box(data: Any) -> Box:
@@ -126,14 +120,11 @@ def parse_box(data: Any) -> Box:
 
 
 def parse_polyhedron(data: Any) -> HPolyhedron:
-    try:
-        rows = tuple(
-            (tuple(_rational(c) for c in row["a"]), _rational(row["b"]))
-            for row in data["rows"]
-        )
-        return HPolyhedron(_integer(data["dim"]), rows)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    rows = tuple(
+        (tuple(_rational(c) for c in row["a"]), _rational(row["b"]))
+        for row in data["rows"]
+    )
+    return HPolyhedron(_integer(data["dim"]), rows)
 
 
 def parse_subset(data: Any):
@@ -144,10 +135,7 @@ def parse_subset(data: Any):
     if "box" in data:
         return parse_box(data["box"])
     if "union" in data:
-        try:
-            return BoxUnion(tuple(parse_box(item["box"]) for item in data["union"]))
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        return BoxUnion(tuple(parse_box(item["box"]) for item in data["union"]))
     raise ParseError("subset must be a polyhedron, box, union, or null")
 
 
@@ -162,16 +150,14 @@ def _parse_sets(data: dict, kind: str, count: int) -> tuple:
 
 
 def parse_instance(source: str | Path | dict):
-    """Parse an instance file (or already-loaded dict) into domain objects.
-
-    Returns a pair (kind, payload); validation errors carry the offending
-    indices from the underlying checks.
-    """
+    """Parse an instance file (or already-loaded dict) into a pair (kind, payload)."""
     if isinstance(source, (str, Path)):
         try:
-            data = json.loads(Path(source).read_text())
+            data = json.loads(Path(source).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON at line {exc.lineno}") from exc
+        except (ValueError, RecursionError) as exc:  # non-UTF-8 bytes, huge integers, deep nesting
+            raise ParseError(f"unreadable instance: {type(exc).__name__}: {exc}") from exc
     else:
         data = source
     if not isinstance(data, dict):
@@ -193,37 +179,25 @@ def _parse_object(data: dict):
     if kind == "matrix":
         check_cap(len(data["dist"]))  # before the cubic triangle scan
         matrix = [[_rational(v) for v in row] for row in data["dist"]]
-        try:
-            return "metric", validate_metric(matrix)
-        except MetricError as exc:
-            raise ValidationError(str(exc)) from exc
+        return "metric", validate_metric(matrix)
     if kind == "graph":
-        try:
-            weights = (
-                tuple(_rational(w) for w in data["weights"]) if "weights" in data else None
-            )
-            graph = GraphInstance(
-                _integer(data["n"]),
-                tuple((_integer(u), _integer(v)) for u, v in data["edges"]),
-                weights,
-            )
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        weights = (
+            tuple(_rational(w) for w in data["weights"]) if "weights" in data else None
+        )
+        graph = GraphInstance(
+            _integer(data["n"]),
+            tuple(tuple(map(_integer, edge)) for edge in data["edges"]),
+            weights,
+        )
         return "graph", graph
     if kind == "family":
         balls = tuple(parse_ball(item["ball"]) for item in data["balls"])
         subset = parse_subset(data.get("subset"))
-        try:
-            return "family", LinfBallFamily(balls, subset)
-        except (ValueError, HyperballError) as exc:
-            raise ValidationError(str(exc)) from exc
+        return "family", LinfBallFamily(balls, subset)
     if kind == "helly":
         halfspaces = tuple(parse_polyhedron(h["polyhedron"]) for h in data["halfspaces"])
         witnesses = tuple(_point(w) for w in data["witnesses"])
-        try:
-            return "helly", HellyInstance(_integer(data["dim"]), halfspaces, witnesses)
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        return "helly", HellyInstance(_integer(data["dim"]), halfspaces, witnesses)
     if kind == "triple":
         return "triple", (_parse_sets(data, kind, 3), _point(data["x0"]))
     if kind == "chain":
@@ -238,7 +212,7 @@ def _parse_object(data: dict):
     if kind == "points":
         points = tuple(_point(p) for p in data["points"])
         if not points:
-            raise ValidationError("points instance needs at least one point")
+            raise InvalidArgument("points instance needs at least one point")
         return "points", points
     if kind == "ip":
         return "ip", {

@@ -66,7 +66,7 @@ class LinfBallFamily:
 
     def __post_init__(self):
         if not self.balls:
-            raise ValueError("family needs at least one ball")
+            raise InvalidArgument("family needs at least one ball")
         for b in self.balls:
             if not isinstance(b, Ball):
                 raise DimMismatch(f"{b!r} is not a max-norm ball")
@@ -105,9 +105,9 @@ class FiniteBallFamily:
                 raise DimMismatch(f"{item!r} is not a (center index, radius) pair")
             i, r = item
             if not (0 <= i < self.space.size):
-                raise ValueError(f"center index {i} out of range")
+                raise InvalidArgument(f"center index {i} out of range")
             if r < 0:
-                raise ValueError("radius must be >= 0")
+                raise InvalidArgument("radius must be >= 0")
         if self.subset is not None and getattr(self.subset, "space", None) != self.space:
             raise DimMismatch("subset is not a finite subset of the family's space")
 
@@ -456,11 +456,11 @@ class HellyInstance:
 
     def __post_init__(self):
         if len(self.halfspaces) != len(self.witnesses):
-            raise ValueError("one witness per leave-one-out intersection")
+            raise InvalidArgument("one witness per leave-one-out intersection")
         for j, w in enumerate(self.witnesses):
             for i, hs in enumerate(self.halfspaces):
                 if i != j and not hs.contains(w):
-                    raise ValueError(f"witness {j} fails set {i}")
+                    raise InvalidArgument(f"witness {j} fails set {i}")
 
 
 def helly_counterexample(n: int) -> HellyInstance:

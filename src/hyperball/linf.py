@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import DimMismatch, EmptySet, HyperballError
+from .errors import DimMismatch, EmptySet, HyperballError, InvalidArgument
 
 Point = tuple[Fraction, ...]
 
@@ -62,7 +62,7 @@ class Ball:
 
     def __post_init__(self):
         if self.radius < 0:
-            raise ValueError("ball radius must be >= 0")
+            raise InvalidArgument("ball radius must be >= 0")
 
     @property
     def dim(self) -> int:
@@ -150,7 +150,7 @@ def balls_box(balls: Sequence[Ball]) -> Box:
     each side's max and min taken over integers on the balls' common
     denominator."""
     if not balls:
-        raise ValueError("need at least one ball")
+        raise InvalidArgument("need at least one ball")
     dim = balls[0].dim
     for b in balls:
         if b.dim != dim:
@@ -229,7 +229,7 @@ def conical_bound(x: Point, y: Point, x2: Point, y2: Point, t: Fraction) -> Frac
 def mean_point(points: Sequence[Point]) -> Point:
     """Coordinatewise arithmetic mean (exact)."""
     if not points:
-        raise ValueError("mean of no points")
+        raise InvalidArgument("mean of no points")
     dim = len(points[0])
     n = len(points)
     return tuple(sum((p[k] for p in points), Fraction(0)) / n for k in range(dim))

@@ -390,7 +390,7 @@ def _assemble(p: HPolyhedron | None, balls: Sequence[Ball]) -> tuple[list[IntRow
             raise DimMismatch("ball dim mismatch")
         rows.extend(_box_rows(box))
     if dim is None:
-        raise ValueError("cannot infer dimension from empty input")
+        raise InvalidArgument("cannot infer dimension from empty input")
     return rows, dim
 
 

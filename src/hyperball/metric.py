@@ -15,7 +15,7 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .errors import HyperballError, SizeCapExceeded
+from .errors import HyperballError, InvalidArgument, SizeCapExceeded
 from .rational import parse_rational
 from .reports import HOLDS, REFUTED, PropertyReport
 
@@ -23,7 +23,7 @@ from .reports import HOLDS, REFUTED, PropertyReport
 ENUMERATION_CAP = 12
 
 
-class MetricError(HyperballError):
+class MetricError(InvalidArgument):
     """A metric axiom failed; carries the first offending indices."""
 
 
@@ -82,18 +82,20 @@ class GraphInstance:
 
     def __post_init__(self):
         if self.n <= 0:
-            raise ValueError("vertex count must be positive")
+            raise InvalidArgument("vertex count must be positive")
+        if any(len(edge) != 2 for edge in self.edges):
+            raise InvalidArgument("every edge must be a pair of vertices")
         for u, v in self.edges:
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+                raise InvalidArgument(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range")
+                raise InvalidArgument(f"edge ({u},{v}) out of range")
         if self.weights is not None:
             if len(self.weights) != len(self.edges):
-                raise ValueError("one weight per edge required")
+                raise InvalidArgument("one weight per edge required")
             for w in self.weights:
                 if w <= 0:
-                    raise ValueError("edge weights must be positive")
+                    raise InvalidArgument("edge weights must be positive")
 
 
 def validate_metric(matrix: Sequence[Sequence[object]]) -> FiniteMetricSpace:

@@ -13,10 +13,10 @@ schemes here turn such answers into points, each returned with the
                          ("triple-34").
 
 ``EpsOracle.ask`` checks every ask, those of ``barycenter.ip_lift``
-included: more balls than ``level`` is a ``ValueError``, a breaching answer
-an ``OracleFailure``, never absorbed.  A trace keeps only its iterates and
-the inputs its bounds are stated in; its steps and slacks are derived from
-them once.  ``verify_trace`` re-checks a cauchy-halving, chain-walk,
+included: more balls than ``level`` is an ``InvalidArgument``, a breaching
+answer an ``OracleFailure``, never absorbed.  A trace keeps only its
+iterates and the inputs its bounds are stated in; its steps and slacks are
+derived from them once.  ``verify_trace`` re-checks a cauchy-halving, chain-walk,
 triple-34 or ip-lift trace on those derived values with exact rationals,
 and is the one place that states scheme bounds: no scheme checks its own.
 """
@@ -62,9 +62,9 @@ class EpsOracle:
 
     def ask(self, balls: tuple[Ball, ...], slack: Fraction, call: int) -> Point:
         """The query's answer, or ``OracleFailure`` at ``call`` if it breaks
-        the contract; ``ValueError`` if asked more balls than ``level``."""
+        the contract; ``InvalidArgument`` if asked more balls than ``level``."""
         if len(balls) > self.level:
-            raise ValueError(f"oracle contract does not cover {len(balls)} balls (level {self.level})")
+            raise InvalidArgument(f"oracle contract does not cover {len(balls)} balls (level {self.level})")
         p = self.query(balls, slack)
         if p is None:
             raise OracleFailure(call, "no point returned")
@@ -136,7 +136,7 @@ class RefinementTrace:
     def slacks(self) -> tuple[Fraction, ...]:
         """Per scheme: the halving schedule scale * 2^-(i+1) per iterate, the
         chain-walk pair gaps, the triple-34 gaps d(x_n, A0), or the ip-lift
-        reaches; ``ValueError`` for an unknown scheme."""
+        reaches; ``InvalidArgument`` for an unknown scheme."""
         iterates, aux = self.iterates, self.aux
         if self.scheme == "cauchy-halving":
             return tuple(aux.get("scale", Fraction(1)) / (1 << (i + 1)) for i in range(len(iterates)))
@@ -146,7 +146,7 @@ class RefinementTrace:
             return tuple(subset_dist(aux["subsets"][0], p) for p in iterates)
         if self.scheme == "ip-lift":
             return tuple(map(ip_reach(self.family.balls, aux["k"]), iterates))
-        raise ValueError(f"unknown scheme {self.scheme!r}")
+        raise InvalidArgument(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -418,10 +418,10 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
     A trace without iterates or without one of the ``aux`` inputs its
     bounds are stated in, and an ip-lift one without balls, with k
     outside 2..n or with a negative eps, fail with a note.  Any other
-    scheme raises ``ValueError``."""
+    scheme raises ``InvalidArgument``."""
     scheme, aux = trace.scheme, trace.aux
     if scheme not in _RECORDED:
-        raise ValueError(f"unknown scheme {scheme!r}")
+        raise InvalidArgument(f"unknown scheme {scheme!r}")
     missing = ("no iterates recorded" if not trace.iterates else
                "no balls recorded" if scheme == "ip-lift" and trace.family is None else
                next((f"no {key} recorded" for key in _RECORDED[scheme] if key not in aux), None))

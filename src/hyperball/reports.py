@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from .errors import InvalidArgument
+
 HOLDS = "holds"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
@@ -25,7 +27,7 @@ class PropertyReport:
 
     def __post_init__(self):
         if self.verdict not in (HOLDS, REFUTED, INCONCLUSIVE):
-            raise ValueError(f"unknown verdict: {self.verdict!r}")
+            raise InvalidArgument(f"unknown verdict: {self.verdict!r}")
 
     @property
     def holds(self) -> bool:

@@ -9,6 +9,8 @@ ints and on numpy uint64 counter arrays.
 
 from __future__ import annotations
 
+from .errors import InvalidArgument
+
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -52,7 +54,7 @@ class SplitMix64:
     def below(self, bound: int) -> int:
         """Uniform-ish integer in [0, bound) by modular reduction."""
         if bound <= 0:
-            raise ValueError("bound must be positive")
+            raise InvalidArgument("bound must be positive")
         return self.next_u64() % bound
 
     def randint(self, lo: int, hi: int) -> int:

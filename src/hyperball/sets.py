@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimMismatch, EmptySet
+from .errors import DimMismatch, EmptySet, InvalidArgument
 from .linf import Ball, Box, FeasibilityResult, Point, balls_box
 from .lp import intersection, lp_feasible
 from .metric import FiniteMetricSpace
@@ -45,7 +45,7 @@ class BoxUnion:
 
     def __post_init__(self):
         if not self.boxes:
-            raise ValueError("union of no boxes")
+            raise InvalidArgument("union of no boxes")
         d = self.boxes[0].dim
         for b in self.boxes:
             if b.dim != d:
@@ -101,9 +101,9 @@ class FiniteSubset:
             except TypeError:
                 index = None
             if index is None:
-                raise ValueError(f"index {i!r} is not an int")
+                raise InvalidArgument(f"index {i!r} is not an int")
             if not (0 <= index < self.space.size):
-                raise ValueError(f"index {i} out of range")
+                raise InvalidArgument(f"index {i} out of range")
             indices.append(index)
         object.__setattr__(self, "indices", tuple(indices))
 

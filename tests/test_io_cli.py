@@ -3,6 +3,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,13 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperball import lab, refine
+from hyperball import lab, linf, lp, metric, refine, reports, rng, sets
 from hyperball.barycenter import BarycenterConfig, ip_lift
 from hyperball.cli import main
 from hyperball.errors import HyperballError, InvalidArgument
 from hyperball.io import (
     ParseError,
-    ValidationError,
     canonical_dumps,
     parse_instance,
     parse_subset,
@@ -46,8 +46,9 @@ def test_matrix_validation_names_triple(tmp_path):
     path = write(
         tmp_path, "bad.json", {"type": "matrix", "dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]}
     )
-    with pytest.raises(ValidationError) as exc:
+    with pytest.raises(InvalidArgument) as exc:
         parse_instance(path)
+    assert isinstance(exc.value, metric.TriangleViolation) and exc.value.indices == (0, 2, 1)
     assert "dist[0][2]" in str(exc.value)
 
 
@@ -148,6 +149,17 @@ def test_cli_helly_emit_and_check(tmp_path, capsys):
     capsys.readouterr()
     kind, parsed = parse_instance(out)
     assert canonical_dumps(parsed) == open(out).read()
+
+
+def test_cli_helly_out_gets_the_instance_only_without_verify(tmp_path, capsys):
+    emitted, verified = tmp_path / "emit.json", tmp_path / "verify.json"
+    assert main(["helly", "--dim", "4", "--out", str(emitted)]) == 0
+    assert emitted.read_text() == canonical_dumps(helly_counterexample(4))
+    assert capsys.readouterr().out == "emit: holds  (5 half-spaces)\n"
+    assert main(["helly", "--dim", "4", "--verify", "--out", str(verified)]) == 1
+    report = json.loads(verified.read_text())
+    assert report["command"] == "helly" and report["checks"][0]["name"] == "helly-order-4"
+    assert capsys.readouterr().out == "helly-order-4: refuted  (not a Helly family of this order)\n"
 
 
 def test_cli_k_is_a_usage_error_where_it_is_not_read(tmp_path, capsys):
@@ -526,6 +538,114 @@ def test_entry_point_argument_checks_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument) as caught:
         call()
     assert isinstance(caught.value, ValueError) and isinstance(caught.value, HyperballError)
+
+
+_TWO_POINTS = metric.validate_metric([[0, 1], [1, 0]])
+_HALF_LINE = box_to_polyhedron(linf.Box(pt(-10), pt(0)))
+_ODD_TRACE = refine.RefinementTrace("bogus", (pt(0),))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lab.LinfBallFamily(()), "family needs at least one ball"),
+    (lambda: lab.FiniteBallFamily(_TWO_POINTS, ((2, F(1)),)), "center index 2 out of range"),
+    (lambda: lab.FiniteBallFamily(_TWO_POINTS, ((0, F(-1)),)), "radius must be >= 0"),
+    (lambda: lab.HellyInstance(1, (_HALF_LINE,), ()), "one witness per leave-one-out intersection"),
+    (lambda: lab.HellyInstance(1, (_HALF_LINE, _HALF_LINE), (pt(0), pt(1))), "witness 1 fails set 0"),
+    (lambda: linf.Ball(pt(0), F(-1)), "ball radius must be >= 0"),
+    (lambda: linf.balls_box([]), "need at least one ball"),
+    (lambda: linf.mean_point([]), "mean of no points"),
+    (lambda: lp.lp_feasible(None), "cannot infer dimension from empty input"),
+    (lambda: refine.exact_subset_oracle(None, 1).ask((linf.Ball(pt(0), F(1)),) * 2, F(0), 0),
+     "oracle contract does not cover 2 balls (level 1)"),
+    (lambda: _ODD_TRACE.slacks, "unknown scheme 'bogus'"),
+    (lambda: refine.verify_trace(_ODD_TRACE), "unknown scheme 'bogus'"),
+    (lambda: sets.BoxUnion(()), "union of no boxes"),
+    (lambda: sets.FiniteSubset(_TWO_POINTS, ("0",)), "index '0' is not an int"),
+    (lambda: sets.FiniteSubset(_TWO_POINTS, (2,)), "index 2 out of range"),
+    (lambda: reports.PropertyReport("maybe"), "unknown verdict: 'maybe'"),
+    (lambda: rng.SplitMix64(0).below(0), "bound must be positive"),
+    (lambda: metric.GraphInstance(0, ()), "vertex count must be positive"),
+    (lambda: metric.GraphInstance(2, ((1, 1),)), "self-loop at vertex 1"),
+    (lambda: metric.GraphInstance(2, ((0, 2),)), "edge (0,2) out of range"),
+    (lambda: metric.GraphInstance(2, ((0, 1),), (F(1), F(1))), "one weight per edge required"),
+    (lambda: metric.GraphInstance(2, ((0, 1),), (F(0),)), "edge weights must be positive"),
+    (lambda: metric.GraphInstance(3, ((0, 1, 2),)), "every edge must be a pair of vertices"),
+], ids=["family-no-balls", "finite-center-index", "finite-radius", "helly-witness-count",
+        "helly-witness-fails", "ball-radius", "balls-box-empty", "mean-no-points", "lp-no-dim",
+        "oracle-over-ask", "slacks-scheme", "verify-trace-scheme", "union-no-boxes",
+        "subset-index-type", "subset-index-range", "report-verdict", "rng-bound",
+        "graph-no-vertices", "graph-self-loop", "graph-edge-range", "graph-weight-count",
+        "graph-weight-sign", "graph-edge-arity"])
+def test_every_argument_check_raises_invalid_argument(call, message):
+    with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+        call()
+
+
+_B1 = {"ball": {"center": ["0/1"], "r": "1/1"}}
+_H1 = {"polyhedron": {"dim": 1, "rows": [{"a": ["1/1"], "b": "0/1"}]}}
+
+
+@pytest.mark.parametrize("instance, line", [
+    ({"type": "family", "balls": [{"ball": {"center": ["0/1"], "r": "-1/1"}}], "subset": None},
+     "ball radius must be >= 0"),
+    ({"type": "family", "balls": [_B1], "subset": {"union": []}}, "union of no boxes"),
+    ({"type": "graph", "n": 2, "edges": [[0, 0]]}, "self-loop at vertex 0"),
+    ({"type": "graph", "n": 0, "edges": []}, "vertex count must be positive"),
+    ({"type": "graph", "n": 2, "edges": [[0, 2]]}, "edge (0,2) out of range"),
+    ({"type": "graph", "n": 2, "edges": [[0, 1]], "weights": ["-1/1"]}, "edge weights must be positive"),
+    ({"type": "family", "balls": [], "subset": None}, "family needs at least one ball"),
+    ({"type": "family", "balls": [_B1, {"ball": {"center": ["0/1", "0/1"], "r": "1/1"}}],
+      "subset": None}, "balls of different dims"),
+    ({"type": "family", "balls": [_B1], "subset": BOX},
+     "subset is not a max-norm subset of the balls' dim"),
+    ({"type": "matrix", "dist": [[0, 1, 3], [1, 0, 1], [3, 1, 0]]},
+     "dist[0][2] > dist[0][1] + dist[1][2]"),
+    ({"type": "matrix", "dist": [[0, 1], [2, 0]]}, "dist[0][1] != dist[1][0]"),
+    ({"type": "helly", "dim": 1, "halfspaces": [_H1], "witnesses": []},
+     "one witness per leave-one-out intersection"),
+    ({"polyhedron": {"dim": 2, "rows": [{"a": ["1/1"], "b": "0/1"}]}},
+     "row length does not match polyhedron dim"),
+    ({"type": "points", "points": []}, "points instance needs at least one point"),
+    ({"type": "graph", "n": 3, "edges": [[0, 1, 2]]}, "every edge must be a pair of vertices"),
+    ({"type": "graph", "n": 3, "edges": [[0]]}, "every edge must be a pair of vertices"),
+], ids=["negative-radius", "empty-union", "graph-self-loop", "graph-no-vertices",
+        "graph-edge-range", "graph-negative-weight", "family-no-balls", "mixed-ball-dims",
+        "subset-other-dim", "triangle", "asymmetric", "helly-witness-count",
+        "polyhedron-row-length", "no-points", "graph-edge-triple", "graph-edge-single"])
+def test_cli_a_rejected_instance_exits_3_with_its_check_message(tmp_path, capsys, instance, line):
+    """The constructor's own message reaches the user unwrapped, with exit 3."""
+    path = write(tmp_path, "bad.json", instance)
+    assert main(["check", "--instance", path]) == 3
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+@pytest.mark.parametrize("content, line", [
+    (b'{"type": "points", "points": [["\xff"]]}',
+     "unreadable instance: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"type": "graph", "n": ' + b"9" * 5000 + b', "edges": []}',
+     "unreadable instance: ValueError: Exceeds the limit (4300 digits)"),
+    (b"[" * 100_000 + b"]" * 100_000, "unreadable instance: RecursionError: maximum recursion depth"),
+    (b'{"type": "points",\n "points": [}', "invalid JSON at line 2"),
+], ids=["not-utf8", "huge-integer", "deep-nesting", "invalid-json"])
+def test_cli_a_malformed_file_is_a_parse_error(tmp_path, capsys, content, line):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError):
+        parse_instance(path)
+    assert main(["check", "--instance", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {line}") and err.count("\n") == 1
+
+
+def test_cli_cauchy_halving_asks_a_family_of_64_balls_and_one_more(tmp_path, capsys):
+    balls = [{"ball": {"center": [f"{i}/1", "0/1"], "r": "64/1"}} for i in range(64)]
+    box = {"box": {"lo": ["0/1", "-1/1"], "hi": ["63/1", "1/1"]}}
+    path = write(tmp_path, "family64.json", {"type": "family", "balls": balls, "subset": box})
+    assert main(["refine", "--instance", path, "--scheme", "cauchy-halving", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["verdict"] == "holds"
+    family = parse_instance(path)[1]
+    with pytest.raises(InvalidArgument, match=r"^oracle contract does not cover 65 balls \(level 64\)$"):
+        refine.almost_to_exact(refine.exact_subset_oracle(family.subset), family)
 
 
 @pytest.mark.parametrize(

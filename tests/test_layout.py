@@ -6,9 +6,10 @@ the oracle's ball tests staying in integers, on the
 refinement bounds living only in ``verify_trace`` (every refinement verdict
 included) and the oracle's ball count only in ``EpsOracle.ask``, on a
 refinement trace keeping only its iterates and inputs (steps, slacks and
-the ip-lift constants derived, never recorded and cross-checked), and on
+the ip-lift constants derived, never recorded and cross-checked), on
 subset and ball-family kinds answering for themselves instead of through
-type ladders."""
+type ladders, and on one error class for a rejected argument, raised by
+its check and never re-wrapped by the parser."""
 
 import ast
 import inspect
@@ -311,3 +312,26 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         "ip-lift": report | {"--instance", "--iters", "--tau"},
         "graph-scan": report | {"--instance", "--level"},
     }
+
+
+def _raised_name(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.id if isinstance(exc, ast.Name) else None
+
+
+def test_a_rejected_argument_raises_invalid_argument_and_io_does_not_rewrap_it():
+    from hyperball import io as hio
+    from hyperball.errors import InvalidArgument
+    from hyperball.metric import MetricError
+
+    for name, text in _sources().items():
+        module = ast.parse(text)
+        raised = {_raised_name(node) for node in ast.walk(module) if isinstance(node, ast.Raise)}
+        assert "ValueError" not in raised, name
+        names = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+        classes = {node.name for node in ast.walk(module) if isinstance(node, ast.ClassDef)}
+        assert "ValidationError" not in names | classes, name
+    assert issubclass(MetricError, InvalidArgument)
+    for fn in (hio.parse_ball, hio.parse_polyhedron, hio.parse_subset, hio._parse_object):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(tree)), fn.__name__
