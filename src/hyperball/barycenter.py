@@ -24,20 +24,12 @@ from typing import Sequence
 from .errors import DimMismatch, HyperballError, InvalidArgument
 from .lab import LinfBallFamily
 from .linf import Ball, Point, balls_box, linf_dist, sigma
-from .refine import EpsOracle, IPParams, KTooSmall, RefinementTrace, ip_constants, ip_reach
+from .refine import EpsOracle, IPParams, RefinementTrace, ip_constants, ip_reach
 from .reports import HOLDS, REFUTED, PropertyReport
 
 
 class NoConvergence(HyperballError):
     """The leave-one-out iteration exceeded its round budget."""
-
-
-class ContractionNotGuaranteed(HyperballError):
-    """The lifting constant c is not < 1 for these parameters."""
-
-
-class KSubfamilyEmpty(HyperballError):
-    """A k-subfamily of the input balls has empty intersection."""
 
 
 @dataclass(frozen=True)
@@ -202,7 +194,7 @@ def ip_threshold(k: int) -> int:
     """Least n from which the n-ball intersection property lifts to all
     sizes: the minimal integer with 2(n-k+2)(n-k+1) > n(n+1)."""
     if k < 2:
-        raise KTooSmall("k must be >= 2")
+        raise InvalidArgument("k must be >= 2")
     n = k
     while 2 * (n - k + 2) * (n - k + 1) <= n * (n + 1):
         n += 1
@@ -248,10 +240,10 @@ def ip_lift(
     if rounds < 0:
         raise InvalidArgument("rounds must be >= 0")
     if params.c >= 1:
-        raise ContractionNotGuaranteed(f"c = {params.c} is not < 1")
+        raise InvalidArgument(f"c = {params.c} is not < 1")
     for subset in combinations(range(n + 1), k):
         if balls_box(tuple(balls[i] for i in subset)).first_empty_coordinate() is not None:
-            raise KSubfamilyEmpty(f"k-subfamily {subset} has empty intersection")
+            raise InvalidArgument(f"k-subfamily {subset} has empty intersection")
     omega = list(combinations(range(n + 1), n - 1))
     reach = ip_reach(balls, k)
     iterates = [barycenter(tuple(b.center for b in balls), cfg)]

@@ -78,6 +78,9 @@ def _emit(report: dict, args, started: float) -> None:
         sys.stdout.write(text)
     else:
         for check in report["checks"]:
+            if "instance" in check:
+                sys.stdout.write(canonical_dumps(check["instance"]))
+                continue
             line = f"{check['name']}: {check['verdict']}"
             if "detail" in check:
                 line += f"  ({check['detail']})"
@@ -91,8 +94,6 @@ def _config(args) -> BarycenterConfig:
 
 def _helly_order(args, dim: int) -> int:
     """The Helly order --k, dim when the flag is not given."""
-    if args.k is not None and args.k < 1:
-        raise InvalidArgument("--k must be >= 1")
     return dim if args.k is None else args.k
 
 
@@ -170,13 +171,9 @@ def cmd_refute(args, report) -> None:
 def cmd_helly(args, report) -> None:
     if args.k is not None and not args.verify:
         raise InvalidArgument("--k applies only with --verify")
-    k = _helly_order(args, args.dim)
     instance = helly_counterexample(args.dim)
-    if args.out and not args.verify:  # with --verify, --out gets the report
-        with open(args.out, "w") as fh:
-            fh.write(canonical_dumps(instance))
-        report["_artifact_written"] = True
-    if args.verify:
+    if args.verify:  # --out gets the report
+        k = _helly_order(args, args.dim)
         outcome = helly_order_check(instance.halfspaces, k)
         report["checks"].append(
             {
@@ -185,12 +182,15 @@ def cmd_helly(args, report) -> None:
                 "detail": "; ".join(outcome.notes),
             }
         )
-    else:
-        report["checks"].append(
-            {"name": "emit", "verdict": HOLDS, "detail": f"{args.dim + 1} half-spaces"}
-        )
-        if not args.out:
-            sys.stdout.write(canonical_dumps(instance))
+        return
+    check = {"name": "emit", "verdict": HOLDS, "detail": f"{args.dim + 1} half-spaces"}
+    if args.out:  # --out gets the instance
+        with open(args.out, "w") as fh:
+            fh.write(canonical_dumps(instance))
+        report["_artifact_written"] = True
+    else:  # stdout gets one document: the instance, or with --json the report holding it
+        check["instance"] = instance
+    report["checks"].append(check)
 
 
 def _trace_verdict(trace) -> str:

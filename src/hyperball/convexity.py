@@ -7,22 +7,18 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .errors import HyperballError
-from .linf import ParamOutOfRange, Point, sigma
+from .errors import InvalidArgument
+from .linf import Point, sigma
 from .rational import DYADIC_GRID_16
 from .reports import HOLDS, REFUTED, PropertyReport
 from .sets import subset_dist
-
-
-class PointNotInSet(HyperballError):
-    """A point asserted to lie in the set does not."""
 
 
 def _check_grid(grid: Sequence[Fraction]) -> None:
     """Every grid time lies in [0, 1], checked before any point is built."""
     for t in grid:
         if not (0 <= t <= 1):
-            raise ParamOutOfRange(f"interpolation time {t} outside [0, 1]")
+            raise InvalidArgument(f"interpolation time {t} outside [0, 1]")
 
 
 def sigma_convexity_check(
@@ -38,9 +34,9 @@ def sigma_convexity_check(
     _check_grid(grid)
     for x, y in pairs:
         if not subset.contains(x):
-            raise PointNotInSet(f"{x} is not in the set")
+            raise InvalidArgument(f"{x} is not in the set")
         if not subset.contains(y):
-            raise PointNotInSet(f"{y} is not in the set")
+            raise InvalidArgument(f"{y} is not in the set")
     if not grid:
         return PropertyReport(
             HOLDS, certificate={"pairs": len(pairs)}, notes=("empty grid: vacuous",)

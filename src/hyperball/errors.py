@@ -1,4 +1,13 @@
-"""Shared exception types."""
+"""Shared exception types.
+
+A rejected argument is an ``InvalidArgument``, raised by the check that
+rejects it; its subclasses name the rejections that callers tell apart
+(``ParseError``, ``EmptySet``, ``DimMismatch``, ``SizeCapExceeded``, and
+``lab.NotAdmissible``, ``metric.MetricError`` and ``metric.Disconnected``).
+Only a failed self-check (``InternalError``) and the failures that happen
+during a run (``refine.OracleFailure``, ``refine.PairwiseIntersectionUnverified``,
+``barycenter.NoConvergence``) are not.
+"""
 
 
 class HyperballError(Exception):
@@ -13,13 +22,17 @@ class InternalError(HyperballError):
     """A self-check of the library's own output failed: a bug, not bad input."""
 
 
-class EmptySet(HyperballError):
+class ParseError(InvalidArgument):
+    """Malformed input text: a rational literal or an instance file."""
+
+
+class EmptySet(InvalidArgument):
     """An operation that needs a non-empty set got an empty one."""
 
 
-class DimMismatch(HyperballError):
+class DimMismatch(InvalidArgument):
     """Operands live in spaces of different dimensions."""
 
 
-class SizeCapExceeded(HyperballError):
+class SizeCapExceeded(InvalidArgument):
     """An exhaustive enumeration would exceed the configured size cap."""

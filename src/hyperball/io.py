@@ -1,8 +1,10 @@
 """Instance files and report serialization.
 
-All rationals travel as "p/q" strings.  Non-UTF-8 or invalid JSON, a float,
-and a bool, float or string where a count or index is due are a
-``ParseError``; a constructor's ``InvalidArgument`` passes through unchanged.
+All rationals travel as "p/q" strings, read by ``parse_rational``, which
+raises ``ParseError`` (an ``InvalidArgument``) for a bad literal or a float.
+Non-UTF-8 or invalid JSON and a bool, float or string where a count or index
+is due are a ``ParseError`` too.  A rational's or a constructor's error
+passes through unwrapped.
 ``canonical_dumps`` fixes key order and layout so that identical inputs and
 seeds yield byte-identical artifacts (reports exclude their timing field
 from that guarantee).
@@ -30,17 +32,13 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import HyperballError, InvalidArgument
+from .errors import InvalidArgument, ParseError
 from .lab import HellyInstance, LinfBallFamily
 from .linf import Ball, Box, Point
 from .lp import HPolyhedron
 from .metric import GraphInstance, check_cap, validate_metric
-from .rational import RationalParseError, format_rational, parse_rational
+from .rational import format_rational, parse_rational
 from .sets import BoxUnion
-
-
-class ParseError(HyperballError):
-    """Structurally invalid instance data."""
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -92,13 +90,6 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _rational(value: Any) -> Fraction:
-    try:
-        return parse_rational(value)
-    except RationalParseError as exc:
-        raise ParseError(str(exc)) from exc
-
-
 def _integer(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"expected an integer, got {value!r}")
@@ -108,11 +99,11 @@ def _integer(value: Any) -> int:
 def _point(values: Any) -> Point:
     if not isinstance(values, list):
         raise ParseError("point must be a list of rationals")
-    return tuple(_rational(v) for v in values)
+    return tuple(parse_rational(v) for v in values)
 
 
 def parse_ball(data: Any) -> Ball:
-    return Ball(_point(data["center"]), _rational(data["r"]))
+    return Ball(_point(data["center"]), parse_rational(data["r"]))
 
 
 def parse_box(data: Any) -> Box:
@@ -121,7 +112,7 @@ def parse_box(data: Any) -> Box:
 
 def parse_polyhedron(data: Any) -> HPolyhedron:
     rows = tuple(
-        (tuple(_rational(c) for c in row["a"]), _rational(row["b"]))
+        (tuple(parse_rational(c) for c in row["a"]), parse_rational(row["b"]))
         for row in data["rows"]
     )
     return HPolyhedron(_integer(data["dim"]), rows)
@@ -178,11 +169,11 @@ def _parse_object(data: dict):
     kind = data.get("type")
     if kind == "matrix":
         check_cap(len(data["dist"]))  # before the cubic triangle scan
-        matrix = [[_rational(v) for v in row] for row in data["dist"]]
+        matrix = [[parse_rational(v) for v in row] for row in data["dist"]]
         return "metric", validate_metric(matrix)
     if kind == "graph":
         weights = (
-            tuple(_rational(w) for w in data["weights"]) if "weights" in data else None
+            tuple(parse_rational(w) for w in data["weights"]) if "weights" in data else None
         )
         graph = GraphInstance(
             _integer(data["n"]),
@@ -205,9 +196,9 @@ def _parse_object(data: dict):
             "sets": _parse_sets(data, kind, 2),
             "x": _point(data["x"]),
             "y": _point(data["y"]),
-            "r": _rational(data["r"]),
-            "eps": _rational(data["eps"]),
-            "delta": _rational(data["delta"]),
+            "r": parse_rational(data["r"]),
+            "eps": parse_rational(data["eps"]),
+            "delta": parse_rational(data["delta"]),
         }
     if kind == "points":
         points = tuple(_point(p) for p in data["points"])
@@ -217,7 +208,7 @@ def _parse_object(data: dict):
     if kind == "ip":
         return "ip", {
             "k": _integer(data["k"]),
-            "eps": _rational(data["eps"]) if "eps" in data else None,
+            "eps": parse_rational(data["eps"]) if "eps" in data else None,
             "balls": tuple(parse_ball(item["ball"]) for item in data["balls"]),
         }
     raise ParseError(f"unknown instance type {kind!r}")

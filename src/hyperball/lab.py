@@ -19,9 +19,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Sequence
 
-from .errors import (
-    DimMismatch, EmptySet, HyperballError, InternalError, InvalidArgument, SizeCapExceeded,
-)
+from .errors import DimMismatch, EmptySet, InternalError, InvalidArgument, SizeCapExceeded
 from .linf import (
     Ball, FeasibilityResult, Point, ball_family_intersection, balls_box, linf_dist,
 )
@@ -40,16 +38,8 @@ from .sets import (
 )
 
 
-class NotAdmissible(HyperballError):
+class NotAdmissible(InvalidArgument):
     """Ball family violates an admissibility constraint."""
-
-
-class CenterNotInA(HyperballError):
-    """An inner ball center asserted to lie in the subset does not."""
-
-
-class DimTooSmall(HyperballError):
-    """Construction needs a larger ambient dimension."""
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +197,7 @@ def weakly_external_witness(
     family = replace(inner.prepend(x, r), subset=subset)
     for i, (c, _) in enumerate(inner.items):
         if not subset.contains(c):
-            raise CenterNotInA(f"inner center {i} not in subset")
+            raise InvalidArgument(f"inner center {i} not in subset")
     return external_witness(subset, family)
 
 
@@ -455,6 +445,9 @@ class HellyInstance:
     witnesses: tuple[Point, ...]
 
     def __post_init__(self):
+        for i, hs in enumerate(self.halfspaces):
+            if hs.dim != self.dim:
+                raise DimMismatch(f"half-space {i} has dim {hs.dim}, not {self.dim}")
         if len(self.halfspaces) != len(self.witnesses):
             raise InvalidArgument("one witness per leave-one-out intersection")
         for j, w in enumerate(self.witnesses):
@@ -467,7 +460,7 @@ def helly_counterexample(n: int) -> HellyInstance:
     """The optimal-order family: a chain of coordinate-difference half-spaces
     plus x_1 + x_2 <= -1, with witnesses whose entries are 0 and -5."""
     if n < 2:
-        raise DimTooSmall("need dimension >= 2")
+        raise InvalidArgument("need dimension >= 2")
     F = Fraction
     rows: list[HPolyhedron] = []
     a1 = [F(0)] * n
@@ -504,6 +497,8 @@ def helly_order_check(sets: Sequence[HPolyhedron], k: int) -> PropertyReport:
     """
     if not sets:
         raise InvalidArgument("empty family")
+    if k < 1:
+        raise InvalidArgument("k must be >= 1")
     dim = sets[0].dim
     k_witnesses = {}
     for idx in combinations(range(len(sets)), min(k, len(sets))):
@@ -646,7 +641,7 @@ def uniform_local_external_sample(
     Centers are drawn around that part's own window."""
     for idx, probe in enumerate(probes):
         if not subset.contains(probe):
-            raise CenterNotInA(f"probe {idx} not in subset")
+            raise InvalidArgument(f"probe {idx} not in subset")
         local = subset.intersect(Ball(probe, radius).to_box())
         report = refute_search(local, 2, budget, derive_seed(seed, idx))
         if report.refuted:

@@ -15,19 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from .errors import DimMismatch, EmptySet, HyperballError, InvalidArgument
+from .errors import DimMismatch, EmptySet, InvalidArgument
 
 Point = tuple[Fraction, ...]
-
-
-class ParamOutOfRange(HyperballError):
-    """Interpolation time outside [0, 1]."""
-
-
-class EmptyBox(EmptySet):
-    """A coordinate box with lo > hi in some coordinate."""
 
 
 def linf_dist(p: Point, q: Point) -> Fraction:
@@ -117,7 +109,7 @@ class Box:
         if len(p) != self.dim:
             raise DimMismatch("point dim does not match box dim")
         if self.is_empty():
-            raise EmptyBox("cannot clamp onto an empty box")
+            raise EmptySet("cannot clamp onto an empty box")
         return tuple(min(max(x, l), h) for l, x, h in zip(self.lo, p, self.hi))
 
     def dist(self, p: Point) -> Fraction:
@@ -125,7 +117,7 @@ class Box:
         if len(p) != self.dim:
             raise DimMismatch("point dim does not match box dim")
         if self.is_empty():
-            raise EmptyBox("distance to an empty box is undefined")
+            raise EmptySet("distance to an empty box is undefined")
         gaps = [max(l - x, x - h, Fraction(0)) for l, x, h in zip(self.lo, p, self.hi)]
         return max(gaps) if gaps else Fraction(0)
 
@@ -204,7 +196,7 @@ def sigma(x: Point, y: Point, t: Fraction) -> Point:
     if len(x) != len(y):
         raise DimMismatch(f"points of dim {len(x)} and {len(y)}")
     if not (0 <= t <= 1):
-        raise ParamOutOfRange(f"interpolation time {t} outside [0, 1]")
+        raise InvalidArgument(f"interpolation time {t} outside [0, 1]")
     return tuple(a + t * (b - a) for a, b in zip(x, y))
 
 
@@ -217,7 +209,7 @@ def box_retraction(region: Box | Ball, x: Point) -> Point:
     """
     box = region.to_box() if isinstance(region, Ball) else region
     if box.is_empty():
-        raise EmptyBox("retraction target is empty")
+        raise EmptySet("retraction target is empty")
     return box.clamp(x)
 
 

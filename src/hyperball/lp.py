@@ -115,11 +115,11 @@ class HPolyhedron:
         return tuple(_integer_row(a, b) for a, b in self.rows)
 
     @cached_property
-    def _pieces(self) -> dict:
-        """The distance LP's optimal bases met so far, oldest first (see
-        `_dist_at`); not a dataclass field.  A query reads one dict and a
-        new basis replaces it whole, so threads never see it change."""
-        return {}
+    def _pieces(self) -> tuple:
+        """The distance LP's optimal pieces met so far, oldest first (see
+        `_dist_at`); not a dataclass field.  A query reads one tuple and a
+        new piece replaces it whole, so threads never see it change."""
+        return ()
 
     @cached_property
     def _zero_piece(self) -> tuple:
@@ -350,9 +350,8 @@ def _solve(rows: Sequence[IntRow], dim: int, objective: Sequence[Fraction] | Non
     ("optimal", value, point), ("unbounded", None) or ("infeasible", ...).
     An infeasibility certificate must hold on `farkas_rows`, leading rows of
     `rows`, alone (all of `rows` by default).  With ``basis`` an optimum
-    also returns its basis as (key, rates, y, D): the sorted basic
-    variables, the rows' ``_Tableau.rates``, and the duals and D, which
-    do not depend on the right-hand sides."""
+    also returns its basis as (rates, y, D): the rows' ``_Tableau.rates``,
+    and the duals and D, which do not depend on the right-hand sides."""
     scale, c, _ = (None, None, None) if objective is None else _integer_row(objective, 0)
     tab = _Tableau(rows, dim, c)
     y = tab.phase1()
@@ -373,7 +372,7 @@ def _solve(rows: Sequence[IntRow], dim: int, objective: Sequence[Fraction] | Non
     y = tab.duals()
     _verify_dual(rows, c, y, D, x)
     outcome = "optimal", Fraction(_dot(c, x), D * scale), point
-    return (*outcome, (tuple(sorted(tab.basis)), tab.rates(), y, D)) if basis else outcome
+    return (*outcome, (tab.rates(), y, D)) if basis else outcome
 
 
 # ---------------------------------------------------------------------------
@@ -540,22 +539,22 @@ def _dist_at(p: HPolyhedron, q: int, X: Sequence[int]) -> tuple[Fraction, tuple]
     is the row test below and whose other checks always hold (in dim 0 no
     piece passes).  Else the kept pieces that `_best_bounds` ranks first are
     tried, then a fresh LP's, kept up to _PIECE_CAP; a fresh W that fails
-    at its own point, checked by the LP, is a kernel bug."""
+    at its own point, checked by the LP, is a kernel bug.  No kept piece has
+    the fresh basis: it would have the largest bound and pass at the point."""
     if all(_dot(a, X) <= b * q for _, a, b in p._integer_rows):
         return Fraction(0), p._zero_piece
-    params, pieces = (q, *X), p._pieces  # never changed in place: a miss publishes a new dict
-    for W, y, D, g in _best_bounds(pieces.values(), params):
+    params, pieces = (q, *X), p._pieces  # never changed in place: a miss publishes a new tuple
+    for W, y, D, g in _best_bounds(pieces, params):
         w = _piece_vertex(p, params, W, y, D)  # None: it fails at the point
         if w is not None:
             return Fraction(w[0], D * q), (W, y, D, g)
     rows = _distance_rows(p, [(1, v) for v in X], q)
-    _, value, _, (key, rates, y, D) = _distance_lp(p, rows, basis=True)
+    _, value, _, (rates, y, D) = _distance_lp(p, rows, basis=True)
     W = [_per_parameter(p, [rate[i] for rate in rates]) for i in range(p.dim + 1)]
     if _piece_vertex(p, params, W, y, D) is None:
         raise LPKernelError("fresh distance piece fails the checks at its own point")
     piece = W, y, D, _per_parameter(p, y)
-    kept = [item for item in pieces.items() if item[0] != key]
-    p.__dict__["_pieces"] = dict([*kept, (key, piece)][-_PIECE_CAP:])
+    p.__dict__["_pieces"] = (*pieces, piece)[-_PIECE_CAP:]
     return value / q, piece
 
 

@@ -15,7 +15,7 @@ from itertools import combinations
 from math import lcm
 from typing import Sequence
 
-from .errors import HyperballError, InvalidArgument, SizeCapExceeded
+from .errors import InvalidArgument, SizeCapExceeded
 from .rational import parse_rational
 from .reports import HOLDS, REFUTED, PropertyReport
 
@@ -51,7 +51,7 @@ class TriangleViolation(MetricError):
         self.indices = (i, j, k)
 
 
-class Disconnected(HyperballError):
+class Disconnected(InvalidArgument):
     """Graph has no path between some pair of vertices."""
 
 
@@ -170,7 +170,7 @@ def graph_metric(g: GraphInstance) -> FiniteMetricSpace:
 def _check_index(s: FiniteMetricSpace, *indices: int) -> None:
     for i in indices:
         if not (0 <= i < s.size):
-            raise IndexError(f"point index {i} out of range for size {s.size}")
+            raise InvalidArgument(f"point index {i} out of range for size {s.size}")
 
 
 def check_cap(size: int) -> None:

@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import HyperballError
-
-
-class RationalParseError(HyperballError):
-    """Malformed rational literal (bad syntax, zero denominator, float)."""
+from .errors import ParseError
 
 
 def parse_rational(value: object) -> Fraction:
@@ -24,7 +20,7 @@ def parse_rational(value: object) -> Fraction:
     exact predicates.
     """
     if isinstance(value, bool):
-        raise RationalParseError(f"not a rational literal: {value!r}")
+        raise ParseError(f"not a rational literal: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, Fraction):
@@ -36,11 +32,11 @@ def parse_rational(value: object) -> Fraction:
             num = int(num_str)
             den = int(den_str) if sep else 1
         except ValueError:
-            raise RationalParseError(f"not a rational literal: {value!r}") from None
+            raise ParseError(f"not a rational literal: {value!r}") from None
         if den == 0:
-            raise RationalParseError(f"zero denominator: {value!r}")
+            raise ParseError(f"zero denominator: {value!r}")
         return Fraction(num, den)
-    raise RationalParseError(f"not a rational literal: {value!r}")
+    raise ParseError(f"not a rational literal: {value!r}")
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -345,10 +345,6 @@ def triple_intersection(
 # (n, k) intersection-property constants (the ``ip-lift`` contraction bound)
 
 
-class KTooSmall(HyperballError):
-    """Intersection-property parameters need k >= 2."""
-
-
 @dataclass(frozen=True)
 class IPParams:
     n: int
@@ -368,7 +364,7 @@ def ip_constants(n: int, k: int, eps: Fraction = Fraction(0)) -> IPParams:
     threshold formula.
     """
     if k < 2:
-        raise KTooSmall("k must be >= 2")
+        raise InvalidArgument("k must be >= 2")
     if not (k <= n):
         raise InvalidArgument("need k <= n")
     if eps < 0:

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from hyperball.barycenter import (
     MAX_ROUNDS,
     BarycenterConfig,
-    ContractionNotGuaranteed,
     Isometry,
-    KSubfamilyEmpty,
     NoConvergence,
     barycenter,
     barycenter_contraction_check,
@@ -21,10 +19,10 @@ from hyperball.barycenter import (
     ip_threshold,
     min_matching_average,
 )
-from hyperball.errors import DimMismatch, HyperballError
+from hyperball.errors import DimMismatch, HyperballError, InvalidArgument
 from hyperball.linf import Ball, balls_box, linf_dist, mean_point, sigma
 from hyperball.refine import (
-    EpsOracle, KTooSmall, OracleFailure, exact_subset_oracle, ip_constants, ip_reach, verify_trace,
+    EpsOracle, OracleFailure, exact_subset_oracle, ip_constants, ip_reach, verify_trace,
 )
 from hyperball.rng import SplitMix64
 
@@ -208,7 +206,7 @@ def test_ip_threshold_values():
     assert ip_threshold(2) == 4
     assert ip_threshold(3) == 7
     assert ip_threshold(4) == 10
-    with pytest.raises(KTooSmall):
+    with pytest.raises(InvalidArgument, match="^k must be >= 2$"):
         ip_threshold(1)
 
 
@@ -386,7 +384,7 @@ def test_ip_lift_immediate_when_base_in_all():
 
 def test_ip_lift_rejects_c_at_least_one():
     balls = seeded_instance(7, n=3)
-    with pytest.raises(ContractionNotGuaranteed):
+    with pytest.raises(InvalidArgument, match=f"^c = {ip_constants(3, 2).c} is not < 1$"):
         ip_lift(exact_subset_oracle(None), balls, ip_constants(3, 2), rounds=5)
 
 
@@ -398,5 +396,5 @@ def test_ip_lift_rejects_empty_k_subfamily():
         Ball(pt(10, 10), F(1)),
         Ball(pt(5, 5), F(1)),
     )
-    with pytest.raises(KSubfamilyEmpty):
+    with pytest.raises(InvalidArgument, match=r"^k-subfamily \(0, 1\) has empty intersection$"):
         ip_lift(exact_subset_oracle(None), balls, ip_constants(4, 2, F(1, 64)), rounds=5)

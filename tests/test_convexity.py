@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from hyperball import lp
-from hyperball.convexity import PointNotInSet, distance_convexity_check, sigma_convexity_check
+from hyperball.convexity import distance_convexity_check, sigma_convexity_check
 from hyperball.lab import BoxUnion, helly_counterexample
-from hyperball.linf import Box, ParamOutOfRange, sigma
+from hyperball.errors import InvalidArgument
+from hyperball.linf import Box, sigma
 from hyperball.lp import EmptySet, HPolyhedron, box_to_polyhedron, dist_to_polyhedron, halfspace
 from hyperball.rational import DYADIC_GRID_16
 from hyperball.rng import SplitMix64, derive_seed
@@ -29,7 +30,7 @@ def test_union_fixture_is_refuted():
 
 
 def test_pairs_must_lie_in_set():
-    with pytest.raises(PointNotInSet):
+    with pytest.raises(InvalidArgument, match=r"^\(Fraction\(2, 1\), Fraction\(0, 1\)\) is not in the set$"):
         sigma_convexity_check(UNION, [(pt(2, 0), pt(0, 0))])
 
 
@@ -114,14 +115,14 @@ def test_grid_times_outside_the_unit_interval_raise_before_any_question(late, mo
     grid = DYADIC_GRID_16 + (late,)
     for inner in (UNION, Box(pt(0, 0), pt(1, 1))):
         spy = _Spy(inner)
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(InvalidArgument, match=rf"^interpolation time {late} outside \[0, 1\]$"):
             distance_convexity_check(spy, pt(0, 0), pt(4, 0), grid)
-        with pytest.raises(ParamOutOfRange):
+        with pytest.raises(InvalidArgument, match=rf"^interpolation time {late} outside \[0, 1\]$"):
             sigma_convexity_check(spy, [(pt(0, 0), pt(4, 1))], grid)
         assert spy.asked == 0
     solves = []
     monkeypatch.setattr(lp, "_solve", lambda *args, **kwargs: solves.append(args))
-    with pytest.raises(ParamOutOfRange):
+    with pytest.raises(InvalidArgument, match=rf"^interpolation time {late} outside \[0, 1\]$"):
         distance_convexity_check(box_to_polyhedron(Box(pt(0, 0), pt(1, 1))), pt(5, 0),
                                  pt(4, 0), grid)
     assert not solves
@@ -320,14 +321,15 @@ def test_a_corrupt_piece_that_passes_at_one_time_answers_no_other(monkeypatch):
     x, y, k0 = pt(3, F(1, 2)), pt(5, F(1, 2)), N // 2
     q, XY = lp._common_denominator((*x, *y))
     assert poly.dist(_on_line(x, y, k0, N)) == 3
-    (key, (W, duals, D, bound)), = poly._pieces.items()
+    (W, duals, D, bound), = poly._pieces
     tilt = [-N * XY[0] - k0 * (XY[2] - XY[0]), N * q, 0]  # c = (1, 0), S = (4, 0)
-    poly._pieces[key] = [[v + t for v, t in zip(W[0], tilt)], *W[1:]], duals, D, bound
+    tilted = [[v + t for v, t in zip(W[0], tilt)], *W[1:]], duals, D, bound
+    poly.__dict__["_pieces"] = (tilted,)
     looked, solves = _spy_lookups(monkeypatch)
     along = poly.dists_along(x, y, N, range(k0, N + 1))
     assert along == {k: 2 + F(2 * k, N) for k in range(k0, N + 1)}
     assert looked == [_on_line(x, y, k, N) for k in (k0, k0 + 1)]
-    assert len(solves) == 1 and poly._pieces[key] == (W, duals, D, bound)
+    assert len(solves) == 1 and poly._pieces == (tilted, (W, duals, D, bound))
 
 
 @pytest.mark.parametrize("n", [0, -1, -4])

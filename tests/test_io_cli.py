@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hyperball import lab, linf, lp, metric, refine, reports, rng, sets
 from hyperball.barycenter import BarycenterConfig, ip_lift
 from hyperball.cli import main
-from hyperball.errors import HyperballError, InvalidArgument
+from hyperball.errors import DimMismatch, HyperballError, InvalidArgument
 from hyperball.io import (
     ParseError,
     canonical_dumps,
@@ -162,6 +162,36 @@ def test_cli_helly_out_gets_the_instance_only_without_verify(tmp_path, capsys):
     assert capsys.readouterr().out == "helly-order-4: refuted  (not a Helly family of this order)\n"
 
 
+def test_cli_helly_stdout_carries_one_document(tmp_path, capsys):
+    """Without --out, text mode prints the instance alone, byte-identical
+    to what --out writes, and --json prints the report alone, its emit
+    check holding the instance."""
+    emitted = tmp_path / "h3.json"
+    assert main(["helly", "--dim", "3", "--out", str(emitted)]) == 0
+    capsys.readouterr()
+    assert main(["helly", "--dim", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out == emitted.read_text()
+    kind, instance = parse_instance(json.loads(out))
+    assert kind == "helly" and canonical_dumps(instance) == out
+    assert main(["helly", "--dim", "3", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    (check,) = report["checks"]
+    assert check["name"] == "emit" and check["verdict"] == "holds"
+    assert check["instance"] == json.loads(out)
+
+
+def test_cli_a_helly_instance_whose_dim_differs_from_its_half_spaces_exits_3(tmp_path, capsys):
+    data = to_jsonable(helly_counterexample(2))
+    with pytest.raises(DimMismatch, match="^half-space 0 has dim 2, not 7$"):
+        parse_instance({**data, "dim": 7})
+    path = write(tmp_path, "h.json", {**data, "dim": 7})
+    assert main(["check", "--instance", path]) == 3
+    assert capsys.readouterr().err == "error: half-space 0 has dim 2, not 7\n"
+    assert main(["check", "--instance", write(tmp_path, "h2.json", data)]) == 1
+    capsys.readouterr()
+
+
 def test_cli_k_is_a_usage_error_where_it_is_not_read(tmp_path, capsys):
     helly = str(tmp_path / "h3.json")
     assert main(["helly", "--dim", "3", "--out", helly]) == 0
@@ -172,9 +202,9 @@ def test_cli_k_is_a_usage_error_where_it_is_not_read(tmp_path, capsys):
     for argv, message in [
         (["check", "--instance", poly, "--k", "7"], "--k applies only to helly instances"),
         (["helly", "--dim", "3", "--k", "9", "--out", str(emitted)], "--k applies only with --verify"),
-        (["check", "--instance", helly, "--k", "0"], "--k must be >= 1"),
-        (["helly", "--dim", "3", "--verify", "--k", "0"], "--k must be >= 1"),
-        (["helly", "--dim", "3", "--verify", "--k", "-1"], "--k must be >= 1"),
+        (["check", "--instance", helly, "--k", "0"], "k must be >= 1"),
+        (["helly", "--dim", "3", "--verify", "--k", "0"], "k must be >= 1"),
+        (["helly", "--dim", "3", "--verify", "--k", "-1"], "k must be >= 1"),
     ]:
         assert main(argv) == 3, argv
         assert capsys.readouterr().err == f"error: {message}\n"

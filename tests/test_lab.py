@@ -14,8 +14,6 @@ from hyperball.errors import DimMismatch, EmptySet, InvalidArgument, SizeCapExce
 from hyperball.lab import (
     REFUTE_MODES,
     BoxUnion,
-    CenterNotInA,
-    DimTooSmall,
     FiniteBallFamily,
     LinfBallFamily,
     NotAdmissible,
@@ -182,7 +180,7 @@ def test_weakly_external_witness_example():
 
 def test_weakly_external_rejects_outside_center():
     inner = LinfBallFamily((Ball(pt(5, 5), F(1)),))
-    with pytest.raises(CenterNotInA):
+    with pytest.raises(InvalidArgument, match="^inner center 0 not in subset$"):
         weakly_external_witness(DIAG, pt(0, 0), F(1, 2), inner)
 
 
@@ -752,7 +750,7 @@ def test_helly_counterexample_small_dims():
         (((F(1), F(1)), F(-1)),),
     ]
     assert inst.witnesses == (pt(0, -5), pt(-5, 0), pt(0, 0))
-    with pytest.raises(DimTooSmall):
+    with pytest.raises(InvalidArgument, match="^need dimension >= 2$"):
         helly_counterexample(1)
 
 
@@ -781,6 +779,14 @@ def test_helly_order_boxes_hold():
     ]
     report = helly_order_check(boxes, 2)
     assert report.holds and "total_witness" in report.certificate
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_helly_order_below_one_is_rejected(k):
+    # k = 0 would read the empty 0-fold intersection and refute; k < 0
+    # would reach itertools.combinations.
+    with pytest.raises(InvalidArgument, match="^k must be >= 1$"):
+        helly_order_check(helly_counterexample(2).halfspaces, k)
 
 
 def test_graph_helly_k4_holds():

@@ -8,8 +8,11 @@ included) and the oracle's ball count only in ``EpsOracle.ask``, on a
 refinement trace keeping only its iterates and inputs (steps, slacks and
 the ip-lift constants derived, never recorded and cross-checked), on
 subset and ball-family kinds answering for themselves instead of through
-type ladders, and on one error class for a rejected argument, raised by
-its check and never re-wrapped by the parser."""
+type ladders, on one error class for a rejected argument, raised by its
+check and never re-wrapped by the parser, on the exception classes being
+exactly the kept set, each an ``InvalidArgument`` unless it is a failure of
+a run or of a self-check, and on no module importing a name it never
+uses."""
 
 import ast
 import inspect
@@ -335,3 +338,63 @@ def test_a_rejected_argument_raises_invalid_argument_and_io_does_not_rewrap_it()
     for fn in (hio.parse_ball, hio.parse_polyhedron, hio.parse_subset, hio._parse_object):
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
         assert not any(isinstance(node, ast.Try) for node in ast.walk(tree)), fn.__name__
+
+
+# The exception classes of the package, by module; every one of them is a
+# rejected argument except the failures of a run and of a self-check.
+KEPT_ERRORS = {
+    "errors": {"HyperballError", "InvalidArgument", "InternalError", "ParseError", "EmptySet",
+               "DimMismatch", "SizeCapExceeded"},
+    "lp": {"LPKernelError"},
+    "lab": {"NotAdmissible"},
+    "metric": {"MetricError", "Asymmetric", "NegativeOrNonzeroDiagonal", "NonpositiveDistance",
+               "TriangleViolation", "Disconnected"},
+    "refine": {"OracleFailure", "PairwiseIntersectionUnverified"},
+    "barycenter": {"NoConvergence"},
+}
+
+
+def _defined_errors():
+    import importlib
+
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"hyperball.{path.stem}")
+        classes = {name for name, obj in vars(module).items() if inspect.isclass(obj)
+                   and issubclass(obj, BaseException) and obj.__module__ == module.__name__}
+        if classes:
+            found[path.stem] = {name: getattr(module, name) for name in classes}
+    return found
+
+
+def test_the_exception_classes_are_the_kept_set():
+    assert {module: set(classes) for module, classes in _defined_errors().items()} == KEPT_ERRORS
+
+
+def test_every_error_but_a_run_or_self_check_failure_is_an_invalid_argument():
+    from hyperball.barycenter import NoConvergence
+    from hyperball.errors import HyperballError, InternalError, InvalidArgument
+    from hyperball.refine import OracleFailure, PairwiseIntersectionUnverified
+
+    outside = (InternalError, OracleFailure, NoConvergence, PairwiseIntersectionUnverified)
+    for classes in _defined_errors().values():
+        for name, cls in classes.items():
+            assert issubclass(cls, HyperballError), name
+            if cls is not HyperballError:
+                assert issubclass(cls, outside) != issubclass(cls, InvalidArgument), name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    exempt = {("lab.py", "BoxUnion")}  # re-exported: ``from hyperball.lab import BoxUnion``
+    for name, text in _sources().items():
+        if name == "__init__.py":
+            continue
+        module = ast.parse(text)
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(module) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
+        assert {n for n in imported - used if (name, n) not in exempt} == set(), name

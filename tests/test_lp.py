@@ -698,12 +698,12 @@ def test_a_corrupt_piece_never_changes_an_answer(corrupt, monkeypatch):
         x = pt(*[F(7, 2), F(-5, 3), 4][:p.dim])
         expected = dist_to_polyhedron(x, p)[0]
         assert p.dist(x) == expected and len(p._pieces) == 1
-        (key, piece), = p._pieces.items()
-        p._pieces[key] = corrupt(*piece)
+        piece, = p._pieces
+        p.__dict__["_pieces"] = (corrupt(*piece),)
         solves = _solves(monkeypatch)
         assert p.dist(x) == expected
         assert len(solves) == 1 and solves[0]["basis"]  # the corrupt piece was refused
-        assert p._pieces[key] == piece  # the LP's basis replaced it
+        assert p._pieces == (corrupt(*piece), piece)  # the LP's piece is kept after it
         monkeypatch.undo()
 
 
@@ -713,7 +713,7 @@ def _fresh_piece(p, params):
     from hyperball import lp
 
     rows_ = lp._distance_rows(p, [(1, v) for v in params[1:]], params[0])
-    _, _, _, (_, rates, y, D) = lp._distance_lp(p, rows_, basis=True)
+    _, _, _, (rates, y, D) = lp._distance_lp(p, rows_, basis=True)
     return [lp._per_parameter(p, [rate[i] for rate in rates]) for i in range(p.dim + 1)], y, D
 
 
@@ -893,6 +893,36 @@ def test_kept_pieces_stay_within_the_cap(monkeypatch):
             assert p.dist(x) == dist_to_polyhedron(x, p)[0]
             assert len(p._pieces) <= cap
     assert len(p._pieces) == 5
+
+
+def test_a_store_never_holds_one_piece_twice(monkeypatch):
+    """A fresh LP runs only where no kept piece passes, so its piece is never
+    one the store holds already: over the segments of ten lp-repeat blocks
+    and seeded points in its boxes, no store holds two equal (W, y, D)."""
+    from hyperball import lp
+    from hyperball.convexity import distance_convexity_check
+
+    workload, real_dist_at, fresh = _lp_repeat(monkeypatch, 1), lp._dist_at, []
+
+    def dist_at(p, q, X):
+        count = len(p._pieces)
+        answer = real_dist_at(p, q, X)
+        kept = [(tuple(map(tuple, W)), tuple(y), D) for W, y, D, _ in p._pieces]
+        assert len(set(kept)) == len(kept)
+        fresh.append(len(p._pieces) - count)
+        return answer
+
+    monkeypatch.setattr(lp, "_dist_at", dist_at)
+    for block in range(10):
+        rng = workload.rng(block)
+        for poly in workload.pool:
+            x, y = (tuple(F(rng.randint(-80, 80), 8) for _ in range(poly.dim)) for _ in range(2))
+            distance_convexity_check(poly, x, y)
+        for poly in workload.boxes:
+            for _ in range(8):
+                x = tuple(F(rng.randint(-200, 200), 16) for _ in range(poly.dim))
+                assert poly.dist(x) == dist_to_polyhedron(x, poly)[0]
+    assert sum(fresh) > 50  # many fresh pieces were kept, each checked against the store
 
 
 def test_replaying_a_block_of_pool_segments_runs_no_lp(monkeypatch):

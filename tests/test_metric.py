@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperball.errors import SizeCapExceeded
+from hyperball.errors import InvalidArgument, SizeCapExceeded
 from hyperball.metric import (
     Asymmetric,
     Disconnected,
@@ -108,6 +108,9 @@ def test_gromov_product_examples():
     assert gromov_product(space, 0, 1, 2) == 5
     # (x|x)_y = d(x, y)
     assert gromov_product(space, 0, 0, 1) == 4
+    for index in (3, -1):
+        with pytest.raises(InvalidArgument, match=f"^point index {index} out of range for size 3$"):
+            gromov_product(space, 0, 1, index)
 
 
 @settings(max_examples=40, deadline=None)
