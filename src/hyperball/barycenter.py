@@ -11,6 +11,9 @@ is iterated until the tuple's diameter drops below the stop tolerance; any
 component is then returned.  The selection being linear, the inner limits
 are exact means, so each round is an exact affine map of the inputs and
 runs on integer numerators over one denominator.
+
+``ip_lift`` and ``default_ip_eps`` load ``refine`` and ``lab`` when they
+are called, so the barycenter and ``ip_threshold`` need neither.
 """
 
 from __future__ import annotations
@@ -18,14 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import inf, lcm
-from typing import Sequence
+from math import inf, isqrt, lcm
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import DimMismatch, HyperballError, InvalidArgument
-from .lab import LinfBallFamily
+from .errors import DimMismatch, HyperballError, InternalError, InvalidArgument
 from .linf import Ball, Point, balls_box, linf_dist, sigma
-from .refine import EpsOracle, IPParams, RefinementTrace, ip_constants, ip_reach
 from .reports import HOLDS, REFUTED, PropertyReport
+
+if TYPE_CHECKING:
+    from .refine import EpsOracle, IPParams, RefinementTrace
 
 
 class NoConvergence(HyperballError):
@@ -72,17 +76,21 @@ def barycenter(points: Sequence[Point], cfg: BarycenterConfig | None = None) -> 
     current = [[v.numerator * (Q // v.denominator) for v in p] for p in pts]
     prev_diam = None
     for _ in range(MAX_ROUNDS):
-        columns = list(zip(*current))
-        diam = max((max(col) - min(col) for col in columns), default=0)  # Q times the true diameter
+        diam = max((max(col) - min(col) for col in zip(*current)), default=0)  # Q times the true diameter
         if prev_diam is not None and diam > prev_diam * (m - 1):
-            raise HyperballError("leave-one-out round increased the diameter")
+            raise InternalError("leave-one-out round increased the diameter")
         prev_diam = diam
         if diam * 2 * tau.denominator <= tau.numerator * Q:
             return tuple(Fraction(v, Q) for v in current[0])
-        sums = [sum(col) for col in columns]
-        current = [[t - v for t, v in zip(sums, p)] for p in current]
+        current = _leave_one_out(current)
         Q *= m - 1
     raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
+
+
+def _leave_one_out(rows: list[list[int]]) -> list[list[int]]:
+    """One round on the numerators: each row becomes the sum of the others."""
+    sums = [sum(col) for col in zip(*rows)]
+    return [[t - v for t, v in zip(sums, p)] for p in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +199,18 @@ def equivariance_check(iso: Isometry, xs: Sequence[Point], cfg: BarycenterConfig
 
 
 def ip_threshold(k: int) -> int:
-    """Least n from which the n-ball intersection property lifts to all
-    sizes: the minimal integer with 2(n-k+2)(n-k+1) > n(n+1)."""
+    """Least n >= k from which the n-ball intersection property lifts to
+    all sizes: the minimal integer with 2(n-k+2)(n-k+1) > n(n+1).
+
+    With m = n - k the condition reads m^2 + (5 - 2k)m + 4 - k^2 - k > 0,
+    whose larger root is r = (2k - 5 + sqrt(8k^2 - 16k + 9))/2 >= 1 for
+    k >= 2 (the smaller is negative), so the least m is floor(r) + 1.
+    The integer square root puts floor(r) at m0 or m0 + 1, where
+    m0 = (2k - 5 + isqrt(8k^2 - 16k + 9)) // 2, and one test decides."""
     if k < 2:
         raise InvalidArgument("k must be >= 2")
-    n = k
-    while 2 * (n - k + 2) * (n - k + 1) <= n * (n + 1):
+    n = k + (2 * k - 5 + isqrt(8 * k * k - 16 * k + 9)) // 2 + 1
+    if 2 * (n - k + 2) * (n - k + 1) <= n * (n + 1):
         n += 1
     return n
 
@@ -204,6 +218,8 @@ def ip_threshold(k: int) -> int:
 def default_ip_eps(n: int, k: int) -> Fraction:
     """Largest eps on the 1/1024 grid keeping c <= (1 + c0)/2, where c0 is
     the eps = 0 constant; a concrete rule so runs are reproducible."""
+    from .refine import ip_constants
+
     c0 = ip_constants(n, k).c
     if c0 >= 1:
         return Fraction(0)
@@ -232,6 +248,9 @@ def ip_lift(
     balls and k, eps and tau; ``refine.verify_trace`` derives the reaches
     and steps from them, recomputes c and re-checks the bounds.
     """
+    from .lab import LinfBallFamily
+    from .refine import RefinementTrace, ip_reach
+
     cfg = cfg or BarycenterConfig()
     balls = tuple(balls)
     n, k = params.n, params.k

@@ -7,6 +7,11 @@ Each subcommand takes only the flags it reads.  Reports echo the
 configuration, with null for a flag the subcommand does not take; with the
 same seed and inputs the JSON report is byte-identical up to its "timing"
 field.
+
+Each handler imports the modules it calls when it runs, so a process loads
+only what its subcommand uses: ``check`` on a metric loads no LP or refuter
+code, and ``barycenter`` or ``ip-threshold`` none of ``lab``, ``lp`` or
+``refine``.
 """
 
 from __future__ import annotations
@@ -16,31 +21,10 @@ import sys
 import time
 
 from . import __version__
-from .barycenter import (
-    BarycenterConfig,
-    barycenter,
-    default_ip_eps,
-    ip_lift,
-    ip_threshold,
-)
 from .errors import HyperballError, InternalError, InvalidArgument
 from .io import canonical_dumps, parse_instance
-from .lab import (
-    external_witness,
-    graph_n_helly_bruteforce,
-    helly_counterexample,
-    helly_order_check,
-    hyperconvex_witness,
-    REFUTE_MODES,
-    refute_search,
-)
-from .lp import lp_feasible
-from .metric import check_cap, graph_metric, is_modular
 from .rational import parse_rational
-from .refine import (
-    almost_to_exact, chain_walk, exact_subset_oracle, ip_constants, triple_intersection, verify_trace,
-)
-from .reports import HOLDS, INCONCLUSIVE, REFUTED
+from .reports import HOLDS, INCONCLUSIVE, REFUTE_MODES, REFUTED
 
 EXIT_HOLDS = 0
 EXIT_REFUTED = 1
@@ -89,6 +73,8 @@ def _emit(report: dict, args, started: float) -> None:
 
 def _config(args) -> BarycenterConfig:
     """The --tau stop tolerance, ``BarycenterConfig``'s default when not given."""
+    from .barycenter import BarycenterConfig
+
     return BarycenterConfig(parse_rational(args.tau)) if args.tau else BarycenterConfig()
 
 
@@ -102,6 +88,8 @@ def cmd_check(args, report) -> None:
     if args.k is not None and kind != "helly":
         raise InvalidArgument("--k applies only to helly instances")
     if kind in ("metric", "graph"):
+        from .metric import check_cap, graph_metric, is_modular
+
         check_cap(payload.n if kind == "graph" else payload.size)  # before the shortest paths
         space = graph_metric(payload) if kind == "graph" else payload
         outcome = is_modular(space)
@@ -120,6 +108,8 @@ def cmd_check(args, report) -> None:
             }
         )
     elif kind == "polyhedron":
+        from .lp import lp_feasible
+
         result = lp_feasible(payload)
         report["checks"].append(
             {
@@ -129,6 +119,8 @@ def cmd_check(args, report) -> None:
             }
         )
     elif kind == "family":
+        from .lab import external_witness, hyperconvex_witness
+
         family = payload
         if family.subset is None:
             result = hyperconvex_witness(family)
@@ -142,6 +134,8 @@ def cmd_check(args, report) -> None:
             }
         )
     elif kind == "helly":
+        from .lab import helly_order_check
+
         instance = payload
         outcome = helly_order_check(instance.halfspaces, _helly_order(args, instance.dim))
         report["checks"].append(
@@ -156,6 +150,8 @@ def cmd_refute(args, report) -> None:
     subset = payload.subset if kind == "family" else payload
     if kind not in ("family", "polyhedron", "box") or subset is None:
         raise InvalidArgument("refute needs a polyhedron, box, or family-with-subset instance")
+    from .lab import refute_search
+
     outcome = refute_search(subset, args.level, args.budget, args.seed, mode=args.mode)
     report["checks"].append(
         {
@@ -171,6 +167,8 @@ def cmd_refute(args, report) -> None:
 def cmd_helly(args, report) -> None:
     if args.k is not None and not args.verify:
         raise InvalidArgument("--k applies only with --verify")
+    from .lab import helly_counterexample, helly_order_check
+
     instance = helly_counterexample(args.dim)
     if args.verify:  # --out gets the report
         k = _helly_order(args, args.dim)
@@ -195,6 +193,8 @@ def cmd_helly(args, report) -> None:
 
 def _trace_verdict(trace) -> str:
     """Every refinement verdict: ``verify_trace``'s re-check of the trace."""
+    from .refine import verify_trace
+
     return HOLDS if verify_trace(trace).passed else REFUTED
 
 
@@ -203,6 +203,8 @@ def cmd_refine(args, report) -> None:
     for flag in unread:
         if getattr(args, flag) is not None:
             raise InvalidArgument(f"--{flag} does not apply to {args.scheme}")
+    from .refine import almost_to_exact, chain_walk, exact_subset_oracle, triple_intersection
+
     iters = 40 if args.iters is None else args.iters
     kind, payload = parse_instance(args.instance)
     if args.scheme == "cauchy-halving":
@@ -244,6 +246,8 @@ def cmd_barycenter(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind != "points":
         raise InvalidArgument("barycenter needs a points instance")
+    from .barycenter import barycenter
+
     result = barycenter(payload, _config(args))
     report["checks"].append(
         {"name": "barycenter", "verdict": HOLDS, "point": result}
@@ -251,6 +255,8 @@ def cmd_barycenter(args, report) -> None:
 
 
 def cmd_ip_threshold(args, report) -> None:
+    from .barycenter import ip_threshold
+
     value = ip_threshold(args.k)
     report["checks"].append({"name": f"ip-threshold-k{args.k}", "verdict": HOLDS, "detail": str(value)})
     if not args.json:
@@ -261,6 +267,9 @@ def cmd_ip_lift(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind != "ip":
         raise InvalidArgument("ip-lift needs an ip instance")
+    from .barycenter import default_ip_eps, ip_lift
+    from .refine import exact_subset_oracle, ip_constants
+
     balls = payload["balls"]
     k = payload["k"]
     n = len(balls) - 1
@@ -284,6 +293,8 @@ def cmd_graph_scan(args, report) -> None:
     kind, payload = parse_instance(args.instance)
     if kind != "graph":
         raise InvalidArgument("graph-scan needs a graph instance")
+    from .lab import graph_n_helly_bruteforce
+
     outcome = graph_n_helly_bruteforce(payload, args.level)
     report["checks"].append(
         {

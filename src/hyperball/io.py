@@ -8,6 +8,9 @@ passes through unwrapped.
 ``canonical_dumps`` fixes key order and layout so that identical inputs and
 seeds yield byte-identical artifacts (reports exclude their timing field
 from that guarantee).
+Each instance kind imports its constructor's module when it is parsed,
+and ``to_jsonable`` looks for a class only once its module is loaded, so
+reading or writing a kind loads only the modules its classes need.
 
 Instance schemas (the ``type`` field selects the shape):
 
@@ -28,17 +31,17 @@ Instance schemas (the ``type`` field selects the shape):
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .errors import InvalidArgument, ParseError
-from .lab import HellyInstance, LinfBallFamily
-from .linf import Ball, Box, Point
-from .lp import HPolyhedron
-from .metric import GraphInstance, check_cap, validate_metric
 from .rational import format_rational, parse_rational
-from .sets import BoxUnion
+
+if TYPE_CHECKING:
+    from .linf import Ball, Box, Point
+    from .lp import HPolyhedron
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -56,11 +59,11 @@ def to_jsonable(obj: Any) -> Any:
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, Ball):
+    if _instance(obj, "linf", "Ball"):
         return {"ball": {"center": [format_rational(c) for c in obj.center], "r": format_rational(obj.radius)}}
-    if isinstance(obj, Box):
+    if _instance(obj, "linf", "Box"):
         return {"box": {"lo": [format_rational(c) for c in obj.lo], "hi": [format_rational(c) for c in obj.hi]}}
-    if isinstance(obj, HPolyhedron):
+    if _instance(obj, "lp", "HPolyhedron"):
         return {
             "polyhedron": {
                 "dim": obj.dim,
@@ -70,16 +73,16 @@ def to_jsonable(obj: Any) -> Any:
                 ],
             }
         }
-    if isinstance(obj, BoxUnion):
+    if _instance(obj, "sets", "BoxUnion"):
         return {"union": [to_jsonable(b) for b in obj.boxes]}
-    if isinstance(obj, HellyInstance):
+    if _instance(obj, "lab", "HellyInstance"):
         return {
             "type": "helly",
             "dim": obj.dim,
             "halfspaces": [to_jsonable(h) for h in obj.halfspaces],
             "witnesses": [[format_rational(c) for c in w] for w in obj.witnesses],
         }
-    if isinstance(obj, LinfBallFamily):
+    if _instance(obj, "lab", "LinfBallFamily"):
         return {
             "type": "family",
             "balls": [to_jsonable(b) for b in obj.balls],
@@ -88,6 +91,13 @@ def to_jsonable(obj: Any) -> Any:
     if hasattr(obj, "__dataclass_fields__"):
         return {k: to_jsonable(getattr(obj, k)) for k in obj.__dataclass_fields__}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _instance(obj: Any, module: str, name: str) -> bool:
+    """``isinstance(obj, hyperball.<module>.<name>)`` without loading the
+    module: no instance of the class exists before its module is loaded."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return loaded is not None and isinstance(obj, getattr(loaded, name))
 
 
 def _integer(value: Any) -> int:
@@ -103,14 +113,20 @@ def _point(values: Any) -> Point:
 
 
 def parse_ball(data: Any) -> Ball:
+    from .linf import Ball
+
     return Ball(_point(data["center"]), parse_rational(data["r"]))
 
 
 def parse_box(data: Any) -> Box:
+    from .linf import Box
+
     return Box(_point(data["lo"]), _point(data["hi"]))
 
 
 def parse_polyhedron(data: Any) -> HPolyhedron:
+    from .lp import HPolyhedron
+
     rows = tuple(
         (tuple(parse_rational(c) for c in row["a"]), parse_rational(row["b"]))
         for row in data["rows"]
@@ -126,6 +142,8 @@ def parse_subset(data: Any):
     if "box" in data:
         return parse_box(data["box"])
     if "union" in data:
+        from .sets import BoxUnion
+
         return BoxUnion(tuple(parse_box(item["box"]) for item in data["union"]))
     raise ParseError("subset must be a polyhedron, box, union, or null")
 
@@ -168,10 +186,14 @@ def _parse_object(data: dict):
         return "box", parse_box(data["box"])
     kind = data.get("type")
     if kind == "matrix":
+        from .metric import check_cap, validate_metric
+
         check_cap(len(data["dist"]))  # before the cubic triangle scan
         matrix = [[parse_rational(v) for v in row] for row in data["dist"]]
         return "metric", validate_metric(matrix)
     if kind == "graph":
+        from .metric import GraphInstance
+
         weights = (
             tuple(parse_rational(w) for w in data["weights"]) if "weights" in data else None
         )
@@ -182,10 +204,14 @@ def _parse_object(data: dict):
         )
         return "graph", graph
     if kind == "family":
+        from .lab import LinfBallFamily
+
         balls = tuple(parse_ball(item["ball"]) for item in data["balls"])
         subset = parse_subset(data.get("subset"))
         return "family", LinfBallFamily(balls, subset)
     if kind == "helly":
+        from .lab import HellyInstance
+
         halfspaces = tuple(parse_polyhedron(h["polyhedron"]) for h in data["halfspaces"])
         witnesses = tuple(_point(w) for w in data["witnesses"])
         return "helly", HellyInstance(_integer(data["dim"]), halfspaces, witnesses)

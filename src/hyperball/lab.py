@@ -26,7 +26,7 @@ from .linf import (
 from .lp import HPolyhedron, intersection, lp_feasible
 from .metric import FiniteMetricSpace, GraphInstance, graph_metric, integer_matrix
 from .rng import derive_seed, draw
-from .reports import HOLDS, INCONCLUSIVE, REFUTED, PropertyReport
+from .reports import HOLDS, INCONCLUSIVE, REFUTE_MODES, REFUTED, PropertyReport
 from .sets import (
     BoxUnion,  # re-exported: ``from hyperball.lab import BoxUnion``
     FiniteSubset,
@@ -333,11 +333,6 @@ def _scalar_candidate(subset, arena: _Arena, seed: int, index: int, start: int |
         centers[start:], floor[start:] = nearest, [Fraction(0)] * (k - start)
         _tighten(floor, [[linf_dist(p, q) for q in centers] for p in centers], radii, range(k))
     return tuple(Ball(centers[i], radii[i]) for i in range(k))
-
-
-# Mode -> number of leading balls whose centers may lie outside the subset
-# (None: all of them).
-REFUTE_MODES = {"external": None, "hyperconvex": 0, "weakly-external": 1}
 
 
 def screen_applies(subset, mode: str) -> bool:

@@ -16,6 +16,11 @@ HOLDS = "holds"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
+# Refuter mode -> number of leading balls whose centers may lie outside the
+# subset (None: all of them).  It lives here, not in ``lab``, so that the
+# CLI can offer the modes without loading the refuter.
+REFUTE_MODES = {"external": None, "hyperconvex": 0, "weakly-external": 1}
+
 
 @dataclass(frozen=True)
 class PropertyReport:

@@ -210,6 +210,23 @@ def test_ip_threshold_values():
         ip_threshold(1)
 
 
+def test_ip_threshold_closed_form_matches_the_scan():
+    """The closed form equals the scan up from n = k that it replaced, and
+    answers a k of a billion at once (the scan took minutes there)."""
+    import time
+
+    def scanned(k):
+        n = k
+        while 2 * (n - k + 2) * (n - k + 1) <= n * (n + 1):
+            n += 1
+        return n
+
+    assert [ip_threshold(k) for k in range(2, 3001)] == [scanned(k) for k in range(2, 3001)]
+    started = time.perf_counter()
+    assert ip_threshold(10**9) == 3414213559
+    assert time.perf_counter() - started < 1
+
+
 def test_ip_threshold_matches_enumerated_constants():
     for k in range(2, 11):
         threshold = ip_threshold(k)

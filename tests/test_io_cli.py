@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -28,6 +29,9 @@ from hyperball.lab import helly_counterexample
 from hyperball.lp import box_to_polyhedron
 
 from conftest import F, pt
+
+# The module itself: ``hyperball.barycenter`` is the function of that name.
+BARYCENTER = importlib.import_module("hyperball.barycenter")
 
 
 def write(tmp_path, name, obj):
@@ -386,9 +390,7 @@ def test_cli_ip_lift(tmp_path, capsys, monkeypatch):
     inst.write_text(json.dumps({"type": "ip", "k": 2, "eps": "1/64", "balls": balls}))
     assert main(["ip-lift", "--instance", inst.as_posix(), "--iters", "10"]) == 0
     # The verdict is the trace check's: a failing check refutes.
-    from hyperball import cli
-
-    monkeypatch.setattr(cli, "verify_trace", lambda trace: SimpleNamespace(passed=False))
+    monkeypatch.setattr(refine, "verify_trace", lambda trace: SimpleNamespace(passed=False))
     assert main(["ip-lift", "--instance", inst.as_posix(), "--iters", "10"]) == 1
     capsys.readouterr()
 
@@ -497,8 +499,6 @@ def test_cli_refine_triple_34_through_polyhedra(tmp_path, capsys):
 
 
 def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
-    from hyperball import cli, lab, lp
-
     polyhedron = write(tmp_path, "p.json", {"polyhedron": {"dim": 1, "rows": [{"a": ["1/1"], "b": "0/1"}]}})
     union = write(tmp_path, "union.json", {
         "type": "family",
@@ -513,7 +513,7 @@ def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
     assert main(["check", "--instance", polyhedron]) == 4
     monkeypatch.setattr(lab, "verify_refutation", lambda subset, balls, mode: False)
     assert main(["refute", "--instance", union, "--level", "2", "--budget", "1000", "--seed", "7"]) == 4
-    monkeypatch.setattr(cli, "ip_threshold", lambda k: 1 // 0)
+    monkeypatch.setattr(BARYCENTER, "ip_threshold", lambda k: 1 // 0)
     assert main(["ip-threshold", "--k", "2"]) == 4
     err = capsys.readouterr().err.splitlines()
     assert err == [
@@ -523,18 +523,25 @@ def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
     ]
 
 
+def test_cli_a_failed_barycenter_self_check_exits_4(tmp_path, capsys, monkeypatch):
+    """A round that grows the diameter fails the barycenter's self-check:
+    a bug (exit 4), not bad input (exit 3)."""
+    monkeypatch.setattr(BARYCENTER, "_leave_one_out", lambda rows: [[5 * v for v in p] for p in rows])
+    points = write(tmp_path, "points.json", {"type": "points", "points": [["0/1"], ["1/1"], ["3/1"]]})
+    assert main(["barycenter", "--instance", points]) == 4
+    assert capsys.readouterr().err == "error: internal error: leave-one-out round increased the diameter\n"
+
+
 def test_cli_a_stray_value_error_inside_a_subcommand_exits_4(capsys, monkeypatch):
     """Only parsing, the instance checks and the entry points' argument
     checks (``InvalidArgument``) exit 3; any other ValueError is a bug."""
-    from hyperball import cli
-
     def stray(*args, **kwargs):
         raise ValueError("max() arg is an empty sequence")
 
     union = str(SRC.parent / "bench" / "instances" / "union.json")
-    monkeypatch.setattr(cli, "refute_search", stray)
+    monkeypatch.setattr(lab, "refute_search", stray)
     assert main(["refute", "--instance", union, "--level", "2"]) == 4
-    monkeypatch.setattr(cli, "ip_threshold", lambda k: int("two"))
+    monkeypatch.setattr(BARYCENTER, "ip_threshold", lambda k: int("two"))
     assert main(["ip-threshold", "--k", "2"]) == 4
     assert capsys.readouterr().err.splitlines() == [
         "error: internal error: ValueError: max() arg is an empty sequence",
@@ -686,12 +693,10 @@ def test_cli_cauchy_halving_asks_a_family_of_64_balls_and_one_more(tmp_path, cap
 )
 def test_cli_refuses_a_large_graph_before_its_shortest_paths(tmp_path, capsys, monkeypatch,
                                                              argv, message):
-    from hyperball import cli, lab
-
     def cubic(graph):
         raise AssertionError("graph_metric ran")  # an internal error: exit 4
 
-    monkeypatch.setattr(cli, "graph_metric", cubic)
+    monkeypatch.setattr(metric, "graph_metric", cubic)
     monkeypatch.setattr(lab, "graph_metric", cubic)
     path = write(tmp_path, "path.json", {"type": "graph", "n": 200,
                                          "edges": [[i, i + 1] for i in range(199)]})
@@ -700,12 +705,10 @@ def test_cli_refuses_a_large_graph_before_its_shortest_paths(tmp_path, capsys, m
 
 
 def test_cli_refuses_a_large_matrix_before_its_triangle_scan(tmp_path, capsys, monkeypatch):
-    from hyperball import io as hio
-
     def cubic(matrix):
         raise AssertionError("validate_metric ran")  # an internal error: exit 4
 
-    monkeypatch.setattr(hio, "validate_metric", cubic)
+    monkeypatch.setattr(metric, "validate_metric", cubic)
     ones = [["0/1" if i == j else "1/1" for j in range(100)] for i in range(100)]
     path = write(tmp_path, "ones.json", {"type": "matrix", "dist": ones})
     assert main(["check", "--instance", path]) == 3

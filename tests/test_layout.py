@@ -1,4 +1,6 @@
-"""Guards on where numpy and the SplitMix64 constants may live, on knobs
+"""Guards on where numpy and the SplitMix64 constants may live, on what
+importing the package and running each CLI subcommand loads, on the
+package exporting each name lazily from its defining module, on knobs
 that were removed (the refuter's ``arena``, ``BarycenterConfig.max_rounds``
 and the barycenter's backend object among them), on each CLI subcommand taking only the flags it reads, on the
 LP kernel, the kept distance pieces (ranked only by the one lookup) and
@@ -11,8 +13,8 @@ subset and ball-family kinds answering for themselves instead of through
 type ladders, on one error class for a rejected argument, raised by its
 check and never re-wrapped by the parser, on the exception classes being
 exactly the kept set, each an ``InvalidArgument`` unless it is a failure of
-a run or of a self-check, and on no module importing a name it never
-uses."""
+a run or of a self-check, on no module raising the bare base class, and on
+no module importing a name it never uses."""
 
 import ast
 import inspect
@@ -60,6 +62,82 @@ def test_numpy_is_not_loaded_outside_the_refuter(code):
     probe = code + "; assert 'numpy' not in sys.modules, 'numpy loaded'"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+INSTANCES = PACKAGE.parents[1] / "bench" / "instances"
+# What a check needs none of: the refuter, the refinements, the barycenter.
+NOT_FOR_A_CHECK = {"lab", "refine", "barycenter", "sets", "rng", "convexity"}
+
+
+def _loaded_after(code):
+    """The ``hyperball`` submodules (by short name), and ``numpy`` if it is
+    loaded, once ``code`` has run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    probe = code + "\nprint(*sorted(m.removeprefix('hyperball.') for m in sys.modules" \
+                   " if m.startswith('hyperball.') or m == 'numpy'), file=sys.stderr)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.splitlines()[-1].split())
+
+
+def test_importing_the_package_loads_no_submodule():
+    assert _loaded_after("import sys, hyperball") == set()
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["check", "--instance", "metric.json"], NOT_FOR_A_CHECK | {"lp"}),
+        (["check", "--instance", "graph.json"], NOT_FOR_A_CHECK | {"lp"}),
+        (["check", "--instance", "polyhedron.json"], NOT_FOR_A_CHECK),
+        (["barycenter", "--instance", "points.json"], {"lab", "lp", "refine"}),
+        (["ip-threshold", "--k", "3"], {"lab", "lp", "refine"}),
+    ],
+    ids=["check-metric", "check-graph", "check-polyhedron", "barycenter", "ip-threshold"],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, unloaded):
+    argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
+    loaded = _loaded_after(f"import sys; from hyperball.cli import main; main({argv + ['--json']!r})")
+    assert "cli" in loaded and not loaded & (unloaded | {"numpy"}), sorted(loaded)
+
+
+# The public names the package bound eagerly from its submodules.
+EXPORTED = {
+    "Ball", "BarycenterConfig", "Box", "BoxUnion", "ContractionReport", "DimMismatch", "EmptySet",
+    "EpsOracle", "FeasibilityResult", "FiniteBallFamily", "FiniteMetricSpace", "FiniteSubset",
+    "GraphInstance", "HPolyhedron", "HellyInstance", "HyperballError", "IPParams",
+    "InvalidArgument", "Isometry", "LinfBallFamily", "PropertyReport", "RefinementTrace",
+    "SizeCapExceeded", "almost_to_exact", "ball_family_intersection", "barycenter",
+    "barycenter_contraction_check", "box_retraction", "box_to_polyhedron", "chain_walk",
+    "check_admissible", "default_ip_eps", "dist_to_polyhedron", "distance_convexity_check",
+    "equivariance_check", "exact_subset_oracle", "external_witness", "format_rational",
+    "four_to_n_consistency", "graph_metric", "graph_n_helly_bruteforce", "gromov_product",
+    "halfspace", "helly_counterexample", "helly_order_check", "hyperconvex_witness",
+    "ip_constants", "ip_lift", "ip_threshold", "is_modular", "linf_dist", "lp_feasible",
+    "lp_minimize", "median_set", "metric_interval", "pair_witness", "parse_rational",
+    "refute_search", "saturating_subset_oracle", "sigma", "sigma_convexity_check", "subset_dist",
+    "triple_intersection", "validate_metric", "verify_refutation", "verify_trace",
+    "weakly_external_witness",
+}
+
+
+def test_the_package_exports_each_name_from_its_defining_module():
+    import hyperball
+
+    assert set(hyperball.__all__) == EXPORTED
+    starred = {}
+    exec("from hyperball import *", starred)
+    assert set(starred) - {"__builtins__"} == EXPORTED
+    for name in hyperball.__all__:
+        obj = getattr(hyperball, name)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+    assert callable(hyperball.barycenter)  # the function, not its loaded submodule
+    assert EXPORTED <= set(dir(hyperball))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        hyperball.no_such_name
+    from hyperball import lab
+
+    assert lab is sys.modules["hyperball.lab"]
 
 
 def test_lp_entry_points_have_no_kernel_knob():
@@ -331,6 +409,7 @@ def test_a_rejected_argument_raises_invalid_argument_and_io_does_not_rewrap_it()
         module = ast.parse(text)
         raised = {_raised_name(node) for node in ast.walk(module) if isinstance(node, ast.Raise)}
         assert "ValueError" not in raised, name
+        assert "HyperballError" not in raised, name  # the base class says neither bad input nor bug
         names = {node.id for node in ast.walk(module) if isinstance(node, ast.Name)}
         classes = {node.name for node in ast.walk(module) if isinstance(node, ast.ClassDef)}
         assert "ValidationError" not in names | classes, name

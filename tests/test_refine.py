@@ -171,15 +171,15 @@ def test_chain_walk_negative_gap_path():
 def test_refine_cli_takes_the_chain_walk_verdict_from_its_trace(monkeypatch, capsys):
     """The chain walk on the bench instance records a passing trace; a
     trace that breaks a bound gives ``refuted`` (exit 1)."""
-    from hyperball import cli
+    from hyperball import cli, refine
 
-    traces, real = [], cli.chain_walk
+    traces, real = [], refine.chain_walk
 
     def recorded(*args):
         traces.append(real(*args))
         return traces[-1]
 
-    monkeypatch.setattr(cli, "chain_walk", recorded)
+    monkeypatch.setattr(refine, "chain_walk", recorded)
     argv = ["refine", "--instance", str(INSTANCES / "chain.json"), "--scheme", "chain-walk"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == "chain-walk: holds  (path=chain n0=8 calls=10)\n"
@@ -187,7 +187,7 @@ def test_refine_cli_takes_the_chain_walk_verdict_from_its_trace(monkeypatch, cap
     assert verify_trace(trace).passed
     # b moved within A' and within r + delta of x, but 1 away from a
     broken = _moved(trace, 1, (b[0] - 1, b[1]))
-    monkeypatch.setattr(cli, "chain_walk", lambda *args: ((a, broken.iterates[1]), broken))
+    monkeypatch.setattr(refine, "chain_walk", lambda *args: ((a, broken.iterates[1]), broken))
     assert cli.main(argv) == 1
     assert capsys.readouterr().out.startswith("chain-walk: refuted")
 
@@ -610,11 +610,11 @@ def test_whole_space_oracle_answers_the_clamp_on_the_ip_instance(monkeypatch, ca
     """Over the whole space a center inside every ball is its own clamp, so
     ``ip-lift`` on the bench ``ip`` instance gets the answers of the
     window clamp alone, as before the center-first answer."""
-    from hyperball import cli
+    from hyperball import cli, refine
 
     answers = []
-    monkeypatch.setattr(cli, "exact_subset_oracle",
-                        _checked(cli.exact_subset_oracle,
+    monkeypatch.setattr(refine, "exact_subset_oracle",
+                        _checked(refine.exact_subset_oracle,
                                  lambda subset, balls, slack: _intersected_answer(None, balls, F(0), slack),
                                  answers))
     assert cli.main(["ip-lift", "--instance", str(INSTANCES / "ip.json")]) == 0
