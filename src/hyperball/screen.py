@@ -10,7 +10,15 @@ batch.  The draws are (slots, N), centers (level, dim, N), radii, floors and
 member indices (level, N), and pair distances (level, level, N).  The pair
 distances grow with level², so a batch holds at most ``_PAIR_CAP // level²``
 candidates (at least one): ``_PAIR_CAP`` int64 elements, 8 MB, per pair
-distance array at any level.
+distance array up to level 1024.  Above it a batch holds one candidate, with
+level² pair distances.
+
+On boxes and unions only the candidates that can refute go past the member
+distances.  A box is externally hyperconvex: balls that meet pairwise and
+each reach a box Q meet inside Q, by Helly's theorem on the line applied to
+each coordinate (Aronszajn and Panitchpakdi, 1956).  So a candidate whose
+active balls all have the same first nearest member never screens empty,
+and its offsets, order, pair distances and tightening are skipped.
 """
 
 from __future__ import annotations
@@ -144,22 +152,39 @@ class FastScreen:
         """Whether each candidate in [lo_idx, hi_idx) screens empty."""
         arena = self.arena
         level, dim, slots = arena.level, arena.dim, arena.slots
-        n = hi_idx - lo_idx
-        # Every slot of every candidate from one draw: slot s of candidate i
-        # is counter i * slots + s, in row s.
-        base = np.arange(lo_idx, hi_idx, dtype=np.uint64) * np.uint64(slots)
-        drawn = draw(seed, np.arange(slots, dtype=np.uint64)[:, None] + base)
-        sizes = 2 + (drawn[0] % np.uint64(level - 1)).astype(np.int64)
+        # Slot s of candidate i is counter i * slots + s, in row s, so the
+        # size and center slots are drawn for every candidate and the
+        # offset and order slots only for the candidates left below.
         off = 1 + level * dim  # the first radius-offset slot
-        grid_idx = drawn[1:off].reshape(level, dim, n)
+        base = np.arange(lo_idx, hi_idx, dtype=np.uint64) * np.uint64(slots)
+        drawn = draw(seed, np.arange(off, dtype=np.uint64)[:, None] + base)
+        sizes = 2 + (drawn[0] % np.uint64(level - 1)).astype(np.int64)
+        grid_idx = drawn[1:].reshape(level, dim, len(base))
         grid_idx = (grid_idx % (self.cells + 1).astype(np.uint64)[:, None]).astype(np.int64)
         coords = self.wlo_i[:, None] + grid_idx * np.int64(self.step_i)
         dist_a, member = self.dist_ints(coords)
-        offs = (drawn[off:off + level] % np.uint64(RADIUS_STEPS + 1)).astype(np.int64)
-        order = np.argsort(drawn[off + level:], axis=0, kind="stable")
+        active = np.arange(level)[:, None] < sizes
+        screened = np.zeros(len(base), dtype=bool)
+        left = slice(None)
+        if member is not None:
+            # A candidate whose active balls share their first nearest member
+            # Q cannot refute: an unpulled ball reaches Q (its radius is at
+            # least d(c, A) = d(c, Q)) and a pulled center lies in Q, so the
+            # pairwise-meeting balls meet in Q by Helly on each coordinate.
+            left = np.nonzero(np.any(active & (member != member[0]), axis=0))[0]
+            if not len(left):
+                return screened
+            # np.take gives C-contiguous copies (indexing by ``[..., left]``
+            # does not), so the flat gathers below need no further copy.
+            base, sizes, active, coords, dist_a, member = (
+                np.take(a, left, axis=-1) for a in (base, sizes, active, coords, dist_a, member)
+            )
+        n = len(base)
+        drawn = draw(seed, np.arange(off, slots, dtype=np.uint64)[:, None] + base)
+        offs = (drawn[:level] % np.uint64(RADIUS_STEPS + 1)).astype(np.int64)
+        order = np.argsort(drawn[level:], axis=0, kind="stable")
         # Balls past a candidate's size get radius _BIG: no gap against them
         # counts, and they drop out of the box of the family.
-        active = np.arange(level)[:, None] < sizes
         radii = np.where(active, dist_a + offs * np.int64(abs(self.step_i)), _BIG)
         # Tightening along the sampled order is tightening in index order
         # once the balls are sorted into that order.  Flat indices of ball
@@ -184,7 +209,8 @@ class FastScreen:
             _tighten(floor, _pair_dists(coords), radii, active)
         lo_box = (coords - radii[:, None]).max(axis=0)
         hi_box = (coords + radii[:, None]).min(axis=0)
-        return self.empty_mask(lo_box, hi_box)
+        screened[left] = self.empty_mask(lo_box, hi_box)
+        return screened
 
 
 def _pair_dists(coords: np.ndarray) -> np.ndarray:

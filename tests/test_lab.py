@@ -50,6 +50,11 @@ UNION_EMPTY_MEMBER = BoxUnion(UNION.boxes + (Box(pt(2, 5), pt(1, 6)),))
 DIAG = halfspace([1, 1], -1)
 # a union whose refutations are rarer, so first hits come late
 TIGHT = BoxUnion((Box(pt(0, 0), pt(4, 4)), Box(pt(5, 0), pt(6, 1))))
+# unions whose members tie as nearest: one box cut in two, which never
+# refutes, and two overlapping squares; and a union of three members
+TOUCHING = BoxUnion((Box(pt(0, 0), pt(1, 1)), Box(pt(1, 0), pt(2, 1))))
+OVERLAPPING = BoxUnion((Box(pt(0, 0), pt(2, 2)), Box(pt(1, 1), pt(3, 3))))
+THREE = BoxUnion(UNION.boxes + (Box(pt(0, 3), pt(1, 4)),))
 # multi-row polyhedra: the unit square as four rows, and a 3-d one with four
 SQUARE_ROWS = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
 POLY3 = HPolyhedron(3, tuple(
@@ -272,7 +277,8 @@ def test_screen_mask_matches_the_exact_test_on_every_candidate():
     """Every entry of a batch mask, not just the first hit, equals the exact
     refutation test on the exact candidate; the batch starts off the batch
     grid."""
-    subsets = (Box(pt(0, 0), pt(1, 1)), UNION, UNION_EMPTY_MEMBER, DIAG, halfspace([2, -1, 3], 1))
+    subsets = (Box(pt(0, 0), pt(1, 1)), UNION, UNION_EMPTY_MEMBER, TOUCHING, OVERLAPPING, THREE,
+               DIAG, halfspace([2, -1, 3], 1))
     outcomes = set()
     for subset in subsets:
         for mode in (m for m in REFUTE_MODES if screen_applies(subset, m)):
@@ -305,7 +311,7 @@ def test_screen_batches_stay_under_the_pair_cap(monkeypatch):
     def reports(pair_cap):
         monkeypatch.setattr(screen, "_PAIR_CAP", pair_cap)
         del elements[:]
-        searches = [(Box(pt(0, 0), pt(1, 1)), 700, 0, "external")]
+        searches = [(TOUCHING, 700, 0, "external")]
         searches += [(TIGHT, 300, seed, mode) for seed, mode in
                      ((6, "external"), (0, "hyperconvex"), (8, "hyperconvex"))]
         return [refute_search(s, level, budget, seed, mode) for s, budget, seed, mode in searches]
@@ -316,6 +322,24 @@ def test_screen_batches_stay_under_the_pair_cap(monkeypatch):
     assert reports(1 << 40) == capped  # uncapped: 32 candidates, then the rest at once
     assert max(elements) > cap
     assert reports(level ** 2 * 5) == capped  # batches of 5 candidates
+
+
+def test_screen_skips_families_whose_balls_share_a_nearest_member(monkeypatch):
+    """Balls that meet pairwise and all reach one member box meet in it, so
+    a candidate whose balls share their first nearest member never reaches
+    the pair distances: no candidate of a single box does, some of a
+    union's do not."""
+    import hyperball.screen as screen
+
+    held = []
+    real = screen._pair_dists
+    monkeypatch.setattr(screen, "_pair_dists", lambda coords: held.append(coords.shape[2]) or real(coords))
+    for mode in REFUTE_MODES:
+        report = refute_search(Box(pt(0, 0), pt(1, 1)), 6, 4096, seed=2, mode=mode)
+        assert report.verdict == "inconclusive" and report.budget_used == 4096
+    assert held == []
+    _screen(UNION, 6, "external")._screen_batch(2, 0, 4096)
+    assert len(held) == 1 and 0 < held[0] < 4096
 
 
 def test_screen_overflow_falls_back_to_the_exact_path():
