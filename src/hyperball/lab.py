@@ -229,8 +229,10 @@ def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
 # ---------------------------------------------------------------------------
 # Randomized refuter
 #
-# Sampling recipe (deterministic in (seed, candidate index); the scalar
-# builder below and the int64 screen in ``screen.py`` share it bit for bit):
+# Sampling recipe (deterministic in (seed, candidate index)).  The int64
+# screen in ``screen.py`` computes it bit for bit, and on the subsets it takes
+# its integers over its unit are the certificate; the scalar builder below
+# serves every other subset and is the reference the tests hold it to:
 #   slot 0                          family size k in [2, level]
 #   slots 1 .. level*dim            center grid indices (first k*dim used)
 #   next level slots                radius offsets in grid steps (first k used)
@@ -354,10 +356,12 @@ def refute_search(
     Deterministic given (seed, budget): candidate ``i`` is a pure function of
     the seed and the counter ``i``.  Centers are drawn around the subset's
     window (see the recipe above), which also proves the subset non-empty.
-    Where ``screen_applies``, an exact int64 screen picks the first refuting
-    index, unless the magnitudes would overflow; otherwise every candidate,
-    admissible by construction, gets the exact witness search alone.  A
-    found family is rebuilt exactly and re-verified before being reported.
+    Where ``screen_applies``, an exact int64 screen finds the first
+    refuting candidate, and its integers over the screen's unit are the
+    certificate's balls.  Elsewhere, and where the magnitudes would overflow
+    int64, each candidate is built exactly (admissible by construction) and
+    gets the exact witness search alone.  A found family is re-verified
+    exactly before being reported.
     """
     if mode not in REFUTE_MODES:
         raise InvalidArgument(f"unknown mode {mode!r}")
@@ -377,7 +381,7 @@ def refute_search(
 
     if budget == 0:
         return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
-    indices, screened = range(budget), False
+    candidates, screened = ((index, build(index)) for index in range(budget)), False
     if screen_applies(subset, mode):
         from .screen import FastScreen  # loads numpy only where a screen applies
 
@@ -387,9 +391,8 @@ def refute_search(
             pass
         else:
             hit = screen.scan(seed, 0, budget)
-            indices, screened = (() if hit is None else (hit,)), True
-    for index in indices:
-        balls = build(index)
+            candidates, screened = (() if hit is None else (hit,)), True
+    for index, balls in candidates:
         if screened or not _external_search(subset, _family(subset, balls)).feasible:
             if not verify_refutation(subset, balls, mode):
                 raise InternalError("refutation failed exact re-verification")

@@ -19,15 +19,22 @@ each reach a box Q meet inside Q, by Helly's theorem on the line applied to
 each coordinate (Aronszajn and Panitchpakdi, 1956).  So a candidate whose
 active balls all have the same first nearest member never screens empty,
 and its offsets, order, pair distances and tightening are skipped.
+
+The screen computes the recipe exactly, so a hit is its own certificate:
+its balls are read off its batch column over ``unit`` and re-verified by
+``lab.refute_search``.  ``lab._scalar_candidate`` builds every other
+subset's candidates and is the reference the tests hold the screen to.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 import numpy as np
 
 from .lab import RADIUS_STEPS
+from .linf import Ball
 from .rng import draw
 
 _INT64_GUARD = 1 << 52
@@ -131,25 +138,28 @@ class FastScreen:
         return ~(box_ok & meets)
 
     def scan(self, seed: int, start: int, stop: int):
-        """First candidate index in [start, stop) whose family screens empty.
+        """The first candidate in [start, stop) whose family screens empty,
+        as (index, balls), or None.
 
         Mirrors ``lab._scalar_candidate``, the center pull included, batch
-        by batch.  The first batch is small, so a search that refutes early
-        does not pay for a full batch.  Batches only split the index range,
-        so their size never moves the first hit.
+        by batch; the balls are the hit's integers over ``unit``, exact.
+        The first batch is small, so a search that refutes early does not
+        pay for a full batch.  Batches only split the index range, so their
+        size never moves the first hit.
         """
         batch = max(1, min(_BATCH, _PAIR_CAP // self.arena.level ** 2))
         lo_idx, size = start, min(_FIRST_BATCH, batch)
         while lo_idx < stop:
             hi_idx = min(lo_idx + size, stop)
-            hits = np.nonzero(self._screen_batch(seed, lo_idx, hi_idx))[0]
-            if len(hits):
-                return lo_idx + int(hits[0])
+            screened, balls = self._screen_batch(seed, lo_idx, hi_idx)
+            if balls is not None:
+                return lo_idx + int(np.argmax(screened)), balls
             lo_idx, size = hi_idx, batch
         return None
 
-    def _screen_batch(self, seed: int, lo_idx: int, hi_idx: int) -> np.ndarray:
-        """Whether each candidate in [lo_idx, hi_idx) screens empty."""
+    def _screen_batch(self, seed: int, lo_idx: int, hi_idx: int):
+        """Whether each candidate in [lo_idx, hi_idx) screens empty, and the
+        exact balls of the first that does (None if none does)."""
         arena = self.arena
         level, dim, slots = arena.level, arena.dim, arena.slots
         # Slot s of candidate i is counter i * slots + s, in row s, so the
@@ -173,7 +183,7 @@ class FastScreen:
             # pairwise-meeting balls meet in Q by Helly on each coordinate.
             left = np.nonzero(np.any(active & (member != member[0]), axis=0))[0]
             if not len(left):
-                return screened
+                return screened, None
             # np.take gives C-contiguous copies (indexing by ``[..., left]``
             # does not), so the flat gathers below need no further copy.
             base, sizes, active, coords, dist_a, member = (
@@ -209,8 +219,20 @@ class FastScreen:
             _tighten(floor, _pair_dists(coords), radii, active)
         lo_box = (coords - radii[:, None]).max(axis=0)
         hi_box = (coords + radii[:, None]).min(axis=0)
-        screened[left] = self.empty_mask(lo_box, hi_box)
-        return screened
+        empty = self.empty_mask(lo_box, hi_box)
+        screened[left] = empty
+        if not empty.any():
+            return screened, None
+        # Read the first hit's column alone, its balls in index order: in
+        # external mode the arrays hold them in tightening order, and ball i
+        # sits at the row where ``order`` holds i.
+        c, unit = np.argmax(empty), self.unit
+        rows = np.argsort(order[:, c]) if self.start is None else range(level)
+        balls = tuple(
+            Ball(tuple(Fraction(int(v), unit) for v in coords[t, :, c]), Fraction(int(radii[t, c]), unit))
+            for t in rows[:sizes[c]]
+        )
+        return screened, balls
 
 
 def _pair_dists(coords: np.ndarray) -> np.ndarray:

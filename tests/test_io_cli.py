@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hyperball import lab, linf, lp, metric, refine, reports, rng, sets
 from hyperball.barycenter import BarycenterConfig, ip_lift
 from hyperball.cli import main
-from hyperball.errors import DimMismatch, HyperballError, InvalidArgument
+from hyperball.errors import DimMismatch, HyperballError, InternalError, InvalidArgument
 from hyperball.io import (
     ParseError,
     canonical_dumps,
@@ -521,6 +521,31 @@ def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
         "error: internal error: refutation failed exact re-verification",
         "error: internal error: ZeroDivisionError: integer division or modulo by zero",
     ]
+
+
+def test_a_tampered_screen_hit_fails_exact_re_verification(tmp_path, capsys, monkeypatch):
+    """The screen's hit is reported only once the real ``verify_refutation``
+    passes it: a hand-off with one radius shrunk below its floor d(c, A)
+    raises ``InternalError``, and ``refute`` exits 4."""
+    screen = importlib.import_module("hyperball.screen")
+    union = lab.BoxUnion((linf.Box(pt(0, 0), pt(1, 1)), linf.Box(pt(3, 0), pt(4, 1))))
+    real, tampered = screen.FastScreen.scan, []
+
+    def scan(self, seed, start, stop):
+        index, balls = real(self, seed, start, stop)
+        i, floor = max(enumerate(sets.subset_dist(union, b.center) for b in balls), key=lambda f: f[1])
+        assert floor > 0
+        tampered.append(index)
+        shrunk = linf.Ball(balls[i].center, floor / 2)
+        return index, balls[:i] + (shrunk,) + balls[i + 1:]
+
+    monkeypatch.setattr(screen.FastScreen, "scan", scan)
+    with pytest.raises(InternalError, match="refutation failed exact re-verification"):
+        lab.refute_search(union, 2, 1000, seed=7)
+    path = str(SRC.parent / "bench" / "instances" / "union.json")
+    assert main(["refute", "--instance", path, "--level", "2", "--budget", "1000", "--seed", "7"]) == 4
+    assert capsys.readouterr().err == "error: internal error: refutation failed exact re-verification\n"
+    assert len(tampered) == 2
 
 
 def test_cli_a_failed_barycenter_self_check_exits_4(tmp_path, capsys, monkeypatch):

@@ -247,7 +247,7 @@ def test_refuter_scalar_vector_agreement():
         for level in range(2, 7):
             reference = _scalar_reference(subset, level, 250, 11, mode)
             hit = _screen(subset, level, mode).scan(11, 0, 250)
-            assert hit == (None if reference is None else reference[0]), (subset, mode, level)
+            assert hit == reference, (subset, mode, level)
             report = refute_search(subset, level, 250, seed=11, mode=mode)
             if reference is None:
                 assert report.verdict == "inconclusive" and report.budget_used == 250
@@ -263,13 +263,13 @@ def test_screen_finds_hits_past_the_first_batch(mode, seed):
     index, balls = _scalar_reference(TIGHT, 2, 300, seed, mode)
     assert index >= _FIRST_BATCH
     screen = _screen(TIGHT, 2, mode)
-    assert screen.scan(seed, 0, 300) == index
+    assert screen.scan(seed, 0, 300) == (index, balls)
     report = refute_search(TIGHT, 2, 300, seed=seed, mode=mode)
     assert report.certificate["index"] == index and report.certificate["balls"] == balls
     # a scan that starts later finds the first hit at or after its start
     for first in (1, index, index + 1):
         later = _scalar_reference(TIGHT, 2, 300, seed, mode, first)
-        assert screen.scan(seed, first, 300) == (None if later is None else later[0])
+        assert screen.scan(seed, first, 300) == later
     assert screen.scan(seed, 0, index) is None
 
 
@@ -286,12 +286,40 @@ def test_screen_mask_matches_the_exact_test_on_every_candidate():
                 seed, lo = 100 + level, 37 + level
                 arena = _build_arena(subset, level)
                 screen = FastScreen(subset, arena, REFUTE_MODES[mode])
-                mask = screen._screen_batch(seed, lo, lo + 24)
+                mask, _ = screen._screen_batch(seed, lo, lo + 24)
                 for i, screened in enumerate(mask):
                     balls = _scalar_candidate(subset, arena, seed, lo + i, REFUTE_MODES[mode])
                     assert screened == verify_refutation(subset, balls, mode), (subset, mode, level, i)
                     outcomes.add(bool(screened))
     assert outcomes == {True, False}
+
+
+def _exact_ints(balls):
+    """Whether every numerator and denominator in ``balls`` is a Python int
+    (a Fraction built from numpy integers keeps them, and wraps on overflow)."""
+    values = [v for b in balls for v in (*b.center, b.radius)]
+    return all(type(v.numerator) is int and type(v.denominator) is int for v in values)
+
+
+def test_screen_hands_back_the_exact_candidate_on_every_hit():
+    """Each hit's balls, read off the screen's integers, equal the exact
+    candidate built with Fractions, with Python int parts; hits past the
+    first batch included."""
+    subsets = (Box(pt(0, 0), pt(1, 1)), UNION, UNION_EMPTY_MEMBER, TOUCHING, OVERLAPPING, THREE,
+               DIAG, halfspace([2, -1, 3], 1))
+    searches = [(s, m, level, seed, 40) for s in subsets for m in REFUTE_MODES if screen_applies(s, m)
+                for level in range(2, 7) for seed in (0, 5, 23)]
+    searches += [(TIGHT, m, 2, seed, 300) for m in REFUTE_MODES for seed in (3, 4)]
+    hits = late = 0
+    for subset, mode, level, seed, budget in searches:
+        arena, start = _build_arena(subset, level), REFUTE_MODES[mode]
+        screen, first = FastScreen(subset, arena, start), 0
+        while (hit := screen.scan(seed, first, budget)) is not None:
+            index, balls = hit
+            assert balls == _scalar_candidate(subset, arena, seed, index, start), (subset, mode, level, index)
+            assert _exact_ints(balls)
+            hits, late, first = hits + 1, late + (index >= _FIRST_BATCH), index + 1
+    assert hits > 500 and late > 0
 
 
 def test_screen_batches_stay_under_the_pair_cap(monkeypatch):
@@ -607,7 +635,7 @@ def test_screen_spares_the_exact_center_pull(monkeypatch):
     assert report.verdict == "inconclusive" and not calls
     report = refute_search(TIGHT, 2, 300, seed=3, mode="hyperconvex")
     assert report.refuted and report.certificate["index"] >= _FIRST_BATCH
-    assert len(calls) == 1  # only the hit is rebuilt exactly
+    assert not calls  # the screen hands back the hit's exact balls
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64 + 7])
