@@ -217,18 +217,18 @@ def ip_threshold(k: int) -> int:
 
 def default_ip_eps(n: int, k: int) -> Fraction:
     """Largest eps on the 1/1024 grid keeping c <= (1 + c0)/2, where c0 is
-    the eps = 0 constant; a concrete rule so runs are reproducible."""
+    the eps = 0 constant; a concrete rule so runs are reproducible.
+
+    c = c0 (1 + eps)^2, so with c0 = P/Q and eps = j/1024 the rule reads
+    (1024 + j)^2 <= 1024^2 (Q + P)/(2P), whose largest j one integer square
+    root gives; j >= 0 since c0 < 1."""
     from .refine import ip_constants
 
     c0 = ip_constants(n, k).c
     if c0 >= 1:
         return Fraction(0)
-    target = (1 + c0) / 2
-    grid = Fraction(1, 1024)
-    eps = Fraction(0)
-    while ip_constants(n, k, eps + grid).c <= target:
-        eps += grid
-    return eps
+    P, Q = c0.numerator, c0.denominator
+    return Fraction(isqrt(1024**2 * (Q + P) // (2 * P)) - 1024, 1024)
 
 
 def ip_lift(

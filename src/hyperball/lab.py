@@ -527,7 +527,7 @@ def helly_order_check(sets: Sequence[HPolyhedron], k: int) -> PropertyReport:
 GRAPH_ENUM_CAP = 5_000_000
 
 
-def graph_n_helly_bruteforce(g: GraphInstance, n: int, cap: int = GRAPH_ENUM_CAP) -> PropertyReport:
+def graph_n_helly_bruteforce(g: GraphInstance, n: int) -> PropertyReport:
     """Exhaustive integer-radius ball-Helly check on a connected graph.
 
     Enumerates all center multisets of size n and integer radii from 0 up to
@@ -541,14 +541,14 @@ def graph_n_helly_bruteforce(g: GraphInstance, n: int, cap: int = GRAPH_ENUM_CAP
     # refuses a large graph before its shortest paths are computed.
     V = g.n
     bound = comb(V + n - 1, n) * min(V, 2) ** n
-    if bound > cap:
-        raise SizeCapExceeded(f"at least {bound} families exceed cap {cap}")
+    if bound > GRAPH_ENUM_CAP:
+        raise SizeCapExceeded(f"at least {bound} families exceed cap {GRAPH_ENUM_CAP}")
     space = graph_metric(g)
     diam = space.diameter()
     radius_hi = int(-(-diam.numerator // diam.denominator))  # ceil
     families = comb(V + n - 1, n) * (radius_hi + 1) ** n
-    if families > cap:
-        raise SizeCapExceeded(f"{families} families exceed cap {cap}")
+    if families > GRAPH_ENUM_CAP:
+        raise SizeCapExceeded(f"{families} families exceed cap {GRAPH_ENUM_CAP}")
     if not n:  # the empty family's intersection is the whole space
         return PropertyReport(HOLDS, certificate={"families": families})
     L, d = integer_matrix(space)
@@ -579,9 +579,10 @@ def graph_n_helly_bruteforce(g: GraphInstance, n: int, cap: int = GRAPH_ENUM_CAP
 def four_to_n_consistency(
     subset, n_max: int, budget: int, seed: int, mode: str = "external"
 ) -> PropertyReport:
-    """Search levels 4 and 5..n_max; flag THEOREM-INCONSISTENT only when a
-    verified refutation needs more than 4 balls while nothing of size <= 4
-    was found anywhere; else "inconclusive", since the searches are sampled.
+    """Search levels 4..n_max (n_max >= 4); flag THEOREM-INCONSISTENT only
+    when a verified refutation needs more than 4 balls while nothing of size
+    <= 4 was found anywhere; else "inconclusive", since the searches are
+    sampled.  Arguments are checked as ``refute_search`` checks them.
 
     The paper proves that 4-hyperconvexity implies finite hyperconvexity of
     the space.  This check assumes that the result carries over to external
@@ -589,14 +590,19 @@ def four_to_n_consistency(
     4-ball one exists, so on conforming subsets the flag must never fire.
     The theorem promises some 4-ball family, not a 4-ball subfamily of the
     one found."""
-    if budget <= 0:
+    if mode not in REFUTE_MODES:
+        raise InvalidArgument(f"unknown mode {mode!r}")
+    if n_max < 4:
+        raise InvalidArgument("n_max must be >= 4")
+    if budget < 0:
+        raise InvalidArgument("budget must be >= 0")
+    if budget == 0:
         return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
-    levels = [4] + list(range(5, n_max + 1))
     outcomes = {}
     small_refutation = False
     big_refutations = []
     used = 0
-    for level in levels:
+    for level in range(4, n_max + 1):
         report = refute_search(subset, level, budget, derive_seed(seed, level), mode=mode)
         used += report.budget_used or 0
         if report.refuted:

@@ -43,8 +43,3 @@ def format_rational(value: Fraction | int) -> str:
     """Serialize as "p/q" (always with an explicit denominator)."""
     frac = Fraction(value)
     return f"{frac.numerator}/{frac.denominator}"
-
-
-#: Default interpolation-time grid for convexity checks: {k/16 : 0 <= k <= 16}.
-#: Dyadic rationals keep downstream arithmetic exact.
-DYADIC_GRID_16 = tuple(Fraction(k, 16) for k in range(17))

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import comb
 from typing import Any, Callable, Mapping
 
 from .errors import HyperballError, InvalidArgument
@@ -356,27 +357,16 @@ class IPParams:
 
 
 def ip_constants(n: int, k: int, eps: Fraction = Fraction(0)) -> IPParams:
-    """Enumerate the (n-1)-subsets of {1..n+1} and those containing a fixed
-    (k-1)-set; c = 2 (N - N')/N (1+eps)^2.
-
-    N' is counted, not taken from a closed form: the count is
-    (n-k+2)(n-k+1)/2, which is also cross-checked in the tests against the
-    threshold formula.
-    """
+    """N = C(n+1, 2) counts the (n-1)-subsets of {1..n+1} and
+    N' = C(n-k+2, 2) those containing a fixed (k-1)-set;
+    c = 2 (N - N')/N (1+eps)^2.  The tests count both by enumeration."""
     if k < 2:
         raise InvalidArgument("k must be >= 2")
     if not (k <= n):
         raise InvalidArgument("need k <= n")
     if eps < 0:
         raise InvalidArgument("eps must be >= 0")
-    ground = range(1, n + 2)
-    fixed = set(range(1, k))  # a (k-1)-subset
-    N = 0
-    N_prime = 0
-    for alpha in combinations(ground, n - 1):
-        N += 1
-        if fixed.issubset(alpha):
-            N_prime += 1
+    N, N_prime = comb(n + 1, 2), comb(n - k + 2, 2)
     c = Fraction(2 * (N - N_prime), N) * (1 + eps) ** 2
     return IPParams(n, k, N, N_prime, c, eps)
 

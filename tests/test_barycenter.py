@@ -248,11 +248,14 @@ def test_ip_constants_examples():
 
 
 def test_ip_constants_match_closed_form_count():
+    # N counts the (n-1)-subsets of {1..n+1}, N' those containing {1..k-1}.
     for k in range(2, 8):
         for n in range(k, 12):
-            params = ip_constants(n, k)
-            assert params.N == n * (n + 1) // 2
-            assert params.N_prime == (n - k + 2) * (n - k + 1) // 2
+            subsets = list(combinations(range(1, n + 2), n - 1))
+            N_prime = sum(set(range(1, k)) <= set(alpha) for alpha in subsets)
+            params = ip_constants(n, k, F(1, 64))
+            assert (params.N, params.N_prime) == (len(subsets), N_prime)
+            assert params.c == F(2 * (len(subsets) - N_prime), len(subsets)) * F(65, 64) ** 2
 
 
 def test_default_eps_keeps_contraction():
@@ -260,6 +263,29 @@ def test_default_eps_keeps_contraction():
     c0 = ip_constants(4, 2).c
     assert ip_constants(4, 2, eps).c <= (1 + c0) / 2
     assert eps > 0
+
+
+def test_default_eps_matches_the_grid_search():
+    def searched(n, k):
+        c0 = ip_constants(n, k).c
+        if c0 >= 1:
+            return F(0)
+        eps = F(0)
+        while ip_constants(n, k, eps + F(1, 1024)).c <= (1 + c0) / 2:
+            eps += F(1, 1024)
+        return eps
+
+    for n in range(2, 41):
+        for k in range(2, n + 1):
+            assert default_ip_eps(n, k) == searched(n, k), (n, k)
+
+
+def test_default_eps_of_a_large_family_is_one_square_root():
+    import time
+
+    started = time.perf_counter()
+    assert default_ip_eps(120, 2) == F(3023, 1024)
+    assert time.perf_counter() - started < 1
 
 
 def seeded_instance(seed, n=4, dim=2):

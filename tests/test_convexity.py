@@ -8,7 +8,6 @@ from hyperball.lab import BoxUnion, helly_counterexample
 from hyperball.errors import InvalidArgument
 from hyperball.linf import Box, sigma
 from hyperball.lp import EmptySet, HPolyhedron, box_to_polyhedron, dist_to_polyhedron, halfspace
-from hyperball.rational import DYADIC_GRID_16
 from hyperball.rng import SplitMix64, derive_seed
 
 from conftest import F, pt
@@ -34,11 +33,6 @@ def test_pairs_must_lie_in_set():
         sigma_convexity_check(UNION, [(pt(2, 0), pt(0, 0))])
 
 
-def test_empty_grid_is_vacuous_with_warning():
-    report = sigma_convexity_check(halfspace([1, 0], 0), [(pt(0, 0), pt(-1, 0))], grid=())
-    assert report.holds and report.notes
-
-
 def test_counterexample_halfspaces_pass_sampled_convexity():
     inst = helly_counterexample(3)
     for hs, w in zip(inst.halfspaces, reversed(inst.witnesses)):
@@ -49,11 +43,11 @@ def test_counterexample_halfspaces_pass_sampled_convexity():
 
 
 def test_distance_convexity_box_example():
+    # d(sigma(t), box) = max(2 - 4t, 0, 4t - 3): endpoint distances 2 and 1,
+    # midpoint 0, and convex on the whole sample.
     box = Box(pt(0, 0), pt(1, 1))
-    grid = (F(0), F(1, 2), F(1))
-    report = distance_convexity_check(box, pt(-2, 0), pt(2, 0), grid)
-    assert report.holds
-    # endpoint distances 2 and 1, midpoint 0: 0 <= (2 + 1) / 2
+    report = distance_convexity_check(box, pt(-2, 0), pt(2, 0))
+    assert (report.verdict, report.certificate) == ("holds", {"grid": 17})
 
 
 def test_distance_convexity_inside_is_constant_zero():
@@ -93,39 +87,76 @@ def test_distance_convexity_refutes_the_two_box_union():
     assert all(type(v) is Fraction for v in report.certificate.values())
 
 
-class _Spy:
-    """A subset that counts the membership and distance questions put to it."""
-
-    def __init__(self, inner):
-        self.inner, self.asked = inner, 0
-
-    def contains(self, p):
-        self.asked += 1
-        return self.inner.contains(p)
-
-    def dist(self, p):
-        self.asked += 1
-        return self.inner.dist(p)
+# Both checkers against a brute force over the sample t = k/16.
 
 
-@pytest.mark.parametrize("late", [F(2), F(-1, 16)])
-def test_grid_times_outside_the_unit_interval_raise_before_any_question(late, monkeypatch):
-    # On the union a violation comes before the bad time, on the box none does:
-    # both raise, and neither set is asked anything.
-    grid = DYADIC_GRID_16 + (late,)
-    for inner in (UNION, Box(pt(0, 0), pt(1, 1))):
-        spy = _Spy(inner)
-        with pytest.raises(InvalidArgument, match=rf"^interpolation time {late} outside \[0, 1\]$"):
-            distance_convexity_check(spy, pt(0, 0), pt(4, 0), grid)
-        with pytest.raises(InvalidArgument, match=rf"^interpolation time {late} outside \[0, 1\]$"):
-            sigma_convexity_check(spy, [(pt(0, 0), pt(4, 1))], grid)
-        assert spy.asked == 0
-    solves = []
-    monkeypatch.setattr(lp, "_solve", lambda *args, **kwargs: solves.append(args))
-    with pytest.raises(InvalidArgument, match=rf"^interpolation time {late} outside \[0, 1\]$"):
-        distance_convexity_check(box_to_polyhedron(Box(pt(0, 0), pt(1, 1))), pt(5, 0),
-                                 pt(4, 0), grid)
-    assert not solves
+def _sigma_reference(subset, pairs):
+    for idx, (x, y) in enumerate(pairs):
+        for k in range(17):
+            if not subset.contains(sigma(x, y, F(k, 16))):
+                return "refuted", {"pair_index": idx, "x": x, "y": y, "t": F(k, 16)}
+    return "holds", {"pairs": len(pairs), "grid": 17}
+
+
+def _distance_reference(subset, x, y):
+    def dist(p):
+        return dist_to_polyhedron(p, subset)[0] if isinstance(subset, HPolyhedron) else subset.dist(p)
+
+    d = {k: dist(sigma(x, y, F(k, 32))) for k in range(33)}
+    for s in range(0, 33, 2):
+        for t in range(s, 33, 2):
+            mid = (s + t) // 2
+            if d[mid] > (d[s] + d[t]) / 2:
+                return "refuted", {"s": F(s, 32), "t": F(t, 32), "d_s": d[s], "d_t": d[t],
+                                   "d_mid": d[mid]}
+    return "holds", {"grid": 17}
+
+
+def _convexity_corpus(count=120):
+    """Seeded (subset, in-set pairs, segment) cases: boxes, two-box unions
+    and 1-4-row polyhedra through the origin, in dims 1-3."""
+
+    def half(rng, lo, hi):
+        return F(rng.randint(2 * lo, 2 * hi), 2)
+
+    def box(rng, dim):
+        lo = tuple(half(rng, -4, 4) for _ in range(dim))
+        return Box(lo, tuple(v + half(rng, 0, 3) for v in lo))
+
+    def inside(rng, b):
+        return tuple(l + F(rng.randint(0, 4), 4) * (h - l) for l, h in zip(b.lo, b.hi))
+
+    for i in range(count):
+        rng = SplitMix64(derive_seed(34, i))
+        dim, kind = rng.randint(1, 3), i % 3
+        if kind == 0:
+            subset = box(rng, dim)
+            pairs = [(inside(rng, subset), inside(rng, subset)) for _ in range(2)]
+        elif kind == 1:
+            subset = BoxUnion((box(rng, dim), box(rng, dim)))
+            pairs = [(inside(rng, rng.choice(subset.boxes)), inside(rng, rng.choice(subset.boxes)))
+                     for _ in range(3)]
+        else:
+            rows = tuple((tuple(F(rng.randint(-3, 3)) for _ in range(dim)), F(rng.randint(0, 8)))
+                         for _ in range(rng.randint(1, 4)))
+            subset = HPolyhedron(dim, rows)
+            drawn = [tuple(half(rng, -3, 3) for _ in range(dim)) for _ in range(4)]
+            members = [p for p in drawn if subset.contains(p)] + [(F(0),) * dim]
+            pairs = [(members[0], members[-1])]
+        x = tuple(F(rng.randint(-40, 40), 8) for _ in range(dim))
+        y = tuple(F(rng.randint(-40, 40), 8) for _ in range(dim))
+        yield subset, pairs, x, y
+
+
+def test_checkers_match_the_brute_force_on_a_seeded_corpus():
+    verdicts = []
+    for subset, pairs, x, y in _convexity_corpus():
+        for report, expected in ((sigma_convexity_check(subset, pairs), _sigma_reference(subset, pairs)),
+                                 (distance_convexity_check(subset, x, y),
+                                  _distance_reference(subset, x, y))):
+            assert (report.verdict, report.certificate) == expected, (subset, pairs, x, y)
+            verdicts.append(report.verdict)
+    assert 20 < verdicts.count("refuted") < len(verdicts) - 100
 
 
 # Segment distances against one dist_to_polyhedron per grid time.

@@ -924,8 +924,8 @@ def test_graph_helly_matches_the_enumeration_of_every_radius():
 
 def test_graph_helly_cap():
     edges = tuple((i, (i + 1) % 12) for i in range(12))
-    with pytest.raises(SizeCapExceeded):
-        graph_n_helly_bruteforce(GraphInstance(12, edges), 6, cap=1000)
+    with pytest.raises(SizeCapExceeded, match="^1456024024 families exceed cap 5000000$"):
+        graph_n_helly_bruteforce(GraphInstance(12, edges), 6)
 
 
 def test_four_to_n_box_consistent():
@@ -943,7 +943,18 @@ def test_four_to_n_union_consistent_via_small_refutation():
 
 def test_four_to_n_budget_zero():
     report = four_to_n_consistency(UNION, 6, 0, seed=9)
-    assert report.verdict == "inconclusive"
+    assert (report.verdict, report.budget_used, report.notes) == ("inconclusive", 0, ("budget exhausted",))
+
+
+@pytest.mark.parametrize("n_max, budget, mode, message", [
+    (6, -5, "external", "budget must be >= 0"),
+    (2, 500, "external", "n_max must be >= 4"),
+    (3, 0, "external", "n_max must be >= 4"),
+    (6, 0, "strong", "unknown mode 'strong'"),
+], ids=["negative-budget", "n_max-below-4", "n_max-below-4-no-budget", "unknown-mode-no-budget"])
+def test_four_to_n_rejects_what_refute_search_rejects(n_max, budget, mode, message):
+    with pytest.raises(InvalidArgument, match=f"^{message}$"):
+        four_to_n_consistency(Box(pt(0, 0), pt(1, 1)), n_max, budget, 9, mode=mode)
 
 
 def test_uniform_local_sample_refutes_between_union_members():

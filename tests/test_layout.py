@@ -1,8 +1,10 @@
 """Guards on where numpy and the SplitMix64 constants may live, on what
 importing the package and running each CLI subcommand loads, on the
 package exporting each name lazily from its defining module, on knobs
-that were removed (the refuter's ``arena``, ``BarycenterConfig.max_rounds``
-and the barycenter's backend object among them), on each CLI subcommand taking only the flags it reads, on the
+that were removed (the refuter's ``arena``, ``BarycenterConfig.max_rounds``,
+the barycenter's backend object, the convexity checkers' ``grid`` and the
+graph brute force's ``cap`` among them) and on the lift's constants being
+closed forms without a search, on each CLI subcommand taking only the flags it reads, on the
 LP kernel, the kept distance pieces (ranked only by the one lookup) and
 the oracle's ball tests staying in integers, on the
 refinement bounds living only in ``verify_trace`` (every refinement verdict
@@ -186,6 +188,23 @@ def test_refuter_setup_has_no_dead_knob():
     modules = {node.module for node in ast.walk(screen) if isinstance(node, ast.ImportFrom)}
     assert "lp" not in modules and "TypeError" not in _sources()["screen.py"]
     assert [f.name for f in fields(BarycenterConfig)] == ["tau"]
+
+
+def test_convexity_sample_graph_cap_and_lift_constants_have_no_dead_knob():
+    # The convexity checkers sample t = k/16 and the graph brute force reads
+    # its cap: no grid or cap argument.  The lift's constants are closed
+    # forms, so no loop may search for them.
+    from hyperball import convexity, lab, refine
+    from hyperball.barycenter import default_ip_eps
+
+    assert list(inspect.signature(convexity.sigma_convexity_check).parameters) == ["subset", "pairs"]
+    assert list(inspect.signature(convexity.distance_convexity_check).parameters) == ["subset", "x", "y"]
+    assert list(inspect.signature(lab.graph_n_helly_bruteforce).parameters) == ["g", "n"]
+    for fn in (refine.ip_constants, default_ip_eps):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        loops = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+        assert not loops, fn.__name__
 
 
 def test_scheme_bounds_live_only_in_verify_trace():
