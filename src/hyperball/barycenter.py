@@ -1,6 +1,6 @@
 """Barycenters over the max norm's linear geodesic selection, their three
 contract checks, and the ball-family intersection-property threshold with
-its lifting iteration.
+its lifting iteration, which needs only the balls' box (Helly on the line).
 
 The barycenter of one point is that point, of two the geodesic midpoint
 ``sigma(x, y, 1/2)``, and for m >= 3 the leave-one-out map
@@ -241,9 +241,10 @@ def ip_lift(
     """Lift the (n,k)-intersection property to n+1 balls by iteration over
     the max norm.
 
-    From a base point, each round asks the oracle for a witness inside every
-    (n-1)-subfamily within (1+eps) of the current reach R_j, with slack 0,
-    and barycenters them; the distance to every (k-1)-fold intersection
+    Every k-subfamily meets when the balls' box does (Helly on the line), so
+    an empty box is refused.  From a base point, each round asks the oracle
+    for a witness inside every (n-1)-subfamily within (1+eps) of the current
+    reach R_j (``refine.ip_reach``), with slack 0, and barycenters them; R_j
     contracts by the factor c < 1.  The trace records the iterates, the
     balls and k, eps and tau; ``refine.verify_trace`` derives the reaches
     and steps from them, recomputes c and re-checks the bounds.
@@ -260,23 +261,25 @@ def ip_lift(
         raise InvalidArgument("rounds must be >= 0")
     if params.c >= 1:
         raise InvalidArgument(f"c = {params.c} is not < 1")
-    for subset in combinations(range(n + 1), k):
-        if balls_box(tuple(balls[i] for i in subset)).first_empty_coordinate() is not None:
-            raise InvalidArgument(f"k-subfamily {subset} has empty intersection")
-    omega = list(combinations(range(n + 1), n - 1))
-    reach = ip_reach(balls, k)
+    axis = balls_box(balls).first_empty_coordinate()
+    if axis is not None:  # the first ball with the top low side misses the first with the bottom high side
+        lows, highs = ([b.center[axis] + s * b.radius for b in balls] for s in (-1, 1))
+        pair = {lows.index(max(lows)), highs.index(min(highs))}
+        padding = [m for m in range(n + 1) if m not in pair][: k - 2]
+        raise InvalidArgument(f"k-subfamily {tuple(sorted([*pair, *padding]))} has empty intersection")
+    omega = list(combinations(balls, n - 1))
+    reach = ip_reach(balls)
     iterates = [barycenter(tuple(b.center for b in balls), cfg)]
-    R_j = reach(iterates[0])
     for j in range(rounds):
+        R_j = reach(iterates[-1])
         if R_j == 0:
             break
         window = Ball(iterates[-1], (1 + params.eps) * R_j)
         witnesses = [
-            oracle.ask(tuple(balls[i] for i in alpha) + (window,), Fraction(0), call)
+            oracle.ask(alpha + (window,), Fraction(0), call)
             for call, alpha in enumerate(omega, j * len(omega))
         ]
         iterates.append(barycenter(tuple(witnesses), cfg))
-        R_j = reach(iterates[-1])
     trace = RefinementTrace(
         "ip-lift", tuple(iterates), LinfBallFamily(balls), aux={"eps": params.eps, "k": k, "tau": cfg.tau}
     )

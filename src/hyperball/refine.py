@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import comb
 from typing import Any, Callable, Mapping
 
@@ -146,7 +145,7 @@ class RefinementTrace:
         if self.scheme == "triple-34":
             return tuple(subset_dist(aux["subsets"][0], p) for p in iterates)
         if self.scheme == "ip-lift":
-            return tuple(map(ip_reach(self.family.balls, aux["k"]), iterates))
+            return tuple(map(ip_reach(self.family.balls), iterates))
         raise InvalidArgument(f"unknown scheme {self.scheme!r}")
 
 
@@ -371,11 +370,12 @@ def ip_constants(n: int, k: int, eps: Fraction = Fraction(0)) -> IPParams:
     return IPParams(n, k, N, N_prime, c, eps)
 
 
-def ip_reach(balls: tuple[Ball, ...], k: int) -> Callable[[Point], Fraction]:
-    """The ``ip-lift`` reach: p -> the largest distance from p to a
-    (k-1)-fold intersection of the balls, whose boxes are built once."""
-    folds = [balls_box(tuple(balls[i] for i in J)) for J in combinations(range(len(balls)), k - 1)]
-    return lambda p: max(box.dist(p) for box in folds)
+def ip_reach(balls: tuple[Ball, ...]) -> Callable[[Point], Fraction]:
+    """The ``ip-lift`` reach: p -> the largest distance from p to a (k-1)-fold
+    intersection of the balls, any k >= 2.  That is p's distance to their box,
+    which every fold's box holds; the fold holding the ball that sets p's gap
+    to it keeps that gap, and the folds meet when it does (Helly on the line)."""
+    return balls_box(balls).dist
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +402,9 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
     steps at most c^j R + 3 tau, R the first reach and c
     ``ip_constants(len(balls) - 1, k, eps).c``, which must be below 1).
     A trace without iterates or without one of the ``aux`` inputs its
-    bounds are stated in, and an ip-lift one without balls, with k
-    outside 2..n or with a negative eps, fail with a note.  Any other
-    scheme raises ``InvalidArgument``."""
+    bounds are stated in, and an ip-lift one without balls, with k outside
+    2..n, with a negative eps or whose balls do not meet, fail with a note.
+    Any other scheme raises ``InvalidArgument``."""
     scheme, aux = trace.scheme, trace.aux
     if scheme not in _RECORDED:
         raise InvalidArgument(f"unknown scheme {scheme!r}")
@@ -414,7 +414,8 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
     if missing is None and scheme == "ip-lift":
         n = len(trace.family.balls) - 1
         missing = (f"k = {aux['k']} is outside 2..{n}" if aux["k"] not in range(2, n + 1) else
-                   f"eps = {aux['eps']} is negative" if aux["eps"] < 0 else None)
+                   f"eps = {aux['eps']} is negative" if aux["eps"] < 0 else
+                   "the balls do not meet" if balls_box(trace.family.balls).is_empty() else None)
     if missing:
         return ContractionReport(scheme, (), (), (), False, notes=(missing,))
     steps, slacks = trace.steps, trace.slacks

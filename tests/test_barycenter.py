@@ -19,10 +19,12 @@ from hyperball.barycenter import (
     ip_threshold,
     min_matching_average,
 )
-from hyperball.errors import DimMismatch, HyperballError, InvalidArgument
+from hyperball.errors import DimMismatch, EmptySet, HyperballError, InvalidArgument
+from hyperball.lab import LinfBallFamily
 from hyperball.linf import Ball, balls_box, linf_dist, mean_point, sigma
 from hyperball.refine import (
-    EpsOracle, OracleFailure, exact_subset_oracle, ip_constants, ip_reach, verify_trace,
+    EpsOracle, OracleFailure, RefinementTrace, exact_subset_oracle, ip_constants, ip_reach,
+    verify_trace,
 )
 from hyperball.rng import SplitMix64
 
@@ -323,8 +325,8 @@ def test_verify_trace_rejects_a_tampered_ip_lift_trace():
     report = verify_trace(trace)
     assert report.passed and report.observed == trace.slacks and len(trace.steps) == 8
     assert len(report.step_ok) == len(trace.slacks) + len(trace.steps)
-    # The reaches are derived from the balls and k, never recorded.
-    assert trace.slacks == tuple(map(ip_reach(balls, 2), trace.iterates))
+    # The reaches are derived from the balls, never recorded.
+    assert trace.slacks == tuple(map(ip_reach(balls), trace.iterates))
     # One iterate moved along the coordinate that sets its step: the derived
     # step follows the move, and a move past the step's bound c^2 R + 3 tau fails.
     prev, p = trace.iterates[2], trace.iterates[3]
@@ -441,3 +443,88 @@ def test_ip_lift_rejects_empty_k_subfamily():
     )
     with pytest.raises(InvalidArgument, match=r"^k-subfamily \(0, 1\) has empty intersection$"):
         ip_lift(exact_subset_oracle(None), balls, ip_constants(4, 2, F(1, 64)), rounds=5)
+
+
+def _enumerated_reach(balls, k, p):
+    """The reach as the paper states it: the largest distance from p to a
+    (k-1)-fold intersection, one box per (k-1)-subfamily."""
+    return max(balls_box(tuple(balls[i] for i in J)).dist(p) for J in combinations(range(len(balls)), k - 1))
+
+
+def test_ip_reach_is_the_enumerated_reach():
+    """Seeded families in dims 1-3 of 3-7 balls, every 2 <= k <= n and 10
+    rational points each: every k-subfamily meets exactly when the balls'
+    box is non-empty, the enumeration raises only where the box is empty
+    and k > 2, and wherever both return they agree."""
+    compared = raised = 0
+    for seed in range(150):
+        rng = SplitMix64(seed)
+        dim, size = rng.randint(1, 3), rng.randint(3, 7)
+        balls = tuple(Ball(tuple(F(rng.randint(-12, 12), 2) for _ in range(dim)), F(rng.randint(2, 16), 2))
+                      for _ in range(size))
+        meets = not balls_box(balls).is_empty()
+        points = [tuple(F(rng.randint(-40, 40), 4) for _ in range(dim)) for _ in range(10)]
+        for k in range(2, size):
+            assert meets == all(not balls_box(tuple(balls[i] for i in J)).is_empty()
+                                for J in combinations(range(size), k)), (seed, k)
+            for p in points:
+                try:
+                    expected = _enumerated_reach(balls, k, p)
+                except EmptySet:
+                    assert not meets and k > 2, (seed, k)
+                    raised += 1
+                    continue
+                if meets:
+                    assert ip_reach(balls)(p) == expected, (seed, k, p)
+                    compared += 1
+                else:  # k = 2: single balls always meet, their box does not
+                    with pytest.raises(EmptySet):
+                        ip_reach(balls)(p)
+    assert compared > 1000 and raised > 1000
+
+
+def test_ip_lift_names_an_empty_k_subfamily_padded_with_the_lowest_indices():
+    """Balls 2 and 5 are the first with the top low side and the bottom high
+    side on the first empty coordinate; at k = 3 index 0 pads them."""
+    centers = (1, 1, 9, 2, 3, 1, 2, 3)
+    balls = tuple(Ball(pt(c, 0), F(2) if i != 5 else F(1)) for i, c in enumerate(centers))
+    params = ip_constants(7, 3)
+    assert params.c < 1
+    with pytest.raises(InvalidArgument, match=r"^k-subfamily \(0, 2, 5\) has empty intersection$"):
+        ip_lift(exact_subset_oracle(None), balls, params, rounds=1)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_verify_trace_fails_an_ip_lift_trace_whose_balls_do_not_meet(k):
+    """``ip_lift`` refuses these balls; a saved trace of them fails with a
+    note before any reach is derived, whatever k says."""
+    balls = tuple(Ball(pt(c), F(r)) for c, r in ((0, 1), (10, 1), (5, 1), (2, 9), (3, 9)))
+    trace = RefinementTrace("ip-lift", (pt(5),), LinfBallFamily(balls),
+                            aux={"k": k, "eps": F(0), "tau": F(1, 1024)})
+    report = verify_trace(trace)
+    assert not report.passed and report.notes == ("the balls do not meet",)
+
+
+def _staircase_balls(n):
+    """Centers (i, (i^2 mod 11)/3) and radii d(c, 0) + 1/8, i = 0..n: every
+    ball holds a neighbourhood of the origin."""
+    centers = [(F(i), F(i * i % 11, 3)) for i in range(n + 1)]
+    return tuple(Ball(c, linf_dist(c, pt(0, 0)) + F(1, 8)) for c in centers)
+
+
+def test_a_large_lift_does_not_stall():
+    """(n, k) = (30, 8) has C(31, 8) = 7.9 million k-subfamilies; the lift
+    reads one box, so 3 rounds and the trace check stay well under 2 s.
+    At (20, 6) the reaches equal the enumeration over C(21, 5) folds."""
+    import time
+
+    started = time.perf_counter()
+    params = ip_constants(30, 8, default_ip_eps(30, 8))
+    _, trace = ip_lift(exact_subset_oracle(None), _staircase_balls(30), params, rounds=3)
+    assert verify_trace(trace).passed
+    assert time.perf_counter() - started < 2
+    balls = _staircase_balls(20)
+    _, trace = ip_lift(exact_subset_oracle(None), balls, ip_constants(20, 6, default_ip_eps(20, 6)), rounds=3)
+    folds = [balls_box(tuple(balls[i] for i in J)) for J in combinations(range(21), 5)]
+    assert trace.slacks == tuple(max(box.dist(p) for box in folds) for p in trace.iterates)
+    assert len(trace.iterates) == 4 and trace.slacks[0] > trace.slacks[-1] > 0

@@ -928,6 +928,19 @@ def test_graph_helly_cap():
         graph_n_helly_bruteforce(GraphInstance(12, edges), 6)
 
 
+def test_cocktail_party_graph_needs_every_ball():
+    """The discrete "4" fails: in the cocktail-party graph CP(k), K_2k less
+    the perfect matching v ~ v + k, the ball B(v, 1) misses only v + k, so
+    any 2k - 1 of these balls meet and all 2k do not.  Graph balls have
+    integer radii, which the paper's theorem does not cover."""
+    for k, levels in ((2, range(2, 5)), (3, range(2, 7))):
+        V = 2 * k
+        edges = tuple((u, v) for u, v in combinations(range(V), 2) if v - u != k)
+        verdicts = [graph_n_helly_bruteforce(GraphInstance(V, edges), n) for n in levels]
+        assert [r.verdict for r in verdicts] == ["holds"] * (V - 2) + ["refuted"], k
+        assert verdicts[-1].certificate == {"centers": tuple(range(V)), "radii": (1,) * V}
+
+
 def test_four_to_n_box_consistent():
     report = four_to_n_consistency(Box(pt(0, 0), pt(1, 1)), 6, 500, seed=9)
     assert report.verdict == "inconclusive" and report.notes == ("consistent",)

@@ -3,8 +3,9 @@ importing the package and running each CLI subcommand loads, on the
 package exporting each name lazily from its defining module, on knobs
 that were removed (the refuter's ``arena``, ``BarycenterConfig.max_rounds``,
 the barycenter's backend object, the convexity checkers' ``grid`` and the
-graph brute force's ``cap`` among them) and on the lift's constants being
-closed forms without a search, on each CLI subcommand taking only the flags it reads, on the
+graph brute force's ``cap`` among them), on the lift's constants being
+closed forms without a search and its reach and check reading the balls'
+box without listing subfamilies, on each CLI subcommand taking only the flags it reads, on the
 LP kernel, the kept distance pieces (ranked only by the one lookup) and
 the oracle's ball tests staying in integers, on the
 refinement bounds living only in ``verify_trace`` (every refinement verdict
@@ -205,6 +206,28 @@ def test_convexity_sample_graph_cap_and_lift_constants_have_no_dead_knob():
         loops = [node for node in ast.walk(tree)
                  if isinstance(node, (ast.For, ast.While, ast.comprehension))]
         assert not loops, fn.__name__
+
+
+def test_the_lift_enumerates_only_the_subfamilies_it_asks_the_oracle_about():
+    # Max-norm balls are boxes and intervals on a line that meet pairwise
+    # meet together, so the reach is the distance to the balls' box and
+    # the lift's check reads that box: no k- or (k-1)-subfamily is listed.
+    from hyperball import refine
+
+    refine_names = {node.id if isinstance(node, ast.Name) else node.name
+                    for node in ast.walk(ast.parse(_sources()["refine.py"]))
+                    if isinstance(node, (ast.Name, ast.alias))}
+    assert "combinations" not in refine_names
+    assert list(inspect.signature(refine.ip_reach).parameters) == ["balls"]
+    calls, stack = [], [(ast.parse(_sources()["barycenter.py"]), None)]
+    while stack:
+        node, scope = stack.pop()
+        if isinstance(node, ast.FunctionDef):
+            scope = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "combinations":
+            calls.append((scope, ast.unparse(node)))
+        stack.extend((child, scope) for child in ast.iter_child_nodes(node))
+    assert calls == [("ip_lift", "combinations(balls, n - 1)")]
 
 
 def test_scheme_bounds_live_only_in_verify_trace():
