@@ -1,23 +1,24 @@
 #!/usr/bin/env python3
-"""Sweep the seeded refuter over the standard fixtures, all three modes and
-levels 2..6, and print for each row the path it ran on (``screen`` or
-``scalar``) and its candidates per second.
+"""Sweep the refuter over the standard fixtures, all three modes and levels
+2..6, and print for each row the path it ran on (``span``, ``screen`` or
+``scalar``, as ``lab.refute_path`` names it) and its candidates (or tested
+points) per second.
 
-Boxes should stay inconclusive at every level and in every mode (they are
-hyperconvex); the two-box union falls quickly; half-spaces with diagonal
-normals are refutable externally even though they are weakly externally
-hyperconvex, and the sweep records at which budget the first certificate
-appears.  Rows where ``lab.screen_applies`` holds run on the int64 screen
-(boxes and unions in every mode, half-spaces only in ``external`` mode); the
-center modes on half-spaces and every mode on the multi-row polyhedra show
-the rate of the exact scalar path.  Those rows cost milliseconds per
-candidate and take the smaller of ``--budget`` and ``--scalar-budget``."""
+Boxes stay inconclusive at every level and in every mode (they are
+hyperconvex); the two-box union and the half-spaces with two non-zero
+entries are refuted in ``external`` mode, by two balls after a point or
+two.  The span decision answers the boxes in every mode and the union and
+the half-spaces in ``external`` mode.  The union's center modes run on the
+int64 screen; the center modes on half-spaces and every mode on the
+multi-row polyhedra show the rate of the exact scalar path.  Those rows
+cost milliseconds per candidate and take the smaller of ``--budget`` and
+``--scalar-budget``."""
 
 import argparse
 import time
 from fractions import Fraction as F
 
-from hyperball.lab import REFUTE_MODES, BoxUnion, refute_search, screen_applies
+from hyperball.lab import REFUTE_MODES, BoxUnion, refute_path, refute_search
 from hyperball.linf import Box
 from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace
 
@@ -40,12 +41,6 @@ def fixtures():
     ]
 
 
-def scalar_path(subset, mode) -> bool:
-    """Whether the refuter tests every candidate of this row with exact
-    rationals: wherever the int64 screen does not apply."""
-    return not screen_applies(subset, mode)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--budget", type=int, default=10_000)
@@ -57,12 +52,13 @@ def main(argv=None):
         f"{'fixture':>28} {'mode':>15} {'level':>6} {'verdict':>14} "
         f"{'used':>8} {'family':>7} {'path':>6} {'cand/s':>10}"
     )
-    refute_search(fixtures()[0][1], 2, 1, args.seed)  # loads numpy outside the timed rows
+    union = dict(fixtures())["two-box union"]
+    refute_search(union, 2, 1, args.seed, mode="hyperconvex")  # loads numpy outside the timed rows
     for name, subset in fixtures():
         for mode in REFUTE_MODES:
-            budget, path = args.budget, "screen"
-            if scalar_path(subset, mode):
-                budget, path = min(budget, args.scalar_budget), "scalar"
+            row_path, budget = refute_path(subset, mode), args.budget
+            if row_path == "scalar":
+                budget = min(budget, args.scalar_budget)
             for level in range(2, 7):
                 began = time.perf_counter()
                 report = refute_search(subset, level, budget, args.seed + level, mode=mode)
@@ -70,7 +66,7 @@ def main(argv=None):
                 size = len(report.certificate["balls"]) if report.refuted else "-"
                 print(
                     f"{name:>28} {mode:>15} {level:>6} {report.verdict:>14} "
-                    f"{report.budget_used:>8} {size!s:>7} {path:>6} {rate:>10.0f}"
+                    f"{report.budget_used:>8} {size!s:>7} {row_path:>6} {rate:>10.0f}"
                 )
 
 

@@ -229,10 +229,10 @@ def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
 # ---------------------------------------------------------------------------
 # Randomized refuter
 #
-# Sampling recipe (deterministic in (seed, candidate index)).  The int64
-# screen in ``screen.py`` computes it bit for bit, and on the subsets it takes
-# its integers over its unit are the certificate; the scalar builder below
-# serves every other subset and is the reference the tests hold it to:
+# Sampling recipe (deterministic in (seed, candidate index)) on the subsets
+# the span decision below leaves.  The int64 screen in ``screen.py`` computes
+# it bit for bit on unions, its integers over its unit the certificate; the
+# scalar builder serves every other subset and is the screen's reference:
 #   slot 0                          family size k in [2, level]
 #   slots 1 .. level*dim            center grid indices (first k*dim used)
 #   next level slots                radius offsets in grid steps (first k used)
@@ -245,11 +245,10 @@ def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
 # initial pairwise violation.  In the center modes the centers from the
 # mode's start index on then move to their nearest points of the subset, and
 # every radius is tightened again in index order, with floor 0 for them.  A
-# pulled center's nearest point gives its pull target and its floor; every
-# other floor is a distance query, which a polyhedron answers from its kept
-# LP pieces (no nearest point, no LP, on a hit).  A candidate is thus
-# admissible by construction and refutes when its intersection with the
-# subset is empty.
+# pulled center's nearest point gives its target and floor; every other floor
+# is a distance query, which a polyhedron answers from its kept LP pieces.  A
+# candidate is thus admissible by construction and refutes when its
+# intersection with the subset is empty.
 
 GRID_BITS = 3
 RADIUS_STEPS = 8
@@ -337,31 +336,87 @@ def _scalar_candidate(subset, arena: _Arena, seed: int, index: int, start: int |
     return tuple(Ball(centers[i], radii[i]) for i in range(k))
 
 
-def screen_applies(subset, mode: str) -> bool:
-    """Whether the int64 screen of ``screen.py`` takes this subset in this
-    mode: boxes and box unions of positive dimension in every mode, and a
-    one-row half-space with a non-zero normal in ``external`` mode only.
-    Every other subset runs on exact rationals."""
+def refute_path(subset, mode: str) -> str:
+    """The path ``refute_search`` takes: ``"span"`` (the span decision below)
+    on a box or a union with at most one non-empty member, and in ``external``
+    mode on any union and on a one-row half-space with a non-zero normal;
+    ``"screen"`` (the int64 screen) on a union of two or more non-empty boxes,
+    of positive dimension, in a center mode; else ``"scalar"``."""
+    boxes, rows = getattr(subset, "boxes", None), getattr(subset, "rows", ())
+    external = REFUTE_MODES[mode] is None
+    if boxes is None:
+        return "span" if external and len(rows) == 1 and any(rows[0][0]) else "scalar"
+    if external or sum(not b.is_empty() for b in boxes) < 2:
+        return "span"
+    return "screen" if subset.dim > 0 else "scalar"
+
+
+# ---------------------------------------------------------------------------
+# Span decision
+#
+# A closed subset of (R^d, max norm) is externally hyperconvex iff it is a
+# box: balls that meet pairwise and each reach a box meet inside it (Helly on
+# the line, coordinate by coordinate; Aronszajn and Panitchpakdi, 1956), and
+# the modes nest, so no mode refutes a box.  A set whose every two-point span
+# box [a1 ∧ a2, a1 ∨ a2] stays inside is a box, so any other set has a1, a2
+# in it spanning a point p outside, and two balls that hold a1 and a2 and
+# meet only at p refute it in ``external`` mode.
+
+
+def _span_points(subset):
+    """The (a1, a2, p) the span decision tests, none on a box; raises
+    ``EmptySet`` on an empty box or union.  On a·x <= b with first non-zero
+    entries a_i, a_j and q = (b/a_i)·e_i, the points q ± (e_i/a_i - e_j/a_j)
+    of the hyperplane span p = q + e_i/a_i + e_j/a_j, where a·p = b + 2; one
+    non-zero entry makes a box."""
     if getattr(subset, "boxes", None) is not None:
-        return subset.dim > 0
-    rows = getattr(subset, "rows", ())
-    return mode == "external" and len(rows) == 1 and any(rows[0][0])
+        _require_nonempty(subset)
+        return _union_points([b for b in subset.boxes if not b.is_empty()])
+    (a, b), = subset.rows
+    i, j = ([k for k, v in enumerate(a) if v] + [None])[:2]
+
+    def point(ti, tj):  # q + ti·e_i/a_i + tj·e_j/a_j
+        x = {i: Fraction(b + ti) / a[i], j: Fraction(tj) / a[j]}
+        return tuple(x.get(k, Fraction(0)) for k in range(len(a)))
+
+    return () if j is None else ((point(1, -1), point(-1, 1), point(1, 1)),)
+
+
+def _union_points(members):
+    """Pair by pair, the grid of the box spanning both members, each axis cut
+    at the midpoints between the member sides inside it (or at the side of a
+    flat axis), with p's clamps onto the pair: if no grid point lies outside
+    the union, no point of the span box does."""
+    sides = [sorted({v for b in members for v in (b.lo[k], b.hi[k])}) for k in range(members[0].dim)]
+    for first, second in combinations(members, 2):
+        axes = []
+        for cuts, lo, hi in zip(sides, map(min, first.lo, second.lo), map(max, first.hi, second.hi)):
+            inside = [v for v in cuts if lo <= v <= hi]
+            axes.append([Fraction(u + v, 2) for u, v in zip(inside, inside[1:])] or inside)
+        for p in product(*axes):
+            yield first.clamp(p), second.clamp(p), p
+
+
+def _span_balls(a1: Point, a2: Point, p: Point) -> tuple[Ball, Ball]:
+    """B(p + R·s, R) holds a1 and B(p - R·s, R) holds a2, and they meet only
+    at p, for p in the span box of a1 and a2: R = max(|a1 - p|, |a2 - p|)/2
+    and s_k the sign of a1_k - p_k, else minus that of a2_k - p_k, else +1."""
+    R = max(linf_dist(a1, p), linf_dist(a2, p)) / 2
+    s = [(u > c) - (u < c) or (c > w) - (c < w) or 1 for u, w, c in zip(a1, a2, p)]
+    return Ball(tuple(c + R * t for c, t in zip(p, s)), R), Ball(tuple(c - R * t for c, t in zip(p, s)), R)
 
 
 def refute_search(
     subset, level: int, budget: int, seed: int, mode: str = "external"
 ) -> PropertyReport:
-    """Seeded search for admissible families with empty intersection.
-
-    Deterministic given (seed, budget): candidate ``i`` is a pure function of
-    the seed and the counter ``i``.  Centers are drawn around the subset's
-    window (see the recipe above), which also proves the subset non-empty.
-    Where ``screen_applies``, an exact int64 screen finds the first
-    refuting candidate, and its integers over the screen's unit are the
-    certificate's balls.  Elsewhere, and where the magnitudes would overflow
-    int64, each candidate is built exactly (admissible by construction) and
-    gets the exact witness search alone.  A found family is re-verified
-    exactly before being reported.
+    """Search for admissible families with empty intersection, on the path
+    ``refute_path`` names.  The span decision builds no arena and draws no
+    candidate: each point tested spends one unit of the budget, and the
+    first p outside the subset gives two balls.  The sampler (see the recipe
+    above) tries candidates 0, 1, ..., each a pure function of the seed and
+    its index: on the int64 screen, whose hit's integers over its unit are
+    the balls, or, elsewhere and where int64 would overflow, by the witness
+    search on each exact candidate.  A found family is re-verified exactly.
     """
     if mode not in REFUTE_MODES:
         raise InvalidArgument(f"unknown mode {mode!r}")
@@ -369,8 +424,11 @@ def refute_search(
         raise InvalidArgument("level must be >= 2")
     if budget < 0:
         raise InvalidArgument("budget must be >= 0")
-    start = REFUTE_MODES[mode]
-    if isinstance(subset, FiniteSubset):
+    start, path = REFUTE_MODES[mode], refute_path(subset, mode)
+    if path == "span":
+        points = zip(range(budget), _span_points(subset))
+        candidates = ((i, _span_balls(*t)) for i, t in points if not subset.contains(t[2]))
+    elif isinstance(subset, FiniteSubset):
         _require_nonempty(subset)
         build = _finite_builder(subset, level, seed, start)
     else:
@@ -381,22 +439,23 @@ def refute_search(
 
     if budget == 0:
         return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
-    candidates, screened = ((index, build(index)) for index in range(budget)), False
-    if screen_applies(subset, mode):
-        from .screen import FastScreen  # loads numpy only where a screen applies
+    if path != "span":
+        candidates = ((index, build(index)) for index in range(budget))
+    if path == "screen":
+        from .screen import FastScreen  # loads numpy only on the screen's path
 
         try:
             screen = FastScreen(subset, arena, start)
         except OverflowError:
-            pass
+            path = "scalar"
         else:
             hit = screen.scan(seed, 0, budget)
-            candidates, screened = (() if hit is None else (hit,)), True
+            candidates = () if hit is None else (hit,)
     for index, balls in candidates:
-        if screened or not _external_search(subset, _family(subset, balls)).feasible:
+        if path != "scalar" or not _external_search(subset, _family(subset, balls)).feasible:
             if not verify_refutation(subset, balls, mode):
                 raise InternalError("refutation failed exact re-verification")
-            certificate = {"balls": balls, "index": index}
+            certificate = {"balls": balls} if path == "span" else {"balls": balls, "index": index}
             if mode != "external":
                 certificate["mode"] = mode
             return PropertyReport(REFUTED, certificate=certificate, seed=seed, budget_used=index + 1)
@@ -639,10 +698,10 @@ def four_to_n_consistency(
 def uniform_local_external_sample(
     subset, radius: Fraction, probes: Sequence[Point], budget: int, seed: int
 ) -> PropertyReport:
-    """Sampled uniform local external hyperconvexity: around each probe point
-    of the subset, search for refutations over the subset's part in the ball
-    window B(probe, radius), which holds the probe and so is never empty.
-    Centers are drawn around that part's own window."""
+    """Uniform local external hyperconvexity: around each probe point of the
+    subset, refute the subset's part in the ball window B(probe, radius),
+    which holds the probe and so is never empty.  Exact on box unions (each
+    part is a union, which the span decision answers); sampled on polyhedra."""
     for idx, probe in enumerate(probes):
         if not subset.contains(probe):
             raise InvalidArgument(f"probe {idx} not in subset")

@@ -1,8 +1,10 @@
-"""Integer-exact batch screen for the refuter's sampling recipe.
+"""Integer-exact batch screen for the refuter's sampling recipe, on unions
+of two or more boxes in the center modes.
 
 The only module that imports numpy.  ``lab.refute_search`` imports it only
-where ``lab.screen_applies`` says the screen takes the subset in the mode,
-so every other command starts without loading numpy.
+where ``lab.refute_path`` names the screen, so every other command starts
+without loading numpy; the span decision in ``lab`` answers ``external``
+mode and single boxes.
 
 A batch of N candidates is laid out batch-last: the candidate axis is the
 last, contiguous one of every array, so each numpy loop runs over the whole
@@ -11,14 +13,15 @@ member indices (level, N), and pair distances (level, level, N).  The pair
 distances grow with level², so a batch holds at most ``_PAIR_CAP // level²``
 candidates (at least one): ``_PAIR_CAP`` int64 elements, 8 MB, per pair
 distance array up to level 1024.  Above it a batch holds one candidate, with
-level² pair distances.
+level² pair distances.  Member distances are taken one member at a time,
+so only the empty mask, (members, dim, N) booleans, scales with members.
 
-On boxes and unions only the candidates that can refute go past the member
-distances.  A box is externally hyperconvex: balls that meet pairwise and
-each reach a box Q meet inside Q, by Helly's theorem on the line applied to
-each coordinate (Aronszajn and Panitchpakdi, 1956).  So a candidate whose
-active balls all have the same first nearest member never screens empty,
-and its offsets, order, pair distances and tightening are skipped.
+Only the candidates that can refute go past the member distances.  A box is
+externally hyperconvex: balls that meet pairwise and each reach a box Q meet
+inside Q, by Helly's theorem on the line applied to each coordinate
+(Aronszajn and Panitchpakdi, 1956).  So a candidate whose active balls all
+have the same first nearest member never screens empty, and its offsets,
+order, pair distances and tightening are skipped.
 
 The screen computes the recipe exactly, so a hit is its own certificate:
 its balls are read off its batch column over ``unit`` and re-verified by
@@ -45,108 +48,55 @@ _BIG = np.int64(1 << 60)
 
 
 class FastScreen:
-    """Integer-exact batch evaluation of the sampling recipe.
+    """Integer-exact batch evaluation of the sampling recipe on a union of
+    boxes in a center mode: every length is value * unit over int64, the
+    unit the lcm of every denominator in play (grid step, window corners,
+    non-empty member sides).  The centers from index ``start``, the mode's
+    ``REFUTE_MODES`` entry, on are pulled onto the union as
+    ``lab._scalar_candidate`` pulls them.  ``lab.refute_path`` must name the
+    screen for the subset and mode, and ``arena`` must cover its window.
+    Construction raises ``OverflowError`` when magnitudes would not fit int64."""
 
-    Every length is represented as value * unit over int64; the unit folds in
-    all denominators in play (grid step, window corners, subset parameters,
-    and the half-space dual-norm divisor), so no rounding ever happens.
-    A box screens as a union of one box; empty members of a union are
-    dropped, as the exact distances drop them.  ``start`` is the mode's
-    ``REFUTE_MODES`` entry: when it is not None, the centers from index
-    ``start`` on are pulled onto the subset as ``lab._scalar_candidate``
-    pulls them.
-    The subset and mode must pass ``lab.screen_applies``, and ``arena`` must
-    be built from the subset's window, so that it covers every member.
-    Construction raises ``OverflowError`` when magnitudes would not fit int64.
-    """
-
-    def __init__(self, subset, arena, start: int | None = None):
-        self.arena = arena
-        self.start = start
-        dens = [arena.step.denominator]
-        dens += [w.denominator for w in arena.wlo]
-        boxes = getattr(subset, "boxes", None)
-        if boxes is not None:
-            self.kind = "boxes"
-            boxes = [b for b in boxes if not b.is_empty()]
-            for b in boxes:
-                dens += [v.denominator for v in b.lo + b.hi]
-        else:  # a one-row half-space with a non-zero normal, in external mode
-            self.kind = "halfspace"
-            (a, b), = subset.rows
-            row_scale = lcm(*(v.denominator for v in a + (b,)))
-            self.a_int = np.array([int(v * row_scale) for v in a], dtype=np.int64)
-            self.b_int = int(b * row_scale)
-            self.dual = sum(abs(int(v)) for v in self.a_int)  # the dual (l1) norm of a
-            dens.append(self.dual)
-        unit = lcm(*dens)
-        self.unit = unit
+    def __init__(self, subset, arena, start: int):
+        self.arena, self.start = arena, start
+        boxes = [b for b in subset.boxes if not b.is_empty()]
+        self.unit = unit = lcm(arena.step.denominator, *(w.denominator for w in arena.wlo),
+                               *(v.denominator for b in boxes for v in b.lo + b.hi))
         self.step_i = int(arena.step * unit)
         self.wlo_i = np.array([int(w * unit) for w in arena.wlo], dtype=np.int64)
         self.cells = np.array(arena.cells, dtype=np.int64)
-        if self.kind == "boxes":  # (members, dim) corners
-            self.los = np.array([[int(v * unit) for v in b.lo] for b in boxes], dtype=np.int64)
-            self.his = np.array([[int(v * unit) for v in b.hi] for b in boxes], dtype=np.int64)
-        # magnitude guard: worst coordinate (the arena covers the members)
-        # plus worst radius, times dual norm
-        worst = max(
-            abs(int(w)) + c * abs(self.step_i) for w, c in zip(self.wlo_i, self.cells)
-        )
-        worst_len = worst + (RADIUS_STEPS + 2) * abs(self.step_i) + worst
-        if self.kind == "halfspace":
-            worst_len *= self.dual + abs(self.b_int)
-        if worst_len >= _INT64_GUARD:
+        # (members, dim, 1) corners, broadcast against (dim, N) batches
+        self.los = np.array([[[int(v * unit)] for v in b.lo] for b in boxes], dtype=np.int64)
+        self.his = np.array([[[int(v * unit)] for v in b.hi] for b in boxes], dtype=np.int64)
+        # magnitude guard: twice the worst coordinate (the arena covers the
+        # members) plus the worst radius
+        worst = max(abs(int(w)) + c * abs(self.step_i) for w, c in zip(self.wlo_i, self.cells))
+        if 2 * worst + (RADIUS_STEPS + 2) * abs(self.step_i) >= _INT64_GUARD:
             raise OverflowError("fast-path magnitudes would overflow int64")
 
     def dist_ints(self, coords: np.ndarray):
-        """d(center, subset) * unit for a (level, dim, N) int64 array, and
-        on boxes the index of the first member at that distance (None on a
-        half-space); both are (level, N)."""
-        if self.kind == "boxes":
-            best = which = None
-            for m, (lo, hi) in enumerate(zip(self.los, self.his)):
-                d = np.zeros((coords.shape[0], coords.shape[2]), dtype=np.int64)
-                for k in range(coords.shape[1]):
-                    np.maximum(d, lo[k] - coords[:, k], out=d)
-                    np.maximum(d, coords[:, k] - hi[k], out=d)
-                if best is None:
-                    best, which = d, np.zeros(d.shape, dtype=np.intp)
-                else:
-                    which[d < best] = m  # strict: ties keep the earlier member
-                    np.minimum(best, d, out=best)
-            return best, which
-        bound = np.int64(self.b_int) * np.int64(self.unit)
-        margin = np.tensordot(self.a_int, coords, axes=(0, 1)) - bound
-        scaled = np.maximum(margin, 0)
-        if np.any(scaled % self.dual):
-            raise ArithmeticError("half-space distance left the integer lattice")
-        return scaled // self.dual, None
+        """d(center, union) * unit for a (level, dim, N) int64 array, and the
+        index of the first member at that distance; both are (level, N).
+        One member at a time, so no temporary is larger than ``coords``."""
+        best = np.full(coords[:, 0].shape, _BIG)
+        which = np.zeros(best.shape, dtype=np.intp)
+        for m, (lo, hi) in enumerate(zip(self.los, self.his)):
+            d = np.maximum(np.maximum(lo - coords, coords - hi).max(axis=1), 0)
+            which[d < best] = m  # strict: ties keep the earlier member
+            np.minimum(best, d, out=best)
+        return best, which
 
     def empty_mask(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """True where (combined ball box) ∩ subset = ∅; boxes are (dim, N)."""
-        box_ok = np.all(lo <= hi, axis=0)
-        if self.kind == "boxes":
-            meets = np.zeros(lo.shape[1], dtype=bool)
-            for mlo, mhi in zip(self.los, self.his):
-                jlo = np.maximum(lo, mlo[:, None])
-                jhi = np.minimum(hi, mhi[:, None])
-                meets |= np.all(jlo <= jhi, axis=0)
-        else:
-            corner = np.where(self.a_int[:, None] > 0, lo, hi)
-            bound = np.int64(self.b_int) * np.int64(self.unit)
-            meets = np.tensordot(self.a_int, corner, axes=(0, 0)) <= bound
-        return ~(box_ok & meets)
+        """True where the (dim, N) ball box, empty or not, misses every member."""
+        meets = np.maximum(lo, self.los) <= np.minimum(hi, self.his)
+        return ~meets.all(axis=1).any(axis=0)
 
     def scan(self, seed: int, start: int, stop: int):
         """The first candidate in [start, stop) whose family screens empty,
-        as (index, balls), or None.
-
-        Mirrors ``lab._scalar_candidate``, the center pull included, batch
-        by batch; the balls are the hit's integers over ``unit``, exact.
-        The first batch is small, so a search that refutes early does not
-        pay for a full batch.  Batches only split the index range, so their
-        size never moves the first hit.
-        """
+        as (index, balls) with the hit's exact integers over ``unit``, or
+        None.  Mirrors ``lab._scalar_candidate`` batch by batch.  The first
+        batch is small, so an early hit does not pay for a full batch, and
+        batches only split the index range, so they never move the hit."""
         batch = max(1, min(_BATCH, _PAIR_CAP // self.arena.level ** 2))
         lo_idx, size = start, min(_FIRST_BATCH, batch)
         while lo_idx < stop:
@@ -175,20 +125,18 @@ class FastScreen:
         dist_a, member = self.dist_ints(coords)
         active = np.arange(level)[:, None] < sizes
         screened = np.zeros(len(base), dtype=bool)
-        left = slice(None)
-        if member is not None:
-            # A candidate whose active balls share their first nearest member
-            # Q cannot refute: an unpulled ball reaches Q (its radius is at
-            # least d(c, A) = d(c, Q)) and a pulled center lies in Q, so the
-            # pairwise-meeting balls meet in Q by Helly on each coordinate.
-            left = np.nonzero(np.any(active & (member != member[0]), axis=0))[0]
-            if not len(left):
-                return screened, None
-            # np.take gives C-contiguous copies (indexing by ``[..., left]``
-            # does not), so the flat gathers below need no further copy.
-            base, sizes, active, coords, dist_a, member = (
-                np.take(a, left, axis=-1) for a in (base, sizes, active, coords, dist_a, member)
-            )
+        # A candidate whose active balls share their first nearest member Q
+        # cannot refute: an unpulled ball reaches Q (its radius is at least
+        # d(c, A) = d(c, Q)) and a pulled center lies in Q, so the
+        # pairwise-meeting balls meet in Q by Helly on each coordinate.
+        left = np.nonzero(np.any(active & (member != member[0]), axis=0))[0]
+        if not len(left):
+            return screened, None
+        # np.take gives C-contiguous copies (indexing by ``[..., left]``
+        # does not), so the flat gathers below need no further copy.
+        base, sizes, active, coords, dist_a, member = (
+            np.take(a, left, axis=-1) for a in (base, sizes, active, coords, dist_a, member)
+        )
         n = len(base)
         drawn = draw(seed, np.arange(off, slots, dtype=np.uint64)[:, None] + base)
         offs = (drawn[:level] % np.uint64(RADIUS_STEPS + 1)).astype(np.int64)
@@ -205,34 +153,27 @@ class FastScreen:
         by_order = np.take(coords, at_coords)
         radii_by_order = np.take(radii, at)
         _tighten(np.take(dist_a, at), _pair_dists(by_order), radii_by_order, order < sizes)
-        if self.start is None:  # the family's box does not depend on ball order
-            coords, radii = by_order, radii_by_order
-        else:
-            np.put(radii, at, radii_by_order)
-            # Clamp each center from ``start`` on onto its first member at
-            # minimal distance, which leaves centers in the subset in place.
-            which = member[self.start:]
-            for k in range(dim):
-                tail = coords[self.start:, k]
-                np.clip(tail, self.los[which, k], self.his[which, k], out=tail)
-            floor = np.where(np.arange(level)[:, None] < self.start, dist_a, 0)
-            _tighten(floor, _pair_dists(coords), radii, active)
+        np.put(radii, at, radii_by_order)
+        # Clamp each center from ``start`` on onto its first member at
+        # minimal distance, which leaves centers in the subset in place.
+        which = member[self.start:]
+        for k in range(dim):
+            tail = coords[self.start:, k]
+            np.clip(tail, self.los[which, k, 0], self.his[which, k, 0], out=tail)
+        floor = np.where(np.arange(level)[:, None] < self.start, dist_a, 0)
+        _tighten(floor, _pair_dists(coords), radii, active)
         lo_box = (coords - radii[:, None]).max(axis=0)
         hi_box = (coords + radii[:, None]).min(axis=0)
         empty = self.empty_mask(lo_box, hi_box)
         screened[left] = empty
         if not empty.any():
             return screened, None
-        # Read the first hit's column alone, its balls in index order: in
-        # external mode the arrays hold them in tightening order, and ball i
-        # sits at the row where ``order`` holds i.
+        # Read the first hit's column alone, its balls in index order.
         c, unit = np.argmax(empty), self.unit
-        rows = np.argsort(order[:, c]) if self.start is None else range(level)
-        balls = tuple(
+        return screened, tuple(
             Ball(tuple(Fraction(int(v), unit) for v in coords[t, :, c]), Fraction(int(radii[t, c]), unit))
-            for t in rows[:sizes[c]]
+            for t in range(sizes[c])
         )
-        return screened, balls
 
 
 def _pair_dists(coords: np.ndarray) -> np.ndarray:

@@ -299,7 +299,8 @@ def test_cli_refute_modes(tmp_path, capsys):
 
 def test_cli_refute_union_with_an_empty_member(tmp_path, capsys):
     # The screen once measured distances to the empty member too, hit a
-    # candidate the exact check rejected, and exited 4.
+    # candidate the exact check rejected, and exited 4.  The screen serves
+    # the center modes; ``external`` mode gets the span decision's two balls.
     members = [
         {"box": {"lo": ["0/1", "0/1"], "hi": ["1/1", "1/1"]}},
         {"box": {"lo": ["3/1", "0/1"], "hi": ["4/1", "1/1"]}},
@@ -310,9 +311,13 @@ def test_cli_refute_union_with_an_empty_member(tmp_path, capsys):
         "balls": [{"ball": {"center": ["0/1", "0/1"], "r": "1/1"}}],
         "subset": {"union": members},
     })
-    assert main(["refute", "--instance", union, "--level", "2", "--seed", "11", "--json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["checks"][0]["certificate"]["index"] == 13
+    certificates = {}
+    for mode in ("external", "hyperconvex", "weakly-external"):
+        argv = ["refute", "--instance", union, "--level", "2", "--seed", "13", "--mode", mode, "--json"]
+        assert main(argv) == 1, mode
+        certificates[mode] = json.loads(capsys.readouterr().out)["checks"][0]["certificate"]
+    assert "index" not in certificates["external"] and len(certificates["external"]["balls"]) == 2
+    assert certificates["hyperconvex"]["index"] == 28
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -526,7 +531,8 @@ def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
 def test_a_tampered_screen_hit_fails_exact_re_verification(tmp_path, capsys, monkeypatch):
     """The screen's hit is reported only once the real ``verify_refutation``
     passes it: a hand-off with one radius shrunk below its floor d(c, A)
-    raises ``InternalError``, and ``refute`` exits 4."""
+    raises ``InternalError``, and ``refute`` exits 4.  The free first ball
+    of ``weakly-external`` mode has a positive floor."""
     screen = importlib.import_module("hyperball.screen")
     union = lab.BoxUnion((linf.Box(pt(0, 0), pt(1, 1)), linf.Box(pt(3, 0), pt(4, 1))))
     real, tampered = screen.FastScreen.scan, []
@@ -541,9 +547,10 @@ def test_a_tampered_screen_hit_fails_exact_re_verification(tmp_path, capsys, mon
 
     monkeypatch.setattr(screen.FastScreen, "scan", scan)
     with pytest.raises(InternalError, match="refutation failed exact re-verification"):
-        lab.refute_search(union, 2, 1000, seed=7)
+        lab.refute_search(union, 2, 1000, seed=7, mode="weakly-external")
     path = str(SRC.parent / "bench" / "instances" / "union.json")
-    assert main(["refute", "--instance", path, "--level", "2", "--budget", "1000", "--seed", "7"]) == 4
+    argv = ["refute", "--instance", path, "--level", "2", "--budget", "1000", "--seed", "7"]
+    assert main(argv + ["--mode", "weakly-external"]) == 4
     assert capsys.readouterr().err == "error: internal error: refutation failed exact re-verification\n"
     assert len(tampered) == 2
 

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,11 +25,11 @@ from hyperball.lab import (
     helly_counterexample,
     helly_order_check,
     hyperconvex_witness,
+    refute_path,
     refute_search,
     uniform_local_external_sample,
     verify_refutation,
     weakly_external_witness,
-    screen_applies,
     _build_arena,
     _family,
     _finite_builder,
@@ -241,9 +242,11 @@ def _screen(subset, level, mode):
     return FastScreen(subset, _build_arena(subset, level), REFUTE_MODES[mode])
 
 
+CENTER_MODES = [mode for mode, start in REFUTE_MODES.items() if start is not None]
+
+
 def test_refuter_scalar_vector_agreement():
-    subsets = (UNION, Box(pt(0, 0), pt(1, 1)), UNION_EMPTY_MEMBER)
-    for subset, mode in [(s, m) for s in subsets for m in REFUTE_MODES] + [(DIAG, "external")]:
+    for subset, mode in [(s, m) for s in (UNION, UNION_EMPTY_MEMBER, THREE) for m in CENTER_MODES]:
         for level in range(2, 7):
             reference = _scalar_reference(subset, level, 250, 11, mode)
             hit = _screen(subset, level, mode).scan(11, 0, 250)
@@ -257,7 +260,7 @@ def test_refuter_scalar_vector_agreement():
 
 
 @pytest.mark.parametrize(
-    "mode, seed", [("external", 4), ("hyperconvex", 3), ("weakly-external", 0)]
+    "mode, seed", [("weakly-external", 4), ("hyperconvex", 3), ("weakly-external", 0)]
 )
 def test_screen_finds_hits_past_the_first_batch(mode, seed):
     index, balls = _scalar_reference(TIGHT, 2, 300, seed, mode)
@@ -277,11 +280,10 @@ def test_screen_mask_matches_the_exact_test_on_every_candidate():
     """Every entry of a batch mask, not just the first hit, equals the exact
     refutation test on the exact candidate; the batch starts off the batch
     grid."""
-    subsets = (Box(pt(0, 0), pt(1, 1)), UNION, UNION_EMPTY_MEMBER, TOUCHING, OVERLAPPING, THREE,
-               DIAG, halfspace([2, -1, 3], 1))
+    subsets = (UNION, UNION_EMPTY_MEMBER, TOUCHING, OVERLAPPING, THREE)
     outcomes = set()
     for subset in subsets:
-        for mode in (m for m in REFUTE_MODES if screen_applies(subset, m)):
+        for mode in (m for m in REFUTE_MODES if refute_path(subset, m) == "screen"):
             for level in range(2, 7):
                 seed, lo = 100 + level, 37 + level
                 arena = _build_arena(subset, level)
@@ -292,6 +294,37 @@ def test_screen_mask_matches_the_exact_test_on_every_candidate():
                     assert screened == verify_refutation(subset, balls, mode), (subset, mode, level, i)
                     outcomes.add(bool(screened))
     assert outcomes == {True, False}
+
+
+def test_screen_member_distances_on_a_many_member_union():
+    """On a 3-d union of 50 members, some repeated, ``dist_ints`` gives each
+    center's distance and its first nearest member exactly, and its
+    temporaries stay a few times the centers' size, as with two members."""
+    import tracemalloc
+
+    import numpy as np
+
+    rng = random.Random(23)
+    corners = [[F(rng.randrange(-8, 9), 2) for _ in range(3)] for _ in range(40)]
+    boxes = [Box(tuple(c), tuple(v + F(rng.randrange(0, 3), 2) for v in c)) for c in corners]
+    union = BoxUnion(tuple(boxes + boxes[:10]))
+    screen = _screen(union, 4, "hyperconvex")
+    arena, unit = screen.arena, screen.unit
+    cells = np.array(arena.cells)[:, None]
+    grid = np.random.default_rng(7).integers(0, cells + 1, size=(4, 3, 4096))
+    coords = screen.wlo_i[:, None] + grid * np.int64(screen.step_i)
+    tracemalloc.start()
+    screen.dist_ints(coords)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 5 * coords.nbytes, (peak, coords.nbytes)
+    coords = coords[..., :48]
+    dist, member = screen.dist_ints(coords)
+    for level, col in product(range(4), range(48)):
+        point = tuple(F(int(v), unit) for v in coords[level, :, col])
+        gaps = [b.dist(point) for b in union.boxes]
+        assert dist[level, col] == subset_dist(union, point) * unit == min(gaps) * unit
+        assert member[level, col] == gaps.index(min(gaps))
 
 
 def _exact_ints(balls):
@@ -305,11 +338,10 @@ def test_screen_hands_back_the_exact_candidate_on_every_hit():
     """Each hit's balls, read off the screen's integers, equal the exact
     candidate built with Fractions, with Python int parts; hits past the
     first batch included."""
-    subsets = (Box(pt(0, 0), pt(1, 1)), UNION, UNION_EMPTY_MEMBER, TOUCHING, OVERLAPPING, THREE,
-               DIAG, halfspace([2, -1, 3], 1))
-    searches = [(s, m, level, seed, 40) for s in subsets for m in REFUTE_MODES if screen_applies(s, m)
+    subsets = (UNION, UNION_EMPTY_MEMBER, TOUCHING, OVERLAPPING, THREE)
+    searches = [(s, m, level, seed, 40) for s in subsets for m in CENTER_MODES
                 for level in range(2, 7) for seed in (0, 5, 23)]
-    searches += [(TIGHT, m, 2, seed, 300) for m in REFUTE_MODES for seed in (3, 4)]
+    searches += [(TIGHT, m, 2, seed, 300) for m in CENTER_MODES for seed in (3, 4)]
     hits = late = 0
     for subset, mode, level, seed, budget in searches:
         arena, start = _build_arena(subset, level), REFUTE_MODES[mode]
@@ -339,9 +371,9 @@ def test_screen_batches_stay_under_the_pair_cap(monkeypatch):
     def reports(pair_cap):
         monkeypatch.setattr(screen, "_PAIR_CAP", pair_cap)
         del elements[:]
-        searches = [(TOUCHING, 700, 0, "external")]
+        searches = [(TOUCHING, 700, 0, "hyperconvex")]
         searches += [(TIGHT, 300, seed, mode) for seed, mode in
-                     ((6, "external"), (0, "hyperconvex"), (8, "hyperconvex"))]
+                     ((6, "weakly-external"), (0, "hyperconvex"), (8, "hyperconvex"))]
         return [refute_search(s, level, budget, seed, mode) for s, budget, seed, mode in searches]
 
     capped = reports(cap)
@@ -355,30 +387,124 @@ def test_screen_batches_stay_under_the_pair_cap(monkeypatch):
 def test_screen_skips_families_whose_balls_share_a_nearest_member(monkeypatch):
     """Balls that meet pairwise and all reach one member box meet in it, so
     a candidate whose balls share their first nearest member never reaches
-    the pair distances: no candidate of a single box does, some of a
-    union's do not."""
+    the pair distances: no candidate of a box twice over does (ties keep
+    the first member), some of a union's do not.  A single box never
+    reaches the screen."""
     import hyperball.screen as screen
 
     held = []
     real = screen._pair_dists
     monkeypatch.setattr(screen, "_pair_dists", lambda coords: held.append(coords.shape[2]) or real(coords))
+    square = Box(pt(0, 0), pt(1, 1))
     for mode in REFUTE_MODES:
-        report = refute_search(Box(pt(0, 0), pt(1, 1)), 6, 4096, seed=2, mode=mode)
+        report = refute_search(square, 6, 4096, seed=2, mode=mode)
+        assert report.verdict == "inconclusive" and report.budget_used == 4096
+    for mode in CENTER_MODES:
+        twice = BoxUnion((square, square))
+        report = refute_search(twice, 6, 4096, seed=2, mode=mode)
         assert report.verdict == "inconclusive" and report.budget_used == 4096
     assert held == []
-    _screen(UNION, 6, "external")._screen_batch(2, 0, 4096)
-    assert len(held) == 1 and 0 < held[0] < 4096
+    _screen(UNION, 6, "hyperconvex")._screen_batch(2, 0, 4096)
+    assert len(held) == 2 and 0 < held[0] == held[1] < 4096  # before and after the pull
+
+
+FAR = 1 << 58  # the int64 lengths of an arena around FAR_UNION would wrap around
+FAR_UNION = BoxUnion((Box((F(FAR),), (F(FAR + 1),)), Box((F(FAR + 3),), (F(FAR + 4),))))
 
 
 def test_screen_overflow_falls_back_to_the_exact_path():
-    far = 1 << 58  # the int64 lengths of the arena would wrap around
-    union = BoxUnion((Box((F(far),), (F(far + 1),)), Box((F(far + 3),), (F(far + 4),))))
-    for mode in REFUTE_MODES:
+    for mode in CENTER_MODES:
         with pytest.raises(OverflowError):
-            _screen(union, 3, mode)
-        index, balls = _scalar_reference(union, 3, 40, 1, mode)
-        report = refute_search(union, 3, 40, 1, mode=mode)
+            _screen(FAR_UNION, 3, mode)
+        index, balls = _scalar_reference(FAR_UNION, 3, 40, 1, mode)
+        report = refute_search(FAR_UNION, 3, 40, 1, mode=mode)
         assert report.certificate["index"] == index and report.certificate["balls"] == balls
+
+
+def _is_box(union):
+    """Whether the union equals its window on the 1/4-grid points of the
+    window: exact for members with corners on the 1/2 grid."""
+    window = union.window()
+    axes = [[lo + F(t, 4) for t in range(int((hi - lo) * 4) + 1)] for lo, hi in zip(window.lo, window.hi)]
+    return all(union.contains(p) for p in product(*axes))
+
+
+def _span_corpus():
+    """300 unions (dims 1-3, 1-4 members, corners on the 1/2 grid) and 60
+    one-row half-spaces with non-zero normals (dims 2-4), each with whether
+    it is a box."""
+    rng, corpus = random.Random(11), []
+    for _ in range(300):
+        dim, members = rng.randint(1, 3), []
+        for _ in range(rng.randint(1, 4)):
+            lo = [F(rng.randint(-6, 6), 2) for _ in range(dim)]
+            members.append(Box(tuple(lo), tuple(v + F(rng.randint(0, 4), 2) for v in lo)))
+        union = BoxUnion(tuple(members))
+        corpus.append((union, _is_box(union)))
+    rng = random.Random(5)
+    while len(corpus) < 360:
+        a = [rng.randint(-3, 3) for _ in range(rng.randint(2, 4))]
+        if any(a):
+            corpus.append((halfspace(a, rng.randint(-4, 4)), sum(map(bool, a)) == 1))
+    return corpus
+
+
+def test_span_decision_against_the_sampler_on_a_seeded_corpus():
+    """A box is inconclusive with the budget spent in every mode; any other
+    set is refuted at level 2 in ``external`` mode by two balls that
+    verify; and wherever the exact sampler refutes, so does the span."""
+    counts = {"both": 0, "box": 0, "span only": 0}
+    for i, (subset, box) in enumerate(_span_corpus()):
+        report = refute_search(subset, 2, 1000, seed=i)
+        assert report.refuted == (not box), subset
+        if box:
+            counts["box"] += 1
+            for mode in REFUTE_MODES:
+                budget = 4 if getattr(subset, "rows", None) else 50
+                report = refute_search(subset, 2, budget, seed=i, mode=mode)
+                assert (report.verdict, report.budget_used) == ("inconclusive", budget), (subset, mode)
+        else:
+            balls = report.certificate["balls"]
+            assert len(balls) == 2 and "index" not in report.certificate
+            assert verify_refutation(subset, balls)
+        sampled = _scalar_reference(subset, 2, 6 if getattr(subset, "rows", None) else 40, i)
+        assert sampled is None or not box, subset
+        if not box:
+            counts["both" if sampled else "span only"] += 1
+    assert counts == {"both": 225, "box": 109, "span only": 26}
+
+
+def test_span_decision_pins():
+    """Pinned cases: the narrow 1-d gap the sampler's grid misses, the far
+    union past the int64 screen, and a budget that ends on a covered grid
+    point."""
+    gap = BoxUnion((Box(pt(F(-7, 2)), pt(F(1, 2))), Box(pt(1), pt(2))))
+    report = refute_search(gap, 2, 10, seed=0)
+    assert report.refuted and report.budget_used == 2
+    assert report.certificate["balls"] == (Ball(pt(F(5, 8)), F(1, 8)), Ball(pt(F(7, 8)), F(1, 8)))
+    report = refute_search(FAR_UNION, 3, 40, seed=1)
+    assert report.refuted and verify_refutation(FAR_UNION, report.certificate["balls"])
+    assert refute_search(UNION, 2, 2, seed=0).refuted  # (1/2, 1/2) is covered, (2, 1/2) is not
+    report = refute_search(UNION, 2, 1, seed=0)
+    assert (report.verdict, report.budget_used) == ("inconclusive", 1)
+
+
+def test_external_mode_and_boxes_never_reach_the_sampler(monkeypatch):
+    """No arena and no candidate: in ``external`` mode on boxes, unions and
+    one-row half-spaces with a non-zero normal, and on a box in every mode."""
+    import hyperball.lab as lab
+
+    def sampler(*args):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(lab, "_build_arena", sampler)
+    monkeypatch.setattr(lab, "_scalar_candidate", sampler)
+    for subset in (Box(pt(0, 0), pt(1, 1)), UNION, UNION_EMPTY_MEMBER, THREE, TOUCHING, DIAG,
+                   halfspace([0, -1], 0), halfspace([2, -1, 3], 1)):
+        assert refute_search(subset, 3, 100, seed=1).budget_used >= 1
+    for mode in REFUTE_MODES:
+        report = refute_search(Box(pt(0, 0), pt(2, 2)), 4, 100, seed=1, mode=mode)
+        assert (report.verdict, report.budget_used) == ("inconclusive", 100)
 
 
 def test_polyhedron_center_modes_refute_on_the_scalar_path():
@@ -471,14 +597,16 @@ def _count_lps(monkeypatch):
 
 @pytest.mark.parametrize("subset", [SQUARE_ROWS, POLY3, DIAG])
 def test_refute_setup_costs_two_lps_per_dimension(monkeypatch, subset):
-    """The window's coordinate LPs run on the first search of a polyhedron
-    only: it keeps its window."""
+    """The window's coordinate LPs run on the first sampled search of a
+    polyhedron only: it keeps its window.  The span decision takes a
+    one-row half-space in ``external`` mode with no window."""
     subset = HPolyhedron(subset.dim, subset.rows)  # no window kept yet
     lps = _count_lps(monkeypatch)
+    first = int(len(subset.rows) == 1)  # a half-space is first sampled in a center mode
     for i, mode in enumerate((*REFUTE_MODES, "external")):
         lps[0] = 0
         assert refute_search(subset, 3, 0, seed=1, mode=mode).budget_used == 0
-        assert lps[0] == (0 if i else 2 * subset.dim), mode
+        assert lps[0] == (2 * subset.dim if i == first else 0), mode
 
 
 def test_verify_refutation_costs_at_most_k_plus_two_lps(monkeypatch):
@@ -520,10 +648,10 @@ def test_verify_refutation_on_four_rows_costs_at_most_k_plus_one_lps(monkeypatch
 @pytest.mark.parametrize(
     "subset, modes",
     [
-        (Box(pt(0, 0), pt(1, 1)), set(REFUTE_MODES)),
-        (UNION_EMPTY_MEMBER, set(REFUTE_MODES)),
-        (DIAG, {"external"}),
-        (halfspace([0, -1], 0), {"external"}),
+        (Box(pt(0, 0), pt(1, 1)), set()),  # a box: the span decision, in every mode
+        (UNION_EMPTY_MEMBER, set(CENTER_MODES)),
+        (DIAG, set()),  # a half-space: the span decision externally, else exact
+        (BoxUnion((Box(pt(0, 0), pt(1, 1)), Box(pt(3, 0), pt(2, 1)))), set()),  # one non-empty member
         (halfspace([0, 0], 1), set()),  # the whole plane: no normal
         (SQUARE_ROWS, set()),
         (Box((), ()), set()),  # 0-dimensional: a point
@@ -533,7 +661,10 @@ def test_verify_refutation_on_four_rows_costs_at_most_k_plus_one_lps(monkeypatch
     ],
 )
 def test_screen_applies_states_the_screens_reach(subset, modes):
-    assert {mode for mode in REFUTE_MODES if screen_applies(subset, mode)} == modes
+    """The modes whose refute runs on the int64 screen; ``external`` never
+    does."""
+    assert refute_path(subset, "external") != "screen"
+    assert {mode for mode in REFUTE_MODES if refute_path(subset, mode) == "screen"} == modes
 
 
 @pytest.mark.parametrize(
@@ -625,6 +756,21 @@ def test_center_modes_on_a_polyhedron_leave_numpy_unloaded():
     assert result.returncode == 0, result.stderr
 
 
+def test_span_decision_and_box_refutes_leave_numpy_unloaded():
+    probe = (
+        "import sys; from hyperball.lab import BoxUnion, refute_search; from hyperball.linf import Box; "
+        "from hyperball.lp import halfspace; "
+        "assert refute_search(BoxUnion((Box((0, 0), (1, 1)), Box((3, 0), (4, 1)))), 3, 50, 0).refuted; "
+        "assert refute_search(halfspace([1, 1], -1), 3, 50, 0).refuted; "
+        "refute_search(Box((0, 0), (1, 1)), 3, 50, 0, mode='hyperconvex'); "
+        "assert 'numpy' not in sys.modules, 'numpy loaded'"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_screen_spares_the_exact_center_pull(monkeypatch):
     import hyperball.lab as lab
 
@@ -640,8 +786,8 @@ def test_screen_spares_the_exact_center_pull(monkeypatch):
 
 @pytest.mark.parametrize("seed", [-1, 2**64 + 7])
 def test_refuter_masks_out_of_range_seeds(seed):
-    index, balls = _scalar_reference(UNION, 2, 1000, seed)
-    report = refute_search(UNION, 2, 1000, seed=seed)
+    index, balls = _scalar_reference(UNION, 2, 1000, seed, "hyperconvex")
+    report = refute_search(UNION, 2, 1000, seed=seed, mode="hyperconvex")
     assert report.refuted and report.seed == seed
     assert report.budget_used == index + 1
     assert report.certificate["balls"] == balls
@@ -976,6 +1122,24 @@ def test_uniform_local_sample_refutes_between_union_members():
     assert report.refuted and report.certificate["probe"] == probe
     local = UNION.intersect(Ball(probe, radius).to_box())
     assert verify_refutation(local, report.certificate["balls"])
+
+
+def test_uniform_local_sample_decides_the_line_exactly():
+    """On [0, 1] u [1 + g, 2 + g], probed at the two ends of the gap, the
+    local parts are intervals while r < g, so the union is locally a box
+    and the sample is inconclusive; from r = g on a local part has two
+    members, and two balls that verify on it refute it."""
+    for g in (F(1, 4), F(1, 2), F(1)):
+        union = BoxUnion((Box(pt(0), pt(1)), Box(pt(1 + g), pt(2 + g))))
+        probes = (pt(1), pt(1 + g))
+        for r in (F(1, 8), F(1, 4), F(1, 2), F(1), F(2)):
+            report = uniform_local_external_sample(union, r, probes, budget=10, seed=3)
+            assert report.refuted == (r >= g), (g, r)
+            if report.refuted:
+                local = union.intersect(Ball(report.certificate["probe"], r).to_box())
+                assert verify_refutation(local, report.certificate["balls"])
+            else:
+                assert report.budget_used == 10 * len(probes)
 
 
 def test_uniform_local_sample_on_box():

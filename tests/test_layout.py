@@ -45,6 +45,13 @@ def test_numpy_is_imported_only_by_the_screen():
     assert importers == {"screen.py"}
 
 
+def test_the_screen_keeps_no_half_space_kind():
+    # The span decision answers every half-space the screen took, so the
+    # screen keeps no row, dual norm or half-space branch.
+    text = _sources()["screen.py"]
+    assert not [word for word in ("rows", "dual", "halfspace") if word in text]
+
+
 def test_splitmix_constants_live_only_in_rng():
     holders = {
         name for name, text in _sources().items()

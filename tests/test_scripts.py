@@ -1,9 +1,10 @@
 """Smoke runs of the scripts under ``scripts/``."""
 
 import importlib.util
+import json
 import pathlib
 
-from hyperball.lab import REFUTE_MODES
+from hyperball.lab import REFUTE_MODES, refute_path
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -26,11 +27,17 @@ def test_refuter_sweep_covers_every_mode_with_a_rate(capsys):
         assert any(f"3d 4-row polyhedron {mode:>15} " in row for row in rows), mode
     subsets = dict(sweep.fixtures())
     assert header.split()[-2] == "path"
+    paths = set()
     for row in rows:
         *_, mode, _, _, used, _, path, rate = row.split()
-        scalar = sweep.scalar_path(subsets[row[:28].strip()], mode)
-        assert path == ("scalar" if scalar else "screen")
-        assert int(used) <= (4 if scalar else 16) and float(rate) > 0
+        assert path == refute_path(subsets[row[:28].strip()], mode)
+        assert int(used) <= (4 if path == "scalar" else 16) and float(rate) > 0
+        paths.add((row[:28].strip(), mode, path))
+    assert ("unit box", "hyperconvex", "span") in paths
+    assert ("two-box union", "external", "span") in paths
+    assert ("two-box union", "hyperconvex", "screen") in paths
+    assert ("diag half-plane x1+x2<=-1", "external", "span") in paths
+    assert ("diag half-plane x1+x2<=-1", "hyperconvex", "scalar") in paths
 
 
 def test_contraction_rates_prints_every_scheme_against_its_bound(capsys):
@@ -81,3 +88,22 @@ def test_lp_census_counts_every_caller(capsys):
     # polyhedron's 2 rows plus the window's 2*dim (dims 2 and 3).
     oracle = rows[-1].split()
     assert int(oracle[1]) == 4 and float(oracle[3]) <= 2 and 6 <= float(oracle[5]) <= 8
+
+
+def test_bench_record_writes_medians_spread_commit_and_machine(tmp_path, capsys):
+    out = tmp_path / "BENCH_0.json"
+    _load("bench_record").main(["--workloads", "refute-linf", "--smoke", "--out", str(out)])
+    assert capsys.readouterr().out.strip() == str(out)
+    record = json.loads(out.read_text())
+    assert set(record) == {"number", "commit", "dirty", "machine", "settings", "workloads"}
+    assert set(record["machine"]) == {"nproc", "python", "numpy", "PYTHONDONTWRITEBYTECODE",
+                                      "python_start_ms"}
+    assert record["machine"]["nproc"] >= 1 and record["machine"]["python_start_ms"] > 0
+    assert record["settings"]["repeats"] == 1 and record["settings"]["smoke"]
+    run = record["workloads"]["refute-linf"]
+    assert run["correct"] and run["calibration_s"] > 0
+    assert set(run["metrics"]) == {"setup_s", "ops_per_s", "latency_p50_ms", "latency_p90_ms",
+                                   "ok_ratio", "peak_rss_mb"}
+    for metric in run["metrics"].values():
+        assert set(metric) == {"unit", "median", "min", "q1", "q3", "max", "values"}
+        assert metric["min"] <= metric["median"] <= metric["max"] and len(metric["values"]) == 1
