@@ -6,19 +6,16 @@ Runs ``bench/run.py`` unchanged, end-to-end metrics only (``--trace 0``):
 that records compare.  The record holds, per workload and end-to-end metric
 of ``BENCHMARK.json``, the median and spread (min, quartiles, max, every
 value) over the repeats, and the git commit.  It also records the machine:
-``nproc``, the Python and numpy versions, ``PYTHONDONTWRITEBYTECODE``, the
-median of 15 ``python -c pass`` starts, and, once per workload before its
-runs, the time of a fixed pure-Python loop (1M ``rng.mix64`` calls).  That
-time describes the host; it is no factor to scale a record by, since on a
-shared 2-vCPU host it read 0.41 to 0.88 s within one record, and across a
-workload's repeats a slower loop went with higher, not lower, throughput.
+``nproc``, the Python version, ``PYTHONDONTWRITEBYTECODE`` and the median of
+15 ``python -c pass`` starts.  ``bench/run.py`` scales its own timings by
+the host's speed, so the record times no loop of its own.
 
     python3 scripts/bench_record.py --number 36
     python3 scripts/bench_record.py --number 36 --workloads refute-linf --smoke
 
 ``--smoke`` passes ``--smoke`` to ``bench/run.py`` (one small block, one
-set-up), makes one repeat and a tenth of the calibration loop: a check of
-the record's shape in about a second, not a measurement.
+set-up) and makes one repeat: a check of the record's shape in about a
+second, not a measurement.
 """
 
 import argparse
@@ -29,25 +26,12 @@ import statistics
 import subprocess
 import sys
 import time
-from importlib import metadata
-
-from hyperball.rng import mix64
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-CALIBRATION_CALLS = 1_000_000
 STARTS = 15
 REPEATS = 5
 SECONDS = 20.0
 SEEDS = tuple(range(1, REPEATS + 1))
-
-
-def calibration_s(calls: int) -> float:
-    """Seconds for ``calls`` chained ``rng.mix64`` calls: integer work in
-    pure Python, which tracks the host's speed for the code measured."""
-    began, z = time.perf_counter(), 0
-    for i in range(calls):
-        z = mix64(z + i)
-    return time.perf_counter() - began
 
 
 def python_start_ms() -> float:
@@ -61,14 +45,9 @@ def python_start_ms() -> float:
 
 
 def machine() -> dict:
-    try:
-        numpy = metadata.version("numpy")
-    except metadata.PackageNotFoundError:
-        numpy = None
     return {
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "python": platform.python_version(),
-        "numpy": numpy,
         "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         "python_start_ms": python_start_ms(),
     }
@@ -114,14 +93,13 @@ def main(argv=None):
     workloads = args.workloads or [w["name"] for w in declared["workloads"]]
     units = {m["name"]: m["unit"] for m in declared["end_to_end"]}
     seeds = SEEDS[:1] if args.smoke else SEEDS
-    calls = CALIBRATION_CALLS // 10 if args.smoke else CALIBRATION_CALLS
 
     record = {"number": args.number, **commit(), "machine": machine(),
               "settings": {"repeats": len(seeds), "seconds": SECONDS, "seeds": list(seeds),
-                           "smoke": args.smoke, "calibration_calls": calls},
+                           "smoke": args.smoke},
               "workloads": {}}
     for workload in workloads:
-        calibration, runs = calibration_s(calls), []
+        runs = []
         for seed in seeds:
             runs.append(run_once(workload, seed, SECONDS, args.smoke))
             print(f"{workload} seed {seed}: ops/s "
@@ -133,7 +111,6 @@ def main(argv=None):
             "correct": all(run["correct"] for run in runs),
             "attempted": [run["attempted"] for run in runs],
             "failed": [run["failed"] for run in runs],
-            "calibration_s": calibration,
         }
     out = args.out or os.path.join(ROOT, f"BENCH_{args.number}.json")
     with open(out, "w") as f:

@@ -2,9 +2,8 @@
 
 The generator is a pure function of (seed, counter): draw ``i`` equals
 ``mix64(seed + (i+1) * GAMMA)`` over 64-bit wrapping arithmetic.  The same
-seed therefore replays bit-identically on every platform, any counter range
-can be evaluated on its own, and ``draw`` gives the same bits on Python
-ints and on numpy uint64 counter arrays.
+seed therefore replays bit-identically on every platform, and any counter
+range can be evaluated on its own.
 """
 
 from __future__ import annotations
@@ -25,12 +24,9 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def draw(seed: int, counter):
-    """The ``counter``-th 64-bit draw of the stream with the given seed.
-
-    ``counter`` may be a numpy uint64 array, drawn elementwise with wrapping
-    arithmetic; masking the seed first keeps any Python int seed in range.
-    """
+def draw(seed: int, counter: int) -> int:
+    """The ``counter``-th 64-bit draw of the stream with the given seed;
+    masking the seed first keeps any Python int seed in range."""
     return mix64(((seed & MASK64) + (counter + 1) * GAMMA) & MASK64)
 
 

@@ -298,9 +298,10 @@ def test_cli_refute_modes(tmp_path, capsys):
 
 
 def test_cli_refute_union_with_an_empty_member(tmp_path, capsys):
-    # The screen once measured distances to the empty member too, hit a
-    # candidate the exact check rejected, and exited 4.  The screen serves
-    # the center modes; ``external`` mode gets the span decision's two balls.
+    # The refuter once measured distances to the empty member too, hit a
+    # candidate the exact check rejected, and exited 4.  The integer builder
+    # serves the center modes; ``external`` mode gets the span decision's
+    # two balls.
     members = [
         {"box": {"lo": ["0/1", "0/1"], "hi": ["1/1", "1/1"]}},
         {"box": {"lo": ["3/1", "0/1"], "hi": ["4/1", "1/1"]}},
@@ -529,23 +530,28 @@ def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_a_tampered_screen_hit_fails_exact_re_verification(tmp_path, capsys, monkeypatch):
-    """The screen's hit is reported only once the real ``verify_refutation``
-    passes it: a hand-off with one radius shrunk below its floor d(c, A)
-    raises ``InternalError``, and ``refute`` exits 4.  The free first ball
-    of ``weakly-external`` mode has a positive floor."""
-    screen = importlib.import_module("hyperball.screen")
+    """The integer builder's hit is reported only once the real
+    ``verify_refutation`` passes it: a hit with one radius shrunk below its
+    floor d(c, A) raises ``InternalError``, and ``refute`` exits 4.  The
+    free first ball of ``weakly-external`` mode has a positive floor."""
     union = lab.BoxUnion((linf.Box(pt(0, 0), pt(1, 1)), linf.Box(pt(3, 0), pt(4, 1))))
-    real, tampered = screen.FastScreen.scan, []
+    real, tampered = lab._union_builder, []
 
-    def scan(self, seed, start, stop):
-        index, balls = real(self, seed, start, stop)
-        i, floor = max(enumerate(sets.subset_dist(union, b.center) for b in balls), key=lambda f: f[1])
-        assert floor > 0
-        tampered.append(index)
-        shrunk = linf.Ball(balls[i].center, floor / 2)
-        return index, balls[:i] + (shrunk,) + balls[i + 1:]
+    def union_builder(*args):
+        build = real(*args)
 
-    monkeypatch.setattr(screen.FastScreen, "scan", scan)
+        def tampered_build(index):
+            balls = build(index)
+            if balls is None:
+                return None
+            i, floor = max(enumerate(sets.subset_dist(union, b.center) for b in balls), key=lambda f: f[1])
+            assert floor > 0
+            tampered.append(index)
+            return balls[:i] + (linf.Ball(balls[i].center, floor / 2),) + balls[i + 1:]
+
+        return tampered_build
+
+    monkeypatch.setattr(lab, "_union_builder", union_builder)
     with pytest.raises(InternalError, match="refutation failed exact re-verification"):
         lab.refute_search(union, 2, 1000, seed=7, mode="weakly-external")
     path = str(SRC.parent / "bench" / "instances" / "union.json")

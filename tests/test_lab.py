@@ -5,7 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -33,14 +33,15 @@ from hyperball.lab import (
     _build_arena,
     _family,
     _finite_builder,
+    _nearest_member,
     _scalar_candidate,
     _tighten,
+    _union_builder,
 )
 from hyperball.linf import Ball, Box, linf_dist
 from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace, lp_feasible
 from hyperball.metric import Disconnected, GraphInstance, graph_metric
 from hyperball.rng import SplitMix64
-from hyperball.screen import _FIRST_BATCH, FastScreen
 from hyperball.sets import FiniteSubset, subset_dist, subset_nearest
 
 from conftest import F, pt, random_metric
@@ -238,10 +239,6 @@ def _scalar_reference(subset, level, budget, seed, mode="external", first=0):
     return None
 
 
-def _screen(subset, level, mode):
-    return FastScreen(subset, _build_arena(subset, level), REFUTE_MODES[mode])
-
-
 CENTER_MODES = [mode for mode, start in REFUTE_MODES.items() if start is not None]
 
 
@@ -249,8 +246,6 @@ def test_refuter_scalar_vector_agreement():
     for subset, mode in [(s, m) for s in (UNION, UNION_EMPTY_MEMBER, THREE) for m in CENTER_MODES]:
         for level in range(2, 7):
             reference = _scalar_reference(subset, level, 250, 11, mode)
-            hit = _screen(subset, level, mode).scan(11, 0, 250)
-            assert hit == reference, (subset, mode, level)
             report = refute_search(subset, level, 250, seed=11, mode=mode)
             if reference is None:
                 assert report.verdict == "inconclusive" and report.budget_used == 250
@@ -259,27 +254,65 @@ def test_refuter_scalar_vector_agreement():
                 assert report.certificate["balls"] == reference[1]
 
 
+# The first hits on TIGHT at level 2 come late: at these indices.
+LATE_HITS = {("weakly-external", 4): 44, ("hyperconvex", 3): 82, ("weakly-external", 0): 63}
+
+
 @pytest.mark.parametrize(
     "mode, seed", [("weakly-external", 4), ("hyperconvex", 3), ("weakly-external", 0)]
 )
 def test_screen_finds_hits_past_the_first_batch(mode, seed):
     index, balls = _scalar_reference(TIGHT, 2, 300, seed, mode)
-    assert index >= _FIRST_BATCH
-    screen = _screen(TIGHT, 2, mode)
-    assert screen.scan(seed, 0, 300) == (index, balls)
+    assert index == LATE_HITS[mode, seed]
+    build = _union_builder(TIGHT, _build_arena(TIGHT, 2), seed, REFUTE_MODES[mode])
+    hits = [(i, hit) for i in range(300) if (hit := build(i)) is not None]
+    assert hits[0] == (index, balls)
     report = refute_search(TIGHT, 2, 300, seed=seed, mode=mode)
     assert report.certificate["index"] == index and report.certificate["balls"] == balls
-    # a scan that starts later finds the first hit at or after its start
-    for first in (1, index, index + 1):
-        later = _scalar_reference(TIGHT, 2, 300, seed, mode, first)
-        assert screen.scan(seed, first, 300) == later
-    assert screen.scan(seed, 0, index) is None
+    later = _scalar_reference(TIGHT, 2, 300, seed, mode, index + 1)  # the next hit, if any
+    assert hits[1:2] == ([later] if later else [])
+
+
+def _many_members():
+    """A 3-d union of 50 members, 10 of them repeated."""
+    rng = random.Random(23)
+    corners = [[F(rng.randrange(-8, 9), 2) for _ in range(3)] for _ in range(40)]
+    boxes = [Box(tuple(c), tuple(v + F(rng.randrange(0, 3), 2) for v in c)) for c in corners]
+    return BoxUnion(tuple(boxes + boxes[:10]))
+
+
+MANY = _many_members()
+POINT_TWICE = BoxUnion((Box((), ()), Box((), ())))  # 0-dimensional: one point
+FAR = 1 << 58  # far out: lengths over the arena's unit reach 2**59
+FAR_UNION = BoxUnion((Box((F(FAR),), (F(FAR + 1),)), Box((F(FAR + 3),), (F(FAR + 4),))))
+
+
+def test_integer_builder_refutes_exactly_where_the_exact_candidate_does():
+    """For every candidate index below the budget, the integer builder hands
+    back balls exactly where the witness search on the exact candidate finds
+    no point, and they are that candidate's balls.  The unions have an empty
+    member, three members, touching or overlapping members, late hits,
+    lengths near 2**59, one point twice, and 50 members in 3-d."""
+    outcomes = set()
+    fixtures = ((UNION, 40), (UNION_EMPTY_MEMBER, 40), (THREE, 40), (TOUCHING, 40), (OVERLAPPING, 40),
+                (TIGHT, 100), (FAR_UNION, 40), (POINT_TWICE, 10), (MANY, 12))
+    for subset, budget in fixtures:
+        for mode, level in product(CENTER_MODES, (2, 4, 6)):
+            arena, start, seed = _build_arena(subset, level), REFUTE_MODES[mode], 100 + level
+            build = _union_builder(subset, arena, seed, start)
+            for index in range(budget):
+                balls = _scalar_candidate(subset, arena, seed, index, start)
+                refutes = not external_witness(subset, LinfBallFamily(balls)).feasible
+                assert build(index) == (balls if refutes else None), (subset, mode, level, index)
+                outcomes.add((subset is POINT_TWICE, refutes))
+    assert outcomes == {(False, True), (False, False), (True, False)}
 
 
 def test_screen_mask_matches_the_exact_test_on_every_candidate():
-    """Every entry of a batch mask, not just the first hit, equals the exact
-    refutation test on the exact candidate; the batch starts off the batch
-    grid."""
+    """Every candidate's verdict from the integer builder, not just the
+    first hit, equals the exact refutation test in the mode (admissibility
+    and the mode's centers included) on the exact candidate; the window
+    starts off index 0."""
     subsets = (UNION, UNION_EMPTY_MEMBER, TOUCHING, OVERLAPPING, THREE)
     outcomes = set()
     for subset in subsets:
@@ -287,57 +320,47 @@ def test_screen_mask_matches_the_exact_test_on_every_candidate():
             for level in range(2, 7):
                 seed, lo = 100 + level, 37 + level
                 arena = _build_arena(subset, level)
-                screen = FastScreen(subset, arena, REFUTE_MODES[mode])
-                mask, _ = screen._screen_batch(seed, lo, lo + 24)
-                for i, screened in enumerate(mask):
-                    balls = _scalar_candidate(subset, arena, seed, lo + i, REFUTE_MODES[mode])
-                    assert screened == verify_refutation(subset, balls, mode), (subset, mode, level, i)
-                    outcomes.add(bool(screened))
+                build = _union_builder(subset, arena, seed, REFUTE_MODES[mode])
+                for index in range(lo, lo + 24):
+                    balls = _scalar_candidate(subset, arena, seed, index, REFUTE_MODES[mode])
+                    screened = build(index) is not None
+                    assert screened == verify_refutation(subset, balls, mode), (subset, mode, level, index)
+                    outcomes.add(screened)
     assert outcomes == {True, False}
 
 
 def test_screen_member_distances_on_a_many_member_union():
-    """On a 3-d union of 50 members, some repeated, ``dist_ints`` gives each
-    center's distance and its first nearest member exactly, and its
-    temporaries stay a few times the centers' size, as with two members."""
-    import tracemalloc
-
-    import numpy as np
-
-    rng = random.Random(23)
-    corners = [[F(rng.randrange(-8, 9), 2) for _ in range(3)] for _ in range(40)]
-    boxes = [Box(tuple(c), tuple(v + F(rng.randrange(0, 3), 2) for v in c)) for c in corners]
-    union = BoxUnion(tuple(boxes + boxes[:10]))
-    screen = _screen(union, 4, "hyperconvex")
-    arena, unit = screen.arena, screen.unit
-    cells = np.array(arena.cells)[:, None]
-    grid = np.random.default_rng(7).integers(0, cells + 1, size=(4, 3, 4096))
-    coords = screen.wlo_i[:, None] + grid * np.int64(screen.step_i)
-    tracemalloc.start()
-    screen.dist_ints(coords)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    assert peak < 5 * coords.nbytes, (peak, coords.nbytes)
-    coords = coords[..., :48]
-    dist, member = screen.dist_ints(coords)
-    for level, col in product(range(4), range(48)):
-        point = tuple(F(int(v), unit) for v in coords[level, :, col])
-        gaps = [b.dist(point) for b in union.boxes]
-        assert dist[level, col] == subset_dist(union, point) * unit == min(gaps) * unit
-        assert member[level, col] == gaps.index(min(gaps))
+    """On a 3-d union of 50 members, 10 of them repeated, ``_nearest_member``
+    gives the distance and the first nearest member of each arena grid
+    point and each member's low corner exactly, in the integers of the
+    builder's unit."""
+    arena = _build_arena(MANY, 4)
+    unit = lcm(arena.step.denominator, *(w.denominator for w in arena.wlo),
+               *(v.denominator for b in MANY.boxes for v in b.lo + b.hi))
+    boxes = [([int(v * unit) for v in b.lo], [int(v * unit) for v in b.hi]) for b in MANY.boxes]
+    rng, inside = random.Random(7), set()
+    grid = [tuple(w + rng.randint(0, cells) * arena.step for w, cells in zip(arena.wlo, arena.cells))
+            for _ in range(192)]
+    for point in grid + [b.lo for b in MANY.boxes]:
+        gaps = [b.dist(point) for b in MANY.boxes]
+        dist, member = _nearest_member(boxes, [int(v * unit) for v in point])
+        assert dist == subset_dist(MANY, point) * unit == min(gaps) * unit, point
+        assert member == gaps.index(min(gaps)), point
+        inside.add(dist == 0)
+    assert inside == {True, False}
 
 
 def _exact_ints(balls):
     """Whether every numerator and denominator in ``balls`` is a Python int
-    (a Fraction built from numpy integers keeps them, and wraps on overflow)."""
+    (a Fraction built from another integer type keeps it)."""
     values = [v for b in balls for v in (*b.center, b.radius)]
     return all(type(v.numerator) is int and type(v.denominator) is int for v in values)
 
 
 def test_screen_hands_back_the_exact_candidate_on_every_hit():
-    """Each hit's balls, read off the screen's integers, equal the exact
+    """Each hit's balls, read off the builder's integers, equal the exact
     candidate built with Fractions, with Python int parts; hits past the
-    first batch included."""
+    40 candidates of the short searches included."""
     subsets = (UNION, UNION_EMPTY_MEMBER, TOUCHING, OVERLAPPING, THREE)
     searches = [(s, m, level, seed, 40) for s in subsets for m in CENTER_MODES
                 for level in range(2, 7) for seed in (0, 5, 23)]
@@ -345,56 +368,25 @@ def test_screen_hands_back_the_exact_candidate_on_every_hit():
     hits = late = 0
     for subset, mode, level, seed, budget in searches:
         arena, start = _build_arena(subset, level), REFUTE_MODES[mode]
-        screen, first = FastScreen(subset, arena, start), 0
-        while (hit := screen.scan(seed, first, budget)) is not None:
-            index, balls = hit
-            assert balls == _scalar_candidate(subset, arena, seed, index, start), (subset, mode, level, index)
-            assert _exact_ints(balls)
-            hits, late, first = hits + 1, late + (index >= _FIRST_BATCH), index + 1
+        build = _union_builder(subset, arena, seed, start)
+        for index in range(budget):
+            if (balls := build(index)) is not None:
+                assert balls == _scalar_candidate(subset, arena, seed, index, start), (subset, mode, level, index)
+                assert _exact_ints(balls)
+                hits, late = hits + 1, late + (index >= 40)
     assert hits > 500 and late > 0
-
-
-def test_screen_batches_stay_under_the_pair_cap(monkeypatch):
-    """At level 60 a batch's pair distances stay within the element cap, and
-    batches of any size give the same reports."""
-    import hyperball.screen as screen
-
-    cap, level, elements = screen._PAIR_CAP, 60, []
-    real = screen._pair_dists
-
-    def spy(coords):
-        elements.append(coords.shape[0] ** 2 * coords.shape[2])
-        return real(coords)
-
-    monkeypatch.setattr(screen, "_pair_dists", spy)
-
-    def reports(pair_cap):
-        monkeypatch.setattr(screen, "_PAIR_CAP", pair_cap)
-        del elements[:]
-        searches = [(TOUCHING, 700, 0, "hyperconvex")]
-        searches += [(TIGHT, 300, seed, mode) for seed, mode in
-                     ((6, "weakly-external"), (0, "hyperconvex"), (8, "hyperconvex"))]
-        return [refute_search(s, level, budget, seed, mode) for s, budget, seed, mode in searches]
-
-    capped = reports(cap)
-    assert max(elements) <= cap and len(elements) > 4
-    assert [r.verdict for r in capped] == ["inconclusive"] + ["refuted"] * 3
-    assert reports(1 << 40) == capped  # uncapped: 32 candidates, then the rest at once
-    assert max(elements) > cap
-    assert reports(level ** 2 * 5) == capped  # batches of 5 candidates
 
 
 def test_screen_skips_families_whose_balls_share_a_nearest_member(monkeypatch):
     """Balls that meet pairwise and all reach one member box meet in it, so
-    a candidate whose balls share their first nearest member never reaches
-    the pair distances: no candidate of a box twice over does (ties keep
-    the first member), some of a union's do not.  A single box never
-    reaches the screen."""
-    import hyperball.screen as screen
+    a candidate whose balls share their first nearest member is never
+    tightened: no candidate of a box twice over is (ties keep the first
+    member), some of a union's are.  A single box never reaches the
+    integer builder."""
+    import hyperball.lab as lab
 
-    held = []
-    real = screen._pair_dists
-    monkeypatch.setattr(screen, "_pair_dists", lambda coords: held.append(coords.shape[2]) or real(coords))
+    tightened, real = [], lab._tighten
+    monkeypatch.setattr(lab, "_tighten", lambda *args: tightened.append(1) or real(*args))
     square = Box(pt(0, 0), pt(1, 1))
     for mode in REFUTE_MODES:
         report = refute_search(square, 6, 4096, seed=2, mode=mode)
@@ -403,22 +395,11 @@ def test_screen_skips_families_whose_balls_share_a_nearest_member(monkeypatch):
         twice = BoxUnion((square, square))
         report = refute_search(twice, 6, 4096, seed=2, mode=mode)
         assert report.verdict == "inconclusive" and report.budget_used == 4096
-    assert held == []
-    _screen(UNION, 6, "hyperconvex")._screen_batch(2, 0, 4096)
-    assert len(held) == 2 and 0 < held[0] == held[1] < 4096  # before and after the pull
-
-
-FAR = 1 << 58  # the int64 lengths of an arena around FAR_UNION would wrap around
-FAR_UNION = BoxUnion((Box((F(FAR),), (F(FAR + 1),)), Box((F(FAR + 3),), (F(FAR + 4),))))
-
-
-def test_screen_overflow_falls_back_to_the_exact_path():
-    for mode in CENTER_MODES:
-        with pytest.raises(OverflowError):
-            _screen(FAR_UNION, 3, mode)
-        index, balls = _scalar_reference(FAR_UNION, 3, 40, 1, mode)
-        report = refute_search(FAR_UNION, 3, 40, 1, mode=mode)
-        assert report.certificate["index"] == index and report.certificate["balls"] == balls
+    assert tightened == []
+    build = _union_builder(UNION, _build_arena(UNION, 6), 2, REFUTE_MODES["hyperconvex"])
+    for index in range(4096):
+        build(index)
+    assert len(tightened) == 2 * 3181  # before and after the pull
 
 
 def _is_box(union):
@@ -476,8 +457,7 @@ def test_span_decision_against_the_sampler_on_a_seeded_corpus():
 
 def test_span_decision_pins():
     """Pinned cases: the narrow 1-d gap the sampler's grid misses, the far
-    union past the int64 screen, and a budget that ends on a covered grid
-    point."""
+    union, and a budget that ends on a covered grid point."""
     gap = BoxUnion((Box(pt(F(-7, 2)), pt(F(1, 2))), Box(pt(1), pt(2))))
     report = refute_search(gap, 2, 10, seed=0)
     assert report.refuted and report.budget_used == 2
@@ -658,18 +638,20 @@ def test_verify_refutation_on_four_rows_costs_at_most_k_plus_one_lps(monkeypatch
         (BoxUnion((Box((), ()),)), set()),
         (HPolyhedron(0, (((), F(1)),)), set()),
         (C6_PART, set()),
+        (POINT_TWICE, set(CENTER_MODES)),
     ],
 )
 def test_screen_applies_states_the_screens_reach(subset, modes):
-    """The modes whose refute runs on the int64 screen; ``external`` never
-    does."""
+    """The modes whose refute runs on the integer builder; ``external``
+    never does."""
     assert refute_path(subset, "external") != "screen"
     assert {mode for mode in REFUTE_MODES if refute_path(subset, mode) == "screen"} == modes
 
 
 @pytest.mark.parametrize(
     "subset",
-    [Box((), ()), BoxUnion((Box((), ()),)), HPolyhedron(0, (((), F(1)),)), HPolyhedron(0, ())],
+    [Box((), ()), BoxUnion((Box((), ()),)), HPolyhedron(0, (((), F(1)),)), HPolyhedron(0, ()),
+     POINT_TWICE],
 )
 def test_zero_dimensional_subsets_are_inconclusive_in_every_mode(subset):
     for mode in REFUTE_MODES:
@@ -780,8 +762,8 @@ def test_screen_spares_the_exact_center_pull(monkeypatch):
     report = refute_search(Box(pt(0, 0), pt(2, 2)), 3, 200, seed=3, mode="hyperconvex")
     assert report.verdict == "inconclusive" and not calls
     report = refute_search(TIGHT, 2, 300, seed=3, mode="hyperconvex")
-    assert report.refuted and report.certificate["index"] >= _FIRST_BATCH
-    assert not calls  # the screen hands back the hit's exact balls
+    assert report.refuted and report.certificate["index"] == LATE_HITS["hyperconvex", 3]
+    assert not calls  # the integer builder hands back the hit's exact balls
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64 + 7])

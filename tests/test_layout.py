@@ -1,5 +1,6 @@
-"""Guards on where numpy and the SplitMix64 constants may live, on what
-importing the package and running each CLI subcommand loads, on the
+"""Guards on numpy staying out of the package, on where the SplitMix64
+constants may live, on what importing the package and running each CLI
+subcommand (and a center-mode union refute) loads, on the
 package exporting each name lazily from its defining module, on knobs
 that were removed (the refuter's ``arena``, ``BarycenterConfig.max_rounds``,
 the barycenter's backend object, the convexity checkers' ``grid`` and the
@@ -37,18 +38,21 @@ def _sources():
     return {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def test_numpy_is_imported_only_by_the_screen():
+def test_no_package_module_imports_numpy():
     importers = {
         name for name, text in _sources().items()
         if any(line.strip().startswith(("import numpy", "from numpy")) for line in text.splitlines())
     }
-    assert importers == {"screen.py"}
+    assert importers == set()
 
 
 def test_the_screen_keeps_no_half_space_kind():
-    # The span decision answers every half-space the screen took, so the
-    # screen keeps no row, dual norm or half-space branch.
-    text = _sources()["screen.py"]
+    # The span decision answers every half-space, so the integer builder
+    # that ``refute_path`` calls the screen keeps no row, dual norm or
+    # half-space branch.
+    from hyperball import lab
+
+    text = inspect.getsource(lab._union_builder)
     assert not [word for word in ("rows", "dual", "halfspace") if word in text]
 
 
@@ -60,14 +64,25 @@ def test_splitmix_constants_live_only_in_rng():
     assert holders == {"rng.py"}
 
 
+CENTER_MODE_UNION = (
+    "import sys; from hyperball.lab import BoxUnion, refute_search; from hyperball.linf import Box; "
+    "union = BoxUnion((Box((0, 0), (1, 1)), Box((3, 0), (4, 1)))); "
+    "assert refute_search(union, 3, 50, 0, mode='hyperconvex').refuted; "
+    "assert refute_search(union, 3, 50, 0, mode='weakly-external').refuted"
+)
+
+
 @pytest.mark.parametrize(
     "code",
     [
         "import sys, hyperball, hyperball.cli",
         "import sys; from hyperball.cli import main; main(['ip-threshold', '--k', '2', '--json'])",
+        pytest.param(CENTER_MODE_UNION, id="center-mode-union"),
     ],
 )
 def test_numpy_is_not_loaded_outside_the_refuter(code):
+    # Nothing loads numpy, a center-mode union refute (the integer builder)
+    # included; tests/test_lab.py probes the span and polyhedron paths.
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     probe = code + "; assert 'numpy' not in sys.modules, 'numpy loaded'"
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
@@ -192,9 +207,6 @@ def test_refuter_setup_has_no_dead_knob():
 
     assert "arena" not in inspect.signature(lab.refute_search).parameters
     assert list(inspect.signature(lab._build_arena).parameters) == ["subset", "level"]
-    screen = ast.parse(_sources()["screen.py"])
-    modules = {node.module for node in ast.walk(screen) if isinstance(node, ast.ImportFrom)}
-    assert "lp" not in modules and "TypeError" not in _sources()["screen.py"]
     assert [f.name for f in fields(BarycenterConfig)] == ["tau"]
 
 
@@ -363,9 +375,6 @@ def test_subset_entry_points_dispatch_through_the_protocol():
         calls = {node.func.id for node in ast.walk(fn)
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
         assert "isinstance" not in calls, fn.name
-    imported = {alias.name for node in ast.walk(ast.parse(_sources()["screen.py"]))
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert not imported & {"Box", "BoxUnion"}
     assert not hasattr(lab, "_intersect_with_box")
 
 

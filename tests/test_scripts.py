@@ -36,6 +36,8 @@ def test_refuter_sweep_covers_every_mode_with_a_rate(capsys):
     assert ("unit box", "hyperconvex", "span") in paths
     assert ("two-box union", "external", "span") in paths
     assert ("two-box union", "hyperconvex", "screen") in paths
+    gap = [row.split() for row in rows if row.startswith(f"{'gap union [0,1]+[65/64,2]':>28} weakly")]
+    assert len(gap) == 5 and all(row[-5:-3] == ["inconclusive", "16"] for row in gap)
     assert ("diag half-plane x1+x2<=-1", "external", "span") in paths
     assert ("diag half-plane x1+x2<=-1", "hyperconvex", "scalar") in paths
 
@@ -96,12 +98,11 @@ def test_bench_record_writes_medians_spread_commit_and_machine(tmp_path, capsys)
     assert capsys.readouterr().out.strip() == str(out)
     record = json.loads(out.read_text())
     assert set(record) == {"number", "commit", "dirty", "machine", "settings", "workloads"}
-    assert set(record["machine"]) == {"nproc", "python", "numpy", "PYTHONDONTWRITEBYTECODE",
-                                      "python_start_ms"}
+    assert set(record["machine"]) == {"nproc", "python", "PYTHONDONTWRITEBYTECODE", "python_start_ms"}
     assert record["machine"]["nproc"] >= 1 and record["machine"]["python_start_ms"] > 0
-    assert record["settings"]["repeats"] == 1 and record["settings"]["smoke"]
+    assert record["settings"] == {"repeats": 1, "seconds": 20.0, "seeds": [1], "smoke": True}
     run = record["workloads"]["refute-linf"]
-    assert run["correct"] and run["calibration_s"] > 0
+    assert set(run) == {"metrics", "correct", "attempted", "failed"} and run["correct"]
     assert set(run["metrics"]) == {"setup_s", "ops_per_s", "latency_p50_ms", "latency_p90_ms",
                                    "ok_ratio", "peak_rss_mb"}
     for metric in run["metrics"].values():

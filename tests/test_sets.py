@@ -125,7 +125,7 @@ def test_finite_subset_rejects_indices_that_are_not_ints(indices):
 
 
 def test_finite_subset_stores_integer_types_as_ints():
-    import numpy as np
+    np = pytest.importorskip("numpy")
 
     subset = FiniteSubset(PATH4, (np.int64(1), np.intp(3)))
     assert subset.indices == (1, 3) and all(type(i) is int for i in subset.indices)
