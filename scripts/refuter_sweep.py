@@ -1,21 +1,21 @@
 #!/usr/bin/env python3
 """Sweep the refuter over the standard fixtures, all three modes and levels
-2..6, and print for each row the path it ran on (``span``, ``screen`` or
-``scalar``, as ``lab.refute_path`` names it) and its candidates (or tested
-points) per second.
+2..6, and print for each row the path it ran on (``span``, ``gap``,
+``screen`` or ``scalar``, as ``lab.refute_path`` names it) and its
+candidates (or tested points) per second.
 
 Boxes stay inconclusive at every level and in every mode (they are
 hyperconvex); the unions and the half-spaces with two non-zero entries are
 refuted in ``external`` mode, by two balls after a point or two.  The span
 decision answers the boxes in every mode and the unions and the
-half-spaces in ``external`` mode.  The unions' center modes run on the
-integer builder (path ``screen``): the two-box union is refuted within a
-few candidates, while the gap of 1/64 in [0, 1] ∪ [65/64, 2] is narrower
-than the grid step, so its rows spend the budget and show the builder's
-rate on candidates that get past the one-member prune.  The center modes
-on half-spaces and every mode on the multi-row polyhedra show the rate of
-the exact scalar path.  Those rows cost milliseconds per candidate and
-take the smaller of ``--budget`` and ``--scalar-budget``."""
+half-spaces in ``external`` mode.  The gap decision answers the
+disconnected unions' center modes with two balls for one unit of budget,
+the gap of 1/64 in [0, 1] ∪ [65/64, 2], narrower than the sampler's grid
+step, included.  The connected L-shaped union's center modes run on the
+integer builder (path ``screen``) and show its rate.  The center modes on
+half-spaces and every mode on the multi-row polyhedra show the rate of the
+exact scalar path.  Those rows cost milliseconds per candidate and take
+the smaller of ``--budget`` and ``--scalar-budget``."""
 
 import argparse
 import time
@@ -33,11 +33,13 @@ def fixtures():
     slab = Box((F(-2), F(-1)), (F(3), F(5, 2)))
     union = BoxUnion((Box((F(0), F(0)), (F(1), F(1))), Box((F(3), F(0)), (F(4), F(1)))))
     gap = BoxUnion((Box((F(0),), (F(1),)), Box((F(65, 64),), (F(2),))))  # narrower than the grid step
+    ell = BoxUnion((Box((F(0), F(0)), (F(2), F(1))), Box((F(0), F(0)), (F(1), F(2)))))  # connected
     return [
         ("unit box", unit),
         ("slab box", slab),
         ("two-box union", union),
         ("gap union [0,1]+[65/64,2]", gap),
+        ("L-shaped union", ell),
         ("diag half-plane x1+x2<=-1", halfspace([1, 1], -1)),
         ("axis half-plane x2>=0", halfspace([0, -1], 0)),
         ("3d diagonal x1+x2+x3>=0", halfspace([-1, -1, -1], 0)),

@@ -230,9 +230,10 @@ def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
 # Randomized refuter
 #
 # Sampling recipe (deterministic in (seed, candidate index)) on the subsets
-# the span decision below leaves.  The integer builder computes it bit for
-# bit on unions, its integers over its unit the certificate; the scalar
-# builder serves every other subset and is the integer builder's reference:
+# the span and gap decisions below leave.  The integer builder computes it
+# bit for bit on connected unions, its integers over its unit the
+# certificate; the scalar builder serves every other subset and is the
+# integer builder's reference:
 #   slot 0                          family size k in [2, level]
 #   slots 1 .. level*dim            center grid indices (first k*dim used)
 #   next level slots                radius offsets in grid steps (first k used)
@@ -395,13 +396,69 @@ def refute_path(subset, mode: str) -> str:
     """The path ``refute_search`` takes: ``"span"`` (the span decision below)
     on a box or a union with at most one non-empty member, and in ``external``
     mode on any union and on a one-row half-space with a non-zero normal;
-    ``"screen"`` (the integer builder) on a union of two or more non-empty
-    boxes in a center mode; else ``"scalar"``."""
+    in a center mode on a union of two or more non-empty boxes, ``"gap"``
+    (the gap decision below) when the union is disconnected, else
+    ``"screen"`` (the integer builder); else ``"scalar"``."""
+    return _route(subset, mode)[0]
+
+
+def _route(subset, mode: str):
+    """(``refute_path``'s answer, the gap decision's balls on ``"gap"``
+    else None), so that a refute finds the components once."""
     boxes, rows = getattr(subset, "boxes", None), getattr(subset, "rows", ())
     external = REFUTE_MODES[mode] is None
     if boxes is None:
-        return "span" if external and len(rows) == 1 and any(rows[0][0]) else "scalar"
-    return "span" if external or sum(not b.is_empty() for b in boxes) < 2 else "screen"
+        return "span" if external and len(rows) == 1 and any(rows[0][0]) else "scalar", None
+    members = [b for b in boxes if not b.is_empty()]
+    if external or len(members) < 2:
+        return "span", None
+    balls = _gap_balls(members)
+    return "screen" if balls is None else "gap", balls
+
+
+# ---------------------------------------------------------------------------
+# Gap decision
+#
+# A hyperconvex space is metrically convex (Aronszajn and Panitchpakdi,
+# 1956): two balls B(a1, r1), B(a2, r2) with centers in it and r1 + r2 =
+# d(a1, a2) meet in it.  So a hyperconvex set is connected, and so are the
+# externally and weakly externally hyperconvex ones.  A finite union of
+# closed boxes is connected iff the graph joining the members that meet is
+# connected.  If it is not, take the members i, j of different components
+# at the least gap delta = d(box i, box j) > 0, and a1 in box i, a2 in box
+# j at distance delta.  B(a1, delta/2) and B(a2, delta/2) have their centers
+# in the union, so they are a family in every mode, and they meet pairwise;
+# each component lies at distance >= delta from a1 or from a2, so no point
+# of the union lies in both.
+
+
+def _gap_balls(members):
+    """The two balls of the gap decision on the non-empty ``members``, or
+    None when their union is connected.  On an axis where boxes i and j are
+    disjoint a1 and a2 take the facing sides, elsewhere a common value."""
+    gaps = {(i, j): max([0, *(max(l2 - h1, l1 - h2) for l1, h1, l2, h2
+                                in zip(members[i].lo, members[i].hi, members[j].lo, members[j].hi))])
+            for i, j in combinations(range(len(members)), 2)}
+    root = list(range(len(members)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for (i, j), gap in gaps.items():
+        if not gap:
+            root[find(i)] = find(j)
+    cross = [(gap, i, j) for (i, j), gap in gaps.items() if find(i) != find(j)]
+    if not cross:
+        return None
+    delta, i, j = min(cross)
+    a1, a2 = [], []
+    for l1, h1, l2, h2 in zip(members[i].lo, members[i].hi, members[j].lo, members[j].hi):
+        u, v = (h1, l2) if h1 < l2 else (l1, h2) if h2 < l1 else (max(l1, l2),) * 2
+        a1.append(Fraction(u))
+        a2.append(Fraction(v))
+    return Ball(tuple(a1), Fraction(delta, 2)), Ball(tuple(a2), Fraction(delta, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +520,14 @@ def refute_search(
     subset, level: int, budget: int, seed: int, mode: str = "external"
 ) -> PropertyReport:
     """Search for admissible families with empty intersection, on the path
-    ``refute_path`` names.  The span decision builds no arena and draws no
-    candidate: each point tested spends one unit of the budget, and the
-    first p outside the subset gives two balls.  The sampler (see the recipe
-    above) tries candidates 0, 1, ..., each a pure function of the seed and
-    its index: on a union in a center mode the integer builder, whose hit's
-    integers over its unit are the balls, elsewhere the witness search on
-    each exact candidate.  A found family is re-verified exactly.
+    ``refute_path`` names.  The span and gap decisions build no arena and
+    draw no candidate: each point the span decision tests spends one unit
+    of the budget, and the first p outside the subset gives two balls; the
+    gap decision's two balls spend one.  The sampler (see the recipe above)
+    tries candidates 0, 1, ..., each a pure function of the seed and its
+    index: on a connected union in a center mode the integer builder, whose
+    hit's integers over its unit are the balls, elsewhere the witness
+    search on each exact candidate.  A found family is re-verified exactly.
     """
     if mode not in REFUTE_MODES:
         raise InvalidArgument(f"unknown mode {mode!r}")
@@ -477,10 +535,12 @@ def refute_search(
         raise InvalidArgument("level must be >= 2")
     if budget < 0:
         raise InvalidArgument("budget must be >= 0")
-    start, path = REFUTE_MODES[mode], refute_path(subset, mode)
+    start, (path, gap) = REFUTE_MODES[mode], _route(subset, mode)
     if path == "span":
         points = zip(range(budget), _span_points(subset))
         candidates = ((i, _span_balls(*t)) for i, t in points if not subset.contains(t[2]))
+    elif path == "gap":
+        candidates = [(0, gap)]
     elif isinstance(subset, FiniteSubset):
         _require_nonempty(subset)
         build = _finite_builder(subset, level, seed, start)
@@ -494,7 +554,7 @@ def refute_search(
 
     if budget == 0:
         return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
-    if path != "span":
+    if path not in ("span", "gap"):
         candidates = ((index, build(index)) for index in range(budget))
     for index, balls in candidates:
         if path == "screen" and balls is None:
@@ -502,7 +562,7 @@ def refute_search(
         if path != "scalar" or not _external_search(subset, _family(subset, balls)).feasible:
             if not verify_refutation(subset, balls, mode):
                 raise InternalError("refutation failed exact re-verification")
-            certificate = {"balls": balls} if path == "span" else {"balls": balls, "index": index}
+            certificate = {"balls": balls} if path in ("span", "gap") else {"balls": balls, "index": index}
             if mode != "external":
                 certificate["mode"] = mode
             return PropertyReport(REFUTED, certificate=certificate, seed=seed, budget_used=index + 1)

@@ -27,7 +27,8 @@ p's zero piece at a point of p, else a kept basis (``_dist_at``), else a
 fresh LP's.  The times of a segment at which one piece passes form an
 interval, so it answers each stretch between two such times, inside p as
 well (``dists_along_segment``).  A nearest point always comes from a fresh
-LP.
+LP.  A half-space's distance is a closed form, and so is the proof that a
+box misses it (``halfspace_misses_box``).
 """
 
 from __future__ import annotations
@@ -71,11 +72,17 @@ class HPolyhedron:
         return all(_dot(a, X) <= b * D for _, a, b in self._integer_rows)
 
     def dist(self, p: Point) -> Fraction:
-        """The distance to a non-empty polyhedron, from the zero piece, a kept
-        piece or a fresh LP's, whichever first passes at p (see `_dist_at`)."""
+        """The distance to a non-empty polyhedron.  On a half-space a'.x <= b'
+        it is max(0, a'.X - b'.D)/(D.|a'|_1) at p = X/D, as the l1 norm is
+        the max norm's dual; else it comes from the zero piece, a kept piece
+        or a fresh LP's, whichever first passes at p (see `_dist_at`)."""
         if len(p) != self.dim:
             raise DimMismatch("point dim does not match polyhedron dim")
-        return _dist_at(self, *_common_denominator(p))[0]
+        D, X = _common_denominator(p)
+        if self._halfspace_row is not None:
+            _, a, b = self._halfspace_row
+            return Fraction(max(0, _dot(a, X) - b * D), D * sum(map(abs, a)))
+        return _dist_at(self, D, X)[0]
 
     def nearest(self, p: Point) -> Point:
         return dist_to_polyhedron(p, self)[1]
@@ -113,6 +120,13 @@ class HPolyhedron:
     def _integer_rows(self) -> tuple[IntRow, ...]:
         """The rows scaled to integers, built once; not a dataclass field."""
         return tuple(_integer_row(a, b) for a, b in self.rows)
+
+    @cached_property
+    def _halfspace_row(self) -> IntRow | None:
+        """The integer row of a half-space, one row with a non-zero normal;
+        None on any other polyhedron."""
+        rows = self._integer_rows
+        return rows[0] if len(rows) == 1 and any(rows[0][1]) else None
 
     @cached_property
     def _pieces(self) -> tuple:
@@ -454,6 +468,32 @@ def lp_feasible(p: HPolyhedron | None, balls: Sequence[Ball] = ()) -> Feasibilit
     if status == "witness":
         return FeasibilityResult("witness", witness=payload)
     return FeasibilityResult("infeasible", certificate={"farkas": payload})
+
+
+def halfspace_misses_box(p: HPolyhedron, box: Box) -> tuple[Fraction, ...] | None:
+    """Farkas multipliers, as `lp_feasible` reads them out, proving that the
+    half-space p (see `_halfspace_row`) misses the non-empty box, or None
+    when they meet or p is no half-space.  The least a'.x over the box is
+    at its corner c with c_k = lo_k where a'_k > 0, else hi_k.  When it
+    exceeds b', the integer row plus |a'_k| times the box row that c_k
+    bounds give 0 <= b' - a'.c < 0.  On the integer rows, where the kernel's
+    check runs, the multipliers are L and |a'_k|.L/den(c_k), L the lcm of
+    c's denominators; read out on the rows as given they are the row's
+    scale s and |a'_k|."""
+    row = p._halfspace_row
+    if row is None:
+        return None
+    _, a, b = row
+    corner = [lo if v > 0 else hi for v, lo, hi in zip(a, box.lo, box.hi)]
+    if sum(map(mul, a, corner)) <= b:
+        return None
+    L = lcm(*(c.denominator for c in corner))
+    y = [L]
+    for v, c in zip(a, corner):  # the box rows of coordinate k: hi_k, then lo_k
+        y += [-v * L // c.denominator, 0] if v < 0 else [0, v * L // c.denominator]
+    rows = [row, *_box_rows(box)]
+    _verify_farkas(rows, y, L)
+    return tuple(Fraction(v * s, L) for v, (s, _, _) in zip(y, rows))
 
 
 def lp_minimize(objective: Sequence[object], p: HPolyhedron | None, balls: Sequence[Ball] = ()):

@@ -18,6 +18,7 @@ passes the witness and dual checks at the point: its zero piece at a point
 of it, else a kept basis, else one more LP's; along a segment one piece
 that passes at both ends of a stretch of times answers the whole stretch,
 inside the polyhedron too.  Its ``nearest`` always solves the LP afresh.
+A half-space answers ``dist`` in closed form and keeps no piece.
 The ``subset_*`` functions are the entry points the other modules call.
 ``pair_witness`` searches the intersection of two subsets and extra balls —
 the workhorse behind the iteration schemes whose proofs repeatedly pick
@@ -33,7 +34,7 @@ from typing import Sequence
 
 from .errors import DimMismatch, EmptySet, InvalidArgument
 from .linf import Ball, Box, FeasibilityResult, Point, balls_box
-from .lp import intersection, lp_feasible
+from .lp import halfspace_misses_box, intersection, lp_feasible
 from .metric import FiniteMetricSpace
 
 
@@ -140,14 +141,18 @@ def subset_nearest(subset, p):
 def subset_witness_in_box(subset, box: Box) -> FeasibilityResult:
     """A point of a max-norm subset inside the box, or a certificate of none:
     on a box or union, the first member's joint corner or each member's empty
-    coordinate; on a polyhedron, the box's empty coordinate or else the LP on
-    its rows plus the box's rows."""
+    coordinate; on a polyhedron, the box's empty coordinate, else on a
+    half-space that misses the box the closed-form Farkas multipliers, else
+    the LP on its rows plus the box's rows."""
     boxes = getattr(subset, "boxes", None)
     if boxes is None:
         k = box.first_empty_coordinate()
-        if k is None:
+        if k is not None:
+            return FeasibilityResult("infeasible", certificate={"coordinate": k})
+        farkas = halfspace_misses_box(subset, box)
+        if farkas is None:
             return lp_feasible(subset, (box,))
-        return FeasibilityResult("infeasible", certificate={"coordinate": k})
+        return FeasibilityResult("infeasible", certificate={"farkas": farkas})
     empties = []
     for member in boxes:
         joint = member.intersect(box)

@@ -299,9 +299,10 @@ def test_cli_refute_modes(tmp_path, capsys):
 
 def test_cli_refute_union_with_an_empty_member(tmp_path, capsys):
     # The refuter once measured distances to the empty member too, hit a
-    # candidate the exact check rejected, and exited 4.  The integer builder
-    # serves the center modes; ``external`` mode gets the span decision's
-    # two balls.
+    # candidate the exact check rejected, and exited 4.  The union is
+    # disconnected, so the center modes get the gap decision's two balls on
+    # the facing sides x = 1 and x = 3; ``external`` mode gets the span
+    # decision's two balls.
     members = [
         {"box": {"lo": ["0/1", "0/1"], "hi": ["1/1", "1/1"]}},
         {"box": {"lo": ["3/1", "0/1"], "hi": ["4/1", "1/1"]}},
@@ -318,7 +319,9 @@ def test_cli_refute_union_with_an_empty_member(tmp_path, capsys):
         assert main(argv) == 1, mode
         certificates[mode] = json.loads(capsys.readouterr().out)["checks"][0]["certificate"]
     assert "index" not in certificates["external"] and len(certificates["external"]["balls"]) == 2
-    assert certificates["hyperconvex"]["index"] == 28
+    gap = [{"ball": {"center": [x, "0/1"], "r": "1/1"}} for x in ("1/1", "3/1")]
+    for mode in ("hyperconvex", "weakly-external"):
+        assert certificates[mode] == {"balls": gap, "mode": mode}
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
@@ -533,8 +536,9 @@ def test_a_tampered_screen_hit_fails_exact_re_verification(tmp_path, capsys, mon
     """The integer builder's hit is reported only once the real
     ``verify_refutation`` passes it: a hit with one radius shrunk below its
     floor d(c, A) raises ``InternalError``, and ``refute`` exits 4.  The
-    free first ball of ``weakly-external`` mode has a positive floor."""
-    union = lab.BoxUnion((linf.Box(pt(0, 0), pt(1, 1)), linf.Box(pt(3, 0), pt(4, 1))))
+    free first ball of ``weakly-external`` mode has a positive floor.  The
+    L-shaped union is connected, so the builder serves its center modes."""
+    union = lab.BoxUnion((linf.Box(pt(0, 0), pt(2, 1)), linf.Box(pt(0, 0), pt(1, 2))))
     real, tampered = lab._union_builder, []
 
     def union_builder(*args):
@@ -554,7 +558,9 @@ def test_a_tampered_screen_hit_fails_exact_re_verification(tmp_path, capsys, mon
     monkeypatch.setattr(lab, "_union_builder", union_builder)
     with pytest.raises(InternalError, match="refutation failed exact re-verification"):
         lab.refute_search(union, 2, 1000, seed=7, mode="weakly-external")
-    path = str(SRC.parent / "bench" / "instances" / "union.json")
+    members = [{"box": {"lo": ["0/1", "0/1"], "hi": hi}} for hi in (["2/1", "1/1"], ["1/1", "2/1"])]
+    path = write(tmp_path, "union.json", {"subset": {"union": members}, "type": "family",
+                                          "balls": [{"ball": {"center": ["0/1", "0/1"], "r": "1/1"}}]})
     argv = ["refute", "--instance", path, "--level", "2", "--budget", "1000", "--seed", "7"]
     assert main(argv + ["--mode", "weakly-external"]) == 4
     assert capsys.readouterr().err == "error: internal error: refutation failed exact re-verification\n"

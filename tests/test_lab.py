@@ -31,6 +31,7 @@ from hyperball.lab import (
     verify_refutation,
     weakly_external_witness,
     _build_arena,
+    _external_search,
     _family,
     _finite_builder,
     _nearest_member,
@@ -57,6 +58,12 @@ TIGHT = BoxUnion((Box(pt(0, 0), pt(4, 4)), Box(pt(5, 0), pt(6, 1))))
 TOUCHING = BoxUnion((Box(pt(0, 0), pt(1, 1)), Box(pt(1, 0), pt(2, 1))))
 OVERLAPPING = BoxUnion((Box(pt(0, 0), pt(2, 2)), Box(pt(1, 1), pt(3, 3))))
 THREE = BoxUnion(UNION.boxes + (Box(pt(0, 3), pt(1, 4)),))
+# a connected union that is refuted in the center modes
+L_SHAPE = BoxUnion((Box(pt(0, 0), pt(2, 1)), Box(pt(0, 0), pt(1, 2))))
+# the gap decision's balls on UNION, UNION_EMPTY_MEMBER and THREE: the
+# first two members face at x = 1 and x = 3, and share y = 0
+GAP_BALLS = (Ball(pt(1, 0), F(1)), Ball(pt(3, 0), F(1)))
+TIGHT_GAP_BALLS = (Ball(pt(4, 0), F(1, 2)), Ball(pt(5, 0), F(1, 2)))
 # multi-row polyhedra: the unit square as four rows, and a 3-d one with four
 SQUARE_ROWS = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
 POLY3 = HPolyhedron(3, tuple(
@@ -153,7 +160,8 @@ def test_external_witness_diag_halfspace():
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_external_search_on_a_halfspace_is_one_lp_over_the_balls_box(monkeypatch, k):
     """The balls enter the search as their box: one feasibility LP on the
-    half-space's row plus 2*dim rows, however many balls there are."""
+    half-space's row plus 2*dim rows, however many balls there are, when
+    the box meets the half-space, and none when it misses it."""
     import hyperball.lp as lp
 
     feasibility, real = [], lp._solve
@@ -168,6 +176,12 @@ def test_external_search_on_a_halfspace_is_one_lp_over_the_balls_box(monkeypatch
     result = external_witness(DIAG, LinfBallFamily(balls))
     assert result.feasible and DIAG.contains(result.witness)
     assert feasibility == [1, 1 + 2 * DIAG.dim]  # the non-emptiness check, then the search
+    # Balls whose box misses the half-space: the box's lowest corner for
+    # x1 + x2 decides, with 1 on the row and on both lower box rows.
+    del feasibility[:]
+    missing = tuple(Ball(pt(1, 1), F(1, 2) + j) for j in range(k))
+    result = _external_search(DIAG, LinfBallFamily(missing))
+    assert result.certificate == {"farkas": (1, 0, 1, 0, 1)} and feasibility == []
 
 
 def test_weakly_external_witness_example():
@@ -243,7 +257,14 @@ CENTER_MODES = [mode for mode, start in REFUTE_MODES.items() if start is not Non
 
 
 def test_refuter_scalar_vector_agreement():
-    for subset, mode in [(s, m) for s in (UNION, UNION_EMPTY_MEMBER, THREE) for m in CENTER_MODES]:
+    """Disconnected unions get the gap decision's balls at every level, with
+    no index; on connected ones the search agrees with the exact scalar
+    reference."""
+    for subset, mode in product((UNION, UNION_EMPTY_MEMBER, THREE), CENTER_MODES):
+        for level in range(2, 7):
+            report = refute_search(subset, level, 250, seed=11, mode=mode)
+            assert (report.certificate, report.budget_used) == ({"balls": GAP_BALLS, "mode": mode}, 1)
+    for subset, mode in product((OVERLAPPING, L_SHAPE), CENTER_MODES):
         for level in range(2, 7):
             reference = _scalar_reference(subset, level, 250, 11, mode)
             report = refute_search(subset, level, 250, seed=11, mode=mode)
@@ -267,8 +288,8 @@ def test_screen_finds_hits_past_the_first_batch(mode, seed):
     build = _union_builder(TIGHT, _build_arena(TIGHT, 2), seed, REFUTE_MODES[mode])
     hits = [(i, hit) for i in range(300) if (hit := build(i)) is not None]
     assert hits[0] == (index, balls)
-    report = refute_search(TIGHT, 2, 300, seed=seed, mode=mode)
-    assert report.certificate["index"] == index and report.certificate["balls"] == balls
+    report = refute_search(TIGHT, 2, 300, seed=seed, mode=mode)  # disconnected: the gap decision
+    assert report.certificate == {"balls": TIGHT_GAP_BALLS, "mode": mode}
     later = _scalar_reference(TIGHT, 2, 300, seed, mode, index + 1)  # the next hit, if any
     assert hits[1:2] == ([later] if later else [])
 
@@ -487,6 +508,134 @@ def test_external_mode_and_boxes_never_reach_the_sampler(monkeypatch):
         assert (report.verdict, report.budget_used) == ("inconclusive", 100)
 
 
+def _components(members):
+    """Each member's component label, by search over the pairs of members
+    whose ``Box.intersect`` is not empty."""
+    label = {}
+    for first in range(len(members)):
+        todo = [] if first in label else [first]
+        label.setdefault(first, first)
+        while todo:
+            i = todo.pop()
+            for j, other in enumerate(members):
+                if j not in label and not members[i].intersect(other).is_empty():
+                    label[j] = first
+                    todo.append(j)
+    return label
+
+
+def _box_gap(a, b):
+    """d(a, b) for non-empty boxes: the clamp onto a of a point of b is a
+    nearest point of a to b, axis by axis."""
+    return b.dist(a.clamp(b.clamp(a.lo)))
+
+
+def _gap_corpus():
+    """``_span_corpus``'s unions, then 200 unions in dims 1-3 (corners on
+    the 1/4 grid, ``random.Random(29)``) of 2-4 members, each after the
+    first empty, touching a member, overlapping one, or apart from one."""
+    unions = [subset for subset, _ in _span_corpus() if isinstance(subset, BoxUnion)]
+    rng = random.Random(29)
+    for _ in range(200):
+        dim = rng.randint(1, 3)
+        lo = [F(rng.randint(-8, 8), 4) for _ in range(dim)]
+        members = [Box(tuple(lo), tuple(v + F(rng.randint(1, 8), 4) for v in lo))]
+        for _ in range(rng.randint(1, 3)):
+            base, k = rng.choice(members), rng.randrange(dim)
+            kind = rng.choice(("empty", "touching", "overlapping", "apart"))
+            if kind == "empty":
+                members.append(Box(base.hi, tuple(v - F(k == j, 4) for j, v in enumerate(base.lo))))
+                continue
+            width = base.hi[k] - base.lo[k]
+            shift = {"touching": width, "overlapping": width / 2,
+                     "apart": width + F(rng.randint(1, 8), 4)}[kind]
+            move = [F(0)] * dim
+            move[k] = shift
+            members.append(Box(tuple(map(sum, zip(base.lo, move))), tuple(map(sum, zip(base.hi, move)))))
+        rng.shuffle(members)
+        unions.append(BoxUnion(tuple(members)))
+    return unions
+
+
+def test_gap_decision_on_a_seeded_corpus():
+    """In both center modes at level 2, every disconnected union is refuted
+    with one unit of budget by two balls centered in it, of radius delta/2
+    where delta is the least distance between members of different
+    components, which verify in the mode; every connected union of two or
+    more non-empty members takes the integer builder."""
+    counts = {"one member": 0, "connected": 0, "disconnected": 0}
+    for union in _gap_corpus():
+        members = [b for b in union.boxes if not b.is_empty()]
+        label = _components(members)
+        cross = [_box_gap(members[i], members[j])
+                 for i, j in combinations(range(len(members)), 2) if label[i] != label[j]]
+        kind = "one member" if len(members) < 2 else "disconnected" if cross else "connected"
+        counts[kind] += 1
+        for mode in CENTER_MODES:
+            assert refute_path(union, mode) == {"one member": "span", "connected": "screen",
+                                                "disconnected": "gap"}[kind], (union, mode)
+            if kind != "disconnected":
+                continue
+            report = refute_search(union, 2, 1, seed=0, mode=mode)
+            assert (report.verdict, report.budget_used) == ("refuted", 1), (union, mode)
+            assert set(report.certificate) == {"balls", "mode"}
+            b1, b2 = balls = report.certificate["balls"]
+            assert b1.radius == b2.radius == min(cross) / 2 == linf_dist(b1.center, b2.center) / 2
+            assert union.contains(b1.center) and union.contains(b2.center)
+            assert verify_refutation(union, balls, mode), (union, mode)
+    assert counts == {"one member": 121, "connected": 113, "disconnected": 266}
+
+
+def test_disconnected_unions_in_the_center_modes_never_reach_the_sampler(monkeypatch):
+    """No arena and no candidate: the gap decision answers, with one unit of
+    budget, or none when the budget is 0."""
+    import hyperball.lab as lab
+
+    def sampler(*args):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(lab, "_build_arena", sampler)
+    monkeypatch.setattr(lab, "_union_builder", sampler)
+    monkeypatch.setattr(lab, "_scalar_candidate", sampler)
+    for subset in (UNION, UNION_EMPTY_MEMBER, THREE, TIGHT, FAR_UNION, MANY):
+        for mode, level in product(CENTER_MODES, (2, 6)):
+            assert refute_search(subset, level, 4096, seed=1, mode=mode).budget_used == 1
+            report = refute_search(subset, level, 0, seed=1, mode=mode)
+            assert (report.verdict, report.notes) == ("inconclusive", ("budget exhausted",))
+
+
+def test_gap_decision_pins():
+    """The gap of 1/64, narrower than the sampler's grid step, is refuted in
+    both center modes by the balls of radius 1/128 on its two sides."""
+    gap = BoxUnion((Box(pt(0), pt(1)), Box(pt(F(65, 64)), pt(2))))
+    for mode in CENTER_MODES:
+        report = refute_search(gap, 3, 10_000, seed=0, mode=mode)
+        assert (report.verdict, report.budget_used) == ("refuted", 1)
+        assert report.certificate == {
+            "balls": (Ball(pt(1), F(1, 128)), Ball(pt(F(65, 64)), F(1, 128))), "mode": mode}
+
+
+def test_refute_linf_half_spaces_run_no_lp(monkeypatch):
+    """A half-space's distance and its search in the balls' box are closed
+    forms when the balls miss it, so every half-space op of a refute-linf
+    block refutes and re-verifies with the LP kernel patched to raise."""
+    import hyperball.lp as lp
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import RefuteLinf
+
+    ops = [op for op in RefuteLinf(seed=1, smoke=False).block(0) if ".halfspace." in op.op_id]
+
+    def solve(*args, **kwargs):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(lp, "_solve", solve)
+    assert len(ops) == 10
+    for op in ops:
+        report = op.run()
+        assert report.refuted and op.check(report) is None, op.op_id
+
+
 def test_polyhedron_center_modes_refute_on_the_scalar_path():
     wedge = halfspace([1, 1, 1], 0)
     index, balls = _scalar_reference(wedge, 3, 40, 1, "hyperconvex")
@@ -629,7 +778,9 @@ def test_verify_refutation_on_four_rows_costs_at_most_k_plus_one_lps(monkeypatch
     "subset, modes",
     [
         (Box(pt(0, 0), pt(1, 1)), set()),  # a box: the span decision, in every mode
-        (UNION_EMPTY_MEMBER, set(CENTER_MODES)),
+        (UNION_EMPTY_MEMBER, set()),  # disconnected: the gap decision
+        (L_SHAPE, set(CENTER_MODES)),
+        (OVERLAPPING, set(CENTER_MODES)),
         (DIAG, set()),  # a half-space: the span decision externally, else exact
         (BoxUnion((Box(pt(0, 0), pt(1, 1)), Box(pt(3, 0), pt(2, 1)))), set()),  # one non-empty member
         (halfspace([0, 0], 1), set()),  # the whole plane: no normal
@@ -642,7 +793,8 @@ def test_verify_refutation_on_four_rows_costs_at_most_k_plus_one_lps(monkeypatch
     ],
 )
 def test_screen_applies_states_the_screens_reach(subset, modes):
-    """The modes whose refute runs on the integer builder; ``external``
+    """The modes whose refute runs on the integer builder: the center modes
+    on a connected union of two or more non-empty members; ``external``
     never does."""
     assert refute_path(subset, "external") != "screen"
     assert {mode for mode in REFUTE_MODES if refute_path(subset, mode) == "screen"} == modes
@@ -762,14 +914,20 @@ def test_screen_spares_the_exact_center_pull(monkeypatch):
     report = refute_search(Box(pt(0, 0), pt(2, 2)), 3, 200, seed=3, mode="hyperconvex")
     assert report.verdict == "inconclusive" and not calls
     report = refute_search(TIGHT, 2, 300, seed=3, mode="hyperconvex")
-    assert report.refuted and report.certificate["index"] == LATE_HITS["hyperconvex", 3]
+    assert report.certificate == {"balls": TIGHT_GAP_BALLS, "mode": "hyperconvex"}
+    index, balls = _scalar_reference(L_SHAPE, 2, 300, 3, "hyperconvex")
+    report = refute_search(L_SHAPE, 2, 300, seed=3, mode="hyperconvex")
+    assert report.certificate == {"balls": balls, "index": index, "mode": "hyperconvex"} and index == 14
     assert not calls  # the integer builder hands back the hit's exact balls
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64 + 7])
 def test_refuter_masks_out_of_range_seeds(seed):
-    index, balls = _scalar_reference(UNION, 2, 1000, seed, "hyperconvex")
     report = refute_search(UNION, 2, 1000, seed=seed, mode="hyperconvex")
+    assert report.refuted and report.seed == seed
+    assert report.budget_used == 1 and report.certificate["balls"] == GAP_BALLS
+    index, balls = _scalar_reference(L_SHAPE, 2, 1000, seed, "hyperconvex")
+    report = refute_search(L_SHAPE, 2, 1000, seed=seed, mode="hyperconvex")
     assert report.refuted and report.seed == seed
     assert report.budget_used == index + 1
     assert report.certificate["balls"] == balls

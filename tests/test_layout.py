@@ -66,7 +66,7 @@ def test_splitmix_constants_live_only_in_rng():
 
 CENTER_MODE_UNION = (
     "import sys; from hyperball.lab import BoxUnion, refute_search; from hyperball.linf import Box; "
-    "union = BoxUnion((Box((0, 0), (1, 1)), Box((3, 0), (4, 1)))); "
+    "union = BoxUnion((Box((0, 0), (2, 1)), Box((0, 0), (1, 2)))); "  # connected: the builder
     "assert refute_search(union, 3, 50, 0, mode='hyperconvex').refuted; "
     "assert refute_search(union, 3, 50, 0, mode='weakly-external').refuted"
 )

@@ -643,11 +643,12 @@ def test_kept_distances_equal_fresh_lps_on_fresh_and_warm_polyhedra(monkeypatch)
 
 def test_kept_distances_beyond_float_range_are_exact(monkeypatch):
     """Kept pieces are ranked in integers, so a point or a dual bound that no
-    float holds is ranked like any other: the far half-plane keeps its
-    piece, and a second far point on it is answered with no LP."""
+    float holds is ranked like any other: the far quarter-plane keeps its
+    piece, and a second far point on it is answered with no LP.  (A
+    half-plane keeps none: its distance is a closed form.)"""
     big = F(10**400)
     square = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
-    far = HPolyhedron(2, rows(((1, 0), big),))
+    far = HPolyhedron(2, rows(((1, 0), big), ((0, 1), big)))
     for p, x in ((square, pt(big, 0)), (square, pt(-big / 3, big)), (square, pt(1 / big, -3)),
                  (far, pt(10 * big, 0))):
         assert p.dist(x) == dist_to_polyhedron(x, p)[0], x
@@ -656,6 +657,44 @@ def test_kept_distances_beyond_float_range_are_exact(monkeypatch):
     for x in (pt(10 * big, 1), pt(7 * big, -3)):
         assert far.dist(x) == x[0] - big
     assert not solves and len(far._pieces) == 1
+
+
+def test_half_space_distances_and_box_searches_are_closed_forms(monkeypatch):
+    """On a seeded corpus of one-row polyhedra with a non-zero normal (dims
+    1-4, rational rows), the distance to each of 12 points equals
+    ``dist_to_polyhedron``'s, and the box search around each point agrees
+    with ``lp_feasible``: the LP's witness where they meet, else Farkas
+    multipliers on the row and the box's rows that combine to 0 <= b < 0.
+    No distance keeps a piece or runs an LP."""
+    from hyperball.rng import SplitMix64
+    from hyperball.sets import subset_witness_in_box
+
+    rng, outcomes = SplitMix64(41), set()
+    for _ in range(80):
+        d = rng.randint(1, 4)
+        a = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)]
+        if not any(a):
+            continue
+        h = HPolyhedron(d, rows((a, F(rng.randint(-6, 6), rng.randint(1, 4)))))
+        for _ in range(12):
+            x = tuple(F(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(d))
+            box = Box(x, tuple(v + F(rng.randint(0, 6), rng.randint(1, 3)) for v in x))
+            expected, lp_result = dist_to_polyhedron(x, h)[0], lp_feasible(h, (box,))
+            solves = _solves(monkeypatch)
+            assert h.dist(x) == expected and not solves and not h._pieces, (h, x)
+            result = subset_witness_in_box(h, box)
+            assert result.feasible == lp_result.feasible, (h, box)
+            if result.feasible:
+                assert result.witness == lp_result.witness
+            else:
+                y = result.certificate["farkas"]
+                system = h.rows + box_to_polyhedron(box).rows
+                assert len(y) == len(system) and min(y) >= 0
+                assert all(sum(v * r[0][k] for v, r in zip(y, system)) == 0 for k in range(d))
+                assert sum(v * r[1] for v, r in zip(y, system)) < 0
+            monkeypatch.undo()
+            outcomes.add((expected > 0, result.feasible))
+    assert outcomes == {(True, True), (True, False), (False, True)}
 
 
 def test_a_warm_polyhedron_answers_repeat_queries_without_an_lp(monkeypatch):
