@@ -7,14 +7,15 @@ candidates (or tested points) per second.
 Boxes stay inconclusive at every level and in every mode (they are
 hyperconvex); the unions and the half-spaces with two non-zero entries are
 refuted in ``external`` mode, by two balls after a point or two.  The span
-decision answers the boxes in every mode and the unions and the
-half-spaces in ``external`` mode.  The gap decision answers the
+decision answers the boxes in every mode, the unit square written as 4
+rows included (its box test reads the polyhedron's cached extent), and the
+unions and the half-spaces in ``external`` mode.  The gap decision answers the
 disconnected unions' center modes with two balls for one unit of budget,
 the gap of 1/64 in [0, 1] ∪ [65/64, 2], narrower than the sampler's grid
 step, included.  The connected L-shaped union's center modes run on the
 integer builder (path ``screen``) and show its rate.  The center modes on
-half-spaces and every mode on the multi-row polyhedra show the rate of the
-exact scalar path.  Those rows cost milliseconds per candidate and take
+half-spaces and every mode on the unbounded 3-d 4-row polyhedron show the
+rate of the exact scalar path.  Those rows cost milliseconds per candidate and take
 the smaller of ``--budget`` and ``--scalar-budget``."""
 
 import argparse

@@ -394,21 +394,29 @@ def _union_builder(subset, arena: _Arena, seed: int, start: int):
 
 def refute_path(subset, mode: str) -> str:
     """The path ``refute_search`` takes: ``"span"`` (the span decision below)
-    on a box or a union with at most one non-empty member, and in ``external``
-    mode on any union and on a one-row half-space with a non-zero normal;
+    in every mode on a box, a union with at most one non-empty member and a
+    polyhedron that is a box, and in ``external`` mode on any union and on a
+    one-row half-space with a non-zero normal;
     in a center mode on a union of two or more non-empty boxes, ``"gap"``
     (the gap decision below) when the union is disconnected, else
-    ``"screen"`` (the integer builder); else ``"scalar"``."""
+    ``"screen"`` (the integer builder); else ``"scalar"``.  A polyhedron
+    other than such a half-space is tested on its cached extent, so an
+    empty one raises ``EmptySet``."""
     return _route(subset, mode)[0]
 
 
 def _route(subset, mode: str):
-    """(``refute_path``'s answer, the gap decision's balls on ``"gap"``
-    else None), so that a refute finds the components once."""
-    boxes, rows = getattr(subset, "boxes", None), getattr(subset, "rows", ())
+    """(``refute_path``'s answer, what the decision needs: the gap
+    decision's balls on ``"gap"``, on a polyhedron the row that fails the
+    box test, None on a box), so that a refute tests once."""
+    boxes = getattr(subset, "boxes", None)
     external = REFUTE_MODES[mode] is None
     if boxes is None:
-        return "span" if external and len(rows) == 1 and any(rows[0][0]) else "scalar", None
+        if getattr(subset, "rows", None) is None:  # a finite subset
+            return "scalar", None
+        row = _failing_row(subset)
+        decided = row is None or external and subset._halfspace_row is not None
+        return "span" if decided else "scalar", row
     members = [b for b in boxes if not b.is_empty()]
     if external or len(members) < 2:
         return "span", None
@@ -470,26 +478,52 @@ def _gap_balls(members):
 # the modes nest, so no mode refutes a box.  A set whose every two-point span
 # box [a1 ∧ a2, a1 ∨ a2] stays inside is a box, so any other set has a1, a2
 # in it spanning a point p outside, and two balls that hold a1 and a2 and
-# meet only at p refute it in ``external`` mode.
+# meet only at p refute it in ``external`` mode.  A polyhedron P lies in its
+# bounding box, the product of its coordinate ranges, so it is a box iff
+# every row holds at its worst corner of that box; the ranges are P's cached
+# extent (``HPolyhedron._extent``).  A P that is no box, other than a
+# half-space in ``external`` mode, stays on the sampler.
 
 
-def _span_points(subset):
+def _failing_row(p):
+    """The first integer row (s, a', b') of the polyhedron p that fails the
+    box test, or None when p is a box.  A row fails at the worst corner of
+    p's bounding box, sum_k a'_k.(hi_k if a'_k > 0 else lo_k) > b', computed
+    over the common denominator of the extent's values, or when a side it
+    needs is unbounded.  A half-space with a non-zero normal is a box iff
+    one entry is non-zero, with no LP."""
+    if p._halfspace_row is not None:
+        return None if sum(map(bool, p._halfspace_row[1])) == 1 else p._halfspace_row
+    sides = [side for pair in p._extent for side in pair]  # lo_0, hi_0, ...
+    D = lcm(*(v.denominator for v in sides if v is not None))
+    ends = [v if v is None else v.numerator * (D // v.denominator) for v in sides]
+    for row in p._integer_rows:
+        _, a, b = row
+        corner = [(v, ends[2 * k + (v > 0)]) for k, v in enumerate(a) if v]
+        if any(e is None for _, e in corner) or sum(v * e for v, e in corner) > b * D:
+            return row
+    return None
+
+
+def _span_points(subset, row):
     """The (a1, a2, p) the span decision tests, none on a box; raises
-    ``EmptySet`` on an empty box or union.  On a·x <= b with first non-zero
+    ``EmptySet`` on an empty box or union.  ``row`` is a polyhedron's row
+    that fails the box test (see `_route`).  On a·x <= b with first non-zero
     entries a_i, a_j and q = (b/a_i)·e_i, the points q ± (e_i/a_i - e_j/a_j)
-    of the hyperplane span p = q + e_i/a_i + e_j/a_j, where a·p = b + 2; one
-    non-zero entry makes a box."""
+    of the hyperplane span p = q + e_i/a_i + e_j/a_j, where a·p = b + 2."""
     if getattr(subset, "boxes", None) is not None:
         _require_nonempty(subset)
         return _union_points([b for b in subset.boxes if not b.is_empty()])
+    if row is None:
+        return ()
     (a, b), = subset.rows
-    i, j = ([k for k, v in enumerate(a) if v] + [None])[:2]
+    i, j = [k for k, v in enumerate(a) if v][:2]
 
     def point(ti, tj):  # q + ti·e_i/a_i + tj·e_j/a_j
         x = {i: Fraction(b + ti) / a[i], j: Fraction(tj) / a[j]}
         return tuple(x.get(k, Fraction(0)) for k in range(len(a)))
 
-    return () if j is None else ((point(1, -1), point(-1, 1), point(1, 1)),)
+    return ((point(1, -1), point(-1, 1), point(1, 1)),)
 
 
 def _union_points(members):
@@ -535,12 +569,12 @@ def refute_search(
         raise InvalidArgument("level must be >= 2")
     if budget < 0:
         raise InvalidArgument("budget must be >= 0")
-    start, (path, gap) = REFUTE_MODES[mode], _route(subset, mode)
+    start, (path, found) = REFUTE_MODES[mode], _route(subset, mode)
     if path == "span":
-        points = zip(range(budget), _span_points(subset))
+        points = zip(range(budget), _span_points(subset, found))
         candidates = ((i, _span_balls(*t)) for i, t in points if not subset.contains(t[2]))
     elif path == "gap":
-        candidates = [(0, gap)]
+        candidates = [(0, found)]
     elif isinstance(subset, FiniteSubset):
         _require_nonempty(subset)
         build = _finite_builder(subset, level, seed, start)

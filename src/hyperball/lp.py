@@ -29,6 +29,12 @@ interval, so it answers each stretch between two such times, inside p as
 well (``dists_along_segment``).  A nearest point always comes from a fresh
 LP.  A half-space's distance is a closed form, and so is the proof that a
 box misses it (``halfspace_misses_box``).
+
+A polyhedron also caches its extent: per coordinate, the least and the
+greatest value over the set, or None on an unbounded side
+(``HPolyhedron._extent``).  Its 2.dim coordinate LPs
+(``polyhedron_coordinate_bounds``) run once per polyhedron; the window and
+the refuter's box test in ``lab`` both read it.
 """
 
 from __future__ import annotations
@@ -95,23 +101,32 @@ class HPolyhedron:
 
     def window(self) -> Box:
         """Exact coordinate bounds, with [-8, 8] standing in for an
-        unbounded side, computed once.  Raises ``EmptySet`` on an empty
-        polyhedron, on every call: a raising cached_property keeps nothing."""
+        unbounded side, computed once from the extent.  Raises ``EmptySet``
+        on an empty polyhedron, on every call: a raising cached_property
+        keeps nothing."""
         return self._window
 
     @cached_property
     def _window(self) -> Box:
-        if not self.dim and not self.contains(()):  # no coordinate LP runs
-            raise EmptySet("cannot bound an empty polyhedron")
         fallback = Fraction(8)
         lo, hi = [], []
-        for k in range(self.dim):
-            lo_k, hi_k = polyhedron_coordinate_bounds(self, k)
+        for lo_k, hi_k in self._extent:
             lo.append(lo_k if lo_k is not None else -fallback)
             hi.append(hi_k if hi_k is not None else fallback)
             if lo[-1] > hi[-1]:  # bounded on one side beyond the fallback
                 lo[-1], hi[-1] = min(lo[-1], hi[-1]), max(lo[-1], hi[-1])
         return Box(tuple(lo), tuple(hi))
+
+    @cached_property
+    def _extent(self) -> tuple:
+        """Per coordinate k, ``polyhedron_coordinate_bounds(self, k)``: the
+        least and the greatest x_k over the set, None where unbounded.  The
+        2.dim LPs run once: the window and the refuter's box test share
+        them.  Raises ``EmptySet`` on an empty polyhedron, on every call, as
+        a raising cached_property keeps nothing."""
+        if not self.dim and not self.contains(()):  # no coordinate LP runs
+            raise EmptySet("cannot bound an empty polyhedron")
+        return tuple(polyhedron_coordinate_bounds(self, k) for k in range(self.dim))
 
     def intersect(self, box: Box) -> "HPolyhedron":
         return intersection(self.dim, (self, box_to_polyhedron(box)))
@@ -506,7 +521,8 @@ def lp_minimize(objective: Sequence[object], p: HPolyhedron | None, balls: Seque
 def polyhedron_coordinate_bounds(
     p: HPolyhedron, k: int
 ) -> tuple[Fraction | None, Fraction | None]:
-    """Exact (min, max) of coordinate k over the set; None where unbounded."""
+    """Exact (min, max) of coordinate k over the set; None where unbounded.
+    Two LPs on every call; ``HPolyhedron._extent`` keeps their answers."""
     unit = [int(i == k) for i in range(p.dim)]
     low, high = lp_minimize(unit, p), lp_minimize([-u for u in unit], p)
     if low[0] == "infeasible" or high[0] == "infeasible":

@@ -40,8 +40,9 @@ from hyperball.lab import (
     _union_builder,
 )
 from hyperball.linf import Ball, Box, linf_dist
-from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace, lp_feasible
+from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace, lp_feasible, polyhedron_coordinate_bounds
 from hyperball.metric import Disconnected, GraphInstance, graph_metric
+from hyperball.reports import PropertyReport
 from hyperball.rng import SplitMix64
 from hyperball.sets import FiniteSubset, subset_dist, subset_nearest
 
@@ -64,8 +65,10 @@ L_SHAPE = BoxUnion((Box(pt(0, 0), pt(2, 1)), Box(pt(0, 0), pt(1, 2))))
 # first two members face at x = 1 and x = 3, and share y = 0
 GAP_BALLS = (Ball(pt(1, 0), F(1)), Ball(pt(3, 0), F(1)))
 TIGHT_GAP_BALLS = (Ball(pt(4, 0), F(1, 2)), Ball(pt(5, 0), F(1, 2)))
-# multi-row polyhedra: the unit square as four rows, and a 3-d one with four
+# multi-row polyhedra: the unit square as four rows, DIAG cut to a bounded
+# non-box, and a 3-d one with four that is unbounded
 SQUARE_ROWS = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
+DIAG_ROWS = DIAG.intersect(Box(pt(-8, -8), pt(8, 8)))
 POLY3 = HPolyhedron(3, tuple(
     (pt(*a), F(b)) for a, b in (((1, 1, 0), 2), ((-1, 0, 1), 1), ((0, -1, -1), 1), ((1, -2, 1), 3))
 ))
@@ -492,7 +495,8 @@ def test_span_decision_pins():
 
 def test_external_mode_and_boxes_never_reach_the_sampler(monkeypatch):
     """No arena and no candidate: in ``external`` mode on boxes, unions and
-    one-row half-spaces with a non-zero normal, and on a box in every mode."""
+    one-row half-spaces with a non-zero normal, and on a box, as a ``Box``
+    or as rows, in every mode."""
     import hyperball.lab as lab
 
     def sampler(*args):
@@ -501,11 +505,61 @@ def test_external_mode_and_boxes_never_reach_the_sampler(monkeypatch):
     monkeypatch.setattr(lab, "_build_arena", sampler)
     monkeypatch.setattr(lab, "_scalar_candidate", sampler)
     for subset in (Box(pt(0, 0), pt(1, 1)), UNION, UNION_EMPTY_MEMBER, THREE, TOUCHING, DIAG,
-                   halfspace([0, -1], 0), halfspace([2, -1, 3], 1)):
+                   halfspace([0, -1], 0), halfspace([2, -1, 3], 1), SQUARE_ROWS):
         assert refute_search(subset, 3, 100, seed=1).budget_used >= 1
-    for mode in REFUTE_MODES:
-        report = refute_search(Box(pt(0, 0), pt(2, 2)), 4, 100, seed=1, mode=mode)
-        assert (report.verdict, report.budget_used) == ("inconclusive", 100)
+    for subset in (Box(pt(0, 0), pt(2, 2)), SQUARE_ROWS, halfspace([0, -1], 0), HPolyhedron(2, ())):
+        for mode in REFUTE_MODES:
+            report = refute_search(subset, 4, 100, seed=1, mode=mode)
+            assert (report.verdict, report.budget_used) == ("inconclusive", 100)
+
+
+def _polyhedron_corpus():
+    """400 polyhedra (``random.Random(5)``, d = 1-3): the rows of [-2, 2]^d,
+    each kept with probability 4/5, and 0-3 rows with entries in [-3, 3]
+    and right-hand sides in [-4, 4]."""
+    rng, corpus = random.Random(5), []
+    for _ in range(400):
+        d = rng.randint(1, 3)
+        rows = [r for r in box_to_polyhedron(Box((F(-2),) * d, (F(2),) * d)).rows if rng.random() < 0.8]
+        for _ in range(rng.randint(0, 3)):
+            rows.append((tuple(F(rng.randint(-3, 3)) for _ in range(d)), F(rng.randint(-4, 4))))
+        corpus.append(HPolyhedron(d, tuple(rows)))
+    return corpus
+
+
+def _polyhedron_is_box(p):
+    """Whether p is a box: every corner of its bounding box lies in it, an
+    unbounded side put at distance 100, far beyond the corpus's rows."""
+    bounds = [polyhedron_coordinate_bounds(p, k) for k in range(p.dim)]
+    sides = [(F(-100) if lo is None else lo, F(100) if hi is None else hi) for lo, hi in bounds]
+    return all(p.contains(corner) for corner in product(*sides))
+
+
+def test_polyhedron_span_decision_on_a_seeded_corpus():
+    """A polyhedron that is a box takes the span path in every mode and
+    reports what the sampler reports, since no candidate of it refutes:
+    inconclusive with the budget spent.  One that is no box takes the
+    sampler, apart from a half-space in ``external`` mode.  An empty one
+    raises ``EmptySet``."""
+    counts = dict.fromkeys(("box", "other", "empty"), 0)
+    for i, p in enumerate(_polyhedron_corpus()):
+        try:
+            shape = "box" if _polyhedron_is_box(p) else "other"
+        except EmptySet:
+            counts["empty"] += 1
+            with pytest.raises(EmptySet):
+                refute_search(p, 2, 5, seed=i)
+            continue
+        counts[shape] += 1
+        for mode in REFUTE_MODES:
+            span = shape == "box" or mode == "external" and len(p.rows) == 1
+            assert refute_path(p, mode) == ("span" if span else "scalar")
+            if shape == "box":
+                notes = ("no refutation found",) + ((mode,) if mode != "external" else ())
+                expected = PropertyReport("inconclusive", seed=i, budget_used=6, notes=notes)
+                assert refute_search(p, 2, 6, seed=i, mode=mode) == expected
+                assert _scalar_reference(p, 4, 2, i, mode) is None, (p, mode)
+    assert counts == {"box": 197, "other": 150, "empty": 53}
 
 
 def _components(members):
@@ -636,6 +690,30 @@ def test_refute_linf_half_spaces_run_no_lp(monkeypatch):
         assert report.refuted and op.check(report) is None, op.op_id
 
 
+def test_lp_repeat_box_refutes_run_no_lp_once_warm(monkeypatch):
+    """The lp-repeat box polyhedra keep their extent, so after one pass over
+    a block's refute ops the box test needs no LP: the ops of that block
+    and the next pass again with the LP kernel patched to raise."""
+    import hyperball.lp as lp
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    from workloads import LPRepeat
+
+    workload = LPRepeat(seed=1, smoke=False)
+    ops = [[op for op in workload.block(b) if ".refute." in op.op_id] for b in (0, 1)]
+    assert [len(block) for block in ops] == [4, 4]
+    for op in ops[0]:
+        assert op.check(op.run()) is None, op.op_id
+
+    def solve(*args, **kwargs):
+        raise AssertionError("an LP ran")
+
+    monkeypatch.setattr(lp, "_solve", solve)
+    for op in ops[0] + ops[1]:
+        assert op.check(op.run()) is None, op.op_id
+    assert all("_extent" in vars(p) for p in workload.boxes)
+
+
 def test_polyhedron_center_modes_refute_on_the_scalar_path():
     wedge = halfspace([1, 1, 1], 0)
     index, balls = _scalar_reference(wedge, 3, 40, 1, "hyperconvex")
@@ -664,9 +742,10 @@ def test_multirow_polyhedron_matches_the_two_step_reference(mode):
 
 def test_exact_candidate_costs_at_most_k_plus_one_lps(monkeypatch):
     """At most one distance or nearest-point LP per center and one
-    intersection LP per candidate; the hyperconvex square keeps every
-    candidate a non-hit.  Each mode starts on a fresh copy of the square,
-    with no window or distance piece kept."""
+    intersection LP per candidate, in the center modes on DIAG_ROWS, which
+    keeps every candidate a non-hit.  Each mode starts on a fresh copy,
+    with no extent or distance piece kept.  The square as four rows is a
+    box, so no mode builds a candidate on it."""
     import hyperball.lab as lab
     import hyperball.lp as lp
 
@@ -685,16 +764,20 @@ def test_exact_candidate_costs_at_most_k_plus_one_lps(monkeypatch):
 
     monkeypatch.setattr(lp, "_solve", solve)
     monkeypatch.setattr(lab, "_scalar_candidate", build)
-    for mode in REFUTE_MODES:
+    for mode in CENTER_MODES:
         del builds[:]
         lps[0] = 0
-        square = HPolyhedron(SQUARE_ROWS.dim, SQUARE_ROWS.rows)
-        report = refute_search(square, 4, 20, seed=5, mode=mode)
+        poly = HPolyhedron(DIAG_ROWS.dim, DIAG_ROWS.rows)
+        report = refute_search(poly, 4, 20, seed=5, mode=mode)
         assert report.verdict == "inconclusive" and len(builds) == 20
-        assert builds[0][0] == 4  # set-up: the window's 2 * dim LPs alone
+        assert builds[0][0] == 4  # set-up: the extent's 2 * dim LPs alone
         ends = [begin for begin, _ in builds[1:]] + [lps[0]]
         for (begin, k), end in zip(builds, ends):
             assert end - begin <= k + 1, (mode, end - begin, k)
+    del builds[:]
+    for mode in REFUTE_MODES:
+        report = refute_search(SQUARE_ROWS, 4, 20, seed=5, mode=mode)
+        assert (report.verdict, report.budget_used) == ("inconclusive", 20) and not builds, mode
 
 
 def test_only_pulled_centers_ask_for_a_nearest_point(monkeypatch):
@@ -726,9 +809,10 @@ def _count_lps(monkeypatch):
 
 @pytest.mark.parametrize("subset", [SQUARE_ROWS, POLY3, DIAG])
 def test_refute_setup_costs_two_lps_per_dimension(monkeypatch, subset):
-    """The window's coordinate LPs run on the first sampled search of a
-    polyhedron only: it keeps its window.  The span decision takes a
-    one-row half-space in ``external`` mode with no window."""
+    """The extent's coordinate LPs run on the first search of a polyhedron
+    only: the box test and the window share them, and it keeps them.  The
+    span decision takes a one-row half-space in ``external`` mode with no
+    extent."""
     subset = HPolyhedron(subset.dim, subset.rows)  # no window kept yet
     lps = _count_lps(monkeypatch)
     first = int(len(subset.rows) == 1)  # a half-space is first sampled in a center mode
@@ -741,14 +825,13 @@ def test_refute_setup_costs_two_lps_per_dimension(monkeypatch, subset):
 def test_verify_refutation_costs_at_most_k_plus_two_lps(monkeypatch):
     """One non-emptiness LP, one distance LP per center outside the subset
     and one intersection LP: the hit is checked once, not twice."""
-    diag_rows = DIAG.intersect(Box(pt(-8, -8), pt(8, 8)))
     lps = _count_lps(monkeypatch)
     for level in (2, 4):
-        balls = refute_search(diag_rows, level, 100, seed=1).certificate["balls"]
-        outside = sum(not diag_rows.contains(b.center) for b in balls)
+        balls = refute_search(DIAG_ROWS, level, 100, seed=1).certificate["balls"]
+        outside = sum(not DIAG_ROWS.contains(b.center) for b in balls)
         assert len(balls) == level and outside >= 2
         lps[0] = 0
-        assert verify_refutation(diag_rows, balls)
+        assert verify_refutation(DIAG_ROWS, balls)
         assert lps[0] <= outside + 2 <= len(balls) + 2, level
 
 
@@ -985,9 +1068,12 @@ def test_four_to_n_flags_big_only_refutations(monkeypatch):
 
 
 def test_refuter_general_polyhedron_falls_back_to_lp():
-    wedge = box_to_polyhedron(Box(pt(0, 0), pt(4, 4)))
-    report = refute_search(wedge, 2, 40, seed=3)
-    assert report.verdict == "inconclusive"
+    """An unbounded polyhedron of four rows that is no box runs the
+    sampler's exact candidates, whose first one refutes it."""
+    assert refute_path(POLY3, "external") == "scalar"
+    report = refute_search(POLY3, 2, 40, seed=3)
+    assert (report.verdict, report.budget_used, report.certificate["index"]) == ("refuted", 1, 0)
+    assert verify_refutation(POLY3, report.certificate["balls"])
 
 
 def test_refute_finite_backend(c5):

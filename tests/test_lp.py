@@ -418,7 +418,7 @@ def test_cached_integer_rows_survive_every_entry_point():
     twin = HPolyhedron(p.dim, p.rows)
     before = (hash(p), io.to_jsonable(p), repr(p))
     cached = p._integer_rows
-    assert not {"_integer_rows", "_pieces", "_window"} & {f.name for f in dataclasses.fields(p)}
+    assert not {"_integer_rows", "_pieces", "_window", "_extent"} & {f.name for f in dataclasses.fields(p)}
 
     def queries(i):
         ball = Ball(pt(F(i, 3), -1), F(i + 1, 2))
