@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Sweep the refuter over the standard fixtures, all three modes and levels
-2..6, and print for each row the path it ran on (``span``, ``gap``,
-``screen`` or ``scalar``, as ``lab.refute_path`` names it) and its
-candidates (or tested points) per second.
+2..6, and print for each row the path it ran on (``span``, ``gap`` or
+``scalar``, as ``lab.refute_path`` names it) and its candidates (or tested
+points) per second.
 
 Boxes stay inconclusive at every level and in every mode (they are
 hyperconvex); the unions and the half-spaces with two non-zero entries are
@@ -12,11 +12,10 @@ rows included (its box test reads the polyhedron's cached extent), and the
 unions and the half-spaces in ``external`` mode.  The gap decision answers the
 disconnected unions' center modes with two balls for one unit of budget,
 the gap of 1/64 in [0, 1] ∪ [65/64, 2], narrower than the sampler's grid
-step, included.  The connected L-shaped union's center modes run on the
-integer builder (path ``screen``) and show its rate.  The center modes on
-half-spaces and every mode on the unbounded 3-d 4-row polyhedron show the
-rate of the exact scalar path.  Those rows cost milliseconds per candidate and take
-the smaller of ``--budget`` and ``--scalar-budget``."""
+step, included.  The center modes on the connected L-shaped union and on
+the half-spaces, and every mode on the unbounded 3-d 4-row polyhedron, show
+the rate of the exact scalar path.  Those rows cost milliseconds per
+candidate and take the smaller of ``--budget`` and ``--scalar-budget``."""
 
 import argparse
 import time

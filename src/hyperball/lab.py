@@ -230,10 +230,9 @@ def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
 # Randomized refuter
 #
 # Sampling recipe (deterministic in (seed, candidate index)) on the subsets
-# the span and gap decisions below leave.  The integer builder computes it
-# bit for bit on connected unions, its integers over its unit the
-# certificate; the scalar builder serves every other subset and is the
-# integer builder's reference:
+# the span and gap decisions below leave, one exact Fraction builder per
+# metric: ``_scalar_candidate`` in the max norm, below, and
+# ``_finite_builder`` over a finite space.  In the max norm:
 #   slot 0                          family size k in [2, level]
 #   slots 1 .. level*dim            center grid indices (first k*dim used)
 #   next level slots                radius offsets in grid steps (first k used)
@@ -337,78 +336,21 @@ def _scalar_candidate(subset, arena: _Arena, seed: int, index: int, start: int |
     return tuple(Ball(centers[i], radii[i]) for i in range(k))
 
 
-def _nearest_member(boxes, p):
-    """(d(p, A), the first member at that distance) for a point ``p`` and
-    members ``boxes`` given as (lo, hi) corner lists of ints."""
-    return min((max([0, *(l - v for l, v in zip(lo, p)), *(v - h for v, h in zip(p, hi))]), m)
-               for m, (lo, hi) in enumerate(boxes))
-
-
-def _union_builder(subset, arena: _Arena, seed: int, start: int):
-    """Candidate builder on a union of boxes in a center mode: the recipe of
-    ``_scalar_candidate`` on Python ints, each length held as its value
-    times ``unit``, the lcm of the denominators of the grid step, the window
-    corners and the non-empty member sides.  ``build(index)`` gives the
-    balls of candidate ``index`` if they refute, else None.
-
-    A box is externally hyperconvex: balls that meet pairwise and each reach
-    a box Q meet inside Q, by Helly's theorem on the line applied to each
-    coordinate (Aronszajn and Panitchpakdi, 1956).  An unpulled ball reaches
-    its center's nearest member (its radius is at least d(c, A)) and a
-    pulled center lies in it, so a candidate whose balls share their first
-    nearest member never refutes and is dropped before its offset and order
-    slots are drawn."""
-    members = [b for b in subset.boxes if not b.is_empty()]
-    unit = lcm(arena.step.denominator, *(w.denominator for w in arena.wlo),
-               *(v.denominator for b in members for v in b.lo + b.hi))
-    step, wlo = int(arena.step * unit), [int(w * unit) for w in arena.wlo]
-    boxes = [([int(v * unit) for v in b.lo], [int(v * unit) for v in b.hi]) for b in members]
-    level, dim, off = arena.level, arena.dim, 1 + arena.level * arena.dim
-
-    def pairs(centers):
-        return [[max([0, *(abs(a - b) for a, b in zip(p, q))]) for q in centers] for p in centers]
-
-    def build(index):
-        base = index * arena.slots
-        k = _size_at(seed, base, level)
-        centers = [[w + draw(seed, base + 1 + i * dim + c) % (cells + 1) * step
-                    for c, (w, cells) in enumerate(zip(wlo, arena.cells))] for i in range(k)]
-        floor, member = map(list, zip(*(_nearest_member(boxes, p) for p in centers)))
-        if member.count(member[0]) == k:
-            return None
-        radii = [floor[i] + draw(seed, base + off + i) % (RADIUS_STEPS + 1) * step for i in range(k)]
-        order = sorted(range(k), key=lambda i: draw(seed, base + off + level + i))
-        _tighten(floor, pairs(centers), radii, order)
-        for i in range(start, k):
-            lo, hi = boxes[member[i]]
-            centers[i], floor[i] = [min(max(v, l), h) for v, l, h in zip(centers[i], lo, hi)], 0
-        _tighten(floor, pairs(centers), radii, range(k))
-        lo_box = [max(p[c] - r for p, r in zip(centers, radii)) for c in range(dim)]
-        hi_box = [min(p[c] + r for p, r in zip(centers, radii)) for c in range(dim)]
-        if any(all(max(a, l) <= min(b, h) for a, b, l, h in zip(lo_box, hi_box, lo, hi)) for lo, hi in boxes):
-            return None
-        return tuple(Ball(tuple(Fraction(v, unit) for v in p), Fraction(r, unit)) for p, r in zip(centers, radii))
-
-    return build
-
-
 def refute_path(subset, mode: str) -> str:
     """The path ``refute_search`` takes: ``"span"`` (the span decision below)
     in every mode on a box, a union with at most one non-empty member and a
     polyhedron that is a box, and in ``external`` mode on any union and on a
-    one-row half-space with a non-zero normal;
-    in a center mode on a union of two or more non-empty boxes, ``"gap"``
-    (the gap decision below) when the union is disconnected, else
-    ``"screen"`` (the integer builder); else ``"scalar"``.  A polyhedron
-    other than such a half-space is tested on its cached extent, so an
-    empty one raises ``EmptySet``."""
+    one-row half-space with a non-zero normal; ``"gap"`` (the gap decision
+    below) in a center mode on a disconnected union; else ``"scalar"`` (the
+    sampler).  A polyhedron other than such a half-space is tested on its
+    cached extent, so an empty one raises ``EmptySet``."""
     return _route(subset, mode)[0]
 
 
 def _route(subset, mode: str):
     """(``refute_path``'s answer, what the decision needs: the gap
     decision's balls on ``"gap"``, on a polyhedron the row that fails the
-    box test, None on a box), so that a refute tests once."""
+    box test, else None), so that a refute tests once."""
     boxes = getattr(subset, "boxes", None)
     external = REFUTE_MODES[mode] is None
     if boxes is None:
@@ -421,7 +363,7 @@ def _route(subset, mode: str):
     if external or len(members) < 2:
         return "span", None
     balls = _gap_balls(members)
-    return "screen" if balls is None else "gap", balls
+    return "scalar" if balls is None else "gap", balls
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +501,8 @@ def refute_search(
     of the budget, and the first p outside the subset gives two balls; the
     gap decision's two balls spend one.  The sampler (see the recipe above)
     tries candidates 0, 1, ..., each a pure function of the seed and its
-    index: on a connected union in a center mode the integer builder, whose
-    hit's integers over its unit are the balls, elsewhere the witness
-    search on each exact candidate.  A found family is re-verified exactly.
+    index built exactly by its metric's builder, and runs the witness search
+    on each.  A found family is re-verified exactly.
     """
     if mode not in REFUTE_MODES:
         raise InvalidArgument(f"unknown mode {mode!r}")
@@ -578,8 +519,6 @@ def refute_search(
     elif isinstance(subset, FiniteSubset):
         _require_nonempty(subset)
         build = _finite_builder(subset, level, seed, start)
-    elif path == "screen":
-        build = _union_builder(subset, _build_arena(subset, level), seed, start)
     else:
         arena = _build_arena(subset, level)
 
@@ -588,11 +527,9 @@ def refute_search(
 
     if budget == 0:
         return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
-    if path not in ("span", "gap"):
+    if path == "scalar":
         candidates = ((index, build(index)) for index in range(budget))
     for index, balls in candidates:
-        if path == "screen" and balls is None:
-            continue
         if path != "scalar" or not _external_search(subset, _family(subset, balls)).feasible:
             if not verify_refutation(subset, balls, mode):
                 raise InternalError("refutation failed exact re-verification")
@@ -841,8 +778,9 @@ def uniform_local_external_sample(
 ) -> PropertyReport:
     """Uniform local external hyperconvexity: around each probe point of the
     subset, refute the subset's part in the ball window B(probe, radius),
-    which holds the probe and so is never empty.  Exact on box unions (each
-    part is a union, which the span decision answers); sampled on polyhedra."""
+    which holds the probe and so is never empty.  Exact on box unions and on
+    polyhedra whose parts are boxes (the span decision answers them); sampled
+    on every other polyhedron."""
     for idx, probe in enumerate(probes):
         if not subset.contains(probe):
             raise InvalidArgument(f"probe {idx} not in subset")

@@ -533,29 +533,24 @@ def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_a_tampered_screen_hit_fails_exact_re_verification(tmp_path, capsys, monkeypatch):
-    """The integer builder's hit is reported only once the real
+    """The sampler's hit is reported only once the real
     ``verify_refutation`` passes it: a hit with one radius shrunk below its
     floor d(c, A) raises ``InternalError``, and ``refute`` exits 4.  The
     free first ball of ``weakly-external`` mode has a positive floor.  The
-    L-shaped union is connected, so the builder serves its center modes."""
+    L-shaped union is connected, so its center modes run on the sampler."""
     union = lab.BoxUnion((linf.Box(pt(0, 0), pt(2, 1)), linf.Box(pt(0, 0), pt(1, 2))))
-    real, tampered = lab._union_builder, []
+    real, tampered = lab._scalar_candidate, []
 
-    def union_builder(*args):
-        build = real(*args)
+    def scalar_candidate(subset, arena, seed, index, start):
+        balls = real(subset, arena, seed, index, start)
+        if lab.external_witness(subset, lab.LinfBallFamily(balls)).feasible:
+            return balls
+        i, floor = max(enumerate(sets.subset_dist(union, b.center) for b in balls), key=lambda f: f[1])
+        assert floor > 0
+        tampered.append(index)
+        return balls[:i] + (linf.Ball(balls[i].center, floor / 2),) + balls[i + 1:]
 
-        def tampered_build(index):
-            balls = build(index)
-            if balls is None:
-                return None
-            i, floor = max(enumerate(sets.subset_dist(union, b.center) for b in balls), key=lambda f: f[1])
-            assert floor > 0
-            tampered.append(index)
-            return balls[:i] + (linf.Ball(balls[i].center, floor / 2),) + balls[i + 1:]
-
-        return tampered_build
-
-    monkeypatch.setattr(lab, "_union_builder", union_builder)
+    monkeypatch.setattr(lab, "_scalar_candidate", scalar_candidate)
     with pytest.raises(InternalError, match="refutation failed exact re-verification"):
         lab.refute_search(union, 2, 1000, seed=7, mode="weakly-external")
     members = [{"box": {"lo": ["0/1", "0/1"], "hi": hi}} for hi in (["2/1", "1/1"], ["1/1", "2/1"])]

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import comb, lcm
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -34,10 +34,8 @@ from hyperball.lab import (
     _external_search,
     _family,
     _finite_builder,
-    _nearest_member,
     _scalar_candidate,
     _tighten,
-    _union_builder,
 )
 from hyperball.linf import Ball, Box, linf_dist
 from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace, lp_feasible, polyhedron_coordinate_bounds
@@ -286,15 +284,10 @@ LATE_HITS = {("weakly-external", 4): 44, ("hyperconvex", 3): 82, ("weakly-extern
     "mode, seed", [("weakly-external", 4), ("hyperconvex", 3), ("weakly-external", 0)]
 )
 def test_screen_finds_hits_past_the_first_batch(mode, seed):
-    index, balls = _scalar_reference(TIGHT, 2, 300, seed, mode)
+    index, _ = _scalar_reference(TIGHT, 2, 300, seed, mode)
     assert index == LATE_HITS[mode, seed]
-    build = _union_builder(TIGHT, _build_arena(TIGHT, 2), seed, REFUTE_MODES[mode])
-    hits = [(i, hit) for i in range(300) if (hit := build(i)) is not None]
-    assert hits[0] == (index, balls)
     report = refute_search(TIGHT, 2, 300, seed=seed, mode=mode)  # disconnected: the gap decision
     assert report.certificate == {"balls": TIGHT_GAP_BALLS, "mode": mode}
-    later = _scalar_reference(TIGHT, 2, 300, seed, mode, index + 1)  # the next hit, if any
-    assert hits[1:2] == ([later] if later else [])
 
 
 def _many_members():
@@ -307,106 +300,14 @@ def _many_members():
 
 MANY = _many_members()
 POINT_TWICE = BoxUnion((Box((), ()), Box((), ())))  # 0-dimensional: one point
-FAR = 1 << 58  # far out: lengths over the arena's unit reach 2**59
+FAR = 1 << 58  # far out: coordinates past 2**58
 FAR_UNION = BoxUnion((Box((F(FAR),), (F(FAR + 1),)), Box((F(FAR + 3),), (F(FAR + 4),))))
 
 
-def test_integer_builder_refutes_exactly_where_the_exact_candidate_does():
-    """For every candidate index below the budget, the integer builder hands
-    back balls exactly where the witness search on the exact candidate finds
-    no point, and they are that candidate's balls.  The unions have an empty
-    member, three members, touching or overlapping members, late hits,
-    lengths near 2**59, one point twice, and 50 members in 3-d."""
-    outcomes = set()
-    fixtures = ((UNION, 40), (UNION_EMPTY_MEMBER, 40), (THREE, 40), (TOUCHING, 40), (OVERLAPPING, 40),
-                (TIGHT, 100), (FAR_UNION, 40), (POINT_TWICE, 10), (MANY, 12))
-    for subset, budget in fixtures:
-        for mode, level in product(CENTER_MODES, (2, 4, 6)):
-            arena, start, seed = _build_arena(subset, level), REFUTE_MODES[mode], 100 + level
-            build = _union_builder(subset, arena, seed, start)
-            for index in range(budget):
-                balls = _scalar_candidate(subset, arena, seed, index, start)
-                refutes = not external_witness(subset, LinfBallFamily(balls)).feasible
-                assert build(index) == (balls if refutes else None), (subset, mode, level, index)
-                outcomes.add((subset is POINT_TWICE, refutes))
-    assert outcomes == {(False, True), (False, False), (True, False)}
-
-
-def test_screen_mask_matches_the_exact_test_on_every_candidate():
-    """Every candidate's verdict from the integer builder, not just the
-    first hit, equals the exact refutation test in the mode (admissibility
-    and the mode's centers included) on the exact candidate; the window
-    starts off index 0."""
-    subsets = (UNION, UNION_EMPTY_MEMBER, TOUCHING, OVERLAPPING, THREE)
-    outcomes = set()
-    for subset in subsets:
-        for mode in (m for m in REFUTE_MODES if refute_path(subset, m) == "screen"):
-            for level in range(2, 7):
-                seed, lo = 100 + level, 37 + level
-                arena = _build_arena(subset, level)
-                build = _union_builder(subset, arena, seed, REFUTE_MODES[mode])
-                for index in range(lo, lo + 24):
-                    balls = _scalar_candidate(subset, arena, seed, index, REFUTE_MODES[mode])
-                    screened = build(index) is not None
-                    assert screened == verify_refutation(subset, balls, mode), (subset, mode, level, index)
-                    outcomes.add(screened)
-    assert outcomes == {True, False}
-
-
-def test_screen_member_distances_on_a_many_member_union():
-    """On a 3-d union of 50 members, 10 of them repeated, ``_nearest_member``
-    gives the distance and the first nearest member of each arena grid
-    point and each member's low corner exactly, in the integers of the
-    builder's unit."""
-    arena = _build_arena(MANY, 4)
-    unit = lcm(arena.step.denominator, *(w.denominator for w in arena.wlo),
-               *(v.denominator for b in MANY.boxes for v in b.lo + b.hi))
-    boxes = [([int(v * unit) for v in b.lo], [int(v * unit) for v in b.hi]) for b in MANY.boxes]
-    rng, inside = random.Random(7), set()
-    grid = [tuple(w + rng.randint(0, cells) * arena.step for w, cells in zip(arena.wlo, arena.cells))
-            for _ in range(192)]
-    for point in grid + [b.lo for b in MANY.boxes]:
-        gaps = [b.dist(point) for b in MANY.boxes]
-        dist, member = _nearest_member(boxes, [int(v * unit) for v in point])
-        assert dist == subset_dist(MANY, point) * unit == min(gaps) * unit, point
-        assert member == gaps.index(min(gaps)), point
-        inside.add(dist == 0)
-    assert inside == {True, False}
-
-
-def _exact_ints(balls):
-    """Whether every numerator and denominator in ``balls`` is a Python int
-    (a Fraction built from another integer type keeps it)."""
-    values = [v for b in balls for v in (*b.center, b.radius)]
-    return all(type(v.numerator) is int and type(v.denominator) is int for v in values)
-
-
-def test_screen_hands_back_the_exact_candidate_on_every_hit():
-    """Each hit's balls, read off the builder's integers, equal the exact
-    candidate built with Fractions, with Python int parts; hits past the
-    40 candidates of the short searches included."""
-    subsets = (UNION, UNION_EMPTY_MEMBER, TOUCHING, OVERLAPPING, THREE)
-    searches = [(s, m, level, seed, 40) for s in subsets for m in CENTER_MODES
-                for level in range(2, 7) for seed in (0, 5, 23)]
-    searches += [(TIGHT, m, 2, seed, 300) for m in CENTER_MODES for seed in (3, 4)]
-    hits = late = 0
-    for subset, mode, level, seed, budget in searches:
-        arena, start = _build_arena(subset, level), REFUTE_MODES[mode]
-        build = _union_builder(subset, arena, seed, start)
-        for index in range(budget):
-            if (balls := build(index)) is not None:
-                assert balls == _scalar_candidate(subset, arena, seed, index, start), (subset, mode, level, index)
-                assert _exact_ints(balls)
-                hits, late = hits + 1, late + (index >= 40)
-    assert hits > 500 and late > 0
-
-
 def test_screen_skips_families_whose_balls_share_a_nearest_member(monkeypatch):
-    """Balls that meet pairwise and all reach one member box meet in it, so
-    a candidate whose balls share their first nearest member is never
-    tightened: no candidate of a box twice over is (ties keep the first
-    member), some of a union's are.  A single box never reaches the
-    integer builder."""
+    """Balls that meet pairwise and all reach a box meet in it, so a single
+    box never reaches the sampler: no mode tightens a radius, and the whole
+    budget is spent."""
     import hyperball.lab as lab
 
     tightened, real = [], lab._tighten
@@ -415,15 +316,7 @@ def test_screen_skips_families_whose_balls_share_a_nearest_member(monkeypatch):
     for mode in REFUTE_MODES:
         report = refute_search(square, 6, 4096, seed=2, mode=mode)
         assert report.verdict == "inconclusive" and report.budget_used == 4096
-    for mode in CENTER_MODES:
-        twice = BoxUnion((square, square))
-        report = refute_search(twice, 6, 4096, seed=2, mode=mode)
-        assert report.verdict == "inconclusive" and report.budget_used == 4096
     assert tightened == []
-    build = _union_builder(UNION, _build_arena(UNION, 6), 2, REFUTE_MODES["hyperconvex"])
-    for index in range(4096):
-        build(index)
-    assert len(tightened) == 2 * 3181  # before and after the pull
 
 
 def _is_box(union):
@@ -616,7 +509,7 @@ def test_gap_decision_on_a_seeded_corpus():
     with one unit of budget by two balls centered in it, of radius delta/2
     where delta is the least distance between members of different
     components, which verify in the mode; every connected union of two or
-    more non-empty members takes the integer builder."""
+    more non-empty members takes the sampler."""
     counts = {"one member": 0, "connected": 0, "disconnected": 0}
     for union in _gap_corpus():
         members = [b for b in union.boxes if not b.is_empty()]
@@ -626,7 +519,7 @@ def test_gap_decision_on_a_seeded_corpus():
         kind = "one member" if len(members) < 2 else "disconnected" if cross else "connected"
         counts[kind] += 1
         for mode in CENTER_MODES:
-            assert refute_path(union, mode) == {"one member": "span", "connected": "screen",
+            assert refute_path(union, mode) == {"one member": "span", "connected": "scalar",
                                                 "disconnected": "gap"}[kind], (union, mode)
             if kind != "disconnected":
                 continue
@@ -649,7 +542,6 @@ def test_disconnected_unions_in_the_center_modes_never_reach_the_sampler(monkeyp
         raise AssertionError("the sampler ran")
 
     monkeypatch.setattr(lab, "_build_arena", sampler)
-    monkeypatch.setattr(lab, "_union_builder", sampler)
     monkeypatch.setattr(lab, "_scalar_candidate", sampler)
     for subset in (UNION, UNION_EMPTY_MEMBER, THREE, TIGHT, FAR_UNION, MANY):
         for mode, level in product(CENTER_MODES, (2, 6)):
@@ -864,23 +756,25 @@ def test_verify_refutation_on_four_rows_costs_at_most_k_plus_one_lps(monkeypatch
         (UNION_EMPTY_MEMBER, set()),  # disconnected: the gap decision
         (L_SHAPE, set(CENTER_MODES)),
         (OVERLAPPING, set(CENTER_MODES)),
-        (DIAG, set()),  # a half-space: the span decision externally, else exact
+        (DIAG, set(CENTER_MODES)),  # a half-space: the span decision externally
         (BoxUnion((Box(pt(0, 0), pt(1, 1)), Box(pt(3, 0), pt(2, 1)))), set()),  # one non-empty member
         (halfspace([0, 0], 1), set()),  # the whole plane: no normal
         (SQUARE_ROWS, set()),
         (Box((), ()), set()),  # 0-dimensional: a point
         (BoxUnion((Box((), ()),)), set()),
         (HPolyhedron(0, (((), F(1)),)), set()),
-        (C6_PART, set()),
+        (C6_PART, set(REFUTE_MODES)),  # a finite subset: always sampled
         (POINT_TWICE, set(CENTER_MODES)),
     ],
 )
 def test_screen_applies_states_the_screens_reach(subset, modes):
-    """The modes whose refute runs on the integer builder: the center modes
-    on a connected union of two or more non-empty members; ``external``
-    never does."""
-    assert refute_path(subset, "external") != "screen"
-    assert {mode for mode in REFUTE_MODES if refute_path(subset, mode) == "screen"} == modes
+    """The modes whose refute runs on the sampler: the center modes on a
+    connected union of two or more non-empty members and on a polyhedron
+    that is no box, and every mode on a finite subset.  Every path is
+    ``span``, ``gap`` or ``scalar``."""
+    paths = {mode: refute_path(subset, mode) for mode in REFUTE_MODES}
+    assert set(paths.values()) <= {"span", "gap", "scalar"}
+    assert {mode for mode, path in paths.items() if path == "scalar"} == modes
 
 
 @pytest.mark.parametrize(
@@ -1001,7 +895,6 @@ def test_screen_spares_the_exact_center_pull(monkeypatch):
     index, balls = _scalar_reference(L_SHAPE, 2, 300, 3, "hyperconvex")
     report = refute_search(L_SHAPE, 2, 300, seed=3, mode="hyperconvex")
     assert report.certificate == {"balls": balls, "index": index, "mode": "hyperconvex"} and index == 14
-    assert not calls  # the integer builder hands back the hit's exact balls
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64 + 7])

@@ -46,16 +46,6 @@ def test_no_package_module_imports_numpy():
     assert importers == set()
 
 
-def test_the_screen_keeps_no_half_space_kind():
-    # The span decision answers every half-space, so the integer builder
-    # that ``refute_path`` calls the screen keeps no row, dual norm or
-    # half-space branch.
-    from hyperball import lab
-
-    text = inspect.getsource(lab._union_builder)
-    assert not [word for word in ("rows", "dual", "halfspace") if word in text]
-
-
 def test_splitmix_constants_live_only_in_rng():
     holders = {
         name for name, text in _sources().items()
@@ -66,7 +56,7 @@ def test_splitmix_constants_live_only_in_rng():
 
 CENTER_MODE_UNION = (
     "import sys; from hyperball.lab import BoxUnion, refute_search; from hyperball.linf import Box; "
-    "union = BoxUnion((Box((0, 0), (2, 1)), Box((0, 0), (1, 2)))); "  # connected: the builder
+    "union = BoxUnion((Box((0, 0), (2, 1)), Box((0, 0), (1, 2)))); "  # connected: the sampler
     "assert refute_search(union, 3, 50, 0, mode='hyperconvex').refuted; "
     "assert refute_search(union, 3, 50, 0, mode='weakly-external').refuted"
 )
@@ -81,7 +71,7 @@ CENTER_MODE_UNION = (
     ],
 )
 def test_numpy_is_not_loaded_outside_the_refuter(code):
-    # Nothing loads numpy, a center-mode union refute (the integer builder)
+    # Nothing loads numpy, a center-mode union refute (the sampler)
     # included; tests/test_lab.py probes the span and polyhedron paths.
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     probe = code + "; assert 'numpy' not in sys.modules, 'numpy loaded'"

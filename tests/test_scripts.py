@@ -36,7 +36,7 @@ def test_refuter_sweep_covers_every_mode_with_a_rate(capsys):
     assert ("unit box", "hyperconvex", "span") in paths
     assert ("two-box union", "external", "span") in paths
     assert ("two-box union", "hyperconvex", "gap") in paths
-    assert ("L-shaped union", "hyperconvex", "screen") in paths
+    assert ("L-shaped union", "hyperconvex", "scalar") in paths
     gap = [row.split() for row in rows if row.startswith(f"{'gap union [0,1]+[65/64,2]':>28} ")]
     assert len(gap) == 15 and all(row[-5:-1] == ["refuted", "1", "2", "gap"] for row in gap[5:])
     assert ("diag half-plane x1+x2<=-1", "external", "span") in paths
