@@ -5,17 +5,20 @@
 points) per second.
 
 Boxes stay inconclusive at every level and in every mode (they are
-hyperconvex); the unions and the half-spaces with two non-zero entries are
-refuted in ``external`` mode, by two balls after a point or two.  The span
-decision answers the boxes in every mode, the unit square written as 4
-rows included (its box test reads the polyhedron's cached extent), and the
-unions and the half-spaces in ``external`` mode.  The gap decision answers the
+hyperconvex), the union [0,1]² ∪ [1,2]×[0,1], itself the box [0,2]×[0,1],
+included; the other unions and the half-spaces with two non-zero entries
+are refuted in ``external`` mode, by two balls after a point or two.  The
+span decision answers the boxes in every mode, the unit square written as
+4 rows and the box union included (a polyhedron's box test reads its
+cached extent), and the unions and the half-spaces in ``external`` mode.  The gap decision answers the
 disconnected unions' center modes with two balls for one unit of budget,
 the gap of 1/64 in [0, 1] ∪ [65/64, 2], narrower than the sampler's grid
-step, included.  The center modes on the connected L-shaped union and on
-the half-spaces, and every mode on the unbounded 3-d 4-row polyhedron, show
-the rate of the exact scalar path.  Those rows cost milliseconds per
-candidate and take the smaller of ``--budget`` and ``--scalar-budget``."""
+step, included, and every mode on the two-point space with d(0, 1) = 1,
+by the balls of radius 1/2 on its two points.  The center modes on the
+connected L-shaped union and on the half-spaces, and every mode on the
+unbounded 3-d 4-row polyhedron, show the rate of the exact scalar path.
+Those rows cost milliseconds per candidate and take the smaller of
+``--budget`` and ``--scalar-budget``."""
 
 import argparse
 import time
@@ -24,6 +27,8 @@ from fractions import Fraction as F
 from hyperball.lab import REFUTE_MODES, BoxUnion, refute_path, refute_search
 from hyperball.linf import Box
 from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace
+from hyperball.metric import validate_metric
+from hyperball.sets import FiniteSubset
 
 
 def fixtures():
@@ -34,12 +39,15 @@ def fixtures():
     union = BoxUnion((Box((F(0), F(0)), (F(1), F(1))), Box((F(3), F(0)), (F(4), F(1)))))
     gap = BoxUnion((Box((F(0),), (F(1),)), Box((F(65, 64),), (F(2),))))  # narrower than the grid step
     ell = BoxUnion((Box((F(0), F(0)), (F(2), F(1))), Box((F(0), F(0)), (F(1), F(2)))))  # connected
+    wide = BoxUnion((unit, Box((F(1), F(0)), (F(2), F(1)))))  # connected, and a box
     return [
         ("unit box", unit),
         ("slab box", slab),
         ("two-box union", union),
         ("gap union [0,1]+[65/64,2]", gap),
         ("L-shaped union", ell),
+        ("box union [0,2]x[0,1]", wide),
+        ("two-point space", FiniteSubset(validate_metric([[0, 1], [1, 0]]), (0, 1))),
         ("diag half-plane x1+x2<=-1", halfspace([1, 1], -1)),
         ("axis half-plane x2>=0", halfspace([0, -1], 0)),
         ("3d diagonal x1+x2+x3>=0", halfspace([-1, -1, -1], 0)),

@@ -230,9 +230,8 @@ def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
 # Randomized refuter
 #
 # Sampling recipe (deterministic in (seed, candidate index)) on the subsets
-# the span and gap decisions below leave, one exact Fraction builder per
-# metric: ``_scalar_candidate`` in the max norm, below, and
-# ``_finite_builder`` over a finite space.  In the max norm:
+# the span and gap decisions below leave, all of them max-norm sets, built
+# exactly by ``_scalar_candidate``:
 #   slot 0                          family size k in [2, level]
 #   slots 1 .. level*dim            center grid indices (first k*dim used)
 #   next level slots                radius offsets in grid steps (first k used)
@@ -289,10 +288,6 @@ def _build_arena(subset, level: int) -> _Arena:
     return _Arena(dim, tuple(wlo), step, tuple(cells), slots, level)
 
 
-def _size_at(seed: int, base: int, level: int) -> int:
-    return 2 + draw(seed, base) % (level - 1)
-
-
 def _tighten(floor, pair, radii, order):
     """Shrink radii in place, one index at a time along ``order``, to the
     least value admissible against the others: the index's floor (its
@@ -310,7 +305,7 @@ def _scalar_candidate(subset, arena: _Arena, seed: int, index: int, start: int |
     the centers from ``start`` on (none if None) pulled onto the subset."""
     base = index * arena.slots
     level, dim = arena.level, arena.dim
-    k = _size_at(seed, base, level)
+    k = 2 + draw(seed, base) % (level - 1)
     centers = []
     for i in range(k):
         coords = []
@@ -338,12 +333,14 @@ def _scalar_candidate(subset, arena: _Arena, seed: int, index: int, start: int |
 
 def refute_path(subset, mode: str) -> str:
     """The path ``refute_search`` takes: ``"span"`` (the span decision below)
-    in every mode on a box, a union with at most one non-empty member and a
-    polyhedron that is a box, and in ``external`` mode on any union and on a
-    one-row half-space with a non-zero normal; ``"gap"`` (the gap decision
-    below) in a center mode on a disconnected union; else ``"scalar"`` (the
-    sampler).  A polyhedron other than such a half-space is tested on its
-    cached extent, so an empty one raises ``EmptySet``."""
+    in every mode on a box, a union that is a box, a polyhedron that is a
+    box and a finite subset of one distinct point, and in ``external`` mode
+    on any union and on a one-row half-space with a non-zero normal;
+    ``"gap"`` (the gap decision below) in every mode on a finite subset of
+    two or more distinct points, and in a center mode on a disconnected
+    union; else ``"scalar"`` (the sampler).  A polyhedron other than such a
+    half-space is tested on its cached extent, so an empty one raises
+    ``EmptySet``, as an empty finite subset does."""
     return _route(subset, mode)[0]
 
 
@@ -355,7 +352,9 @@ def _route(subset, mode: str):
     external = REFUTE_MODES[mode] is None
     if boxes is None:
         if getattr(subset, "rows", None) is None:  # a finite subset
-            return "scalar", None
+            _require_nonempty(subset)
+            balls = _closest_pair(subset)
+            return "span" if balls is None else "gap", balls
         row = _failing_row(subset)
         decided = row is None or external and subset._halfspace_row is not None
         return "span" if decided else "scalar", row
@@ -363,7 +362,10 @@ def _route(subset, mode: str):
     if external or len(members) < 2:
         return "span", None
     balls = _gap_balls(members)
-    return "scalar" if balls is None else "gap", balls
+    if balls is None:  # connected: a box, or the sampler's
+        box = all(subset.contains(p) for _, _, p in _union_points(members))
+        return "span" if box else "scalar", None
+    return "gap", balls
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +381,8 @@ def _route(subset, mode: str):
 # j at distance delta.  B(a1, delta/2) and B(a2, delta/2) have their centers
 # in the union, so they are a family in every mode, and they meet pairwise;
 # each component lies at distance >= delta from a1 or from a2, so no point
-# of the union lies in both.
+# of the union lies in both.  A finite space is the case where every point
+# is a component: its closest pair a1, a2 gives the two balls.
 
 
 def _gap_balls(members):
@@ -409,6 +412,18 @@ def _gap_balls(members):
         a1.append(Fraction(u))
         a2.append(Fraction(v))
     return Ball(tuple(a1), Fraction(delta, 2)), Ball(tuple(a2), Fraction(delta, 2))
+
+
+def _closest_pair(subset: FiniteSubset):
+    """The gap decision's two balls on a finite subset, ((a1, delta/2), (a2,
+    delta/2)) with a1 < a2 its closest pair of distinct points and the least
+    (delta, a1, a2) on a tie; None with fewer than two distinct points."""
+    points = sorted(set(subset.indices))
+    pairs = [(subset.space.d(a, b), a, b) for a, b in combinations(points, 2)]
+    if not pairs:
+        return None
+    delta, a1, a2 = min(pairs)
+    return (a1, Fraction(delta, 2)), (a2, Fraction(delta, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +463,12 @@ def _failing_row(p):
 
 
 def _span_points(subset, row):
-    """The (a1, a2, p) the span decision tests, none on a box; raises
-    ``EmptySet`` on an empty box or union.  ``row`` is a polyhedron's row
-    that fails the box test (see `_route`).  On a·x <= b with first non-zero
-    entries a_i, a_j and q = (b/a_i)·e_i, the points q ± (e_i/a_i - e_j/a_j)
-    of the hyperplane span p = q + e_i/a_i + e_j/a_j, where a·p = b + 2."""
+    """The (a1, a2, p) the span decision tests, none on a box or a finite
+    subset; raises ``EmptySet`` on an empty box or union.  ``row`` is a
+    polyhedron's row that fails the box test (see `_route`).  On a·x <= b
+    with first non-zero entries a_i, a_j and q = (b/a_i)·e_i, the points
+    q ± (e_i/a_i - e_j/a_j) of the hyperplane span p = q + e_i/a_i +
+    e_j/a_j, where a·p = b + 2."""
     if getattr(subset, "boxes", None) is not None:
         _require_nonempty(subset)
         return _union_points([b for b in subset.boxes if not b.is_empty()])
@@ -501,8 +517,8 @@ def refute_search(
     of the budget, and the first p outside the subset gives two balls; the
     gap decision's two balls spend one.  The sampler (see the recipe above)
     tries candidates 0, 1, ..., each a pure function of the seed and its
-    index built exactly by its metric's builder, and runs the witness search
-    on each.  A found family is re-verified exactly.
+    index built exactly by ``_scalar_candidate``, and runs the witness
+    search on each.  A found family is re-verified exactly.
     """
     if mode not in REFUTE_MODES:
         raise InvalidArgument(f"unknown mode {mode!r}")
@@ -510,60 +526,27 @@ def refute_search(
         raise InvalidArgument("level must be >= 2")
     if budget < 0:
         raise InvalidArgument("budget must be >= 0")
-    start, (path, found) = REFUTE_MODES[mode], _route(subset, mode)
+    path, found = _route(subset, mode)
     if path == "span":
         points = zip(range(budget), _span_points(subset, found))
         candidates = ((i, _span_balls(*t)) for i, t in points if not subset.contains(t[2]))
     elif path == "gap":
         candidates = [(0, found)]
-    elif isinstance(subset, FiniteSubset):
-        _require_nonempty(subset)
-        build = _finite_builder(subset, level, seed, start)
     else:
-        arena = _build_arena(subset, level)
-
-        def build(index):
-            return _scalar_candidate(subset, arena, seed, index, start)
-
+        arena, start = _build_arena(subset, level), REFUTE_MODES[mode]
+        candidates = ((i, _scalar_candidate(subset, arena, seed, i, start)) for i in range(budget))
     if budget == 0:
         return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
-    if path == "scalar":
-        candidates = ((index, build(index)) for index in range(budget))
     for index, balls in candidates:
         if path != "scalar" or not _external_search(subset, _family(subset, balls)).feasible:
             if not verify_refutation(subset, balls, mode):
                 raise InternalError("refutation failed exact re-verification")
-            certificate = {"balls": balls} if path in ("span", "gap") else {"balls": balls, "index": index}
+            certificate = {"balls": balls} if path != "scalar" else {"balls": balls, "index": index}
             if mode != "external":
                 certificate["mode"] = mode
             return PropertyReport(REFUTED, certificate=certificate, seed=seed, budget_used=index + 1)
     notes = ("no refutation found",) + ((mode,) if mode != "external" else ())
     return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=budget, notes=notes)
-
-
-def _finite_builder(subset: FiniteSubset, level: int, seed: int, start: int | None):
-    """Candidate builder over a finite space: centers are drawn from the
-    whole space for balls before the mode's start index and from the subset
-    after it; radii are distances to the subset plus a sampled distance
-    value, tightened in index order."""
-    space = subset.space
-    values = sorted({d for row in space.dist for d in row})
-    whole = tuple(range(space.size))
-
-    def build(index):
-        base = index * (1 + 2 * level)
-        k = _size_at(seed, base, level)
-        pools = [whole if start is None or i < start else subset.indices for i in range(k)]
-        centers = [pools[i][draw(seed, base + 1 + i) % len(pools[i])] for i in range(k)]
-        dists = [subset_dist(subset, c) for c in centers]
-        radii = [
-            dists[i] + values[draw(seed, base + 1 + level + i) % len(values)]
-            for i in range(k)
-        ]
-        _tighten(dists, [[space.d(a, b) for b in centers] for a in centers], radii, range(k))
-        return tuple(zip(centers, radii))
-
-    return build
 
 
 # ---------------------------------------------------------------------------

@@ -532,7 +532,7 @@ def test_cli_internal_failures_exit_4(tmp_path, capsys, monkeypatch):
     ]
 
 
-def test_a_tampered_screen_hit_fails_exact_re_verification(tmp_path, capsys, monkeypatch):
+def test_a_tampered_sampler_hit_fails_exact_re_verification(tmp_path, capsys, monkeypatch):
     """The sampler's hit is reported only once the real
     ``verify_refutation`` passes it: a hit with one radius shrunk below its
     floor d(c, A) raises ``InternalError``, and ``refute`` exits 4.  The

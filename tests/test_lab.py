@@ -33,13 +33,12 @@ from hyperball.lab import (
     _build_arena,
     _external_search,
     _family,
-    _finite_builder,
     _scalar_candidate,
     _tighten,
 )
 from hyperball.linf import Ball, Box, linf_dist
 from hyperball.lp import HPolyhedron, box_to_polyhedron, halfspace, lp_feasible, polyhedron_coordinate_bounds
-from hyperball.metric import Disconnected, GraphInstance, graph_metric
+from hyperball.metric import Disconnected, GraphInstance, graph_metric, validate_metric
 from hyperball.reports import PropertyReport
 from hyperball.rng import SplitMix64
 from hyperball.sets import FiniteSubset, subset_dist, subset_nearest
@@ -304,26 +303,15 @@ FAR = 1 << 58  # far out: coordinates past 2**58
 FAR_UNION = BoxUnion((Box((F(FAR),), (F(FAR + 1),)), Box((F(FAR + 3),), (F(FAR + 4),))))
 
 
-def test_screen_skips_families_whose_balls_share_a_nearest_member(monkeypatch):
-    """Balls that meet pairwise and all reach a box meet in it, so a single
-    box never reaches the sampler: no mode tightens a radius, and the whole
-    budget is spent."""
-    import hyperball.lab as lab
-
-    tightened, real = [], lab._tighten
-    monkeypatch.setattr(lab, "_tighten", lambda *args: tightened.append(1) or real(*args))
-    square = Box(pt(0, 0), pt(1, 1))
-    for mode in REFUTE_MODES:
-        report = refute_search(square, 6, 4096, seed=2, mode=mode)
-        assert report.verdict == "inconclusive" and report.budget_used == 4096
-    assert tightened == []
-
-
 def _is_box(union):
-    """Whether the union equals its window on the 1/4-grid points of the
-    window: exact for members with corners on the 1/2 grid."""
-    window = union.window()
-    axes = [[lo + F(t, 4) for t in range(int((hi - lo) * 4) + 1)] for lo, hi in zip(window.lo, window.hi)]
+    """Whether the union equals its window, tested axis by axis at every
+    member side and every midpoint between two neighbouring sides: exact,
+    since membership of closed boxes is constant on each cell they cut."""
+    members = [b for b in union.boxes if not b.is_empty()]
+    axes = []
+    for k in range(union.dim):
+        sides = sorted({v for b in members for v in (b.lo[k], b.hi[k])})
+        axes.append(sides + [(u + v) / 2 for u, v in zip(sides, sides[1:])])
     return all(union.contains(p) for p in product(*axes))
 
 
@@ -386,10 +374,25 @@ def test_span_decision_pins():
     assert (report.verdict, report.budget_used) == ("inconclusive", 1)
 
 
+def _finite_corpus():
+    """60 subsets of ``random_metric`` spaces (``random.Random(61)``), each
+    of two distinct points and 0-5 more, repeats allowed."""
+    rng, corpus = random.Random(61), []
+    for seed in range(60):
+        space = random_metric(seed)
+        indices = rng.sample(range(space.size), 2) + [rng.randrange(space.size) for _ in range(rng.randint(0, 5))]
+        rng.shuffle(indices)
+        corpus.append(FiniteSubset(space, tuple(indices)))
+    return corpus
+
+
 def test_external_mode_and_boxes_never_reach_the_sampler(monkeypatch):
-    """No arena and no candidate: in ``external`` mode on boxes, unions and
-    one-row half-spaces with a non-zero normal, and on a box, as a ``Box``
-    or as rows, in every mode."""
+    """No arena, no candidate and no tightened radius: in ``external`` mode
+    on boxes, unions and one-row half-spaces with a non-zero normal; on a
+    box, as a ``Box`` or as rows, in every mode; on a finite subset of two
+    or more distinct points in every mode, where the closest pair refutes
+    it with one unit of budget; and on a one-point finite subset and a
+    union that is a box in the center modes, which spend the budget."""
     import hyperball.lab as lab
 
     def sampler(*args):
@@ -397,6 +400,7 @@ def test_external_mode_and_boxes_never_reach_the_sampler(monkeypatch):
 
     monkeypatch.setattr(lab, "_build_arena", sampler)
     monkeypatch.setattr(lab, "_scalar_candidate", sampler)
+    monkeypatch.setattr(lab, "_tighten", sampler)
     for subset in (Box(pt(0, 0), pt(1, 1)), UNION, UNION_EMPTY_MEMBER, THREE, TOUCHING, DIAG,
                    halfspace([0, -1], 0), halfspace([2, -1, 3], 1), SQUARE_ROWS):
         assert refute_search(subset, 3, 100, seed=1).budget_used >= 1
@@ -404,6 +408,20 @@ def test_external_mode_and_boxes_never_reach_the_sampler(monkeypatch):
         for mode in REFUTE_MODES:
             report = refute_search(subset, 4, 100, seed=1, mode=mode)
             assert (report.verdict, report.budget_used) == ("inconclusive", 100)
+    two_points = FiniteSubset(validate_metric([[0, 1], [1, 0]]), (0, 1))
+    for mode in REFUTE_MODES:
+        report = refute_search(two_points, 2, 100, seed=1, mode=mode)
+        assert (report.verdict, report.budget_used) == ("refuted", 1)
+        assert report.certificate["balls"] == ((0, F(1, 2)), (1, F(1, 2)))
+    for subset, mode in product([C6_PART] + _finite_corpus(), REFUTE_MODES):
+        report = refute_search(subset, 2, 100, seed=1, mode=mode)
+        assert (report.verdict, report.budget_used) == ("refuted", 1), (subset, mode)
+        delta = min(subset.space.d(a, b) for a, b in combinations(set(subset.indices), 2))
+        assert [r for _, r in report.certificate["balls"]] == [F(delta, 2)] * 2
+        assert verify_refutation(subset, report.certificate["balls"], mode), (subset, mode)
+    for subset, mode in product((FiniteSubset(C6, (2, 2)), TOUCHING), CENTER_MODES):
+        report = refute_search(subset, 4, 100, seed=1, mode=mode)
+        assert (report.verdict, report.budget_used) == ("inconclusive", 100)
 
 
 def _polyhedron_corpus():
@@ -508,19 +526,21 @@ def test_gap_decision_on_a_seeded_corpus():
     """In both center modes at level 2, every disconnected union is refuted
     with one unit of budget by two balls centered in it, of radius delta/2
     where delta is the least distance between members of different
-    components, which verify in the mode; every connected union of two or
+    components, which verify in the mode; a connected union that is a box
+    takes the span decision, and every other connected union of two or
     more non-empty members takes the sampler."""
-    counts = {"one member": 0, "connected": 0, "disconnected": 0}
+    counts = {"one member": 0, "connected box": 0, "connected": 0, "disconnected": 0}
     for union in _gap_corpus():
         members = [b for b in union.boxes if not b.is_empty()]
         label = _components(members)
         cross = [_box_gap(members[i], members[j])
                  for i, j in combinations(range(len(members)), 2) if label[i] != label[j]]
-        kind = "one member" if len(members) < 2 else "disconnected" if cross else "connected"
+        kind = ("one member" if len(members) < 2 else "disconnected" if cross
+                else "connected box" if _is_box(union) else "connected")
         counts[kind] += 1
         for mode in CENTER_MODES:
-            assert refute_path(union, mode) == {"one member": "span", "connected": "scalar",
-                                                "disconnected": "gap"}[kind], (union, mode)
+            assert refute_path(union, mode) == {"one member": "span", "connected box": "span",
+                                                "connected": "scalar", "disconnected": "gap"}[kind], (union, mode)
             if kind != "disconnected":
                 continue
             report = refute_search(union, 2, 1, seed=0, mode=mode)
@@ -530,7 +550,7 @@ def test_gap_decision_on_a_seeded_corpus():
             assert b1.radius == b2.radius == min(cross) / 2 == linf_dist(b1.center, b2.center) / 2
             assert union.contains(b1.center) and union.contains(b2.center)
             assert verify_refutation(union, balls, mode), (union, mode)
-    assert counts == {"one member": 121, "connected": 113, "disconnected": 266}
+    assert counts == {"one member": 121, "connected box": 89, "connected": 24, "disconnected": 266}
 
 
 def test_disconnected_unions_in_the_center_modes_never_reach_the_sampler(monkeypatch):
@@ -763,15 +783,16 @@ def test_verify_refutation_on_four_rows_costs_at_most_k_plus_one_lps(monkeypatch
         (Box((), ()), set()),  # 0-dimensional: a point
         (BoxUnion((Box((), ()),)), set()),
         (HPolyhedron(0, (((), F(1)),)), set()),
-        (C6_PART, set(REFUTE_MODES)),  # a finite subset: always sampled
-        (POINT_TWICE, set(CENTER_MODES)),
+        (C6_PART, set()),  # a finite subset: the gap decision's closest pair
+        (POINT_TWICE, set()),  # one point twice: a union that is a box
+        (TOUCHING, set()),  # [0,1]²∪[1,2]×[0,1], the box [0,2]×[0,1]: the span decision
     ],
 )
 def test_screen_applies_states_the_screens_reach(subset, modes):
     """The modes whose refute runs on the sampler: the center modes on a
-    connected union of two or more non-empty members and on a polyhedron
-    that is no box, and every mode on a finite subset.  Every path is
-    ``span``, ``gap`` or ``scalar``."""
+    connected union of two or more non-empty members that is no box and on
+    a polyhedron that is no box.  Every path is ``span``, ``gap`` or
+    ``scalar``."""
     paths = {mode: refute_path(subset, mode) for mode in REFUTE_MODES}
     assert set(paths.values()) <= {"span", "gap", "scalar"}
     assert {mode for mode, path in paths.items() if path == "scalar"} == modes
@@ -842,17 +863,6 @@ def test_every_exact_candidate_is_admissible(kind, mode, seed, index, level):
     assert all(subset.contains(b.center) for b in balls[len(balls) if start is None else start:])
 
 
-@pytest.mark.parametrize("mode", list(REFUTE_MODES))
-@settings(max_examples=40, deadline=None)
-@given(space_seed=st.integers(0, 10**6), seed=st.integers(0, 2**64 - 1),
-       index=st.integers(0, 10**6), level=st.integers(2, 6))
-def test_every_finite_candidate_is_admissible(mode, space_seed, seed, index, level):
-    space = random_metric(space_seed)
-    subset = FiniteSubset(space, tuple(range(0, space.size, 2)))
-    items = _finite_builder(subset, level, seed, REFUTE_MODES[mode])(index)
-    assert check_admissible(FiniteBallFamily(space, items, subset))
-
-
 def test_center_modes_on_a_polyhedron_leave_numpy_unloaded():
     probe = (
         "import sys; from hyperball.lab import refute_search; from hyperball.linf import Box; "
@@ -882,7 +892,7 @@ def test_span_decision_and_box_refutes_leave_numpy_unloaded():
     assert result.returncode == 0, result.stderr
 
 
-def test_screen_spares_the_exact_center_pull(monkeypatch):
+def test_only_the_sampler_pulls_centers_onto_the_subset(monkeypatch):
     import hyperball.lab as lab
 
     calls = []
@@ -1043,14 +1053,14 @@ def test_verify_refutation_checks_the_centers_of_its_mode(monkeypatch):
 
 
 def test_refute_finite_center_modes():
-    outside = 0
-    for seed in range(6):
-        hyper = refute_search(C6_PART, 3, 200, seed=seed, mode="hyperconvex")
-        weak = refute_search(C6_PART, 3, 200, seed=seed, mode="weakly-external")
-        assert all(c in C6_PART.indices for c, _ in hyper.certificate["balls"])
-        assert all(c in C6_PART.indices for c, _ in weak.certificate["balls"][1:])
-        outside += weak.certificate["balls"][0][0] not in C6_PART.indices
-    assert outside  # weakly-external draws ball 0 from the whole space
+    """C6_PART = {0, 2, 3} has the closest pair 2, 3 at distance 1, so every
+    mode reports B(2, 1/2) and B(3, 1/2), both centered in the subset."""
+    for mode, seed in product(REFUTE_MODES, range(3)):
+        report = refute_search(C6_PART, 3, 200, seed=seed, mode=mode)
+        assert (report.verdict, report.budget_used) == ("refuted", 1)
+        assert report.certificate["balls"] == ((2, F(1, 2)), (3, F(1, 2)))
+        assert "index" not in report.certificate
+        assert all(C6_PART.contains(c) for c, _ in report.certificate["balls"])
 
 
 def test_four_to_n_runs_on_finite_subset():

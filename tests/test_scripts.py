@@ -39,6 +39,10 @@ def test_refuter_sweep_covers_every_mode_with_a_rate(capsys):
     assert ("L-shaped union", "hyperconvex", "scalar") in paths
     gap = [row.split() for row in rows if row.startswith(f"{'gap union [0,1]+[65/64,2]':>28} ")]
     assert len(gap) == 15 and all(row[-5:-1] == ["refuted", "1", "2", "gap"] for row in gap[5:])
+    two = [row.split() for row in rows if row.startswith(f"{'two-point space':>28} ")]
+    assert len(two) == 15 and all(row[-5:-1] == ["refuted", "1", "2", "gap"] for row in two)
+    for mode in ("hyperconvex", "weakly-external"):
+        assert ("box union [0,2]x[0,1]", mode, "span") in paths
     assert ("diag half-plane x1+x2<=-1", "external", "span") in paths
     assert ("diag half-plane x1+x2<=-1", "hyperconvex", "scalar") in paths
 
