@@ -140,7 +140,9 @@ def check_admissible(family: LinfBallFamily | FiniteBallFamily) -> Admissibility
 
 
 def _require_nonempty(subset) -> None:
-    if not subset_nonempty(subset):
+    """``EmptySet`` unless the subset is non-empty; a half-space with a
+    non-zero normal is, with no LP."""
+    if getattr(subset, "_halfspace_row", None) is None and not subset_nonempty(subset):
         raise EmptySet("subset is empty")
 
 
@@ -347,7 +349,8 @@ def refute_path(subset, mode: str) -> str:
 def _route(subset, mode: str):
     """(``refute_path``'s answer, what the decision needs: the gap
     decision's balls on ``"gap"``, on a polyhedron the row that fails the
-    box test, else None), so that a refute tests once."""
+    box test, on a union that the grid walk proved a box no point left to
+    test, else None), so that a refute tests once."""
     boxes = getattr(subset, "boxes", None)
     external = REFUTE_MODES[mode] is None
     if boxes is None:
@@ -364,7 +367,7 @@ def _route(subset, mode: str):
     balls = _gap_balls(members)
     if balls is None:  # connected: a box, or the sampler's
         box = all(subset.contains(p) for _, _, p in _union_points(members))
-        return "span" if box else "scalar", None
+        return ("span", ()) if box else ("scalar", None)
     return "gap", balls
 
 
@@ -462,17 +465,18 @@ def _failing_row(p):
     return None
 
 
-def _span_points(subset, row):
-    """The (a1, a2, p) the span decision tests, none on a box or a finite
-    subset; raises ``EmptySet`` on an empty box or union.  ``row`` is a
-    polyhedron's row that fails the box test (see `_route`).  On a·x <= b
-    with first non-zero entries a_i, a_j and q = (b/a_i)·e_i, the points
-    q ± (e_i/a_i - e_j/a_j) of the hyperplane span p = q + e_i/a_i +
-    e_j/a_j, where a·p = b + 2."""
+def _span_points(subset, found):
+    """The (a1, a2, p) the span decision tests, given what `_route` found:
+    none on a box, a finite subset or a union that `_route` proved a box
+    (it found no point left to test); raises ``EmptySet`` on an empty box
+    or union.  On a polyhedron ``found`` is the row that fails the box
+    test, if any.  On a·x <= b with first non-zero entries a_i, a_j and
+    q = (b/a_i)·e_i, the points q ± (e_i/a_i - e_j/a_j) of the hyperplane
+    span p = q + e_i/a_i + e_j/a_j, where a·p = b + 2."""
     if getattr(subset, "boxes", None) is not None:
         _require_nonempty(subset)
-        return _union_points([b for b in subset.boxes if not b.is_empty()])
-    if row is None:
+        return _union_points([b for b in subset.boxes if not b.is_empty()]) if found is None else found
+    if found is None:
         return ()
     (a, b), = subset.rows
     i, j = [k for k, v in enumerate(a) if v][:2]

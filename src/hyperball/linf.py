@@ -7,13 +7,15 @@ arithmetic, which is the fast exact path everything else cross-checks
 against.  Distances, ball tests and the balls' box run on integers over
 one common denominator (the lcm of every denominator involved), so they
 compare integers and build a Fraction only for a returned distance or
-box side.
+box side.  ``within_balls`` tests a point against a whole ball family in
+one such pass, reading each ball's integer form, which a ball builds once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Any, Mapping, Sequence
 
@@ -45,6 +47,31 @@ def linf_within(p: Point, q: Point, *bounds: Fraction) -> bool:
     return R >= 0
 
 
+def within_balls(p: Point, balls: Sequence["Ball"], slack: Fraction) -> bool:
+    """Whether p lies in every ball inflated by slack: the verdict of
+    ``linf_within(p, b.center, b.radius, slack)`` over all the balls (True
+    on none), with its ``DimMismatch`` on any ball of another dimension.
+    p and the slack are scaled once to the common denominator L of p, the
+    slack and every ball's integer form, then only integers compare: no
+    Fraction is built."""
+    for b in balls:
+        if len(b.center) != len(p):
+            raise DimMismatch(f"points of dim {len(p)} and {len(b.center)}")
+    forms = [b._integer_form for b in balls]
+    L = lcm(slack.denominator, *[v.denominator for v in p], *[D for D, _, _ in forms])
+    P = [v.numerator * (L // v.denominator) for v in p]
+    S = slack.numerator * (L // slack.denominator)
+    for D, C, R in forms:
+        f = L // D
+        reach = R * f + S
+        if reach < 0:
+            return False
+        for x, c in zip(P, C):
+            if abs(x - c * f) > reach:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class Ball:
     """Closed ball B(center, radius) of the max norm."""
@@ -66,6 +93,14 @@ class Ball:
 
     def contains(self, p: Point) -> bool:
         return linf_within(self.center, p, self.radius)
+
+    @cached_property
+    def _integer_form(self) -> tuple[int, tuple[int, ...], int]:
+        """(D, C, R) with center C/D and radius R/D, D the lcm of their
+        denominators; built once, not a dataclass field (``within_balls``)."""
+        D = lcm(self.radius.denominator, *[c.denominator for c in self.center])
+        return (D, tuple(c.numerator * (D // c.denominator) for c in self.center),
+                self.radius.numerator * (D // self.radius.denominator))
 
 
 @dataclass(frozen=True)

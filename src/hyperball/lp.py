@@ -27,8 +27,8 @@ p's zero piece at a point of p, else a kept basis (``_dist_at``), else a
 fresh LP's.  The times of a segment at which one piece passes form an
 interval, so it answers each stretch between two such times, inside p as
 well (``dists_along_segment``).  A nearest point always comes from a fresh
-LP.  A half-space's distance is a closed form, and so is the proof that a
-box misses it (``halfspace_misses_box``).
+LP.  A half-space's distance, at a point or along a segment, is a closed
+form, and so is the proof that a box misses it (``halfspace_misses_box``).
 
 A polyhedron also caches its extent: per coordinate, the least and the
 greatest value over the set, or None on an unbounded side
@@ -696,18 +696,25 @@ def dists_along_segment(p: HPolyhedron, x: Point, y: Point, n: int,
     functions of k, so the times at which the piece passes form an
     interval.  Bisection over the later times, the last one first, finds
     its end, and every time up to it is answered as W_0.(q', X(k))/(D.q').
-    n must be at least 1, so that q' > 0."""
+    A half-space a'.x <= b' takes `HPolyhedron.dist`'s closed form
+    max(0, a'.X(k) - b'.q')/(q'.|a'|_1) at every time, with no LP and no
+    piece.  n must be at least 1, so that q' > 0."""
     if n < 1:
         raise InvalidArgument(f"segment steps n must be >= 1, got {n}")
     if len(x) != p.dim or len(y) != p.dim:
         raise DimMismatch("point dim does not match polyhedron dim")
     q, XY = _common_denominator((*x, *y))
     q1, X, S = n * q, [n * u for u in XY[:p.dim]], [v - u for u, v in zip(XY, XY[p.dim:])]
+    ks = sorted(set(ks))
+    if p._halfspace_row is not None:
+        _, a, b = p._halfspace_row
+        base, slope, scale = _dot(a, X) - b * q1, _dot(a, S), q1 * sum(map(abs, a))
+        return {k: Fraction(max(0, base + k * slope), scale) for k in ks}
 
     def at(k):
         return (q1, *(u + k * v for u, v in zip(X, S)))
 
-    ks, dists, i = sorted(set(ks)), {}, 0
+    dists, i = {}, 0
     while i < len(ks):
         dists[ks[i]], (*piece, _) = _dist_at(p, q1, at(ks[i])[1:])  # piece: (W, y, D)
         W, _, D = piece

@@ -31,7 +31,7 @@ from typing import Any, Callable, Mapping
 
 from .errors import HyperballError, InvalidArgument
 from .lab import LinfBallFamily, NotAdmissible, _require_admissible
-from .linf import Ball, Box, Point, balls_box, linf_dist, linf_within
+from .linf import Ball, Box, Point, balls_box, linf_dist, linf_within, within_balls
 from .sets import pair_witness, subset_dist, subset_witness_in_box
 
 
@@ -62,15 +62,17 @@ class EpsOracle:
 
     def ask(self, balls: tuple[Ball, ...], slack: Fraction, call: int) -> Point:
         """The query's answer, or ``OracleFailure`` at ``call`` if it breaks
-        the contract; ``InvalidArgument`` if asked more balls than ``level``."""
+        the contract; ``InvalidArgument`` if asked more balls than ``level``.
+        All the balls are tested in one integer pass; only a miss tests them
+        one by one, to name the first ball missed."""
         if len(balls) > self.level:
             raise InvalidArgument(f"oracle contract does not cover {len(balls)} balls (level {self.level})")
         p = self.query(balls, slack)
         if p is None:
             raise OracleFailure(call, "no point returned")
-        for b in balls:
-            if not linf_within(p, b.center, b.radius, slack):
-                raise OracleFailure(call, f"outside inflated ball around {b.center}")
+        if not within_balls(p, balls, slack):
+            missed = next(b for b in balls if not linf_within(p, b.center, b.radius, slack))
+            raise OracleFailure(call, f"outside inflated ball around {missed.center}")
         if self.subset is not None and not self.subset.contains(p):
             raise OracleFailure(call, "point not in subset")
         return p
@@ -89,14 +91,14 @@ def _grown_witness(subset, balls: tuple[Ball, ...], box: Box, slack: Fraction) -
 def exact_subset_oracle(subset, level: int = 64) -> EpsOracle:
     """Oracle backed by the subset's exact witness search: returned points
     satisfy the *uninflated* constraints whenever that is possible.  The
-    last ball's center is the answer when it lies in the subset and in
-    every ball, as each later ask of ``almost_to_exact`` is centred on an
-    answer; otherwise the box search runs.  With subset None it answers
-    over the whole max-norm space."""
+    last ball's center is the answer when it lies in every ball (one
+    integer pass) and then in the subset, as each later ask of
+    ``almost_to_exact`` is centred on an answer; otherwise the box search
+    runs.  With subset None it answers over the whole max-norm space."""
 
     def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
         center = balls[-1].center
-        if (subset is None or subset.contains(center)) and all(b.contains(center) for b in balls):
+        if within_balls(center, balls, 0) and (subset is None or subset.contains(center)):
             return center
         box = balls_box(balls)
         hit = _grown_witness(subset, balls, box, Fraction(0))

@@ -326,14 +326,14 @@ def test_a_segment_around_a_corner_solves_each_piece_once(monkeypatch):
 
 
 def test_segment_distances_beyond_float_range_come_from_stretches(monkeypatch):
-    # No float holds these points or the half-plane's dual bound; the kept
-    # pieces are ranked in integers, so each segment's one stretch costs one
-    # LP, the half-plane keeps its piece, and a second far segment on it
-    # runs no LP.
+    # No float holds these points or the quarter-plane's dual bound; the
+    # kept pieces are ranked in integers, so each segment's one stretch
+    # costs one LP, the quarter-plane keeps its piece, and a second far
+    # segment on it runs no LP.
     big = F(10**400)
     looked, solves = _spy_lookups(monkeypatch)
     square = box_to_polyhedron(Box(pt(0, 0), pt(1, 1)))
-    far = HPolyhedron(2, ((pt(1, 0), big),))
+    far = HPolyhedron(2, ((pt(1, 0), big), (pt(0, 1), big)))
     for poly, x, y, lps in ((square, pt(big, 0), pt(big + 5, F(1, 2)), 1),
                             (far, pt(10 * big, 0), pt(10 * big - 3, 1), 1),
                             (far, pt(7 * big, 2), pt(8 * big, -5), 0)):
@@ -342,6 +342,21 @@ def test_segment_distances_beyond_float_range_come_from_stretches(monkeypatch):
         assert len(looked) == 1 and len(solves) == lps
         assert along == {k: dist_to_polyhedron(sigma(x, y, F(k, N)), poly)[0] for k in range(N + 1)}
     assert len(far._pieces) == 1
+
+
+@pytest.mark.parametrize("poly, x, y", [
+    (halfspace([1, 1], -1), pt(2, 3), pt(-5, 1)),
+    (halfspace([1, -2, 1], F(1, 3)), pt(-4, 1, 9), pt(F(7, 3), -2, 0)),
+    (HPolyhedron(2, ((pt(1, 0), F(10**400)),)), pt(10**401, 0), pt(10**401 - 3, 1)),
+    (halfspace([F(-3, 4), 0], F(5, 2)), pt(-9, F(1, 3)), pt(4, -7)),
+])
+def test_half_space_segment_distances_are_a_closed_form(poly, x, y, monkeypatch):
+    # A one-row polyhedron with a non-zero normal answers every time from
+    # its row: no LP, no piece lookup, nothing kept.
+    looked, solves = _spy_lookups(monkeypatch)
+    along = poly.dists_along(x, y, N, range(-3, N + 4))
+    assert not looked and not solves and not poly._pieces
+    assert along == {k: poly.dist(_on_line(x, y, k, N)) for k in range(-3, N + 4)}
 
 
 def test_a_corrupt_piece_that_passes_at_one_time_answers_no_other(monkeypatch):

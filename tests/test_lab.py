@@ -157,6 +157,29 @@ def test_external_witness_diag_halfspace():
     assert w[0] + w[1] <= -1
 
 
+def test_only_a_non_zero_normal_spares_the_non_emptiness_lp(monkeypatch):
+    """A row 0.x <= b is the whole space or empty: ``external_witness``
+    decides which with the non-emptiness LP before its search, and raises
+    ``EmptySet`` after that LP alone on an empty one."""
+    import hyperball.lp as lp
+
+    feasibility, real = [], lp._solve
+
+    def solve(rows, dim, objective=None, **kwargs):
+        if objective is None:
+            feasibility.append(len(rows))
+        return real(rows, dim, objective, **kwargs)
+
+    monkeypatch.setattr(lp, "_solve", solve)
+    family = LinfBallFamily((Ball(pt(0, 0), F(1)), Ball(pt(1, 1), F(1))))
+    assert external_witness(halfspace([0, 0], 1), family).feasible
+    assert feasibility == [1, 1 + 2 * 2]
+    del feasibility[:]
+    with pytest.raises(EmptySet):
+        external_witness(halfspace([0, 0], -1), family)
+    assert feasibility == [1]
+
+
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_external_search_on_a_halfspace_is_one_lp_over_the_balls_box(monkeypatch, k):
     """The balls enter the search as their box: one feasibility LP on the
@@ -175,7 +198,7 @@ def test_external_search_on_a_halfspace_is_one_lp_over_the_balls_box(monkeypatch
     balls = tuple(Ball(pt(j, -j - 1), F(k)) for j in range(k))  # centers on the boundary
     result = external_witness(DIAG, LinfBallFamily(balls))
     assert result.feasible and DIAG.contains(result.witness)
-    assert feasibility == [1, 1 + 2 * DIAG.dim]  # the non-emptiness check, then the search
+    assert feasibility == [1 + 2 * DIAG.dim]  # the search: a non-zero normal shows non-emptiness
     # Balls whose box misses the half-space: the box's lowest corner for
     # x1 + x2 decides, with 1 on the row and on both lower box rows.
     del feasibility[:]
@@ -422,6 +445,20 @@ def test_external_mode_and_boxes_never_reach_the_sampler(monkeypatch):
     for subset, mode in product((FiniteSubset(C6, (2, 2)), TOUCHING), CENTER_MODES):
         report = refute_search(subset, 4, 100, seed=1, mode=mode)
         assert (report.verdict, report.budget_used) == ("inconclusive", 100)
+
+
+def test_a_union_that_is_a_box_walks_its_grid_once(monkeypatch):
+    """[0,1]² ∪ [1,2]×[0,1] is the box [0,2]×[0,1]: in the center modes the
+    route's grid walk proves it and the span decision tests no point again,
+    so every mode makes the 2 membership tests of the one walk and stays
+    inconclusive with the budget spent."""
+    tests, real = [], BoxUnion.contains
+    monkeypatch.setattr(BoxUnion, "contains", lambda self, p: tests.append(p) or real(self, p))
+    for mode in REFUTE_MODES:
+        del tests[:]
+        report = refute_search(TOUCHING, 4, 100, seed=1, mode=mode)
+        assert (report.verdict, report.budget_used) == ("inconclusive", 100), mode
+        assert len(tests) == 2, mode
 
 
 def _polyhedron_corpus():

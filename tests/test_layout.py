@@ -337,8 +337,9 @@ def test_lp_kernel_and_certificate_checks_build_no_fraction():
 
 
 def test_oracle_ball_tests_compare_integers():
-    # The oracle's hit test and contract re-check go through linf_within, the
-    # ball test on integers over one common denominator, never linf_dist.
+    # The oracle's hit test and contract check test every ball in one pass
+    # with within_balls, on integers over one common denominator, never
+    # linf_dist; the contract check names a missed ball with linf_within.
     from hyperball import linf, refine
 
     def names(obj):
@@ -347,9 +348,10 @@ def test_oracle_ball_tests_compare_integers():
 
     for fn in (refine.EpsOracle.ask, refine.exact_subset_oracle):
         assert "linf_dist" not in names(fn), fn.__name__
+        assert "within_balls" in _called_names(fn), fn.__name__
     assert "linf_within" in names(refine.EpsOracle.ask)
     assert "linf_within" in names(linf.Ball.contains)
-    for fn in (linf.Ball.contains, linf.linf_within):
+    for fn in (linf.Ball.contains, linf.linf_within, linf.within_balls, linf.Ball._integer_form.func):
         assert "Fraction" not in _called_names(fn), fn.__name__
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from hyperball.linf import (
     linf_dist,
     linf_within,
     sigma,
+    within_balls,
 )
 from hyperball.rng import SplitMix64
 
@@ -72,6 +75,45 @@ def test_integer_kernel_matches_the_fraction_reference(data):
                  lambda: balls[0].contains(longer), lambda: balls_box(balls + [Ball(longer, Fraction(1))])):
         with pytest.raises(DimMismatch):
             call()
+
+
+def test_one_pass_ball_test_matches_the_per_ball_loop():
+    """On 2,000 seeded asks (dims 0-4, 0-5 balls, slacks zero, positive and
+    negative), ``within_balls`` gives the verdict of ``linf_within`` ball
+    by ball, and both raise ``DimMismatch`` on a ball of another dim."""
+    rng = random.Random(42)
+
+    def value(spread):
+        return Fraction(rng.randint(-spread, spread), rng.choice((1, 2, 3, 4, 8, 9, 1024)))
+
+    verdicts = set()
+    for _ in range(2000):
+        dim = rng.randint(0, 4)
+        balls = [Ball(tuple(value(24) for _ in range(dim)), abs(value(24))) for _ in range(rng.randint(0, 5))]
+        p = tuple(value(24) for _ in range(dim))
+        if balls and rng.random() < 0.5:  # near a ball's side, so both verdicts come up
+            b = rng.choice(balls)
+            p = tuple(c + rng.choice((-1, 1)) * b.radius + value(1) / 16 for c in b.center)
+        slack = rng.choice((Fraction(0), abs(value(4)), -abs(value(4))))
+        expected = all(linf_within(p, b.center, b.radius, slack) for b in balls)
+        assert within_balls(p, balls, slack) == expected, (p, balls, slack)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+    p = pt(0, 0)
+    for balls in ([Ball(pt(0, 0, 0), F(1))], [Ball(pt(0, 0), F(1)), Ball(pt(0), F(1))]):
+        with pytest.raises(DimMismatch):
+            all(linf_within(p, b.center, b.radius, F(0)) for b in balls)
+        with pytest.raises(DimMismatch):
+            within_balls(p, balls, F(0))
+
+
+def test_a_balls_integer_form_is_no_field_and_changes_nothing():
+    ball, twin = Ball(pt(F(1, 2), F(-3, 4)), F(5, 6)), Ball(pt(F(1, 2), F(-3, 4)), F(5, 6))
+    before = (hash(ball), repr(ball))
+    assert ball._integer_form == (12, (6, -9), 10)
+    assert [f.name for f in dataclasses.fields(Ball)] == ["center", "radius"]
+    assert (hash(ball), repr(ball)) == before and ball == twin and hash(twin) == before[0]
+    assert dataclasses.replace(ball) == ball and dataclasses.astuple(ball) == dataclasses.astuple(twin)
 
 
 def test_ball_intersection_witness_is_lowest_corner():

@@ -99,6 +99,17 @@ def test_oracle_contract_is_exact_at_halving_denominators():
         assert failure.value.step == 39
 
 
+def test_a_breach_names_the_first_ball_missed():
+    """All the balls are tested in one pass; a miss then names the first
+    ball, in asked order, that the answer lies outside."""
+    balls = (Ball(pt(0, 0), F(2)), Ball(pt(3, 1), F(2)), Ball(pt(9, 9), F(1)))
+    for answer, missed in ((pt(0, -2), "(Fraction(3, 1), Fraction(1, 1))"),
+                           (pt(2, 1), "(Fraction(9, 1), Fraction(9, 1))")):
+        with pytest.raises(OracleFailure) as failure:
+            EpsOracle(lambda balls, slack: answer, 3, None).ask(balls, F(1, 4), 7)
+        assert str(failure.value) == f"oracle contract violated at call 7: outside inflated ball around {missed}"
+
+
 def test_almost_to_exact_rejects_inadmissible():
     balls = (Ball(pt(0, 0), F(1)), Ball(pt(9, 0), F(1)))
     with pytest.raises(NotAdmissible):
