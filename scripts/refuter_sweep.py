@@ -1,24 +1,25 @@
 #!/usr/bin/env python3
 """Sweep the refuter over the standard fixtures, all three modes and levels
-2..6, and print for each row the path it ran on (``span``, ``gap`` or
-``scalar``, as ``lab.refute_path`` names it) and its candidates (or tested
-points) per second.
+2..6, and print for each row the path it ran on (``span``, ``gap``,
+``reflex`` or ``scalar``, as ``lab.refute_path`` names it) and its
+candidates (or decisions) per second.
 
 Boxes stay inconclusive at every level and in every mode (they are
 hyperconvex), the union [0,1]² ∪ [1,2]×[0,1], itself the box [0,2]×[0,1],
-included; the other unions and the half-spaces with two non-zero entries
-are refuted in ``external`` mode, by two balls after a point or two.  The
-span decision answers the boxes in every mode, the unit square written as
-4 rows and the box union included (a polyhedron's box test reads its
-cached extent), and the unions and the half-spaces in ``external`` mode.  The gap decision answers the
-disconnected unions' center modes with two balls for one unit of budget,
-the gap of 1/64 in [0, 1] ∪ [65/64, 2], narrower than the sampler's grid
-step, included, and every mode on the two-point space with d(0, 1) = 1,
-by the balls of radius 1/2 on its two points.  The center modes on the
-connected L-shaped union and on the half-spaces, and every mode on the
-unbounded 3-d 4-row polyhedron, show the rate of the exact scalar path.
-Those rows cost milliseconds per candidate and take the smaller of
-``--budget`` and ``--scalar-budget``."""
+included.  The span decision answers the boxes in every mode, the unit
+square written as 4 rows included (a polyhedron's box test reads its
+cached extent), and refutes the half-spaces with two non-zero entries in
+``external`` mode by two balls.  The gap decision answers the disconnected
+unions in every mode with two balls for one unit of budget, the gap of
+1/64 in [0, 1] ∪ [65/64, 2], narrower than the sampler's grid step,
+included, and the two-point space with d(0, 1) = 1, by the balls of
+radius 1/2 on its two points.  The reflex decision answers the connected
+unions in every mode: it refutes the L-shaped union for one unit of
+budget, and finds no pair on the box union, which spends the budget.  The
+center modes on the half-spaces, and every mode on the unbounded 3-d
+4-row polyhedron, show the rate of the exact scalar path.  Those rows cost
+milliseconds per candidate and take the smaller of ``--budget`` and
+``--scalar-budget``."""
 
 import argparse
 import time

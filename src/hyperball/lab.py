@@ -8,7 +8,9 @@ search differs by subset kind: enumeration, or ``subset_witness_in_box``.
 
 Certificates are the contract: a refutation always carries a ball family
 that re-verifies exactly (admissible, intersection certified empty), and a
-randomized search that finds nothing reports "inconclusive", never "holds".
+search that finds nothing reports "inconclusive", never "holds".  The
+refuter decides boxes, box unions and finite subsets in closed form, and
+samples polyhedra alone.
 """
 
 from __future__ import annotations
@@ -231,14 +233,13 @@ def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
 # ---------------------------------------------------------------------------
 # Randomized refuter
 #
-# Sampling recipe (deterministic in (seed, candidate index)) on the subsets
-# the span and gap decisions below leave, all of them max-norm sets, built
-# exactly by ``_scalar_candidate``:
+# Sampling recipe on the polyhedra that no decision below answers, built
+# exactly by ``_scalar_candidate`` and deterministic in (seed, index):
 #   slot 0                          family size k in [2, level]
 #   slots 1 .. level*dim            center grid indices (first k*dim used)
 #   next level slots                radius offsets in grid steps (first k used)
 #   next level slots                tightening-order keys (first k used)
-# Centers live on a dyadic grid over the subset's bounding window inflated by
+# Centers live on a dyadic grid over the polyhedron's window inflated by
 # the arena scale E (the window diameter rounded up to a power of two); the
 # grid step is E / 2**GRID_BITS.  Radii start at d(center, subset) plus an
 # offset of up to RADIUS_STEPS grid steps, then every radius is shrunk to its
@@ -247,9 +248,9 @@ def _family(subset, balls: Sequence) -> LinfBallFamily | FiniteBallFamily:
 # mode's start index on then move to their nearest points of the subset, and
 # every radius is tightened again in index order, with floor 0 for them.  A
 # pulled center's nearest point gives its target and floor; every other floor
-# is a distance query, which a polyhedron answers from its kept LP pieces.  A
-# candidate is thus admissible by construction and refutes when its
-# intersection with the subset is empty.
+# is a distance, answered from the polyhedron's kept LP pieces.  A candidate
+# is thus admissible by construction and refutes when its intersection with
+# the subset is empty.
 
 GRID_BITS = 3
 RADIUS_STEPS = 8
@@ -335,40 +336,37 @@ def _scalar_candidate(subset, arena: _Arena, seed: int, index: int, start: int |
 
 def refute_path(subset, mode: str) -> str:
     """The path ``refute_search`` takes: ``"span"`` (the span decision below)
-    in every mode on a box, a union that is a box, a polyhedron that is a
-    box and a finite subset of one distinct point, and in ``external`` mode
-    on any union and on a one-row half-space with a non-zero normal;
-    ``"gap"`` (the gap decision below) in every mode on a finite subset of
-    two or more distinct points, and in a center mode on a disconnected
-    union; else ``"scalar"`` (the sampler).  A polyhedron other than such a
-    half-space is tested on its cached extent, so an empty one raises
-    ``EmptySet``, as an empty finite subset does."""
+    in every mode on a box, a union of one non-empty member, a polyhedron
+    that is a box and a finite subset of one distinct point, and in
+    ``external`` mode on a one-row half-space with a non-zero normal;
+    ``"gap"`` (the gap decision below) in every mode on a disconnected union
+    and a finite subset of two or more distinct points; ``"reflex"`` (the
+    reflex decision below) in every mode on a connected union of two or more
+    non-empty members; else ``"scalar"`` (the sampler, on polyhedra alone).
+    An empty subset raises ``EmptySet``, a polyhedron by its extent."""
     return _route(subset, mode)[0]
 
 
 def _route(subset, mode: str):
-    """(``refute_path``'s answer, what the decision needs: the gap
-    decision's balls on ``"gap"``, on a polyhedron the row that fails the
-    box test, on a union that the grid walk proved a box no point left to
-    test, else None), so that a refute tests once."""
+    """(``refute_path``'s answer, the decision's two balls or None), so
+    that a refute decides once."""
     boxes = getattr(subset, "boxes", None)
-    external = REFUTE_MODES[mode] is None
     if boxes is None:
         if getattr(subset, "rows", None) is None:  # a finite subset
             _require_nonempty(subset)
             balls = _closest_pair(subset)
             return "span" if balls is None else "gap", balls
-        row = _failing_row(subset)
-        decided = row is None or external and subset._halfspace_row is not None
-        return "span" if decided else "scalar", row
+        if _failing_row(subset) is None:
+            return "span", None
+        if REFUTE_MODES[mode] is None and subset._halfspace_row is not None:
+            return "span", _span_balls(subset)
+        return "scalar", None
+    _require_nonempty(subset)
     members = [b for b in boxes if not b.is_empty()]
-    if external or len(members) < 2:
+    if len(members) < 2:
         return "span", None
     balls = _gap_balls(members)
-    if balls is None:  # connected: a box, or the sampler's
-        box = all(subset.contains(p) for _, _, p in _union_points(members))
-        return ("span", ()) if box else ("scalar", None)
-    return "gap", balls
+    return ("reflex", _reflex_balls(members)) if balls is None else ("gap", balls)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +428,58 @@ def _closest_pair(subset: FiniteSubset):
 
 
 # ---------------------------------------------------------------------------
+# Reflex decision
+#
+# Cut each axis of a connected union U of boxes at the member sides: U's
+# membership is constant on each cell, and the grid of the sides and their
+# neighbours' midpoints holds a point of each.  With eps a quarter of the
+# least gap between two sides on one axis, take a grid point v, axes i < j,
+# signs s_i, s_j and a1 = v + s_i.eps.e_i, a2 = v + s_j.eps.e_j in U.
+# B(a1, eps/2) and B(a2, eps/2), centered in U, meet only in a box around
+# c = (a1 + a2)/2, flat on axes i and j, which meets U iff c does: the only
+# sides within eps/2 of c pass through v.  If c is not in U, the balls (a
+# "reflex pair") refute U in every mode.
+#
+# Lemma: a connected U with no reflex pair is a box.  Within eps of v, U is
+# v + R^F x K, F the axes on which v is a midpoint and K a union of product
+# cones (factors R, [0, oo), (-oo, 0] or {0}), one per member holding v; the
+# pair's box misses U iff no member cone holds s_i.e_i and s_j.e_j.  If U
+# is not locally convex, take a cell of greatest dimension where it is not,
+# with grid point v: K is not convex, but is locally convex at each e_k in
+# K, as v + delta.e_k lies in a larger cell.  So the cones through e_k form
+# one product cone, which with no reflex pair holds every axis direction of
+# K off axis k (likewise for -e_k).  Hence K is the cone its axis directions
+# span, which is convex: a contradiction.  So U is locally convex, hence
+# convex (Tietze-Nakajima), and a convex union of boxes is a box.
+
+
+def _reflex_balls(members):
+    """The first reflex pair of the union of ``members``, or None.  Grid
+    value 2t on an axis is its t-th side and 2t + 1 the midpoint after it;
+    near a point that one member holds U is that member, so only the points
+    two members hold are tried, in product order."""
+    sides = [sorted({v for b in members for v in (b.lo[k], b.hi[k])}) for k in range(members[0].dim)]
+    spans = [[(2 * s.index(lo), 2 * s.index(hi)) for s, lo, hi in zip(sides, b.lo, b.hi)] for b in members]
+
+    def holds(cell):
+        return any(all(lo <= c <= hi for (lo, hi), c in zip(span, cell)) for span in spans)
+
+    shared = {g for first, second in combinations(spans, 2) for g in product(
+        *(range(max(l1, l2), min(h1, h2) + 1) for (l1, h1), (l2, h2) in zip(first, second)))}
+    axes, signs = combinations(range(len(sides)), 2), product((-1, 1), repeat=2)
+    for g, (i, j), (si, sj) in product(sorted(shared), axes, signs):
+        a1, a2, c = list(g), list(g), list(g)
+        a1[i] = c[i] = g[i] + si * (1 - g[i] % 2)  # eps off a side, or within a midpoint's cell
+        a2[j] = c[j] = g[j] + sj * (1 - g[j] % 2)
+        if holds(a1) and holds(a2) and not holds(c):
+            eps = Fraction(min(v - u for s in sides for u, v in zip(s, s[1:]))) / 4
+            v = [Fraction(s[t // 2] + s[(t + 1) // 2], 2) for s, t in zip(sides, g)]
+            return tuple(Ball(tuple(x + (k == m) * sign * eps for k, x in enumerate(v)), eps / 2)
+                         for m, sign in ((i, si), (j, sj)))
+    return None
+
+
+# ---------------------------------------------------------------------------
 # Span decision
 #
 # A closed subset of (R^d, max norm) is externally hyperconvex iff it is a
@@ -441,8 +491,7 @@ def _closest_pair(subset: FiniteSubset):
 # meet only at p refute it in ``external`` mode.  A polyhedron P lies in its
 # bounding box, the product of its coordinate ranges, so it is a box iff
 # every row holds at its worst corner of that box; the ranges are P's cached
-# extent (``HPolyhedron._extent``).  A P that is no box, other than a
-# half-space in ``external`` mode, stays on the sampler.
+# extent (``HPolyhedron._extent``).
 
 
 def _failing_row(p):
@@ -465,19 +514,13 @@ def _failing_row(p):
     return None
 
 
-def _span_points(subset, found):
-    """The (a1, a2, p) the span decision tests, given what `_route` found:
-    none on a box, a finite subset or a union that `_route` proved a box
-    (it found no point left to test); raises ``EmptySet`` on an empty box
-    or union.  On a polyhedron ``found`` is the row that fails the box
-    test, if any.  On a·x <= b with first non-zero entries a_i, a_j and
-    q = (b/a_i)·e_i, the points q ± (e_i/a_i - e_j/a_j) of the hyperplane
-    span p = q + e_i/a_i + e_j/a_j, where a·p = b + 2."""
-    if getattr(subset, "boxes", None) is not None:
-        _require_nonempty(subset)
-        return _union_points([b for b in subset.boxes if not b.is_empty()]) if found is None else found
-    if found is None:
-        return ()
+def _span_balls(subset):
+    """The span decision's two balls on a half-space a·x <= b whose first
+    non-zero entries are a_i, a_j.  With q = (b/a_i)·e_i, the points a1, a2 =
+    q ± (e_i/a_i - e_j/a_j) of the hyperplane span p = q + e_i/a_i + e_j/a_j,
+    where a·p = b + 2.  B(p + R·s, R) holds a1 and B(p - R·s, R) holds a2,
+    and they meet only at p: R = max(|a1 - p|, |a2 - p|)/2 and s_k the sign
+    of a1_k - p_k, else minus that of a2_k - p_k, else +1."""
     (a, b), = subset.rows
     i, j = [k for k, v in enumerate(a) if v][:2]
 
@@ -485,28 +528,7 @@ def _span_points(subset, found):
         x = {i: Fraction(b + ti) / a[i], j: Fraction(tj) / a[j]}
         return tuple(x.get(k, Fraction(0)) for k in range(len(a)))
 
-    return ((point(1, -1), point(-1, 1), point(1, 1)),)
-
-
-def _union_points(members):
-    """Pair by pair, the grid of the box spanning both members, each axis cut
-    at the midpoints between the member sides inside it (or at the side of a
-    flat axis), with p's clamps onto the pair: if no grid point lies outside
-    the union, no point of the span box does."""
-    sides = [sorted({v for b in members for v in (b.lo[k], b.hi[k])}) for k in range(members[0].dim)]
-    for first, second in combinations(members, 2):
-        axes = []
-        for cuts, lo, hi in zip(sides, map(min, first.lo, second.lo), map(max, first.hi, second.hi)):
-            inside = [v for v in cuts if lo <= v <= hi]
-            axes.append([Fraction(u + v, 2) for u, v in zip(inside, inside[1:])] or inside)
-        for p in product(*axes):
-            yield first.clamp(p), second.clamp(p), p
-
-
-def _span_balls(a1: Point, a2: Point, p: Point) -> tuple[Ball, Ball]:
-    """B(p + R·s, R) holds a1 and B(p - R·s, R) holds a2, and they meet only
-    at p, for p in the span box of a1 and a2: R = max(|a1 - p|, |a2 - p|)/2
-    and s_k the sign of a1_k - p_k, else minus that of a2_k - p_k, else +1."""
+    a1, a2, p = point(1, -1), point(-1, 1), point(1, 1)
     R = max(linf_dist(a1, p), linf_dist(a2, p)) / 2
     s = [(u > c) - (u < c) or (c > w) - (c < w) or 1 for u, w, c in zip(a1, a2, p)]
     return Ball(tuple(c + R * t for c, t in zip(p, s)), R), Ball(tuple(c - R * t for c, t in zip(p, s)), R)
@@ -516,13 +538,12 @@ def refute_search(
     subset, level: int, budget: int, seed: int, mode: str = "external"
 ) -> PropertyReport:
     """Search for admissible families with empty intersection, on the path
-    ``refute_path`` names.  The span and gap decisions build no arena and
-    draw no candidate: each point the span decision tests spends one unit
-    of the budget, and the first p outside the subset gives two balls; the
-    gap decision's two balls spend one.  The sampler (see the recipe above)
-    tries candidates 0, 1, ..., each a pure function of the seed and its
-    index built exactly by ``_scalar_candidate``, and runs the witness
-    search on each.  A found family is re-verified exactly.
+    ``refute_path`` names.  The span, gap and reflex decisions build no
+    arena and draw no candidate: their two balls spend one unit of the
+    budget, and a decision that finds none spends it all.  The sampler (see
+    the recipe above) tries candidates 0, 1, ..., each a pure function of
+    the seed and its index built exactly by ``_scalar_candidate``, and runs
+    the witness search on each.  A found family is re-verified exactly.
     """
     if mode not in REFUTE_MODES:
         raise InvalidArgument(f"unknown mode {mode!r}")
@@ -531,14 +552,11 @@ def refute_search(
     if budget < 0:
         raise InvalidArgument("budget must be >= 0")
     path, found = _route(subset, mode)
-    if path == "span":
-        points = zip(range(budget), _span_points(subset, found))
-        candidates = ((i, _span_balls(*t)) for i, t in points if not subset.contains(t[2]))
-    elif path == "gap":
-        candidates = [(0, found)]
-    else:
+    if path == "scalar":
         arena, start = _build_arena(subset, level), REFUTE_MODES[mode]
         candidates = ((i, _scalar_candidate(subset, arena, seed, i, start)) for i in range(budget))
+    else:
+        candidates = [] if found is None else [(0, found)]
     if budget == 0:
         return PropertyReport(INCONCLUSIVE, seed=seed, budget_used=0, notes=("budget exhausted",))
     for index, balls in candidates:
@@ -765,9 +783,9 @@ def uniform_local_external_sample(
 ) -> PropertyReport:
     """Uniform local external hyperconvexity: around each probe point of the
     subset, refute the subset's part in the ball window B(probe, radius),
-    which holds the probe and so is never empty.  Exact on box unions and on
-    polyhedra whose parts are boxes (the span decision answers them); sampled
-    on every other polyhedron."""
+    which holds the probe and so is never empty.  Exact on every box union,
+    whose parts the span, gap and reflex decisions answer, and on polyhedra
+    whose parts are boxes; sampled on every other polyhedron."""
     for idx, probe in enumerate(probes):
         if not subset.contains(probe):
             raise InvalidArgument(f"probe {idx} not in subset")

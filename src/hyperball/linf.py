@@ -156,15 +156,8 @@ class Box:
         gaps = [max(l - x, x - h, Fraction(0)) for l, x, h in zip(self.lo, p, self.hi)]
         return max(gaps) if gaps else Fraction(0)
 
-    nearest = clamp
-
     def witness(self) -> Point | None:
         return None if self.is_empty() else self.lo
-
-    def window(self) -> "Box":
-        if self.is_empty():
-            raise EmptySet("empty box has no window")
-        return self
 
     @property
     def boxes(self) -> tuple["Box", ...]:

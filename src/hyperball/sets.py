@@ -7,10 +7,12 @@ Supported kinds:
 * ``BoxUnion`` — finite union of boxes, the standard non-convex fixture;
 * ``FiniteSubset`` — an index set inside a finite metric space.
 
-Every kind answers for itself: ``contains(p)``, ``dist(p)``, ``nearest(p)``
-and ``witness()`` (a point, or None when the kind is empty).  The three
-max-norm kinds add ``window()`` and ``intersect(box)``, and ``Box``
-and ``BoxUnion`` carry their member ``boxes``: a box is a union of one box.
+Every kind answers for itself: ``contains(p)``, ``dist(p)`` and
+``witness()`` (a point, or None when the kind is empty).  The three
+max-norm kinds add ``intersect(box)``, and ``Box`` and ``BoxUnion`` carry
+their member ``boxes``: a box is a union of one box.  The polyhedron and
+the finite subset add ``nearest(p)``, and the polyhedron ``window()``: the
+refuter's sampler, which runs on polyhedra alone, reads both.
 ``HPolyhedron`` also answers ``dists_along(x, y, n, ks)``, the distances
 at the points x + (k/n)(y - x) of a segment.  A polyhedron keeps the
 optimal bases of its distance LPs and answers ``dist`` from a piece that
@@ -56,30 +58,17 @@ class BoxUnion:
     def dim(self) -> int:
         return self.boxes[0].dim
 
-    def _members(self) -> list[Box]:
-        members = [b for b in self.boxes if not b.is_empty()]
-        if not members:
-            raise EmptySet("union of empty boxes")
-        return members
-
     def contains(self, p: Point) -> bool:
         return any(b.contains(p) for b in self.boxes)
 
     def dist(self, p: Point) -> Fraction:
-        return min(b.dist(p) for b in self._members())
-
-    def nearest(self, p: Point) -> Point:
-        """The clamp onto the first member at minimal distance."""
-        return min(self._members(), key=lambda b: b.dist(p)).clamp(p)
+        members = [b for b in self.boxes if not b.is_empty()]
+        if not members:
+            raise EmptySet("union of empty boxes")
+        return min(b.dist(p) for b in members)
 
     def witness(self) -> Point | None:
         return next((b.lo for b in self.boxes if not b.is_empty()), None)
-
-    def window(self) -> Box:
-        members = self._members()
-        lo = tuple(min(b.lo[k] for b in members) for k in range(self.dim))
-        hi = tuple(max(b.hi[k] for b in members) for k in range(self.dim))
-        return Box(lo, hi)
 
     def intersect(self, box: Box) -> "BoxUnion":
         """The non-empty member intersections, or one empty one if none."""
@@ -185,6 +174,6 @@ def pair_witness(first, second, balls: Sequence[Ball] = ()):
 
 
 def subset_window(subset) -> Box:
-    """A bounding box of the subset, clamping unbounded directions to
+    """A bounding box of a polyhedron, clamping unbounded directions to
     [-8, 8] so randomized searches have a finite arena."""
     return subset.window()

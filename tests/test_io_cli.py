@@ -537,25 +537,26 @@ def test_a_tampered_sampler_hit_fails_exact_re_verification(tmp_path, capsys, mo
     ``verify_refutation`` passes it: a hit with one radius shrunk below its
     floor d(c, A) raises ``InternalError``, and ``refute`` exits 4.  The
     free first ball of ``weakly-external`` mode has a positive floor.  The
-    L-shaped union is connected, so its center modes run on the sampler."""
-    union = lab.BoxUnion((linf.Box(pt(0, 0), pt(2, 1)), linf.Box(pt(0, 0), pt(1, 2))))
+    wedge x1 + x2 + x3 <= 0 is a half-space, so its center modes run on the
+    sampler."""
+    wedge = lp.halfspace([1, 1, 1], 0)
     real, tampered = lab._scalar_candidate, []
 
     def scalar_candidate(subset, arena, seed, index, start):
         balls = real(subset, arena, seed, index, start)
         if lab.external_witness(subset, lab.LinfBallFamily(balls)).feasible:
             return balls
-        i, floor = max(enumerate(sets.subset_dist(union, b.center) for b in balls), key=lambda f: f[1])
+        i, floor = max(enumerate(sets.subset_dist(wedge, b.center) for b in balls), key=lambda f: f[1])
         assert floor > 0
         tampered.append(index)
         return balls[:i] + (linf.Ball(balls[i].center, floor / 2),) + balls[i + 1:]
 
     monkeypatch.setattr(lab, "_scalar_candidate", scalar_candidate)
     with pytest.raises(InternalError, match="refutation failed exact re-verification"):
-        lab.refute_search(union, 2, 1000, seed=7, mode="weakly-external")
-    members = [{"box": {"lo": ["0/1", "0/1"], "hi": hi}} for hi in (["2/1", "1/1"], ["1/1", "2/1"])]
-    path = write(tmp_path, "union.json", {"subset": {"union": members}, "type": "family",
-                                          "balls": [{"ball": {"center": ["0/1", "0/1"], "r": "1/1"}}]})
+        lab.refute_search(wedge, 2, 1000, seed=7, mode="weakly-external")
+    rows = [{"a": ["1/1", "1/1", "1/1"], "b": "0/1"}]
+    path = write(tmp_path, "wedge.json", {"subset": {"polyhedron": {"dim": 3, "rows": rows}}, "type": "family",
+                                          "balls": [{"ball": {"center": ["0/1"] * 3, "r": "1/1"}}]})
     argv = ["refute", "--instance", path, "--level", "2", "--budget", "1000", "--seed", "7"]
     assert main(argv + ["--mode", "weakly-external"]) == 4
     assert capsys.readouterr().err == "error: internal error: refutation failed exact re-verification\n"

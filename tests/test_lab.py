@@ -56,11 +56,13 @@ TIGHT = BoxUnion((Box(pt(0, 0), pt(4, 4)), Box(pt(5, 0), pt(6, 1))))
 TOUCHING = BoxUnion((Box(pt(0, 0), pt(1, 1)), Box(pt(1, 0), pt(2, 1))))
 OVERLAPPING = BoxUnion((Box(pt(0, 0), pt(2, 2)), Box(pt(1, 1), pt(3, 3))))
 THREE = BoxUnion(UNION.boxes + (Box(pt(0, 3), pt(1, 4)),))
-# a connected union that is refuted in the center modes
+# a connected union with a reflex corner at (1, 1)
 L_SHAPE = BoxUnion((Box(pt(0, 0), pt(2, 1)), Box(pt(0, 0), pt(1, 2))))
 # the gap decision's balls on UNION, UNION_EMPTY_MEMBER and THREE: the
 # first two members face at x = 1 and x = 3, and share y = 0
 GAP_BALLS = (Ball(pt(1, 0), F(1)), Ball(pt(3, 0), F(1)))
+# the reflex decision's pair on L_SHAPE: eps = 1/4 off its corner (1, 1)
+L_SHAPE_BALLS = (Ball(pt(F(5, 4), 1), F(1, 8)), Ball(pt(1, F(5, 4)), F(1, 8)))
 TIGHT_GAP_BALLS = (Ball(pt(4, 0), F(1, 2)), Ball(pt(5, 0), F(1, 2)))
 # multi-row polyhedra: the unit square as four rows, DIAG cut to a bounded
 # non-box, and a 3-d one with four that is unbounded
@@ -69,6 +71,7 @@ DIAG_ROWS = DIAG.intersect(Box(pt(-8, -8), pt(8, 8)))
 POLY3 = HPolyhedron(3, tuple(
     (pt(*a), F(b)) for a, b in (((1, 1, 0), 2), ((-1, 0, 1), 1), ((0, -1, -1), 1), ((1, -2, 1), 3))
 ))
+WEDGE = halfspace([1, 1, 1], 0)  # refuted by three balls in hyperconvex mode, two in weakly-external
 
 C6 = graph_metric(GraphInstance(6, tuple((i, (i + 1) % 6) for i in range(6))))
 C6_PART = FiniteSubset(C6, (0, 2, 3))
@@ -280,36 +283,36 @@ CENTER_MODES = [mode for mode, start in REFUTE_MODES.items() if start is not Non
 
 
 def test_refuter_scalar_vector_agreement():
-    """Disconnected unions get the gap decision's balls at every level, with
-    no index; on connected ones the search agrees with the exact scalar
-    reference."""
-    for subset, mode in product((UNION, UNION_EMPTY_MEMBER, THREE), CENTER_MODES):
+    """Disconnected unions get the gap decision's balls in every mode at
+    every level, with no index; on the polyhedra the sampler answers the
+    search agrees with the exact scalar reference."""
+    for subset, mode in product((UNION, UNION_EMPTY_MEMBER, THREE), REFUTE_MODES):
         for level in range(2, 7):
             report = refute_search(subset, level, 250, seed=11, mode=mode)
-            assert (report.certificate, report.budget_used) == ({"balls": GAP_BALLS, "mode": mode}, 1)
-    for subset, mode in product((OVERLAPPING, L_SHAPE), CENTER_MODES):
+            expected = {"balls": GAP_BALLS} if mode == "external" else {"balls": GAP_BALLS, "mode": mode}
+            assert (report.certificate, report.budget_used) == (expected, 1)
+    for subset, mode in ((WEDGE, "hyperconvex"), (WEDGE, "weakly-external"), (POLY3, "weakly-external")):
         for level in range(2, 7):
-            reference = _scalar_reference(subset, level, 250, 11, mode)
-            report = refute_search(subset, level, 250, seed=11, mode=mode)
+            reference = _scalar_reference(subset, level, 60, 11, mode)
+            report = refute_search(subset, level, 60, seed=11, mode=mode)
             if reference is None:
-                assert report.verdict == "inconclusive" and report.budget_used == 250
+                assert report.verdict == "inconclusive" and report.budget_used == 60
             else:
                 assert report.certificate["index"] == reference[0]
                 assert report.certificate["balls"] == reference[1]
 
 
-# The first hits on TIGHT at level 2 come late: at these indices.
-LATE_HITS = {("weakly-external", 4): 44, ("hyperconvex", 3): 82, ("weakly-external", 0): 63}
+# The first hits on WEDGE come late: at these indices, by (mode, level, seed).
+LATE_HITS = {("weakly-external", 2, 5): 36, ("weakly-external", 2, 3): 29, ("hyperconvex", 3, 0): 136}
 
 
-@pytest.mark.parametrize(
-    "mode, seed", [("weakly-external", 4), ("hyperconvex", 3), ("weakly-external", 0)]
-)
-def test_screen_finds_hits_past_the_first_batch(mode, seed):
-    index, _ = _scalar_reference(TIGHT, 2, 300, seed, mode)
-    assert index == LATE_HITS[mode, seed]
-    report = refute_search(TIGHT, 2, 300, seed=seed, mode=mode)  # disconnected: the gap decision
-    assert report.certificate == {"balls": TIGHT_GAP_BALLS, "mode": mode}
+@pytest.mark.parametrize("mode, level, seed", list(LATE_HITS))
+def test_scalar_path_finds_hits_past_the_first_batch(mode, level, seed):
+    index, balls = _scalar_reference(WEDGE, level, 300, seed, mode)
+    assert index == LATE_HITS[mode, level, seed]
+    report = refute_search(WEDGE, level, 300, seed=seed, mode=mode)
+    assert report.certificate == {"balls": balls, "index": index, "mode": mode}
+    assert report.budget_used == index + 1
 
 
 def _many_members():
@@ -360,9 +363,10 @@ def _span_corpus():
 
 def test_span_decision_against_the_sampler_on_a_seeded_corpus():
     """A box is inconclusive with the budget spent in every mode; any other
-    set is refuted at level 2 in ``external`` mode by two balls that
-    verify; and wherever the exact sampler refutes, so does the span."""
-    counts = {"both": 0, "box": 0, "span only": 0}
+    set is refuted at level 2 in ``external`` mode for one unit of budget by
+    two balls that verify; and wherever the exact sampler refutes a
+    half-space, so does the span decision."""
+    counts = {"box": 0, "refuted": 0, "sampled too": 0}
     for i, (subset, box) in enumerate(_span_corpus()):
         report = refute_search(subset, 2, 1000, seed=i)
         assert report.refuted == (not box), subset
@@ -373,28 +377,29 @@ def test_span_decision_against_the_sampler_on_a_seeded_corpus():
                 report = refute_search(subset, 2, budget, seed=i, mode=mode)
                 assert (report.verdict, report.budget_used) == ("inconclusive", budget), (subset, mode)
         else:
+            counts["refuted"] += 1
             balls = report.certificate["balls"]
-            assert len(balls) == 2 and "index" not in report.certificate
+            assert len(balls) == 2 and "index" not in report.certificate and report.budget_used == 1
             assert verify_refutation(subset, balls)
-        sampled = _scalar_reference(subset, 2, 6 if getattr(subset, "rows", None) else 40, i)
-        assert sampled is None or not box, subset
-        if not box:
-            counts["both" if sampled else "span only"] += 1
-    assert counts == {"both": 225, "box": 109, "span only": 26}
+        if getattr(subset, "rows", None):
+            sampled = _scalar_reference(subset, 2, 6, i)
+            assert sampled is None or not box, subset
+            counts["sampled too"] += bool(sampled)
+    assert counts == {"box": 109, "refuted": 251, "sampled too": 38}
 
 
 def test_span_decision_pins():
-    """Pinned cases: the narrow 1-d gap the sampler's grid misses, the far
-    union, and a budget that ends on a covered grid point."""
+    """Pinned disconnected unions in ``external`` mode, each refuted by the
+    gap decision for one unit of budget: the narrow 1-d gap the sampler's
+    grid misses, the far union, and UNION at a budget of 1."""
     gap = BoxUnion((Box(pt(F(-7, 2)), pt(F(1, 2))), Box(pt(1), pt(2))))
     report = refute_search(gap, 2, 10, seed=0)
-    assert report.refuted and report.budget_used == 2
-    assert report.certificate["balls"] == (Ball(pt(F(5, 8)), F(1, 8)), Ball(pt(F(7, 8)), F(1, 8)))
+    assert report.refuted and report.budget_used == 1
+    assert report.certificate["balls"] == (Ball(pt(F(1, 2)), F(1, 4)), Ball(pt(1), F(1, 4)))
     report = refute_search(FAR_UNION, 3, 40, seed=1)
     assert report.refuted and verify_refutation(FAR_UNION, report.certificate["balls"])
-    assert refute_search(UNION, 2, 2, seed=0).refuted  # (1/2, 1/2) is covered, (2, 1/2) is not
     report = refute_search(UNION, 2, 1, seed=0)
-    assert (report.verdict, report.budget_used) == ("inconclusive", 1)
+    assert (report.certificate, report.budget_used) == ({"balls": GAP_BALLS}, 1)
 
 
 def _finite_corpus():
@@ -447,18 +452,19 @@ def test_external_mode_and_boxes_never_reach_the_sampler(monkeypatch):
         assert (report.verdict, report.budget_used) == ("inconclusive", 100)
 
 
-def test_a_union_that_is_a_box_walks_its_grid_once(monkeypatch):
-    """[0,1]² ∪ [1,2]×[0,1] is the box [0,2]×[0,1]: in the center modes the
-    route's grid walk proves it and the span decision tests no point again,
-    so every mode makes the 2 membership tests of the one walk and stays
-    inconclusive with the budget spent."""
-    tests, real = [], BoxUnion.contains
-    monkeypatch.setattr(BoxUnion, "contains", lambda self, p: tests.append(p) or real(self, p))
-    for mode in REFUTE_MODES:
-        del tests[:]
-        report = refute_search(TOUCHING, 4, 100, seed=1, mode=mode)
-        assert (report.verdict, report.budget_used) == ("inconclusive", 100), mode
-        assert len(tests) == 2, mode
+def test_a_union_that_is_a_box_is_inconclusive_in_every_mode():
+    """[0,1]² ∪ [1,2]×[0,1], the box [0,2]×[0,1], one point twice, three
+    members that make [0,3]×[0,2], and a cube with its top face as a flat
+    member have no reflex pair: every mode reports "inconclusive" with the
+    budget spent, as on a box."""
+    boxes = (TOUCHING, POINT_TWICE,
+             BoxUnion((Box(pt(0, 0), pt(2, 2)), Box(pt(1, 0), pt(3, 2)), Box(pt(0, 0), pt(3, 1)))),
+             BoxUnion((Box(pt(0, 0, 0), pt(1, 1, 1)), Box(pt(0, 0, 1), pt(1, 1, 1)))))
+    for union, mode in product(boxes, REFUTE_MODES):
+        notes = ("no refutation found",) + ((mode,) if mode != "external" else ())
+        assert refute_path(union, mode) == "reflex"
+        expected = PropertyReport("inconclusive", seed=1, budget_used=100, notes=notes)
+        assert refute_search(union, 4, 100, seed=1, mode=mode) == expected, (union, mode)
 
 
 def _polyhedron_corpus():
@@ -560,12 +566,12 @@ def _gap_corpus():
 
 
 def test_gap_decision_on_a_seeded_corpus():
-    """In both center modes at level 2, every disconnected union is refuted
-    with one unit of budget by two balls centered in it, of radius delta/2
-    where delta is the least distance between members of different
-    components, which verify in the mode; a connected union that is a box
-    takes the span decision, and every other connected union of two or
-    more non-empty members takes the sampler."""
+    """In every mode at level 2, every disconnected union is refuted with
+    one unit of budget by two balls centered in it, of radius delta/2 where
+    delta is the least distance between members of different components,
+    which verify in the mode; a connected union of two or more non-empty
+    members takes the reflex decision, which refutes it unless it is a
+    box."""
     counts = {"one member": 0, "connected box": 0, "connected": 0, "disconnected": 0}
     for union in _gap_corpus():
         members = [b for b in union.boxes if not b.is_empty()]
@@ -575,14 +581,15 @@ def test_gap_decision_on_a_seeded_corpus():
         kind = ("one member" if len(members) < 2 else "disconnected" if cross
                 else "connected box" if _is_box(union) else "connected")
         counts[kind] += 1
-        for mode in CENTER_MODES:
-            assert refute_path(union, mode) == {"one member": "span", "connected box": "span",
-                                                "connected": "scalar", "disconnected": "gap"}[kind], (union, mode)
+        for mode in REFUTE_MODES:
+            assert refute_path(union, mode) == {"one member": "span", "connected box": "reflex",
+                                                "connected": "reflex", "disconnected": "gap"}[kind], (union, mode)
+            report = refute_search(union, 2, 1, seed=0, mode=mode)
+            assert report.refuted == (kind in ("connected", "disconnected")), (union, mode)
             if kind != "disconnected":
                 continue
-            report = refute_search(union, 2, 1, seed=0, mode=mode)
-            assert (report.verdict, report.budget_used) == ("refuted", 1), (union, mode)
-            assert set(report.certificate) == {"balls", "mode"}
+            assert report.budget_used == 1, (union, mode)
+            assert set(report.certificate) == {"balls"} | ({"mode"} if mode != "external" else set())
             b1, b2 = balls = report.certificate["balls"]
             assert b1.radius == b2.radius == min(cross) / 2 == linf_dist(b1.center, b2.center) / 2
             assert union.contains(b1.center) and union.contains(b2.center)
@@ -616,6 +623,83 @@ def test_gap_decision_pins():
         assert (report.verdict, report.budget_used) == ("refuted", 1)
         assert report.certificate == {
             "balls": (Ball(pt(1), F(1, 128)), Ball(pt(F(65, 64)), F(1, 128))), "mode": mode}
+
+
+def _reflex_corpus():
+    """600 connected unions (``random.Random(47)`` and ``(49)``, 300 each) in
+    dims 2-3 of 2-4 members, each member after the first around a point of
+    the 1/2 grid in an earlier one, reaching 0-2 from it on each side of
+    each axis, so flat members occur."""
+    corpus = []
+    for seed in (47, 49):
+        rng = random.Random(seed)
+        for _ in range(300):
+            dim = rng.randint(2, 3)
+            lo = [F(rng.randint(-4, 4), 2) for _ in range(dim)]
+            members = [Box(tuple(lo), tuple(v + F(rng.randint(0, 4), 2) for v in lo))]
+            for _ in range(rng.randint(1, 3)):
+                base = rng.choice(members)
+                p = [F(rng.randint(int(2 * a), int(2 * b)), 2) for a, b in zip(base.lo, base.hi)]
+                members.append(Box(tuple(v - F(rng.randint(0, 4), 2) for v in p),
+                                   tuple(v + F(rng.randint(0, 4), 2) for v in p)))
+            corpus.append(BoxUnion(tuple(members)))
+    return corpus
+
+
+def test_reflex_decision_on_a_seeded_corpus(monkeypatch):
+    """In every mode at level 2, every connected union that is no box is
+    refuted for one unit of budget, with no index, by two balls that verify
+    in the mode, and every one that is a box stays inconclusive with the
+    budget spent.  No box or union reaches the sampler's arena or
+    candidates, and none takes the ``scalar`` path."""
+    import hyperball.lab as lab
+
+    seen, arena, candidate = [], lab._build_arena, lab._scalar_candidate
+    monkeypatch.setattr(lab, "_build_arena", lambda subset, *a: seen.append(subset) or arena(subset, *a))
+    monkeypatch.setattr(lab, "_scalar_candidate", lambda subset, *a: seen.append(subset) or candidate(subset, *a))
+    counts = {"box": 0, "no box": 0}
+    for union in _reflex_corpus():
+        box = _is_box(union)
+        counts["box" if box else "no box"] += 1
+        for mode in REFUTE_MODES:
+            assert refute_path(union, mode) == "reflex"
+            report = refute_search(union, 2, 7, seed=1, mode=mode)
+            if box:
+                assert (report.verdict, report.budget_used) == ("inconclusive", 7), (union, mode)
+                continue
+            assert (report.verdict, report.budget_used) == ("refuted", 1), (union, mode)
+            assert "index" not in report.certificate
+            assert verify_refutation(union, report.certificate["balls"], mode), (union, mode)
+    others = [Box(pt(0, 0), pt(1, 1)), UNION, THREE, TOUCHING, POINT_TWICE, MANY]
+    for subset, mode in product(others, REFUTE_MODES):
+        assert refute_path(subset, mode) != "scalar"
+        refute_search(subset, 3, 7, seed=1, mode=mode)
+    assert counts == {"box": 85, "no box": 515} and not seen
+    refute_search(WEDGE, 3, 7, seed=1, mode="hyperconvex")  # the spies see a polyhedron
+    assert seen and all(subset is WEDGE for subset in seen)
+
+
+def test_reflex_decision_pins():
+    """Refuted at level 2 in every mode for one unit of budget, by a pair
+    that verifies: [1, 5/2]×[-2, -3/2] ∪ [0, 2]×[-3/2, 0], which the sampler
+    left inconclusive in ``hyperconvex`` mode; the L-shape; two squares
+    touching at a corner; and the {z=0}, {x=0} and {y=0} faces of [0, 1]³,
+    whose pair sits on an edge, since at the corner each two axis
+    directions share a face."""
+    faces = BoxUnion((Box(pt(0, 0, 0), pt(1, 1, 0)), Box(pt(0, 0, 0), pt(0, 1, 1)),
+                      Box(pt(0, 0, 0), pt(1, 0, 1))))
+    pins = {
+        BoxUnion((Box(pt(1, -2), pt(F(5, 2), F(-3, 2))), Box(pt(0, F(-3, 2)), pt(2, 0)))):
+            (Ball(pt(F(7, 8), F(-3, 2)), F(1, 16)), Ball(pt(1, F(-13, 8)), F(1, 16))),
+        L_SHAPE: L_SHAPE_BALLS,
+        BoxUnion((Box(pt(0, 0), pt(1, 1)), Box(pt(1, 1), pt(2, 2)))):
+            (Ball(pt(F(3, 4), 1), F(1, 8)), Ball(pt(1, F(5, 4)), F(1, 8))),
+        faces: (Ball(pt(F(1, 4), 0, F(1, 2)), F(1, 8)), Ball(pt(0, F(1, 4), F(1, 2)), F(1, 8))),
+    }
+    for (union, balls), mode in product(pins.items(), REFUTE_MODES):
+        report = refute_search(union, 2, 100, seed=0, mode=mode)
+        assert (report.verdict, report.budget_used) == ("refuted", 1), (union, mode)
+        assert report.certificate["balls"] == balls and verify_refutation(union, balls, mode)
 
 
 def test_refute_linf_half_spaces_run_no_lp(monkeypatch):
@@ -810,26 +894,24 @@ def test_verify_refutation_on_four_rows_costs_at_most_k_plus_one_lps(monkeypatch
     "subset, modes",
     [
         (Box(pt(0, 0), pt(1, 1)), set()),  # a box: the span decision, in every mode
-        (UNION_EMPTY_MEMBER, set()),  # disconnected: the gap decision
-        (L_SHAPE, set(CENTER_MODES)),
-        (OVERLAPPING, set(CENTER_MODES)),
         (DIAG, set(CENTER_MODES)),  # a half-space: the span decision externally
-        (BoxUnion((Box(pt(0, 0), pt(1, 1)), Box(pt(3, 0), pt(2, 1)))), set()),  # one non-empty member
+        (WEDGE, set(CENTER_MODES)),
         (halfspace([0, 0], 1), set()),  # the whole plane: no normal
         (SQUARE_ROWS, set()),
+        (DIAG_ROWS, set(REFUTE_MODES)),  # bounded and no box
+        (POLY3, set(REFUTE_MODES)),
         (Box((), ()), set()),  # 0-dimensional: a point
-        (BoxUnion((Box((), ()),)), set()),
         (HPolyhedron(0, (((), F(1)),)), set()),
         (C6_PART, set()),  # a finite subset: the gap decision's closest pair
-        (POINT_TWICE, set()),  # one point twice: a union that is a box
-        (TOUCHING, set()),  # [0,1]²∪[1,2]×[0,1], the box [0,2]×[0,1]: the span decision
     ],
+    ids=["box", "diag", "wedge", "plane", "square-rows", "diag-rows", "poly3", "point", "point-rows",
+         "finite"],
 )
-def test_screen_applies_states_the_screens_reach(subset, modes):
-    """The modes whose refute runs on the sampler: the center modes on a
-    connected union of two or more non-empty members that is no box and on
-    a polyhedron that is no box.  Every path is ``span``, ``gap`` or
-    ``scalar``."""
+def test_scalar_path_modes(subset, modes):
+    """The modes whose refute runs on the sampler: every mode on a
+    polyhedron that is no box, bar the ``external`` mode on a one-row
+    half-space.  Every path is ``span``, ``gap`` or ``scalar``: no union
+    reaches the sampler (``test_reflex_decision_on_a_seeded_corpus``)."""
     paths = {mode: refute_path(subset, mode) for mode in REFUTE_MODES}
     assert set(paths.values()) <= {"span", "gap", "scalar"}
     assert {mode for mode, path in paths.items() if path == "scalar"} == modes
@@ -880,9 +962,8 @@ def test_empty_subsets_raise_empty_set(kind):
 
 
 ADMISSIBLE_FIXTURES = {
-    "box": Box(pt(0, 0), pt(1, 1)),
-    "union": UNION_EMPTY_MEMBER,
     "halfspace": DIAG,
+    "diag-rows": DIAG_ROWS,
     "square-rows": SQUARE_ROWS,
     "poly3": POLY3,
 }
@@ -930,6 +1011,9 @@ def test_span_decision_and_box_refutes_leave_numpy_unloaded():
 
 
 def test_only_the_sampler_pulls_centers_onto_the_subset(monkeypatch):
+    """The decisions build no candidate: a box, a disconnected union and the
+    L-shaped union in ``hyperconvex`` mode; the wedge, a polyhedron, is
+    sampled and its centers pulled onto it."""
     import hyperball.lab as lab
 
     calls = []
@@ -939,9 +1023,12 @@ def test_only_the_sampler_pulls_centers_onto_the_subset(monkeypatch):
     assert report.verdict == "inconclusive" and not calls
     report = refute_search(TIGHT, 2, 300, seed=3, mode="hyperconvex")
     assert report.certificate == {"balls": TIGHT_GAP_BALLS, "mode": "hyperconvex"}
-    index, balls = _scalar_reference(L_SHAPE, 2, 300, 3, "hyperconvex")
     report = refute_search(L_SHAPE, 2, 300, seed=3, mode="hyperconvex")
-    assert report.certificate == {"balls": balls, "index": index, "mode": "hyperconvex"} and index == 14
+    assert report.certificate == {"balls": L_SHAPE_BALLS, "mode": "hyperconvex"} and not calls
+    index, balls = _scalar_reference(WEDGE, 3, 300, 3, "hyperconvex")
+    report = refute_search(WEDGE, 3, 300, seed=3, mode="hyperconvex")
+    assert report.certificate == {"balls": balls, "index": index, "mode": "hyperconvex"} and index == 20
+    assert len(calls) == index + 1
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64 + 7])
@@ -949,8 +1036,8 @@ def test_refuter_masks_out_of_range_seeds(seed):
     report = refute_search(UNION, 2, 1000, seed=seed, mode="hyperconvex")
     assert report.refuted and report.seed == seed
     assert report.budget_used == 1 and report.certificate["balls"] == GAP_BALLS
-    index, balls = _scalar_reference(L_SHAPE, 2, 1000, seed, "hyperconvex")
-    report = refute_search(L_SHAPE, 2, 1000, seed=seed, mode="hyperconvex")
+    index, balls = _scalar_reference(WEDGE, 3, 1000, seed, "hyperconvex")
+    report = refute_search(WEDGE, 3, 1000, seed=seed, mode="hyperconvex")
     assert report.refuted and report.seed == seed
     assert report.budget_used == index + 1
     assert report.certificate["balls"] == balls

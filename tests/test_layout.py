@@ -1,9 +1,10 @@
 """Guards on numpy staying out of the package, on where the SplitMix64
 constants may live, on what importing the package and running each CLI
 subcommand (and a center-mode union refute) loads, on the
-package exporting each name lazily from its defining module, on knobs
-that were removed (the refuter's ``arena``, ``BarycenterConfig.max_rounds``,
-the barycenter's backend object, the convexity checkers' ``grid`` and the
+package exporting each name lazily from its defining module, on boxes
+and unions offering no ``window`` or ``nearest``, on knobs that were
+removed (the refuter's ``arena``, ``BarycenterConfig.max_rounds``, the
+barycenter's backend object, the convexity checkers' ``grid`` and the
 graph brute force's ``cap`` among them), on the lift's constants being
 closed forms without a search and its reach and check reading the balls'
 box without listing subfamilies, on each CLI subcommand taking only the flags it reads, on the
@@ -56,7 +57,7 @@ def test_splitmix_constants_live_only_in_rng():
 
 CENTER_MODE_UNION = (
     "import sys; from hyperball.lab import BoxUnion, refute_search; from hyperball.linf import Box; "
-    "union = BoxUnion((Box((0, 0), (2, 1)), Box((0, 0), (1, 2)))); "  # connected: the sampler
+    "union = BoxUnion((Box((0, 0), (2, 1)), Box((0, 0), (1, 2)))); "  # connected: the reflex pair
     "assert refute_search(union, 3, 50, 0, mode='hyperconvex').refuted; "
     "assert refute_search(union, 3, 50, 0, mode='weakly-external').refuted"
 )
@@ -71,7 +72,7 @@ CENTER_MODE_UNION = (
     ],
 )
 def test_numpy_is_not_loaded_outside_the_refuter(code):
-    # Nothing loads numpy, a center-mode union refute (the sampler)
+    # Nothing loads numpy, a center-mode union refute (the reflex decision)
     # included; tests/test_lab.py probes the span and polyhedron paths.
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     probe = code + "; assert 'numpy' not in sys.modules, 'numpy loaded'"
@@ -198,6 +199,16 @@ def test_refuter_setup_has_no_dead_knob():
     assert "arena" not in inspect.signature(lab.refute_search).parameters
     assert list(inspect.signature(lab._build_arena).parameters) == ["subset", "level"]
     assert [f.name for f in fields(BarycenterConfig)] == ["tau"]
+
+
+def test_boxes_and_unions_define_no_window_and_no_nearest():
+    # Only the sampler read them, and it runs on polyhedra alone: every box
+    # and box union takes the span, gap or reflex decision.
+    from hyperball.linf import Box
+    from hyperball.sets import BoxUnion
+
+    for kind in (Box, BoxUnion):
+        assert not {"window", "nearest"} & set(vars(kind)), kind
 
 
 def test_convexity_sample_graph_cap_and_lift_constants_have_no_dead_knob():

@@ -34,15 +34,16 @@ def test_refuter_sweep_covers_every_mode_with_a_rate(capsys):
         assert int(used) <= (4 if path == "scalar" else 16) and float(rate) > 0
         paths.add((row[:28].strip(), mode, path))
     assert ("unit box", "hyperconvex", "span") in paths
-    assert ("two-box union", "external", "span") in paths
+    assert ("two-box union", "external", "gap") in paths
     assert ("two-box union", "hyperconvex", "gap") in paths
-    assert ("L-shaped union", "hyperconvex", "scalar") in paths
-    gap = [row.split() for row in rows if row.startswith(f"{'gap union [0,1]+[65/64,2]':>28} ")]
-    assert len(gap) == 15 and all(row[-5:-1] == ["refuted", "1", "2", "gap"] for row in gap[5:])
-    two = [row.split() for row in rows if row.startswith(f"{'two-point space':>28} ")]
-    assert len(two) == 15 and all(row[-5:-1] == ["refuted", "1", "2", "gap"] for row in two)
-    for mode in ("hyperconvex", "weakly-external"):
-        assert ("box union [0,2]x[0,1]", mode, "span") in paths
+
+    def fixture_rows(name):
+        return [row.split() for row in rows if row.startswith(f"{name:>28} ")]
+
+    for name in ("gap union [0,1]+[65/64,2]", "two-point space"):
+        assert [row[-5:-1] for row in fixture_rows(name)] == [["refuted", "1", "2", "gap"]] * 15
+    assert [row[-5:-1] for row in fixture_rows("L-shaped union")] == [["refuted", "1", "2", "reflex"]] * 15
+    assert [row[-5:-1] for row in fixture_rows("box union [0,2]x[0,1]")] == [["inconclusive", "16", "-", "reflex"]] * 15
     assert ("diag half-plane x1+x2<=-1", "external", "span") in paths
     assert ("diag half-plane x1+x2<=-1", "hyperconvex", "scalar") in paths
 

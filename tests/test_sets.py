@@ -1,5 +1,6 @@
-"""The subset protocol: every kind answers contains, dist, nearest and
-witness for itself, and the max-norm kinds add window and intersect."""
+"""The subset protocol: every kind answers contains, dist and witness for
+itself; the max-norm kinds add intersect, the polyhedron and the finite
+subset nearest, and the polyhedron window."""
 
 import pytest
 
@@ -57,13 +58,24 @@ def test_witness_is_none_exactly_when_empty(name):
         assert subset.contains(w)
 
 
-@pytest.mark.parametrize("name", [n for n, (_, empty) in KINDS.items() if not empty])
+@pytest.mark.parametrize("name", [n for n, (s, empty) in KINDS.items() if not empty and hasattr(s, "nearest")])
 def test_nearest_realizes_dist_and_dist_vanishes_on_the_set(name):
     subset, _ = KINDS[name]
     for p in _probes(subset):
         q = subset.nearest(p)
         assert subset.contains(q)
         assert _d(subset, p, q) == subset.dist(p)
+        assert (subset.dist(p) == 0) == subset.contains(p)
+
+
+@pytest.mark.parametrize("name", [n for n, (s, empty) in KINDS.items() if not empty and not hasattr(s, "nearest")])
+def test_dist_of_a_box_or_union_is_its_nearest_members(name):
+    """A box or union has no nearest point to offer: its distance is the
+    least over its non-empty members of the clamp's distance."""
+    subset, _ = KINDS[name]
+    for p in LINF_PROBES:
+        members = [b for b in subset.boxes if not b.is_empty()]
+        assert subset.dist(p) == min(linf_dist(p, b.clamp(p)) for b in members)
         assert (subset.dist(p) == 0) == subset.contains(p)
 
 
@@ -111,9 +123,10 @@ def test_empty_kinds_raise_empty_set(name):
     p = 0 if _is_finite(subset) else pt(0, 0)
     with pytest.raises(EmptySet):
         subset.dist(p)
-    with pytest.raises(EmptySet):
-        subset.nearest(p)
-    if not _is_finite(subset):
+    if hasattr(subset, "nearest"):  # a polyhedron or a finite subset
+        with pytest.raises(EmptySet):
+            subset.nearest(p)
+    if hasattr(subset, "window"):  # a polyhedron
         with pytest.raises(EmptySet):
             subset.window()
 
@@ -133,10 +146,9 @@ def test_finite_subset_stores_integer_types_as_ints():
 
 def test_a_box_is_a_union_of_one_box():
     assert UNIT.boxes == (UNIT,)
-    assert UNIT.window() == BoxUnion((UNIT,)).window() == UNIT
+    assert [UNIT.dist(p) for p in LINF_PROBES] == [BoxUnion((UNIT,)).dist(p) for p in LINF_PROBES]
     union = KINDS["union-with-empty-member"][0]
-    assert union.window() == Box(pt(3, 0), pt(4, 1))
-    assert union.nearest(pt(0, 0)) == pt(3, 0)
+    assert union.dist(pt(0, 0)) == 3 and union.witness() == pt(3, 0)
 
 
 PAIR_SETS = {
@@ -205,7 +217,7 @@ def test_a_point_of_another_dim_raises_dim_mismatch(name):
 
     subset, _ = KINDS[name]
     for p in (pt(5), pt(3, 1, 2)):
-        for ask in (subset.contains, subset.dist, subset.nearest):
+        for ask in (subset.contains, subset.dist, getattr(subset, "nearest", subset.dist)):
             with pytest.raises(DimMismatch):
                 ask(p)
         with pytest.raises(DimMismatch):
