@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, lcm
 from typing import Sequence
@@ -461,6 +462,7 @@ def _reflex_balls(members):
     sides = [sorted({v for b in members for v in (b.lo[k], b.hi[k])}) for k in range(members[0].dim)]
     spans = [[(2 * s.index(lo), 2 * s.index(hi)) for s, lo, hi in zip(sides, b.lo, b.hi)] for b in members]
 
+    @cache  # a cell recurs across the grid points, axes and signs tried
     def holds(cell):
         return any(all(lo <= c <= hi for (lo, hi), c in zip(span, cell)) for span in spans)
 
@@ -471,7 +473,7 @@ def _reflex_balls(members):
         a1, a2, c = list(g), list(g), list(g)
         a1[i] = c[i] = g[i] + si * (1 - g[i] % 2)  # eps off a side, or within a midpoint's cell
         a2[j] = c[j] = g[j] + sj * (1 - g[j] % 2)
-        if holds(a1) and holds(a2) and not holds(c):
+        if holds(tuple(a1)) and holds(tuple(a2)) and not holds(tuple(c)):
             eps = Fraction(min(v - u for s in sides for u, v in zip(s, s[1:]))) / 4
             v = [Fraction(s[t // 2] + s[(t + 1) // 2], 2) for s, t in zip(sides, g)]
             return tuple(Ball(tuple(x + (k == m) * sign * eps for k, x in enumerate(v)), eps / 2)

@@ -13,12 +13,14 @@ schemes here turn such answers into points, each returned with the
                          ("triple-34").
 
 ``EpsOracle.ask`` checks every ask, those of ``barycenter.ip_lift``
-included: more balls than ``level`` is an ``InvalidArgument``, a breaching
-answer an ``OracleFailure``, never absorbed.  A trace keeps only its
-iterates and the inputs its bounds are stated in; its steps and slacks are
-derived from them once.  ``verify_trace`` re-checks a cauchy-halving, chain-walk,
-triple-34 or ip-lift trace on those derived values with exact rationals,
-and is the one place that states scheme bounds: no scheme checks its own.
+included: no balls or more than ``level`` is an ``InvalidArgument``, a
+breaching answer an ``OracleFailure``, never absorbed.  Each answer is
+tested once, by ``ask`` or by the exact oracle's hit test, which hands its
+proof over.  A trace keeps only its iterates and the inputs its bounds are
+stated in; its steps and slacks are derived from them once.
+``verify_trace`` re-checks a cauchy-halving, chain-walk, triple-34 or
+ip-lift trace on those derived values with exact rationals, and is the one
+place that states scheme bounds: no scheme checks its own.
 """
 
 from __future__ import annotations
@@ -62,12 +64,17 @@ class EpsOracle:
 
     def ask(self, balls: tuple[Ball, ...], slack: Fraction, call: int) -> Point:
         """The query's answer, or ``OracleFailure`` at ``call`` if it breaks
-        the contract; ``InvalidArgument`` if asked more balls than ``level``.
-        All the balls are tested in one integer pass; only a miss tests them
-        one by one, to name the first ball missed."""
+        the contract; ``InvalidArgument`` if asked no balls or more than
+        ``level``.  An answer handed over as ``_Tested`` is not tested again;
+        any other is tested in one integer pass over all the balls, and only
+        a miss tests them one by one, to name the first ball missed."""
+        if not balls:
+            raise InvalidArgument("need at least one ball")
         if len(balls) > self.level:
             raise InvalidArgument(f"oracle contract does not cover {len(balls)} balls (level {self.level})")
         p = self.query(balls, slack)
+        if type(p) is _Tested:
+            return p.point
         if p is None:
             raise OracleFailure(call, "no point returned")
         if not within_balls(p, balls, slack):
@@ -76,6 +83,15 @@ class EpsOracle:
         if self.subset is not None and not self.subset.contains(p):
             raise OracleFailure(call, "point not in subset")
         return p
+
+
+@dataclass(slots=True)
+class _Tested:
+    """A query's answer already tested against the asked balls, inflated
+    by the asked slack, and the oracle's own subset: ``ask`` returns it
+    untested."""
+
+    point: Point
 
 
 def _grown_witness(subset, balls: tuple[Ball, ...], box: Box, slack: Fraction) -> Point | None:
@@ -91,15 +107,16 @@ def _grown_witness(subset, balls: tuple[Ball, ...], box: Box, slack: Fraction) -
 def exact_subset_oracle(subset, level: int = 64) -> EpsOracle:
     """Oracle backed by the subset's exact witness search: returned points
     satisfy the *uninflated* constraints whenever that is possible.  The
-    last ball's center is the answer when it lies in every ball (one
+    last ball's center is the answer when it lies in every other ball (one
     integer pass) and then in the subset, as each later ask of
-    ``almost_to_exact`` is centred on an answer; otherwise the box search
-    runs.  With subset None it answers over the whole max-norm space."""
+    ``almost_to_exact`` is centred on an answer; tested at slack 0, so at
+    any slack >= 0, it goes to ``ask`` as ``_Tested``.  Otherwise the box
+    search runs.  With subset None it answers over the whole max-norm space."""
 
-    def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | None:
+    def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | _Tested | None:
         center = balls[-1].center
-        if within_balls(center, balls, 0) and (subset is None or subset.contains(center)):
-            return center
+        if within_balls(center, balls[:-1], 0) and (subset is None or subset.contains(center)):
+            return _Tested(center) if slack >= 0 else center
         box = balls_box(balls)
         hit = _grown_witness(subset, balls, box, Fraction(0))
         return hit if hit is not None else _grown_witness(subset, balls, box, slack)
@@ -186,12 +203,11 @@ def almost_to_exact(
     _require_admissible(family if oracle.subset is None else replace(family, subset=oracle.subset))
     balls = family.balls
     iterates: list[Point] = []
-    prev: Point | None = None
-    for k in range(iterations):
-        asked = balls if prev is None else balls + (Ball(prev, scale / (1 << k)),)
-        prev = oracle.ask(asked, scale / (1 << (k + 1)), k)
-        iterates.append(prev)
-    return prev, RefinementTrace("cauchy-halving", tuple(iterates), family, aux={"scale": scale})
+    for k in range(iterations):  # the ball around the last point has the slack it was asked at, scale * 2^-k
+        asked = balls + (Ball(iterates[-1], slack),) if iterates else balls
+        slack = scale / (1 << (k + 1))
+        iterates.append(oracle.ask(asked, slack, k))
+    return iterates[-1], RefinementTrace("cauchy-halving", tuple(iterates), family, aux={"scale": scale})
 
 
 # ---------------------------------------------------------------------------

@@ -646,12 +646,37 @@ def _reflex_corpus():
     return corpus
 
 
+def _reflex_reference(members):
+    """``lab._reflex_balls`` with no cell kept: every membership test scans
+    every member again."""
+    sides = [sorted({v for b in members for v in (b.lo[k], b.hi[k])}) for k in range(members[0].dim)]
+    spans = [[(2 * s.index(lo), 2 * s.index(hi)) for s, lo, hi in zip(sides, b.lo, b.hi)] for b in members]
+
+    def holds(cell):
+        return any(all(lo <= c <= hi for (lo, hi), c in zip(span, cell)) for span in spans)
+
+    shared = {g for first, second in combinations(spans, 2) for g in product(
+        *(range(max(l1, l2), min(h1, h2) + 1) for (l1, h1), (l2, h2) in zip(first, second)))}
+    axes, signs = combinations(range(len(sides)), 2), product((-1, 1), repeat=2)
+    for g, (i, j), (si, sj) in product(sorted(shared), axes, signs):
+        a1, a2, c = list(g), list(g), list(g)
+        a1[i] = c[i] = g[i] + si * (1 - g[i] % 2)
+        a2[j] = c[j] = g[j] + sj * (1 - g[j] % 2)
+        if holds(a1) and holds(a2) and not holds(c):
+            eps = Fraction(min(v - u for s in sides for u, v in zip(s, s[1:]))) / 4
+            v = [Fraction(s[t // 2] + s[(t + 1) // 2], 2) for s, t in zip(sides, g)]
+            return tuple(Ball(tuple(x + (k == m) * sign * eps for k, x in enumerate(v)), eps / 2)
+                         for m, sign in ((i, si), (j, sj)))
+    return None
+
+
 def test_reflex_decision_on_a_seeded_corpus(monkeypatch):
     """In every mode at level 2, every connected union that is no box is
     refuted for one unit of budget, with no index, by two balls that verify
     in the mode, and every one that is a box stays inconclusive with the
     budget spent.  No box or union reaches the sampler's arena or
-    candidates, and none takes the ``scalar`` path."""
+    candidates, and none takes the ``scalar`` path.  The cached membership
+    test of ``_reflex_balls`` gives the uncached reference's pair."""
     import hyperball.lab as lab
 
     seen, arena, candidate = [], lab._build_arena, lab._scalar_candidate
@@ -661,6 +686,8 @@ def test_reflex_decision_on_a_seeded_corpus(monkeypatch):
     for union in _reflex_corpus():
         box = _is_box(union)
         counts["box" if box else "no box"] += 1
+        members = [b for b in union.boxes if not b.is_empty()]
+        assert lab._reflex_balls(members) == _reflex_reference(members), union
         for mode in REFUTE_MODES:
             assert refute_path(union, mode) == "reflex"
             report = refute_search(union, 2, 7, seed=1, mode=mode)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperball.errors import InvalidArgument
 from hyperball.io import parse_instance
 from hyperball.lab import LinfBallFamily, NotAdmissible
 from hyperball.linf import Ball, Box, balls_box, linf_dist
@@ -13,6 +14,7 @@ from hyperball.refine import (
     OracleFailure,
     PairwiseIntersectionUnverified,
     RefinementTrace,
+    _Tested,
     almost_to_exact,
     chain_walk,
     exact_subset_oracle,
@@ -108,6 +110,41 @@ def test_a_breach_names_the_first_ball_missed():
         with pytest.raises(OracleFailure) as failure:
             EpsOracle(lambda balls, slack: answer, 3, None).ask(balls, F(1, 4), 7)
         assert str(failure.value) == f"oracle contract violated at call 7: outside inflated ball around {missed}"
+
+
+def test_a_plain_center_answer_is_tested_by_ask():
+    """Only the exact oracle's hit hands ``ask`` its proof: a query that
+    answers the last ball's center fails at its call when the center breaches
+    an earlier ball or lies outside the subset, and so does the exact
+    oracle's hit at a negative slack, which its test at slack 0 does not
+    cover."""
+
+    def last_center(balls, slack):
+        return balls[-1].center
+
+    cases = (
+        (EpsOracle(last_center, 2, None), (Ball(pt(0, 0), F(1)), Ball(pt(3, 0), F(1))), F(1, 4),
+         f"outside inflated ball around {pt(0, 0)}"),
+        (EpsOracle(last_center, 2, BOX), (Ball(pt(3, 1), F(2)), Ball(pt(3, 1), F(1))), F(1, 4),
+         "point not in subset"),
+        (exact_subset_oracle(BOX), (Ball(pt(1, 1), F(1, 2)),), F(-1), f"outside inflated ball around {pt(1, 1)}"),
+    )
+    for oracle, balls, slack, message in cases:
+        with pytest.raises(OracleFailure) as failure:
+            oracle.ask(balls, slack, 5)
+        assert str(failure.value) == f"oracle contract violated at call 5: {message}"
+
+
+@pytest.mark.parametrize("oracle", [
+    exact_subset_oracle(None),
+    saturating_subset_oracle(BOX),
+    EpsOracle(lambda balls, slack: balls[-1].center, 2, None),
+], ids=["exact", "saturating", "lambda"])
+def test_an_ask_of_no_balls_is_an_invalid_argument(oracle):
+    """Rejected before the query runs, with the saturating oracle's message."""
+    with pytest.raises(InvalidArgument) as rejected:
+        oracle.ask((), F(0), 0)
+    assert str(rejected.value) == "need at least one ball"
 
 
 def test_almost_to_exact_rejects_inadmissible():
@@ -536,17 +573,18 @@ def _center_first_answer(subset, balls, slack):
 
 
 def _checked(real, expected, answers):
-    """``real`` (an oracle factory) with every query's answer asserted equal
-    to ``expected(subset, balls, slack)`` and recorded in ``answers`` with
-    its balls."""
+    """``real`` (an oracle factory) with every query's answer, read through
+    a hit's ``_Tested`` marker, asserted equal to ``expected(subset, balls,
+    slack)`` and recorded in ``answers`` with its balls."""
 
     def checked(subset, level=64):
         oracle = real(subset, level)
 
         def query(balls, slack):
             hit = oracle.query(balls, slack)
-            assert hit == expected(subset, balls, slack)
-            answers.append((balls, hit))
+            point = hit.point if isinstance(hit, _Tested) else hit
+            assert point == expected(subset, balls, slack)
+            answers.append((balls, point))
             return hit
 
         return replace(oracle, query=query)
@@ -577,6 +615,48 @@ def test_exact_oracle_answers_match_the_intersected_polyhedron_on_the_lp_repeat_
     assert sum(hit == balls[-1].center for balls, hit in answers) >= 1560
 
 
+def test_each_center_answer_is_tested_once_on_the_lp_repeat_pool(monkeypatch):
+    """On the refinements of ten ``lp-repeat`` blocks an ask that the last
+    center answers makes one ``within_balls`` and one ``HPolyhedron.contains``
+    call, the hit test's, where a second test in ``ask`` made two of each;
+    any other ask makes at most two ``within_balls`` calls."""
+    from hyperball import lp, refine
+
+    monkeypatch.syspath_prepend(str(INSTANCES.parent))
+    from workloads import LPRepeat
+
+    counts = {"within": 0, "contains": 0}
+
+    def counted(name, real):
+        def spy(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return spy
+
+    monkeypatch.setattr(refine, "within_balls", counted("within", refine.within_balls))
+    monkeypatch.setattr(lp.HPolyhedron, "contains", counted("contains", lp.HPolyhedron.contains))
+    asks, ask = [], EpsOracle.ask
+
+    def spied(self, balls, slack, call):
+        before = dict(counts)
+        p = ask(self, balls, slack, call)
+        asks.append((p == balls[-1].center, counts["within"] - before["within"],
+                     counts["contains"] - before["contains"]))
+        return p
+
+    monkeypatch.setattr(EpsOracle, "ask", spied)
+    workload = LPRepeat(seed=7, smoke=False)
+    for index in range(10):
+        for op in workload.block(index):
+            if ".refine." in op.op_id:
+                assert op.check(op.run()) is None
+    assert len(asks) == 10 * len(workload.refined) * 40
+    hits = [(within, contains) for hit, within, contains in asks if hit]
+    assert len(hits) >= 1560 and set(hits) == {(1, 1)}
+    assert all(within <= 2 for _, within, _ in asks)
+
+
 def _counted_solves(monkeypatch):
     from hyperball import lp
 
@@ -586,11 +666,14 @@ def _counted_solves(monkeypatch):
 
 
 def test_exact_oracle_answers_a_qualifying_center_without_an_lp(monkeypatch):
+    """Nor does the hit test build the last ball's integer form: its own
+    center lies in it."""
     poly = box_to_polyhedron(BOX)
     balls = (Ball(pt(3, 1), F(2)), Ball(pt(1, 1), F(1)))  # (1, 1) lies in BOX and both balls
     solves = _counted_solves(monkeypatch)
     assert exact_subset_oracle(poly).ask(balls, F(1, 4), 0) == pt(1, 1)
     assert solves == []
+    assert "_integer_form" in balls[0].__dict__ and "_integer_form" not in balls[1].__dict__
 
 
 @pytest.mark.parametrize("balls", [
