@@ -70,7 +70,7 @@ def main(argv=None):
         balls.append(Ball(c, linf_dist(c, anchor) + F(rng.randint(0, 8), 8)))
     params = ip_constants(4, 2, F(1, 64))
     _, trace = ip_lift(exact_subset_oracle(None), tuple(balls), params, rounds=args.rounds)
-    show_report(f"ip-lift reach vs c^j R + 3 tau (c = {params.c})", verify_trace(trace))
+    show_report(f"ip-lift reach vs c^j R (c = {params.c})", verify_trace(trace))
 
 
 if __name__ == "__main__":

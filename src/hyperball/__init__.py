@@ -20,8 +20,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "barycenter": (
-        "BarycenterConfig", "Isometry", "barycenter", "barycenter_contraction_check",
-        "default_ip_eps", "equivariance_check", "ip_lift", "ip_threshold",
+        "Isometry", "barycenter", "barycenter_contraction_check", "default_ip_eps",
+        "equivariance_check", "ip_lift", "ip_threshold",
     ),
     "convexity": ("distance_convexity_check", "sigma_convexity_check"),
     "errors": ("DimMismatch", "HyperballError", "InvalidArgument", "SizeCapExceeded"),

@@ -2,15 +2,13 @@
 contract checks, and the ball-family intersection-property threshold with
 its lifting iteration, which needs only the balls' box (Helly on the line).
 
-The barycenter of one point is that point, of two the geodesic midpoint
-``sigma(x, y, 1/2)``, and for m >= 3 the leave-one-out map
-
-    (x_1, ..., x_m)  ->  (bar(x̂^1), ..., bar(x̂^m))
-
-is iterated until the tuple's diameter drops below the stop tolerance; any
-component is then returned.  The selection being linear, the inner limits
-are exact means, so each round is an exact affine map of the inputs and
-runs on integer numerators over one denominator.
+The leave-one-out barycenter (Es-Sahib and Heinich 1999; Descombes 2016)
+maps a tuple (x_1, ..., x_m) to (bar(x̂^1), ..., bar(x̂^m)) and takes the
+limit.  Over a linear selection each round keeps the tuple's mean and
+shrinks its diameter by 1/(m-1), so the limit is the arithmetic mean, and
+``barycenter`` returns that mean exactly: it contracts (the distance of two
+barycenters is at most the min-matching average) and commutes with every
+isometry, with no stop tolerance.
 
 ``ip_lift`` and ``default_ip_eps`` load ``refine`` and ``lab`` when they
 are called, so the barycenter and ``ip_threshold`` need neither.
@@ -24,73 +22,28 @@ from itertools import combinations
 from math import inf, isqrt, lcm
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DimMismatch, HyperballError, InternalError, InvalidArgument
-from .linf import Ball, Point, balls_box, linf_dist, sigma
+from .errors import DimMismatch, InvalidArgument
+from .linf import Ball, Point, balls_box, linf_dist
 from .reports import HOLDS, REFUTED, PropertyReport
 
 if TYPE_CHECKING:
     from .refine import EpsOracle, IPParams, RefinementTrace
 
 
-class NoConvergence(HyperballError):
-    """The leave-one-out iteration exceeded its round budget."""
-
-
-@dataclass(frozen=True)
-class BarycenterConfig:
-    tau: Fraction = Fraction(1, 1 << 30)
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise InvalidArgument("tau must be positive")
-
-
-MAX_ROUNDS = 200  # leave-one-out rounds before NoConvergence
-
-
-def barycenter(points: Sequence[Point], cfg: BarycenterConfig | None = None) -> Point:
-    """Leave-one-out iteration with sub-barycenters evaluated exactly.
-
-    The limit of the (m-1)-point recursion is the arithmetic mean, so each
-    component of the iterate tuple is an exact affine combination of the
-    inputs; rounds contract the diameter by 1/(m-1) and the tuple mean is
-    preserved exactly.  A round maps the numerators N_i over one
-    denominator to (sum N) - N_i and multiplies the denominator by m - 1;
-    the max norm being homogeneous, the diameter, the largest coordinate
-    spread, is checked on the numerators.
-    """
-    cfg = cfg or BarycenterConfig()
+def barycenter(points: Sequence[Point]) -> Point:
+    """The arithmetic mean of m >= 1 points, the leave-one-out limit:
+    each coordinate's integer numerators over the common denominator Q of
+    every coordinate are summed once and put over m Q."""
     pts = tuple(points)
     if not pts:
         raise InvalidArgument("barycenter of no points")
-    m = len(pts)
-    if m == 1:
-        return pts[0]
-    if m == 2:
-        return sigma(pts[0], pts[1], Fraction(1, 2))
     dim = len(pts[0])
     for p in pts:
         if len(p) != dim:
             raise DimMismatch(f"points of dim {dim} and {len(p)}")
-    tau, Q = Fraction(cfg.tau), lcm(*(v.denominator for p in pts for v in p))
-    current = [[v.numerator * (Q // v.denominator) for v in p] for p in pts]
-    prev_diam = None
-    for _ in range(MAX_ROUNDS):
-        diam = max((max(col) - min(col) for col in zip(*current)), default=0)  # Q times the true diameter
-        if prev_diam is not None and diam > prev_diam * (m - 1):
-            raise InternalError("leave-one-out round increased the diameter")
-        prev_diam = diam
-        if diam * 2 * tau.denominator <= tau.numerator * Q:
-            return tuple(Fraction(v, Q) for v in current[0])
-        current = _leave_one_out(current)
-        Q *= m - 1
-    raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
-
-
-def _leave_one_out(rows: list[list[int]]) -> list[list[int]]:
-    """One round on the numerators: each row becomes the sum of the others."""
-    sums = [sum(col) for col in zip(*rows)]
-    return [[t - v for t, v in zip(sums, p)] for p in rows]
+    Q = lcm(*(v.denominator for p in pts for v in p))
+    mQ = len(pts) * Q
+    return tuple(Fraction(sum(v.numerator * (Q // v.denominator) for v in col), mQ) for col in zip(*pts))
 
 
 # ---------------------------------------------------------------------------
@@ -156,19 +109,11 @@ def _assignment_minimum(cost: list[list[int]]) -> int:
     return sum(cost[row_of[j] - 1][j - 1] for j in range(1, m + 1))
 
 
-def barycenter_contraction_check(
-    xs: Sequence[Point], ys: Sequence[Point], cfg: BarycenterConfig | None = None
-):
-    """d(bar(xs), bar(ys)) <= min-matching average + 3*tau (truncation slack)."""
-    cfg = cfg or BarycenterConfig()
-    bx = barycenter(xs, cfg)
-    by = barycenter(ys, cfg)
-    left = linf_dist(bx, by)
+def barycenter_contraction_check(xs: Sequence[Point], ys: Sequence[Point]):
+    """d(bar(xs), bar(ys)) <= the min-matching average."""
+    left = linf_dist(barycenter(xs), barycenter(ys))
     right = min_matching_average(xs, ys)
-    slack = 3 * cfg.tau
-    if left <= right + slack:
-        return PropertyReport(HOLDS, certificate={"left": left, "right": right})
-    return PropertyReport(REFUTED, certificate={"left": left, "right": right, "slack": slack})
+    return PropertyReport(HOLDS if left <= right else REFUTED, certificate={"left": left, "right": right})
 
 
 @dataclass(frozen=True)
@@ -183,14 +128,10 @@ class Isometry:
         return tuple(p[self.perm[k]] + self.shift[k] for k in range(len(self.perm)))
 
 
-def equivariance_check(iso: Isometry, xs: Sequence[Point], cfg: BarycenterConfig | None = None):
-    """d(iso(bar(xs)), bar(iso(xs))) <= 2*tau."""
-    cfg = cfg or BarycenterConfig()
-    direct = iso.apply(barycenter(xs, cfg))
-    mapped = barycenter(tuple(iso.apply(p) for p in xs), cfg)
-    gap = linf_dist(direct, mapped)
-    verdict = HOLDS if gap <= 2 * cfg.tau else REFUTED
-    return PropertyReport(verdict, certificate={"gap": gap})
+def equivariance_check(iso: Isometry, xs: Sequence[Point]):
+    """iso(bar(xs)) = bar(iso(xs)): the gap d between them is 0."""
+    gap = linf_dist(iso.apply(barycenter(xs)), barycenter(tuple(iso.apply(p) for p in xs)))
+    return PropertyReport(HOLDS if gap == 0 else REFUTED, certificate={"gap": gap})
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +177,6 @@ def ip_lift(
     balls: Sequence[Ball],
     params: IPParams,
     rounds: int = 30,
-    cfg: BarycenterConfig | None = None,
 ) -> tuple[Point, RefinementTrace]:
     """Lift the (n,k)-intersection property to n+1 balls by iteration over
     the max norm.
@@ -246,13 +186,12 @@ def ip_lift(
     for a witness inside every (n-1)-subfamily within (1+eps) of the current
     reach R_j (``refine.ip_reach``), with slack 0, and barycenters them; R_j
     contracts by the factor c < 1.  The trace records the iterates, the
-    balls and k, eps and tau; ``refine.verify_trace`` derives the reaches
-    and steps from them, recomputes c and re-checks the bounds.
+    balls, k and eps; ``refine.verify_trace`` derives the reaches and steps
+    from them, recomputes c and re-checks the bounds.
     """
     from .lab import LinfBallFamily
     from .refine import RefinementTrace, ip_reach
 
-    cfg = cfg or BarycenterConfig()
     balls = tuple(balls)
     n, k = params.n, params.k
     if len(balls) != n + 1:
@@ -269,7 +208,7 @@ def ip_lift(
         raise InvalidArgument(f"k-subfamily {tuple(sorted([*pair, *padding]))} has empty intersection")
     omega = list(combinations(balls, n - 1))
     reach = ip_reach(balls)
-    iterates = [barycenter(tuple(b.center for b in balls), cfg)]
+    iterates = [barycenter(tuple(b.center for b in balls))]
     for j in range(rounds):
         R_j = reach(iterates[-1])
         if R_j == 0:
@@ -279,8 +218,6 @@ def ip_lift(
             oracle.ask(alpha + (window,), Fraction(0), call)
             for call, alpha in enumerate(omega, j * len(omega))
         ]
-        iterates.append(barycenter(tuple(witnesses), cfg))
-    trace = RefinementTrace(
-        "ip-lift", tuple(iterates), LinfBallFamily(balls), aux={"eps": params.eps, "k": k, "tau": cfg.tau}
-    )
+        iterates.append(barycenter(tuple(witnesses)))
+    trace = RefinementTrace("ip-lift", tuple(iterates), LinfBallFamily(balls), aux={"eps": params.eps, "k": k})
     return iterates[-1], trace

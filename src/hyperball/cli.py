@@ -39,7 +39,6 @@ def _report_scaffold(args, command: str) -> dict:
     config = {
         "seed": getattr(args, "seed", None),
         "budget": getattr(args, "budget", None),
-        "tau": getattr(args, "tau", None),
         "instance": getattr(args, "instance", None),
     }
     return {
@@ -69,13 +68,6 @@ def _emit(report: dict, args, started: float) -> None:
             if "detail" in check:
                 line += f"  ({check['detail']})"
             print(line)
-
-
-def _config(args) -> BarycenterConfig:
-    """The --tau stop tolerance, ``BarycenterConfig``'s default when not given."""
-    from .barycenter import BarycenterConfig
-
-    return BarycenterConfig(parse_rational(args.tau)) if args.tau else BarycenterConfig()
 
 
 def _helly_order(args, dim: int) -> int:
@@ -248,7 +240,7 @@ def cmd_barycenter(args, report) -> None:
         raise InvalidArgument("barycenter needs a points instance")
     from .barycenter import barycenter
 
-    result = barycenter(payload, _config(args))
+    result = barycenter(payload)
     report["checks"].append(
         {"name": "barycenter", "verdict": HOLDS, "point": result}
     )
@@ -275,9 +267,7 @@ def cmd_ip_lift(args, report) -> None:
     n = len(balls) - 1
     eps = payload["eps"] if payload["eps"] is not None else default_ip_eps(n, k)
     params = ip_constants(n, k, eps)
-    point_, trace = ip_lift(
-        exact_subset_oracle(None, n), balls, params, rounds=args.iters, cfg=_config(args)
-    )
+    point_, trace = ip_lift(exact_subset_oracle(None, n), balls, params, rounds=args.iters)
     report["checks"].append(
         {
             "name": "ip-lift",
@@ -353,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("barycenter", help="barycenter of a point tuple")
     common(p)
-    p.add_argument("--tau", help='stop tolerance as "p/q" (default 1/2^30)')
 
     p = sub.add_parser("ip-threshold", help="least lifting size for a given k")
     common(p, instance=False)
@@ -362,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ip-lift", help="run the intersection-property lift")
     common(p)
     p.add_argument("--iters", type=int, default=30)
-    p.add_argument("--tau", help='stop tolerance as "p/q" (default 1/2^30)')
 
     p = sub.add_parser("graph-scan", help="exhaustive graph ball-Helly check")
     common(p)

@@ -5,8 +5,8 @@ rejects it; its subclasses name the rejections that callers tell apart
 (``ParseError``, ``EmptySet``, ``DimMismatch``, ``SizeCapExceeded``, and
 ``lab.NotAdmissible``, ``metric.MetricError`` and ``metric.Disconnected``).
 Only a failed self-check (``InternalError``) and the failures that happen
-during a run (``refine.OracleFailure``, ``refine.PairwiseIntersectionUnverified``,
-``barycenter.NoConvergence``) are not.
+during a run (``refine.OracleFailure`` and
+``refine.PairwiseIntersectionUnverified``) are not.
 """
 
 

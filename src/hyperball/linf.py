@@ -244,12 +244,3 @@ def box_retraction(region: Box | Ball, x: Point) -> Point:
 def conical_bound(x: Point, y: Point, x2: Point, y2: Point, t: Fraction) -> Fraction:
     """(1-t) d(x,x') + t d(y,y'): the weak-convexity bound for geodesic pairs."""
     return (1 - t) * linf_dist(x, x2) + t * linf_dist(y, y2)
-
-
-def mean_point(points: Sequence[Point]) -> Point:
-    """Coordinatewise arithmetic mean (exact)."""
-    if not points:
-        raise InvalidArgument("mean of no points")
-    dim = len(points[0])
-    n = len(points)
-    return tuple(sum((p[k] for p in points), Fraction(0)) / n for k in range(dim))

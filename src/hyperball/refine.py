@@ -13,11 +13,12 @@ schemes here turn such answers into points, each returned with the
                          ("triple-34").
 
 ``EpsOracle.ask`` checks every ask, those of ``barycenter.ip_lift``
-included: no balls or more than ``level`` is an ``InvalidArgument``, a
-breaching answer an ``OracleFailure``, never absorbed.  Each answer is
-tested once, by ``ask`` or by the exact oracle's hit test, which hands its
-proof over.  A trace keeps only its iterates and the inputs its bounds are
-stated in; its steps and slacks are derived from them once.
+included: no balls, more than ``level`` or a negative slack is an
+``InvalidArgument``, a breaching answer an ``OracleFailure``, never
+absorbed.  Each answer is tested once, by ``ask`` or by the exact oracle,
+whose center hit and whole-space clamp hand their proof over.  A trace
+keeps only its iterates and the inputs its bounds are stated in; its steps
+and slacks are derived from them once.
 ``verify_trace`` re-checks a cauchy-halving, chain-walk, triple-34 or
 ip-lift trace on those derived values with exact rationals, and is the one
 place that states scheme bounds: no scheme checks its own.
@@ -64,14 +65,17 @@ class EpsOracle:
 
     def ask(self, balls: tuple[Ball, ...], slack: Fraction, call: int) -> Point:
         """The query's answer, or ``OracleFailure`` at ``call`` if it breaks
-        the contract; ``InvalidArgument`` if asked no balls or more than
-        ``level``.  An answer handed over as ``_Tested`` is not tested again;
-        any other is tested in one integer pass over all the balls, and only
-        a miss tests them one by one, to name the first ball missed."""
+        the contract; ``InvalidArgument`` if asked no balls, more than
+        ``level`` or a negative slack.  An answer handed over as ``_Tested``
+        is not tested again; any other is tested in one integer pass over
+        all the balls, and only a miss tests them one by one, to name the
+        first ball missed."""
         if not balls:
             raise InvalidArgument("need at least one ball")
         if len(balls) > self.level:
             raise InvalidArgument(f"oracle contract does not cover {len(balls)} balls (level {self.level})")
+        if slack < 0:
+            raise InvalidArgument(f"slack {slack} is negative")
         p = self.query(balls, slack)
         if type(p) is _Tested:
             return p.point
@@ -94,14 +98,15 @@ class _Tested:
     point: Point
 
 
-def _grown_witness(subset, balls: tuple[Ball, ...], box: Box, slack: Fraction) -> Point | None:
+def _grown_witness(subset, balls: tuple[Ball, ...], box: Box, slack: Fraction) -> Point | _Tested | None:
     """The box search in the balls' box grown by slack: a point, or None.
     Over the whole space (subset None) the point is the grown box's clamp
-    of the last ball's center."""
+    of the last ball's center, handed over as ``_Tested``: the grown box is
+    the intersection of the balls inflated by the slack."""
     grown = Box(tuple(v - slack for v in box.lo), tuple(v + slack for v in box.hi)) if slack else box
     if subset is not None:
         return subset_witness_in_box(subset, grown).witness
-    return None if grown.is_empty() else grown.clamp(balls[-1].center)
+    return None if grown.is_empty() else _Tested(grown.clamp(balls[-1].center))
 
 
 def exact_subset_oracle(subset, level: int = 64) -> EpsOracle:
@@ -110,13 +115,14 @@ def exact_subset_oracle(subset, level: int = 64) -> EpsOracle:
     last ball's center is the answer when it lies in every other ball (one
     integer pass) and then in the subset, as each later ask of
     ``almost_to_exact`` is centred on an answer; tested at slack 0, so at
-    any slack >= 0, it goes to ``ask`` as ``_Tested``.  Otherwise the box
-    search runs.  With subset None it answers over the whole max-norm space."""
+    the asked slack >= 0, it goes to ``ask`` as ``_Tested``.  Otherwise the
+    box search runs.  With subset None it answers over the whole max-norm
+    space."""
 
     def query(balls: tuple[Ball, ...], slack: Fraction) -> Point | _Tested | None:
         center = balls[-1].center
         if within_balls(center, balls[:-1], 0) and (subset is None or subset.contains(center)):
-            return _Tested(center) if slack >= 0 else center
+            return _Tested(center)
         box = balls_box(balls)
         hit = _grown_witness(subset, balls, box, Fraction(0))
         return hit if hit is not None else _grown_witness(subset, balls, box, slack)
@@ -402,7 +408,7 @@ def ip_reach(balls: tuple[Ball, ...]) -> Callable[[Point], Fraction]:
 
 #: The ``aux`` inputs each scheme's bounds are stated in.
 _RECORDED = {"cauchy-halving": (), "chain-walk": ("subsets", "x", "r", "y", "eps", "delta", "centers"),
-             "triple-34": ("subsets",), "ip-lift": ("k", "eps", "tau")}
+             "triple-34": ("subsets",), "ip-lift": ("k", "eps")}
 
 
 def verify_trace(trace: RefinementTrace) -> ContractionReport:
@@ -417,7 +423,7 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
     negative gap s gives the pair (y, y)), "triple-34" (iterates in
     A1 ∩ A2, gaps d(x_n, A0) at most r0 (3/4)^n with r0 the first, and
     steps at most half the gap before them) and "ip-lift" (reaches and
-    steps at most c^j R + 3 tau, R the first reach and c
+    steps at most c^j R, R the first reach and c
     ``ip_constants(len(balls) - 1, k, eps).c``, which must be below 1).
     A trace without iterates or without one of the ``aux`` inputs its
     bounds are stated in, and an ip-lift one without balls, with k outside
@@ -456,7 +462,7 @@ def verify_trace(trace: RefinementTrace) -> ContractionReport:
         c = ip_constants(len(trace.family.balls) - 1, aux["k"], aux["eps"]).c
         if c >= 1:
             return ContractionReport(scheme, slacks, (), (), False, notes=(f"c = {c} is not below 1",))
-        bounds = tuple(c**j * slacks[0] + 3 * aux["tau"] for j in range(len(slacks)))
+        bounds = tuple(c**j * slacks[0] for j in range(len(slacks)))
         others = tuple(s <= b for s, b in zip(steps, bounds))
     else:  # chain-walk: iterates a_1, a'_1, a_2, a'_2, ...; slacks hold the pair gaps
         A, A_prime = aux["subsets"]

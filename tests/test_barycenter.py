@@ -7,10 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperball.barycenter import (
-    MAX_ROUNDS,
-    BarycenterConfig,
     Isometry,
-    NoConvergence,
     barycenter,
     barycenter_contraction_check,
     default_ip_eps,
@@ -21,7 +18,7 @@ from hyperball.barycenter import (
 )
 from hyperball.errors import DimMismatch, EmptySet, HyperballError, InvalidArgument
 from hyperball.lab import LinfBallFamily
-from hyperball.linf import Ball, balls_box, linf_dist, mean_point, sigma
+from hyperball.linf import Ball, balls_box, linf_dist, sigma
 from hyperball.refine import (
     EpsOracle, OracleFailure, RefinementTrace, exact_subset_oracle, ip_constants, ip_reach,
     verify_trace,
@@ -30,17 +27,34 @@ from hyperball.rng import SplitMix64
 
 from conftest import F, pt
 
-CFG = BarycenterConfig()
+TAU = F(1, 1 << 30)  # the leave-one-out references' stop tolerance
+
+
+def _mean(pts):
+    return tuple(sum(col, F(0)) / len(pts) for col in zip(*pts))
 
 
 def test_barycenter_trivial_sizes():
-    assert barycenter((pt(7),), CFG) == pt(7)
-    assert barycenter((pt(0), pt(1)), CFG) == pt(F(1, 2))
+    assert barycenter((pt(7),)) == pt(7)
+    assert barycenter((pt(0), pt(1))) == pt(F(1, 2))
 
 
 def test_barycenter_three_on_line_converges_to_mean():
-    result = barycenter((pt(0), pt(1), pt(2)), CFG)
-    assert linf_dist(result, pt(1)) <= CFG.tau
+    assert barycenter((pt(0), pt(1), pt(2))) == pt(1)
+
+
+def test_barycenter_is_the_exact_mean():
+    """Seeded tuples of 1-8 points in dims 0-3: the barycenter is the
+    Fraction sum over m, a point of no points an ``InvalidArgument``."""
+    for seed in range(200):
+        rng = SplitMix64(seed)
+        dim, m = rng.randint(0, 3), rng.randint(1, 8)
+        pts = tuple(tuple(F(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(dim))
+                    for _ in range(m))
+        assert barycenter(pts) == _mean(pts), seed
+    assert barycenter((pt(1, 2), pt(1, 2))) == pt(1, 2)
+    with pytest.raises(InvalidArgument, match="^barycenter of no points$"):
+        barycenter(())
 
 
 @pytest.mark.parametrize("points", [
@@ -50,7 +64,7 @@ def test_barycenter_three_on_line_converges_to_mean():
 ], ids=["m=2", "m=3", "m=4-last"])
 def test_barycenter_rejects_points_of_different_dims(points):
     with pytest.raises(DimMismatch):
-        barycenter(points, CFG)
+        barycenter(points)
 
 
 def _barycenter_pointwise_reference(pts, tau):
@@ -62,28 +76,26 @@ def _barycenter_pointwise_reference(pts, tau):
     if m == 2:
         return sigma(pts[0], pts[1], Fraction(1, 2))
     current = pts
-    for _ in range(MAX_ROUNDS):
-        if max(linf_dist(p, q) for p, q in combinations(current, 2)) * 2 <= tau:
-            return current[0]
+    while max(linf_dist(p, q) for p, q in combinations(current, 2)) * 2 > tau:
         current = tuple(_barycenter_pointwise_reference(current[:i] + current[i + 1:], tau / (1 << 9))
                         for i in range(m))
-    raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
+    return current[0]
 
 
 def test_barycenter_weight_and_pointwise_paths_agree():
     points = (pt(0, 0), pt(3, 1), pt(-1, 4), pt(2, -2))
-    fast = barycenter(points, CFG)
-    slow = _barycenter_pointwise_reference(points, CFG.tau)
-    assert linf_dist(fast, slow) <= 2 * CFG.tau
-    assert linf_dist(fast, mean_point(points)) <= CFG.tau
+    assert linf_dist(barycenter(points), _barycenter_pointwise_reference(points, TAU)) <= TAU
+    assert barycenter(points) == _mean(points)
 
 
 def _barycenter_weights_reference(pts, tau):
-    """The Fraction iteration the integer numerators replaced (m >= 3)."""
+    """The leave-one-out iteration on Fractions (m >= 3), stopped once the
+    tuple's diameter is at most 2 tau; a round keeps the tuple's mean."""
     m, dim = len(pts), len(pts[0])
     current = pts
     prev_diam = None
-    for _ in range(MAX_ROUNDS):
+    while True:
+        assert _mean(current) == _mean(pts)
         diam = max((linf_dist(p, q) for p, q in combinations(current, 2)), default=F(0))
         if prev_diam is not None and diam > prev_diam:
             raise HyperballError("leave-one-out round increased the diameter")
@@ -94,41 +106,31 @@ def _barycenter_weights_reference(pts, tau):
         sums = tuple(sum((p[k] for p in current), Fraction(0)) for k in range(dim))
         current = tuple(tuple((sums[k] - p[k]) * share for k in range(dim))
                         for p in current)
-    raise NoConvergence(f"no convergence within {MAX_ROUNDS} rounds")
 
 
 def test_barycenter_weights_match_the_fraction_iteration():
-    """Integer numerators over one denominator give the same point, or the
-    same NoConvergence, as the iteration on Fractions."""
-    taus = (CFG.tau, F(1, 64), F(3), F(1, 1 << 300), 0.001)  # a float tau is read exactly
+    """The exact mean lies within tau of the Fraction iteration stopped at
+    tau, whatever tau."""
+    taus = (TAU, F(1, 64), F(3), F(1, 1 << 300))
     for seed in range(120):
         rng = SplitMix64(seed)
         dim, m = rng.randint(0, 3), rng.randint(3, 7)
         pts = tuple(tuple(F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(dim))
                     for _ in range(m))
         tau = taus[seed % len(taus)]
-        try:
-            expected = _barycenter_weights_reference(pts, tau)
-        except NoConvergence:
-            expected = NoConvergence
-        if expected is NoConvergence:
-            with pytest.raises(NoConvergence):
-                barycenter(pts, BarycenterConfig(tau))
-        else:
-            assert barycenter(pts, BarycenterConfig(tau)) == expected, seed
+        assert linf_dist(barycenter(pts), _barycenter_weights_reference(pts, tau)) <= tau, seed
 
 
 def test_barycenter_pointwise_size_guard():
-    # the weight iteration takes a tuple of any size
     points = tuple(pt(i) for i in range(7))
-    assert linf_dist(barycenter(points, CFG), mean_point(points)) <= CFG.tau
+    assert barycenter(points) == pt(3)
 
 
 def test_contraction_check_identity_and_permutation():
     xs = (pt(0, 0), pt(2, 1), pt(-1, 3))
-    assert barycenter_contraction_check(xs, xs, CFG).holds
+    assert barycenter_contraction_check(xs, xs).holds
     ys = (xs[2], xs[0], xs[1])
-    report = barycenter_contraction_check(xs, ys, CFG)
+    report = barycenter_contraction_check(xs, ys)
     assert report.holds
     assert report.certificate["right"] == 0  # permutation matches at zero cost
 
@@ -140,7 +142,7 @@ def test_contraction_check_random_tuples():
         mk = lambda: tuple(Fraction(rng.randint(-40, 40), 4) for _ in range(3))
         xs = tuple(mk() for _ in range(m))
         ys = tuple(mk() for _ in range(m))
-        assert barycenter_contraction_check(xs, ys, CFG).holds
+        assert barycenter_contraction_check(xs, ys).holds
 
 
 def _matching_reference(xs, ys):
@@ -176,7 +178,7 @@ def test_contraction_check_at_forty_points():
     mk = lambda: tuple(Fraction(rng.randint(-80, 80), 8) for _ in range(3))
     xs = tuple(mk() for _ in range(40))
     ys = tuple(mk() for _ in range(40))
-    report = barycenter_contraction_check(xs, ys, CFG)
+    report = barycenter_contraction_check(xs, ys)
     assert report.holds
     assert 0 < report.certificate["right"] <= max(linf_dist(x, y) for x, y in zip(xs, ys))
 
@@ -199,7 +201,7 @@ def test_equivariance_translation_and_permutation():
     permutation = Isometry((2, 0, 1), (F(0), F(0), F(0)))
     both = Isometry((2, 0, 1), (F(1), F(-2), F(3)))
     for iso in (translation, permutation, both):
-        report = equivariance_check(iso, xs, CFG)
+        report = equivariance_check(iso, xs)
         assert report.holds
         assert report.certificate["gap"] == 0  # linear selection commutes exactly
 
@@ -309,13 +311,13 @@ def test_ip_lift_contracts():
     R = trace.slacks[0]
     assert R > 0
     for j, reach in enumerate(trace.slacks):
-        assert reach <= params.c ** j * R + 3 * CFG.tau
+        assert reach <= params.c ** j * R
     for j, step in enumerate(trace.steps):
-        assert step <= params.c ** j * R + 3 * CFG.tau
+        assert step <= params.c ** j * R
     violation = max(
         max((linf_dist(final, b.center) - b.radius for b in balls), default=F(0)), F(0)
     )
-    assert violation <= params.c ** len(trace.steps) * R + 3 * CFG.tau
+    assert violation <= params.c ** len(trace.steps) * R
 
 
 def test_verify_trace_rejects_a_tampered_ip_lift_trace():
@@ -328,7 +330,7 @@ def test_verify_trace_rejects_a_tampered_ip_lift_trace():
     # The reaches are derived from the balls, never recorded.
     assert trace.slacks == tuple(map(ip_reach(balls), trace.iterates))
     # One iterate moved along the coordinate that sets its step: the derived
-    # step follows the move, and a move past the step's bound c^2 R + 3 tau fails.
+    # step follows the move, and a move past the step's bound c^2 R fails.
     prev, p = trace.iterates[2], trace.iterates[3]
     k = max(range(2), key=lambda i: abs(p[i] - prev[i]))
     sign = 1 if p[k] >= prev[k] else -1
@@ -341,7 +343,7 @@ def test_verify_trace_rejects_a_tampered_ip_lift_trace():
     past = verify_trace(moved(report.bounds[2] - trace.steps[2] + F(1, 1 << 20)))
     assert not past.passed and past.step_ok[len(trace.slacks) + 2] is False
     # c is recomputed from n, k and eps, never recorded.
-    assert set(trace.aux) == {"eps", "k", "tau"}
+    assert set(trace.aux) == {"eps", "k"}
     # A trace without its balls cannot pass by default.
     report = verify_trace(replace(trace, family=None))
     assert not report.passed and report.notes == ("no balls recorded",)
@@ -372,17 +374,29 @@ def test_verify_trace_recomputes_the_ip_lift_constant():
     assert not report.passed and report.notes == (f"c = {c} is not below 1",)
 
 
+def test_a_stalled_ip_lift_fails_whatever_tau_it_records():
+    """The stalled trace on the ``ip`` instance's balls once passed with
+    ``aux["tau"]`` set to its reach R, as 3 tau >= R covered every bound;
+    the bounds are c^j R with no tau term, so it fails whatever tau the
+    trace holds, or none."""
+    _, trace = ip_lift(exact_subset_oracle(None), IP_BALLS, ip_constants(4, 2, F(1, 64)), rounds=7)
+    stalled = replace(trace, iterates=trace.iterates[:1] * 8)
+    R = stalled.slacks[0]
+    for tau in (F(0), R / 3, R, 10 * R, F(10**9)):
+        assert not verify_trace(replace(stalled, aux={**stalled.aux, "tau": tau})).passed, tau
+    assert not verify_trace(stalled).passed
+
+
 @pytest.mark.parametrize("aux, note", [
     ({}, "no k recorded"),
-    ({"eps": F(1, 64), "tau": F(0)}, "no k recorded"),
-    ({"k": 2, "tau": F(0)}, "no eps recorded"),
-    ({"k": 2, "eps": F(1, 64)}, "no tau recorded"),
-    ({"k": 9, "eps": F(1, 64), "tau": F(0)}, "k = 9 is outside 2..4"),
-    ({"k": 1, "eps": F(1, 64), "tau": F(0)}, "k = 1 is outside 2..4"),
-    ({"k": 2, "eps": F(-1, 2), "tau": F(0)}, "eps = -1/2 is negative"),
-], ids=["empty", "no-k", "no-eps", "no-tau", "k-above-n", "k-below-2", "negative-eps"])
+    ({"eps": F(1, 64)}, "no k recorded"),
+    ({"k": 2}, "no eps recorded"),
+    ({"k": 9, "eps": F(1, 64)}, "k = 9 is outside 2..4"),
+    ({"k": 1, "eps": F(1, 64)}, "k = 1 is outside 2..4"),
+    ({"k": 2, "eps": F(-1, 2)}, "eps = -1/2 is negative"),
+], ids=["empty", "no-k", "no-eps", "k-above-n", "k-below-2", "negative-eps"])
 def test_verify_trace_fails_a_malformed_ip_lift_aux_with_a_note(aux, note):
-    """A saved trace whose ``aux`` lacks k, eps or tau, or holds a k outside
+    """A saved trace whose ``aux`` lacks k or eps, or holds a k outside
     2..n or a negative eps, fails with a note instead of raising."""
     _, trace = ip_lift(exact_subset_oracle(None), IP_BALLS, ip_constants(4, 2, F(1, 64)), rounds=3)
     assert verify_trace(trace).passed
@@ -500,7 +514,7 @@ def test_verify_trace_fails_an_ip_lift_trace_whose_balls_do_not_meet(k):
     note before any reach is derived, whatever k says."""
     balls = tuple(Ball(pt(c), F(r)) for c, r in ((0, 1), (10, 1), (5, 1), (2, 9), (3, 9)))
     trace = RefinementTrace("ip-lift", (pt(5),), LinfBallFamily(balls),
-                            aux={"k": k, "eps": F(0), "tau": F(1, 1024)})
+                            aux={"k": k, "eps": F(0)})
     report = verify_trace(trace)
     assert not report.passed and report.notes == ("the balls do not meet",)
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperball import lab, linf, lp, metric, refine, reports, rng, sets
-from hyperball.barycenter import BarycenterConfig, ip_lift
+from hyperball.barycenter import barycenter, ip_lift
 from hyperball.cli import main
 from hyperball.errors import DimMismatch, HyperballError, InternalError, InvalidArgument
 from hyperball.io import (
@@ -244,7 +244,8 @@ def test_cli_unknown_flag_is_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["barycenter", "ip-lift"])
-def test_cli_tau_reaches_the_computation_and_the_report(tmp_path, capsys, command):
+def test_cli_tau_is_refused_where_no_stop_tolerance_is_read(tmp_path, capsys, command):
+    # The barycenter is the exact mean: neither it nor the ip-lift reads a stop tolerance.
     instance = {
         "barycenter": {"type": "points", "points": [["0/1", "0/1"], ["1/1", "3/1"], ["2/1", "1/1"]]},
         "ip-lift": {"type": "ip", "k": 2, "balls": [
@@ -252,14 +253,12 @@ def test_cli_tau_reaches_the_computation_and_the_report(tmp_path, capsys, comman
             for x, y in [("-4/1", "4/1"), ("-2/1", "-5/1"), ("-1/1", "5/1"), ("3/1", "0/1"), ("4/1", "-1/1")]]},
     }[command]
     path = write(tmp_path, "instance.json", instance)
-    reports = {}
-    for tau in (None, "1/64"):
-        argv = [command, "--instance", path, "--json"] + (["--tau", tau] if tau else [])
-        argv += ["--iters", "4"] if command == "ip-lift" else []
-        assert main(argv) == 0
-        reports[tau] = json.loads(capsys.readouterr().out)
-    assert reports[None]["config"]["tau"] is None and reports["1/64"]["config"]["tau"] == "1/64"
-    assert reports[None]["checks"][0]["point"] != reports["1/64"]["checks"][0]["point"]
+    argv = [command, "--instance", path, "--json"] + (["--iters", "4"] if command == "ip-lift" else [])
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "tau" not in report["config"] and report["checks"][0]["verdict"] == "holds"
+    assert main(argv + ["--tau", "1/64"]) == 3
+    assert "--tau" in capsys.readouterr().err
 
 
 def test_cli_check_matrix(tmp_path, capsys):
@@ -563,15 +562,6 @@ def test_a_tampered_sampler_hit_fails_exact_re_verification(tmp_path, capsys, mo
     assert len(tampered) == 2
 
 
-def test_cli_a_failed_barycenter_self_check_exits_4(tmp_path, capsys, monkeypatch):
-    """A round that grows the diameter fails the barycenter's self-check:
-    a bug (exit 4), not bad input (exit 3)."""
-    monkeypatch.setattr(BARYCENTER, "_leave_one_out", lambda rows: [[5 * v for v in p] for p in rows])
-    points = write(tmp_path, "points.json", {"type": "points", "points": [["0/1"], ["1/1"], ["3/1"]]})
-    assert main(["barycenter", "--instance", points]) == 4
-    assert capsys.readouterr().err == "error: internal error: leave-one-out round increased the diameter\n"
-
-
 def test_cli_a_stray_value_error_inside_a_subcommand_exits_4(capsys, monkeypatch):
     """Only parsing, the instance checks and the entry points' argument
     checks (``InvalidArgument``) exit 3; any other ValueError is a bug."""
@@ -608,9 +598,8 @@ def _bench_instance(name):
     lambda: refine.ip_constants(2, 3),
     lambda: ip_lift(refine.exact_subset_oracle(None, 2), _bench_instance("ip")["balls"],
                     refine.ip_constants(2, 2), rounds=-1),
-    lambda: BarycenterConfig(F(0)),
 ], ids=["refute-level", "refute-budget", "refute-mode", "helly-empty", "graph-scan-level",
-        "cauchy-iterations", "triple-x0", "chain-eps", "ip-k-above-n", "ip-lift-rounds", "tau"])
+        "cauchy-iterations", "triple-x0", "chain-eps", "ip-k-above-n", "ip-lift-rounds"])
 def test_entry_point_argument_checks_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument) as caught:
         call()
@@ -630,10 +619,12 @@ _ODD_TRACE = refine.RefinementTrace("bogus", (pt(0),))
     (lambda: lab.HellyInstance(1, (_HALF_LINE, _HALF_LINE), (pt(0), pt(1))), "witness 1 fails set 0"),
     (lambda: linf.Ball(pt(0), F(-1)), "ball radius must be >= 0"),
     (lambda: linf.balls_box([]), "need at least one ball"),
-    (lambda: linf.mean_point([]), "mean of no points"),
+    (lambda: barycenter([]), "barycenter of no points"),
     (lambda: lp.lp_feasible(None), "cannot infer dimension from empty input"),
     (lambda: refine.exact_subset_oracle(None, 1).ask((linf.Ball(pt(0), F(1)),) * 2, F(0), 0),
      "oracle contract does not cover 2 balls (level 1)"),
+    (lambda: refine.exact_subset_oracle(None).ask((linf.Ball(pt(0), F(1)),), F(-1, 2), 0),
+     "slack -1/2 is negative"),
     (lambda: _ODD_TRACE.slacks, "unknown scheme 'bogus'"),
     (lambda: refine.verify_trace(_ODD_TRACE), "unknown scheme 'bogus'"),
     (lambda: sets.BoxUnion(()), "union of no boxes"),
@@ -649,7 +640,7 @@ _ODD_TRACE = refine.RefinementTrace("bogus", (pt(0),))
     (lambda: metric.GraphInstance(3, ((0, 1, 2),)), "every edge must be a pair of vertices"),
 ], ids=["family-no-balls", "finite-center-index", "finite-radius", "helly-witness-count",
         "helly-witness-fails", "ball-radius", "balls-box-empty", "mean-no-points", "lp-no-dim",
-        "oracle-over-ask", "slacks-scheme", "verify-trace-scheme", "union-no-boxes",
+        "oracle-over-ask", "oracle-negative-slack", "slacks-scheme", "verify-trace-scheme", "union-no-boxes",
         "subset-index-type", "subset-index-range", "report-verdict", "rng-bound",
         "graph-no-vertices", "graph-self-loop", "graph-edge-range", "graph-weight-count",
         "graph-weight-sign", "graph-edge-arity"])

@@ -3,9 +3,9 @@ constants may live, on what importing the package and running each CLI
 subcommand (and a center-mode union refute) loads, on the
 package exporting each name lazily from its defining module, on boxes
 and unions offering no ``window`` or ``nearest``, on knobs that were
-removed (the refuter's ``arena``, ``BarycenterConfig.max_rounds``, the
-barycenter's backend object, the convexity checkers' ``grid`` and the
-graph brute force's ``cap`` among them), on the lift's constants being
+removed (the refuter's ``arena``, the barycenter's ``BarycenterConfig``,
+leave-one-out loop and backend object, the convexity checkers' ``grid``
+and the graph brute force's ``cap`` among them), on the lift's constants being
 closed forms without a search and its reach and check reading the balls'
 box without listing subfamilies, on each CLI subcommand taking only the flags it reads, on the
 LP kernel, the kept distance pieces (ranked only by the one lookup) and
@@ -119,7 +119,7 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, unloaded):
 
 # The public names the package bound eagerly from its submodules.
 EXPORTED = {
-    "Ball", "BarycenterConfig", "Box", "BoxUnion", "ContractionReport", "DimMismatch", "EmptySet",
+    "Ball", "Box", "BoxUnion", "ContractionReport", "DimMismatch", "EmptySet",
     "EpsOracle", "FeasibilityResult", "FiniteBallFamily", "FiniteMetricSpace", "FiniteSubset",
     "GraphInstance", "HPolyhedron", "HellyInstance", "HyperballError", "IPParams",
     "InvalidArgument", "Isometry", "LinfBallFamily", "PropertyReport", "RefinementTrace",
@@ -168,22 +168,26 @@ def test_refine_and_barycenter_have_no_dead_knob():
     from dataclasses import fields
 
     from hyperball import refine
-    from hyperball.barycenter import BarycenterConfig
 
     assert [f.name for f in fields(refine.EpsOracle)] == ["query", "level", "subset"]
     for fn in (refine.exact_subset_oracle, refine.saturating_subset_oracle):
         assert "label" not in inspect.signature(fn).parameters, fn.__name__
     assert list(inspect.signature(refine.verify_trace).parameters) == ["trace"]
-    assert "pointwise" not in {f.name for f in fields(BarycenterConfig)}
-    # One barycenter, over the max norm: no backend object, no pointwise path.
-    from hyperball.barycenter import barycenter, min_matching_average
+    # One barycenter, the exact mean: no backend object, no pointwise path,
+    # no stop tolerance and no leave-one-out loop.
+    from hyperball.barycenter import (
+        barycenter, barycenter_contraction_check, equivariance_check, ip_lift, min_matching_average,
+    )
 
     tree = ast.parse(_sources()["barycenter.py"])
     defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     defined |= {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
                 for target in node.targets if isinstance(target, ast.Name)}
-    assert not {"BicombingBackend", "linf_backend", "_barycenter_pointwise"} & defined
-    assert list(inspect.signature(barycenter).parameters) == ["points", "cfg"]
+    assert not {"BicombingBackend", "linf_backend", "_barycenter_pointwise", "BarycenterConfig",
+                "MAX_ROUNDS", "NoConvergence", "_leave_one_out"} & defined
+    assert list(inspect.signature(barycenter).parameters) == ["points"]
+    for fn in (barycenter, barycenter_contraction_check, equivariance_check, ip_lift):
+        assert "cfg" not in inspect.signature(fn).parameters, fn.__name__
     assert list(inspect.signature(min_matching_average).parameters) == ["xs", "ys"]
     called = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(barycenter)))
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
@@ -191,14 +195,10 @@ def test_refine_and_barycenter_have_no_dead_knob():
 
 
 def test_refuter_setup_has_no_dead_knob():
-    from dataclasses import fields
-
     from hyperball import lab
-    from hyperball.barycenter import BarycenterConfig
 
     assert "arena" not in inspect.signature(lab.refute_search).parameters
     assert list(inspect.signature(lab._build_arena).parameters) == ["subset", "level"]
-    assert [f.name for f in fields(BarycenterConfig)] == ["tau"]
 
 
 def test_boxes_and_unions_define_no_window_and_no_nearest():
@@ -331,7 +331,12 @@ def test_refinement_trace_keeps_only_its_iterates_and_inputs():
     balls = tuple(Ball((Fraction(i), Fraction(0)), Fraction(5)) for i in range(5))
     params = refine.ip_constants(4, 2, Fraction(1, 64))
     _, trace = ip_lift(refine.exact_subset_oracle(None), balls, params, rounds=2)
-    assert set(trace.aux) == {"eps", "k", "tau"}
+    assert set(trace.aux) == {"eps", "k"}
+    # verify_trace reads no tau from aux: the ip-lift bound c^j R has no tau term.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(refine.verify_trace)))
+    constants = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert "tau" not in constants | {key for keys in refine._RECORDED.values() for key in keys}
+    assert refine._RECORDED["ip-lift"] == ("k", "eps")
 
 
 def test_lp_kernel_and_certificate_checks_build_no_fraction():
@@ -449,9 +454,9 @@ def test_each_subcommand_takes_only_the_flags_it_reads():
         "refute": report | {"--instance", "--level", "--mode", "--seed", "--budget"},
         "helly": report | {"--dim", "--verify", "--k"},
         "refine": report | {"--instance", "--scheme", "--iters", "--scale"},
-        "barycenter": report | {"--instance", "--tau"},
+        "barycenter": report | {"--instance"},
         "ip-threshold": report | {"--k"},
-        "ip-lift": report | {"--instance", "--iters", "--tau"},
+        "ip-lift": report | {"--instance", "--iters"},
         "graph-scan": report | {"--instance", "--level"},
     }
 
@@ -490,7 +495,6 @@ KEPT_ERRORS = {
     "metric": {"MetricError", "Asymmetric", "NegativeOrNonzeroDiagonal", "NonpositiveDistance",
                "TriangleViolation", "Disconnected"},
     "refine": {"OracleFailure", "PairwiseIntersectionUnverified"},
-    "barycenter": {"NoConvergence"},
 }
 
 
@@ -512,11 +516,10 @@ def test_the_exception_classes_are_the_kept_set():
 
 
 def test_every_error_but_a_run_or_self_check_failure_is_an_invalid_argument():
-    from hyperball.barycenter import NoConvergence
     from hyperball.errors import HyperballError, InternalError, InvalidArgument
     from hyperball.refine import OracleFailure, PairwiseIntersectionUnverified
 
-    outside = (InternalError, OracleFailure, NoConvergence, PairwiseIntersectionUnverified)
+    outside = (InternalError, OracleFailure, PairwiseIntersectionUnverified)
     for classes in _defined_errors().values():
         for name, cls in classes.items():
             assert issubclass(cls, HyperballError), name

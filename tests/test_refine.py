@@ -31,11 +31,13 @@ INSTANCES = pathlib.Path(__file__).resolve().parents[1] / "bench" / "instances"
 
 def broken_oracle(subset, offset: Fraction, level: int = 64) -> EpsOracle:
     """Deliberately out-of-contract oracle for failure-path tests: the
-    saturating oracle's answer shifted by offset in every coordinate."""
+    saturating oracle's answer, read through a ``_Tested`` marker, shifted
+    by offset in every coordinate."""
     inner = saturating_subset_oracle(subset, level)
 
     def query(balls, slack):
         hit = inner.query(balls, slack)
+        hit = hit.point if isinstance(hit, _Tested) else hit
         return None if hit is None else tuple(c + offset for c in hit)
 
     return replace(inner, query=query)
@@ -113,11 +115,11 @@ def test_a_breach_names_the_first_ball_missed():
 
 
 def test_a_plain_center_answer_is_tested_by_ask():
-    """Only the exact oracle's hit hands ``ask`` its proof: a query that
-    answers the last ball's center fails at its call when the center breaches
-    an earlier ball or lies outside the subset, and so does the exact
-    oracle's hit at a negative slack, which its test at slack 0 does not
-    cover."""
+    """Only the exact oracle's answers hand ``ask`` their proof: a query
+    that answers the last ball's center fails at its call when the center
+    breaches an earlier ball or lies outside the subset.  A negative slack,
+    which the exact oracle's test at slack 0 would not cover, is an
+    ``InvalidArgument`` before any query runs."""
 
     def last_center(balls, slack):
         return balls[-1].center
@@ -127,12 +129,16 @@ def test_a_plain_center_answer_is_tested_by_ask():
          f"outside inflated ball around {pt(0, 0)}"),
         (EpsOracle(last_center, 2, BOX), (Ball(pt(3, 1), F(2)), Ball(pt(3, 1), F(1))), F(1, 4),
          "point not in subset"),
-        (exact_subset_oracle(BOX), (Ball(pt(1, 1), F(1, 2)),), F(-1), f"outside inflated ball around {pt(1, 1)}"),
     )
     for oracle, balls, slack, message in cases:
         with pytest.raises(OracleFailure) as failure:
             oracle.ask(balls, slack, 5)
         assert str(failure.value) == f"oracle contract violated at call 5: {message}"
+    queried = []
+    for oracle in (exact_subset_oracle(BOX), EpsOracle(lambda balls, slack: queried.append(slack), 2, None)):
+        with pytest.raises(InvalidArgument, match="^slack -1 is negative$"):
+            oracle.ask((Ball(pt(1, 1), F(1, 2)),), F(-1), 5)
+    assert queried == []
 
 
 @pytest.mark.parametrize("oracle", [
@@ -655,6 +661,42 @@ def test_each_center_answer_is_tested_once_on_the_lp_repeat_pool(monkeypatch):
     hits = [(within, contains) for hit, within, contains in asks if hit]
     assert len(hits) >= 1560 and set(hits) == {(1, 1)}
     assert all(within <= 2 for _, within, _ in asks)
+
+
+def test_each_whole_space_answer_is_tested_once_in_an_ip_lift(monkeypatch):
+    """On ``bench/instances/ip.json`` every ask of the lift makes one
+    ``within_balls`` call, the center hit test's: a miss answers the clamp
+    onto the balls' box, which lies in every ball, and hands it over as
+    ``_Tested``.  A lambda oracle's answer is still tested by ``ask``, and
+    a breaching one fails at its call."""
+    from hyperball import refine
+    from hyperball.barycenter import ip_lift
+    from hyperball.refine import ip_constants
+
+    _, spec = parse_instance(str(INSTANCES / "ip.json"))
+    balls = spec["balls"]
+    n = len(balls) - 1
+    params = ip_constants(n, spec["k"], spec["eps"])
+    calls, real = [], refine.within_balls
+    monkeypatch.setattr(refine, "within_balls", lambda *args: calls.append(args) or real(*args))
+    asks, ask = [], EpsOracle.ask
+
+    def spied(self, asked, slack, call):
+        before = len(calls)
+        p = ask(self, asked, slack, call)
+        asks.append((p == asked[-1].center, len(calls) - before))
+        return p
+
+    monkeypatch.setattr(EpsOracle, "ask", spied)
+    _, trace = ip_lift(exact_subset_oracle(None, n), balls, params)
+    assert verify_trace(trace).passed
+    assert {within for _, within in asks} == {1}
+    assert {hit for hit, _ in asks} == {True, False}  # center hits and clamps
+    far = EpsOracle(lambda asked, slack: tuple(v + 100 for v in asked[-1].center), n, None)
+    before = len(calls)
+    with pytest.raises(OracleFailure, match="outside inflated ball") as failure:
+        ip_lift(far, balls, params)
+    assert failure.value.step == 0 and len(calls) == before + 1
 
 
 def _counted_solves(monkeypatch):
